@@ -65,7 +65,7 @@ def _cmd_label(args) -> int:
         checkpoint_every=args.checkpoint_every,
         quasi_per_kind=args.quasi_per_kind,
         max_component=args.max_component, tree_source=args.tree)
-    tr = run_trial(cfg, 0, 0, collect_trace=True)
+    tr = run_trial(cfg, 0, 0, collect_trace=bool(args.trace))
     if not tr.result.success:
         json.dump({"error": "labelling-failed",
                    "message": f"no labelling after {tr.result.attempts} attempts",

@@ -141,16 +141,14 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     label_rng = root.child(1)
     quasi_rng = root.child(2)
 
-    reports: List[QuasiReport] = []
+    tagged: List[Tuple[int, QuasiReport]] = []  # (attempt, report)
     spec = QuasiSampleSpec(per_kind=cfg.quasi_per_kind,
                            used_cap=cfg.quasi_used_cap)
 
     def on_checkpoint(state, t):
-        if reports and t <= reports[-1].checkpoint:
-            reports.clear()  # a retry started a fresh attempt
-        reports.append(check_quasi(state.a_bits, state.c_bits, sys,
-                                   float(params.alpha(t)), spec,
-                                   quasi_rng, t=t))
+        tagged.append((state.attempt, check_quasi(
+            state.a_bits, state.c_bits, sys, float(params.alpha(t)), spec,
+            quasi_rng, t=t)))
 
     def build_plan(r: Rng) -> Plan:
         kw = {}
@@ -163,6 +161,7 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
                         checkpoint_every=cfg.checkpoint_every,
                         on_checkpoint=on_checkpoint,
                         collect_trace=collect_trace, replan=build_plan)
+    reports = [r for k, r in tagged if k == res.attempts - 1]
 
     labelling = None
     if res.success:
@@ -172,11 +171,6 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
             raise RuntimeError(
                 f"completed labelling failed verification: {rep.reason}")
 
-    corv = core = steps = 0
-    if res.trace:
-        steps = len(res.trace)
-        corv = sum(1 for row in res.trace if row.corv_label >= 0)
-        core = sum(1 for row in res.trace if row.core_diff >= 0)
     last_fail = res.failures[-1] if res.failures else None
     q1 = max((r.quasi1_max_dev for r in reports), default=-1.0)
     q2 = max((r.quasi2_max_dev for r in reports), default=-1.0)
@@ -191,9 +185,9 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
         quasi1_max_dev=q1,
         quasi2_max_dev=q2,
         quasi_ok=all(r.ok for r in reports),
-        corv_hits=corv,
-        core_hits=core,
-        steps=steps,
+        corv_hits=res.corv_hits,
+        core_hits=res.core_hits,
+        steps=res.steps,
         wall_time=time.perf_counter() - t0,
     )
     return TrialResult(record=record, result=res, reports=tuple(reports),
@@ -261,7 +255,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     labellings: Dict[Tuple[int, int], Labelling] = {}
     for i in range(len(cfg.n)):
         for k in range(cfg.trials):
-            tr = run_trial(cfg, i, k, collect_trace=True)
+            tr = run_trial(cfg, i, k)
             records.append(tr.record)
             if tr.labelling is not None:
                 labellings[(cfg.n[i], k)] = tr.labelling

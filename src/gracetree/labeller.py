@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .bitset import BlockBits, select
 from .bitset import mask as bit_mask
-from .bitset import select, window
 from .intervals import (
     CorrectionDistribution,
     Interval,
@@ -45,17 +45,26 @@ def admissible_labels(
 
 
 class LabelState:
-    """Available vertex labels and edge differences as bitsets.
+    """Free vertex labels A and free differences C of one attempt.
 
-    c_rev mirrors c_bits about n_tilde (bit k set iff difference
-    n_tilde - k is available) so below-parent admissibility is a shift.
+    Both are BlockBits, and so is the mirror of C about n_tilde (bit k
+    set iff difference n_tilde - k is free), so the labels below the
+    parent read a forward window of the mirror just as the labels above
+    it read one of C.  Every read is one target or correction window and
+    every removal rewrites one block, so a step costs O(ell/64) words
+    whatever n_tilde is.  a_bits and c_bits assemble full-width ints for
+    snapshot consumers such as the audit, at O(n_tilde/64) each.
+
+    steps_done, corv_hits and core_hits count completed steps and the
+    corrective removals made in them; attempt is the attempt's index.
     """
 
     __slots__ = (
         "sys",
-        "a_bits",
-        "c_bits",
-        "c_rev",
+        "attempt",
+        "labels",
+        "diffs",
+        "diffs_rev",
         "size_a",
         "size_c",
         "steps_done",
@@ -63,44 +72,54 @@ class LabelState:
         "core_hits",
     )
 
-    def __init__(self, sys: IntervalSystem):
+    def __init__(self, sys: IntervalSystem, attempt: int = 0):
         self.sys = sys
+        self.attempt = attempt
         nt = sys.n_tilde
-        self.a_bits = bit_mask(1, nt)
-        self.c_bits = bit_mask(1, nt - 1)
-        self.c_rev = bit_mask(1, nt - 1)
+        self.labels = BlockBits(bit_mask(1, nt))
+        self.diffs = BlockBits(bit_mask(1, nt - 1))
+        self.diffs_rev = BlockBits(bit_mask(1, nt - 1))
         self.size_a = nt
         self.size_c = nt - 1
         self.steps_done = 0
         self.corv_hits = 0
         self.core_hits = 0
 
+    @property
+    def a_bits(self) -> int:
+        return self.labels.to_int()
+
+    @property
+    def c_bits(self) -> int:
+        return self.diffs.to_int()
+
     def remove_label(self, b: int) -> None:
-        bit = 1 << b
-        if not self.a_bits & bit:
-            raise AssertionError(f"label {b} already removed")
-        self.a_bits ^= bit
+        try:
+            self.labels.remove(b)
+        except KeyError:
+            raise AssertionError(f"label {b} already removed") from None
         self.size_a -= 1
 
     def remove_diff(self, d: int) -> None:
-        bit = 1 << d
-        if not self.c_bits & bit:
-            raise AssertionError(f"difference {d} already removed")
-        self.c_bits ^= bit
-        self.c_rev ^= 1 << (self.sys.n_tilde - d)
+        try:
+            self.diffs.remove(d)
+        except KeyError:
+            raise AssertionError(f"difference {d} already removed") from None
+        self.diffs_rev.remove(self.sys.n_tilde - d)
         self.size_c -= 1
 
     def admissible_mask(self, a: int, iv: Interval) -> int:
         """Window bitmask of labels in iv admissible against parent label a
         (bit k = label iv.lo + k)."""
-        w = iv.hi - iv.lo + 1
-        avail = window(self.a_bits, iv.lo, w)
-        above = window(self.c_bits << a, iv.lo, w)
-        below = window(self.c_rev >> (self.sys.n_tilde - a), iv.lo, w)
+        lo = iv.lo
+        w = iv.hi - lo + 1
+        avail = self.labels.window(lo, w)
+        above = self.diffs.window(lo - a, w)
+        below = self.diffs_rev.window(lo + self.sys.n_tilde - a, w)
         return avail & (above | below)
 
     def first_mask(self, iv: Interval) -> int:
-        return window(self.a_bits, iv.lo, iv.hi - iv.lo + 1)
+        return self.labels.window(iv.lo, iv.hi - iv.lo + 1)
 
 
 @dataclass(frozen=True)
@@ -129,6 +148,10 @@ class LabelResult:
     attempts: int
     failures: tuple[AttemptFailure, ...]
     trace: tuple[TraceRow, ...] | None
+    # completed steps of the last attempt, and its corrective removals
+    steps: int = 0
+    corv_hits: int = 0
+    core_hits: int = 0
 
     def failure_histogram(self) -> dict[str, int]:
         hist: dict[str, int] = {}
@@ -153,8 +176,11 @@ def _attempt(
     checkpoint_every: int,
     on_checkpoint: Callable[[LabelState, int], None] | None,
     collect_trace: bool,
-) -> tuple[dict[int, int] | None, AttemptFailure | None, list[TraceRow] | None]:
-    state = LabelState(sys)
+    attempt: int,
+) -> tuple[
+    dict[int, int] | None, AttemptFailure | None, list[TraceRow] | None, LabelState
+]:
+    state = LabelState(sys, attempt)
     labels: list[int] = []
     trace: list[TraceRow] | None = [] if collect_trace else None
     for pos, vertex in enumerate(plan.order):
@@ -167,7 +193,7 @@ def _attempt(
             mask_bits = state.admissible_mask(a, iv)
         k = _pick(mask_bits, rng)
         if k is None:
-            return None, AttemptFailure(FAIL_CHOOSE, t), trace
+            return None, AttemptFailure(FAIL_CHOOSE, t), trace, state
         b = iv.lo + k
         state.remove_label(b)
         labels.append(b)
@@ -179,23 +205,23 @@ def _attempt(
         corv_label = -1
         riv = corv.sample(rng)
         if riv is not None:
-            k = _pick(window(state.a_bits, riv.lo, sys.m), rng)
+            k = _pick(state.labels.window(riv.lo, sys.m), rng)
             if k is None:
-                return None, AttemptFailure(FAIL_CORV, t), trace
+                return None, AttemptFailure(FAIL_CORV, t), trace, state
             corv_label = riv.lo + k
             state.remove_label(corv_label)
-            state.corv_hits += 1
         core_diff = -1
         riv = core.sample(rng)
         if riv is not None:
-            k = _pick(window(state.c_bits, riv.lo, sys.m), rng)
+            k = _pick(state.diffs.window(riv.lo, sys.m), rng)
             if k is None:
-                return None, AttemptFailure(FAIL_CORE, t), trace
+                return None, AttemptFailure(FAIL_CORE, t), trace, state
             core_diff = riv.lo + k
             state.remove_diff(core_diff)
-            state.core_hits += 1
 
         state.steps_done = t
+        state.corv_hits += corv_label >= 0
+        state.core_hits += core_diff >= 0
         if trace is not None:
             trace.append(
                 TraceRow(
@@ -212,7 +238,7 @@ def _attempt(
         if checkpoint_every and t % checkpoint_every == 0 and on_checkpoint:
             on_checkpoint(state, t)
     psi = {v: labels[i] for i, v in enumerate(plan.order)}
-    return psi, None, trace
+    return psi, None, trace, state
 
 
 def run_labelling(
@@ -232,18 +258,21 @@ def run_labelling(
     attempts after the first rebuild the plan from rng.child(k).child(0),
     otherwise every attempt reuses the given plan.  Draw order within a
     step is fixed: label, vertex-removal target, vertex removal,
-    edge-removal target, edge removal.
+    edge-removal target, edge removal.  The result's step and removal
+    counts are those of the last attempt, whether or not a trace is
+    collected.
     """
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
     failures: list[AttemptFailure] = []
     corv = corv_distribution(sys)
     core = core_distribution(sys)
-    last_trace: list[TraceRow] | None = None
     cur_plan = plan
     for k in range(max_retries + 1):
         s = rng.child(k)
         if k and replan is not None:
             cur_plan = replan(s.child(0))
-        psi, failure, trace = _attempt(
+        psi, failure, trace, state = _attempt(
             cur_plan,
             sys,
             corv,
@@ -252,23 +281,19 @@ def run_labelling(
             checkpoint_every,
             on_checkpoint,
             collect_trace,
+            k,
         )
-        last_trace = trace
         if failure is None:
-            return LabelResult(
-                success=True,
-                psi=psi,
-                plan=cur_plan,
-                attempts=k + 1,
-                failures=tuple(failures),
-                trace=tuple(trace) if trace is not None else None,
-            )
+            break
         failures.append(failure)
     return LabelResult(
-        success=False,
-        psi=None,
+        success=failure is None,
+        psi=psi,
         plan=cur_plan,
-        attempts=max_retries + 1,
+        attempts=k + 1,
         failures=tuple(failures),
-        trace=tuple(last_trace) if last_trace is not None else None,
+        trace=tuple(trace) if trace is not None else None,
+        steps=state.steps_done,
+        corv_hits=state.corv_hits,
+        core_hits=state.core_hits,
     )

@@ -220,3 +220,69 @@ def test_write_experiment_files(tmp_path):
     assert data == res.summary
     csv_lines = (tmp_path / "out" / "records.csv").read_text().strip().split("\n")
     assert len(csv_lines) == 1 + len(res.records)
+
+
+def _strip(rec):
+    return dataclasses.replace(rec, wall_time=0.0)
+
+
+def test_untraced_record_equals_traced():
+    cases = [(small_cfg(), 0),
+             (ExperimentConfig(n=(300,), gamma=Fraction(1, 10), m=4, ell=16,
+                               trials=1, seed=0, retries=2, quasi_per_kind=0,
+                               checkpoint_every=0), 0)]
+    for cfg, trial in cases:
+        traced = run_trial(cfg, 0, trial, collect_trace=True)
+        plain = run_trial(cfg, 0, trial)
+        assert plain.result.trace is None
+        assert _strip(plain.record) == _strip(traced.record)
+        assert plain.record.steps == len(traced.result.trace) > 0
+        assert plain.record.corv_hits > 0 and plain.record.core_hits > 0
+    exp = run_experiment(dataclasses.replace(cases[0][0], trials=2))
+    assert [_strip(r) for r in exp.records] == [
+        _strip(run_trial(cases[0][0], 0, k, collect_trace=True).record)
+        for k in range(2)]
+
+
+def test_reports_are_scoped_to_the_last_attempt():
+    # attempts fail at steps 1277, 1304, 1345 and 982: the first three
+    # pass the checkpoint at 1000, the last one dies before it
+    cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=16, ell=128,
+                           trials=1, seed=2, checkpoint_every=1000)
+    tr = run_trial(cfg, 0, 0)
+    steps = [f.step for f in tr.result.failures]
+    assert steps == [1277, 1304, 1345, 982]
+    assert tr.reports == ()
+    rec = tr.record
+    assert rec.quasi1_max_dev == rec.quasi2_max_dev == -1.0
+    assert rec.quasi_ok
+
+
+# SHA-256 of the artifacts of two frozen runs.  They pin the RNG draw
+# order, so a change to the label state's representation keeps them.
+GOLDEN = {
+    "success_labelling":
+        "4e3ee0b0bf1956a90eefb9ccd0e9ccc8e485b010cc020938082cabaae6c01e21",
+    "success_trace":
+        "579bd4ad06475305345d443bb1f10dc8b0cbae9f4844a33020d81de63e4557bc",
+    "retry_trace":
+        "d072071cb3e4a2dde16f1a2b7dbd46f4500cc4837ddacce21deaf303b5869355",
+}
+
+
+def test_golden_digests():
+    import hashlib
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    ok = run_trial(small_cfg(trials=1), 0, 0, collect_trace=True)
+    assert ok.record.outcome == "success"
+    assert sha(labelling_to_json(ok.labelling)) == GOLDEN["success_labelling"]
+    assert sha(trace_csv(ok.result, ok.reports)) == GOLDEN["success_trace"]
+    cfg = ExperimentConfig(n=(300,), gamma=Fraction(1, 10), m=4, ell=16,
+                           trials=1, seed=0, retries=2, quasi_per_kind=0,
+                           checkpoint_every=0)
+    bad = run_trial(cfg, 0, 0, collect_trace=True)
+    assert bad.record.outcome == "fail" and bad.record.attempts == 3
+    assert sha(trace_csv(bad.result, bad.reports)) == GOLDEN["retry_trace"]
