@@ -77,14 +77,40 @@ def config_to_json(cfg: ExperimentConfig) -> str:
     return json.dumps(d, indent=2, sort_keys=True)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def config_from_json(text: str) -> ExperimentConfig:
+    """Parse a campaign config; any malformed field raises ParamError."""
     d = json.loads(text)
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    extra = set(d) - known
+    if not isinstance(d, dict):
+        raise ParamError("config must be a JSON object")
+    fields = dataclasses.fields(ExperimentConfig)
+    extra = set(d) - {f.name for f in fields}
     if extra:
         raise ParamError(f"unknown config keys: {sorted(extra)}")
-    if "gamma" in d and isinstance(d["gamma"], str):
-        d["gamma"] = Fraction(d["gamma"])
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in d]
+    if missing:
+        raise ParamError(f"missing config keys: {missing}")
+    if not (isinstance(d["n"], list) and all(_is_int(x) for x in d["n"])):
+        raise ParamError("n must be a list of integers")
+    gamma = d["gamma"]
+    if not isinstance(gamma, (str, int, float)) or isinstance(gamma, bool):
+        raise ParamError("gamma must be a fraction string or a number")
+    try:
+        d["gamma"] = Fraction(gamma)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParamError(f"bad gamma {gamma!r}: {exc}") from None
+    for name, x in d.items():
+        if name == "tree_source":
+            ok = isinstance(x, str)
+        else:
+            ok = (name in ("n", "gamma") or _is_int(x)
+                  or (name == "max_component" and x is None))
+        if not ok:
+            raise ParamError(f"bad {name}: {x!r}")
     return ExperimentConfig(**d)
 
 
@@ -293,10 +319,20 @@ def labelling_to_json(lab: Labelling) -> str:
 
 
 def labelling_from_json(text: str, tree: Tree) -> Labelling:
+    """Parse {"n", "m", "labels"}; any malformed field raises ValueError."""
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError("labelling must be a JSON object")
+    missing = [k for k in ("n", "m", "labels") if k not in d]
+    if missing:
+        raise ValueError(f"labelling is missing keys: {missing}")
+    if not (_is_int(d["n"]) and _is_int(d["m"])):
+        raise ValueError("labelling n and m must be integers")
     if d["n"] != tree.n:
         raise ValueError(f"labelling is for n = {d['n']}, tree has {tree.n}")
     labels = d["labels"]
+    if not (isinstance(labels, list) and all(_is_int(b) for b in labels)):
+        raise ValueError("labels must be a list of integers")
     if len(labels) != tree.n:
         raise ValueError(f"expected {tree.n} labels, got {len(labels)}")
     return Labelling(tree, {v: labels[v - 1] for v in range(1, tree.n + 1)},

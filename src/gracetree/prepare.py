@@ -8,10 +8,13 @@ intervals, and the target interval of every vertex.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .intervals import Interval, IntervalSystem
@@ -30,78 +33,184 @@ def _smallest_leaf(t: Tree) -> int:
     raise PrepareError("tree has no leaf")
 
 
+class _Fragment:
+    """A run of consecutive walk levels in four parallel int64 arrays.
+
+    Level k chose child c[k] of parent[c[k]].  Values that move with the
+    cut mass D are stored minus off, the mass cut elsewhere while the
+    fragment was parked: the child's order is now sd[k] + off - D, and
+    the level makes the same choice while its key (the child's order
+    minus the least order that keeps it chosen, plus D at push) is still
+    >= D.  nkey[k] is minus the stored key and npm[k] the running maximum
+    of nkey from the fragment's first level, so bisect on npm finds the
+    first level whose key fell below D.
+    """
+
+    __slots__ = ("c", "sd", "nkey", "npm", "off")
+
+    def __init__(self, off: int = 0):
+        self.c = array("q")
+        self.sd = array("q")
+        self.nkey = array("q")
+        self.npm = array("q")
+        self.off = off
+
+
 def _cut_window(t: Tree, lo: int, hi: int) -> frozenset[tuple[int, int]]:
-    # Walk-and-cut: repeatedly walk from a fixed root leaf towards the
-    # heaviest remaining branch; the first branch whose order falls in
-    # [lo, hi] is cut off and the loop continues on the kept side.
+    """Walk-and-cut from the smallest leaf: follow the heaviest remaining
+    branch (ties to the earliest in t.adj) and cut off the first one of
+    order <= hi; repeat on the kept side until it has order <= hi.
+
+    The walk resumes where the last cut changed it instead of restarting
+    at the root.  Each vertex with two or more children keeps a heap of
+    its live children keyed (-order, adj index), without the child the
+    walk is inside.  The walk is a stack of levels (see _Fragment).  A
+    cut of order s lowers every level's slack by s, so the topmost level
+    whose choice changed is found by bisection on running minima.  The
+    walk leaves that level: if the child it had chosen still has order
+    > hi, the levels below it are parked under that child and restored
+    when the walk chooses it again (a park inside a fragment splits it,
+    once); otherwise that child is never entered again and they are
+    dropped.  A cut or a descent costs O(log n) plus the fragments a
+    restore moves, so paths, brooms and caterpillars cut in O(n log n)
+    instead of O(n * depth), with O(n) memory.
+    """
     if lo < 1 or lo > hi:
         raise PrepareError(f"empty size window [{lo}, {hi}]")
     if t.n <= hi:
         return frozenset()
 
+    adj = t.adj
     root = _smallest_leaf(t)
     parent = [0] * (t.n + 1)
-    size = [1] * (t.n + 1)
-    order: list[int] = [root]
     parent[root] = -1
-    seen = [False] * (t.n + 1)
-    seen[root] = True
+    order: list[int] = [root]
     for v in order:
-        for w in t.adj[v]:
-            if not seen[w]:
-                seen[w] = True
+        for w in adj[v]:
+            if not parent[w]:
                 parent[w] = v
                 order.append(w)
+    size = [1] * (t.n + 1)  # 0 marks a cut child
     for v in reversed(order):
         if parent[v] > 0:
             size[parent[v]] += size[v]
+    del order
 
-    alive = [True] * (t.n + 1)
+    heaps: dict[int, list[tuple[int, int]]] = {}
+    parked: dict[int, tuple[list[_Fragment], int]] = {}
+    frags: list[_Fragment] = []
+    gneg: list[int] = []  # minus the running minimum of effective keys
+    none = -(1 << 62)  # gneg of no level
     removed: set[tuple[int, int]] = set()
-    total = t.n
-    while total > hi:
-        path = [root]
-        u = root
-        while True:
-            best = 0
-            best_size = -1
-            for w in t.adj[u]:
-                if alive[w] and w != parent[u] and size[w] > best_size:
-                    best = w
-                    best_size = size[w]
-            if best == 0:
-                raise PrepareError(
-                    f"walk stuck at vertex {u}: no branch of order >= {lo}"
-                )
-            if best_size < lo:
-                raise PrepareError(
-                    f"walk undershot the window at vertex {u}: heaviest "
-                    f"branch has order {best_size} < {lo}"
-                )
-            if best_size <= hi:
-                removed.add((u, best) if u < best else (best, u))
-                stack = [best]
-                alive[best] = False
-                while stack:
-                    x = stack.pop()
-                    for w in t.adj[x]:
-                        if alive[w] and w != parent[x]:
-                            alive[w] = False
-                            stack.append(w)
-                for w in path:
-                    size[w] -= best_size
-                total -= best_size
-                break
-            path.append(best)
-            u = best
-    return frozenset(removed)
+    cut = 0  # D: the total order cut so far
+    u = root
+    while True:
+        # choose among u's live children, exactly as a walk from the root
+        pu = parent[u]
+        a = adj[u]
+        if len(a) - (pu > 0) >= 2:
+            h = heaps.get(u)
+            if h is None:
+                h = [(-size[w], i) for i, w in enumerate(a) if w != pu]
+                heapq.heapify(h)
+                heaps[u] = h
+            if not h:
+                best = 0
+            else:
+                neg, i = heapq.heappop(h)
+                best, best_size = a[i], -neg
+                thr = hi + 1
+                if h:
+                    thr = max(thr, -h[0][0] + (h[0][1] < i))
+        else:
+            best = a[0] if a[0] != pu else a[1]
+            best_size, thr = size[best], hi + 1
+            if not best_size:
+                best = 0
+        if best == 0:
+            raise PrepareError(
+                f"walk stuck at vertex {u}: no branch of order >= {lo}"
+            )
+        if best_size < lo:
+            raise PrepareError(
+                f"walk undershot the window at vertex {u}: heaviest "
+                f"branch has order {best_size} < {lo}"
+            )
+
+        if best_size > hi:
+            # descend: push the level (u, best)
+            if not frags:
+                frags.append(_Fragment())
+                gneg.append(none)
+            f = frags[-1]
+            key = best_size + cut - thr - f.off
+            f.c.append(best)
+            f.sd.append(best_size + cut - f.off)
+            f.nkey.append(-key)
+            f.npm.append(max(f.npm[-1], -key) if f.npm else -key)
+            g = f.npm[-1] - f.off
+            if g > gneg[-1]:
+                gneg[-1] = g
+            group = parked.pop(best, None)
+            if group is None:
+                u = best
+                continue
+            # re-enter a parked branch: nothing in it was cut while it was
+            # parked, so its levels' slacks stand; shift their stored values
+            # by the mass cut elsewhere meanwhile
+            restored, park_cut = group
+            for f in restored:
+                f.off += cut - park_cut
+                frags.append(f)
+                gneg.append(max(gneg[-1], f.npm[-1] - f.off))
+            u = frags[-1].c[-1]
+        else:
+            removed.add((u, best) if u < best else (best, u))
+            size[best] = 0
+            cut += best_size
+            if t.n - cut <= hi:
+                return frozenset(removed)
+
+        # leave the topmost level whose choice changed, if any
+        k = bisect.bisect_right(gneg, -cut)
+        if k == len(frags):
+            continue
+        f = frags[k]
+        j = bisect.bisect_right(f.npm, f.off - cut)
+        c = f.c[j]
+        c_size = f.sd[j] + f.off - cut
+        if c_size > hi:
+            # c lost to a sibling: park the levels below it under c
+            tail = frags[k + 1:]
+            if j + 1 < len(f.c):
+                rest = _Fragment(f.off)
+                rest.c, rest.sd = f.c[j + 1:], f.sd[j + 1:]
+                rest.nkey = f.nkey[j + 1:]
+                rest.npm = array("q", accumulate(rest.nkey, max))
+                tail.insert(0, rest)
+            if tail:
+                parked[c] = (tail, cut)
+        del frags[k + 1:], gneg[k + 1:]
+        del f.c[j:], f.sd[j:], f.nkey[j:], f.npm[j:]
+        if j:
+            gneg[k] = max(gneg[k - 1] if k else none, f.npm[-1] - f.off)
+        else:
+            frags.pop()
+            gneg.pop()
+        u = parent[c]
+        size[c] = c_size
+        h = heaps.get(u)
+        if h is not None:
+            heapq.heappush(h, (-c_size, adj[u].index(c)))
 
 
 def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
     """Remove edges so every remaining component has order <= eps*n/log n.
 
     Requires eps*n >= 2*log n and max_degree <= eps^2*n/(4*log n); the walk
-    then never undershoots the window and |removed| <= eps*v(t).
+    then never undershoots the window and |removed| <= eps*v(t).  The
+    walk resumes after each cut instead of restarting at the root (see
+    _cut_window), so deep trees cost about what random trees do.
     """
     if not 0 < eps < 1:
         raise PrepareError(f"eps must be in (0, 1), got {eps}")
@@ -130,7 +239,8 @@ def cut_tree_by_size(
 
     With min_size == 1 the walk cannot get stuck, for any tree.  A larger
     min_size needs max degree <= max_size/(2*min_size) so the heaviest
-    branch below a too-large one stays above min_size.
+    branch below a too-large one stays above min_size.  Same walk and
+    cost as cut_tree.
     """
     if max_size < 1:
         raise PrepareError(f"max_size must be >= 1, got {max_size}")
@@ -239,9 +349,6 @@ class Plan:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def interval_of_vertex(self, v: int) -> Interval:
-        return self.interval_of[self.order.index(v)]
 
 
 def assign_intervals(

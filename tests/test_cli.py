@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gracetree.cli import main
 from gracetree.trees import parse_tree
@@ -166,3 +172,108 @@ def test_experiment_command(tmp_path, capsys):
     code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
                            "--out-dir", str(out_dir))
     assert code == 1 and "bogus" in json.loads(err)["message"]
+
+
+# Fuzzing the error contract: malformed labels and config files must end
+# in exit code 0, 1 or 2, and every non-zero exit must write exactly one
+# JSON line to stderr (no traceback).
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def mutated(base, extra_keys):
+    keys = st.sampled_from(sorted(base) + extra_keys)
+    edit = st.tuples(st.booleans(), keys, JSON_VALUES)
+
+    def apply(edits):
+        d = dict(base)
+        for drop, key, value in edits:
+            if drop:
+                d.pop(key, None)
+            else:
+                d[key] = value
+        return json.dumps(d)
+
+    return (st.lists(edit, min_size=1, max_size=3).map(apply)
+            | JSON_VALUES.map(json.dumps) | st.text(max_size=20))
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_contract(code, err):
+    assert code in (0, 1, 2)
+    if code:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        payload = json.loads(err)
+        assert set(payload) >= {"error", "message"}
+
+
+LABELS_BASE = {"n": 3, "m": 3, "labels": [1, 3, 2]}
+CONFIG_BASE = {"n": [24], "gamma": "1", "m": 2, "ell": 4, "trials": 1,
+               "seed": 3, "retries": 0, "checkpoint_every": 0,
+               "quasi_per_kind": 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(LABELS_BASE, ["bogus"]))
+def test_verify_fuzzed_labels_keep_error_contract(text):
+    with tempfile.TemporaryDirectory() as d:
+        tree, labels = os.path.join(d, "p3.txt"), os.path.join(d, "l.json")
+        with open(tree, "w") as fh:
+            fh.write("3\n1 2\n2 3\n")
+        with open(labels, "w") as fh:
+            fh.write(text)
+        assert_contract(*run_quiet(["verify", "--tree", tree,
+                                    "--labels", labels]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(CONFIG_BASE, ["quasi_used_cap", "max_component",
+                             "tree_source", "bogus"]))
+def test_experiment_fuzzed_config_keeps_error_contract(text):
+    with tempfile.TemporaryDirectory() as d:
+        cfg = os.path.join(d, "cfg.json")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        assert_contract(*run_quiet(["experiment", "--config", cfg,
+                                    "--out-dir", os.path.join(d, "out")]))
+
+
+@pytest.mark.parametrize("labels,needle", [
+    ({"m": 3, "labels": [1, 3, 2]}, "missing keys: ['n']"),
+    ({"n": 3, "m": 3, "labels": [1, "3", 2]}, "list of integers"),
+    ({"n": 3, "m": True, "labels": [1, 3, 2]}, "must be integers"),
+    ([1, 3, 2], "JSON object"),
+])
+def test_verify_malformed_labels_named(tmp_path, capsys, labels, needle):
+    tree = tmp_path / "p3.txt"
+    tree.write_text("3\n1 2\n2 3\n")
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps(labels))
+    code, _, err = run_cli(capsys, "verify", "--tree", str(tree),
+                           "--labels", str(path))
+    assert code == 1 and needle in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("change,needle", [
+    ({"n": 5}, "n must be a list of integers"),
+    ({"gamma": "1/0"}, "bad gamma"),
+    ({"trials": "2"}, "bad trials"),
+    ({"m": None}, "bad m"),
+])
+def test_experiment_malformed_config_named(tmp_path, capsys, change, needle):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(CONFIG_BASE, **change)))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 1 and needle in json.loads(err)["message"]
