@@ -8,7 +8,11 @@ the window is.
 `BlockBits` stores the same set as a list of fixed-width block ints.
 Its window read touches only the blocks the window overlaps and its
 checked removal rewrites one block, so per-step work on a width-w
-window costs O(w/64) words regardless of the universe size.
+window costs O(w/64) words regardless of the universe size.  The
+pipeline keeps its label sets only as BlockBits; `mask`, `window`,
+`from_indices`, `iter_bits` and `BlockBits.to_int` on full-width ints
+are the reference forms the tests compare against, and `select` is
+applied to single windows and blocks.
 """
 
 from __future__ import annotations
@@ -84,6 +88,19 @@ class BlockBits:
         raw = x.to_bytes(nbytes, "little")
         self.blocks = [int.from_bytes(raw[i:i + _BLOCK_BYTES], "little")
                        for i in range(0, nbytes, _BLOCK_BYTES)]
+
+    @classmethod
+    def span(cls, lo: int, hi: int) -> "BlockBits":
+        """Bits lo..hi set (0 <= lo <= hi), built block by block: the
+        same blocks as BlockBits(mask(lo, hi)) without the full int."""
+        full = (1 << BLOCK_BITS) - 1
+        j, k = lo >> _SHIFT, hi >> _SHIFT
+        bits = cls.__new__(cls)
+        blocks = [0] * j + [full] * (k - j + 1)
+        blocks[j] &= full << (lo & _LOW)
+        blocks[-1] &= full >> (_LOW - (hi & _LOW))
+        bits.blocks = blocks
+        return bits
 
     def window(self, lo: int, width: int) -> int:
         """Bits lo..lo+width-1, shifted down to 0..width-1; lo may be

@@ -27,52 +27,13 @@ def _guard(t: Tree, m: int, cap: int) -> None:
             f"tree order {t.n} exceeds search cap {effective} at m={m}")
 
 
-def _ordered(t: Tree):
+def _search(t: Tree, m: int, cap: int, first: bool):
+    """Backtracking over m-graceful labellings, labels ascending at every
+    position.  Returns (count, order, labels by position); with first
+    the search stops at the first complete labelling, whose labels are
+    then left in place, so count is 0 or 1."""
+    _guard(t, m, cap)
     order, parent_pos = order_vertices(t, frozenset())
-    return order, parent_pos
-
-
-def exact_graceful(t: Tree, m: int, cap: int = DEFAULT_CAP
-                   ) -> Optional[Labelling]:
-    """First m-graceful labelling in lexicographic search order, or
-    None when no labelling exists.
-
-    Labels are tried ascending at every position, so the witness is
-    deterministic for a given tree.
-    """
-    _guard(t, m, cap)
-    order, parent_pos = _ordered(t)
-    n = t.n
-    psi_pos = [0] * n
-
-    def rec(i: int, used_v: int, used_d: int) -> bool:
-        if i == n:
-            return True
-        parent_label = psi_pos[parent_pos[i]] if i else 0
-        for b in range(1, m + 1):
-            bit = 1 << b
-            if used_v & bit:
-                continue
-            if i:
-                dbit = 1 << abs(b - parent_label)
-                if used_d & dbit:
-                    continue
-            else:
-                dbit = 0
-            psi_pos[i] = b
-            if rec(i + 1, used_v | bit, used_d | dbit):
-                return True
-        return False
-
-    if not rec(0, 0, 0):
-        return None
-    return Labelling(t, {v: psi_pos[i] for i, v in enumerate(order)}, m)
-
-
-def exact_count(t: Tree, m: int, cap: int = DEFAULT_CAP) -> int:
-    """Number of m-graceful labellings of t, counted as maps."""
-    _guard(t, m, cap)
-    _, parent_pos = _ordered(t)
     n = t.n
     psi_pos = [0] * n
 
@@ -93,9 +54,30 @@ def exact_count(t: Tree, m: int, cap: int = DEFAULT_CAP) -> int:
                 dbit = 0
             psi_pos[i] = b
             total += rec(i + 1, used_v | bit, used_d | dbit)
+            if first and total:
+                break
         return total
 
-    return rec(0, 0, 0)
+    return rec(0, 0, 0), order, psi_pos
+
+
+def exact_graceful(t: Tree, m: int, cap: int = DEFAULT_CAP
+                   ) -> Optional[Labelling]:
+    """First m-graceful labelling in lexicographic search order, or
+    None when no labelling exists.
+
+    Labels are tried ascending at every position, so the witness is
+    deterministic for a given tree.
+    """
+    found, order, psi_pos = _search(t, m, cap, first=True)
+    if not found:
+        return None
+    return Labelling(t, {v: psi_pos[i] for i, v in enumerate(order)}, m)
+
+
+def exact_count(t: Tree, m: int, cap: int = DEFAULT_CAP) -> int:
+    """Number of m-graceful labellings of t, counted as maps."""
+    return _search(t, m, cap, first=False)[0]
 
 
 def canonical_path_labelling(n: int) -> Labelling:

@@ -44,7 +44,6 @@ class ExperimentConfig:
     retries: int = 3
     checkpoint_every: int = 500
     quasi_per_kind: int = 32
-    quasi_used_cap: int = 256
     max_component: Optional[int] = None
     tree_source: str = "random"
 
@@ -168,13 +167,11 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     quasi_rng = root.child(2)
 
     tagged: List[Tuple[int, QuasiReport]] = []  # (attempt, report)
-    spec = QuasiSampleSpec(per_kind=cfg.quasi_per_kind,
-                           used_cap=cfg.quasi_used_cap)
+    spec = QuasiSampleSpec(per_kind=cfg.quasi_per_kind)
 
     def on_checkpoint(state, t):
         tagged.append((state.attempt, check_quasi(
-            state.a_bits, state.c_bits, sys, float(params.alpha(t)), spec,
-            quasi_rng, t=t)))
+            state, sys, float(params.alpha(t)), spec, quasi_rng, t=t)))
 
     def build_plan(r: Rng) -> Plan:
         kw = {}

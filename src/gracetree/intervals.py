@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from .params import ParamError, Params
+from .params import ParamError
 from .rng import Rng
 
 _MAX_MATERIALIZED = 10 ** 8
@@ -95,16 +95,6 @@ class IntervalSystem:
         if not 0 <= c <= self.n_tilde - 1:
             raise ParamError(f"difference {c} outside 0..{self.n_tilde - 1}")
         return Fraction(self.el_count(J.lo, c), self.ell ** 2)
-
-
-def build_interval_system(p: Params) -> IntervalSystem:
-    if not isinstance(p.n_tilde, int):
-        raise ParamError("interval systems need materialized integer parameters")
-    return IntervalSystem(p.n_tilde, p.m, p.ell)
-
-
-def el(J: Interval, c: int, sys: IntervalSystem) -> Fraction:
-    return sys.el(J, c)
 
 
 class CorrectionDistribution:
@@ -214,8 +204,3 @@ def core_distribution(sys: IntervalSystem) -> CorrectionDistribution:
                for I, s in zip(sys.ie_intervals, sums)]
     star = Fraction(2 * nj - len(sys.ie_intervals), nj)
     return CorrectionDistribution("edge", support, star, den)
-
-
-def sample_correction(d: CorrectionDistribution, rng: Rng) -> Optional[Interval]:
-    """One draw: a family interval, or None for the null outcome."""
-    return d.sample(rng)

@@ -11,10 +11,9 @@ stock of unused values stays near-uniform across every window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .bitset import BlockBits, select
-from .bitset import mask as bit_mask
 from .intervals import (
     CorrectionDistribution,
     Interval,
@@ -30,20 +29,6 @@ FAIL_CORV = "corv-removal"
 FAIL_CORE = "core-removal"
 
 
-def admissible_labels(
-    a: int, interval: Interval, labels: Iterable[int], diffs: Iterable[int]
-) -> frozenset[int]:
-    """Reference form on explicit sets: values of interval still in labels
-    whose distance to a is still in diffs."""
-    ls = frozenset(labels)
-    ds = frozenset(diffs)
-    return frozenset(
-        b
-        for b in range(interval.lo, interval.hi + 1)
-        if b in ls and abs(b - a) in ds
-    )
-
-
 class LabelState:
     """Free vertex labels A and free differences C of one attempt.
 
@@ -52,8 +37,8 @@ class LabelState:
     parent read a forward window of the mirror just as the labels above
     it read one of C.  Every read is one target or correction window and
     every removal rewrites one block, so a step costs O(ell/64) words
-    whatever n_tilde is.  a_bits and c_bits assemble full-width ints for
-    snapshot consumers such as the audit, at O(n_tilde/64) each.
+    whatever n_tilde is.  The audit (quasirandom.py) reads the same
+    windows, so no other copy of the label state exists.
 
     steps_done, corv_hits and core_hits count completed steps and the
     corrective removals made in them; attempt is the attempt's index.
@@ -76,22 +61,14 @@ class LabelState:
         self.sys = sys
         self.attempt = attempt
         nt = sys.n_tilde
-        self.labels = BlockBits(bit_mask(1, nt))
-        self.diffs = BlockBits(bit_mask(1, nt - 1))
-        self.diffs_rev = BlockBits(bit_mask(1, nt - 1))
+        self.labels = BlockBits.span(1, nt)
+        self.diffs = BlockBits.span(1, nt - 1)
+        self.diffs_rev = BlockBits.span(1, nt - 1)
         self.size_a = nt
         self.size_c = nt - 1
         self.steps_done = 0
         self.corv_hits = 0
         self.core_hits = 0
-
-    @property
-    def a_bits(self) -> int:
-        return self.labels.to_int()
-
-    @property
-    def c_bits(self) -> int:
-        return self.diffs.to_int()
 
     def remove_label(self, b: int) -> None:
         try:

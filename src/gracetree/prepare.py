@@ -362,11 +362,13 @@ def assign_intervals(
 ) -> Plan:
     """Draw one interval per component and color endpoints.
 
-    Vertices are 2-colored by parity of distance from vertex 1; within each
-    component of the cut tree one color class gets the drawn interval and
-    the other its complement, so every surviving edge joins an interval to
-    its complement.  Components are drawn in order of first appearance in
-    the vertex ordering.
+    Vertices are 2-colored by parity of distance from the ordering's first
+    vertex (vertex 1 for order_vertices); within each component of the cut
+    tree one color class gets the drawn interval and the other its
+    complement, so every surviving edge joins an interval to its
+    complement.  Components are drawn in order of first appearance in the
+    vertex ordering.  Components and parities come from one pass over the
+    ordering, since each vertex's parent is an earlier tree neighbour.
 
     draw="independent": one uniform draw per component.  draw="balanced":
     a uniform random allocation whose per-interval component counts differ
@@ -380,26 +382,24 @@ def assign_intervals(
     """
     order, parent_pos = ordering
     removed = frozenset((u, v) if u < v else (v, u) for u, v in removed)
-    comp = _component_ids(t, removed)
 
+    # one pass over the order: a component starts at the root and behind
+    # every removed parent edge; everyone else joins the parent's
+    # component with the opposite parity
+    comp = [0] * (t.n + 1)  # numbered by first appearance in the order
     parity = [0] * (t.n + 1)
-    seen = [False] * (t.n + 1)
-    seen[1] = True
-    queue = [1]
-    for v in queue:
-        for w in t.adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parity[w] = 1 - parity[v]
-                queue.append(w)
-
-    comp_order: list[int] = []
-    comp_seen: set[int] = set()
-    for v in order:
-        if comp[v] not in comp_seen:
-            comp_seen.add(comp[v])
-            comp_order.append(comp[v])
-    n_comp = len(comp_order)
+    starts: list[int] = []  # position where each component starts
+    for i, v in enumerate(order):
+        pp = parent_pos[i]
+        if pp >= 0:
+            p = order[pp]
+            parity[v] = parity[p] ^ 1
+            if ((p, v) if p < v else (v, p)) not in removed:
+                comp[v] = comp[p]
+                continue
+        comp[v] = len(starts)
+        starts.append(i)
+    n_comp = len(starts)
     js = sys.j_intervals
     if draw == "independent":
         draws = [js[rng.randbelow(len(js))] for _ in range(n_comp)]
@@ -416,21 +416,16 @@ def assign_intervals(
         draws = [js[i] for i in pool]
     else:
         raise PrepareError(f"unknown draw mode {draw!r}")
-    comp_interval = dict(zip(comp_order, draws))
 
     nt = sys.n_tilde
-    pos_of = {v: i for i, v in enumerate(order)}
-    flip: dict[int, int] = {}
-    for i, v in enumerate(order):
-        k = comp[v]
-        if k in flip:
-            continue
+    flip = [0] * n_comp
+    for k, i in enumerate(starts):
         if parent_pos[i] < 0:
-            flip[k] = 0
             continue
+        v = order[i]
         p = order[parent_pos[i]]
-        jk = comp_interval[k]
-        p_iv = comp_interval[comp[p]]
+        jk = draws[k]
+        p_iv = draws[comp[p]]
         if (parity[p] ^ flip[comp[p]]) == 1:
             p_iv = sys.complement(p_iv)
         p_mid = 2 * p_iv.lo + sys.ell - 1  # twice the midpoint
@@ -448,9 +443,9 @@ def assign_intervals(
         (parity[v] ^ flip[comp[v]]) if v else 0 for v in range(t.n + 1)
     )
     interval_of = tuple(
-        comp_interval[comp[v]]
+        draws[comp[v]]
         if color[v] == 0
-        else sys.complement(comp_interval[comp[v]])
+        else sys.complement(draws[comp[v]])
         for v in order
     )
     return Plan(

@@ -1,12 +1,13 @@
 """Quasirandomness diagnostics over label-state snapshots.
 
 Four local structure patterns are counted against a snapshot (A, C) of
-free vertex and edge labels.  X1 is a bare free slot, X3 an anchor
+free vertex and edge labels, read where the labeller keeps them: the
+windows of its LabelState.  X1 is a bare free slot, X3 an anchor
 joined to a free slot, X2 an anchor plus a fixed edge label between two
 free slots, and X4 two anchors joined through one free slot.  Counts on
 width-m slots never exceed m, and their deviations from the ambient
-density prediction are the QUASI2 statistic; QUASI1 sweeps the edge
-windows directly.  All counting is read-only on int bitsets.
+density prediction (a fresh LabelState) are the QUASI2 statistic;
+QUASI1 sweeps the edge windows directly.  All counting is read-only.
 
 Also computed here: the idealized per-step consumption estimates
 (exact rationals) used as run diagnostics, and the window check for
@@ -15,16 +16,17 @@ structure counts over a target interval and its complement.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple, Union
+from itertools import accumulate
+from typing import Dict, Optional, Tuple
 
-from .bitset import from_indices, mask, select, window
+from .bitset import BLOCK_BITS, BlockBits, select
 from .intervals import Interval, IntervalSystem
+from .labeller import LabelState
 from .params import ParamError
 from .rng import Rng
-
-Bits = Union[int, Iterable[int]]
 
 _FIELDS = {
     "X1": frozenset({"slot"}),
@@ -105,46 +107,27 @@ def x4(a: int, a2: int, slot: Interval) -> Structure:
     return Structure("X4", a=a, a2=a2, slot=slot)
 
 
-def _as_bits(x: Bits) -> int:
-    return x if isinstance(x, int) else from_indices(x)
+def _shift(x: int, s: int) -> int:
+    return x << s if s >= 0 else x >> -s
 
 
-def _diff_window(a: int, iv: Interval, c_bits: int) -> int:
-    """Window-local mask of labels b in iv with |b - a| in C.
-
-    The b > a side is a plain shift of C; the b < a side reverses the
-    relevant chunk of C (bit j of the result is C bit a - iv.lo - j).
-    """
-    lo, w = iv.lo, iv.width
-    out = window(c_bits << a, lo, w)
-    hi2 = a - lo
-    if hi2 >= 1:
-        lo2 = max(a - iv.hi, 0)
-        w2 = hi2 - lo2 + 1
-        chunk = window(c_bits, lo2, w2)
-        if chunk:
-            out |= int(format(chunk, f"0{w2}b")[::-1], 2)
-    return out
-
-
-def count_structure(X: Structure, A: Bits, C: Bits) -> int:
-    """Number of label choices for the free slots of X inside (A, C).
+def count_structure(X: Structure, state: LabelState) -> int:
+    """Number of label choices for the free slots of X inside the free
+    labels A and free differences C of state.
 
     Chosen vertex labels come from A restricted to the slots, chosen
     edge labels from C, and all labels within one instance are distinct
-    (for X2 also distinct from the fixed edge label c).
+    (for X2 also distinct from the fixed edge label c).  Every count is
+    read from the state's slot windows, so it costs O(width/64) words.
     """
-    a_bits = _as_bits(A)
-    c_bits = _as_bits(C) & ~1
     iv = X.slot
-    avail = window(a_bits, iv.lo, iv.width)
     if X.kind == "X1":
-        return avail.bit_count()
-    hits = avail & _diff_window(X.a, iv, c_bits)
+        return state.first_mask(iv).bit_count()
+    hits = state.admissible_mask(X.a, iv)
     if X.kind == "X3":
         return hits.bit_count()
     if X.kind == "X4":
-        hits &= _diff_window(X.a2, iv, c_bits)
+        hits &= state.admissible_mask(X.a2, iv)
         twice_mid = X.a + X.a2
         # equal induced labels force b equidistant from both anchors
         if twice_mid % 2 == 0 and iv.lo <= twice_mid // 2 <= iv.hi:
@@ -154,29 +137,23 @@ def count_structure(X: Structure, A: Bits, C: Bits) -> int:
     for b in (X.a - X.c, X.a + X.c):
         if iv.lo <= b <= iv.hi:
             hits &= ~(1 << (b - iv.lo))
+    # partner b' = b + c or b - c; b' = a is impossible once |a - b| != c.
+    # Bit k of hits is label iv.lo + k, so b +- c sits at bit
+    # iv.lo +- c - iv2.lo of slot2's window.
     iv2 = X.slot2
-    avail2 = window(a_bits, iv2.lo, iv2.width)
-    anchored = hits << iv.lo
-    # partner b' = b + c or b - c; b' = a is impossible once |a - b| != c
-    up = window(anchored << X.c, iv2.lo, iv2.width) & avail2
-    down = window(anchored >> X.c, iv2.lo, iv2.width) & avail2
+    avail2 = state.first_mask(iv2)
+    up = _shift(hits, iv.lo + X.c - iv2.lo) & avail2
+    down = _shift(hits, iv.lo - X.c - iv2.lo) & avail2
     return up.bit_count() + down.bit_count()
 
 
 @dataclass(frozen=True)
 class QuasiSampleSpec:
-    """Sampling budget for the QUASI2 sweep.
-
-    per_kind structures of each kind are drawn with anchors uniform
-    over the currently free labels and slots uniform over the vertex
-    windows.  used_labels are anchors the caller wants covered as well
-    (labels consumed by a run so far); only the last used_cap entries
-    are kept.
-    """
+    """Sampling budget for the QUASI2 sweep: per_kind structures of each
+    kind, with anchors uniform over the currently free labels and slots
+    uniform over the vertex windows."""
 
     per_kind: int = 256
-    used_labels: Tuple[int, ...] = ()
-    used_cap: int = 256
 
 
 @dataclass(frozen=True)
@@ -196,41 +173,54 @@ class QuasiReport:
                 and self.quasi2_max_dev <= self.alpha)
 
 
-def _pick_bit(bits: int, size: int, rng: Rng) -> int:
-    return select(bits, rng.randbelow(size))
+class _Ranks:
+    """Rank-to-element map of one BlockBits, fixed for one checkpoint.
+
+    Cumulative block popcounts locate the block holding rank k by
+    bisection; one select on that block finishes the draw.
+    """
+
+    __slots__ = ("blocks", "cum")
+
+    def __init__(self, bits: BlockBits):
+        self.blocks = bits.blocks
+        self.cum = list(accumulate(b.bit_count() for b in bits.blocks))
+
+    def element(self, k: int) -> int:
+        j = bisect_right(self.cum, k)
+        below = self.cum[j - 1] if j else 0
+        return j * BLOCK_BITS + select(self.blocks[j], k - below)
 
 
-def check_quasi(A: Bits, C: Bits, sys: IntervalSystem, alpha: float,
+def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
                 sample_spec: Optional[QuasiSampleSpec] = None,
                 rng: Optional[Rng] = None, *, t: int = 0) -> QuasiReport:
-    """Evaluate both quasirandomness conditions on a snapshot.
+    """Evaluate both quasirandomness conditions on the free labels and
+    differences of state.
 
-    The edge-window condition is checked exhaustively.  The structure
-    condition is checked on a seeded sample (kinds in order X1..X4,
-    then the anchored labels in input order), so the report is a
-    deterministic function of (A, C, sample_spec, rng state).
-    Deviations are reported in units of m.
+    The edge-window condition is checked exhaustively, one m-window read
+    per edge window.  The structure condition is checked on a seeded
+    sample (kinds in order X1..X4), so the report is a deterministic
+    function of (state, sample_spec, rng state).  Every anchor or fixed
+    edge label drawn costs one bisection over block popcounts and one
+    select on a single block.  Deviations are reported in units of m.
     """
     spec = sample_spec if sample_spec is not None else QuasiSampleSpec()
-    a_bits = _as_bits(A)
-    c_bits = _as_bits(C) & ~1
     m, nt = sys.m, sys.n_tilde
-    size_a = a_bits.bit_count()
-    size_c = c_bits.bit_count()
+    size_a, size_c = state.size_a, state.size_c
 
     worst = 0.0
     for ie in sys.ie_intervals:
-        cnt = window(c_bits, ie.lo, m).bit_count()
+        cnt = state.diffs.window(ie.lo, m).bit_count()
         worst = max(worst, abs(cnt * nt - m * size_a) / (m * nt))
 
-    amb_a = mask(1, nt)
-    amb_c = mask(1, nt - 1)
+    ambient = LabelState(sys)
     dens = Fraction(size_a, nt)
     devs = []
 
     def push(X: Structure) -> None:
-        cnt = count_structure(X, a_bits, c_bits)
-        amb = count_structure(X, amb_a, amb_c)
+        cnt = count_structure(X, state)
+        amb = count_structure(X, ambient)
         devs.append(float(abs(Fraction(cnt) - amb * dens ** X.free) / m))
 
     slots = sys.iv_intervals
@@ -246,39 +236,28 @@ def check_quasi(A: Bits, C: Bits, sys: IntervalSystem, alpha: float,
             j += 1
         return slots[i], slots[j]
 
-    can_sample = size_a >= 2 and size_c >= 1 and nslots >= 2
-    wants_sampling = spec.per_kind > 0 or spec.used_labels
-    if wants_sampling and rng is None:
+    if spec.per_kind > 0 and rng is None:
         raise ValueError("structure sampling requires an rng")
 
-    if spec.per_kind > 0 and can_sample:
+    if spec.per_kind > 0 and size_a >= 2 and size_c >= 1 and nslots >= 2:
+        labels = _Ranks(state.labels)
+        diffs = _Ranks(state.diffs)
         for _ in range(spec.per_kind):
             push(x1(rand_slot()))
         for _ in range(spec.per_kind):
-            anchor = _pick_bit(a_bits, size_a, rng)
-            fixed_c = _pick_bit(c_bits, size_c, rng)
+            anchor = labels.element(rng.randbelow(size_a))
+            fixed_c = diffs.element(rng.randbelow(size_c))
             s1, s2 = rand_slot_pair()
             push(x2(anchor, s1, fixed_c, s2))
         for _ in range(spec.per_kind):
-            push(x3(_pick_bit(a_bits, size_a, rng), rand_slot()))
+            push(x3(labels.element(rng.randbelow(size_a)), rand_slot()))
         for _ in range(spec.per_kind):
-            anchor = _pick_bit(a_bits, size_a, rng)
-            other = _pick_bit(a_bits ^ (1 << anchor), size_a - 1, rng)
+            rank = rng.randbelow(size_a)
+            anchor = labels.element(rank)
+            # uniform over A minus the anchor: skip the anchor's rank
+            rank2 = rng.randbelow(size_a - 1)
+            other = labels.element(rank2 + (rank2 >= rank))
             push(x4(anchor, other, rand_slot()))
-
-    anchored = [u for u in spec.used_labels if 1 <= u <= nt]
-    if spec.used_cap >= 0:
-        anchored = anchored[len(anchored) - min(len(anchored), spec.used_cap):]
-    for u in anchored:
-        if not can_sample:
-            break
-        push(x3(u, rand_slot()))
-        fixed_c = _pick_bit(c_bits, size_c, rng)
-        s1, s2 = rand_slot_pair()
-        push(x2(u, s1, fixed_c, s2))
-        rest = a_bits & ~(1 << u)
-        if rest:
-            push(x4(u, _pick_bit(rest, rest.bit_count(), rng), rand_slot()))
 
     return QuasiReport(checkpoint=t, alpha=float(alpha),
                        quasi1_max_dev=worst, quasi2_devs=tuple(devs))
@@ -302,12 +281,11 @@ def crude_estimates(plan, sys: IntervalSystem, params, t: int):
     p_edge: Dict[Interval, Fraction] = {
         ie: m * sys.el(J, ie.lo) for ie in sys.ie_intervals}
 
-    amb_a = mask(1, nt)
-    amb_c = mask(1, nt - 1)
+    ambient = LabelState(sys)
     bound = Fraction(4 * m, ell)
 
     def p_struct(X: Structure) -> Fraction:
-        base = count_structure(X, amb_a, amb_c)
+        base = count_structure(X, ambient)
         factor = Fraction((nt - t) ** (X.free - 1), nt ** (X.free - 1))
         acc = Fraction(0)
         for slot in X.free_slots:
@@ -340,7 +318,7 @@ class WindowCheckReport:
         return all(r.ok for r in self.rows)
 
 
-def lemma36_check(A: Bits, C: Bits, sys: IntervalSystem, alpha: float,
+def lemma36_check(state: LabelState, sys: IntervalSystem, alpha: float,
                   a: int, a2: int, c: int, J: Interval) -> WindowCheckReport:
     """Check the interval-level structure counts a quasirandom snapshot
     must satisfy over a target interval J and its complement.
@@ -353,9 +331,7 @@ def lemma36_check(A: Bits, C: Bits, sys: IntervalSystem, alpha: float,
     if Fraction(alpha) * ell < 3:
         raise ParamError(f"need ell >= 3/alpha, got ell={ell} alpha={alpha}")
     j_bar = sys.complement(J)
-    a_bits = _as_bits(A)
-    c_bits = _as_bits(C) & ~1
-    dens = Fraction(a_bits.bit_count(), nt)
+    dens = Fraction(state.size_a, nt)
     half_pair = 3 * Fraction(alpha) * ell
     half_single = 2 * Fraction(alpha) * ell
 
@@ -364,11 +340,11 @@ def lemma36_check(A: Bits, C: Bits, sys: IntervalSystem, alpha: float,
                               abs(count - center) <= half)
 
     rows = (
-        row("X3", count_structure(x3(a, J), a_bits, c_bits),
+        row("X3", count_structure(x3(a, J), state),
             dens ** 2 * ell, half_single),
-        row("X2", count_structure(x2(a, J, c, j_bar), a_bits, c_bits),
+        row("X2", count_structure(x2(a, J, c, j_bar), state),
             dens ** 3 * sys.el_count(J.lo, c), half_pair),
-        row("X4", count_structure(x4(a, a2, J), a_bits, c_bits),
+        row("X4", count_structure(x4(a, a2, J), state),
             dens ** 3 * ell, half_single),
     )
     return WindowCheckReport(rows)

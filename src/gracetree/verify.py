@@ -165,7 +165,7 @@ def verify_packing(p: Packing) -> PackingReport:
     """Pass iff copies are pairwise edge-disjoint; flag decomposition
     when they cover the complete host exactly."""
     h = p.host_order
-    occupied = 0
+    occupied = bytearray(h * (h - 1) // 2)  # one flag per host edge
     total = 0
     for k, copy in enumerate(p.copies):
         for u, v in copy:
@@ -173,11 +173,10 @@ def verify_packing(p: Packing) -> PackingReport:
                 return PackingReport(False, False, total, "bad host edge",
                                      ((u, v), k))
             idx = u * h - u * (u + 1) // 2 + (v - u - 1)
-            bit = 1 << idx
-            if occupied & bit:
+            if occupied[idx]:
                 return PackingReport(False, False, total, "edge reused",
                                      ((u, v), k))
-            occupied |= bit
+            occupied[idx] = 1
             total += 1
     return PackingReport(True, total == h * (h - 1) // 2, total,
                          "edge-disjoint")

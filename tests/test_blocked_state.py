@@ -1,7 +1,8 @@
 """The blocked label state against explicit sets and full-width ints.
 
 LabelState keeps A, C and C's mirror about n_tilde as BlockBits.  These
-properties compare it with the admissible_labels oracle and with the
+properties compare it with the admissible_labels oracle (tests/oracles.py)
+and with the
 full-int formulas it replaced, on windows that straddle block
 boundaries, touch 1 and n_tilde, and sit on either side of the parent
 label or around it.
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gracetree.bitset import BLOCK_BITS, BlockBits, from_indices, iter_bits, window
+from gracetree.bitset import (BLOCK_BITS, BlockBits, from_indices, iter_bits,
+                              mask, window)
 from gracetree.intervals import Interval, IntervalSystem
-from gracetree.labeller import LabelState, admissible_labels
+from gracetree.labeller import LabelState
+from oracles import admissible_labels, full_ints
 
 B = BLOCK_BITS
 
@@ -60,6 +63,13 @@ def test_block_remove_is_checked(seed, nbits):
         with pytest.raises(KeyError):
             bits.remove(i)
     assert bits.to_int() == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(0, 4 * B), width=st.integers(1, 4 * B))
+def test_block_span_matches_full_mask(lo, width):
+    hi = lo + width - 1
+    assert BlockBits.span(lo, hi).blocks == BlockBits(mask(lo, hi)).blocks
 
 
 def _edge_starts(nt: int) -> list[int]:
@@ -122,8 +132,8 @@ def test_label_state_matches_oracle_and_full_ints(case):
 
     a_bits = from_indices(labels)
     c_bits = from_indices(diffs)
-    assert state.a_bits == a_bits and state.c_bits == c_bits
-    assert BlockBits(state.a_bits).to_int() == a_bits
+    assert full_ints(state) == (a_bits, c_bits)
+    assert BlockBits(state.labels.to_int()).to_int() == a_bits
 
     got = state.admissible_mask(a, iv)
     want = admissible_labels(a, iv, labels, diffs)
@@ -143,4 +153,4 @@ def test_label_state_matches_oracle_and_full_ints(case):
     if gone_c:
         with pytest.raises(AssertionError):
             state.remove_diff(gone_c[0])
-    assert state.a_bits == a_bits and state.c_bits == c_bits
+    assert full_ints(state) == (a_bits, c_bits)

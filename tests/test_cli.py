@@ -270,6 +270,7 @@ def test_verify_malformed_labels_named(tmp_path, capsys, labels, needle):
     ({"gamma": "1/0"}, "bad gamma"),
     ({"trials": "2"}, "bad trials"),
     ({"m": None}, "bad m"),
+    ({"quasi_used_cap": 256}, "unknown config keys"),
 ])
 def test_experiment_malformed_config_named(tmp_path, capsys, change, needle):
     path = tmp_path / "cfg.json"

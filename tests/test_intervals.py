@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from gracetree.intervals import (CorrectionDistribution, Interval,
-                                 IntervalSystem, build_interval_system,
-                                 core_distribution, corv_distribution, el,
-                                 sample_correction)
+                                 IntervalSystem, core_distribution,
+                                 corv_distribution)
 from gracetree.params import ParamError, derive_practical_params
 from gracetree.rng import Rng
 
@@ -79,7 +78,7 @@ def test_el_closed_form_vs_enumeration():
 def test_el_rejects_foreign_interval():
     s = sys24()
     with pytest.raises(ParamError):
-        el(Interval(2, 5), 3, s)
+        s.el(Interval(2, 5), 3)
 
 
 def test_el_profile_invariants():
@@ -140,7 +139,7 @@ def test_sample_star_only():
     d = corv_distribution(s)
     assert d.star_probability == 1
     rng = Rng(0)
-    assert all(sample_correction(d, rng) is None for _ in range(100))
+    assert all(d.sample(rng) is None for _ in range(100))
 
 
 def test_core_requires_even_ratio():
@@ -162,22 +161,22 @@ def test_core_requires_even_ratio():
 def test_sample_star_frequency():
     d = corv_distribution(sys24())
     rng = Rng(99)
-    stars = sum(1 for _ in range(10 ** 6) if sample_correction(d, rng) is None)
+    stars = sum(1 for _ in range(10 ** 6) if d.sample(rng) is None)
     assert abs(stars / 10 ** 6 - 0.8) <= 0.002
 
 
 def test_sample_reproducible():
     d = core_distribution(sys24())
     r1, r2 = Rng(41), Rng(41)
-    seq1 = [sample_correction(d, r1) for _ in range(200)]
-    seq2 = [sample_correction(d, r2) for _ in range(200)]
+    seq1 = [d.sample(r1) for _ in range(200)]
+    seq2 = [d.sample(r2) for _ in range(200)]
     assert seq1 == seq2
     assert any(iv is not None for iv in seq1)
 
 
 def test_build_from_params():
     p = derive_practical_params(20, Fraction(1, 5), 2, 4)
-    s = build_interval_system(p)
+    s = IntervalSystem(p.n_tilde, p.m, p.ell)
     assert s.n_tilde == 24 and s.m == 2 and s.ell == 4
 
 

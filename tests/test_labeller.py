@@ -8,12 +8,12 @@ from gracetree.labeller import (
     FAIL_CORV,
     LabelResult,
     LabelState,
-    admissible_labels,
     run_labelling,
 )
 from gracetree.prepare import prepare_plan
 from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree
+from oracles import admissible_labels, full_ints
 
 
 def check_graceful_prefix(tree, psi):
@@ -37,8 +37,9 @@ def test_admissible_mask_matches_reference():
         state.remove_label(b)
     for d in (1, 4, 9, 14, 23):
         state.remove_diff(d)
-    labels = set(iter_bits(state.a_bits))
-    diffs = set(iter_bits(state.c_bits))
+    a_bits, c_bits = full_ints(state)
+    labels = set(iter_bits(a_bits))
+    diffs = set(iter_bits(c_bits))
     for a in (1, 2, 5, 12, 18, 24):
         for iv in sys.j_intervals:
             ref = admissible_labels(a, iv, labels, diffs)

@@ -289,3 +289,25 @@ def test_plan_json_round_trip():
     other = IntervalSystem(40, 2, 4)
     with pytest.raises(PrepareError, match="width"):
         plan_from_json(text, other)
+
+
+# SHA-256 of plan_to_json for two frozen plans, recorded before
+# assign_intervals derived components and parities from the ordering;
+# they pin the cut, the order, the draws and the orientations.
+GOLDEN_PLANS = {
+    "random": (
+        50, "c8401ba9ab0cf6bbfb4c3fe53439375b925c4b1d3fddd6c48fb281cce5edfd0d"),
+    "path": (
+        41, "b6f21801cfd8b3b75b58fa3c64ee568c6d4b4dbaf77f728a4b9fb65b964d2d45"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_PLANS))
+def test_plan_golden_digests(shape):
+    import hashlib
+
+    t = random_tree(2000, Rng(5)) if shape == "random" else path_tree(2000)
+    plan = prepare_plan(t, IntervalSystem(3072, 32, 256), Rng(5, key=(9,)))
+    removed, digest = GOLDEN_PLANS[shape]
+    assert len(plan.removed_edges) == removed
+    assert hashlib.sha256(plan_to_json(plan).encode()).hexdigest() == digest

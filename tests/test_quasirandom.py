@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gracetree.bitset import from_indices, mask
 from gracetree.intervals import Interval, IntervalSystem
-from gracetree.labeller import admissible_labels
-from gracetree.params import ParamError
-from gracetree.prepare import Plan
+from gracetree.labeller import LabelState, run_labelling
+from gracetree.params import ParamError, derive_practical_params
+from gracetree.prepare import Plan, prepare_plan
 from gracetree.quasirandom import (QuasiSampleSpec, check_quasi,
                                    count_structure, crude_estimates,
                                    lemma36_check, x1, x2, x3, x4)
 from gracetree.rng import Rng
+from gracetree.trees import random_tree
+from oracles import (admissible_labels, full_check_quasi, full_count_structure,
+                     full_ints, snapshot)
 
 
 def brute_count(X, A, C):
@@ -39,16 +41,17 @@ def brute_count(X, A, C):
 
 
 def test_count_x1_frozen():
-    assert count_structure(x1(Interval(1, 2)), {2}, set()) == 1
+    assert count_structure(x1(Interval(1, 2)), snapshot({2}, set())) == 1
 
 
 def test_count_x3_frozen():
-    assert count_structure(x3(5, Interval(1, 2)), {1, 2}, {3, 4}) == 2
+    assert count_structure(x3(5, Interval(1, 2)), snapshot({1, 2}, {3, 4})) == 2
 
 
 def test_count_x4_frozen():
     # midpoint 3 of the anchors 1, 5 induces equal labels and is excluded
-    n = count_structure(x4(1, 5, Interval(2, 4)), {2, 3, 4, 9}, {1, 2, 3})
+    n = count_structure(x4(1, 5, Interval(2, 4)),
+                        snapshot({2, 3, 4, 9}, {1, 2, 3}))
     assert n == 2
 
 
@@ -57,10 +60,10 @@ def test_count_x2_anchored_pairs():
     # partners each
     A = {5, 8, 9, 11, 12, 15}
     X = x2(10, Interval(8, 12), 3, Interval(5, 15))
-    assert count_structure(X, A, {2}) == 4
-    assert count_structure(X, A, {2}) == brute_count(X, A, {2})
+    assert count_structure(X, snapshot(A, {2})) == 4
+    assert count_structure(X, snapshot(A, {2})) == brute_count(X, A, {2})
     # widening C to include 3 changes nothing: induced label 3 is banned
-    assert count_structure(X, A, {2, 3}) == 4
+    assert count_structure(X, snapshot(A, {2, 3})) == 4
 
 
 def test_structure_validation_errors():
@@ -108,11 +111,12 @@ def _counting_case(draw):
 @given(_counting_case())
 def test_count_matches_brute_force(case):
     nt, A, C, I, I2, a, a2, c = case
+    state = snapshot(A, C, nt)
     for X in [x1(I), x3(a, I), x4(a, a2, I)]:
-        assert count_structure(X, A, C) == brute_count(X, A, C)
+        assert count_structure(X, state) == brute_count(X, A, C)
     if I != I2:
         X = x2(a, I, c, I2)
-        assert count_structure(X, A, C) == brute_count(X, A, C)
+        assert count_structure(X, state) == brute_count(X, A, C)
 
 
 def test_x3_equals_admissible_minus_anchor():
@@ -125,13 +129,12 @@ def test_x3_equals_admissible_minus_anchor():
         for iv in sys.iv_intervals:
             want = admissible_labels(a, iv, frozenset(A), frozenset(C))
             want = want - {a}
-            assert count_structure(x3(a, iv), A, C) == len(want)
+            assert count_structure(x3(a, iv), snapshot(A, C, 24)) == len(want)
 
 
 def test_ambient_counts_capped_by_m():
     sys = IntervalSystem(48, 4, 8)
-    amb_a = mask(1, 48)
-    amb_c = mask(1, 47)
+    ambient = LabelState(sys)
     rng = Rng(7, key=(1,))
     ivs = sys.iv_intervals
     for _ in range(200):
@@ -144,7 +147,7 @@ def test_ambient_counts_capped_by_m():
         c = rng.randbelow(47) + 1
         for X in [x1(ivs[i]), x3(a, ivs[i]), x4(a, a2, ivs[i]),
                   x2(a, ivs[i], c, ivs[j])]:
-            assert count_structure(X, amb_a, amb_c) <= sys.m
+            assert count_structure(X, ambient) <= sys.m
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,10 +157,10 @@ def test_single_label_multiplicity_single_slot(case, data):
     xv = data.draw(st.integers(1, nt), label="vertex toggle")
     xc = data.draw(st.integers(1, nt - 1), label="edge toggle")
     for X in [x3(a, I), x4(a, a2, I)]:
-        base = count_structure(X, A, C)
-        assert abs(count_structure(X, A ^ {xv}, C) - base) <= 1
+        base = count_structure(X, snapshot(A, C, nt))
+        assert abs(count_structure(X, snapshot(A ^ {xv}, C, nt)) - base) <= 1
         cap = 4 if X.kind == "X4" else 2
-        assert abs(count_structure(X, A, C ^ {xc}) - base) <= cap
+        assert abs(count_structure(X, snapshot(A, C ^ {xc}, nt)) - base) <= cap
 
 
 def test_single_label_multiplicity_pair_slots():
@@ -174,21 +177,16 @@ def test_single_label_multiplicity_pair_slots():
         a = rng.randbelow(48) + 1
         c = rng.randbelow(47) + 1
         X = x2(a, ivs[i], c, ivs[j])
-        base = count_structure(X, A, C)
+        base = count_structure(X, snapshot(A, C, 48))
         xv = rng.randbelow(48) + 1
         xc = rng.randbelow(47) + 1
-        assert abs(count_structure(X, A ^ {xv}, C) - base) <= 1
-        assert abs(count_structure(X, A, C ^ {xc}) - base) <= 2
-
-
-def _ambient_bits(sys):
-    return mask(1, sys.n_tilde), mask(1, sys.n_tilde - 1)
+        assert abs(count_structure(X, snapshot(A ^ {xv}, C, 48)) - base) <= 1
+        assert abs(count_structure(X, snapshot(A, C ^ {xc}, 48)) - base) <= 2
 
 
 def test_check_quasi_ambient_frozen():
     sys = IntervalSystem(24, 2, 4)
-    amb_a, amb_c = _ambient_bits(sys)
-    rep = check_quasi(amb_a, amb_c, sys, 0.6,
+    rep = check_quasi(LabelState(sys), sys, 0.6,
                       QuasiSampleSpec(per_kind=16), Rng(3, key=(2,)))
     assert rep.quasi1_max_dev <= 1 / sys.m
     assert rep.quasi2_devs and max(rep.quasi2_devs) <= 4 / sys.m
@@ -197,33 +195,33 @@ def test_check_quasi_ambient_frozen():
 
 def test_check_quasi_emptied_window():
     sys = IntervalSystem(24, 2, 4)
-    amb_a, amb_c = _ambient_bits(sys)
-    hollow = amb_c & ~mask(2, 3)
-    rep = check_quasi(amb_a, hollow, sys, 0.1,
-                      QuasiSampleSpec(per_kind=0), None)
-    assert rep.quasi1_max_dev >= amb_a.bit_count() / sys.n_tilde
+    hollow = LabelState(sys)
+    hollow.remove_diff(2)
+    hollow.remove_diff(3)
+    rep = check_quasi(hollow, sys, 0.1, QuasiSampleSpec(per_kind=0), None)
+    assert rep.quasi1_max_dev >= hollow.size_a / sys.n_tilde
     assert not rep.ok
 
 
 def test_check_quasi_deterministic_and_counts():
     sys = IntervalSystem(48, 4, 8)
-    A = from_indices(v for v in range(1, 49) if v % 5)
-    C = from_indices(d for d in range(1, 48) if d % 7)
-    spec = QuasiSampleSpec(per_kind=4, used_labels=(5, 10, 200), used_cap=8)
-    r1 = check_quasi(A, C, sys, 0.5, spec, Rng(11, key=(3,)), t=7)
-    r2 = check_quasi(A, C, sys, 0.5, spec, Rng(11, key=(3,)), t=7)
+    state = snapshot({v for v in range(1, 49) if v % 5},
+                     {d for d in range(1, 48) if d % 7}, sys=sys)
+    spec = QuasiSampleSpec(per_kind=4)
+    r1 = check_quasi(state, sys, 0.5, spec, Rng(11, key=(3,)), t=7)
+    r2 = check_quasi(state, sys, 0.5, spec, Rng(11, key=(3,)), t=7)
     assert r1 == r2
     assert r1.checkpoint == 7
-    # 4 kinds x 4 samples, plus 3 structures per in-range anchored label
-    assert len(r1.quasi2_devs) == 16 + 3 * 2
+    # 4 kinds x 4 samples
+    assert len(r1.quasi2_devs) == 16
     assert all(d >= 0 for d in r1.quasi2_devs)
 
 
 def test_check_quasi_needs_rng_when_sampling():
     sys = IntervalSystem(24, 2, 4)
-    amb_a, amb_c = _ambient_bits(sys)
     with pytest.raises(ValueError):
-        check_quasi(amb_a, amb_c, sys, 0.5, QuasiSampleSpec(per_kind=1), None)
+        check_quasi(LabelState(sys), sys, 0.5, QuasiSampleSpec(per_kind=1),
+                    None)
 
 
 def _plan_stub(sys, J):
@@ -289,11 +287,11 @@ def test_crude_struct_bound_and_range():
 
 def test_window_check_ambient():
     sys = IntervalSystem(240, 4, 16)
-    amb_a, amb_c = _ambient_bits(sys)
+    ambient = LabelState(sys)
     J = sys.j_intervals[2]
     a = J.hi + 50
     assert not (J.lo <= a <= J.hi)
-    rep = lemma36_check(amb_a, amb_c, sys, 0.25, a, a + 1, 3, J)
+    rep = lemma36_check(ambient, sys, 0.25, a, a + 1, 3, J)
     by_kind = {r.kind: r for r in rep.rows}
     assert by_kind["X3"].count == sys.ell
     assert by_kind["X4"].count == sys.ell
@@ -303,7 +301,7 @@ def test_window_check_ambient():
     c_peak = abs(sys.n_tilde - sys.ell + 2 - 2 * J.lo)
     assert sys.el_count(J.lo, c_peak) == sys.ell
     assert all(not (J.lo <= b <= J.hi) for b in (a - c_peak, a, a + c_peak))
-    rep2 = lemma36_check(amb_a, amb_c, sys, 0.25, a, a + 1, c_peak, J)
+    rep2 = lemma36_check(ambient, sys, 0.25, a, a + 1, c_peak, J)
     x2_row = {r.kind: r for r in rep2.rows}["X2"]
     assert x2_row.count == sys.ell
     assert rep2.all_ok
@@ -311,10 +309,10 @@ def test_window_check_ambient():
 
 def test_window_check_anchor_inside_target():
     sys = IntervalSystem(240, 4, 16)
-    amb_a, amb_c = _ambient_bits(sys)
+    ambient = LabelState(sys)
     J = sys.j_intervals[0]
     a = J.lo + 1
-    rep = lemma36_check(amb_a, amb_c, sys, 0.25, a, a + 1, 3, J)
+    rep = lemma36_check(ambient, sys, 0.25, a, a + 1, 3, J)
     by_kind = {r.kind: r for r in rep.rows}
     assert by_kind["X3"].count == sys.ell - 1
     assert rep.all_ok
@@ -331,17 +329,76 @@ def test_window_check_equals_tile_sums():
     tiles = [iv for iv in sys.iv_intervals if J.contains(iv)]
     tiles_bar = [iv for iv in sys.iv_intervals if j_bar.contains(iv)]
     assert len(tiles) == sys.ell // sys.m and len(tiles_bar) == len(tiles)
-    x3_sum = sum(count_structure(x3(a, iv), A, C) for iv in tiles)
-    assert x3_sum == count_structure(x3(a, J), A, C)
-    x4_sum = sum(count_structure(x4(a, a2, iv), A, C) for iv in tiles)
-    assert x4_sum == count_structure(x4(a, a2, J), A, C)
-    x2_sum = sum(count_structure(x2(a, iv, c, iv2), A, C)
+    state = snapshot(A, C, sys=sys)
+    x3_sum = sum(count_structure(x3(a, iv), state) for iv in tiles)
+    assert x3_sum == count_structure(x3(a, J), state)
+    x4_sum = sum(count_structure(x4(a, a2, iv), state) for iv in tiles)
+    assert x4_sum == count_structure(x4(a, a2, J), state)
+    x2_sum = sum(count_structure(x2(a, iv, c, iv2), state)
                  for iv, iv2 in itertools.product(tiles, tiles_bar))
-    assert x2_sum == count_structure(x2(a, J, c, j_bar), A, C)
+    assert x2_sum == count_structure(x2(a, J, c, j_bar), state)
 
 
 def test_window_check_requires_wide_alpha():
     sys = IntervalSystem(48, 4, 8)
-    amb_a, amb_c = _ambient_bits(sys)
     with pytest.raises(ParamError):
-        lemma36_check(amb_a, amb_c, sys, 0.25, 1, 2, 3, sys.j_intervals[0])
+        lemma36_check(LabelState(sys), sys, 0.25, 1, 2, 3, sys.j_intervals[0])
+
+
+@pytest.mark.parametrize("n,m,ell,seed", [(3000, 32, 256, 4),
+                                          (4000, 64, 512, 9)])
+def test_reports_match_full_width_oracle_on_run_snapshots(n, m, ell, seed):
+    """Blocked-state audit against the full-width audit it replaced, on
+    the snapshots of a labelling run whose n_tilde spans several
+    blocks: equal reports and equal rng state afterwards."""
+    params = derive_practical_params(n, Fraction(1, 2), m, ell)
+    sys = IntervalSystem(params.n_tilde, m, ell)
+    assert sys.n_tilde > 2 * 1024
+    tree = random_tree(n, Rng(seed, key=(0,)))
+    plan = prepare_plan(tree, sys, Rng(seed, key=(1,)), max_component=32)
+    new_rng, old_rng = Rng(seed, key=(2,)), Rng(seed, key=(2,))
+    spec = QuasiSampleSpec(per_kind=32)
+    reports = []
+
+    def on_checkpoint(state, t):
+        alpha = float(params.alpha(t))
+        got = check_quasi(state, sys, alpha, spec, new_rng, t=t)
+        a_bits, c_bits = full_ints(state)
+        want = full_check_quasi(a_bits, c_bits, sys, alpha, 32, old_rng, t=t)
+        assert got == want, t
+        # target-wide slots, as the window check counts them
+        J = sys.j_intervals[t % len(sys.j_intervals)]
+        a = 1 + t % sys.n_tilde
+        for X in (x3(a, J), x4(a, a + 1, J), x2(a, J, 3 + t, sys.complement(J))):
+            assert (count_structure(X, state)
+                    == full_count_structure(X, a_bits, c_bits)), (t, X)
+        reports.append(got)
+
+    run_labelling(plan, sys, Rng(seed, key=(3,)), checkpoint_every=250,
+                  on_checkpoint=on_checkpoint)
+    assert len(reports) >= 8
+    assert all(len(r.quasi2_devs) == 4 * 32 for r in reports)
+    assert [new_rng.next64() for _ in range(3)] == [
+        old_rng.next64() for _ in range(3)]
+
+
+def test_reports_match_full_width_oracle_on_sparse_states():
+    """Few free labels spread over blocks, some blocks empty: every
+    rank lands in the right block, and X4's second anchor skips the
+    first even when both draws hit the same rank."""
+    sys = IntervalSystem(4096, 64, 256)
+    for seed in range(12):
+        rnd = Rng(seed, key=(8,))
+        size = 2 + seed % 4
+        A = {1 + rnd.randbelow(sys.n_tilde) for _ in range(size)}
+        C = {1 + rnd.randbelow(sys.n_tilde - 1) for _ in range(40)}
+        if len(A) < 2:
+            continue
+        state = snapshot(A, C, sys=sys)
+        new_rng, old_rng = Rng(seed, key=(9,)), Rng(seed, key=(9,))
+        got = check_quasi(state, sys, 0.5, QuasiSampleSpec(per_kind=32),
+                          new_rng, t=seed)
+        want = full_check_quasi(*full_ints(state), sys, 0.5, 32, old_rng,
+                                t=seed)
+        assert got == want, seed
+        assert new_rng.next64() == old_rng.next64()
