@@ -42,7 +42,7 @@ def _parity_coloring(tree):
     color = {1: 0}
     queue = [1]
     for v in queue:
-        for w in tree.adj[v]:
+        for w in tree.neighbours(v):
             if w not in color:
                 color[w] = 1 - color[v]
                 queue.append(w)

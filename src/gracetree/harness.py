@@ -23,7 +23,7 @@ from scipy.stats import beta as _beta
 from .intervals import IntervalSystem
 from .labeller import LabelResult, run_labelling
 from .params import ParamError, Params, derive_practical_params
-from .prepare import Plan, prepare_plan
+from .prepare import prepare_plan, redraw
 from .quasirandom import QuasiReport, QuasiSampleSpec, check_quasi
 from .rng import Rng
 from .trees import Tree, parse_tree, random_tree
@@ -155,8 +155,9 @@ def _load_tree(cfg: ExperimentConfig, n: int, rng: Rng) -> Tree:
 def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
               collect_trace: bool = False) -> TrialResult:
     """One seeded trial.  Spawn keys under the root seed: (n_index,
-    trial) -> 0 tree, 1 labelling (attempt k replans from child(k, 0)
-    and draws from child(k, 1)), 2 quasi sampling."""
+    trial) -> 0 tree, 1 labelling (attempt k draws its intervals from
+    child(k, 0) over the first plan's cut and ordering, and its labels
+    from child(k, 1)), 2 quasi sampling."""
     n = cfg.n[n_index]
     params = cfg.params_for(n)
     sys = IntervalSystem(params.n_tilde, params.m, params.ell)
@@ -173,17 +174,13 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
         tagged.append((state.attempt, check_quasi(
             state, sys, float(params.alpha(t)), spec, quasi_rng, t=t)))
 
-    def build_plan(r: Rng) -> Plan:
-        kw = {}
-        if cfg.max_component is not None:
-            kw["max_component"] = cfg.max_component
-        return prepare_plan(tree, sys, r, **kw)
-
-    res = run_labelling(build_plan(label_rng.child(0).child(0)), sys,
-                        label_rng, max_retries=cfg.retries,
+    plan = prepare_plan(tree, sys, label_rng.child(0).child(0),
+                        max_component=cfg.max_component)
+    res = run_labelling(plan, sys, label_rng, max_retries=cfg.retries,
                         checkpoint_every=cfg.checkpoint_every,
                         on_checkpoint=on_checkpoint,
-                        collect_trace=collect_trace, replan=build_plan)
+                        collect_trace=collect_trace,
+                        replan=lambda r: redraw(plan, tree, sys, r))
     reports = [r for k, r in tagged if k == res.attempts - 1]
 
     labelling = None

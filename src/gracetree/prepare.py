@@ -4,6 +4,13 @@ A Plan fixes everything about a labelling run except the random label
 choices: the order in which vertices are revealed, each vertex's earlier
 neighbour, the removed-edge set whose endpoints may land in unrelated
 intervals, and the target interval of every vertex.
+
+The stages run over flat arrays.  prepare_plan numbers the tree once, in
+BFS order from its smallest leaf (_Numbering, O(n)); the cut and the
+ordering both run on that numbering, where a removed edge is one flag on
+its child.  The cut costs O(n log n) on any shape (see _cut_window), the
+ordering O(n log n) for its heaps, and the interval assignment O(n)
+over positions.  Every stage takes and returns original vertex ids.
 """
 
 from __future__ import annotations
@@ -17,6 +24,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
+
 from .intervals import Interval, IntervalSystem
 from .rng import Rng
 from .trees import Tree
@@ -26,11 +37,63 @@ class PrepareError(ValueError):
     pass
 
 
-def _smallest_leaf(t: Tree) -> int:
-    for v in range(1, t.n + 1):
-        if len(t.adj[v]) == 1:
-            return v
-    raise PrepareError("tree has no leaf")
+class _Numbering:
+    """t renumbered 0..n-1 in BFS order from its smallest leaf.
+
+    vertex[k] is the original id of vertex k and index[v] the number of
+    original vertex v.  parent[k] < k, with parent[0] = -1, and the
+    children of k are first[k] .. first[k+1] - 1 in the order of k's
+    neighbour list, so a child's number ranks it among its siblings as
+    its index in that list does.  The stages then read consecutive
+    numbers instead of the scattered ids a Prüfer-decoded tree comes
+    with.  Plain lists, since the stages read them in Python loops.
+
+    The BFS runs in C (scipy's breadth_first_order) on t with every
+    adjacency slot made a node: vertex v links to slot nodes n+1+p for
+    its CSR positions p, in order, and slot p links to the neighbour
+    nbr[p].  That search takes a node's links in increasing id, so it
+    meets v's children in neighbour-list order.
+    """
+
+    __slots__ = ("vertex", "index", "parent", "first")
+
+    def __init__(self, t: Tree):
+        n = t.n
+        slots = 2 * (n - 1)
+        root = int((t.degrees() == 1).argmax()) + 1 if n > 1 else 1
+        off = np.frombuffer(t.off, np.intc)
+        links = np.concatenate(
+            (np.arange(n + 1, n + 1 + slots, dtype=np.intc),
+             np.frombuffer(t.nbr, np.intc)))
+        starts = np.concatenate(
+            (off, slots + np.arange(1, slots + 1, dtype=np.intc)))
+        graph = csr_matrix((np.ones(2 * slots, np.int8), links, starts),
+                           shape=(n + 1 + slots, n + 1 + slots))
+        nodes, pred = breadth_first_order(graph, root, directed=True,
+                                          return_predecessors=True)
+        vertex = nodes[nodes <= n]
+        index = np.full(n + 1, -1, np.intp)
+        index[vertex] = np.arange(n)
+        parent = index[pred[pred[vertex[1:]]]]
+        self.vertex = vertex.tolist()
+        self.index = index.tolist()
+        self.parent = [-1] + parent.tolist()
+        self.first = (np.searchsorted(parent, np.arange(n + 1)) + 1).tolist()
+
+    def cut_flags(self, removed: Iterable[tuple[int, int]]) -> bytearray:
+        """flag[k] = 1 when the edge from k to its parent is in removed,
+        in O(|removed|); pairs that are not tree edges are ignored."""
+        n = len(self.vertex)
+        index, parent = self.index, self.parent
+        flag = bytearray(n)
+        for a, b in removed:
+            if 1 <= a <= n and 1 <= b <= n:
+                x, y = index[a], index[b]
+                if x < y:
+                    x, y = y, x
+                if parent[x] == y:
+                    flag[x] = 1
+        return flag
 
 
 class _Fragment:
@@ -56,85 +119,80 @@ class _Fragment:
         self.off = off
 
 
-def _cut_window(t: Tree, lo: int, hi: int) -> frozenset[tuple[int, int]]:
+def _cut_window(
+    t: Tree, lo: int, hi: int, numbering: _Numbering | None = None
+) -> frozenset[tuple[int, int]]:
     """Walk-and-cut from the smallest leaf: follow the heaviest remaining
-    branch (ties to the earliest in t.adj) and cut off the first one of
-    order <= hi; repeat on the kept side until it has order <= hi.
+    branch (ties to the earliest in the neighbour list) and cut off the
+    first one of order <= hi; repeat on the kept side until it has order
+    <= hi.
 
-    The walk resumes where the last cut changed it instead of restarting
-    at the root.  Each vertex with two or more children keeps a heap of
-    its live children keyed (-order, adj index), without the child the
-    walk is inside.  The walk is a stack of levels (see _Fragment).  A
-    cut of order s lowers every level's slack by s, so the topmost level
-    whose choice changed is found by bisection on running minima.  The
-    walk leaves that level: if the child it had chosen still has order
-    > hi, the levels below it are parked under that child and restored
-    when the walk chooses it again (a park inside a fragment splits it,
-    once); otherwise that child is never entered again and they are
-    dropped.  A cut or a descent costs O(log n) plus the fragments a
-    restore moves, so paths, brooms and caterpillars cut in O(n log n)
-    instead of O(n * depth), with O(n) memory.
+    The walk runs on the BFS numbering (a child's number breaks ties
+    among its siblings) and resumes where the last cut changed it
+    instead of restarting at the root.  Each vertex with two or more
+    children keeps a heap of its live children keyed (-order, number),
+    without the child the walk is inside.  The walk is a stack of levels
+    (see _Fragment).  A cut of order s lowers every level's slack by s,
+    so the topmost level whose choice changed is found by bisection on
+    running minima.  The walk leaves that level: if the child it had
+    chosen still has order > hi, the levels below it are parked under
+    that child and restored when the walk chooses it again (a park inside
+    a fragment splits it, once); otherwise that child is never entered
+    again and they are dropped.  A cut or a descent costs O(log n) plus
+    the fragments a restore moves, so paths, brooms and caterpillars cut
+    in O(n log n) instead of O(n * depth), with O(n) memory.
     """
     if lo < 1 or lo > hi:
         raise PrepareError(f"empty size window [{lo}, {hi}]")
-    if t.n <= hi:
+    n = t.n
+    if n <= hi:
         return frozenset()
 
-    adj = t.adj
-    root = _smallest_leaf(t)
-    parent = [0] * (t.n + 1)
-    parent[root] = -1
-    order: list[int] = [root]
-    for v in order:
-        for w in adj[v]:
-            if not parent[w]:
-                parent[w] = v
-                order.append(w)
-    size = [1] * (t.n + 1)  # 0 marks a cut child
-    for v in reversed(order):
-        if parent[v] > 0:
-            size[parent[v]] += size[v]
-    del order
+    num = numbering or _Numbering(t)
+    vertex, parent, first = num.vertex, num.parent, num.first
+    size = [1] * n  # 0 marks a cut child
+    for k in range(n - 1, 0, -1):
+        size[parent[k]] += size[k]
 
     heaps: dict[int, list[tuple[int, int]]] = {}
     parked: dict[int, tuple[list[_Fragment], int]] = {}
     frags: list[_Fragment] = []
     gneg: list[int] = []  # minus the running minimum of effective keys
     none = -(1 << 62)  # gneg of no level
-    removed: set[tuple[int, int]] = set()
+    cuts: list[int] = []  # the child of each removed edge
     cut = 0  # D: the total order cut so far
-    u = root
+    u = 0
     while True:
         # choose among u's live children, exactly as a walk from the root
-        pu = parent[u]
-        a = adj[u]
-        if len(a) - (pu > 0) >= 2:
+        c0, c1 = first[u], first[u + 1]
+        if c1 - c0 >= 2:
             h = heaps.get(u)
             if h is None:
-                h = [(-size[w], i) for i, w in enumerate(a) if w != pu]
+                h = [(-size[w], w) for w in range(c0, c1)]
                 heapq.heapify(h)
                 heaps[u] = h
             if not h:
                 best = 0
             else:
-                neg, i = heapq.heappop(h)
-                best, best_size = a[i], -neg
+                neg, best = heapq.heappop(h)
+                best_size = -neg
                 thr = hi + 1
                 if h:
-                    thr = max(thr, -h[0][0] + (h[0][1] < i))
+                    thr = max(thr, -h[0][0] + (h[0][1] < best))
         else:
-            best = a[0] if a[0] != pu else a[1]
+            best = c0
             best_size, thr = size[best], hi + 1
             if not best_size:
                 best = 0
-        if best == 0:
+        if best == 0:  # the root is nobody's child
             raise PrepareError(
-                f"walk stuck at vertex {u}: no branch of order >= {lo}"
+                f"walk stuck at vertex {vertex[u]}: no branch of order "
+                f">= {lo}"
             )
         if best_size < lo:
             raise PrepareError(
-                f"walk undershot the window at vertex {u}: heaviest "
-                f"branch has order {best_size} < {lo}"
+                f"walk undershot the window at vertex {vertex[u]}: "
+                f"heaviest branch has order {best_size} < {lo}"
             )
 
         if best_size > hi:
@@ -165,11 +223,14 @@ def _cut_window(t: Tree, lo: int, hi: int) -> frozenset[tuple[int, int]]:
                 gneg.append(max(gneg[-1], f.npm[-1] - f.off))
             u = frags[-1].c[-1]
         else:
-            removed.add((u, best) if u < best else (best, u))
+            cuts.append(best)
             size[best] = 0
             cut += best_size
-            if t.n - cut <= hi:
-                return frozenset(removed)
+            if n - cut <= hi:
+                return frozenset(
+                    (a, b) if a < b else (b, a)
+                    for a, b in ((vertex[parent[c]], vertex[c]) for c in cuts)
+                )
 
         # leave the topmost level whose choice changed, if any
         k = bisect.bisect_right(gneg, -cut)
@@ -201,7 +262,7 @@ def _cut_window(t: Tree, lo: int, hi: int) -> frozenset[tuple[int, int]]:
         size[c] = c_size
         h = heaps.get(u)
         if h is not None:
-            heapq.heappush(h, (-c_size, adj[u].index(c)))
+            heapq.heappush(h, (-c_size, c))
 
 
 def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
@@ -221,7 +282,7 @@ def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
         raise PrepareError(
             f"eps*n = {eps * n:.3f} < 2*log n = {2 * log_n:.3f}"
         )
-    max_deg = max(len(t.adj[v]) for v in range(1, t.n + 1))
+    max_deg = int(t.degrees().max())
     deg_cap = eps * eps * n / (4 * log_n)
     if max_deg > deg_cap:
         raise PrepareError(
@@ -233,7 +294,11 @@ def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
 
 
 def cut_tree_by_size(
-    t: Tree, max_size: int, min_size: int = 1
+    t: Tree,
+    max_size: int,
+    min_size: int = 1,
+    *,
+    numbering: _Numbering | None = None,
 ) -> frozenset[tuple[int, int]]:
     """Size-threshold variant: components end up with order <= max_size.
 
@@ -249,36 +314,20 @@ def cut_tree_by_size(
             f"need 1 <= min_size <= max_size, got {min_size}, {max_size}"
         )
     if min_size > 1 and t.n > max_size:
-        max_deg = max(len(t.adj[v]) for v in range(1, t.n + 1))
+        max_deg = int(t.degrees().max())
         if max_deg > max_size / (2 * min_size):
             raise PrepareError(
                 f"max degree {max_deg} > max_size/(2*min_size) = "
                 f"{max_size / (2 * min_size):.3f}"
             )
-    return _cut_window(t, min_size, max_size)
-
-
-def _component_ids(t: Tree, removed: frozenset[tuple[int, int]]) -> list[int]:
-    comp = [0] * (t.n + 1)
-    next_id = 0
-    for s in range(1, t.n + 1):
-        if comp[s]:
-            continue
-        next_id += 1
-        comp[s] = next_id
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in t.adj[v]:
-                e = (v, w) if v < w else (w, v)
-                if not comp[w] and e not in removed:
-                    comp[w] = next_id
-                    stack.append(w)
-    return comp
+    return _cut_window(t, min_size, max_size, numbering)
 
 
 def order_vertices(
-    t: Tree, removed: Iterable[tuple[int, int]]
+    t: Tree,
+    removed: Iterable[tuple[int, int]],
+    *,
+    numbering: _Numbering | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reveal order starting at vertex 1, keeping components contiguous.
 
@@ -287,52 +336,41 @@ def order_vertices(
     previous one; when that component is exhausted, the smallest-index
     candidate overall.  Returns (order, parent_pos) with parent_pos[0] = -1
     and parent_pos[i] the position of order[i]'s parent.
+
+    Two heaps of original ids hold the candidates: those reached over
+    kept edges, all in the current component, and those reached over
+    removed edges.  The current component is exhausted exactly when the
+    first heap is empty, and then every candidate left is in the second.
+    Each vertex is pushed once, by its earlier neighbour, and an edge's
+    removal is read from the cut flag of its child in the BFS numbering,
+    so the order costs O(n log n) with no set lookups.
     """
-    removed = frozenset(
-        (u, v) if u < v else (v, u) for u, v in removed
-    )
-    comp = _component_ids(t, removed)
-    chosen = [False] * (t.n + 1)
-    in_frontier = [False] * (t.n + 1)
-    comp_heap: dict[int, list[int]] = {}
-    all_heap: list[int] = []
-
-    def push(v: int) -> None:
-        if not chosen[v] and not in_frontier[v]:
-            in_frontier[v] = True
-            heapq.heappush(comp_heap.setdefault(comp[v], []), v)
-            heapq.heappush(all_heap, v)
-
-    order = [1]
-    parent_pos = [-1]
-    pos = [0] * (t.n + 1)
-    chosen[1] = True
-    for w in t.adj[1]:
-        push(w)
-    for i in range(1, t.n):
-        heap = comp_heap.get(comp[order[-1]], [])
-        while heap and chosen[heap[0]]:
-            heapq.heappop(heap)
-        if heap:
-            v = heapq.heappop(heap)
-        else:
-            while chosen[all_heap[0]]:
-                heapq.heappop(all_heap)
-            v = heapq.heappop(all_heap)
-        prt = 0
-        for w in t.adj[v]:
-            if chosen[w]:
-                if prt:
-                    raise PrepareError(
-                        f"vertex {v} has two earlier neighbours {prt}, {w}"
-                    )
-                prt = w
-        chosen[v] = True
-        pos[v] = i
-        order.append(v)
-        parent_pos.append(pos[prt])
-        for w in t.adj[v]:
-            push(w)
+    num = numbering or _Numbering(t)
+    vertex, index, parent, first = num.vertex, num.index, num.parent, num.first
+    cut = num.cut_flags(removed)
+    n = t.n
+    done = bytearray(n)
+    via = [-1] * n  # position of the earlier neighbour, by number
+    order: list[int] = []
+    parent_pos: list[int] = []
+    here: list[int] = []  # candidates behind kept edges
+    away: list[int] = []  # candidates behind removed edges
+    push = heapq.heappush
+    k = index[1]
+    for i in range(n):
+        if i:
+            k = index[heapq.heappop(here) if here else heapq.heappop(away)]
+        done[k] = 1
+        order.append(vertex[k])
+        parent_pos.append(via[k])
+        p = parent[k]
+        if p >= 0 and not done[p]:
+            push(away if cut[k] else here, vertex[p])
+            via[p] = i
+        for w in range(first[k], first[k + 1]):
+            if not done[w]:
+                push(away if cut[w] else here, vertex[w])
+                via[w] = i
     return tuple(order), tuple(parent_pos)
 
 
@@ -368,7 +406,9 @@ def assign_intervals(
     complement, so every surviving edge joins an interval to its
     complement.  Components are drawn in order of first appearance in the
     vertex ordering.  Components and parities come from one pass over the
-    ordering, since each vertex's parent is an earlier tree neighbour.
+    ordering, since each vertex's parent is an earlier tree neighbour; a
+    removed edge is a flag on its later endpoint's position, so the
+    assignment is O(n) with no set lookups.
 
     draw="independent": one uniform draw per component.  draw="balanced":
     a uniform random allocation whose per-interval component counts differ
@@ -381,28 +421,43 @@ def assign_intervals(
     correction concentrates its own removals.
     """
     order, parent_pos = ordering
-    removed = frozenset((u, v) if u < v else (v, u) for u, v in removed)
+    n = len(order)
+    if not (isinstance(removed, frozenset) and all(u < v for u, v in removed)):
+        removed = frozenset((u, v) if u < v else (v, u) for u, v in removed)
+
+    # flag the positions whose parent edge is removed: of an edge's two
+    # endpoints, the later one in the order is the child
+    pos = [0] * (t.n + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    cut = bytearray(n)
+    for u, v in removed:
+        if 1 <= u and v <= t.n:
+            i, j = pos[u], pos[v]
+            if i < j:
+                i, j = j, i
+            if parent_pos[i] == j:
+                cut[i] = 1
 
     # one pass over the order: a component starts at the root and behind
     # every removed parent edge; everyone else joins the parent's
     # component with the opposite parity
-    comp = [0] * (t.n + 1)  # numbered by first appearance in the order
-    parity = [0] * (t.n + 1)
+    comp = [0] * n  # by position, numbered by first appearance
+    parity = bytearray(n)
     starts: list[int] = []  # position where each component starts
-    for i, v in enumerate(order):
+    for i in range(n):
         pp = parent_pos[i]
         if pp >= 0:
-            p = order[pp]
-            parity[v] = parity[p] ^ 1
-            if ((p, v) if p < v else (v, p)) not in removed:
-                comp[v] = comp[p]
+            parity[i] = parity[pp] ^ 1
+            if not cut[i]:
+                comp[i] = comp[pp]
                 continue
-        comp[v] = len(starts)
+        comp[i] = len(starts)
         starts.append(i)
     n_comp = len(starts)
     js = sys.j_intervals
     if draw == "independent":
-        draws = [js[rng.randbelow(len(js))] for _ in range(n_comp)]
+        picks = [rng.randbelow(len(js)) for _ in range(n_comp)]
     elif draw == "balanced":
         pool = list(range(len(js))) * (n_comp // len(js))
         extra = list(range(len(js)))
@@ -413,47 +468,45 @@ def assign_intervals(
         for i in range(len(pool) - 1):
             k = i + rng.randbelow(len(pool) - i)
             pool[i], pool[k] = pool[k], pool[i]
-        draws = [js[i] for i in pool]
+        picks = pool
     else:
         raise PrepareError(f"unknown draw mode {draw!r}")
+    # the intervals of the components' two sides, as two flat lists: a
+    # pair per component would put one tuple per component on the heap
+    partner = [sys.complement(j) for j in js]
+    sides = ([js[i] for i in picks], [partner[i] for i in picks])
 
     nt = sys.n_tilde
+    ell = sys.ell
     flip = [0] * n_comp
     for k, i in enumerate(starts):
-        if parent_pos[i] < 0:
+        pp = parent_pos[i]
+        if pp < 0:
             continue
-        v = order[i]
-        p = order[parent_pos[i]]
-        jk = draws[k]
-        p_iv = draws[comp[p]]
-        if (parity[p] ^ flip[comp[p]]) == 1:
-            p_iv = sys.complement(p_iv)
-        p_mid = 2 * p_iv.lo + sys.ell - 1  # twice the midpoint
+        c = comp[pp]
+        p_iv = sides[parity[pp] ^ flip[c]][c]
+        p_mid = 2 * p_iv.lo + ell - 1  # twice the midpoint
         best = 0
         best_score = -1
         for o in (0, 1):
-            iv = jk if (parity[v] ^ o) == 0 else sys.complement(jk)
-            d = abs(2 * iv.lo + sys.ell - 1 - p_mid)
+            d = abs(2 * sides[parity[i] ^ o][k].lo + ell - 1 - p_mid)
             score = min(d, 2 * nt - d)
             if score > best_score:
                 best, best_score = o, score
         flip[k] = best
 
-    color = tuple(
-        (parity[v] ^ flip[comp[v]]) if v else 0 for v in range(t.n + 1)
-    )
-    interval_of = tuple(
-        draws[comp[v]]
-        if color[v] == 0
-        else sys.complement(draws[comp[v]])
-        for v in order
-    )
+    color = [0] * (t.n + 1)
+    interval_of = []
+    for i, v in enumerate(order):
+        c = comp[i]
+        color[v] = side = parity[i] ^ flip[c]
+        interval_of.append(sides[side][c])
     return Plan(
         order=tuple(order),
         parent_pos=tuple(parent_pos),
         removed_edges=removed,
-        interval_of=interval_of,
-        color=color,
+        interval_of=tuple(interval_of),
+        color=tuple(color),
     )
 
 
@@ -515,7 +568,7 @@ def check_plan(
                 ok, bad = False, f"position {i}: parent position {p}"
                 break
             prt = plan.order[p]
-            earlier = [w for w in t.adj[v] if pos[w] < i]
+            earlier = [w for w in t.neighbours(v) if pos[w] < i]
             if earlier != [prt] and sorted(earlier) != [prt]:
                 ok, bad = (
                     False,
@@ -598,7 +651,8 @@ def prepare_plan(
     component's red half well inside one target window and spreads each
     window's load over many component draws; larger caps make single draws
     carry so much mass that window loads no longer concentrate.  Interval
-    draws default to the balanced allocation (see assign_intervals).
+    draws default to the balanced allocation (see assign_intervals).  The
+    cut and the ordering share one BFS numbering of t.
     """
     if max_component is None:
         max_component = max(
@@ -608,9 +662,25 @@ def prepare_plan(
                 sys.ell // 2,
             ),
         )
-    removed = cut_tree_by_size(t, max_component, min_component)
-    ordering = order_vertices(t, removed)
+    numbering = _Numbering(t)
+    removed = cut_tree_by_size(
+        t, max_component, min_component, numbering=numbering
+    )
+    ordering = order_vertices(t, removed, numbering=numbering)
+    del numbering  # over 100 bytes a vertex, and the assignment needs none
     return assign_intervals(t, removed, ordering, sys, rng, draw=draw)
+
+
+def redraw(
+    plan: Plan, t: Tree, sys: IntervalSystem, rng: Rng, *,
+    draw: str = "balanced"
+) -> Plan:
+    """A new interval draw over plan's cut and ordering.  Neither of them
+    draws from the rng, so this is all a retry has to redo."""
+    return assign_intervals(
+        t, plan.removed_edges, (plan.order, plan.parent_pos), sys, rng,
+        draw=draw,
+    )
 
 
 def plan_to_json(plan: Plan) -> str:

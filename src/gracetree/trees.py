@@ -1,73 +1,173 @@
-"""Labelled trees on vertices 1..n.
+"""Labelled trees on vertices 1..n, kept in flat int arrays.
 
-Prüfer codec, uniform random generation, degree statistics, and a strict
-text format (first line n, then n-1 lines "u v").
+Prüfer codec, uniform random generation, path/star/broom/caterpillar/
+spider constructors, degree statistics, and a strict text format (first
+line n, then n-1 lines "u v").
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .rng import Rng
 
 
-class Tree:
-    """Unrooted tree on 1..n. Validates shape on construction, then immutable."""
+def _fault(n: int, us, vs) -> str:
+    """The first check the edge list fails, in the order the checks are
+    stated: per edge in input order range, self-loop and parallel edge,
+    then the edge count, then connectivity.  Run only once a check on
+    the arrays has failed."""
+    seen = set()
+    for u, v in zip(us, vs):
+        if not (1 <= u <= n and 1 <= v <= n):
+            return f"edge ({u},{v}) out of range 1..{n}"
+        if u == v:
+            return f"self-loop at {u}"
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            return f"parallel edge {e}"
+        seen.add(e)
+    if len(us) != n - 1:
+        return f"tree on {n} vertices needs {n-1} edges, got {len(us)}"
+    return "edge set is not connected"
 
-    __slots__ = ("n", "edges", "adj")
+
+def _connected(n: int, off: np.ndarray, nbr: np.ndarray) -> bool:
+    """Whether the CSR graph on 1..n is connected: scipy's
+    connected_components, or a DFS below 512 vertices, where scipy's
+    fixed cost per call (about 0.2 ms) exceeds the DFS."""
+    if n >= 512:
+        graph = csr_matrix((np.ones(len(nbr), np.int8), nbr, off),
+                           shape=(n + 1, n + 1))
+        # vertex 0 is an isolated row of its own
+        return connected_components(graph, directed=True, connection="weak",
+                                    return_labels=False) == 2
+    off, nbr = off.tolist(), nbr.tolist()
+    seen = bytearray(n + 1)
+    seen[1] = 1
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for w in nbr[off[v]:off[v + 1]]:
+            if not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+    return seen.count(1) == n
+
+
+class Edges:
+    """A tree's edges as (min, max) pairs in input order, read from one
+    flat array lo0, hi0, lo1, hi1, ..."""
+
+    __slots__ = ("ends",)
+
+    def __init__(self, ends: array):
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return len(self.ends) // 2
+
+    def __iter__(self):
+        it = iter(self.ends)
+        return zip(it, it)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class Tree:
+    """Unrooted tree on 1..n. Validates shape on construction, then immutable.
+
+    Storage is three array('i') buffers, 12 bytes per vertex and 8 per
+    edge, and no per-vertex Python objects:
+
+    - off, nbr: CSR adjacency.  The neighbours of v are
+      nbr[off[v]:off[v+1]] (see `neighbours`), in the input order of the
+      edges that join them; off has n + 2 entries, off[0] = off[1] = 0.
+    - edges.ends: the edges as (min, max) pairs in input order.
+
+    Construction is one stable sort of the edge ends by vertex in numpy
+    (O(n log n) in C) and a cumulative count for the offsets.  The checks
+    run on the arrays: ids in 1..n, n - 1 edges, and one component (see
+    _connected).  n - 1 edges that connect 1..n have no self-loop and no
+    parallel edge; when a check fails, the edge list is walked in order
+    to name the first fault.
+    """
+
+    __slots__ = ("n", "off", "nbr", "edges")
 
     def __init__(self, n: int, edges):
+        us, vs = [], []
+        for u, v in edges:
+            us.append(u)
+            vs.append(v)
+        self._build(n, us, vs)
+
+    @classmethod
+    def _of(cls, n: int, us, vs) -> "Tree":
+        """Tree with edges (us[i], vs[i]) in that order; us and vs are
+        int sequences."""
+        t = cls.__new__(cls)
+        t._build(n, us, vs)
+        return t
+
+    def _build(self, n: int, us, vs) -> None:
         if n < 1:
             raise ValueError("tree needs at least one vertex")
-        norm = []
-        seen = set()
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"parallel edge {e}")
-            seen.add(e)
-            norm.append(e)
-        if len(norm) != n - 1:
-            raise ValueError(f"tree on {n} vertices needs {n-1} edges, got {len(norm)}")
-        adj = [[] for _ in range(n + 1)]
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        # connectivity: n-1 edges + connected <=> tree
-        reached = 1
-        mark = bytearray(n + 1)
-        mark[1] = 1
-        stack = [1]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not mark[y]:
-                    mark[y] = 1
-                    reached += 1
-                    stack.append(y)
-        if reached != n:
-            raise ValueError("edge set is not connected")
+        m = len(us)
+        if m != n - 1 or (m and (min(us) < 1 or max(us) > n
+                                 or min(vs) < 1 or max(vs) > n)):
+            raise ValueError(_fault(n, us, vs))
+        a = np.asarray(us)
+        b = np.asarray(vs)
+        if m and (a.dtype.kind not in "iu" or b.dtype.kind not in "iu"):
+            raise TypeError("vertex ids must be integers")
+        ends = np.empty(2 * m, np.intc)
+        ends[0::2] = np.minimum(a, b)
+        ends[1::2] = np.maximum(a, b)
+        other = ends.reshape(-1, 2)[:, ::-1].ravel()
+        nbr = other[np.argsort(ends, kind="stable")]
+        off = np.zeros(n + 2, np.intc)
+        np.cumsum(np.bincount(ends, minlength=n + 1), out=off[1:])
+        if not _connected(n, off, nbr):
+            raise ValueError(_fault(n, us, vs))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "adj", tuple(tuple(a) for a in adj))
+        object.__setattr__(self, "off", array("i", off.tobytes()))
+        object.__setattr__(self, "nbr", array("i", nbr.tobytes()))
+        object.__setattr__(self, "edges",
+                           Edges(array("i", ends.tobytes())))
 
     def __setattr__(self, *a):
         raise AttributeError("Tree is immutable")
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.off[v + 1] - self.off[v]
+
+    def neighbours(self, v: int) -> array:
+        """v's neighbours in input edge order."""
+        return self.nbr[self.off[v]:self.off[v + 1]]
+
+    def degrees(self) -> np.ndarray:
+        """Degrees of 1..n as a numpy array (entry v - 1 is vertex v)."""
+        return np.diff(np.frombuffer(self.off, np.intc))[1:]
+
+    def _key(self) -> np.ndarray:
+        e = np.frombuffer(self.edges.ends, np.intc).astype(np.int64)
+        return np.sort(e[0::2] * (self.n + 1) + e[1::2])
 
     def __eq__(self, other):
         return (isinstance(other, Tree) and self.n == other.n
-                and set(self.edges) == set(other.edges))
+                and np.array_equal(self._key(), other._key()))
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.edges)))
+        return hash((self.n, self._key().tobytes()))
 
     def __repr__(self):
         return f"Tree(n={self.n}, edges={list(self.edges)})"
@@ -91,13 +191,13 @@ def prufer_decode(seq, n: int) -> Tree:
         if not (1 <= s <= n):
             raise ValueError(f"sequence entry {s} out of range 1..{n}")
         deg[s] += 1
-    edges = []
+    us = []
     ptr = 1
     while deg[ptr] != 1:
         ptr += 1
     leaf = ptr
     for s in seq:
-        edges.append((leaf, s))
+        us.append(leaf)
         deg[s] -= 1
         if deg[s] == 1 and s < ptr:
             leaf = s
@@ -106,8 +206,8 @@ def prufer_decode(seq, n: int) -> Tree:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n))
-    return Tree(n, edges)
+    us.append(leaf)
+    return Tree._of(n, us, seq + [n])
 
 
 def prufer_encode(t: Tree) -> list[int]:
@@ -115,7 +215,7 @@ def prufer_encode(t: Tree) -> list[int]:
     n = t.n
     if n < 2:
         raise ValueError("prufer_encode needs n >= 2")
-    deg = [0] + [t.degree(v) for v in range(1, n + 1)]
+    deg = [0] + t.degrees().tolist()
     dead = bytearray(n + 1)
     heap = [v for v in range(1, n + 1) if deg[v] == 1]
     heapq.heapify(heap)
@@ -123,7 +223,7 @@ def prufer_encode(t: Tree) -> list[int]:
     for _ in range(n - 2):
         leaf = heapq.heappop(heap)
         dead[leaf] = 1
-        nb = next(u for u in t.adj[leaf] if not dead[u])
+        nb = next(u for u in t.neighbours(leaf) if not dead[u])
         seq.append(nb)
         deg[nb] -= 1
         if deg[nb] == 1:
@@ -140,47 +240,93 @@ def random_tree(n: int, rng: Rng) -> Tree:
 
 def path_tree(n: int) -> Tree:
     """Path 1-2-...-n."""
-    return Tree(n, [(i, i + 1) for i in range(1, n)])
+    return Tree._of(n, range(1, n), range(2, n + 1))
 
 
 def star_tree(n: int) -> Tree:
     """Star with center 1 and leaves 2..n."""
-    return Tree(n, [(1, v) for v in range(2, n + 1)])
+    return Tree._of(n, [1] * (n - 1), range(2, n + 1))
+
+
+def broom_tree(n: int, handle: int) -> Tree:
+    """Path 1..handle whose last vertex carries the n - handle leaves
+    handle+1..n."""
+    return Tree._of(n, [*range(1, handle), *[handle] * (n - handle)],
+                    range(2, n + 1))
+
+
+def caterpillar_tree(n: int, spine: int, legs_of) -> Tree:
+    """Spine 1..spine (spine <= n) with legs spine+1..n: each leg in turn
+    hangs off spine vertex 1 + i % spine, where i starts at 0 and grows
+    by legs_of(i) after each leg."""
+    us = list(range(1, spine))
+    i = 0
+    for _ in range(n - spine):
+        us.append(1 + i % spine)
+        i += legs_of(i)
+    return Tree._of(n, us, range(2, n + 1))
+
+
+def spider_tree(n: int, legs: int) -> Tree:
+    """Center 1 and `legs` legs whose lengths differ by at most one,
+    numbered outwards leg by leg."""
+    us = []
+    v = 2
+    for k in range(legs):
+        prev = 1
+        for _ in range((n - 1) // legs + (k < (n - 1) % legs)):
+            us.append(prev)
+            prev = v
+            v += 1
+    return Tree._of(n, us, range(2, n + 1))
 
 
 def degree_stats(t: Tree) -> DegreeStats:
-    degs = [t.degree(v) for v in range(1, t.n + 1)]
-    return DegreeStats(max(degs), sum(d * d for d in degs))
+    degs = t.degrees().astype(np.int64)
+    return DegreeStats(int(degs.max()), int((degs * degs).sum()))
 
 
 def leaves(t: Tree) -> list[int]:
-    return [v for v in range(1, t.n + 1) if t.degree(v) == 1]
+    return (np.flatnonzero(t.degrees() == 1) + 1).tolist()
 
 
 def parse_tree(text: str) -> Tree:
-    """Strict text format: line 1 is n, then n-1 lines "u v"."""
-    raw = [ln.strip() for ln in text.splitlines()]
-    while raw and raw[-1] == "":
-        raw.pop()
-    if not raw:
+    """Strict text format: line 1 is n, then n-1 lines "u v".
+
+    Lines are stripped and trailing blank lines dropped.  Every other
+    line must hold exactly two tokens that int() accepts, else the first
+    line that does not is named.  Edge lines are checked by counting
+    their tokens and read from one split of the whole text.
+    """
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
         raise ValueError("empty tree text")
+    head = lines[0].strip()
     try:
-        n = int(raw[0])
+        n = int(head)
     except ValueError:
-        raise ValueError(f"first line must be the vertex count, got {raw[0]!r}") from None
-    if len(raw) - 1 != max(n - 1, 0):
-        raise ValueError(f"expected {n-1} edge lines, got {len(raw)-1}")
-    edges = []
-    for ln in raw[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad edge line {ln!r}") from None
-        edges.append((u, v))
-    return Tree(n, edges)
+        raise ValueError(
+            f"first line must be the vertex count, got {head!r}") from None
+    if len(lines) - 1 != max(n - 1, 0):
+        raise ValueError(f"expected {n-1} edge lines, got {len(lines)-1}")
+    try:
+        if len(lines) > 1 and set(map(len, map(
+                str.split, islice(lines, 1, None)))) != {2}:
+            raise ValueError
+        ends = list(map(int, islice(text.split(), 1, None)))
+    except ValueError:
+        for ln in islice(lines, 1, None):
+            parts = ln.split()
+            try:
+                if len(parts) != 2:
+                    raise ValueError
+                int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"bad edge line {ln.strip()!r}") from None
+        raise
+    return Tree._of(n, ends[0::2], ends[1::2])
 
 
 def format_tree(t: Tree) -> str:

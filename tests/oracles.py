@@ -1,5 +1,8 @@
 """Reference forms the library no longer carries, kept as test oracles.
 
+old_parse_tree and old_tree are the text parser and the tree check as
+they stood on edge tuples and adjacency tuples, before trees moved to
+flat arrays; tree_texts draws tree files with the faults they name.
 admissible_labels works on explicit sets.  full_count_structure and
 full_check_quasi are the audit as it stood on full-width ints (one int
 per set, C's lower side read by reversing a string), before it read
@@ -9,10 +12,13 @@ given sets.
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from gracetree.bitset import mask, select, window
 from gracetree.intervals import IntervalSystem
 from gracetree.labeller import LabelState
 from gracetree.quasirandom import QuasiReport, x1, x2, x3, x4
+from gracetree.trees import prufer_decode
 
 
 def admissible_labels(a, interval, labels, diffs):
@@ -157,3 +163,129 @@ def full_check_quasi(a_bits, c_bits, sys, alpha, per_kind, rng, t=0):
 def full_ints(state):
     """The state's A and C as full-width ints."""
     return state.labels.to_int(), state.diffs.to_int()
+
+
+def old_tree(n, edges):
+    """(n, normalized edges, adjacency tuples) of a valid tree, or the
+    ValueError the tuple-based Tree raised."""
+    if n < 1:
+        raise ValueError("tree needs at least one vertex")
+    norm = []
+    seen = set()
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"parallel edge {e}")
+        seen.add(e)
+        norm.append(e)
+    if len(norm) != n - 1:
+        raise ValueError(
+            f"tree on {n} vertices needs {n-1} edges, got {len(norm)}")
+    adj = [[] for _ in range(n + 1)]
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    reached = 1
+    mark = bytearray(n + 1)
+    mark[1] = 1
+    stack = [1]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if not mark[y]:
+                mark[y] = 1
+                reached += 1
+                stack.append(y)
+    if reached != n:
+        raise ValueError("edge set is not connected")
+    return n, tuple(norm), tuple(tuple(a) for a in adj)
+
+
+def old_parse_tree(text):
+    """Strict text format as the tuple-based parser read it."""
+    raw = [ln.strip() for ln in text.splitlines()]
+    while raw and raw[-1] == "":
+        raw.pop()
+    if not raw:
+        raise ValueError("empty tree text")
+    try:
+        n = int(raw[0])
+    except ValueError:
+        raise ValueError(
+            f"first line must be the vertex count, got {raw[0]!r}") from None
+    if len(raw) - 1 != max(n - 1, 0):
+        raise ValueError(f"expected {n-1} edge lines, got {len(raw)-1}")
+    edges = []
+    for ln in raw[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad edge line {ln!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"bad edge line {ln!r}") from None
+        edges.append((u, v))
+    return old_tree(n, edges)
+
+
+# odd tokens: out of range, signs, digit separators, non-ASCII digits
+# (Arabic-Indic three, fullwidth two), and tokens int() rejects
+ODD_TOKENS = ("0", "-1", "+2", "1_0", "\u0663", "\uff12", "2.0", "x",
+              "9" * 40)
+# whitespace that str.strip() removes; \x0b and \x1c also end a line
+ODD_SPACE = (" ", "\t", "\xa0", "\u2003", "\x0b", "\x1c", "\x1f")
+TREE_TEXT_EDITS = ("drop", "dup", "swap", "token", "loop", "parallel",
+                   "third", "blank", "space")
+
+
+@st.composite
+def tree_texts(draw, max_n=9):
+    """A tree file on up to max_n vertices, then up to three edits:
+    dropped, duplicated or swapped lines, an odd token, a self-loop or a
+    parallel edge in place of a line, a third token, a blank line, or
+    stray whitespace; lines end in \\n or \\r\\n, and blank lines may
+    trail."""
+    n = draw(st.integers(1, max_n))
+    seq = draw(st.lists(st.integers(1, n), min_size=max(n - 2, 0),
+                        max_size=max(n - 2, 0)))
+    edges = list(prufer_decode(seq, n).edges) if n > 1 else []
+    lines = [str(n)] + [f"{u} {v}" if draw(st.booleans()) else f"{v} {u}"
+                        for u, v in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        edit = draw(st.sampled_from(TREE_TEXT_EDITS))
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "dup":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "token":
+            toks = lines[i].split() or [""]
+            k = draw(st.integers(0, len(toks) - 1))
+            toks[k] = draw(st.sampled_from(
+                ODD_TOKENS + (str(n + 1), str(draw(st.integers(1, n))))))
+            lines[i] = " ".join(toks)
+        elif edit == "loop":
+            u = draw(st.integers(1, n))
+            lines[i] = f"{u} {u}"
+        elif edit == "parallel":
+            lines[j] = " ".join(reversed(lines[i].split()))
+        elif edit == "third":
+            lines[i] += " " + draw(st.sampled_from(("3", "x")))
+        elif edit == "blank":
+            lines.insert(i, draw(st.sampled_from(("", "  ", "\t"))))
+        else:
+            space = draw(st.sampled_from(ODD_SPACE))
+            lines[i] = (space + lines[i] if draw(st.booleans())
+                        else lines[i] + space)
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    tail = draw(st.sampled_from(("", end, end * 2, " \n\t\n")))
+    return end.join(lines) + tail

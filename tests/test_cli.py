@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gracetree.cli import main
+from gracetree.exact import exact_graceful
+from gracetree.harness import labelling_to_json
 from gracetree.trees import parse_tree
+from oracles import tree_texts
 
 
 def run_cli(capsys, *argv):
@@ -203,10 +206,12 @@ def mutated(base, extra_keys):
             | JSON_VALUES.map(json.dumps) | st.text(max_size=20))
 
 
-def run_quiet(argv):
+def run_quiet(argv, with_out=False):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    if with_out:
+        return code, out.getvalue(), err.getvalue()
     return code, err.getvalue()
 
 
@@ -278,3 +283,40 @@ def test_experiment_malformed_config_named(tmp_path, capsys, change, needle):
     code, _, err = run_cli(capsys, "experiment", "--config", str(path),
                            "--out-dir", str(tmp_path / "out"))
     assert code == 1 and needle in json.loads(err)["message"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_texts(), st.sampled_from(["label", "verify", "pack"]))
+def test_fuzzed_tree_files_keep_error_contract(text, command):
+    # the labels are graceful for the tree when the file parses, so a
+    # well-formed file reaches the command's own checks
+    try:
+        tree = parse_tree(text)
+        fault = None
+        labels = labelling_to_json(exact_graceful(tree, tree.n))
+    except ValueError as exc:
+        fault = str(exc)
+        labels = json.dumps({"n": 3, "m": 3, "labels": [1, 3, 2]})
+    with tempfile.TemporaryDirectory() as d:
+        paths = {name: os.path.join(d, name)
+                 for name in ("t.txt", "l.json", "out")}
+        with open(paths["t.txt"], "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with open(paths["l.json"], "w") as fh:
+            fh.write(labels)
+        argv = {
+            "label": ["label", "--tree", paths["t.txt"], "--gamma", "1",
+                      "--m", "2", "--ell", "4", "--seed", "3",
+                      "--retries", "0", "--checkpoint-every", "0",
+                      "--quasi-per-kind", "0"],
+            "verify": ["verify", "--tree", paths["t.txt"],
+                       "--labels", paths["l.json"]],
+            "pack": ["pack", "--tree", paths["t.txt"],
+                     "--labels", paths["l.json"], "--out", paths["out"]],
+        }[command]
+        code, out, err = run_quiet(argv, with_out=True)
+    assert_contract(code, err)
+    if fault is not None:
+        assert code == 1 and json.loads(err)["message"] == fault
+    elif command != "label":
+        assert code == 0, (out, err)

@@ -13,7 +13,8 @@ import pytest
 from gracetree.prepare import (PrepareError, _cut_window, cut_tree_by_size,
                                order_vertices)
 from gracetree.rng import Rng
-from gracetree.trees import Tree, random_tree
+from gracetree.trees import (Tree, broom_tree, caterpillar_tree, path_tree,
+                             random_tree, spider_tree)
 
 
 def restart_cut_window(t, lo, hi):
@@ -22,7 +23,7 @@ def restart_cut_window(t, lo, hi):
     if t.n <= hi:
         return frozenset()
 
-    root = next(v for v in range(1, t.n + 1) if len(t.adj[v]) == 1)
+    root = next(v for v in range(1, t.n + 1) if t.degree(v) == 1)
     parent = [0] * (t.n + 1)
     size = [1] * (t.n + 1)
     order = [root]
@@ -30,7 +31,7 @@ def restart_cut_window(t, lo, hi):
     seen = [False] * (t.n + 1)
     seen[root] = True
     for v in order:
-        for w in t.adj[v]:
+        for w in t.neighbours(v):
             if not seen[w]:
                 seen[w] = True
                 parent[w] = v
@@ -48,7 +49,7 @@ def restart_cut_window(t, lo, hi):
         while True:
             best = 0
             best_size = -1
-            for w in t.adj[u]:
+            for w in t.neighbours(u):
                 if alive[w] and w != parent[u] and size[w] > best_size:
                     best = w
                     best_size = size[w]
@@ -67,7 +68,7 @@ def restart_cut_window(t, lo, hi):
                 alive[best] = False
                 while stack:
                     x = stack.pop()
-                    for w in t.adj[x]:
+                    for w in t.neighbours(x):
                         if alive[w] and w != parent[x]:
                             alive[w] = False
                             stack.append(w)
@@ -80,43 +81,9 @@ def restart_cut_window(t, lo, hi):
     return frozenset(removed)
 
 
-# Shapes on 1..n in a canonical labelling; `relabel` then permutes the
-# vertex ids and the edge order, which moves the root (the smallest
-# leaf) and every tie-break.
-
-def path_edges(n):
-    return [(i, i + 1) for i in range(1, n)]
-
-
-def broom_edges(n, handle):
-    # a path 1..handle whose last vertex carries n - handle leaves
-    return path_edges(handle) + [(handle, v) for v in range(handle + 1, n + 1)]
-
-
-def caterpillar_edges(n, spine, legs_of):
-    # spine 1..spine; the remaining vertices hang off spine vertices as legs
-    edges = path_edges(spine)
-    v = spine + 1
-    i = 0
-    while v <= n:
-        edges.append((1 + i % spine, v))
-        v += 1
-        i += legs_of(i)
-    return edges
-
-
-def spider_edges(n, legs):
-    # center 1 and `legs` legs whose lengths differ by at most one
-    edges = []
-    v = 2
-    for k in range(legs):
-        length = (n - 1) // legs + (k < (n - 1) % legs)
-        prev = 1
-        for _ in range(length):
-            edges.append((prev, v))
-            prev = v
-            v += 1
-    return edges
+# Shapes on 1..n in a canonical labelling (the constructors in
+# gracetree.trees); `relabel` then permutes the vertex ids and the edge
+# order, which moves the root (the smallest leaf) and every tie-break.
 
 
 def relabel(n, edges, rng):
@@ -135,15 +102,15 @@ def shape(kind, n, rng):
     if kind == "random":
         return random_tree(n, rng)
     if kind == "path":
-        edges = path_edges(n)
+        t = path_tree(n)
     elif kind == "broom":
-        edges = broom_edges(n, 1 + rng.randbelow(n - 1))
+        t = broom_tree(n, 1 + rng.randbelow(n - 1))
     elif kind == "caterpillar":
         spine = 2 + rng.randbelow(n - 1)
-        edges = caterpillar_edges(n, spine, lambda i: 1 + (i * 7 + 3) % 3)
+        t = caterpillar_tree(n, spine, lambda i: 1 + (i * 7 + 3) % 3)
     else:
-        edges = spider_edges(n, int(kind.split("-")[1]))
-    return relabel(n, edges, rng)
+        t = spider_tree(n, int(kind.split("-")[1]))
+    return relabel(n, list(t.edges), rng)
 
 
 KINDS = ("random", "path", "broom", "caterpillar",
@@ -193,19 +160,19 @@ def test_resumable_walk_matches_restarting_walk(kind):
 
 
 def test_bad_windows_keep_their_messages():
-    t = relabel(30, path_edges(30), Rng(5))
+    t = relabel(30, list(path_tree(30).edges), Rng(5))
     for lo, hi in ((0, 5), (6, 5), (-1, 3)):
         assert outcome(_cut_window, t, lo, hi) == \
             outcome(restart_cut_window, t, lo, hi)
 
 
 def deep_shapes(n):
-    yield "path", Tree(n, path_edges(n))
-    yield "broom", Tree(n, broom_edges(n, n // 2))
+    yield "path", path_tree(n)
+    yield "broom", broom_tree(n, n // 2)
     # the smallest leaf, n // 2 + 1, hangs off the middle of the spine, so
     # the walk turns between the two halves of the spine after every cut
     spine = n // 2
-    edges = path_edges(spine) + [
+    edges = list(path_tree(spine).edges) + [
         (1 + (k + spine // 2) % spine, spine + 1 + k)
         for k in range(n - spine)]
     yield "caterpillar", Tree(n, edges)
@@ -228,7 +195,7 @@ def test_deep_shapes_cut_at_scale():
             while stack:
                 v = stack.pop()
                 count += 1
-                for w in t.adj[v]:
+                for w in t.neighbours(v):
                     e = (v, w) if v < w else (w, v)
                     if not comp[w] and e not in removed:
                         comp[w] = comp[s]

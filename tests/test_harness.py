@@ -286,3 +286,47 @@ def test_golden_digests():
     bad = run_trial(cfg, 0, 0, collect_trace=True)
     assert bad.record.outcome == "fail" and bad.record.attempts == 3
     assert sha(trace_csv(bad.result, bad.reports)) == GOLDEN["retry_trace"]
+
+
+# Two retrying trials at n = 2000, m = 32, ell = 256: SHA-256 of the
+# record without wall_time, of the labelling (None on failure) and of the
+# trace, recorded when every retry re-ran the cut and the ordering.
+GOLDEN_RETRIES = [
+    (dict(gamma=Fraction(1, 5), seed=0), "fail",
+     "3dbab14460cbd82bdab037f44240dd9a694645ffc12a32e97227c338784b3c21",
+     None,
+     "b6c3ba7055ac796e733faca31f1e75a46101d1df5139fd4de94a98f0924466f4"),
+    (dict(gamma=Fraction(1, 2), seed=1, retries=6, max_component=8),
+     "success",
+     "ced270eb666733695b86cc5c0228fea2601472fbef876d79bad04fc033db30ce",
+     "3f173999aff61543010dda75e8ab76a7a4aca31154f7666ad2d72aa176a94acc",
+     "a42fcfe8d6a58dab71268d5ac5d95c2c79e6d418049f1cd6e1e52a437c5158eb"),
+]
+
+
+def test_retries_redraw_only_the_intervals(monkeypatch):
+    import hashlib
+
+    from gracetree import prepare
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    calls = []
+    for name in ("cut_tree_by_size", "order_vertices"):
+        fn = getattr(prepare, name)
+        monkeypatch.setattr(prepare, name, lambda *a, fn=fn, name=name, **k:
+                            calls.append(name) or fn(*a, **k))
+    for over, outcome, rec_sha, lab_sha, trace_sha in GOLDEN_RETRIES:
+        calls.clear()
+        cfg = ExperimentConfig(n=(2000,), m=32, ell=256, trials=1,
+                               checkpoint_every=500, quasi_per_kind=4, **over)
+        tr = run_trial(cfg, 0, 0, collect_trace=True)
+        assert (tr.record.outcome, tr.record.attempts) == (outcome, 4)
+        assert calls == ["cut_tree_by_size", "order_vertices"]
+        row = dataclasses.asdict(tr.record)
+        del row["wall_time"]
+        assert sha(json.dumps(row, sort_keys=True)) == rec_sha
+        got = tr.labelling and sha(labelling_to_json(tr.labelling))
+        assert got == lab_sha
+        assert sha(trace_csv(tr.result, tr.reports)) == trace_sha

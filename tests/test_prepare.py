@@ -32,7 +32,7 @@ def components(t, removed):
         stack = [s]
         while stack:
             v = stack.pop()
-            for w in t.adj[v]:
+            for w in t.neighbours(v):
                 e = (v, w) if v < w else (w, v)
                 if w not in comp and e not in removed:
                     comp[w] = s
@@ -101,7 +101,7 @@ def test_cut_random_trees_respect_stated_bounds():
     log_n = math.log(n)
     for seed in range(8):
         t = random_tree(n, Rng(seed, key=(1,)))
-        max_deg = max(len(t.adj[v]) for v in range(1, n + 1))
+        max_deg = max(t.degree(v) for v in range(1, n + 1))
         eps = max(2 * log_n / n, math.sqrt(4 * max_deg * log_n / n)) * 1.001
         removed = cut_tree(t, eps, n)
         _, sizes = components(t, removed)
@@ -155,7 +155,7 @@ def test_order_contiguous_components_random():
         pos = {v: i for i, v in enumerate(order)}
         for i in range(1, 200):
             v = order[i]
-            earlier = [w for w in t.adj[v] if pos[w] < i]
+            earlier = [w for w in t.neighbours(v) if pos[w] < i]
             assert earlier == [order[parent_pos[i]]]
 
 

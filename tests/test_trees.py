@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from gracetree.rng import Rng
-from gracetree.trees import (DegreeStats, Tree, degree_stats, format_tree,
-                             leaves, parse_tree, path_tree, prufer_decode,
-                             prufer_encode, random_tree, star_tree)
+from gracetree.trees import (DegreeStats, Tree, broom_tree, caterpillar_tree,
+                             degree_stats, format_tree, leaves, parse_tree,
+                             path_tree, prufer_decode, prufer_encode,
+                             random_tree, spider_tree, star_tree)
+from oracles import old_parse_tree, old_tree, tree_texts
 
 
 def test_decode_two_vertices():
@@ -147,3 +149,55 @@ def test_text_format_strict():
 def test_leaves():
     assert leaves(path_tree(4)) == [1, 4]
     assert leaves(star_tree(5)) == [2, 3, 4, 5]
+
+
+def parsed(parse, text):
+    """(n, edges, neighbour lists of 0..n) of a parsed tree, or the
+    ValueError's message."""
+    try:
+        t = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(t, Tree):
+        return (t.n, list(t.edges),
+                [list(t.neighbours(v)) for v in range(t.n + 1)])
+    n, edges, adj = t
+    return n, list(edges), [list(a) for a in adj]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_texts())
+def test_parser_matches_tuple_parser(text):
+    assert parsed(parse_tree, text) == parsed(old_parse_tree, text)
+
+
+@pytest.mark.parametrize("text", [
+    "3\n1 2\n2 3\n", "3\n1 2\n1 2\n", "3\n1 2\n3 3\n", "3\n1 2\n2 4\n",
+    "4\n1 2\n2 3\n1 3\n", "4\n1 2\n1 2\n3 3\n", "2\n+1 1_0\n",
+    "3\n\u0661 \uff12\n2 3\n", "0\n", "-2\n", "3\n1 2\n\n2 3\n",
+    "3\n1 2\n2 3 \xa0\n\n \n", "3\r\n1 2\r\n2\x0b3\r\n",
+])
+def test_parser_named_cases(text):
+    assert parsed(parse_tree, text) == parsed(old_parse_tree, text)
+
+
+def test_constructor_matches_tuple_check():
+    cases = [(3, [(1, 2), (2, 3)]), (3, [(1, 2), (2, 1)]),
+             (3, [(2, 2), (1, 2)]), (4, [(1, 2), (1, 2), (3, 4)]),
+             (4, [(5, 1), (1, 1), (1, 2)]), (2, [(1, 2), (1, 2)]), (1, []),
+             (0, []), (4, [(1, 2), (3, 4)])]
+    for n, edges in cases:
+        assert parsed(lambda e: Tree(n, e), edges) == \
+            parsed(lambda e: old_tree(n, e), edges)
+
+
+def test_shape_constructors():
+    assert list(broom_tree(6, 3).edges) == [(1, 2), (2, 3), (3, 4), (3, 5),
+                                            (3, 6)]
+    assert list(spider_tree(6, 2).edges) == [(1, 2), (2, 3), (3, 4), (1, 5),
+                                             (5, 6)]
+    assert list(caterpillar_tree(7, 3, lambda i: 1).edges) == [
+        (1, 2), (2, 3), (1, 4), (2, 5), (3, 6), (1, 7)]
+    assert list(path_tree(4).neighbours(2)) == [1, 3]
+    assert broom_tree(5, 5) == path_tree(5)
+    assert broom_tree(5, 1) == star_tree(5)

@@ -142,3 +142,12 @@ def test_zigzag_is_bipartite_graceful():
         lab = zigzag_path_labelling(n)
         coloring = {v: (v - 1) % 2 for v in range(1, n + 1)}
         assert verify_bipartite_graceful(lab, coloring).ok
+
+
+def test_graceful_check_with_a_bound_beyond_int64():
+    # labels bounded by m >= 2**62 are checked without numpy
+    t = path_tree(3)
+    for psi, ok in (({1: 1, 2: 3, 3: 2}, True), ({1: 1, 2: 2, 3: 3}, False)):
+        small = verify_graceful(Labelling(t, psi, 3))
+        assert small == verify_graceful(Labelling(t, psi, 1 << 70))
+        assert small.ok is ok
