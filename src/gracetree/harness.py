@@ -20,10 +20,11 @@ from typing import Dict, List, Optional, Tuple
 
 from scipy.stats import beta as _beta
 
+from . import prepare
 from .intervals import IntervalSystem
 from .labeller import LabelResult, run_labelling
 from .params import ParamError, Params, derive_practical_params
-from .prepare import prepare_plan, redraw
+from .prepare import prepare_plan
 from .quasirandom import QuasiReport, QuasiSampleSpec, check_quasi
 from .rng import Rng
 from .trees import Tree, parse_tree, random_tree
@@ -175,12 +176,18 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
             state, sys, float(params.alpha(t)), spec, quasi_rng, t=t)))
 
     plan = prepare_plan(tree, sys, label_rng.child(0).child(0),
-                        max_component=cfg.max_component)
+                        max_component=cfg.max_component, draw="balanced")
+    # the cut and the ordering draw nothing from the rng: a retry redraws
+    # only the intervals, with the same draw law (read through the module,
+    # so a wrapper installed on prepare.assign_intervals sees retries too)
     res = run_labelling(plan, sys, label_rng, max_retries=cfg.retries,
                         checkpoint_every=cfg.checkpoint_every,
                         on_checkpoint=on_checkpoint,
                         collect_trace=collect_trace,
-                        replan=lambda r: redraw(plan, tree, sys, r))
+                        replan=lambda r: prepare.assign_intervals(
+                            tree, plan.removed_edges,
+                            (plan.order, plan.parent_pos), sys, r,
+                            draw="balanced"))
     reports = [r for k, r in tagged if k == res.attempts - 1]
 
     labelling = None

@@ -671,18 +671,6 @@ def prepare_plan(
     return assign_intervals(t, removed, ordering, sys, rng, draw=draw)
 
 
-def redraw(
-    plan: Plan, t: Tree, sys: IntervalSystem, rng: Rng, *,
-    draw: str = "balanced"
-) -> Plan:
-    """A new interval draw over plan's cut and ordering.  Neither of them
-    draws from the rng, so this is all a retry has to redo."""
-    return assign_intervals(
-        t, plan.removed_edges, (plan.order, plan.parent_pos), sys, rng,
-        draw=draw,
-    )
-
-
 def plan_to_json(plan: Plan) -> str:
     return json.dumps(
         {

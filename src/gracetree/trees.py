@@ -8,7 +8,6 @@ line n, then n-1 lines "u v").
 from __future__ import annotations
 
 import heapq
-from array import array
 from dataclasses import dataclass
 from itertools import islice
 
@@ -40,36 +39,30 @@ def _fault(n: int, us, vs) -> str:
 
 
 def _connected(n: int, off: np.ndarray, nbr: np.ndarray) -> bool:
-    """Whether the CSR graph on 1..n is connected: scipy's
-    connected_components, or a DFS below 512 vertices, where scipy's
-    fixed cost per call (about 0.2 ms) exceeds the DFS."""
-    if n >= 512:
-        graph = csr_matrix((np.ones(len(nbr), np.int8), nbr, off),
-                           shape=(n + 1, n + 1))
-        # vertex 0 is an isolated row of its own
-        return connected_components(graph, directed=True, connection="weak",
-                                    return_labels=False) == 2
-    off, nbr = off.tolist(), nbr.tolist()
-    seen = bytearray(n + 1)
-    seen[1] = 1
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in nbr[off[v]:off[v + 1]]:
-            if not seen[w]:
-                seen[w] = 1
-                stack.append(w)
-    return seen.count(1) == n
+    """Whether the CSR graph on 1..n is connected (scipy's
+    connected_components; vertex 0 is an isolated row of its own)."""
+    graph = csr_matrix((np.ones(len(nbr), np.int8), nbr, off),
+                       shape=(n + 1, n + 1))
+    return connected_components(graph, directed=True, connection="weak",
+                                return_labels=False) == 2
+
+
+def _frozen(a: np.ndarray) -> memoryview:
+    """A read-only int view of a copy of a."""
+    return memoryview(a.tobytes()).cast("i")
 
 
 class Edges:
     """A tree's edges as (min, max) pairs in input order, read from one
-    flat array lo0, hi0, lo1, hi1, ..."""
+    flat read-only int buffer lo0, hi0, lo1, hi1, ..."""
 
     __slots__ = ("ends",)
 
-    def __init__(self, ends: array):
-        self.ends = ends
+    def __init__(self, ends: memoryview):
+        object.__setattr__(self, "ends", ends)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Edges is immutable")
 
     def __len__(self) -> int:
         return len(self.ends) // 2
@@ -85,8 +78,9 @@ class Edges:
 class Tree:
     """Unrooted tree on 1..n. Validates shape on construction, then immutable.
 
-    Storage is three array('i') buffers, 12 bytes per vertex and 8 per
-    edge, and no per-vertex Python objects:
+    Storage is three read-only int memoryviews (over bytes, so nothing
+    can write them), 12 bytes per vertex and 8 per edge, and no
+    per-vertex Python objects:
 
     - off, nbr: CSR adjacency.  The neighbours of v are
       nbr[off[v]:off[v+1]] (see `neighbours`), in the input order of the
@@ -139,10 +133,9 @@ class Tree:
         if not _connected(n, off, nbr):
             raise ValueError(_fault(n, us, vs))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "off", array("i", off.tobytes()))
-        object.__setattr__(self, "nbr", array("i", nbr.tobytes()))
-        object.__setattr__(self, "edges",
-                           Edges(array("i", ends.tobytes())))
+        object.__setattr__(self, "off", _frozen(off))
+        object.__setattr__(self, "nbr", _frozen(nbr))
+        object.__setattr__(self, "edges", Edges(_frozen(ends)))
 
     def __setattr__(self, *a):
         raise AttributeError("Tree is immutable")
@@ -150,7 +143,7 @@ class Tree:
     def degree(self, v: int) -> int:
         return self.off[v + 1] - self.off[v]
 
-    def neighbours(self, v: int) -> array:
+    def neighbours(self, v: int) -> memoryview:
         """v's neighbours in input edge order."""
         return self.nbr[self.off[v]:self.off[v + 1]]
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
-import numpy as np
-
 from .trees import Tree
 
 
@@ -67,26 +65,8 @@ def _injectivity_failure(lab: Labelling) -> Optional[VerifyReport]:
     return None
 
 
-def _distinct(a: np.ndarray) -> bool:
-    s = np.sort(a)
-    return not (s[1:] == s[:-1]).any()
-
-
 def verify_graceful(lab: Labelling) -> VerifyReport:
-    """Pass iff psi is injective and edge differences never repeat.
-
-    Both checks run in numpy on the labels and the tree's flat edge
-    array; a labelling that fails them (or whose bound m does not fit in
-    int64) is walked again in order to name the witness.
-    """
-    n = lab.tree.n
-    if lab.m < 1 << 62:
-        psi = np.array([0, *map(lab.psi.__getitem__, range(1, n + 1))],
-                       np.int64)
-        ends = np.frombuffer(lab.tree.edges.ends, np.intc)
-        diffs = np.abs(psi[ends[0::2]] - psi[ends[1::2]])
-        if _distinct(psi[1:]) and _distinct(diffs):
-            return VerifyReport(True, "graceful")
+    """Pass iff psi is injective and edge differences never repeat."""
     clash = _injectivity_failure(lab)
     if clash is not None:
         return clash

@@ -127,6 +127,17 @@ def test_tree_immutable():
         t.n = 5
 
 
+def test_tree_buffers_read_only():
+    t = path_tree(3)
+    key = hash(t)
+    for buf in (t.off, t.nbr, t.edges.ends, t.neighbours(2)):
+        with pytest.raises(TypeError):
+            buf[0] = 3
+    with pytest.raises(AttributeError):
+        t.edges.ends = t.nbr
+    assert hash(t) == key and t == path_tree(3)
+
+
 def test_text_format_roundtrip():
     t = random_tree(17, Rng(5))
     assert parse_tree(format_tree(t)) == t
