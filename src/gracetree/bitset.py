@@ -6,13 +6,18 @@ int, so it costs O(N/64) words for a universe of size N however narrow
 the window is.
 
 `BlockBits` stores the same set as a list of fixed-width block ints.
-Its window read touches only the blocks the window overlaps and its
-checked removal rewrites one block, so per-step work on a width-w
-window costs O(w/64) words regardless of the universe size.  The
-pipeline keeps its label sets only as BlockBits; `mask`, `window`,
-`from_indices`, `iter_bits` and `BlockBits.to_int` on full-width ints
-are the reference forms the tests compare against, and `select` is
-applied to single windows and blocks.
+Its window read touches only the blocks the window overlaps (a window
+over more than _JOIN_BLOCKS blocks joins their bytes once) and its
+checked removal rewrites one block, so per-step work on a width-w window costs O(w/64) words
+regardless of the universe size.  The pipeline keeps its label sets
+only as BlockBits; `mask`, `window`, `from_indices`, `iter_bits` and
+`BlockBits.to_int` on full-width ints are the reference forms the tests
+compare against.
+
+`select` on a width-w int costs O(w/1024) chunk popcounts over one
+`to_bytes` of it, O(w/64) word popcounts inside the chosen chunk, and
+six masked popcounts that bisect the chosen word.  The one-bit-at-a-time
+select it replaced is kept as a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -20,6 +25,15 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 _M64 = (1 << 64) - 1
+_HALVES = tuple((h, (1 << h) - 1) for h in (32, 16, 8, 4, 2, 1))
+BLOCK_BITS = 1024  # bits per block of a BlockBits
+_SHIFT = BLOCK_BITS.bit_length() - 1
+_LOW = BLOCK_BITS - 1
+_BLOCK_BYTES = BLOCK_BITS // 8
+# a window over more blocks than this joins their bytes once; over fewer,
+# shifting each block into place is faster although its cost grows with
+# the square of the block count (measured crossover: about 32 blocks)
+_JOIN_BLOCKS = 32
 
 
 def mask(lo: int, hi: int) -> int:
@@ -52,26 +66,36 @@ def select(x: int, k: int) -> int:
     if k < 0:
         raise IndexError("negative rank")
     base = 0
-    while x:
+    if x.bit_length() > BLOCK_BITS:  # find the chunk first
+        raw = x.to_bytes(-(-x.bit_length() // 8), "little")
+        for i in range(0, len(raw), _BLOCK_BYTES):
+            chunk = int.from_bytes(raw[i:i + _BLOCK_BYTES], "little")
+            c = chunk.bit_count()
+            if k < c:
+                x = chunk
+                base = 8 * i
+                break
+            k -= c
+        else:
+            raise IndexError("rank beyond population")
+    while True:  # then the word
         w = x & _M64
         c = w.bit_count()
         if k < c:
-            while True:
-                low = w & -w
-                if k == 0:
-                    return base + low.bit_length() - 1
-                w ^= low
-                k -= 1
+            break
+        if not x:
+            raise IndexError("rank beyond population")
         k -= c
         x >>= 64
         base += 64
-    raise IndexError("rank beyond population")
-
-
-BLOCK_BITS = 1024  # bits per block of a BlockBits
-_SHIFT = BLOCK_BITS.bit_length() - 1
-_LOW = BLOCK_BITS - 1
-_BLOCK_BYTES = BLOCK_BITS // 8
+    # then bisect the word: its low half holds the bit iff k < its count
+    for half, low in _HALVES:
+        c = (w & low).bit_count()
+        if k >= c:
+            k -= c
+            w >>= half
+            base += half
+    return base
 
 
 class BlockBits:
@@ -105,29 +129,28 @@ class BlockBits:
     def window(self, lo: int, width: int) -> int:
         """Bits lo..lo+width-1, shifted down to 0..width-1; lo may be
         negative."""
+        if lo < 0:
+            if lo + width <= 0:
+                return 0
+            return self.window(0, lo + width) << -lo
+        blocks = self.blocks
+        j = lo >> _SHIFT
         off = lo & _LOW
         end = off + width
-        blocks = self.blocks
-        if lo >= 0:  # fast paths: the window spans one or two blocks
-            j = lo >> _SHIFT
-            try:
-                if end <= BLOCK_BITS:
-                    return (blocks[j] >> off) & ((1 << width) - 1)
-                if end <= 2 * BLOCK_BITS:
-                    x = blocks[j] | blocks[j + 1] << BLOCK_BITS
-                    return (x >> off) & ((1 << width) - 1)
-            except IndexError:
-                pass
-        elif lo + width <= 0:
+        if j >= len(blocks):
             return 0
+        if end <= BLOCK_BITS:  # fast paths: one or two blocks
+            return (blocks[j] >> off) & ((1 << width) - 1)
+        if end <= 2 * BLOCK_BITS and j + 1 < len(blocks):
+            x = blocks[j] | blocks[j + 1] << BLOCK_BITS
+            return (x >> off) & ((1 << width) - 1)
+        span = blocks[j:j + 1 + ((end - 1) >> _SHIFT)]
+        if len(span) > _JOIN_BLOCKS:
+            x = _join(span)
         else:
-            return self.window(0, lo + width) << -lo
-        j = lo >> _SHIFT
-        x = 0
-        shift = 0
-        for k in range(j, min(len(blocks), j + 1 + ((end - 1) >> _SHIFT))):
-            x |= blocks[k] << shift
-            shift += BLOCK_BITS
+            x = 0
+            for k, b in enumerate(span):
+                x |= b << (k << _SHIFT)
         return (x >> off) & ((1 << width) - 1)
 
     def remove(self, i: int) -> None:
@@ -145,6 +168,10 @@ class BlockBits:
         self.blocks[j] = blk ^ bit
 
     def to_int(self) -> int:
-        return int.from_bytes(
-            b"".join(b.to_bytes(_BLOCK_BYTES, "little") for b in self.blocks),
-            "little")
+        return _join(self.blocks)
+
+
+def _join(blocks: list[int]) -> int:
+    """The int whose consecutive BLOCK_BITS-wide blocks are blocks."""
+    return int.from_bytes(
+        b"".join(b.to_bytes(_BLOCK_BYTES, "little") for b in blocks), "little")

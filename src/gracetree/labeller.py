@@ -35,10 +35,14 @@ class LabelState:
     Both are BlockBits, and so is the mirror of C about n_tilde (bit k
     set iff difference n_tilde - k is free), so the labels below the
     parent read a forward window of the mirror just as the labels above
-    it read one of C.  Every read is one target or correction window and
-    every removal rewrites one block, so a step costs O(ell/64) words
-    whatever n_tilde is.  The audit (quasirandom.py) reads the same
-    windows, so no other copy of the label state exists.
+    it read one of C.  A step reads the label window of its target
+    interval plus one difference window, on the parent's side of it
+    (both sides only when the parent's label lies inside the interval,
+    which target intervals and their complements all but rule out),
+    then one correction window of A and one of C; every removal
+    rewrites one block.  So a step costs O(ell/64) words whatever
+    n_tilde is.  The audit (quasirandom.py) reads the same windows, so
+    no other copy of the label state exists.
 
     steps_done, corv_hits and core_hits count completed steps and the
     corrective removals made in them; attempt is the attempt's index.
@@ -88,12 +92,18 @@ class LabelState:
     def admissible_mask(self, a: int, iv: Interval) -> int:
         """Window bitmask of labels in iv admissible against parent label a
         (bit k = label iv.lo + k)."""
-        lo = iv.lo
-        w = iv.hi - lo + 1
+        lo, hi = iv
+        w = hi - lo + 1
         avail = self.labels.window(lo, w)
-        above = self.diffs.window(lo - a, w)
+        # labels above a need difference b - a free in C, labels below
+        # it need n_tilde - (a - b) free in the mirror; the other read
+        # would be all zero
+        if a < lo:
+            return avail & self.diffs.window(lo - a, w)
         below = self.diffs_rev.window(lo + self.sys.n_tilde - a, w)
-        return avail & (above | below)
+        if a > hi:
+            return avail & below
+        return avail & (self.diffs.window(lo - a, w) | below)
 
     def first_mask(self, iv: Interval) -> int:
         return self.labels.window(iv.lo, iv.hi - iv.lo + 1)
@@ -158,47 +168,68 @@ def _attempt(
     dict[int, int] | None, AttemptFailure | None, list[TraceRow] | None, LabelState
 ]:
     state = LabelState(sys, attempt)
+    # the loop's lookups, bound once per attempt
+    admissible_mask = state.admissible_mask
+    label_window = state.labels.window
+    diff_window = state.diffs.window
+    remove_label = state.remove_label
+    remove_diff = state.remove_diff
+    randbelow = rng.randbelow
+    corv_sample = corv.sample
+    core_sample = core.sample
+    interval_of = plan.interval_of
+    parent_pos = plan.parent_pos
+    m = sys.m
+    if not (checkpoint_every and on_checkpoint):
+        checkpoint_every = 0
     labels: list[int] = []
     trace: list[TraceRow] | None = [] if collect_trace else None
+    # completed steps and their removals; written to state before every
+    # checkpoint and on return
+    steps = corv_hits = core_hits = 0
+    failure = None
     for pos, vertex in enumerate(plan.order):
         t = pos + 1
-        iv = plan.interval_of[pos]
-        if pos == 0:
-            mask_bits = state.first_mask(iv)
+        iv = interval_of[pos]
+        if pos:
+            a = labels[parent_pos[pos]]
+            mask_bits = admissible_mask(a, iv)
         else:
-            a = labels[plan.parent_pos[pos]]
-            mask_bits = state.admissible_mask(a, iv)
-        k = _pick(mask_bits, rng)
-        if k is None:
-            return None, AttemptFailure(FAIL_CHOOSE, t), trace, state
-        b = iv.lo + k
-        state.remove_label(b)
+            mask_bits = state.first_mask(iv)
+        cnt = mask_bits.bit_count()  # _pick, inlined for the label draw
+        if not cnt:
+            failure = AttemptFailure(FAIL_CHOOSE, t)
+            break
+        b = iv.lo + select(mask_bits, randbelow(cnt))
+        remove_label(b)
         labels.append(b)
         edge_label = -1
         if pos:
             edge_label = abs(b - a)
-            state.remove_diff(edge_label)
+            remove_diff(edge_label)
 
         corv_label = -1
-        riv = corv.sample(rng)
+        riv = corv_sample(rng)
         if riv is not None:
-            k = _pick(state.labels.window(riv.lo, sys.m), rng)
+            k = _pick(label_window(riv.lo, m), rng)
             if k is None:
-                return None, AttemptFailure(FAIL_CORV, t), trace, state
+                failure = AttemptFailure(FAIL_CORV, t)
+                break
             corv_label = riv.lo + k
-            state.remove_label(corv_label)
+            remove_label(corv_label)
         core_diff = -1
-        riv = core.sample(rng)
+        riv = core_sample(rng)
         if riv is not None:
-            k = _pick(state.diffs.window(riv.lo, sys.m), rng)
+            k = _pick(diff_window(riv.lo, m), rng)
             if k is None:
-                return None, AttemptFailure(FAIL_CORE, t), trace, state
+                failure = AttemptFailure(FAIL_CORE, t)
+                break
             core_diff = riv.lo + k
-            state.remove_diff(core_diff)
+            remove_diff(core_diff)
 
-        state.steps_done = t
-        state.corv_hits += corv_label >= 0
-        state.core_hits += core_diff >= 0
+        steps = t
+        corv_hits += corv_label >= 0
+        core_hits += core_diff >= 0
         if trace is not None:
             trace.append(
                 TraceRow(
@@ -212,8 +243,16 @@ def _attempt(
                     size_c=state.size_c,
                 )
             )
-        if checkpoint_every and t % checkpoint_every == 0 and on_checkpoint:
+        if checkpoint_every and t % checkpoint_every == 0:
+            state.steps_done = steps
+            state.corv_hits = corv_hits
+            state.core_hits = core_hits
             on_checkpoint(state, t)
+    state.steps_done = steps
+    state.corv_hits = corv_hits
+    state.core_hits = core_hits
+    if failure is not None:
+        return None, failure, trace, state
     psi = {v: labels[i] for i, v in enumerate(plan.order)}
     return psi, None, trace, state
 

@@ -17,6 +17,11 @@ from typing import Mapping, Optional, Tuple
 
 from .trees import Tree
 
+# largest host edge count h(h-1)/2 a packing may have: verify_packing
+# keeps one byte per host edge, and the copies hold at most that many
+# edges in all
+_MAX_HOST_EDGES = 10 ** 7
+
 
 @dataclass(frozen=True)
 class Labelling:
@@ -128,18 +133,27 @@ class Packing:
     copies: Tuple[frozenset, ...]
 
 
+def _check_host_order(h: int) -> None:
+    edges = h * (h - 1) // 2
+    if edges > _MAX_HOST_EDGES:
+        raise ValueError(f"packing host K_{h} has {edges} edges, more "
+                         f"than the {_MAX_HOST_EDGES} allowed")
+
+
 def build_cyclic_packing(lab: Labelling) -> Packing:
     """All cyclic shifts of the label embedding, one copy per residue.
 
     Labels 1..m are taken as host vertices directly; copy s translates
     every endpoint by s mod (2m-1).  Requires a graceful labelling:
-    shifts of a non-graceful embedding would collide.
+    shifts of a non-graceful embedding would collide.  A host with more
+    than _MAX_HOST_EDGES edges is refused before anything is built.
     """
+    h = 2 * lab.m - 1
+    _check_host_order(h)
     rep = verify_graceful(lab)
     if not rep.ok:
         raise ValueError(f"labelling is not graceful: {rep.reason} "
                          f"{rep.witness}")
-    h = 2 * lab.m - 1
     copies = []
     for s in range(h):
         shifted = frozenset(
@@ -163,8 +177,10 @@ class PackingReport:
 
 def verify_packing(p: Packing) -> PackingReport:
     """Pass iff copies are pairwise edge-disjoint; flag decomposition
-    when they cover the complete host exactly."""
+    when they cover the complete host exactly; a host with more than
+    _MAX_HOST_EDGES edges raises ValueError."""
     h = p.host_order
+    _check_host_order(h)
     occupied = bytearray(h * (h - 1) // 2)  # one flag per host edge
     total = 0
     for k, copy in enumerate(p.copies):

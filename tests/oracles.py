@@ -3,11 +3,12 @@
 old_parse_tree and old_tree are the text parser and the tree check as
 they stood on edge tuples and adjacency tuples, before trees moved to
 flat arrays; tree_texts draws tree files with the faults they name.
-admissible_labels works on explicit sets.  full_count_structure and
-full_check_quasi are the audit as it stood on full-width ints (one int
-per set, C's lower side read by reversing a string), before it read
-the labeller's blocked state.  snapshot builds a LabelState holding
-given sets.
+old_select is bitset.select as it stood, one set bit at a time inside
+the word that holds the rank.  admissible_labels works on explicit
+sets.  full_count_structure and full_check_quasi are the audit as it
+stood on full-width ints (one int per set, C's lower side read by
+reversing a string), before it read the labeller's blocked state.
+snapshot builds a LabelState holding given sets.
 """
 
 from fractions import Fraction
@@ -19,6 +20,27 @@ from gracetree.intervals import IntervalSystem
 from gracetree.labeller import LabelState
 from gracetree.quasirandom import QuasiReport, x1, x2, x3, x4
 from gracetree.trees import prufer_decode
+
+
+def old_select(x, k):
+    """Index of the k-th (0-based, ascending) set bit of x."""
+    if k < 0:
+        raise IndexError("negative rank")
+    base = 0
+    while x:
+        w = x & (1 << 64) - 1
+        c = w.bit_count()
+        if k < c:
+            while True:
+                low = w & -w
+                if k == 0:
+                    return base + low.bit_length() - 1
+                w ^= low
+                k -= 1
+        k -= c
+        x >>= 64
+        base += 64
+    raise IndexError("rank beyond population")
 
 
 def admissible_labels(a, interval, labels, diffs):

@@ -1,11 +1,12 @@
-"""The blocked label state against explicit sets and full-width ints.
+"""The blocked label state and select against explicit sets and
+full-width ints.
 
 LabelState keeps A, C and C's mirror about n_tilde as BlockBits.  These
 properties compare it with the admissible_labels oracle (tests/oracles.py)
-and with the
-full-int formulas it replaced, on windows that straddle block
-boundaries, touch 1 and n_tilde, and sit on either side of the parent
-label or around it.
+and with the full-int formulas it replaced, on windows that straddle
+block boundaries, touch 1 and n_tilde, and sit on either side of the
+parent label or around it.  select is compared with the old_select
+oracle and with iter_bits on ints up to about 60,000 bits wide.
 """
 
 import random
@@ -15,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gracetree.bitset import (BLOCK_BITS, BlockBits, from_indices, iter_bits,
-                              mask, window)
+                              mask, select, window)
 from gracetree.intervals import Interval, IntervalSystem
 from gracetree.labeller import LabelState
-from oracles import admissible_labels, full_ints
+from oracles import admissible_labels, full_ints, old_select
 
 B = BLOCK_BITS
 
@@ -32,18 +33,71 @@ def ref_window(x: int, lo: int, width: int) -> int:
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    nbits=st.sampled_from([1, B - 1, B, B + 1, 2 * B, 3 * B + 5]),
+    nbits=st.one_of(
+        st.sampled_from([1, B - 1, B, B + 1, 2 * B, 3 * B + 5]),
+        st.integers(1, 48 * B),
+    ),
     lo=st.one_of(
         st.integers(-2 * B, 5 * B),
         st.sampled_from([k * B + d for k in range(-1, 5) for d in (-2, -1, 0, 1)]),
+        st.integers(-2 * B, 48 * B),
     ),
-    width=st.one_of(st.integers(1, 3 * B + 2), st.sampled_from([B - 1, B, B + 1])),
+    width=st.one_of(
+        st.integers(1, 3 * B + 2),
+        st.sampled_from([B - 1, B, B + 1, 32 * B, 33 * B]),
+        st.integers(3 * B, 48 * B),
+    ),
 )
 def test_block_window_matches_full_int(seed, nbits, lo, width):
     x = random.Random(seed).getrandbits(nbits)
     bits = BlockBits(x)
     assert bits.to_int() == x
     assert bits.window(lo, width) == ref_window(x, lo, width)
+
+
+@st.composite
+def _select_case(draw):
+    """An int 1..~60,000 bits wide (dense, sparse, one bit, or bits only
+    in its top word) and ranks to look up in it."""
+    width = draw(
+        st.one_of(
+            st.integers(1, 3 * B),
+            st.integers(1, 60_000),
+            st.sampled_from([1, 63, 64, 65, B - 1, B, B + 1, 50 * B, 60_000]),
+        )
+    )
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "sparse", "single", "top"]))
+    if kind == "dense":
+        x = rnd.getrandbits(width) | 1 << (width - 1)
+    elif kind == "sparse":
+        x = from_indices(rnd.sample(range(width), 1 + width // 300))
+    elif kind == "single":
+        x = 1 << (width - 1)
+    else:
+        top = range(width - 1 - (width - 1) % 64, width)
+        x = from_indices(rnd.sample(top, rnd.randint(1, len(top))))
+    pop = x.bit_count()
+    ranks = {0, pop - 1, *(rnd.randrange(pop) for _ in range(5))}
+    return x, sorted(ranks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_select_case())
+def test_select_matches_oracle_and_iter_bits(case):
+    x, ranks = case
+    bits = list(iter_bits(x))
+    for k in ranks:
+        assert select(x, k) == old_select(x, k) == bits[k]
+    for k in (-1, len(bits), len(bits) + 64):
+        with pytest.raises(IndexError):
+            select(x, k)
+
+
+def test_select_rejects_empty_int():
+    for k in (-1, 0, 1):
+        with pytest.raises(IndexError):
+            select(0, k)
 
 
 @settings(max_examples=100, deadline=None)

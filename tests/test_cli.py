@@ -106,6 +106,23 @@ def test_pack_single_edge_decomposition(tmp_path, capsys):
     assert covered == {(0, 1), (0, 2), (1, 2)}
 
 
+def test_pack_rejects_huge_m(tmp_path, capsys):
+    # K_{2m-1} for m = 10**9 would take 2m - 1 copies and a flag per host
+    # edge; the bound refuses it before building either
+    tree = tmp_path / "k2.txt"
+    tree.write_text("2\n1 2\n")
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"n": 2, "m": 10 ** 9, "labels": [1, 2]}))
+    code, out, err = run_cli(capsys, "pack", "--tree", str(tree),
+                             "--labels", str(labels),
+                             "--out", str(tmp_path / "pack.json"))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "packing host K_1999999999" in payload["message"]
+    assert not (tmp_path / "pack.json").exists()
+
+
 def test_label_writes_artifacts(tmp_path, capsys):
     tree = str(tmp_path / "t.txt")
     run_cli(capsys, "generate", "--n", "200", "--seed", "3", "--out", tree)
@@ -224,6 +241,9 @@ def assert_contract(code, err):
 
 
 LABELS_BASE = {"n": 3, "m": 3, "labels": [1, 3, 2]}
+# label bounds whose packing host K_{2m-1} is over the size bound
+HUGE_MS = (10 ** 4, 10 ** 9, 2 ** 64)
+HUGE_M = st.sampled_from(HUGE_MS)
 CONFIG_BASE = {"n": [24], "gamma": "1", "m": 2, "ell": 4, "trials": 1,
                "seed": 3, "retries": 0, "checkpoint_every": 0,
                "quasi_per_kind": 0}
@@ -285,15 +305,34 @@ def test_experiment_malformed_config_named(tmp_path, capsys, change, needle):
     assert code == 1 and needle in json.loads(err)["message"]
 
 
+@settings(max_examples=100, deadline=None)
+@given(mutated(LABELS_BASE, ["bogus"]) | HUGE_M.map(
+    lambda m: json.dumps(dict(LABELS_BASE, m=m))))
+def test_pack_fuzzed_labels_keep_error_contract(text):
+    with tempfile.TemporaryDirectory() as d:
+        tree, labels = os.path.join(d, "p3.txt"), os.path.join(d, "l.json")
+        with open(tree, "w") as fh:
+            fh.write("3\n1 2\n2 3\n")
+        with open(labels, "w") as fh:
+            fh.write(text)
+        assert_contract(*run_quiet(["pack", "--tree", tree, "--labels",
+                                    labels, "--out", os.path.join(d, "o")]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(tree_texts(), st.sampled_from(["label", "verify", "pack"]))
-def test_fuzzed_tree_files_keep_error_contract(text, command):
+@given(tree_texts(), st.sampled_from(["label", "verify", "pack"]),
+       st.sampled_from([None, None, *HUGE_MS]))
+def test_fuzzed_tree_files_keep_error_contract(text, command, huge_m):
     # the labels are graceful for the tree when the file parses, so a
-    # well-formed file reaches the command's own checks
+    # well-formed file reaches the command's own checks; a huge label
+    # bound m keeps them graceful but makes the packing host too large
     try:
         tree = parse_tree(text)
         fault = None
-        labels = labelling_to_json(exact_graceful(tree, tree.n))
+        lab = json.loads(labelling_to_json(exact_graceful(tree, tree.n)))
+        if huge_m is not None:
+            lab["m"] = huge_m
+        labels = json.dumps(lab)
     except ValueError as exc:
         fault = str(exc)
         labels = json.dumps({"n": 3, "m": 3, "labels": [1, 3, 2]})
@@ -318,5 +357,7 @@ def test_fuzzed_tree_files_keep_error_contract(text, command):
     assert_contract(code, err)
     if fault is not None:
         assert code == 1 and json.loads(err)["message"] == fault
+    elif command == "pack" and huge_m is not None:
+        assert code == 1 and "packing host" in json.loads(err)["message"]
     elif command != "label":
         assert code == 0, (out, err)

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from gracetree.bitset import iter_bits
 from gracetree.intervals import Interval, IntervalSystem
+from gracetree.params import derive_practical_params
 from gracetree.labeller import (
     FAIL_CHOOSE,
     FAIL_CORE,
@@ -121,6 +124,53 @@ def test_retries_and_failure_sites():
     assert all(1 <= f.step <= 12 for f in res.failures)
     hist = res.failure_histogram()
     assert sum(hist.values()) == 6
+
+
+def _trace_counts(rows):
+    return (len(rows), sum(r.corv_label >= 0 for r in rows),
+            sum(r.core_diff >= 0 for r in rows))
+
+
+@pytest.mark.parametrize("point", ["retry-tight", "tiny"])
+def test_failed_attempt_counters_match_trace(point):
+    # retry-tight's point (gamma = 1/5, m = 32, ell = 512) fails in the
+    # correction windows; the tiny system also runs out of labels
+    if point == "retry-tight":
+        n = 1000
+        params = derive_practical_params(n, Fraction(1, 5), 32, 512)
+        sys = IntervalSystem(params.n_tilde, params.m, params.ell)
+        trees = [random_tree(n, Rng(s, key=(0,))) for s in range(12)]
+        want = {FAIL_CORV, FAIL_CORE}
+    else:
+        sys = IntervalSystem(12, 1, 2)
+        trees = [path_tree(12) if s % 2 else random_tree(12, Rng(s, key=(0,)))
+                 for s in range(40)]
+        want = {FAIL_CHOOSE, FAIL_CORV, FAIL_CORE}
+    seen = set()
+    for s, tree in enumerate(trees):
+        marks = []
+
+        def on_checkpoint(state, t):
+            marks.append((state.attempt, t, state.steps_done,
+                          state.corv_hits, state.core_hits))
+
+        plan = prepare_plan(tree, sys, Rng(s, key=(1,)))
+        res = run_labelling(plan, sys, Rng(s, key=(2,)), max_retries=2,
+                            checkpoint_every=3, on_checkpoint=on_checkpoint,
+                            collect_trace=True,
+                            replan=lambda r: prepare_plan(tree, sys, r))
+        assert all(t == done for _, t, done, _, _ in marks)
+        rows = res.trace
+        for k, t, done, corv, core in marks:
+            if k == res.attempts - 1:
+                assert (done, corv, core) == _trace_counts(rows[:t])
+        if res.success:
+            continue
+        fail = res.failures[-1]
+        seen.add(fail.site)
+        assert (res.steps, res.corv_hits, res.core_hits) == _trace_counts(rows)
+        assert res.steps == fail.step - 1
+    assert seen == want
 
 
 def test_replan_redraws_assignment():
