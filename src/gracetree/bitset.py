@@ -8,11 +8,11 @@ the window is.
 `BlockBits` stores the same set as a list of fixed-width block ints.
 Its window read touches only the blocks the window overlaps (a window
 over more than _JOIN_BLOCKS blocks joins their bytes once) and its
-checked removal rewrites one block, so per-step work on a width-w window costs O(w/64) words
-regardless of the universe size.  The pipeline keeps its label sets
-only as BlockBits; `mask`, `window`, `from_indices`, `iter_bits` and
-`BlockBits.to_int` on full-width ints are the reference forms the tests
-compare against.
+checked removal rewrites one block, so per-step work on a width-w
+window costs O(w/64) words regardless of the universe size.  The
+pipeline keeps its label sets only as BlockBits; `mask`, `window`,
+`from_indices`, `iter_bits` and `BlockBits.to_int` on full-width ints
+are the reference forms the tests compare against.
 
 `select` on a width-w int costs O(w/1024) chunk popcounts over one
 `to_bytes` of it, O(w/64) word popcounts inside the chosen chunk, and
