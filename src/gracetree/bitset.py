@@ -7,9 +7,9 @@ the window is.
 
 `BlockBits` stores the same set as a list of fixed-width block ints.
 Its window read touches only the blocks the window overlaps (a window
-over more than _JOIN_BLOCKS blocks joins their bytes once) and its
-checked removal rewrites one block, so per-step work on a width-w
-window costs O(w/64) words regardless of the universe size.  The
+past its one- and two-block fast paths joins those blocks' bytes once)
+and its checked removal rewrites one block, so per-step work on a
+width-w window costs O(w/64) words regardless of the universe size.  The
 pipeline keeps its label sets only as BlockBits; `mask`, `window`,
 `from_indices`, `iter_bits` and `BlockBits.to_int` on full-width ints
 are the reference forms the tests compare against.
@@ -30,10 +30,6 @@ BLOCK_BITS = 1024  # bits per block of a BlockBits
 _SHIFT = BLOCK_BITS.bit_length() - 1
 _LOW = BLOCK_BITS - 1
 _BLOCK_BYTES = BLOCK_BITS // 8
-# a window over more blocks than this joins their bytes once; over fewer,
-# shifting each block into place is faster although its cost grows with
-# the square of the block count (measured crossover: about 32 blocks)
-_JOIN_BLOCKS = 32
 
 
 def mask(lo: int, hi: int) -> int:
@@ -144,13 +140,7 @@ class BlockBits:
         if end <= 2 * BLOCK_BITS and j + 1 < len(blocks):
             x = blocks[j] | blocks[j + 1] << BLOCK_BITS
             return (x >> off) & ((1 << width) - 1)
-        span = blocks[j:j + 1 + ((end - 1) >> _SHIFT)]
-        if len(span) > _JOIN_BLOCKS:
-            x = _join(span)
-        else:
-            x = 0
-            for k, b in enumerate(span):
-                x |= b << (k << _SHIFT)
+        x = _join(blocks[j:j + 1 + ((end - 1) >> _SHIFT)])
         return (x >> off) & ((1 << width) - 1)
 
     def remove(self, i: int) -> None:
@@ -174,4 +164,5 @@ class BlockBits:
 def _join(blocks: list[int]) -> int:
     """The int whose consecutive BLOCK_BITS-wide blocks are blocks."""
     return int.from_bytes(
-        b"".join(b.to_bytes(_BLOCK_BYTES, "little") for b in blocks), "little")
+        b"".join([b.to_bytes(_BLOCK_BYTES, "little") for b in blocks]),
+        "little")

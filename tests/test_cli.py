@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gracetree import verify
 from gracetree.cli import main
 from gracetree.exact import exact_graceful
 from gracetree.harness import labelling_to_json
@@ -121,6 +122,42 @@ def test_pack_rejects_huge_m(tmp_path, capsys):
     assert payload["error"] == "ValueError"
     assert "packing host K_1999999999" in payload["message"]
     assert not (tmp_path / "pack.json").exists()
+
+
+def test_pack_size_bound_admits_m_2236():
+    # the largest label bound whose host K_{2m-1} is within the bound; a
+    # labelling from `gracetree label` has m = n_tilde >= (1 + gamma) n,
+    # so that admits trees of up to 1788 vertices at gamma = 1/4 and 1118
+    # at gamma = 1
+    verify._check_host_order(2 * 2236 - 1)
+    with pytest.raises(ValueError, match="packing host K_4473"):
+        verify._check_host_order(2 * 2237 - 1)
+
+
+def test_pack_cli_labelling_at_the_size_bound(tmp_path, capsys, monkeypatch):
+    # a labelling from `gracetree label` whose host has exactly the bound's
+    # edge count still packs; one edge less in the bound refuses it
+    tree = str(tmp_path / "t.txt")
+    run_cli(capsys, "generate", "--n", "40", "--seed", "3", "--out", tree)
+    labels = str(tmp_path / "labels.json")
+    code, _, err = run_cli(
+        capsys, "label", "--tree", tree, "--gamma", "1", "--m", "4",
+        "--ell", "8", "--seed", "1", "--retries", "8",
+        "--max-component", "8", "--out", labels)
+    assert code == 0, err
+    m = json.loads(open(labels).read())["m"]
+    h = 2 * m - 1
+    out_file = str(tmp_path / "pack.json")
+    monkeypatch.setattr(verify, "_MAX_HOST_EDGES", h * (h - 1) // 2)
+    code, out, err = run_cli(capsys, "pack", "--tree", tree,
+                             "--labels", labels, "--out", out_file)
+    assert code == 0, err
+    assert json.loads(out)["total_edges"] == h * 39
+    assert json.loads(open(out_file).read())["host_order"] == h
+    monkeypatch.setattr(verify, "_MAX_HOST_EDGES", h * (h - 1) // 2 - 1)
+    code, _, err = run_cli(capsys, "pack", "--tree", tree,
+                           "--labels", labels, "--out", out_file)
+    assert code == 1 and f"packing host K_{h}" in json.loads(err)["message"]
 
 
 def test_label_writes_artifacts(tmp_path, capsys):
@@ -242,24 +279,28 @@ def assert_contract(code, err):
 
 LABELS_BASE = {"n": 3, "m": 3, "labels": [1, 3, 2]}
 # label bounds whose packing host K_{2m-1} is over the size bound
-HUGE_MS = (10 ** 4, 10 ** 9, 2 ** 64)
-HUGE_M = st.sampled_from(HUGE_MS)
+HUGE_M = st.sampled_from([10 ** 4, 10 ** 9, 2 ** 64])
 CONFIG_BASE = {"n": [24], "gamma": "1", "m": 2, "ell": 4, "trials": 1,
                "seed": 3, "retries": 0, "checkpoint_every": 0,
                "quasi_per_kind": 0}
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutated(LABELS_BASE, ["bogus"]))
-def test_verify_fuzzed_labels_keep_error_contract(text):
+@settings(max_examples=250, deadline=None)
+@given(mutated(LABELS_BASE, ["bogus"]) | HUGE_M.map(
+    lambda m: json.dumps(dict(LABELS_BASE, m=m))),
+       st.sampled_from(["verify", "pack"]))
+def test_verify_fuzzed_labels_keep_error_contract(text, command):
+    # the same labels files feed verify and pack
     with tempfile.TemporaryDirectory() as d:
         tree, labels = os.path.join(d, "p3.txt"), os.path.join(d, "l.json")
         with open(tree, "w") as fh:
             fh.write("3\n1 2\n2 3\n")
         with open(labels, "w") as fh:
             fh.write(text)
-        assert_contract(*run_quiet(["verify", "--tree", tree,
-                                    "--labels", labels]))
+        argv = [command, "--tree", tree, "--labels", labels]
+        if command == "pack":
+            argv += ["--out", os.path.join(d, "o")]
+        assert_contract(*run_quiet(argv))
 
 
 @settings(max_examples=150, deadline=None)
@@ -305,34 +346,15 @@ def test_experiment_malformed_config_named(tmp_path, capsys, change, needle):
     assert code == 1 and needle in json.loads(err)["message"]
 
 
-@settings(max_examples=100, deadline=None)
-@given(mutated(LABELS_BASE, ["bogus"]) | HUGE_M.map(
-    lambda m: json.dumps(dict(LABELS_BASE, m=m))))
-def test_pack_fuzzed_labels_keep_error_contract(text):
-    with tempfile.TemporaryDirectory() as d:
-        tree, labels = os.path.join(d, "p3.txt"), os.path.join(d, "l.json")
-        with open(tree, "w") as fh:
-            fh.write("3\n1 2\n2 3\n")
-        with open(labels, "w") as fh:
-            fh.write(text)
-        assert_contract(*run_quiet(["pack", "--tree", tree, "--labels",
-                                    labels, "--out", os.path.join(d, "o")]))
-
-
 @settings(max_examples=150, deadline=None)
-@given(tree_texts(), st.sampled_from(["label", "verify", "pack"]),
-       st.sampled_from([None, None, *HUGE_MS]))
-def test_fuzzed_tree_files_keep_error_contract(text, command, huge_m):
+@given(tree_texts(), st.sampled_from(["label", "verify", "pack"]))
+def test_fuzzed_tree_files_keep_error_contract(text, command):
     # the labels are graceful for the tree when the file parses, so a
-    # well-formed file reaches the command's own checks; a huge label
-    # bound m keeps them graceful but makes the packing host too large
+    # well-formed file reaches the command's own checks
     try:
         tree = parse_tree(text)
         fault = None
-        lab = json.loads(labelling_to_json(exact_graceful(tree, tree.n)))
-        if huge_m is not None:
-            lab["m"] = huge_m
-        labels = json.dumps(lab)
+        labels = labelling_to_json(exact_graceful(tree, tree.n))
     except ValueError as exc:
         fault = str(exc)
         labels = json.dumps({"n": 3, "m": 3, "labels": [1, 3, 2]})
@@ -357,7 +379,5 @@ def test_fuzzed_tree_files_keep_error_contract(text, command, huge_m):
     assert_contract(code, err)
     if fault is not None:
         assert code == 1 and json.loads(err)["message"] == fault
-    elif command == "pack" and huge_m is not None:
-        assert code == 1 and "packing host" in json.loads(err)["message"]
     elif command != "label":
         assert code == 0, (out, err)
