@@ -8,8 +8,8 @@ the window is.
 `BlockBits` stores the same set as a list of fixed-width block ints.
 Its window read touches only the blocks the window overlaps (a window
 past its one- and two-block fast paths joins those blocks' bytes once)
-and its checked removal rewrites one block, so per-step work on a
-width-w window costs O(w/64) words regardless of the universe size.  The
+and clearing a bit rewrites one block of the list, so per-step work on
+a width-w window costs O(w/64) words regardless of the universe size.  The
 pipeline keeps its label sets only as BlockBits; `mask`, `window`,
 `from_indices`, `iter_bits` and `BlockBits.to_int` on full-width ints
 are the reference forms the tests compare against.
@@ -142,20 +142,6 @@ class BlockBits:
             return (x >> off) & ((1 << width) - 1)
         x = _join(blocks[j:j + 1 + ((end - 1) >> _SHIFT)])
         return (x >> off) & ((1 << width) - 1)
-
-    def remove(self, i: int) -> None:
-        """Clear bit i; KeyError if it is not set."""
-        if i < 0:
-            raise KeyError(i)
-        j = i >> _SHIFT
-        bit = 1 << (i & _LOW)
-        try:
-            blk = self.blocks[j]
-        except IndexError:
-            raise KeyError(i) from None
-        if not blk & bit:
-            raise KeyError(i)
-        self.blocks[j] = blk ^ bit
 
     def to_int(self) -> int:
         return _join(self.blocks)

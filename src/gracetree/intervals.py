@@ -16,13 +16,11 @@ stated law bit-exactly.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .params import ParamError
-from .rng import Rng
 
 _MAX_MATERIALIZED = 10 ** 8
 
@@ -102,6 +100,11 @@ class CorrectionDistribution:
 
     support lists every family interval with its exact mass; masses and
     star_probability share the denominator den and sum to exactly 1.
+
+    A draw is u = rng.randbelow(den): the null outcome when u is below
+    _star_cut, else _positive[bisect_right(_cuts, u)], the interval of
+    positive mass whose cumulative cut first exceeds u.  The label loop
+    (labeller.py) makes this draw inline.
     """
 
     __slots__ = ("kind", "support", "star_probability", "den", "_star_cut",
@@ -137,12 +140,6 @@ class CorrectionDistribution:
             if jv == iv:
                 return mass
         raise ParamError(f"{iv} not in the {self.kind} family")
-
-    def sample(self, rng: Rng) -> Optional[Interval]:
-        u = rng.randbelow(self.den)
-        if u < self._star_cut:
-            return None
-        return self._positive[bisect.bisect_right(self._cuts, u)]
 
 
 def corv_distribution(sys: IntervalSystem) -> CorrectionDistribution:

@@ -10,10 +10,11 @@ stock of unused values stays near-uniform across every window.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
-from .bitset import BlockBits, select
+from .bitset import _LOW, _SHIFT, BLOCK_BITS, BlockBits, select
 from .intervals import (
     CorrectionDistribution,
     Interval,
@@ -40,12 +41,17 @@ class LabelState:
     (both sides only when the parent's label lies inside the interval,
     which target intervals and their complements all but rule out),
     then one correction window of A and one of C; every removal
-    rewrites one block.  So a step costs O(ell/64) words whatever
-    n_tilde is.  The audit (quasirandom.py) reads the same windows, so
+    rewrites one block (take_label, take_diff).  So a step costs
+    O(ell/64) words whatever n_tilde is.  The audit (quasirandom.py)
+    reads the same windows through admissible_mask and first_mask, so
     no other copy of the label state exists.
 
-    steps_done, corv_hits and core_hits count completed steps and the
-    corrective removals made in them; attempt is the attempt's index.
+    size_a and size_c are |A| and |C|; steps_done, corv_hits and
+    core_hits count completed steps and the corrective removals made in
+    them; attempt is the attempt's index.  The label loop keeps all five
+    counts in locals and writes them here before every checkpoint and
+    when the attempt ends, so they are current whenever a caller sees
+    the state.
     """
 
     __slots__ = (
@@ -74,39 +80,72 @@ class LabelState:
         self.corv_hits = 0
         self.core_hits = 0
 
-    def remove_label(self, b: int) -> None:
-        try:
-            self.labels.remove(b)
-        except KeyError:
-            raise AssertionError(f"label {b} already removed") from None
-        self.size_a -= 1
-
-    def remove_diff(self, d: int) -> None:
-        try:
-            self.diffs.remove(d)
-        except KeyError:
-            raise AssertionError(f"difference {d} already removed") from None
-        self.diffs_rev.remove(self.sys.n_tilde - d)
-        self.size_c -= 1
-
     def admissible_mask(self, a: int, iv: Interval) -> int:
         """Window bitmask of labels in iv admissible against parent label a
-        (bit k = label iv.lo + k)."""
+        (bit k = label iv.lo + k); a and iv lie in 1..n_tilde.
+
+        Windows of one or two blocks are read from the block lists
+        here, wider ones through BlockBits.window.
+        """
         lo, hi = iv
         w = hi - lo + 1
-        avail = self.labels.window(lo, w)
+        ones = (1 << w) - 1
+        blocks = self.labels.blocks
+        j = lo >> _SHIFT
+        end = (lo & _LOW) + w
+        if end <= BLOCK_BITS:
+            avail = blocks[j] >> (lo & _LOW) & ones
+        elif end <= 2 * BLOCK_BITS:
+            avail = ((blocks[j] | blocks[j + 1] << BLOCK_BITS)
+                     >> (lo & _LOW) & ones)
+        else:
+            avail = self.labels.window(lo, w)
         # labels above a need difference b - a free in C, labels below
         # it need n_tilde - (a - b) free in the mirror; the other read
-        # would be all zero
+        # would be all zero.  Either window lies inside 1..n_tilde - 1.
         if a < lo:
-            return avail & self.diffs.window(lo - a, w)
-        below = self.diffs_rev.window(lo + self.sys.n_tilde - a, w)
-        if a > hi:
-            return avail & below
-        return avail & (self.diffs.window(lo - a, w) | below)
+            s, bits = lo - a, self.diffs
+        elif a > hi:
+            s, bits = lo + self.sys.n_tilde - a, self.diffs_rev
+        else:
+            return avail & (self.diffs.window(lo - a, w)
+                            | self.diffs_rev.window(lo + self.sys.n_tilde - a,
+                                                    w))
+        blocks = bits.blocks
+        j = s >> _SHIFT
+        end = (s & _LOW) + w
+        if end <= BLOCK_BITS:
+            return avail & blocks[j] >> (s & _LOW)
+        if end <= 2 * BLOCK_BITS:
+            return avail & (blocks[j] | blocks[j + 1] << BLOCK_BITS) >> (s & _LOW)
+        return avail & bits.window(s, w)
 
     def first_mask(self, iv: Interval) -> int:
         return self.labels.window(iv.lo, iv.hi - iv.lo + 1)
+
+
+def take_label(labels: list[int], b: int) -> None:
+    """Clear label b in A's blocks; AssertionError if it is not free.
+
+    b must lie below the last block's end; b < 0 counts as not free.
+    """
+    j = b >> _SHIFT
+    bit = 1 << (b & _LOW)
+    if j < 0 or not labels[j] & bit:
+        raise AssertionError(f"label {b} already removed")
+    labels[j] ^= bit
+
+
+def take_diff(diffs: list[int], mirror: list[int], d: int, n_tilde: int) -> None:
+    """Clear difference d in C's blocks and n_tilde - d in its mirror's;
+    AssertionError if d is not free (0 <= d < n_tilde otherwise)."""
+    j = d >> _SHIFT
+    bit = 1 << (d & _LOW)
+    if j < 0 or not diffs[j] & bit:
+        raise AssertionError(f"difference {d} already removed")
+    diffs[j] ^= bit
+    r = n_tilde - d
+    mirror[r >> _SHIFT] ^= 1 << (r & _LOW)
 
 
 @dataclass(frozen=True)
@@ -147,13 +186,6 @@ class LabelResult:
         return hist
 
 
-def _pick(mask_bits: int, rng: Rng) -> int | None:
-    cnt = mask_bits.bit_count()
-    if cnt == 0:
-        return None
-    return select(mask_bits, rng.randbelow(cnt))
-
-
 def _attempt(
     plan: Plan,
     sys: IntervalSystem,
@@ -172,20 +204,28 @@ def _attempt(
     admissible_mask = state.admissible_mask
     label_window = state.labels.window
     diff_window = state.diffs.window
-    remove_label = state.remove_label
-    remove_diff = state.remove_diff
+    a_blocks = state.labels.blocks
+    c_blocks = state.diffs.blocks
+    mirror_blocks = state.diffs_rev.blocks
     randbelow = rng.randbelow
-    corv_sample = corv.sample
-    core_sample = core.sample
+    # each correction law as CorrectionDistribution.sample draws it: one
+    # randbelow(den), the null outcome below the star cut, else the
+    # interval at the bisected cumulative cut
+    corv_den, corv_star, corv_cuts = corv.den, corv._star_cut, corv._cuts
+    corv_los = [iv.lo for iv in corv._positive]
+    core_den, core_star, core_cuts = core.den, core._star_cut, core._cuts
+    core_los = [iv.lo for iv in core._positive]
     interval_of = plan.interval_of
     parent_pos = plan.parent_pos
     m = sys.m
+    nt = sys.n_tilde
     if not (checkpoint_every and on_checkpoint):
         checkpoint_every = 0
     labels: list[int] = []
     trace: list[TraceRow] | None = [] if collect_trace else None
-    # completed steps and their removals; written to state before every
-    # checkpoint and on return
+    # |A|, |C|, completed steps and their removals; written to state
+    # before every checkpoint and on return
+    size_a, size_c = state.size_a, state.size_c
     steps = corv_hits = core_hits = 0
     failure = None
     for pos, vertex in enumerate(plan.order):
@@ -196,36 +236,44 @@ def _attempt(
             mask_bits = admissible_mask(a, iv)
         else:
             mask_bits = state.first_mask(iv)
-        cnt = mask_bits.bit_count()  # _pick, inlined for the label draw
+        cnt = mask_bits.bit_count()
         if not cnt:
             failure = AttemptFailure(FAIL_CHOOSE, t)
             break
         b = iv.lo + select(mask_bits, randbelow(cnt))
-        remove_label(b)
+        take_label(a_blocks, b)
+        size_a -= 1
         labels.append(b)
         edge_label = -1
         if pos:
             edge_label = abs(b - a)
-            remove_diff(edge_label)
+            take_diff(c_blocks, mirror_blocks, edge_label, nt)
+            size_c -= 1
 
         corv_label = -1
-        riv = corv_sample(rng)
-        if riv is not None:
-            k = _pick(label_window(riv.lo, m), rng)
-            if k is None:
+        u = randbelow(corv_den)
+        if u >= corv_star:
+            lo = corv_los[bisect_right(corv_cuts, u)]
+            mask_bits = label_window(lo, m)
+            cnt = mask_bits.bit_count()
+            if not cnt:
                 failure = AttemptFailure(FAIL_CORV, t)
                 break
-            corv_label = riv.lo + k
-            remove_label(corv_label)
+            corv_label = lo + select(mask_bits, randbelow(cnt))
+            take_label(a_blocks, corv_label)
+            size_a -= 1
         core_diff = -1
-        riv = core_sample(rng)
-        if riv is not None:
-            k = _pick(diff_window(riv.lo, m), rng)
-            if k is None:
+        u = randbelow(core_den)
+        if u >= core_star:
+            lo = core_los[bisect_right(core_cuts, u)]
+            mask_bits = diff_window(lo, m)
+            cnt = mask_bits.bit_count()
+            if not cnt:
                 failure = AttemptFailure(FAIL_CORE, t)
                 break
-            core_diff = riv.lo + k
-            remove_diff(core_diff)
+            core_diff = lo + select(mask_bits, randbelow(cnt))
+            take_diff(c_blocks, mirror_blocks, core_diff, nt)
+            size_c -= 1
 
         steps = t
         corv_hits += corv_label >= 0
@@ -239,15 +287,19 @@ def _attempt(
                     edge_label=edge_label,
                     corv_label=corv_label,
                     core_diff=core_diff,
-                    size_a=state.size_a,
-                    size_c=state.size_c,
+                    size_a=size_a,
+                    size_c=size_c,
                 )
             )
         if checkpoint_every and t % checkpoint_every == 0:
+            state.size_a = size_a
+            state.size_c = size_c
             state.steps_done = steps
             state.corv_hits = corv_hits
             state.core_hits = core_hits
             on_checkpoint(state, t)
+    state.size_a = size_a
+    state.size_c = size_c
     state.steps_done = steps
     state.corv_hits = corv_hits
     state.core_hits = core_hits

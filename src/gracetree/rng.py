@@ -34,21 +34,36 @@ class Rng:
 
     def next64(self) -> int:
         if self._pos >= len(self._buf):
-            self._buf = self.np.integers(0, 1 << 64, size=_BUF,
-                                         dtype=np.uint64).tolist()
-            self._pos = 0
+            self._refill()
         w = self._buf[self._pos]
         self._pos += 1
         return w
 
+    def _refill(self) -> None:
+        self._buf = self.np.integers(0, 1 << 64, size=_BUF,
+                                     dtype=np.uint64).tolist()
+        self._pos = 0
+
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), exactly (Lemire rejection)."""
-        if n <= 0:
+        """Uniform integer in [0, n), exactly (Lemire rejection).
+
+        One call per draw: the first word is read inline, and the
+        rejection threshold (2**64 - n) % n, which is below n, is
+        computed only when the low word is below n.  n == 1 draws
+        nothing.
+        """
+        if n <= 1:
+            if n == 1:
+                return 0
             raise ValueError("randbelow needs n >= 1")
-        if n == 1:
-            return 0
-        t = ((1 << 64) - n) % n
-        while True:
-            m = self.next64() * n
-            if (m & _M64) >= t:
-                return m >> 64
+        pos = self._pos
+        if pos >= len(self._buf):
+            self._refill()
+            pos = 0
+        m = self._buf[pos] * n
+        self._pos = pos + 1
+        if m & _M64 < n:
+            t = ((1 << 64) - n) % n
+            while m & _M64 < t:
+                m = self.next64() * n
+        return m >> 64

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
+import numpy as np
+
 from .trees import Tree
 
 # largest host edge count h(h-1)/2 a packing may have, so m <= 2236:
@@ -24,13 +26,45 @@ from .trees import Tree
 # the bound with m = 1.25 n packs 8 * 10^6 copy edges in several GB.
 _MAX_HOST_EDGES = 10 ** 7
 
+# the numpy graceful check keeps one count per value up to the largest
+# label, so it runs only while labels stay below _DENSE * (n + 1): no
+# more memory than the walk's dicts take
+_DENSE = 8
+
+
+def _label_array(psi: Mapping[int, int], n: int) -> Optional[np.ndarray]:
+    """psi as an int64 array a with a[v] = psi[v] and a[0] = 0, or None
+    unless psi's keys are exactly the plain ints 1..n and its labels are
+    plain ints (not bool, float or numpy ints) that fit in int64.
+
+    n plain-int keys that all lie in 1..n are 1..n, since dict keys are
+    distinct.
+    """
+    if len(psi) != n:
+        return None
+    if set(map(type, psi)) | set(map(type, psi.values())) != {int}:
+        return None
+    try:
+        keys = np.fromiter(psi.keys(), np.int64, n)
+        vals = np.fromiter(psi.values(), np.int64, n)
+    except OverflowError:
+        return None
+    if keys.min() < 1 or keys.max() > n:
+        return None
+    a = np.zeros(n + 1, np.int64)
+    a[keys] = vals
+    return a
+
 
 @dataclass(frozen=True)
 class Labelling:
     """An injection candidate psi: V(tree) -> [1, m].
 
     Totality and range are construction invariants; injectivity and
-    the graceful condition are what the verifiers report on.
+    the graceful condition are what the verifiers report on.  A psi
+    whose keys are the plain ints 1..n and whose labels are plain ints
+    is checked in numpy; any other psi, and any psi that fails that
+    check, is walked in Python, which names the fault.
     """
 
     tree: Tree
@@ -40,6 +74,9 @@ class Labelling:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"label bound m = {self.m} must be positive")
+        a = _label_array(self.psi, self.tree.n)
+        if a is not None and 1 <= a[1:].min() and int(a[1:].max()) <= self.m:
+            return
         missing = [v for v in range(1, self.tree.n + 1) if v not in self.psi]
         if missing:
             raise ValueError(f"psi is not total, missing vertices {missing}")
@@ -72,8 +109,36 @@ def _injectivity_failure(lab: Labelling) -> Optional[VerifyReport]:
     return None
 
 
+def _graceful_in_numpy(lab: Labelling) -> bool:
+    """True when counts over the label array and the flat edge array
+    show psi injective with distinct edge differences; False when psi
+    is not plain (see _label_array), its labels leave 1.._DENSE * (n + 1),
+    or a count repeats."""
+    n = lab.tree.n
+    a = _label_array(lab.psi, n)
+    if a is None:
+        return False
+    labels = a[1:]
+    if labels.min() < 1 or labels.max() > _DENSE * (n + 1):
+        return False
+    if np.bincount(labels).max() > 1:
+        return False
+    if n == 1:
+        return True
+    ends = np.asarray(lab.tree.edges.ends)
+    diffs = np.abs(a[ends[0::2]] - a[ends[1::2]])
+    return bool(np.bincount(diffs).max() <= 1)
+
+
 def verify_graceful(lab: Labelling) -> VerifyReport:
-    """Pass iff psi is injective and edge differences never repeat."""
+    """Pass iff psi is injective and edge differences never repeat.
+
+    A labelling that _graceful_in_numpy passes is graceful; every other
+    one is walked vertex by vertex and edge by edge, which finds the
+    first collision and its witness.
+    """
+    if _graceful_in_numpy(lab):
+        return VerifyReport(True, "graceful")
     clash = _injectivity_failure(lab)
     if clash is not None:
         return clash

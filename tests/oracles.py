@@ -8,16 +8,26 @@ the word that holds the rank.  admissible_labels works on explicit
 sets.  full_count_structure and full_check_quasi are the audit as it
 stood on full-width ints (one int per set, C's lower side read by
 reversing a string), before it read the labeller's blocked state.
-snapshot builds a LabelState holding given sets.
+snapshot builds a LabelState holding given sets, through remove_label
+and remove_diff: checked removals that keep size_a and size_c, as
+LabelState's methods did before the label loop kept those counts in
+locals.  sample is CorrectionDistribution.sample, the draw the label
+loop now makes inline.  OldRng is rng.Rng's stream as it stood, with
+next64 called once per word of randbelow.  old_labelling_check and
+old_verify_graceful are Labelling's construction check and
+verify_graceful as exact walks over psi, before the numpy path.
 """
 
+import bisect
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from gracetree.bitset import mask, select, window
 from gracetree.intervals import IntervalSystem
-from gracetree.labeller import LabelState
+from gracetree.labeller import LabelState, take_diff, take_label
+from gracetree.rng import _BUF, Rng
+from gracetree.verify import VerifyReport
 from gracetree.quasirandom import QuasiReport, x1, x2, x3, x4
 from gracetree.trees import prufer_decode
 
@@ -55,6 +65,84 @@ def admissible_labels(a, interval, labels, diffs):
     )
 
 
+def remove_label(state, b):
+    take_label(state.labels.blocks, b)
+    state.size_a -= 1
+
+
+def remove_diff(state, d):
+    take_diff(state.diffs.blocks, state.diffs_rev.blocks, d,
+              state.sys.n_tilde)
+    state.size_c -= 1
+
+
+def sample(dist, rng):
+    """One draw of a CorrectionDistribution: an interval or None."""
+    u = rng.randbelow(dist.den)
+    if u < dist._star_cut:
+        return None
+    return dist._positive[bisect.bisect_right(dist._cuts, u)]
+
+
+_M64 = (1 << 64) - 1
+
+
+class OldRng(Rng):
+    """Rng with randbelow as two calls per word and the threshold
+    computed on every draw."""
+
+    def next64(self):
+        if self._pos >= len(self._buf):
+            self._buf = self.np.integers(0, 1 << 64, size=_BUF,
+                                         dtype="uint64").tolist()
+            self._pos = 0
+        w = self._buf[self._pos]
+        self._pos += 1
+        return w
+
+    def randbelow(self, n):
+        if n <= 0:
+            raise ValueError("randbelow needs n >= 1")
+        if n == 1:
+            return 0
+        t = ((1 << 64) - n) % n
+        while True:
+            m = self.next64() * n
+            if (m & _M64) >= t:
+                return m >> 64
+
+
+def old_labelling_check(tree, psi, m):
+    """Labelling.__post_init__ as a walk: None, or the ValueError text."""
+    if m < 1:
+        return f"label bound m = {m} must be positive"
+    missing = [v for v in range(1, tree.n + 1) if v not in psi]
+    if missing:
+        return f"psi is not total, missing vertices {missing}"
+    bad = {v: b for v, b in psi.items() if not 1 <= b <= m}
+    if bad:
+        return f"labels outside 1..{m}: {bad}"
+    return None
+
+
+def old_verify_graceful(lab):
+    """verify_graceful as a walk over vertices, then edges."""
+    seen = {}
+    for v in range(1, lab.tree.n + 1):
+        b = lab.psi[v]
+        if b in seen:
+            return VerifyReport(False, "vertex-label collision",
+                                (seen[b], v, b))
+        seen[b] = v
+    seen = {}
+    for e in lab.tree.edges:
+        d = abs(lab.psi[e[0]] - lab.psi[e[1]])
+        if d in seen:
+            return VerifyReport(False, "edge-label collision", (seen[d], e, d))
+        seen[d] = e
+    return VerifyReport(True, "graceful")
+
+
 def snapshot(A, C, nt=0, sys=None):
     """LabelState whose free labels are A and free differences C.
 
@@ -71,10 +159,10 @@ def snapshot(A, C, nt=0, sys=None):
     assert A <= set(range(1, nt + 1)) and C <= set(range(1, nt))
     for b in range(1, nt + 1):
         if b not in A:
-            state.remove_label(b)
+            remove_label(state, b)
     for d in range(1, nt):
         if d not in C:
-            state.remove_diff(d)
+            remove_diff(state, d)
     return state
 
 

@@ -16,7 +16,7 @@ from gracetree.labeller import (
 from gracetree.prepare import prepare_plan
 from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree
-from oracles import admissible_labels, full_ints
+from oracles import admissible_labels, full_ints, remove_diff, remove_label
 
 
 def check_graceful_prefix(tree, psi):
@@ -37,9 +37,9 @@ def test_admissible_mask_matches_reference():
     rng = Rng(17, key=(0,))
     state = LabelState(sys)
     for b in (3, 7, 8, 15, 21):
-        state.remove_label(b)
+        remove_label(state, b)
     for d in (1, 4, 9, 14, 23):
-        state.remove_diff(d)
+        remove_diff(state, d)
     a_bits, c_bits = full_ints(state)
     labels = set(iter_bits(a_bits))
     diffs = set(iter_bits(c_bits))
@@ -148,22 +148,39 @@ def test_failed_attempt_counters_match_trace(point):
         want = {FAIL_CHOOSE, FAIL_CORV, FAIL_CORE}
     seen = set()
     for s, tree in enumerate(trees):
-        marks = []
+        runs = []
+        for traced in (True, False):
+            marks = []
 
-        def on_checkpoint(state, t):
-            marks.append((state.attempt, t, state.steps_done,
-                          state.corv_hits, state.core_hits))
+            def on_checkpoint(state, t):
+                # the loop's local counts, written back before the call
+                a, c, mirror = (sum(b.bit_count() for b in bits.blocks)
+                                for bits in (state.labels, state.diffs,
+                                             state.diffs_rev))
+                assert (state.size_a, state.size_c, mirror) == (a, c, c)
+                marks.append((state.attempt, t, state.steps_done,
+                              state.corv_hits, state.core_hits,
+                              state.size_a, state.size_c))
 
-        plan = prepare_plan(tree, sys, Rng(s, key=(1,)))
-        res = run_labelling(plan, sys, Rng(s, key=(2,)), max_retries=2,
-                            checkpoint_every=3, on_checkpoint=on_checkpoint,
-                            collect_trace=True,
-                            replan=lambda r: prepare_plan(tree, sys, r))
-        assert all(t == done for _, t, done, _, _ in marks)
+            plan = prepare_plan(tree, sys, Rng(s, key=(1,)))
+            res = run_labelling(plan, sys, Rng(s, key=(2,)), max_retries=2,
+                                checkpoint_every=3,
+                                on_checkpoint=on_checkpoint,
+                                collect_trace=traced,
+                                replan=lambda r: prepare_plan(tree, sys, r))
+            runs.append((marks, res))
+        (marks, res), (bare_marks, bare) = runs
+        assert bare_marks == marks
+        assert (bare.steps, bare.corv_hits, bare.core_hits, bare.failures,
+                bare.psi) == (res.steps, res.corv_hits, res.core_hits,
+                              res.failures, res.psi)
+        assert all(t == done for _, t, done, *_ in marks)
         rows = res.trace
-        for k, t, done, corv, core in marks:
+        for k, t, done, corv, core, size_a, size_c in marks:
             if k == res.attempts - 1:
                 assert (done, corv, core) == _trace_counts(rows[:t])
+                assert (size_a, size_c) == (rows[t - 1].size_a,
+                                            rows[t - 1].size_c)
         if res.success:
             continue
         fail = res.failures[-1]

@@ -15,7 +15,7 @@ from gracetree.quasirandom import (QuasiSampleSpec, check_quasi,
 from gracetree.rng import Rng
 from gracetree.trees import random_tree
 from oracles import (admissible_labels, full_check_quasi, full_count_structure,
-                     full_ints, snapshot)
+                     full_ints, remove_diff, snapshot)
 
 
 def brute_count(X, A, C):
@@ -196,8 +196,8 @@ def test_check_quasi_ambient_frozen():
 def test_check_quasi_emptied_window():
     sys = IntervalSystem(24, 2, 4)
     hollow = LabelState(sys)
-    hollow.remove_diff(2)
-    hollow.remove_diff(3)
+    remove_diff(hollow, 2)
+    remove_diff(hollow, 3)
     rep = check_quasi(hollow, sys, 0.1, QuasiSampleSpec(per_kind=0), None)
     assert rep.quasi1_max_dev >= hollow.size_a / sys.n_tilde
     assert not rep.ok

@@ -1,0 +1,76 @@
+"""Rng.randbelow against the two-call form it replaced (OldRng in
+tests/oracles.py): same values and same buffer position after every
+draw, on bounds that reach the rejection loop and across refills."""
+
+import random
+
+import pytest
+
+from gracetree.rng import _BUF, Rng
+from oracles import OldRng
+
+TOP = 1 << 64
+
+
+def _bounds(count, seed):
+    rnd = random.Random(seed)
+    special = [1, 2, 3, TOP - 1, TOP]
+    for k in range(1, 64):
+        special += [(1 << k) - 1, 1 << k, (1 << k) + 1]
+    out = list(special)
+    while len(out) < count:
+        kind = rnd.randrange(4)
+        if kind == 0:  # small, as label and window draws are
+            out.append(rnd.randint(1, 5000))
+        elif kind == 1:  # correction-law denominators
+            out.append(rnd.randint(1, 10 ** 12))
+        elif kind == 2:  # just above 2**63: about half the words rejected
+            out.append((1 << 63) + rnd.randint(1, 1 << 62))
+        else:  # near 2**64
+            out.append(TOP - rnd.randint(0, 1 << 20))
+    rnd.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_randbelow_matches_two_call_form(seed):
+    new, old = Rng(seed, key=(3,)), OldRng(seed, key=(3,))
+    bounds = _bounds(20_000, seed)
+    extra_words = 0
+    for n in bounds:
+        before = old._pos
+        got = new.randbelow(n)
+        assert got == old.randbelow(n)
+        assert 0 <= got < n
+        assert new._pos == old._pos
+        if n > 1:
+            extra_words += (old._pos - before) % _BUF != 1
+    assert new._buf == old._buf
+    # the draws crossed several refills, and the rejection loop fired
+    assert sum(n > 1 for n in bounds) > 4 * _BUF
+    assert extra_words > 100
+
+
+def test_randbelow_rejection_across_a_refill():
+    # start each draw one word before the buffer's end, so the rejected
+    # word and its replacement sit in different buffers
+    n = (1 << 63) + 1
+    new, old = Rng(5), OldRng(5)
+    refills_crossed = 0
+    for _ in range(100):
+        while old._pos != _BUF - 1:
+            assert new.randbelow(2) == old.randbelow(2)
+        buf = old._buf
+        assert new.randbelow(n) == old.randbelow(n)
+        assert new._pos == old._pos
+        refills_crossed += old._buf is not buf
+    assert refills_crossed > 20
+
+
+def test_randbelow_draws_nothing_for_one_and_rejects_zero():
+    rng = Rng(2)
+    assert [rng.randbelow(1) for _ in range(5)] == [0] * 5
+    assert rng._pos == 0
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            rng.randbelow(n)

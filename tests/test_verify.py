@@ -1,9 +1,18 @@
-import pytest
+import random
 
-from gracetree.trees import Tree, path_tree, star_tree
-from gracetree.verify import (Labelling, Packing, build_cyclic_packing,
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gracetree.exact import exact_graceful
+from gracetree.rng import Rng
+from gracetree.trees import Tree, path_tree, random_tree, star_tree
+from gracetree.verify import (Labelling, Packing, VerifyReport,
+                              _graceful_in_numpy, build_cyclic_packing,
                               verify_bipartite_graceful, verify_graceful,
                               verify_harmonious, verify_packing)
+from oracles import old_labelling_check, old_verify_graceful
 
 
 def lab_of(t, labels, m):
@@ -149,3 +158,122 @@ def test_non_integer_labels_are_compared_exactly():
     # differences 1.5 and 1.5 repeat; truncated to ints they would not
     lab = Labelling(star_tree(3), {1: 3, 2: 1.5, 3: 4.5}, 5)
     assert verify_graceful(lab).reason == "edge-label collision"
+
+
+def _permuted(shape, n, rnd):
+    """A graceful (tree, psi, m) of the given shape, vertex ids shuffled:
+    a zigzag-labelled path or a star with its center at label n."""
+    ids = list(range(1, n + 1))
+    rnd.shuffle(ids)
+    if shape == "path" or n < 2:
+        lab = zigzag_path_labelling(n)
+    else:
+        lab = star_labelling(n - 1)
+    edges = [(ids[u - 1], ids[v - 1]) for u, v in lab.tree.edges]
+    psi = {ids[v - 1]: b for v, b in lab.psi.items()}
+    return Tree(n, edges), psi, n
+
+
+@st.composite
+def _labelling_case(draw):
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    source = draw(st.sampled_from(["path", "star", "exact", "random"]))
+    if source in ("path", "star"):
+        tree, psi, m = _permuted(source, n, rnd)
+    else:
+        tree = random_tree(min(max(n, 2), 8), Rng(rnd.randrange(2**32)))
+        n = tree.n
+        m = n + rnd.randrange(3)
+        lab = exact_graceful(tree, m) if source == "exact" else None
+        psi = (dict(lab.psi) if lab is not None
+               else {v: rnd.randint(1, m) for v in range(1, n + 1)})
+    v = rnd.randint(1, n)
+    u = rnd.randint(1, n)
+    fault = draw(st.sampled_from([
+        "none", "vertex-collision", "relabel", "swap", "scale", "low",
+        "high", "huge", "missing", "extra", "moved-key", "float", "half", "bool",
+        "numpy-label", "bool-key", "numpy-key", "m", "mutate-after"]))
+    after = None
+    if fault == "vertex-collision":
+        psi[v] = psi[u]
+    elif fault == "relabel":  # may repeat a label or a difference
+        psi[v] = rnd.randint(1, m)
+    elif fault == "swap":
+        psi[u], psi[v] = psi[v], psi[u]
+    elif fault == "scale":  # still graceful, labels past the dense span
+        k = rnd.choice([2, 9, 10 ** 3])
+        psi = {w: k * b for w, b in psi.items()}
+        m *= k
+    elif fault == "low":
+        psi[v] = rnd.choice([0, -1, -(2**70)])
+    elif fault == "high":
+        psi[v] = m + rnd.randint(1, 3)
+    elif fault == "huge":
+        psi[v] = 2**70
+        m = rnd.choice([m, 2**71])
+    elif fault == "missing":
+        del psi[v]
+    elif fault == "extra":
+        psi[rnd.choice([0, n + 1, -5])] = rnd.randint(1, m)
+    elif fault == "moved-key":  # n keys, not 1..n
+        psi[rnd.choice([0, n + 1, -5])] = psi.pop(v)
+    elif fault == "float":  # equal to an int, but not a plain int
+        psi[v] = float(psi[v])
+    elif fault == "half":
+        psi[v] = psi[v] + 0.5
+    elif fault == "bool":
+        psi[v] = True
+    elif fault == "numpy-label":
+        psi[v] = np.int64(psi[v])
+    elif fault == "bool-key":
+        b = psi.pop(1)
+        psi[True] = b
+    elif fault == "numpy-key":
+        b = psi.pop(v)
+        psi[np.int64(v)] = b
+    elif fault == "m":
+        m = rnd.choice([0, -2, max(psi.values()) - 1, max(psi.values())])
+    elif fault == "mutate-after":
+        after = (v, rnd.choice([0, -3, psi[u], m + 1, 2**70, 1.5]))
+    # an equal label of another type sends any of the above to the walk
+    cast = draw(st.sampled_from([None, None, None, np.int64, float]))
+    w = rnd.randint(1, n)
+    if cast is not None and type(psi.get(w)) is int and abs(psi[w]) < 2**62:
+        psi[w] = cast(psi[w])
+    return tree, psi, m, after
+
+
+def _outcome(verify, lab):
+    try:
+        rep = verify(lab)
+    except Exception as exc:  # the walk's own errors must match too
+        return type(exc), str(exc)
+    return rep.ok, rep.reason, rep.witness
+
+
+@settings(max_examples=600, deadline=None)
+@given(_labelling_case())
+def test_verification_matches_the_exact_walk(case):
+    tree, psi, m, after = case
+    want_error = old_labelling_check(tree, psi, m)
+    try:
+        lab = Labelling(tree, psi, m)
+    except ValueError as exc:
+        assert str(exc) == want_error
+        return
+    assert want_error is None
+    if after is not None:
+        psi[after[0]] = after[1]
+    assert _outcome(verify_graceful, lab) == _outcome(old_verify_graceful, lab)
+
+
+def test_graceful_labellings_take_the_numpy_path():
+    rnd = random.Random(3)
+    for shape, n in [("path", 1), ("path", 2), ("path", 500), ("star", 300)]:
+        tree, psi, m = _permuted(shape, n, rnd)
+        lab = Labelling(tree, psi, m)
+        assert _graceful_in_numpy(lab)
+        assert verify_graceful(lab) == VerifyReport(True, "graceful")
+    lab = Labelling(tree, {**psi, 1: float(psi[1])}, m)
+    assert not _graceful_in_numpy(lab) and verify_graceful(lab).ok
