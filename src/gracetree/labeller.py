@@ -117,7 +117,8 @@ class LabelState:
         if end <= BLOCK_BITS:
             return avail & blocks[j] >> (s & _LOW)
         if end <= 2 * BLOCK_BITS:
-            return avail & (blocks[j] | blocks[j + 1] << BLOCK_BITS) >> (s & _LOW)
+            return avail & ((blocks[j] | blocks[j + 1] << BLOCK_BITS)
+                            >> (s & _LOW))
         return avail & bits.window(s, w)
 
     def first_mask(self, iv: Interval) -> int:
@@ -136,9 +137,13 @@ def take_label(labels: list[int], b: int) -> None:
     labels[j] ^= bit
 
 
-def take_diff(diffs: list[int], mirror: list[int], d: int, n_tilde: int) -> None:
+def take_diff(diffs: list[int], mirror: list[int], d: int,
+              n_tilde: int) -> None:
     """Clear difference d in C's blocks and n_tilde - d in its mirror's;
-    AssertionError if d is not free (0 <= d < n_tilde otherwise)."""
+    AssertionError if d is not free.
+
+    d must lie below the last block's end; d < 0 counts as not free.
+    """
     j = d >> _SHIFT
     bit = 1 << (d & _LOW)
     if j < 0 or not diffs[j] & bit:
@@ -208,8 +213,8 @@ def _attempt(
     c_blocks = state.diffs.blocks
     mirror_blocks = state.diffs_rev.blocks
     randbelow = rng.randbelow
-    # each correction law as CorrectionDistribution.sample draws it: one
-    # randbelow(den), the null outcome below the star cut, else the
+    # the correction laws, drawn here as CorrectionDistribution states:
+    # one randbelow(den), the null outcome below the star cut, else the
     # interval at the bisected cumulative cut
     corv_den, corv_star, corv_cuts = corv.den, corv._star_cut, corv._cuts
     corv_los = [iv.lo for iv in corv._positive]

@@ -192,8 +192,9 @@ def _labelling_case(draw):
     u = rnd.randint(1, n)
     fault = draw(st.sampled_from([
         "none", "vertex-collision", "relabel", "swap", "scale", "low",
-        "high", "huge", "missing", "extra", "moved-key", "float", "half", "bool",
-        "numpy-label", "bool-key", "numpy-key", "m", "mutate-after"]))
+        "high", "huge", "missing", "extra", "moved-key", "float", "half",
+        "bool", "numpy-label", "bool-key", "numpy-key", "m",
+        "mutate-after"]))
     after = None
     if fault == "vertex-collision":
         psi[v] = psi[u]
