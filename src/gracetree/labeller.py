@@ -6,6 +6,13 @@ still unused whose difference to the parent's label is also unused),
 burns that label and difference, then applies one vertex-side and one
 edge-side corrective removal drawn from fixed distributions, so the
 stock of unused values stays near-uniform across every window.
+
+Each uniform draw is a rejection draw: up to K uniform positions of the
+window are tried, each accepted when its bits say it is free, and only
+after K misses is the whole window read and a rank selected in it.  Both
+are uniform on the same set, so the law is that of a draw from the
+window's mask; the expected cost is about 1/density tries plus a rare
+O(ell/64) fallback.
 """
 
 from __future__ import annotations
@@ -29,6 +36,16 @@ FAIL_CHOOSE = "choose-label"
 FAIL_CORV = "corv-removal"
 FAIL_CORE = "core-removal"
 
+# uniform positions a draw tries before it reads its whole window (see
+# draw_label and pick_free).  On a shared 2-vCPU host a try costs about
+# 1 us whatever the width, the fallback about 4.4 us at ell = 512, 22 us
+# at 5120 and 110 us at 51200.  On a random 10^5-vertex tree (gamma =
+# 1/2, m = ell/4) 7.2% of label draws miss 8 tries and 1.8% miss 16, so
+# 16 tries cost about 3% more per draw than the best K at ell = 512 and
+# are near the best at ell = 1024 and above.
+K = 16
+TRIES = range(K)
+
 
 class LabelState:
     """Free vertex labels A and free differences C of one attempt.
@@ -36,15 +53,18 @@ class LabelState:
     Both are BlockBits, and so is the mirror of C about n_tilde (bit k
     set iff difference n_tilde - k is free), so the labels below the
     parent read a forward window of the mirror just as the labels above
-    it read one of C.  A step reads the label window of its target
-    interval plus one difference window, on the parent's side of it
-    (both sides only when the parent's label lies inside the interval,
-    which target intervals and their complements all but rule out),
-    then one correction window of A and one of C; every removal
-    rewrites one block (take_label, take_diff).  So a step costs
-    O(ell/64) words whatever n_tilde is.  The audit (quasirandom.py)
-    reads the same windows through admissible_mask and first_mask, so
-    no other copy of the label state exists.
+    it read one of C.  A step draws its label with draw_label: each try
+    reads one bit of A and one of C, and about 1/density tries hit; only
+    after K misses does it read the label window of its target interval
+    plus one difference window, on the parent's side of it (both sides
+    only when the parent's label lies inside the interval, which target
+    intervals and their complements all but rule out).  The correction
+    picks (pick_free) read one bit of A or C per try likewise, and every
+    removal rewrites one block (take_label, take_diff).  So a step costs
+    O(1/density) bit reads plus, rarely, O(ell/64) words, whatever
+    n_tilde is.  The audit (quasirandom.py) reads the same windows
+    through admissible_mask and first_mask, so no other copy of the
+    label state exists.
 
     size_a and size_c are |A| and |C|; steps_done, corv_hits and
     core_hits count completed steps and the corrective removals made in
@@ -123,6 +143,60 @@ class LabelState:
 
     def first_mask(self, iv: Interval) -> int:
         return self.labels.window(iv.lo, iv.hi - iv.lo + 1)
+
+    def draw_label(self, a: int, iv: Interval,
+                   randbelow: Callable[[int], int]) -> int:
+        """A label drawn uniformly from the labels of iv admissible
+        against parent label a (a = 0: no parent, only A is read), or -1
+        when there is none.
+
+        Up to TRIES uniform positions of iv are tried, each accepted
+        when its label is free in A and its difference to a is free in
+        C: two bit reads.  After TRIES misses the draw falls back to
+        admissible_mask (first_mask) and select, which also finds an
+        empty window.  Every try and the fallback are uniform on the
+        same admissible set, so the draw is too.
+        """
+        lo, hi = iv
+        w = hi - lo + 1
+        labels = self.labels.blocks
+        diffs = self.diffs.blocks
+        for _ in TRIES:
+            b = lo + randbelow(w)
+            if labels[b >> _SHIFT] >> (b & _LOW) & 1:
+                if not a:
+                    return b
+                d = b - a if b > a else a - b
+                if diffs[d >> _SHIFT] >> (d & _LOW) & 1:
+                    return b
+        return _rank_draw(
+            self.admissible_mask(a, iv) if a else self.first_mask(iv), lo,
+            randbelow)
+
+
+def pick_free(bits: BlockBits, lo: int, w: int,
+              randbelow: Callable[[int], int]) -> int:
+    """A bit drawn uniformly from the set bits of bits in lo..lo+w-1, or
+    -1 when there is none: up to TRIES uniform positions, each one bit
+    read, then the window and select, as in LabelState.draw_label.
+
+    lo..lo+w-1 must lie below the last block's end.
+    """
+    blocks = bits.blocks
+    for _ in TRIES:
+        b = lo + randbelow(w)
+        if blocks[b >> _SHIFT] >> (b & _LOW) & 1:
+            return b
+    return _rank_draw(bits.window(lo, w), lo, randbelow)
+
+
+def _rank_draw(mask_bits: int, lo: int,
+               randbelow: Callable[[int], int]) -> int:
+    """lo plus a uniform set bit of mask_bits, or -1 when it has none."""
+    cnt = mask_bits.bit_count()
+    if not cnt:
+        return -1
+    return lo + select(mask_bits, randbelow(cnt))
 
 
 def take_label(labels: list[int], b: int) -> None:
@@ -206,9 +280,9 @@ def _attempt(
 ]:
     state = LabelState(sys, attempt)
     # the loop's lookups, bound once per attempt
-    admissible_mask = state.admissible_mask
-    label_window = state.labels.window
-    diff_window = state.diffs.window
+    draw = state.draw_label
+    label_bits = state.labels
+    diff_bits = state.diffs
     a_blocks = state.labels.blocks
     c_blocks = state.diffs.blocks
     mirror_blocks = state.diffs_rev.blocks
@@ -235,17 +309,11 @@ def _attempt(
     failure = None
     for pos, vertex in enumerate(plan.order):
         t = pos + 1
-        iv = interval_of[pos]
-        if pos:
-            a = labels[parent_pos[pos]]
-            mask_bits = admissible_mask(a, iv)
-        else:
-            mask_bits = state.first_mask(iv)
-        cnt = mask_bits.bit_count()
-        if not cnt:
+        a = labels[parent_pos[pos]] if pos else 0
+        b = draw(a, interval_of[pos], randbelow)
+        if b < 0:
             failure = AttemptFailure(FAIL_CHOOSE, t)
             break
-        b = iv.lo + select(mask_bits, randbelow(cnt))
         take_label(a_blocks, b)
         size_a -= 1
         labels.append(b)
@@ -258,25 +326,23 @@ def _attempt(
         corv_label = -1
         u = randbelow(corv_den)
         if u >= corv_star:
-            lo = corv_los[bisect_right(corv_cuts, u)]
-            mask_bits = label_window(lo, m)
-            cnt = mask_bits.bit_count()
-            if not cnt:
+            corv_label = pick_free(label_bits,
+                                   corv_los[bisect_right(corv_cuts, u)], m,
+                                   randbelow)
+            if corv_label < 0:
                 failure = AttemptFailure(FAIL_CORV, t)
                 break
-            corv_label = lo + select(mask_bits, randbelow(cnt))
             take_label(a_blocks, corv_label)
             size_a -= 1
         core_diff = -1
         u = randbelow(core_den)
         if u >= core_star:
-            lo = core_los[bisect_right(core_cuts, u)]
-            mask_bits = diff_window(lo, m)
-            cnt = mask_bits.bit_count()
-            if not cnt:
+            core_diff = pick_free(diff_bits,
+                                  core_los[bisect_right(core_cuts, u)], m,
+                                  randbelow)
+            if core_diff < 0:
                 failure = AttemptFailure(FAIL_CORE, t)
                 break
-            core_diff = lo + select(mask_bits, randbelow(cnt))
             take_diff(c_blocks, mirror_blocks, core_diff, nt)
             size_c -= 1
 
@@ -330,8 +396,10 @@ def run_labelling(
     Attempt k draws from rng.child(k).child(1); when replan is given,
     attempts after the first rebuild the plan from rng.child(k).child(0),
     otherwise every attempt reuses the given plan.  Draw order within a
-    step is fixed: label, vertex-removal target, vertex removal,
-    edge-removal target, edge removal.  The result's step and removal
+    step is fixed: the label's tries (at most K), then its fallback rank
+    if all K missed; the vertex-removal target, then the vertex
+    removal's tries and fallback rank; the edge-removal target, then the
+    edge removal's tries and fallback rank.  The result's step and removal
     counts are those of the last attempt, whether or not a trace is
     collected.
     """

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_M64 = (1 << 64) - 1
+_TOP = 1 << 64
+_M64 = _TOP - 1
 _BUF = 4096
 
 
@@ -50,7 +51,9 @@ class Rng:
         One call per draw: the first word is read inline, and the
         rejection threshold (2**64 - n) % n, which is below n, is
         computed only when the low word is below n.  n == 1 draws
-        nothing.
+        nothing.  n must lie in 1..2**64: a 64-bit word cannot cover a
+        larger range, so ValueError is raised outside it, and the stream
+        is left as it was.
         """
         if n <= 1:
             if n == 1:
@@ -63,7 +66,10 @@ class Rng:
         m = self._buf[pos] * n
         self._pos = pos + 1
         if m & _M64 < n:
-            t = ((1 << 64) - n) % n
+            if n > _TOP:
+                self._pos = pos
+                raise ValueError("randbelow needs n <= 2**64")
+            t = (_TOP - n) % n
             while m & _M64 < t:
                 m = self.next64() * n
         return m >> 64

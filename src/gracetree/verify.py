@@ -85,7 +85,13 @@ class Labelling:
             raise ValueError(f"labels outside 1..{self.m}: {bad}")
 
     def edge_difference(self, u: int, v: int) -> int:
-        return abs(self.psi[u] - self.psi[v])
+        return abs(_plain(self.psi[u]) - _plain(self.psi[v]))
+
+
+def _plain(b):
+    """b as a Python int when it is a numpy int, so that differences of
+    numpy and huge Python labels cannot overflow int64."""
+    return int(b) if isinstance(b, np.integer) else b
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ snapshot builds a LabelState holding given sets, through remove_label
 and remove_diff: checked removals that keep size_a and size_c, as
 LabelState's methods did before the label loop kept those counts in
 locals.  sample is CorrectionDistribution.sample, the draw the label
-loop now makes inline.  OldRng is rng.Rng's stream as it stood, with
+loop now makes inline.  mask_select_label and mask_select_pick are the
+label draw and the correction pick as they stood, one whole-window mask
+and one select per draw, before the draws tried single positions first;
+they are also the draws' fallback.  OldRng is rng.Rng's stream as it stood, with
 next64 called once per word of randbelow.  old_labelling_check and
 old_verify_graceful are Labelling's construction check and
 verify_graceful as exact walks over psi, before the numpy path.
@@ -63,6 +66,26 @@ def admissible_labels(a, interval, labels, diffs):
         for b in range(interval.lo, interval.hi + 1)
         if b in ls and abs(b - a) in ds
     )
+
+
+def mask_select_label(state, a, iv, randbelow):
+    """A uniform admissible label of iv against parent label a (a = 0:
+    no parent), or -1: the whole window's mask, then select."""
+    mask_bits = state.admissible_mask(a, iv) if a else state.first_mask(iv)
+    cnt = mask_bits.bit_count()
+    if not cnt:
+        return -1
+    return iv.lo + select(mask_bits, randbelow(cnt))
+
+
+def mask_select_pick(bits, lo, w, randbelow):
+    """A uniform set bit of bits in lo..lo+w-1, or -1: the window, then
+    select."""
+    mask_bits = bits.window(lo, w)
+    cnt = mask_bits.bit_count()
+    if not cnt:
+        return -1
+    return lo + select(mask_bits, randbelow(cnt))
 
 
 def remove_label(state, b):

@@ -142,7 +142,7 @@ def test_pack_cli_labelling_at_the_size_bound(tmp_path, capsys, monkeypatch):
     labels = str(tmp_path / "labels.json")
     code, _, err = run_cli(
         capsys, "label", "--tree", tree, "--gamma", "1", "--m", "4",
-        "--ell", "8", "--seed", "1", "--retries", "8",
+        "--ell", "8", "--seed", "3", "--retries", "8",
         "--max-component", "8", "--out", labels)
     assert code == 0, err
     m = json.loads(open(labels).read())["m"]

@@ -83,7 +83,7 @@ def test_trial_failure_record():
     tr = run_trial(cfg, 0, 0, collect_trace=True)
     rec = tr.record
     assert rec.outcome == "fail" and tr.labelling is None
-    assert rec.failure_site == "choose-label" and rec.failure_step == 151
+    assert rec.failure_site == "choose-label" and rec.failure_step == 143
     assert rec.attempts == 1
     assert rec.quasi1_max_dev == -1.0  # no checkpoints fired
     assert rec.steps == len(tr.result.trace) == rec.failure_step - 1
@@ -245,13 +245,13 @@ def test_untraced_record_equals_traced():
 
 
 def test_reports_are_scoped_to_the_last_attempt():
-    # attempts fail at steps 1277, 1304, 1345 and 982: the first three
+    # attempts fail at steps 1363, 1459, 1308 and 588: the first three
     # pass the checkpoint at 1000, the last one dies before it
     cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=16, ell=128,
-                           trials=1, seed=2, checkpoint_every=1000)
+                           trials=1, seed=9, checkpoint_every=1000)
     tr = run_trial(cfg, 0, 0)
     steps = [f.step for f in tr.result.failures]
-    assert steps == [1277, 1304, 1345, 982]
+    assert steps == [1363, 1459, 1308, 588]
     assert tr.reports == ()
     rec = tr.record
     assert rec.quasi1_max_dev == rec.quasi2_max_dev == -1.0
@@ -260,7 +260,18 @@ def test_reports_are_scoped_to_the_last_attempt():
 
 # SHA-256 of the artifacts of two frozen runs.  They pin the RNG draw
 # order, so a change to the label state's representation keeps them.
+# GOLDEN_MASK_SELECT are the same runs when every draw skips its tries
+# and reads its whole window (labeller.TRIES empty): the mask-and-select
+# draws that the rejection draws replaced, and still fall back to.
 GOLDEN = {
+    "success_labelling":
+        "13604fdea0004338c4098e330a39b041b27fee12adbaaed6f722d3e31b2ade24",
+    "success_trace":
+        "d84810a0fac4f28b1ffa9389ed1b79727e765940468ebbe566fbafe2f344e7aa",
+    "retry_trace":
+        "39db0f6f259f83c107c67ef90b33e5740a8f05b007478804d8d786be670431b8",
+}
+GOLDEN_MASK_SELECT = {
     "success_labelling":
         "4e3ee0b0bf1956a90eefb9ccd0e9ccc8e485b010cc020938082cabaae6c01e21",
     "success_trace":
@@ -270,7 +281,8 @@ GOLDEN = {
 }
 
 
-def test_golden_digests():
+def _golden_runs():
+    """Digests of the success labelling and trace and of the retry trace."""
     import hashlib
 
     def sha(text):
@@ -278,29 +290,40 @@ def test_golden_digests():
 
     ok = run_trial(small_cfg(trials=1), 0, 0, collect_trace=True)
     assert ok.record.outcome == "success"
-    assert sha(labelling_to_json(ok.labelling)) == GOLDEN["success_labelling"]
-    assert sha(trace_csv(ok.result, ok.reports)) == GOLDEN["success_trace"]
     cfg = ExperimentConfig(n=(300,), gamma=Fraction(1, 10), m=4, ell=16,
                            trials=1, seed=0, retries=2, quasi_per_kind=0,
                            checkpoint_every=0)
     bad = run_trial(cfg, 0, 0, collect_trace=True)
     assert bad.record.outcome == "fail" and bad.record.attempts == 3
-    assert sha(trace_csv(bad.result, bad.reports)) == GOLDEN["retry_trace"]
+    return {"success_labelling": sha(labelling_to_json(ok.labelling)),
+            "success_trace": sha(trace_csv(ok.result, ok.reports)),
+            "retry_trace": sha(trace_csv(bad.result, bad.reports))}
+
+
+def test_golden_digests():
+    assert _golden_runs() == GOLDEN
+
+
+def test_golden_digests_without_tries(monkeypatch):
+    from gracetree import labeller
+
+    monkeypatch.setattr(labeller, "TRIES", range(0))
+    assert _golden_runs() == GOLDEN_MASK_SELECT
 
 
 # Two retrying trials at n = 2000, m = 32, ell = 256: SHA-256 of the
 # record without wall_time, of the labelling (None on failure) and of the
-# trace, recorded when every retry re-ran the cut and the ordering.
+# trace.  The fourth attempt fails in the first and succeeds in the second.
 GOLDEN_RETRIES = [
     (dict(gamma=Fraction(1, 5), seed=0), "fail",
-     "3dbab14460cbd82bdab037f44240dd9a694645ffc12a32e97227c338784b3c21",
+     "3a23fe8eab7d74d328b7b2196e6418ef54777f6105320112a80c50b1eda6ebbd",
      None,
-     "b6c3ba7055ac796e733faca31f1e75a46101d1df5139fd4de94a98f0924466f4"),
-    (dict(gamma=Fraction(1, 2), seed=1, retries=6, max_component=8),
+     "dfb57f74c4e2858b049769b2ec9c88d6334757c10884e64bd9329057f0b988db"),
+    (dict(gamma=Fraction(1, 2), seed=5, retries=6, max_component=8),
      "success",
-     "ced270eb666733695b86cc5c0228fea2601472fbef876d79bad04fc033db30ce",
-     "3f173999aff61543010dda75e8ab76a7a4aca31154f7666ad2d72aa176a94acc",
-     "a42fcfe8d6a58dab71268d5ac5d95c2c79e6d418049f1cd6e1e52a437c5158eb"),
+     "6f2ed44be95c5c8fe80abe1e80e5053668d0165fee73e7d92aa33652fc7ed08a",
+     "c88cad900810ccd1f88c272f8df5efbcef7195ba632116a1c7934f329f139642",
+     "6f24d6c315188ae2d4f5642c0bccdf72bb41910c8953ea5371894fc5dddfd918"),
 ]
 
 

@@ -1,7 +1,12 @@
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from scipy.stats import chisquare
 
+import gracetree.labeller as labeller
 from gracetree.bitset import iter_bits
 from gracetree.intervals import Interval, IntervalSystem
 from gracetree.params import derive_practical_params
@@ -9,14 +14,17 @@ from gracetree.labeller import (
     FAIL_CHOOSE,
     FAIL_CORE,
     FAIL_CORV,
+    K,
     LabelResult,
     LabelState,
+    pick_free,
     run_labelling,
 )
 from gracetree.prepare import prepare_plan
 from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree
-from oracles import admissible_labels, full_ints, remove_diff, remove_label
+from oracles import (admissible_labels, full_ints, mask_select_label,
+                     mask_select_pick, remove_diff, remove_label)
 
 
 def check_graceful_prefix(tree, psi):
@@ -236,3 +244,159 @@ def test_moderate_slack_run_succeeds():
     check_graceful_prefix(tree, res.psi)
     assert set(res.psi) == set(range(1, 49))
     assert all(1 <= b <= 84 for b in res.psi.values())
+
+
+# Law of the draws: a fixed state, 20,000 draws from a fixed seed, and
+# the counts against the uniform law on the set that admissible_mask (for
+# a correction pick, the window) gives.  The window straddles the block
+# boundary at 1024.
+LAW_SYS = IntervalSystem(2048, 32, 128)
+WIN = Interval(1000, 1063)
+DRAWS = 20_000
+
+
+def _law_state(case):
+    """(state, parent label) for one of the label-draw cases."""
+    rnd = random.Random(case)
+    state = LabelState(LAW_SYS)
+    if case == "dense":  # a tenth of labels and differences gone
+        a = 300
+        for b in rnd.sample(range(1, 2049), 204):
+            if b != a:
+                remove_label(state, b)
+        for d in rnd.sample(range(1, 2048), 204):
+            remove_diff(state, d)
+    elif case == "sparse":  # labels free, 4 of the window's differences
+        a = 300
+        for d in rnd.sample(range(WIN.lo - a, WIN.hi - a + 1), 60):
+            remove_diff(state, d)
+    elif case == "inside":  # parent label in the window: both sides read
+        a = 1030
+        for d in rnd.sample(range(1, 64), 40):
+            remove_diff(state, d)
+        for b in rnd.sample(range(WIN.lo, WIN.hi + 1), 20):
+            if b != a:
+                remove_label(state, b)
+    else:  # "empty": labels free, every difference to the window gone
+        a = 300
+        for d in range(WIN.lo - a, WIN.hi - a + 1):
+            remove_diff(state, d)
+    remove_label(state, a)
+    return state, a
+
+
+def _pick_state(case, kind):
+    """(bits, lo) of an m-window of A ("label") or C ("diff")."""
+    rnd = random.Random(case)
+    state = LabelState(LAW_SYS)
+    lo = 1000
+    remove = remove_label if kind == "label" else remove_diff
+    keep = {"dense": 0.8, "sparse": 2 / 32, "empty": 0}[case]
+    window = range(lo, lo + LAW_SYS.m)
+    for x in rnd.sample(window, LAW_SYS.m - round(keep * LAW_SYS.m)):
+        remove(state, x)
+    return (state.labels if kind == "label" else state.diffs), lo
+
+
+def _draws(draw, seed):
+    """Counts of DRAWS draws, and how many of them fell back: a fallback
+    makes K + 1 randbelow calls, a draw that hits a try at most K."""
+    rng = Rng(seed)
+    calls = []
+
+    def randbelow(k):
+        calls.append(k)
+        return rng.randbelow(k)
+
+    counts = Counter()
+    fallbacks = 0
+    for _ in range(DRAWS):
+        calls.clear()
+        counts[draw(randbelow)] += 1
+        fallbacks += len(calls) > K
+        assert len(calls) <= K + 1
+    return counts, fallbacks
+
+
+def _assert_law(draw, mask_bits, lo, w, seed, size):
+    """draw's counts are uniform on the set of mask_bits (bit k: lo + k),
+    which has size elements, and it falls back as often as K misses in a
+    row of uniform tries in the width-w window would."""
+    support = {lo + k for k in iter_bits(mask_bits)}
+    assert len(support) == size
+    counts, fallbacks = _draws(draw, seed)
+    if not support:  # an empty window: K tries, no fallback draw
+        assert counts == {-1: DRAWS} and fallbacks == 0
+        return
+    p = (1 - size / w) ** K
+    assert abs(fallbacks / DRAWS - p) <= 4 * math.sqrt(p * (1 - p) / DRAWS)
+    assert set(counts) == support
+    assert chisquare([counts[b] for b in sorted(support)]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("case, size", [
+    ("dense", 52), ("sparse", 4), ("inside", 15), ("empty", 0)])
+def test_label_draw_is_uniform_on_the_admissible_set(case, size):
+    state, a = _law_state(case)
+    _assert_law(lambda rb: state.draw_label(a, WIN, rb),
+                state.admissible_mask(a, WIN), WIN.lo, WIN.hi - WIN.lo + 1,
+                seed=11, size=size)
+
+
+@pytest.mark.parametrize("kind", ["label", "diff"])
+@pytest.mark.parametrize("case, size", [
+    ("dense", 26), ("sparse", 2), ("empty", 0)])
+def test_correction_pick_is_uniform_on_the_free_set(kind, case, size):
+    bits, lo = _pick_state(case, kind)
+    m = LAW_SYS.m
+    _assert_law(lambda rb: pick_free(bits, lo, m, rb), bits.window(lo, m),
+                lo, m, seed=12, size=size)
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "inside", "empty"])
+def test_without_tries_the_draws_are_mask_and_select(case, monkeypatch):
+    # the fallback alone is the mask-and-select draw, word for word
+    monkeypatch.setattr(labeller, "TRIES", range(0))
+    state, a = _law_state(case)
+    got, want = Rng(5), Rng(5)
+    for _ in range(500):
+        assert (state.draw_label(a, WIN, got.randbelow)
+                == mask_select_label(state, a, WIN, want.randbelow))
+    for kind in ("label", "diff"):
+        bits, lo = _pick_state("dense" if case == "inside" else case, kind)
+        for _ in range(500):
+            assert (pick_free(bits, lo, LAW_SYS.m, got.randbelow)
+                    == mask_select_pick(bits, lo, LAW_SYS.m, want.randbelow))
+    assert got._pos == want._pos
+
+
+def test_label_draw_fails_exactly_at_an_empty_window():
+    # every choose-label failure happens where the mask says the target
+    # interval has no admissible label; the state before the failing
+    # step is the one seen at the previous (every-step) checkpoint
+    sys = IntervalSystem(12, 1, 2)
+    chosen = 0
+    for s in range(60):
+        tree = path_tree(12) if s % 2 else random_tree(12, Rng(s, key=(0,)))
+        plan = prepare_plan(tree, sys, Rng(s, key=(1,)))
+        seen = {0: LabelState(sys)}
+
+        def on_checkpoint(state, t):
+            copy = LabelState(sys)
+            for bits in ("labels", "diffs", "diffs_rev"):
+                getattr(copy, bits).blocks = list(getattr(state, bits).blocks)
+            seen[t] = copy
+
+        res = run_labelling(plan, sys, Rng(s, key=(2,)), checkpoint_every=1,
+                            on_checkpoint=on_checkpoint, collect_trace=True)
+        if res.success or res.failures[0].site != FAIL_CHOOSE:
+            continue
+        chosen += 1
+        t = res.failures[0].step
+        state, iv = seen[t - 1], plan.interval_of[t - 1]
+        if t == 1:
+            assert state.first_mask(iv) == 0
+        else:
+            a = res.trace[plan.parent_pos[t - 1]].label
+            assert state.admissible_mask(a, iv) == 0
+    assert chosen >= 5

@@ -74,3 +74,17 @@ def test_randbelow_draws_nothing_for_one_and_rejects_zero():
     for n in (0, -1):
         with pytest.raises(ValueError):
             rng.randbelow(n)
+
+
+def test_randbelow_rejects_bounds_above_two_to_the_64():
+    # a 64-bit word covers at most 2**64 values; a larger n used to spin
+    # forever, since its threshold (2**64 - n) % n is 2**64
+    rng, ref = Rng(1), Rng(1)
+    for k in range(2 * _BUF + 3):  # up to and across refills
+        for n in (TOP + 1, TOP + 2, 2 * TOP, 1 << 200):
+            with pytest.raises(ValueError):
+                rng.randbelow(n)
+        # the failed calls took no word from the stream
+        assert rng.randbelow(TOP) == ref.randbelow(TOP)
+        assert rng._pos == ref._pos
+    assert Rng(1).randbelow(TOP) == OldRng(1).randbelow(TOP)
