@@ -12,13 +12,12 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
-
-from scipy.stats import beta as _beta
 
 from . import prepare
 from .intervals import IntervalSystem
@@ -230,13 +229,42 @@ class ExperimentResult:
 
 
 def exact_binomial_ci(k: int, n: int, level: float = 0.95) -> Tuple[float, float]:
-    """Equal-tailed exact (Clopper-Pearson) interval for k successes of n."""
+    """Equal-tailed exact (Clopper-Pearson) interval for k successes of n.
+
+    With a = (1 - level)/2 and X ~ Binomial(n, p), the lower end is the
+    p where P(X >= k) = a and the upper end the p where P(X <= k) = a
+    (the beta quantiles B(a; k, n-k+1) and B(1-a; k+1, n-k)).  Each is
+    found by bisection on that tail, summed in O(n) terms, to the float
+    resolution.
+    """
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
     a = (1 - level) / 2
-    lo = 0.0 if k == 0 else float(_beta.ppf(a, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta.ppf(1 - a, k + 1, n - k))
+    ln = math.lgamma(n + 1)
+    log_c = [ln - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+             for j in range(n + 1)]
+
+    def tail(p: float, js: range) -> float:
+        lp, lq = math.log(p), math.log1p(-p)
+        return math.fsum(math.exp(log_c[j] + j * lp + (n - j) * lq)
+                         for j in js)
+
+    lo = 0.0 if k == 0 else _bisect(lambda p: tail(p, range(k, n + 1)) < a)
+    hi = 1.0 if k == n else _bisect(lambda p: tail(p, range(k + 1)) > a)
     return lo, hi
+
+
+def _bisect(below) -> float:
+    """The point of (0, 1) where below(p) turns from true to false."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = (lo + hi) / 2
+        if mid <= lo or mid >= hi:
+            return mid
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def _summarize(cfg: ExperimentConfig,

@@ -20,7 +20,10 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
+import numpy as np
+
 from .params import ParamError
+from .rng import Rng
 
 _MAX_MATERIALIZED = 10 ** 8
 
@@ -101,10 +104,10 @@ class CorrectionDistribution:
     support lists every family interval with its exact mass; masses and
     star_probability share the denominator den and sum to exactly 1.
 
-    A draw is u = rng.randbelow(den): the null outcome when u is below
-    _star_cut, else _positive[bisect_right(_cuts, u)], the interval of
-    positive mass whose cumulative cut first exceeds u.  The label loop
-    (labeller.py) makes this draw inline.
+    A draw is a uniform u in 0..den - 1: the null outcome when u is
+    below _star_cut, else _positive[bisect_right(_cuts, u)], the
+    interval of positive mass whose cumulative cut first exceeds u.  The
+    label loop (labeller.py) takes an attempt's draws from hits.
     """
 
     __slots__ = ("kind", "support", "star_probability", "den", "_star_cut",
@@ -134,6 +137,32 @@ class CorrectionDistribution:
         assert cum == den
         self._cuts = cuts
         self._positive = positive
+
+    def hits(self, rng: Rng, steps: int) -> tuple[list[int], list[int]]:
+        """One draw per step 0..steps-1, step k's u being the k-th value
+        of rng.batches(den): the steps whose draw is an interval, in
+        order, and that interval's lo for each.
+
+        The draws are made a batch at a time in numpy (a compare with
+        the star cut, then searchsorted on the cuts), and only the hits
+        are kept, so memory is O(batch + hits).  A negative star
+        probability (a small system with a wide ell/m) makes the star
+        cut and the first cuts negative; they are read as 0, which
+        leaves every draw's outcome as it was.
+        """
+        star = np.uint64(max(self._star_cut, 0))
+        cuts = np.array([max(c, 0) for c in self._cuts], np.uint64)
+        los = np.array([iv.lo for iv in self._positive], np.int64)
+        at, lo = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        batches = rng.batches(self.den)
+        done = 0
+        while done < steps:
+            u = next(batches)[:steps - done]
+            hit = np.flatnonzero(u >= star)
+            at.append(hit + done)
+            lo.append(los[np.searchsorted(cuts, u[hit], side="right")])
+            done += len(u)
+        return np.concatenate(at).tolist(), np.concatenate(lo).tolist()
 
     def mass_of(self, iv: Interval) -> Fraction:
         for jv, mass in self.support:

@@ -13,13 +13,21 @@ after K misses is the whole window read and a rank selected in it.  Both
 are uniform on the same set, so the law is that of a draw from the
 window's mask; the expected cost is about 1/density tries plus a rare
 O(ell/64) fallback.
+
+The randomness comes in batches.  Every target interval has width ell
+and every correction window width m, so a try reads the next value of
+an endless width-ell (label) or width-m (pick) offset iterator,
+Rng.offsets, one next() each.  The correction laws do not depend on
+the label state, so an attempt draws both for all of its steps up front
+(CorrectionDistribution.hits) and keeps only the steps that hit.  Only
+the rare fallback ranks are single randbelow calls.  run_labelling's
+docstring gives each stream's address and the draw order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bitset import _LOW, _SHIFT, BLOCK_BITS, BlockBits, select
 from .intervals import (
@@ -37,12 +45,14 @@ FAIL_CORV = "corv-removal"
 FAIL_CORE = "core-removal"
 
 # uniform positions a draw tries before it reads its whole window (see
-# draw_label and pick_free).  On a shared 2-vCPU host a try costs about
-# 1 us whatever the width, the fallback about 4.4 us at ell = 512, 22 us
-# at 5120 and 110 us at 51200.  On a random 10^5-vertex tree (gamma =
-# 1/2, m = ell/4) 7.2% of label draws miss 8 tries and 1.8% miss 16, so
-# 16 tries cost about 3% more per draw than the best K at ell = 512 and
-# are near the best at ell = 1024 and above.
+# draw_label and pick_free).  On a shared 2-vCPU host a try cost about
+# 1 us whatever the width when it was one randbelow call, the fallback
+# about 4.4 us at ell = 512, 22 us at 5120 and 110 us at 51200.  On a
+# random 10^5-vertex tree (gamma = 1/2, m = ell/4) 7.2% of label draws
+# miss 8 tries and 1.8% miss 16, so 16 tries cost about 3% more per draw
+# than the best K at ell = 512 and are near the best at ell = 1024 and
+# above.  A try that reads an offset iterator is cheaper, which moves
+# the best K up, not down.
 K = 16
 TRIES = range(K)
 
@@ -144,25 +154,26 @@ class LabelState:
     def first_mask(self, iv: Interval) -> int:
         return self.labels.window(iv.lo, iv.hi - iv.lo + 1)
 
-    def draw_label(self, a: int, iv: Interval,
+    def draw_label(self, a: int, iv: Interval, offsets: Iterator[int],
                    randbelow: Callable[[int], int]) -> int:
         """A label drawn uniformly from the labels of iv admissible
         against parent label a (a = 0: no parent, only A is read), or -1
         when there is none.
 
-        Up to TRIES uniform positions of iv are tried, each accepted
-        when its label is free in A and its difference to a is free in
-        C: two bit reads.  After TRIES misses the draw falls back to
-        admissible_mask (first_mask) and select, which also finds an
-        empty window.  Every try and the fallback are uniform on the
-        same admissible set, so the draw is too.
+        Up to TRIES positions lo + next(offsets) of iv are tried
+        (offsets must be uniform on 0..width - 1), each accepted when
+        its label is free in A and its difference to a is free in C: two
+        bit reads.  After TRIES misses the draw falls back to
+        admissible_mask (first_mask) and select, with the rank drawn by
+        randbelow, which also finds an empty window.  Every try and the
+        fallback are uniform on the same admissible set, so the draw is
+        too.
         """
-        lo, hi = iv
-        w = hi - lo + 1
+        lo = iv.lo
         labels = self.labels.blocks
         diffs = self.diffs.blocks
         for _ in TRIES:
-            b = lo + randbelow(w)
+            b = lo + next(offsets)
             if labels[b >> _SHIFT] >> (b & _LOW) & 1:
                 if not a:
                     return b
@@ -174,17 +185,18 @@ class LabelState:
             randbelow)
 
 
-def pick_free(bits: BlockBits, lo: int, w: int,
+def pick_free(bits: BlockBits, lo: int, w: int, offsets: Iterator[int],
               randbelow: Callable[[int], int]) -> int:
     """A bit drawn uniformly from the set bits of bits in lo..lo+w-1, or
-    -1 when there is none: up to TRIES uniform positions, each one bit
-    read, then the window and select, as in LabelState.draw_label.
+    -1 when there is none: up to TRIES positions lo + next(offsets)
+    (offsets uniform on 0..w - 1), each one bit read, then the window
+    and select, as in LabelState.draw_label.
 
     lo..lo+w-1 must lie below the last block's end.
     """
     blocks = bits.blocks
     for _ in TRIES:
-        b = lo + randbelow(w)
+        b = lo + next(offsets)
         if blocks[b >> _SHIFT] >> (b & _LOW) & 1:
             return b
     return _rank_draw(bits.window(lo, w), lo, randbelow)
@@ -286,14 +298,18 @@ def _attempt(
     a_blocks = state.labels.blocks
     c_blocks = state.diffs.blocks
     mirror_blocks = state.diffs_rev.blocks
-    randbelow = rng.randbelow
-    # the correction laws, drawn here as CorrectionDistribution states:
-    # one randbelow(den), the null outcome below the star cut, else the
-    # interval at the bisected cumulative cut
-    corv_den, corv_star, corv_cuts = corv.den, corv._star_cut, corv._cuts
-    corv_los = [iv.lo for iv in corv._positive]
-    core_den, core_star, core_cuts = core.den, core._star_cut, core._cuts
-    core_los = [iv.lo for iv in core._positive]
+    # one stream per purpose; run_labelling documents the addresses
+    label_offsets = rng.child(0).offsets(sys.ell)
+    pick_offsets = rng.child(1).offsets(sys.m)
+    corv_at, corv_lo = corv.hits(rng.child(2), len(plan.order))
+    core_at, core_lo = core.hits(rng.child(3), len(plan.order))
+    randbelow = rng.child(4).randbelow
+    # the next hit of each law: index into its schedule, and its step
+    # (-1 past the last hit, which no step matches)
+    corv_at.append(-1)
+    core_at.append(-1)
+    ci = ei = 0
+    corv_next, core_next = corv_at[0], core_at[0]
     interval_of = plan.interval_of
     parent_pos = plan.parent_pos
     m = sys.m
@@ -310,7 +326,7 @@ def _attempt(
     for pos, vertex in enumerate(plan.order):
         t = pos + 1
         a = labels[parent_pos[pos]] if pos else 0
-        b = draw(a, interval_of[pos], randbelow)
+        b = draw(a, interval_of[pos], label_offsets, randbelow)
         if b < 0:
             failure = AttemptFailure(FAIL_CHOOSE, t)
             break
@@ -324,22 +340,22 @@ def _attempt(
             size_c -= 1
 
         corv_label = -1
-        u = randbelow(corv_den)
-        if u >= corv_star:
-            corv_label = pick_free(label_bits,
-                                   corv_los[bisect_right(corv_cuts, u)], m,
+        if pos == corv_next:
+            corv_label = pick_free(label_bits, corv_lo[ci], m, pick_offsets,
                                    randbelow)
+            ci += 1
+            corv_next = corv_at[ci]
             if corv_label < 0:
                 failure = AttemptFailure(FAIL_CORV, t)
                 break
             take_label(a_blocks, corv_label)
             size_a -= 1
         core_diff = -1
-        u = randbelow(core_den)
-        if u >= core_star:
-            core_diff = pick_free(diff_bits,
-                                  core_los[bisect_right(core_cuts, u)], m,
+        if pos == core_next:
+            core_diff = pick_free(diff_bits, core_lo[ei], m, pick_offsets,
                                   randbelow)
+            ei += 1
+            core_next = core_at[ei]
             if core_diff < 0:
                 failure = AttemptFailure(FAIL_CORE, t)
                 break
@@ -393,15 +409,23 @@ def run_labelling(
 ) -> LabelResult:
     """Run attempts until one completes or retries are exhausted.
 
-    Attempt k draws from rng.child(k).child(1); when replan is given,
-    attempts after the first rebuild the plan from rng.child(k).child(0),
-    otherwise every attempt reuses the given plan.  Draw order within a
-    step is fixed: the label's tries (at most K), then its fallback rank
-    if all K missed; the vertex-removal target, then the vertex
-    removal's tries and fallback rank; the edge-removal target, then the
-    edge removal's tries and fallback rank.  The result's step and removal
-    counts are those of the last attempt, whether or not a trace is
-    collected.
+    Attempt k draws from r = rng.child(k).child(1); when replan is
+    given, attempts after the first rebuild the plan from
+    rng.child(k).child(0), otherwise every attempt reuses the given
+    plan.  Each purpose of an attempt reads its own child of r, in step
+    order:
+
+    - r.child(0): the label tries, offsets(ell), at most K per step;
+    - r.child(1): the correction picks' tries, offsets(m), the vertex
+      pick's before the edge pick's;
+    - r.child(2), r.child(3): the vertex and the edge removal law,
+      batches(den), one value per step of the plan, drawn before the
+      first step;
+    - r.child(4): every fallback rank, randbelow, in the order the
+      label, the vertex pick and the edge pick fall back.
+
+    The result's step and removal counts are those of the last attempt,
+    whether or not a trace is collected.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")

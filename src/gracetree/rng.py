@@ -6,10 +6,29 @@ keys give independent streams, so components can split randomness by
 address instead of by draw order: consumers that draw from a child
 stream never disturb the parent.  The addressing rule is part of the
 reproducibility contract; summaries that promise byte-identical output
-depend on it.
+depend on it.  A stream serves one purpose and is read one way: by
+randbelow, or by batches and offsets, never both (each reads ahead).
+
+Bounded draws come in two forms, both exact:
+
+- randbelow(n): one Python call per draw, Lemire's multiply-and-reject
+  on 64-bit words.
+- batches(bound) and offsets(bound): mask-and-reject on the stream's raw
+  PCG64 words.  With k = bit_length(bound - 1), a word x yields
+  x & (2**k - 1) when that is below bound and nothing otherwise; the
+  masked value is uniform on 0..2**k - 1, so an accepted one is uniform
+  on 0..bound - 1, and at least half the words are accepted.  The rule
+  reads words one at a time in stream order, so a batch of any size
+  gives the same values as word-by-word reads (tests/oracles.py keeps
+  that reference).  It uses only numpy's raw word output, not
+  Generator.integers' bounded algorithm, which numpy does not promise
+  to keep stable across versions.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -73,3 +92,29 @@ class Rng:
             while m & _M64 < t:
                 m = self.next64() * n
         return m >> 64
+
+    def batches(self, bound: int) -> Iterator[np.ndarray]:
+        """Endless iterator of uint64 arrays of draws uniform on
+        0..bound - 1: each array holds the values that one batch of _BUF
+        raw words yields under the mask-and-reject rule (see the module
+        docstring), so their concatenation is the stream's sequence of
+        bounded draws.  bound must lie in 1..2**63 (ValueError here, not
+        at the first next())."""
+        if not 1 <= bound <= 1 << 63:
+            raise ValueError("batches needs 1 <= bound <= 2**63")
+        return self._batches(np.uint64((1 << (bound - 1).bit_length()) - 1),
+                             np.uint64(bound))
+
+    def _batches(self, low: np.uint64, bound: np.uint64):
+        raw = self.np.bit_generator.random_raw
+        while True:
+            x = raw(_BUF)
+            x &= low
+            yield x[x < bound]
+
+    def offsets(self, bound: int) -> Iterator[int]:
+        """Endless iterator of Python ints uniform on 0..bound - 1: the
+        draws of batches(bound) one by one, so one draw costs one next()
+        in C between refills."""
+        return chain.from_iterable(map(np.ndarray.tolist,
+                                       self.batches(bound)))

@@ -40,10 +40,15 @@ def _fault(n: int, us, vs) -> str:
 
 def _connected(n: int, off: np.ndarray, nbr: np.ndarray) -> bool:
     """Whether the CSR graph on 1..n is connected (scipy's
-    connected_components; vertex 0 is an isolated row of its own)."""
+    connected_components; vertex 0 is an isolated row of its own).
+
+    The adjacency holds every edge in both directions, so its strong
+    components are its components; asking for strong ones spares the
+    transpose that weak ones take.
+    """
     graph = csr_matrix((np.ones(len(nbr), np.int8), nbr, off),
                        shape=(n + 1, n + 1))
-    return connected_components(graph, directed=True, connection="weak",
+    return connected_components(graph, directed=True, connection="strong",
                                 return_labels=False) == 2
 
 

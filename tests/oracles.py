@@ -11,14 +11,20 @@ reversing a string), before it read the labeller's blocked state.
 snapshot builds a LabelState holding given sets, through remove_label
 and remove_diff: checked removals that keep size_a and size_c, as
 LabelState's methods did before the label loop kept those counts in
-locals.  sample is CorrectionDistribution.sample, the draw the label
-loop now makes inline.  mask_select_label and mask_select_pick are the
-label draw and the correction pick as they stood, one whole-window mask
-and one select per draw, before the draws tried single positions first;
-they are also the draws' fallback.  OldRng is rng.Rng's stream as it stood, with
+locals.  sample is CorrectionDistribution.sample, one draw of a
+correction law by randbelow, as the label loop made it before it drew
+each law for a whole attempt (CorrectionDistribution.hits).
+mask_select_label and mask_select_pick are the label draw and the
+correction pick as they stood, one whole-window mask and one select
+per draw, before the draws tried single positions first; they are also
+the draws' fallback.  OldRng is rng.Rng's stream as it stood, with
 next64 called once per word of randbelow.  old_labelling_check and
 old_verify_graceful are Labelling's construction check and
 verify_graceful as exact walks over psi, before the numpy path.
+word_draws is Rng.batches' mask-and-reject rule read one raw word at a
+time, and scalar_labelling is run_labelling's loop as a scalar
+transcription on explicit sets that reads every offset and law value
+through word_draws, from the addresses run_labelling documents.
 """
 
 import bisect
@@ -27,8 +33,11 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from gracetree.bitset import mask, select, window
-from gracetree.intervals import IntervalSystem
-from gracetree.labeller import LabelState, take_diff, take_label
+from gracetree.intervals import (IntervalSystem, core_distribution,
+                                 corv_distribution)
+from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV, K,
+                                AttemptFailure, LabelResult, LabelState,
+                                TraceRow, take_diff, take_label)
 from gracetree.rng import _BUF, Rng
 from gracetree.verify import VerifyReport
 from gracetree.quasirandom import QuasiReport, x1, x2, x3, x4
@@ -133,6 +142,106 @@ class OldRng(Rng):
             m = self.next64() * n
             if (m & _M64) >= t:
                 return m >> 64
+
+
+def word_draws(rng, bound):
+    """Uniform draws on 0..bound - 1 from rng's raw words, one word at a
+    time: word x gives x & (2**k - 1), k = bit_length(bound - 1), when
+    that is below bound."""
+    low = (1 << (bound - 1).bit_length()) - 1
+    raw = rng.np.bit_generator.random_raw
+    while True:
+        x = int(raw()) & low
+        if x < bound:
+            yield x
+
+
+def _law_draw(dist, u):
+    """lo of the interval that law value u picks, or -1 for the null
+    outcome."""
+    if u < dist._star_cut:
+        return -1
+    return dist._positive[bisect.bisect_right(dist._cuts, u)].lo
+
+
+def _uniform_member(lo, w, ok, offsets, rank, tries):
+    """lo + offset for the first of tries offsets whose value passes ok,
+    else a rank-drawn one of the passing values in lo..lo+w-1, or -1."""
+    for _ in range(tries):
+        x = lo + next(offsets)
+        if ok(x):
+            return x
+    cands = [x for x in range(lo, lo + w) if ok(x)]
+    return cands[rank(len(cands))] if cands else -1
+
+
+def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
+    """run_labelling(..., collect_trace=True) as a scalar loop on sets A
+    and C: each try offset and law value is one word_draws value, each
+    step reads one value of both laws, and a fallback ranks the sorted
+    candidates with randbelow."""
+    corv, core = corv_distribution(sys), core_distribution(sys)
+    nt, m = sys.n_tilde, sys.m
+    failures = []
+    for k in range(max_retries + 1):
+        s = rng.child(k)
+        if k and replan is not None:
+            plan = replan(s.child(0))
+        r = s.child(1)
+        label_offsets = word_draws(r.child(0), sys.ell)
+        pick_offsets = word_draws(r.child(1), m)
+        corv_draws = word_draws(r.child(2), corv.den)
+        core_draws = word_draws(r.child(3), core.den)
+        rank = r.child(4).randbelow
+        A, C = set(range(1, nt + 1)), set(range(1, nt))
+        labels, trace = [], []
+        steps = corv_hits = core_hits = 0
+        failure = None
+        for pos, vertex in enumerate(plan.order):
+            t = pos + 1
+            a = labels[plan.parent_pos[pos]] if pos else None
+            iv = plan.interval_of[pos]
+            b = _uniform_member(
+                iv.lo, iv.width,
+                lambda x: x in A and (a is None or abs(x - a) in C),
+                label_offsets, rank, tries)
+            if b < 0:
+                failure = AttemptFailure(FAIL_CHOOSE, t)
+                break
+            A.remove(b)
+            labels.append(b)
+            edge = -1 if a is None else abs(b - a)
+            C.discard(edge)
+            picked = []
+            for law, draws, free, site in ((corv, corv_draws, A, FAIL_CORV),
+                                           (core, core_draws, C, FAIL_CORE)):
+                lo = _law_draw(law, next(draws))
+                x = -1
+                if lo >= 0:
+                    x = _uniform_member(lo, m, free.__contains__,
+                                        pick_offsets, rank, tries)
+                    if x < 0:
+                        failure = AttemptFailure(site, t)
+                        break
+                    free.remove(x)
+                picked.append(x)
+            if failure is not None:
+                break
+            corv_label, core_diff = picked
+            steps = t
+            corv_hits += corv_label >= 0
+            core_hits += core_diff >= 0
+            trace.append(TraceRow(t, vertex, b, edge, corv_label, core_diff,
+                                  len(A), len(C)))
+        if failure is None:
+            break
+        failures.append(failure)
+    return LabelResult(
+        success=failure is None,
+        psi=None if failure else dict(zip(plan.order, labels)),
+        plan=plan, attempts=k + 1, failures=tuple(failures),
+        trace=tuple(trace), steps=steps, corv_hits=corv_hits,
+        core_hits=core_hits)
 
 
 def old_labelling_check(tree, psi, m):

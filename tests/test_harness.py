@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -83,7 +84,7 @@ def test_trial_failure_record():
     tr = run_trial(cfg, 0, 0, collect_trace=True)
     rec = tr.record
     assert rec.outcome == "fail" and tr.labelling is None
-    assert rec.failure_site == "choose-label" and rec.failure_step == 143
+    assert rec.failure_site == "choose-label" and rec.failure_step == 188
     assert rec.attempts == 1
     assert rec.quasi1_max_dev == -1.0  # no checkpoints fired
     assert rec.steps == len(tr.result.trace) == rec.failure_step - 1
@@ -166,6 +167,46 @@ def test_exact_binomial_ci_closed_forms():
         exact_binomial_ci(5, 4)
 
 
+def _ci_cases():
+    """(k, n) pairs over 0 <= k <= n <= 2000: every k for n <= 25, the
+    edges and middle of n = 2000, and random pairs."""
+    rnd = random.Random(3)
+    cases = [(k, n) for n in range(1, 26) for k in range(n + 1)]
+    cases += [(k, 2000) for k in (0, 1, 2, 1000, 1998, 1999, 2000)]
+    for n in (rnd.randint(26, 2000) for _ in range(20)):
+        cases.append((rnd.randint(0, n), n))
+    return cases
+
+
+@pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
+def test_exact_binomial_ci_matches_scipy_beta_quantiles(level):
+    from scipy.stats import beta
+
+    a = (1 - level) / 2
+    for k, n in _ci_cases():
+        lo, hi = exact_binomial_ci(k, n, level)
+        want_lo = 0.0 if k == 0 else beta.ppf(a, k, n - k + 1)
+        want_hi = 1.0 if k == n else beta.ppf(1 - a, k + 1, n - k)
+        assert abs(lo - want_lo) <= 1e-12 and abs(hi - want_hi) <= 1e-12, (
+            k, n)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of a CLI call's start-up; a fresh
+    # interpreter, since this one may have imported it already
+    import subprocess
+    import sys
+
+    import gracetree
+
+    src = os.path.dirname(os.path.dirname(gracetree.__file__))
+    code = "import sys, gracetree.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
+
+
 def test_trace_csv_shape():
     cfg = small_cfg()
     tr = run_trial(cfg, 0, 0, collect_trace=True)
@@ -245,13 +286,13 @@ def test_untraced_record_equals_traced():
 
 
 def test_reports_are_scoped_to_the_last_attempt():
-    # attempts fail at steps 1363, 1459, 1308 and 588: the first three
+    # attempts fail at steps 1310, 1152, 1273 and 916: the first three
     # pass the checkpoint at 1000, the last one dies before it
     cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=16, ell=128,
-                           trials=1, seed=9, checkpoint_every=1000)
+                           trials=1, seed=6, checkpoint_every=1000)
     tr = run_trial(cfg, 0, 0)
     steps = [f.step for f in tr.result.failures]
-    assert steps == [1363, 1459, 1308, 588]
+    assert steps == [1310, 1152, 1273, 916]
     assert tr.reports == ()
     rec = tr.record
     assert rec.quasi1_max_dev == rec.quasi2_max_dev == -1.0
@@ -265,19 +306,19 @@ def test_reports_are_scoped_to_the_last_attempt():
 # draws that the rejection draws replaced, and still fall back to.
 GOLDEN = {
     "success_labelling":
-        "13604fdea0004338c4098e330a39b041b27fee12adbaaed6f722d3e31b2ade24",
+        "c2a3e5d481ae0f092895dfa4bc2120acc9324bff4b08f9c0ce1a374126540194",
     "success_trace":
-        "d84810a0fac4f28b1ffa9389ed1b79727e765940468ebbe566fbafe2f344e7aa",
+        "59a1a0bee682a01e372873716d1306d036347f301fab63ef77e45988c0559694",
     "retry_trace":
-        "39db0f6f259f83c107c67ef90b33e5740a8f05b007478804d8d786be670431b8",
+        "ca051986c81afd759cd30ba542dae1e89a0cf3ac525495545b474db60615b600",
 }
 GOLDEN_MASK_SELECT = {
     "success_labelling":
-        "4e3ee0b0bf1956a90eefb9ccd0e9ccc8e485b010cc020938082cabaae6c01e21",
+        "159f481976c2db190e36495396d5ba0fcc4f9f96807e76c078b90f8337944d75",
     "success_trace":
-        "579bd4ad06475305345d443bb1f10dc8b0cbae9f4844a33020d81de63e4557bc",
+        "0d31798fba7f39397b9387e09c77dc48fe40e1d285b5566dd11f269d9c0ff631",
     "retry_trace":
-        "d072071cb3e4a2dde16f1a2b7dbd46f4500cc4837ddacce21deaf303b5869355",
+        "726fb3c3c8c9c62e143546c74a524ac7bb66be38c7fbaabf07ee0763df654f06",
 }
 
 
@@ -311,19 +352,20 @@ def test_golden_digests_without_tries(monkeypatch):
     assert _golden_runs() == GOLDEN_MASK_SELECT
 
 
-# Two retrying trials at n = 2000, m = 32, ell = 256: SHA-256 of the
-# record without wall_time, of the labelling (None on failure) and of the
-# trace.  The fourth attempt fails in the first and succeeds in the second.
+# Two retrying trials at n = 2000, m = 32, ell = 256: the outcome, the
+# attempts, and SHA-256 of the record without wall_time, of the
+# labelling (None on failure) and of the trace.  The first fails all
+# four attempts, the second succeeds on its third.
 GOLDEN_RETRIES = [
-    (dict(gamma=Fraction(1, 5), seed=0), "fail",
-     "3a23fe8eab7d74d328b7b2196e6418ef54777f6105320112a80c50b1eda6ebbd",
+    (dict(gamma=Fraction(1, 5), seed=0), "fail", 4,
+     "4e9c3c1f73f479727aa63bb12c142495d84a315efeb575d12d5d303080857f18",
      None,
-     "dfb57f74c4e2858b049769b2ec9c88d6334757c10884e64bd9329057f0b988db"),
+     "331794f95eefb3129cbb09ba759af325852404159f8fcef5ec18321434e88fc0"),
     (dict(gamma=Fraction(1, 2), seed=5, retries=6, max_component=8),
-     "success",
-     "6f2ed44be95c5c8fe80abe1e80e5053668d0165fee73e7d92aa33652fc7ed08a",
-     "c88cad900810ccd1f88c272f8df5efbcef7195ba632116a1c7934f329f139642",
-     "6f24d6c315188ae2d4f5642c0bccdf72bb41910c8953ea5371894fc5dddfd918"),
+     "success", 3,
+     "585d5fcabc69df7335597ed40642d2c878abf60b06686c21bd6695de35a5fad8",
+     "9dd1772b5d816111bdb1915b6644066a591053a630d463625b326343d202be20",
+     "cf19cb00e356b8cafb81e1deb7f92e1f3d6decff3a9cda2be144f58ac947d85d"),
 ]
 
 
@@ -340,12 +382,13 @@ def test_retries_redraw_only_the_intervals(monkeypatch):
         fn = getattr(prepare, name)
         monkeypatch.setattr(prepare, name, lambda *a, fn=fn, name=name, **k:
                             calls.append(name) or fn(*a, **k))
-    for over, outcome, rec_sha, lab_sha, trace_sha in GOLDEN_RETRIES:
+    for (over, outcome, attempts, rec_sha, lab_sha,
+         trace_sha) in GOLDEN_RETRIES:
         calls.clear()
         cfg = ExperimentConfig(n=(2000,), m=32, ell=256, trials=1,
                                checkpoint_every=500, quasi_per_kind=4, **over)
         tr = run_trial(cfg, 0, 0, collect_trace=True)
-        assert (tr.record.outcome, tr.record.attempts) == (outcome, 4)
+        assert (tr.record.outcome, tr.record.attempts) == (outcome, attempts)
         assert calls == ["cut_tree_by_size", "order_vertices"]
         row = dataclasses.asdict(tr.record)
         del row["wall_time"]

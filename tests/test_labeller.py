@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from scipy.stats import chisquare
@@ -24,7 +25,8 @@ from gracetree.prepare import prepare_plan
 from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree
 from oracles import (admissible_labels, full_ints, mask_select_label,
-                     mask_select_pick, remove_diff, remove_label)
+                     mask_select_pick, remove_diff, remove_label,
+                     scalar_labelling)
 
 
 def check_graceful_prefix(tree, psi):
@@ -338,9 +340,10 @@ def _assert_law(draw, mask_bits, lo, w, seed, size):
     ("dense", 52), ("sparse", 4), ("inside", 15), ("empty", 0)])
 def test_label_draw_is_uniform_on_the_admissible_set(case, size):
     state, a = _law_state(case)
-    _assert_law(lambda rb: state.draw_label(a, WIN, rb),
-                state.admissible_mask(a, WIN), WIN.lo, WIN.hi - WIN.lo + 1,
-                seed=11, size=size)
+    w = WIN.hi - WIN.lo + 1
+    _assert_law(lambda rb: state.draw_label(a, WIN, map(rb, repeat(w)), rb),
+                state.admissible_mask(a, WIN), WIN.lo, w, seed=11,
+                size=size)
 
 
 @pytest.mark.parametrize("kind", ["label", "diff"])
@@ -349,8 +352,8 @@ def test_label_draw_is_uniform_on_the_admissible_set(case, size):
 def test_correction_pick_is_uniform_on_the_free_set(kind, case, size):
     bits, lo = _pick_state(case, kind)
     m = LAW_SYS.m
-    _assert_law(lambda rb: pick_free(bits, lo, m, rb), bits.window(lo, m),
-                lo, m, seed=12, size=size)
+    _assert_law(lambda rb: pick_free(bits, lo, m, map(rb, repeat(m)), rb),
+                bits.window(lo, m), lo, m, seed=12, size=size)
 
 
 @pytest.mark.parametrize("case", ["dense", "sparse", "inside", "empty"])
@@ -360,12 +363,12 @@ def test_without_tries_the_draws_are_mask_and_select(case, monkeypatch):
     state, a = _law_state(case)
     got, want = Rng(5), Rng(5)
     for _ in range(500):
-        assert (state.draw_label(a, WIN, got.randbelow)
+        assert (state.draw_label(a, WIN, iter(()), got.randbelow)
                 == mask_select_label(state, a, WIN, want.randbelow))
     for kind in ("label", "diff"):
         bits, lo = _pick_state("dense" if case == "inside" else case, kind)
         for _ in range(500):
-            assert (pick_free(bits, lo, LAW_SYS.m, got.randbelow)
+            assert (pick_free(bits, lo, LAW_SYS.m, iter(()), got.randbelow)
                     == mask_select_pick(bits, lo, LAW_SYS.m, want.randbelow))
     assert got._pos == want._pos
 
@@ -400,3 +403,51 @@ def test_label_draw_fails_exactly_at_an_empty_window():
             a = res.trace[plan.parent_pos[t - 1]].label
             assert state.admissible_mask(a, iv) == 0
     assert chosen >= 5
+
+
+def _scalar_cases():
+    """(name, system, trees, prepare_plan kwargs) of the oracle
+    comparison: a tiny system that fails at all three sites, retry-tight's
+    point (corrections fail, every attempt retries), two systems that
+    succeed after retrying, and a 5000-step success whose law
+    schedules and offsets span several batches."""
+    yield "tiny", IntervalSystem(12, 1, 2), [
+        path_tree(12) if s % 2 else random_tree(12, Rng(s, key=(0,)))
+        for s in range(10)], {}
+    p = derive_practical_params(1000, Fraction(1, 5), 32, 512)
+    yield ("retry-tight", IntervalSystem(p.n_tilde, p.m, p.ell),
+           [random_tree(1000, Rng(s, key=(0,))) for s in range(3)], {})
+    yield ("moderate", IntervalSystem(84, 14, 28),
+           [random_tree(48, Rng(s, key=(0,))) for s in (42, 43)], {})
+    p = derive_practical_params(2000, Fraction(1, 2), 32, 256)
+    yield ("wide", IntervalSystem(p.n_tilde, p.m, p.ell),
+           [random_tree(2000, Rng(5, key=(0,)))], dict(max_component=8))
+    p = derive_practical_params(5000, Fraction(1, 2), 32, 128)
+    yield ("long", IntervalSystem(p.n_tilde, p.m, p.ell),
+           [random_tree(5000, Rng(0, key=(0,)))], dict(max_component=8))
+
+
+@pytest.mark.parametrize("tries", [K, 0])
+def test_batched_loop_matches_scalar_oracle(tries, monkeypatch):
+    # the batched draws (offset iterators, law schedules) against a
+    # scalar loop reading each value one raw word at a time; tries = 0
+    # is the mask-and-select mode (TRIES empty)
+    monkeypatch.setattr(labeller, "TRIES", range(tries))
+    sites, retried_successes = set(), 0
+    for name, sys, trees, prep in _scalar_cases():
+        for s, tree in enumerate(trees):
+            def replan(r, tree=tree):
+                return prepare_plan(tree, sys, r, **prep)
+
+            plan = replan(Rng(s, key=(1,)))
+            kwargs = dict(max_retries=300 if name == "moderate" else 3,
+                          replan=replan)
+            got = run_labelling(plan, sys, Rng(s, key=(2,)),
+                                collect_trace=True, **kwargs)
+            want = scalar_labelling(plan, sys, Rng(s, key=(2,)),
+                                    tries=tries, **kwargs)
+            assert got == want, (name, s)
+            sites |= {f.site for f in got.failures}
+            retried_successes += got.success and got.attempts > 1
+    assert sites == {FAIL_CHOOSE, FAIL_CORV, FAIL_CORE}
+    assert retried_successes >= 1

@@ -1,13 +1,21 @@
 """Rng.randbelow against the two-call form it replaced (OldRng in
 tests/oracles.py): same values and same buffer position after every
-draw, on bounds that reach the rejection loop and across refills."""
+draw, on bounds that reach the rejection loop and across refills.
+Rng.batches and Rng.offsets against the word-at-a-time form of their
+rule (word_draws in tests/oracles.py), and their law."""
 
 import random
+from fractions import Fraction
+from itertools import islice
 
+import numpy as np
 import pytest
+from scipy.stats import chisquare
 
+from gracetree.intervals import IntervalSystem, core_distribution
+from gracetree.params import derive_practical_params
 from gracetree.rng import _BUF, Rng
-from oracles import OldRng
+from oracles import OldRng, word_draws
 
 TOP = 1 << 64
 
@@ -88,3 +96,68 @@ def test_randbelow_rejects_bounds_above_two_to_the_64():
         assert rng.randbelow(TOP) == ref.randbelow(TOP)
         assert rng._pos == ref._pos
     assert Rng(1).randbelow(TOP) == OldRng(1).randbelow(TOP)
+
+
+def _scaled_core_den():
+    """The edge law's denominator at the paper's scaled point for
+    n = 10^6 (m = 12800, ell = 51200): above 2**32."""
+    p = derive_practical_params(10 ** 6, Fraction(1, 2), 12800, 51200)
+    den = core_distribution(IntervalSystem(p.n_tilde, p.m, p.ell)).den
+    assert den > 1 << 32
+    return den
+
+
+BATCH_BOUNDS = [1, 2, 3, 96, 1000, (1 << 32) + 1, (1 << 62) + 1,
+                (1 << 63) - 1, 1 << 63]
+
+
+@pytest.mark.parametrize("bound", BATCH_BOUNDS + ["den"])
+def test_batches_match_word_at_a_time_reads(bound):
+    if bound == "den":
+        bound = _scaled_core_den()
+    count = 3 * _BUF + 17  # across several refills
+    got = list(islice(Rng(4, key=(1, 2)).offsets(bound), count))
+    want = list(islice(word_draws(Rng(4, key=(1, 2)), bound), count))
+    assert got == want
+    assert all(type(x) is int and 0 <= x < bound for x in got)
+    arrays = list(islice(Rng(4, key=(1, 2)).batches(bound), 8))
+    assert all(a.dtype == np.uint64 for a in arrays)
+    assert np.concatenate(arrays)[:count].tolist() == want
+
+
+def test_batches_reject_bounds_outside_one_to_two_to_the_63():
+    for bound in (0, -1, (1 << 63) + 1, 1 << 64):
+        with pytest.raises(ValueError):
+            Rng(0).batches(bound)
+        with pytest.raises(ValueError):
+            Rng(0).offsets(bound)
+
+
+DRAWS = 200_000
+
+
+@pytest.mark.parametrize("bound", [96, 1000, 1, "den"])
+def test_batched_draws_are_uniform(bound):
+    if bound == "den":
+        bound = _scaled_core_den()
+    u = np.array(list(islice(Rng(9, key=(3,)).offsets(bound), DRAWS)),
+                 dtype=np.uint64)
+    assert int(u.max()) < bound
+    if bound == 1:
+        assert not u.any()
+        return
+    if bound <= 1000:  # every value is a cell
+        obs = np.bincount(u.astype(np.int64), minlength=bound)
+        assert chisquare(obs).pvalue > 1e-3
+        return
+    # a wide bound: 64 cells of (almost) equal width by the top of the
+    # range, expected counts from their exact sizes, and 64 by the low
+    # bits; and a 3-SE check of the mean
+    edges = [-(-j * bound // 64) for j in range(65)]
+    obs = np.histogram(u.astype(np.float64), bins=np.array(edges, float))[0]
+    exp = DRAWS * np.diff(edges) / bound
+    assert chisquare(obs, exp).pvalue > 1e-3
+    low = np.bincount((u & np.uint64(63)).astype(np.int64), minlength=64)
+    assert chisquare(low).pvalue > 1e-3
+    mean = u.astype(np.float64).mean() / bound
+    assert abs(mean - 0.5) <= 3 * np.sqrt(1 / 12 / DRAWS)
