@@ -145,13 +145,19 @@ class CorrectionDistribution:
 
         The draws are made a batch at a time in numpy (a compare with
         the star cut, then searchsorted on the cuts), and only the hits
-        are kept, so memory is O(batch + hits).  A negative star
-        probability (a small system with a wide ell/m) makes the star
-        cut and the first cuts negative; they are read as 0, which
-        leaves every draw's outcome as it was.
+        are kept, so memory is O(batch + hits).
+
+        A law whose star probability is negative (a system with
+        n_tilde/m < 4(ell/m - 1)) is no probability law, so drawing from
+        it raises ParamError; its masses can still be read.
         """
-        star = np.uint64(max(self._star_cut, 0))
-        cuts = np.array([max(c, 0) for c in self._cuts], np.uint64)
+        if self.star_probability < 0:
+            raise ParamError(
+                f"the {self.kind} correction law has star probability "
+                f"{self.star_probability} < 0: need n_tilde/m >= "
+                f"4(ell/m - 1)")
+        star = np.uint64(self._star_cut)
+        cuts = np.array(self._cuts, np.uint64)
         los = np.array([iv.lo for iv in self._positive], np.int64)
         at, lo = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         batches = rng.batches(self.den)

@@ -72,9 +72,10 @@ class LabelState:
     picks (pick_free) read one bit of A or C per try likewise, and every
     removal rewrites one block (take_label, take_diff).  So a step costs
     O(1/density) bit reads plus, rarely, O(ell/64) words, whatever
-    n_tilde is.  The audit (quasirandom.py) reads the same windows
-    through admissible_mask and first_mask, so no other copy of the
-    label state exists.
+    n_tilde is.  The audit (quasirandom.py) counts its sampled patterns
+    on the same windows through admissible_mask and first_mask, and
+    reads the block lists of A and C as numpy word arrays once per
+    checkpoint; it keeps no copy of the label state between checkpoints.
 
     size_a and size_c are |A| and |C|; steps_done, corv_hits and
     core_hits count completed steps and the corrective removals made in

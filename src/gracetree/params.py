@@ -203,7 +203,10 @@ def derive_practical_params(n: int, gamma, m: int, ell: int,
     """Desk-scale parameters with user-chosen m and ell.
 
     n_tilde = ceil((1+gamma) n) rounded up to a multiple of 2m; requires
-    m | ell and ell < n_tilde/2.
+    m | ell, ell < n_tilde/2 and n_tilde/m >= 4(ell/m - 1).  The last
+    keeps the null outcome of both correction laws at a nonnegative
+    mass: with N = n_tilde/m windows and N - 2(ell/m - 1) target
+    intervals, that mass is (N - 4(ell/m - 1)) / (N - 2(ell/m - 1)).
     """
     gamma = _as_fraction(gamma)
     n, m, ell = int(n), int(m), int(ell)
@@ -220,6 +223,11 @@ def derive_practical_params(n: int, gamma, m: int, ell: int,
     n_tilde = nt0 if r == 0 else nt0 + (2 * m - r)
     if 2 * ell >= n_tilde:
         raise ParamError(f"need ell < n_tilde/2: ell = {ell}, n_tilde = {n_tilde}")
+    if n_tilde // m < 4 * (ell // m - 1):
+        raise ParamError(
+            f"need n_tilde/m >= 4(ell/m - 1) for a nonnegative null mass "
+            f"in the correction laws: n_tilde/m = {n_tilde // m}, "
+            f"ell/m = {ell // m}")
     return Params(mode="practical", gamma=gamma, n=n, n_tilde=n_tilde,
                   m=m, ell=ell, alpha0=Fraction(alpha0), alpha1=Fraction(alpha1))
 

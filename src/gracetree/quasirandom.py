@@ -5,9 +5,14 @@ free vertex and edge labels, read where the labeller keeps them: the
 windows of its LabelState.  X1 is a bare free slot, X3 an anchor
 joined to a free slot, X2 an anchor plus a fixed edge label between two
 free slots, and X4 two anchors joined through one free slot.  Counts on
-width-m slots never exceed m, and their deviations from the ambient
-density prediction (a fresh LabelState) are the QUASI2 statistic;
-QUASI1 sweeps the edge windows directly.  All counting is read-only.
+width-m slots never exceed m.  Their deviations from the ambient
+density prediction are the QUASI2 statistic.  The ambient count is the
+count on the full state (every label and every difference free), so it
+depends only on the pattern's geometry and has a closed form.  QUASI1
+compares the free differences of every edge window with their expected
+number; all window counts come from one numpy pass over C's words.
+Every deviation is an exact integer ratio, rounded once to a float.
+All counting is read-only.
 
 Also computed here: the idealized per-step consumption estimates
 (exact rationals) used as run diagnostics, and the window check for
@@ -16,13 +21,15 @@ structure counts over a target interval and its complement.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .bitset import BLOCK_BITS, BlockBits, select
+import numpy as np
+
+# select is not called here (_Words maps ranks in numpy); the binding
+# stays because perfbench's traced runs wrap quasirandom.select
+from .bitset import BLOCK_BITS, BlockBits, select  # noqa: F401
 from .intervals import Interval, IntervalSystem
 from .labeller import LabelState
 from .params import ParamError
@@ -120,31 +127,64 @@ def count_structure(X: Structure, state: LabelState) -> int:
     (for X2 also distinct from the fixed edge label c).  Every count is
     read from the state's slot windows, so it costs O(width/64) words.
     """
-    iv = X.slot
-    if X.kind == "X1":
+    return _count(state, X.kind, X.a, X.a2, X.c, X.slot, X.slot2)
+
+
+def _count(state: LabelState, kind: str, a, a2, c, iv: Interval,
+           iv2) -> int:
+    """count_structure on a pattern given by its fields, the one counter
+    behind count_structure and the audit's sampled patterns."""
+    if kind == "X1":
         return state.first_mask(iv).bit_count()
-    hits = state.admissible_mask(X.a, iv)
-    if X.kind == "X3":
+    hits = state.admissible_mask(a, iv)
+    if kind == "X3":
         return hits.bit_count()
-    if X.kind == "X4":
-        hits &= state.admissible_mask(X.a2, iv)
-        twice_mid = X.a + X.a2
+    if kind == "X4":
+        hits &= state.admissible_mask(a2, iv)
+        twice_mid = a + a2
         # equal induced labels force b equidistant from both anchors
         if twice_mid % 2 == 0 and iv.lo <= twice_mid // 2 <= iv.hi:
             hits &= ~(1 << (twice_mid // 2 - iv.lo))
         return hits.bit_count()
     # X2: the induced label |a - b| may not repeat the fixed label c
-    for b in (X.a - X.c, X.a + X.c):
+    for b in (a - c, a + c):
         if iv.lo <= b <= iv.hi:
             hits &= ~(1 << (b - iv.lo))
     # partner b' = b + c or b - c; b' = a is impossible once |a - b| != c.
     # Bit k of hits is label iv.lo + k, so b +- c sits at bit
     # iv.lo +- c - iv2.lo of slot2's window.
-    iv2 = X.slot2
     avail2 = state.first_mask(iv2)
-    up = _shift(hits, iv.lo + X.c - iv2.lo) & avail2
-    down = _shift(hits, iv.lo - X.c - iv2.lo) & avail2
+    up = _shift(hits, iv.lo + c - iv2.lo) & avail2
+    down = _shift(hits, iv.lo - c - iv2.lo) & avail2
     return up.bit_count() + down.bit_count()
+
+
+def _ambient(kind: str, a, a2, c, iv: Interval, iv2) -> int:
+    """_count on the full state, where every label 1..n_tilde and every
+    difference 1..n_tilde-1 is free, for slots inside 1..n_tilde.
+
+    There a slot label b is admissible against an anchor exactly when
+    b is not the anchor, so the count is the slot width less the labels
+    the pattern bans.
+    """
+    lo, hi = iv
+    if kind == "X1":
+        return hi - lo + 1
+    if kind == "X3":
+        return hi - lo + 1 - (lo <= a <= hi)
+    if kind == "X4":
+        twice_mid = a + a2
+        return (hi - lo + 1 - (lo <= a <= hi) - (lo <= a2 <= hi)
+                - (twice_mid % 2 == 0 and lo <= twice_mid // 2 <= hi))
+    # X2: sources b whose partner b + s lies in slot2, for s = +c and
+    # -c, less the banned sources a, a - c and a + c among them
+    total = 0
+    for s in (c, -c):
+        x, y = max(lo, iv2.lo - s), min(hi, iv2.hi - s)
+        if x <= y:
+            total += (y - x + 1 - (x <= a <= y) - (x <= a - c <= y)
+                      - (x <= a + c <= y))
+    return total
 
 
 @dataclass(frozen=True)
@@ -161,6 +201,7 @@ class QuasiReport:
     checkpoint: int
     alpha: float
     quasi1_max_dev: float
+    quasi1_argmax_lo: int  # lo of the edge window with the largest QUASI1
     quasi2_devs: Tuple[float, ...]
 
     @property
@@ -173,23 +214,42 @@ class QuasiReport:
                 and self.quasi2_max_dev <= self.alpha)
 
 
-class _Ranks:
-    """Rank-to-element map of one BlockBits, fixed for one checkpoint.
+class _Words:
+    """Rank and select on one BlockBits, fixed for one checkpoint.
 
-    Cumulative block popcounts locate the block holding rank k by
-    bisection; one select on that block finishes the draw.
+    The blocks are read once as little-endian 64-bit words, plus one zero
+    word past the end, and below[i] counts the set bits of words
+    0..i-1.  Setting up costs O(N/64) words in numpy for a universe of
+    size N; each query is then O(1) array work per position or rank.
     """
 
-    __slots__ = ("blocks", "cum")
+    __slots__ = ("words", "below")
 
     def __init__(self, bits: BlockBits):
-        self.blocks = bits.blocks
-        self.cum = list(accumulate(b.bit_count() for b in bits.blocks))
+        raw = [b.to_bytes(BLOCK_BITS // 8, "little") for b in bits.blocks]
+        raw.append(bytes(8))
+        self.words = np.frombuffer(b"".join(raw), "<u8")
+        pop = np.bitwise_count(self.words).astype(np.int64)
+        self.below = np.cumsum(pop) - pop
 
-    def element(self, k: int) -> int:
-        j = bisect_right(self.cum, k)
-        below = self.cum[j - 1] if j else 0
-        return j * BLOCK_BITS + select(self.blocks[j], k - below)
+    def rank(self, p: np.ndarray) -> np.ndarray:
+        """Set bits below each position of the uint64 array p (positions
+        up to the end of the last block)."""
+        w = p >> 6
+        return self.below[w] + np.bitwise_count(
+            self.words[w] & ((1 << (p & 63)) - 1))
+
+    def select(self, ranks: List[int]) -> List[int]:
+        """Index of the k-th (0-based, ascending) set bit for each k in
+        ranks: the word by a search of below, then the bit by a running
+        count over that word's 64 bits."""
+        k = np.array(ranks, np.int64)
+        w = np.searchsorted(self.below, k, side="right") - 1
+        bits = np.unpackbits(self.words[w].view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")
+        seen = np.cumsum(bits, axis=1, dtype=np.int64)
+        hit = np.argmax(seen > (k - self.below[w])[:, None], axis=1)
+        return (64 * w + hit).tolist()
 
 
 def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
@@ -198,69 +258,88 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
     """Evaluate both quasirandomness conditions on the free labels and
     differences of state.
 
-    The edge-window condition is checked exhaustively, one m-window read
-    per edge window.  The structure condition is checked on a seeded
-    sample (kinds in order X1..X4), so the report is a deterministic
-    function of (state, sample_spec, rng state).  Every anchor or fixed
-    edge label drawn costs one bisection over block popcounts and one
-    select on a single block.  Deviations are reported in units of m.
+    The edge-window condition is checked exhaustively: one numpy pass
+    over C's words gives the free differences of every edge window, and
+    the largest deviation is found on the integers, at the lowest
+    window lo on ties, before its one division.  The structure
+    condition is checked on a seeded sample (kinds in order X1..X4), so
+    the report is a deterministic function of (state, sample_spec, rng
+    state).  The sample's values are all drawn first, in the order of
+    one pattern after another; then the anchor and fixed-edge ranks are
+    mapped to labels in one numpy pass per set, and each pattern is
+    counted once on state, its ambient count coming from _ambient.
+    Deviations are reported in units of m.
     """
     spec = sample_spec if sample_spec is not None else QuasiSampleSpec()
     m, nt = sys.m, sys.n_tilde
     size_a, size_c = state.size_a, state.size_c
 
-    worst = 0.0
-    for ie in sys.ie_intervals:
-        cnt = state.diffs.window(ie.lo, m).bit_count()
-        worst = max(worst, abs(cnt * nt - m * size_a) / (m * nt))
-
-    ambient = LabelState(sys)
-    dens = Fraction(size_a, nt)
-    devs = []
-
-    def push(X: Structure) -> None:
-        cnt = count_structure(X, state)
-        amb = count_structure(X, ambient)
-        devs.append(float(abs(Fraction(cnt) - amb * dens ** X.free) / m))
-
-    slots = sys.iv_intervals
-    nslots = len(slots)
-
-    def rand_slot() -> Interval:
-        return slots[rng.randbelow(nslots)]
-
-    def rand_slot_pair() -> Tuple[Interval, Interval]:
-        i = rng.randbelow(nslots)
-        j = rng.randbelow(nslots - 1)
-        if j >= i:
-            j += 1
-        return slots[i], slots[j]
+    diffs = _Words(state.diffs)
+    # free differences of the edge windows lo = 0, m, ..., n_tilde - m
+    cnt = np.diff(diffs.rank(np.arange(0, nt + 1, m, dtype=np.uint64)))
+    # |cnt * nt - m * |A|| is convex in cnt, so the extreme counts hold
+    # its maximum
+    dev = {c: abs(c * nt - m * size_a)
+           for c in (int(cnt.min()), int(cnt.max()))}
+    top = max(dev.values())
+    best = [c for c, d in dev.items() if d == top]
+    worst = int(np.argmax((cnt == best[0]) | (cnt == best[-1])))
 
     if spec.per_kind > 0 and rng is None:
         raise ValueError("structure sampling requires an rng")
 
-    if spec.per_kind > 0 and size_a >= 2 and size_c >= 1 and nslots >= 2:
-        labels = _Ranks(state.labels)
-        diffs = _Ranks(state.diffs)
-        for _ in range(spec.per_kind):
-            push(x1(rand_slot()))
-        for _ in range(spec.per_kind):
-            anchor = labels.element(rng.randbelow(size_a))
-            fixed_c = diffs.element(rng.randbelow(size_c))
-            s1, s2 = rand_slot_pair()
-            push(x2(anchor, s1, fixed_c, s2))
-        for _ in range(spec.per_kind):
-            push(x3(labels.element(rng.randbelow(size_a)), rand_slot()))
-        for _ in range(spec.per_kind):
-            rank = rng.randbelow(size_a)
-            anchor = labels.element(rank)
-            # uniform over A minus the anchor: skip the anchor's rank
-            rank2 = rng.randbelow(size_a - 1)
-            other = labels.element(rank2 + (rank2 >= rank))
-            push(x4(anchor, other, rand_slot()))
+    devs = []
+    if (spec.per_kind > 0 and size_a >= 2 and size_c >= 1
+            and len(sys.iv_intervals) >= 2):
+        scale = {kind: (nt ** f, size_a ** f, m * nt ** f)
+                 for kind, f in _FREE.items()}
+        for X in _sample(state, sys, spec.per_kind, rng, diffs):
+            nt_f, size_f, den = scale[X[0]]
+            devs.append(abs(_count(state, *X) * nt_f
+                            - _ambient(*X) * size_f) / den)
 
     return QuasiReport(checkpoint=t, alpha=float(alpha),
-                       quasi1_max_dev=worst, quasi2_devs=tuple(devs))
+                       quasi1_max_dev=top / (m * nt),
+                       quasi1_argmax_lo=worst * m, quasi2_devs=tuple(devs))
+
+
+def _sample(state: LabelState, sys: IntervalSystem, k: int, rng: Rng,
+            diffs: _Words) -> list:
+    """k patterns of each kind as _count's field tuples: slots uniform
+    over the vertex windows (two distinct ones for X2), anchors uniform
+    over A (X4's second over A minus the first), fixed edge labels
+    uniform over C."""
+    slots = sys.iv_intervals
+    nslots = len(slots)
+    size_a = state.size_a
+    rb = rng.randbelow
+    x1s = [slots[rb(nslots)] for _ in range(k)]
+    ranks, c_ranks, pairs, x3s, x4s = [], [], [], [], []
+    for _ in range(k):
+        ranks.append(rb(size_a))
+        c_ranks.append(rb(state.size_c))
+        i = rb(nslots)
+        j = rb(nslots - 1)
+        pairs.append((slots[i], slots[j + (j >= i)]))
+    for _ in range(k):
+        ranks.append(rb(size_a))
+        x3s.append(slots[rb(nslots)])
+    for _ in range(k):
+        rank = rb(size_a)
+        # uniform over A minus the anchor: skip the anchor's rank
+        rank2 = rb(size_a - 1)
+        ranks += (rank, rank2 + (rank2 >= rank))
+        x4s.append(slots[rb(nslots)])
+    labels = _Words(state.labels).select(ranks)
+    fixed = diffs.select(c_ranks)
+    return ([("X1", None, None, None, iv, None) for iv in x1s]
+            + [("X2", a, None, c, s1, s2)
+               for a, c, (s1, s2) in zip(labels[:k], fixed, pairs)]
+            + [("X3", a, None, None, iv, None)
+               for a, iv in zip(labels[k:2 * k], x3s)]
+            + [("X4", a, a2, None, iv, None)
+               for a, a2, iv in zip(labels[2 * k::2], labels[2 * k + 1::2],
+                                    x4s)])
 
 
 def crude_estimates(plan, sys: IntervalSystem, params, t: int):
@@ -281,11 +360,10 @@ def crude_estimates(plan, sys: IntervalSystem, params, t: int):
     p_edge: Dict[Interval, Fraction] = {
         ie: m * sys.el(J, ie.lo) for ie in sys.ie_intervals}
 
-    ambient = LabelState(sys)
     bound = Fraction(4 * m, ell)
 
     def p_struct(X: Structure) -> Fraction:
-        base = count_structure(X, ambient)
+        base = _ambient(X.kind, X.a, X.a2, X.c, X.slot, X.slot2)
         factor = Fraction((nt - t) ** (X.free - 1), nt ** (X.free - 1))
         acc = Fraction(0)
         for slot in X.free_slots:

@@ -344,18 +344,23 @@ def full_count_structure(X, a_bits, c_bits):
 
 
 def full_check_quasi(a_bits, c_bits, sys, alpha, per_kind, rng, t=0):
-    """check_quasi on full-width ints, anchors drawn with a full-width
-    select (the anchored-label loop of the old sample spec is left out:
-    no caller used it)."""
+    """check_quasi on full-width ints: QUASI1 one window read at a time
+    (its argmax the first window of largest integer deviation), each
+    pattern counted on A, C and the full sets, deviations in Fraction
+    arithmetic, anchors drawn with a full-width select (the
+    anchored-label loop of the old sample spec is left out: no caller
+    used it)."""
     c_bits &= ~1
     m, nt = sys.m, sys.n_tilde
     size_a = a_bits.bit_count()
     size_c = c_bits.bit_count()
 
-    worst = 0.0
+    worst, top, worst_lo = 0.0, -1, 0
     for ie in sys.ie_intervals:
         cnt = window(c_bits, ie.lo, m).bit_count()
         worst = max(worst, abs(cnt * nt - m * size_a) / (m * nt))
+        if abs(cnt * nt - m * size_a) > top:  # the first window on ties
+            top, worst_lo = abs(cnt * nt - m * size_a), ie.lo
 
     amb_a = mask(1, nt)
     amb_c = mask(1, nt - 1)
@@ -399,7 +404,8 @@ def full_check_quasi(a_bits, c_bits, sys, alpha, per_kind, rng, t=0):
             push(x4(anchor, other, rand_slot()))
 
     return QuasiReport(checkpoint=t, alpha=float(alpha),
-                       quasi1_max_dev=worst, quasi2_devs=tuple(devs))
+                       quasi1_max_dev=worst, quasi1_argmax_lo=worst_lo,
+                       quasi2_devs=tuple(devs))
 
 
 def full_ints(state):

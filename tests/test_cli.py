@@ -209,6 +209,22 @@ def test_error_json_on_stderr(tmp_path, capsys):
     assert "need m >= n" in json.loads(err)["message"]
 
 
+def test_label_refuses_negative_null_mass(tmp_path, capsys):
+    # gamma = 1/5, m = 32, ell = 512 on n = 1000: n_tilde/m = 38 windows
+    # against 4(ell/m - 1) = 60, so both correction laws would give the
+    # null outcome a negative mass
+    tree = str(tmp_path / "t.txt")
+    run_cli(capsys, "generate", "--n", "1000", "--seed", "0", "--out", tree)
+    code, out, err = run_cli(
+        capsys, "label", "--tree", tree, "--gamma", "1/5", "--m", "32",
+        "--ell", "512", "--seed", "0")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ParamError"
+    assert "n_tilde/m = 38, ell/m = 16" in payload["message"]
+
+
 def test_experiment_command(tmp_path, capsys):
     cfg = {"n": [200], "gamma": "1", "m": 16, "ell": 32, "trials": 2,
            "seed": 5, "retries": 6, "checkpoint_every": 100,

@@ -396,3 +396,24 @@ def test_retries_redraw_only_the_intervals(monkeypatch):
         got = tr.labelling and sha(labelling_to_json(tr.labelling))
         assert got == lab_sha
         assert sha(trace_csv(tr.result, tr.reports)) == trace_sha
+
+
+def test_bench_wrapped_bindings_exist(monkeypatch):
+    # perfbench's traced runs (run.py --trace 1) getattr and replace each
+    # (module, attribute) in spans.WRAPPED; a binding dropped from the
+    # library would crash them
+    import importlib
+    import importlib.util
+    import sys
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED
+    for mod_name, attr in spans.WRAPPED:
+        assert callable(getattr(importlib.import_module(mod_name), attr)), \
+            (mod_name, attr)

@@ -188,3 +188,15 @@ def test_system_validation():
         IntervalSystem(24, 2, 3)   # m does not divide ell
     with pytest.raises(ParamError):
         IntervalSystem(24, 2, 12)  # ell >= half
+
+
+def test_negative_null_mass_law_is_built_but_not_drawn():
+    # n_tilde/m = 38 < 4(ell/m - 1) = 60: the masses still satisfy the
+    # identities acceptance item 6 checks, but the null mass is negative,
+    # so the law cannot be sampled
+    s = IntervalSystem(1216, 32, 512)
+    for d in (corv_distribution(s), core_distribution(s)):
+        assert d.star_probability == Fraction(-11, 4)
+        assert d.star_probability + sum(mass for _, mass in d.support) == 1
+        with pytest.raises(ParamError, match="star probability -11/4"):
+            d.hits(Rng(0), 10)

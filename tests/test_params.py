@@ -19,6 +19,9 @@ def test_practical_examples():
     q = derive_practical_params(10 ** 4, Fraction(1, 5), 32, 512)
     assert q.n_tilde == 12032
     assert q.n_tilde % (2 * q.m) == 0
+    # n_tilde/m = 4(ell/m - 1) = 60 exactly: null mass 0, admitted
+    assert derive_practical_params(1600, Fraction(1, 5), 32, 512).n_tilde \
+        == 1920
 
 
 def test_practical_errors():
@@ -30,6 +33,10 @@ def test_practical_errors():
         derive_practical_params(20, 0, 2, 4)
     with pytest.raises(ParamError):
         derive_practical_params(1, Fraction(1, 5), 1, 1)
+    # n_tilde/m = 38 windows against 4(ell/m - 1) = 60: both correction
+    # laws would give the null outcome mass -11/4
+    with pytest.raises(ParamError, match=r"4\(ell/m - 1\)"):
+        derive_practical_params(1000, Fraction(1, 5), 32, 512)
 
 
 def test_practical_alpha_schedule():
@@ -53,6 +60,7 @@ def test_practical_invariants(n, gamma, m, k):
     assert p.ell % p.m == 0
     assert p.n_tilde % (2 * p.m) == 0
     assert 2 * p.ell < p.n_tilde
+    assert p.n_tilde // p.m >= 4 * (k - 1)
     assert p.n_tilde >= math.ceil((1 + gamma) * n)
 
 

@@ -9,7 +9,7 @@ from gracetree.intervals import Interval, IntervalSystem
 from gracetree.labeller import LabelState, run_labelling
 from gracetree.params import ParamError, derive_practical_params
 from gracetree.prepare import Plan, prepare_plan
-from gracetree.quasirandom import (QuasiSampleSpec, check_quasi,
+from gracetree.quasirandom import (QuasiSampleSpec, _ambient, check_quasi,
                                    count_structure, crude_estimates,
                                    lemma36_check, x1, x2, x3, x4)
 from gracetree.rng import Rng
@@ -148,6 +148,134 @@ def test_ambient_counts_capped_by_m():
         for X in [x1(ivs[i]), x3(a, ivs[i]), x4(a, a2, ivs[i]),
                   x2(a, ivs[i], c, ivs[j])]:
             assert count_structure(X, ambient) <= sys.m
+
+
+def _ambient_of(X):
+    return _ambient(X.kind, X.a, X.a2, X.c, X.slot, X.slot2)
+
+
+def test_ambient_closed_form_exhaustive_small():
+    # every slot, slot pair, anchor pair and fixed edge label of a
+    # ten-label range (X2 on eight labels)
+    for nt in (8, 10):
+        full = LabelState(IntervalSystem(nt, 1, 1))
+        ivs = [Interval(lo, hi) for lo in range(1, nt + 1)
+               for hi in range(lo, nt + 1)]
+        for iv in ivs:
+            X = x1(iv)
+            assert _ambient_of(X) == count_structure(X, full)
+            for a in range(1, nt + 1):
+                X = x3(a, iv)
+                assert _ambient_of(X) == count_structure(X, full)
+                for a2 in range(1, nt + 1):
+                    if a2 != a:
+                        X = x4(a, a2, iv)
+                        assert _ambient_of(X) == count_structure(X, full)
+            if nt == 8:
+                for iv2 in ivs:
+                    if iv2 == iv:
+                        continue
+                    for a in range(1, nt + 1):
+                        for c in range(1, nt):
+                            X = x2(a, iv, c, iv2)
+                            assert _ambient_of(X) == count_structure(X, full)
+
+
+@st.composite
+def _ambient_case(draw):
+    """A multi-block range with slots often at its ends, anchors often
+    inside the first slot, X4 anchors often placed so their midpoint
+    lies in it, and X2 shifts near the offset between the two slots, so
+    the shifted slot often crosses slot2's edges."""
+    nt = 2 * draw(st.integers(4, 1100))
+    end = st.sampled_from([1, nt])
+
+    def slot():
+        lo = draw(st.one_of(end, st.integers(1, nt)))
+        hi = draw(st.one_of(st.just(nt), st.integers(lo, min(nt, lo + 300)),
+                            st.just(lo)))
+        return Interval(lo, max(lo, hi))
+
+    iv, iv2 = slot(), slot()
+    inside = st.integers(iv.lo, iv.hi)
+    a = draw(st.one_of(inside, end, st.integers(1, nt)))
+    b = draw(inside)
+    mirrored = 2 * b - a
+    a2 = draw(st.one_of(
+        st.just(mirrored) if 1 <= mirrored <= nt else inside, inside,
+        st.integers(1, nt)).filter(lambda v: v != a))
+    gap = abs(iv2.lo - iv.lo)
+    c = draw(st.one_of(st.integers(max(1, gap - 3), max(1, gap + 3)),
+                       st.integers(1, nt - 1)))
+    return nt, iv, iv2, a, a2, min(c, nt - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ambient_case())
+def test_ambient_closed_form_matches_full_state_count(case):
+    nt, iv, iv2, a, a2, c = case
+    full = LabelState(IntervalSystem(nt, 1, 1))
+    patterns = [x1(iv), x3(a, iv), x4(a, a2, iv)]
+    if iv2 != iv:
+        patterns.append(x2(a, iv, c, iv2))
+    for X in patterns:
+        assert _ambient_of(X) == count_structure(X, full), X
+
+
+def _window_loop(state, sys):
+    """QUASI1 one m-window read at a time: the largest deviation and the
+    lowest window lo attaining it."""
+    m, nt = sys.m, sys.n_tilde
+    devs = [abs(state.diffs.window(lo, m).bit_count() * nt - m * state.size_a)
+            for lo in sys.ie_starts]
+    top = max(devs)
+    return top / (m * nt), sys.ie_starts[devs.index(top)]
+
+
+def _sweep(state, sys):
+    rep = check_quasi(state, sys, 0.5, QuasiSampleSpec(per_kind=0), None)
+    assert rep.quasi2_devs == ()
+    return rep.quasi1_max_dev, rep.quasi1_argmax_lo
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 3, 8, 64, 100, 256]), st.integers(2, 14),
+       st.data())
+def test_sweep_matches_window_loop(m, k, data):
+    # m = 3 and 100 put window edges inside 64-bit words; wide systems
+    # span several 1024-bit blocks
+    nt = 2 * m * k
+    sys = IntervalSystem(nt, m, m)
+    starts = sys.ie_starts
+    emptied = data.draw(st.sets(st.sampled_from(starts)), label="emptied")
+    full = data.draw(st.sets(st.sampled_from(starts)), label="full")
+    keep = data.draw(st.integers(1, 4), label="keep one in")
+    C = set()
+    for lo in starts:
+        for d in range(max(lo, 1), lo + m):
+            if lo in full or (lo not in emptied and d % keep == 0):
+                C.add(d)
+    size_a = data.draw(st.integers(0, nt), label="|A|")
+    state = snapshot(set(range(1, size_a + 1)), C, sys=sys)
+    assert _sweep(state, sys) == _window_loop(state, sys)
+
+
+def test_sweep_ties_take_the_lowest_window():
+    # n_tilde = 8, m = 2, |A| = 4: windows holding 0 and 2 free
+    # differences deviate equally (|8c - 8| = 8), so the first window at
+    # either extreme wins
+    sys = IntervalSystem(8, 2, 2)
+    A = {1, 2, 3, 4}
+    cases = [({2, 3, 4, 5, 6, 7}, 0),  # counts 0 2 2 2: a low extreme first
+             ({1, 4, 5, 6, 7}, 2),     # counts 1 0 2 2
+             ({1, 2, 3, 6, 7}, 2)]     # counts 1 2 0 2: a high extreme first
+    for C, lo in cases:
+        state = snapshot(A, C, sys=sys)
+        assert _sweep(state, sys) == (1.0 / 2, lo) == _window_loop(state, sys)
+    # the full state: window 0 lacks difference 0 and is the only one
+    # below the rest
+    state = LabelState(sys)
+    assert _sweep(state, sys) == (abs(1 * 8 - 2 * 8) / 16, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,11 +474,14 @@ def test_window_check_requires_wide_alpha():
 
 
 @pytest.mark.parametrize("n,m,ell,seed", [(3000, 32, 256, 4),
-                                          (4000, 64, 512, 9)])
+                                          (4000, 64, 512, 9),
+                                          (20_000, 256, 1024, 1),
+                                          (20_000, 256, 1024, 2)])
 def test_reports_match_full_width_oracle_on_run_snapshots(n, m, ell, seed):
     """Blocked-state audit against the full-width audit it replaced, on
     the snapshots of a labelling run whose n_tilde spans several
-    blocks: equal reports and equal rng state afterwards."""
+    blocks (the last two at the audit-scaled bench point): equal whole
+    reports and equal rng state afterwards."""
     params = derive_practical_params(n, Fraction(1, 2), m, ell)
     sys = IntervalSystem(params.n_tilde, m, ell)
     assert sys.n_tilde > 2 * 1024
@@ -402,3 +533,4 @@ def test_reports_match_full_width_oracle_on_sparse_states():
                                 t=seed)
         assert got == want, seed
         assert new_rng.next64() == old_rng.next64()
+
