@@ -1,18 +1,13 @@
 """Bitsets over nonnegative integers.
 
-A finite set S of nonnegative integers is stored as the int with bit i
-set iff i is in S.  On such a full-width int, `window` shifts the whole
-int, so it costs O(N/64) words for a universe of size N however narrow
-the window is.
-
-`BlockBits` stores the same set as a list of fixed-width block ints.
-Its window read touches only the blocks the window overlaps (a window
-past its one- and two-block fast paths joins those blocks' bytes once)
-and clearing a bit rewrites one block of the list, so per-step work on
-a width-w window costs O(w/64) words regardless of the universe size.  The
-pipeline keeps its label sets only as BlockBits; `mask`, `window`,
-`from_indices`, `iter_bits` and `BlockBits.to_int` on full-width ints
-are the reference forms the tests compare against.
+A finite set S of nonnegative integers is the int with bit i set iff i
+is in S.  `BlockBits` stores such a set as a list of fixed-width block
+ints.  Its window read touches only the blocks the window overlaps (a
+window past its one- and two-block fast paths joins those blocks' bytes
+once) and clearing a bit rewrites one block of the list, so per-step
+work on a width-w window costs O(w/64) words regardless of the universe
+size.  The pipeline keeps its label sets only as BlockBits; the
+full-width forms the tests compare it against live in tests/oracles.py.
 
 `select` on a width-w int costs O(w/1024) chunk popcounts over one
 `to_bytes` of it, O(w/64) word popcounts inside the chosen chunk, and
@@ -22,39 +17,12 @@ select it replaced is kept as a test oracle (tests/oracles.py).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 _M64 = (1 << 64) - 1
 _HALVES = tuple((h, (1 << h) - 1) for h in (32, 16, 8, 4, 2, 1))
 BLOCK_BITS = 1024  # bits per block of a BlockBits
 _SHIFT = BLOCK_BITS.bit_length() - 1
 _LOW = BLOCK_BITS - 1
 _BLOCK_BYTES = BLOCK_BITS // 8
-
-
-def mask(lo: int, hi: int) -> int:
-    """Bits lo..hi inclusive."""
-    return ((1 << (hi - lo + 1)) - 1) << lo
-
-
-def window(x: int, lo: int, width: int) -> int:
-    """Bits lo..lo+width-1 of x, shifted down to 0..width-1."""
-    return (x >> lo) & ((1 << width) - 1)
-
-
-def from_indices(idx: Iterable[int]) -> int:
-    s = 0
-    for i in idx:
-        s |= 1 << i
-    return s
-
-
-def iter_bits(x: int) -> Iterator[int]:
-    """Set-bit indices of x, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def select(x: int, k: int) -> int:
@@ -112,7 +80,8 @@ class BlockBits:
     @classmethod
     def span(cls, lo: int, hi: int) -> "BlockBits":
         """Bits lo..hi set (0 <= lo <= hi), built block by block: the
-        same blocks as BlockBits(mask(lo, hi)) without the full int."""
+        same blocks as BlockBits of the full int with those bits set,
+        without building that int."""
         full = (1 << BLOCK_BITS) - 1
         j, k = lo >> _SHIFT, hi >> _SHIFT
         bits = cls.__new__(cls)
@@ -142,9 +111,6 @@ class BlockBits:
             return (x >> off) & ((1 << width) - 1)
         x = _join(blocks[j:j + 1 + ((end - 1) >> _SHIFT)])
         return (x >> off) & ((1 << width) - 1)
-
-    def to_int(self) -> int:
-        return _join(self.blocks)
 
 
 def _join(blocks: list[int]) -> int:

@@ -5,14 +5,13 @@ P[X - mu >= t] <= exp(-2 t^2 / sum a_i^2), and its sequential variant
 for adapted sequences whose summed conditional means are pinned to
 mu +- nu, where the two-sided tail at nu + t costs an extra factor 2.
 Scenarios simulate whole trial batches vectorized and declare their
-mu, nu, and per-step ranges; the sequential runner re-derives each
+mu, nu, and per-step ranges; the two-sided grid re-derives each
 trial's conditional-mean sum and refuses scenarios that break their
 own declaration.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
@@ -123,26 +122,6 @@ def _check_envelope(spec: TailScenario, cond_sums: np.ndarray) -> None:
             f"from mu, declared nu = {spec.nu:.6g}")
 
 
-def hoeffding_empirical(spec: TailScenario, t: float, trials: int,
-                        rng: Rng) -> TailEstimate:
-    """Upper-tail frequency of {X - mu >= t} against the analytic bound."""
-    sums, _ = _batch(spec, trials, rng)
-    return _estimate(spec, t, sums - spec.mu >= t, trials, 1.0)
-
-
-def seqhoeff_empirical(spec: TailScenario, t: float, trials: int,
-                       rng: Rng) -> TailEstimate:
-    """Two-sided frequency of {|X - mu| >= nu + t} for adapted sums.
-
-    The scenario's declared envelope is verified trial by trial before
-    the tail is measured.
-    """
-    sums, cond_sums = _batch(spec, trials, rng)
-    _check_envelope(spec, cond_sums)
-    return _estimate(spec, t, np.abs(sums - spec.mu) >= spec.nu + t,
-                     trials, 2.0)
-
-
 GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
 
@@ -166,13 +145,3 @@ def tail_grid(spec: TailScenario, trials: int, rng: Rng, *,
         else:
             rows.append(_estimate(spec, t, sums - spec.mu >= t, trials, 1.0))
     return tuple(rows)
-
-
-def grid_csv(rows: Sequence[TailEstimate]) -> str:
-    out = io.StringIO()
-    out.write("scenario,t,empirical,bound,se,trials,passed\n")
-    for r in rows:
-        out.write(f"{r.scenario},{r.t:.10g},{r.empirical:.10g},"
-                  f"{r.bound:.10g},{r.se:.10g},{r.trials},"
-                  f"{int(r.passed)}\n")
-    return out.getvalue()

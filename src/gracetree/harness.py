@@ -175,7 +175,7 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
             state, sys, float(params.alpha(t)), spec, quasi_rng, t=t)))
 
     plan = prepare_plan(tree, sys, label_rng.child(0).child(0),
-                        max_component=cfg.max_component, draw="balanced")
+                        max_component=cfg.max_component)
     # the cut and the ordering draw nothing from the rng: a retry redraws
     # only the intervals, with the same draw law (read through the module,
     # so a wrapper installed on prepare.assign_intervals sees retries too)
@@ -185,8 +185,7 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
                         collect_trace=collect_trace,
                         replan=lambda r: prepare.assign_intervals(
                             tree, plan.removed_edges,
-                            (plan.order, plan.parent_pos), sys, r,
-                            draw="balanced"))
+                            (plan.order, plan.parent_pos), sys, r))
     reports = [r for k, r in tagged if k == res.attempts - 1]
 
     labelling = None

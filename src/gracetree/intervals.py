@@ -170,12 +170,6 @@ class CorrectionDistribution:
             done += len(u)
         return np.concatenate(at).tolist(), np.concatenate(lo).tolist()
 
-    def mass_of(self, iv: Interval) -> Fraction:
-        for jv, mass in self.support:
-            if jv == iv:
-                return mass
-        raise ParamError(f"{iv} not in the {self.kind} family")
-
 
 def corv_distribution(sys: IntervalSystem) -> CorrectionDistribution:
     """Removal law for vertex labels: interval I gets mass

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -294,33 +293,16 @@ def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
 
 
 def cut_tree_by_size(
-    t: Tree,
-    max_size: int,
-    min_size: int = 1,
-    *,
-    numbering: _Numbering | None = None,
+    t: Tree, max_size: int, *, numbering: _Numbering | None = None
 ) -> frozenset[tuple[int, int]]:
     """Size-threshold variant: components end up with order <= max_size.
 
-    With min_size == 1 the walk cannot get stuck, for any tree.  A larger
-    min_size needs max degree <= max_size/(2*min_size) so the heaviest
-    branch below a too-large one stays above min_size.  Same walk and
-    cost as cut_tree.
+    Any branch may be cut, however small, so the walk cannot get stuck
+    on any tree.  Same walk and cost as cut_tree.
     """
     if max_size < 1:
         raise PrepareError(f"max_size must be >= 1, got {max_size}")
-    if min_size < 1 or min_size > max_size:
-        raise PrepareError(
-            f"need 1 <= min_size <= max_size, got {min_size}, {max_size}"
-        )
-    if min_size > 1 and t.n > max_size:
-        max_deg = int(t.degrees().max())
-        if max_deg > max_size / (2 * min_size):
-            raise PrepareError(
-                f"max degree {max_deg} > max_size/(2*min_size) = "
-                f"{max_size / (2 * min_size):.3f}"
-            )
-    return _cut_window(t, min_size, max_size, numbering)
+    return _cut_window(t, 1, max_size, numbering)
 
 
 def order_vertices(
@@ -395,8 +377,6 @@ def assign_intervals(
     ordering: tuple[Sequence[int], Sequence[int]],
     sys: IntervalSystem,
     rng: Rng,
-    *,
-    draw: str = "independent",
 ) -> Plan:
     """Draw one interval per component and color endpoints.
 
@@ -410,10 +390,10 @@ def assign_intervals(
     removed edge is a flag on its later endpoint's position, so the
     assignment is O(n) with no set lookups.
 
-    draw="independent": one uniform draw per component.  draw="balanced":
-    a uniform random allocation whose per-interval component counts differ
-    by at most one (the independent law conditioned on balanced counts);
-    each component's marginal is still uniform.
+    The draw is a uniform random allocation of target intervals to
+    components whose per-interval counts differ by at most one (one
+    uniform draw per component, conditioned on balanced counts); each
+    component's marginal is still uniform.
 
     Each component's coloring orientation is free.  For a component entered
     through a cut edge, the orientation is chosen so the entering edge's
@@ -456,21 +436,15 @@ def assign_intervals(
         starts.append(i)
     n_comp = len(starts)
     js = sys.j_intervals
-    if draw == "independent":
-        picks = [rng.randbelow(len(js)) for _ in range(n_comp)]
-    elif draw == "balanced":
-        pool = list(range(len(js))) * (n_comp // len(js))
-        extra = list(range(len(js)))
-        for i in range(n_comp % len(js)):
-            k = i + rng.randbelow(len(extra) - i)
-            extra[i], extra[k] = extra[k], extra[i]
-        pool += extra[: n_comp % len(js)]
-        for i in range(len(pool) - 1):
-            k = i + rng.randbelow(len(pool) - i)
-            pool[i], pool[k] = pool[k], pool[i]
-        picks = pool
-    else:
-        raise PrepareError(f"unknown draw mode {draw!r}")
+    picks = list(range(len(js))) * (n_comp // len(js))
+    extra = list(range(len(js)))
+    for i in range(n_comp % len(js)):
+        k = i + rng.randbelow(len(extra) - i)
+        extra[i], extra[k] = extra[k], extra[i]
+    picks += extra[: n_comp % len(js)]
+    for i in range(len(picks) - 1):
+        k = i + rng.randbelow(len(picks) - i)
+        picks[i], picks[k] = picks[k], picks[i]
     # the intervals of the components' two sides, as two flat lists: a
     # pair per component would put one tuple per component on the heap
     partner = [sys.complement(j) for j in js]
@@ -510,149 +484,21 @@ def assign_intervals(
     )
 
 
-@dataclass(frozen=True)
-class PlanTolerances:
-    max_removed: int | None = None  # bound on |removed_edges|
-    max_index_gap: int | None = None  # bound on |i-j| over surviving edges
-    balance_slack: int | None = None  # count slack for interval balance
-
-
-@dataclass(frozen=True)
-class PlanReport:
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def lines(self) -> list[str]:
-        return [
-            f"{name}: {'pass' if ok else 'FAIL'}{' ' + note if note else ''}"
-            for name, ok, note in self.checks
-        ]
-
-
-def check_plan(
-    plan: Plan, t: Tree, sys: IntervalSystem, tolerances: PlanTolerances
-) -> PlanReport:
-    """Audit a plan: removal budget, unique parents, locality of surviving
-    edges, per-interval balance on index windows, and complementarity."""
-    checks: list[tuple[str, bool, str]] = []
-    n = plan.n
-    pos = {v: i for i, v in enumerate(plan.order)}
-
-    if tolerances.max_removed is None:
-        checks.append(("removal-budget", True, "skipped"))
-    else:
-        ok = len(plan.removed_edges) <= tolerances.max_removed
-        checks.append(
-            (
-                "removal-budget",
-                ok,
-                f"|removed| = {len(plan.removed_edges)}"
-                f" <= {tolerances.max_removed}" if ok else
-                f"|removed| = {len(plan.removed_edges)}"
-                f" > {tolerances.max_removed}",
-            )
-        )
-
-    bad = ""
-    ok = sorted(plan.order) == list(range(1, n + 1)) and plan.parent_pos[0] == -1
-    if not ok:
-        bad = "order is not a permutation rooted at position 0"
-    else:
-        for i in range(1, n):
-            v = plan.order[i]
-            p = plan.parent_pos[i]
-            if not 0 <= p < i:
-                ok, bad = False, f"position {i}: parent position {p}"
-                break
-            prt = plan.order[p]
-            earlier = [w for w in t.neighbours(v) if pos[w] < i]
-            if earlier != [prt] and sorted(earlier) != [prt]:
-                ok, bad = (
-                    False,
-                    f"vertex {v}: earlier neighbours {sorted(earlier)}, "
-                    f"parent {prt}",
-                )
-                break
-    checks.append(("unique-parent", ok, bad))
-
-    if tolerances.max_index_gap is None:
-        checks.append(("edge-locality", True, "skipped"))
-    else:
-        ok, bad = True, ""
-        worst = 0
-        for u, v in t.edges:
-            if (u, v) in plan.removed_edges:
-                continue
-            gap = abs(pos[u] - pos[v])
-            worst = max(worst, gap)
-            if gap > tolerances.max_index_gap:
-                ok, bad = False, f"edge ({u}, {v}): gap {gap}"
-                break
-        if ok:
-            bad = f"max gap {worst} <= {tolerances.max_index_gap}"
-        checks.append(("edge-locality", ok, bad))
-
-    if tolerances.balance_slack is None:
-        checks.append(("interval-balance", True, "skipped"))
-    else:
-        ok, bad = True, ""
-        windows = [(0, n)]
-        for k in (2, 4):
-            step = n // k
-            if step:
-                windows += [(a, min(a + step, n)) for a in range(0, n, step)]
-        target_den = len(sys.j_intervals)
-        for a, b in windows:
-            counts: dict[Interval, int] = {}
-            for i in range(a, b):
-                counts[plan.interval_of[i]] = counts.get(plan.interval_of[i], 0) + 1
-            for j in sys.j_intervals:
-                dev = abs(counts.get(j, 0) - (b - a) / target_den)
-                if dev > tolerances.balance_slack:
-                    ok, bad = (
-                        False,
-                        f"window [{a}, {b}), interval {tuple(j)}: "
-                        f"count off by {dev:.2f} > {tolerances.balance_slack}",
-                    )
-                    break
-            if not ok:
-                break
-        checks.append(("interval-balance", ok, bad))
-
-    ok, bad = True, ""
-    for u, v in t.edges:
-        if (u, v) in plan.removed_edges:
-            continue
-        ju = plan.interval_of[pos[u]]
-        jv = plan.interval_of[pos[v]]
-        if sys.complement(ju) != jv:
-            ok, bad = False, f"edge ({u}, {v}): {tuple(ju)} vs {tuple(jv)}"
-            break
-    checks.append(("complementary-edges", ok, bad))
-
-    return PlanReport(checks=tuple(checks))
-
-
 def prepare_plan(
     t: Tree,
     sys: IntervalSystem,
     rng: Rng,
     *,
     max_component: int | None = None,
-    min_component: int = 1,
-    draw: str = "balanced",
 ) -> Plan:
     """Cut, order, and assign in one call.
 
     The default component cap min(n_tilde*(m/ell)^2, ell/2) keeps every
     component's red half well inside one target window and spreads each
     window's load over many component draws; larger caps make single draws
-    carry so much mass that window loads no longer concentrate.  Interval
-    draws default to the balanced allocation (see assign_intervals).  The
-    cut and the ordering share one BFS numbering of t.
+    carry so much mass that window loads no longer concentrate.  Intervals
+    are drawn by the balanced allocation (see assign_intervals).  The cut
+    and the ordering share one BFS numbering of t.
     """
     if max_component is None:
         max_component = max(
@@ -663,41 +509,7 @@ def prepare_plan(
             ),
         )
     numbering = _Numbering(t)
-    removed = cut_tree_by_size(
-        t, max_component, min_component, numbering=numbering
-    )
+    removed = cut_tree_by_size(t, max_component, numbering=numbering)
     ordering = order_vertices(t, removed, numbering=numbering)
     del numbering  # over 100 bytes a vertex, and the assignment needs none
-    return assign_intervals(t, removed, ordering, sys, rng, draw=draw)
-
-
-def plan_to_json(plan: Plan) -> str:
-    return json.dumps(
-        {
-            "order": list(plan.order),
-            "parent_pos": list(plan.parent_pos),
-            "removed_edges": sorted(list(e) for e in plan.removed_edges),
-            "interval_starts": [iv.lo for iv in plan.interval_of],
-            "interval_width": plan.interval_of[0].width if plan.order else 0,
-            "color": list(plan.color),
-        },
-        indent=2,
-    )
-
-
-def plan_from_json(text: str, sys: IntervalSystem) -> Plan:
-    obj = json.loads(text)
-    width = obj["interval_width"]
-    if width != sys.ell:
-        raise PrepareError(
-            f"plan interval width {width} does not match system ell {sys.ell}"
-        )
-    return Plan(
-        order=tuple(obj["order"]),
-        parent_pos=tuple(obj["parent_pos"]),
-        removed_edges=frozenset(tuple(e) for e in obj["removed_edges"]),
-        interval_of=tuple(
-            Interval(lo, lo + width - 1) for lo in obj["interval_starts"]
-        ),
-        color=tuple(obj["color"]),
-    )
+    return assign_intervals(t, removed, ordering, sys, rng)

@@ -13,17 +13,12 @@ compares the free differences of every edge window with their expected
 number; all window counts come from one numpy pass over C's words.
 Every deviation is an exact integer ratio, rounded once to a float.
 All counting is read-only.
-
-Also computed here: the idealized per-step consumption estimates
-(exact rationals) used as run diagnostics, and the window check for
-structure counts over a target interval and its complement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,108 +27,29 @@ import numpy as np
 from .bitset import BLOCK_BITS, BlockBits, select  # noqa: F401
 from .intervals import Interval, IntervalSystem
 from .labeller import LabelState
-from .params import ParamError
 from .rng import Rng
 
-_FIELDS = {
-    "X1": frozenset({"slot"}),
-    "X2": frozenset({"a", "c", "slot", "slot2"}),
-    "X3": frozenset({"a", "slot"}),
-    "X4": frozenset({"a", "a2", "slot"}),
-}
 _FREE = {"X1": 1, "X2": 3, "X3": 2, "X4": 3}
-
-
-@dataclass(frozen=True)
-class Structure:
-    """One pattern instance: fixed labels plus free interval slots."""
-
-    kind: str
-    a: Optional[int] = None
-    a2: Optional[int] = None
-    c: Optional[int] = None
-    slot: Optional[Interval] = None
-    slot2: Optional[Interval] = None
-
-    def __post_init__(self):
-        need = _FIELDS.get(self.kind)
-        if need is None:
-            raise ValueError(f"unknown structure kind {self.kind!r}")
-        for name in ("a", "a2", "c", "slot", "slot2"):
-            if (getattr(self, name) is not None) != (name in need):
-                raise ValueError(
-                    f"{self.kind} takes exactly fields {sorted(need)}")
-        for anchor in (self.a, self.a2):
-            if anchor is not None and anchor < 1:
-                raise ValueError("anchor labels are positive")
-        for iv in (self.slot, self.slot2):
-            if iv is not None and iv.lo > iv.hi:
-                raise ValueError(f"empty interval slot {iv}")
-        if self.kind == "X2":
-            if self.c < 1:
-                raise ValueError("fixed edge label must be positive")
-            if self.slot == self.slot2:
-                raise ValueError("X2 needs two distinct interval slots")
-        if self.kind == "X4" and self.a == self.a2:
-            raise ValueError("X4 needs two distinct anchors")
-
-    @property
-    def free(self) -> int:
-        """Number of free vertex and edge labels in the pattern."""
-        return _FREE[self.kind]
-
-    @property
-    def free_slots(self) -> Tuple[Interval, ...]:
-        if self.kind == "X2":
-            return (self.slot, self.slot2)
-        return (self.slot,)
-
-    @property
-    def edge_diffs(self) -> Tuple[int, ...]:
-        """Anchor-to-slot-minimum distance, one entry per free edge."""
-        if self.kind == "X1":
-            return ()
-        if self.kind == "X4":
-            return (abs(self.a - self.slot.lo), abs(self.a2 - self.slot.lo))
-        return (abs(self.a - self.slot.lo),)
-
-
-def x1(slot: Interval) -> Structure:
-    return Structure("X1", slot=slot)
-
-
-def x2(a: int, slot: Interval, c: int, slot2: Interval) -> Structure:
-    return Structure("X2", a=a, c=c, slot=slot, slot2=slot2)
-
-
-def x3(a: int, slot: Interval) -> Structure:
-    return Structure("X3", a=a, slot=slot)
-
-
-def x4(a: int, a2: int, slot: Interval) -> Structure:
-    return Structure("X4", a=a, a2=a2, slot=slot)
 
 
 def _shift(x: int, s: int) -> int:
     return x << s if s >= 0 else x >> -s
 
 
-def count_structure(X: Structure, state: LabelState) -> int:
-    """Number of label choices for the free slots of X inside the free
-    labels A and free differences C of state.
-
-    Chosen vertex labels come from A restricted to the slots, chosen
-    edge labels from C, and all labels within one instance are distinct
-    (for X2 also distinct from the fixed edge label c).  Every count is
-    read from the state's slot windows, so it costs O(width/64) words.
-    """
-    return _count(state, X.kind, X.a, X.a2, X.c, X.slot, X.slot2)
-
-
 def _count(state: LabelState, kind: str, a, a2, c, iv: Interval,
            iv2) -> int:
-    """count_structure on a pattern given by its fields, the one counter
-    behind count_structure and the audit's sampled patterns."""
+    """Number of label choices for the free slots of one pattern inside
+    the free labels A and free differences C of state.
+
+    The pattern is given by its fields, as _sample builds them: kind is
+    X1..X4, a and a2 are anchor labels, c is X2's fixed edge label, iv
+    the slot and iv2 X2's second slot; fields a kind does not use are
+    None.  Chosen vertex labels come from A restricted to the slots,
+    chosen edge labels from C, and all labels within one instance are
+    distinct (for X2 also distinct from the fixed edge label c).  Every
+    count is read from the state's slot windows, so it costs
+    O(width/64) words.
+    """
     if kind == "X1":
         return state.first_mask(iv).bit_count()
     hits = state.admissible_mask(a, iv)
@@ -340,89 +256,3 @@ def _sample(state: LabelState, sys: IntervalSystem, k: int, rng: Rng,
             + [("X4", a, a2, None, iv, None)
                for a, a2, iv in zip(labels[2 * k::2], labels[2 * k + 1::2],
                                     x4s)])
-
-
-def crude_estimates(plan, sys: IntervalSystem, params, t: int):
-    """Idealized step-t consumption estimates for a fixed plan.
-
-    Returns (p_edge, p_struct): p_edge maps each edge window to the
-    exact chance of drawing an edge label from it at step t, assuming
-    the step label were uniform in its target interval with the induced
-    edge label following the cross-pair profile.  p_struct evaluates
-    the analogous per-structure estimate.  Both are exact rationals and
-    depend only on the plan, never on run state.
-    """
-    n = plan.n if params is None else params.n
-    if not 1 <= t <= n:
-        raise ParamError(f"step {t} outside 1..{n}")
-    J = plan.interval_of[t - 1]
-    m, ell, nt = sys.m, sys.ell, sys.n_tilde
-    p_edge: Dict[Interval, Fraction] = {
-        ie: m * sys.el(J, ie.lo) for ie in sys.ie_intervals}
-
-    bound = Fraction(4 * m, ell)
-
-    def p_struct(X: Structure) -> Fraction:
-        base = _ambient(X.kind, X.a, X.a2, X.c, X.slot, X.slot2)
-        factor = Fraction((nt - t) ** (X.free - 1), nt ** (X.free - 1))
-        acc = Fraction(0)
-        for slot in X.free_slots:
-            if J.contains(slot):
-                acc += Fraction(1, ell)
-        for d in X.edge_diffs:
-            acc += sys.el(J, d)
-        p = base * factor * acc
-        assert p <= bound
-        return p
-
-    return p_edge, p_struct
-
-
-@dataclass(frozen=True)
-class WindowCheckRow:
-    kind: str
-    count: int
-    center: float
-    halfwidth: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class WindowCheckReport:
-    rows: Tuple[WindowCheckRow, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
-def lemma36_check(state: LabelState, sys: IntervalSystem, alpha: float,
-                  a: int, a2: int, c: int, J: Interval) -> WindowCheckReport:
-    """Check the interval-level structure counts a quasirandom snapshot
-    must satisfy over a target interval J and its complement.
-
-    Counting X2 over (J, complement) or X3/X4 over J equals summing the
-    window-level counts over the width-m slots tiling them, so slot
-    windows of width ell are counted directly.
-    """
-    ell, nt = sys.ell, sys.n_tilde
-    if Fraction(alpha) * ell < 3:
-        raise ParamError(f"need ell >= 3/alpha, got ell={ell} alpha={alpha}")
-    j_bar = sys.complement(J)
-    dens = Fraction(state.size_a, nt)
-    half_pair = 3 * Fraction(alpha) * ell
-    half_single = 2 * Fraction(alpha) * ell
-
-    def row(kind: str, count: int, center: Fraction, half: Fraction):
-        return WindowCheckRow(kind, count, float(center), float(half),
-                              abs(count - center) <= half)
-
-    rows = (
-        row("X3", count_structure(x3(a, J), state),
-            dens ** 2 * ell, half_single),
-        row("X2", count_structure(x2(a, J, c, j_bar), state),
-            dens ** 3 * sys.el_count(J.lo, c), half_pair),
-        row("X4", count_structure(x4(a, a2, J), state),
-            dens ** 3 * ell, half_single),
-    )
-    return WindowCheckReport(rows)

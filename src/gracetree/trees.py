@@ -1,13 +1,12 @@
 """Labelled trees on vertices 1..n, kept in flat int arrays.
 
-Prüfer codec, uniform random generation, path/star/broom/caterpillar/
+Prüfer decoding, uniform random generation, path/star/broom/caterpillar/
 spider constructors, degree statistics, and a strict text format (first
 line n, then n-1 lines "u v").
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import islice
 
@@ -208,27 +207,6 @@ def prufer_decode(seq, n: int) -> Tree:
     return Tree._of(n, us, seq + [n])
 
 
-def prufer_encode(t: Tree) -> list[int]:
-    """Prüfer sequence of t: repeatedly strip the smallest leaf."""
-    n = t.n
-    if n < 2:
-        raise ValueError("prufer_encode needs n >= 2")
-    deg = [0] + t.degrees().tolist()
-    dead = bytearray(n + 1)
-    heap = [v for v in range(1, n + 1) if deg[v] == 1]
-    heapq.heapify(heap)
-    seq = []
-    for _ in range(n - 2):
-        leaf = heapq.heappop(heap)
-        dead[leaf] = 1
-        nb = next(u for u in t.neighbours(leaf) if not dead[u])
-        seq.append(nb)
-        deg[nb] -= 1
-        if deg[nb] == 1:
-            heapq.heappush(heap, nb)
-    return seq
-
-
 def random_tree(n: int, rng: Rng) -> Tree:
     """Uniform labelled tree: uniform Prüfer sequence, decoded."""
     if n < 2:
@@ -282,10 +260,6 @@ def spider_tree(n: int, legs: int) -> Tree:
 def degree_stats(t: Tree) -> DegreeStats:
     degs = t.degrees().astype(np.int64)
     return DegreeStats(int(degs.max()), int((degs * degs).sum()))
-
-
-def leaves(t: Tree) -> list[int]:
-    return (np.flatnonzero(t.degrees() == 1) + 1).tolist()
 
 
 def parse_tree(text: str) -> Tree:

@@ -25,14 +25,22 @@ word_draws is Rng.batches' mask-and-reject rule read one raw word at a
 time, and scalar_labelling is run_labelling's loop as a scalar
 transcription on explicit sets that reads every offset and law value
 through word_draws, from the addresses run_labelling documents.
+mask, window, from_indices, iter_bits and to_int are the full-width
+bitset forms (one int per set; window shifts the whole int) that
+bitset.BlockBits is checked against.  x1..x4 build the audit's patterns
+as the field tuples quasirandom._count takes.  prufer_encode is the
+inverse of trees.prufer_decode, and plan_to_json the plan text that the
+golden plan digests hash.
 """
 
 import bisect
+import heapq
+import json
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from gracetree.bitset import mask, select, window
+from gracetree.bitset import _join, select
 from gracetree.intervals import (IntervalSystem, core_distribution,
                                  corv_distribution)
 from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV, K,
@@ -40,8 +48,89 @@ from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV, K,
                                 TraceRow, take_diff, take_label)
 from gracetree.rng import _BUF, Rng
 from gracetree.verify import VerifyReport
-from gracetree.quasirandom import QuasiReport, x1, x2, x3, x4
+from gracetree.quasirandom import _FREE, QuasiReport
 from gracetree.trees import prufer_decode
+
+
+def mask(lo: int, hi: int) -> int:
+    """Bits lo..hi inclusive."""
+    return ((1 << (hi - lo + 1)) - 1) << lo
+
+
+def window(x: int, lo: int, width: int) -> int:
+    """Bits lo..lo+width-1 of x, shifted down to 0..width-1."""
+    return (x >> lo) & ((1 << width) - 1)
+
+
+def from_indices(idx):
+    s = 0
+    for i in idx:
+        s |= 1 << i
+    return s
+
+
+def iter_bits(x: int):
+    """Set-bit indices of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def to_int(bits) -> int:
+    """The full-width int of a BlockBits."""
+    return _join(bits.blocks)
+
+
+def x1(slot):
+    return ("X1", None, None, None, slot, None)
+
+
+def x2(a, slot, c, slot2):
+    return ("X2", a, None, c, slot, slot2)
+
+
+def x3(a, slot):
+    return ("X3", a, None, None, slot, None)
+
+
+def x4(a, a2, slot):
+    return ("X4", a, a2, None, slot, None)
+
+
+def prufer_encode(t):
+    """Prüfer sequence of t: repeatedly strip the smallest leaf."""
+    n = t.n
+    if n < 2:
+        raise ValueError("prufer_encode needs n >= 2")
+    deg = [0] + t.degrees().tolist()
+    dead = bytearray(n + 1)
+    heap = [v for v in range(1, n + 1) if deg[v] == 1]
+    heapq.heapify(heap)
+    seq = []
+    for _ in range(n - 2):
+        leaf = heapq.heappop(heap)
+        dead[leaf] = 1
+        nb = next(u for u in t.neighbours(leaf) if not dead[u])
+        seq.append(nb)
+        deg[nb] -= 1
+        if deg[nb] == 1:
+            heapq.heappush(heap, nb)
+    return seq
+
+
+def plan_to_json(plan) -> str:
+    return json.dumps(
+        {
+            "order": list(plan.order),
+            "parent_pos": list(plan.parent_pos),
+            "removed_edges": sorted(list(e) for e in plan.removed_edges),
+            "interval_starts": [iv.lo for iv in plan.interval_of],
+            "interval_width": plan.interval_of[0].width if plan.order else 0,
+            "color": list(plan.color),
+        },
+        indent=2,
+    )
 
 
 def old_select(x, k):
@@ -317,29 +406,29 @@ def _diff_window(a, iv, c_bits):
 
 
 def full_count_structure(X, a_bits, c_bits):
-    """count_structure on full-width ints A and C."""
+    """quasirandom._count on full-width ints A and C, for a pattern X
+    given as its field tuple."""
+    kind, a, a2, c, iv, iv2 = X
     c_bits &= ~1
-    iv = X.slot
     avail = window(a_bits, iv.lo, iv.width)
-    if X.kind == "X1":
+    if kind == "X1":
         return avail.bit_count()
-    hits = avail & _diff_window(X.a, iv, c_bits)
-    if X.kind == "X3":
+    hits = avail & _diff_window(a, iv, c_bits)
+    if kind == "X3":
         return hits.bit_count()
-    if X.kind == "X4":
-        hits &= _diff_window(X.a2, iv, c_bits)
-        twice_mid = X.a + X.a2
+    if kind == "X4":
+        hits &= _diff_window(a2, iv, c_bits)
+        twice_mid = a + a2
         if twice_mid % 2 == 0 and iv.lo <= twice_mid // 2 <= iv.hi:
             hits &= ~(1 << (twice_mid // 2 - iv.lo))
         return hits.bit_count()
-    for b in (X.a - X.c, X.a + X.c):
+    for b in (a - c, a + c):
         if iv.lo <= b <= iv.hi:
             hits &= ~(1 << (b - iv.lo))
-    iv2 = X.slot2
     avail2 = window(a_bits, iv2.lo, iv2.width)
     anchored = hits << iv.lo
-    up = window(anchored << X.c, iv2.lo, iv2.width) & avail2
-    down = window(anchored >> X.c, iv2.lo, iv2.width) & avail2
+    up = window(anchored << c, iv2.lo, iv2.width) & avail2
+    down = window(anchored >> c, iv2.lo, iv2.width) & avail2
     return up.bit_count() + down.bit_count()
 
 
@@ -370,7 +459,8 @@ def full_check_quasi(a_bits, c_bits, sys, alpha, per_kind, rng, t=0):
     def push(X):
         cnt = full_count_structure(X, a_bits, c_bits)
         amb = full_count_structure(X, amb_a, amb_c)
-        devs.append(float(abs(Fraction(cnt) - amb * dens ** X.free) / m))
+        devs.append(float(abs(Fraction(cnt) - amb * dens ** _FREE[X[0]])
+                          / m))
 
     def pick(bits, size):
         return select(bits, rng.randbelow(size))
@@ -410,7 +500,7 @@ def full_check_quasi(a_bits, c_bits, sys, alpha, per_kind, rng, t=0):
 
 def full_ints(state):
     """The state's A and C as full-width ints."""
-    return state.labels.to_int(), state.diffs.to_int()
+    return to_int(state.labels), to_int(state.diffs)
 
 
 def old_tree(n, edges):

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gracetree.bitset import (BLOCK_BITS, BlockBits, from_indices, iter_bits,
-                              mask, select, window)
+from gracetree.bitset import BLOCK_BITS, BlockBits, select
 from gracetree.intervals import Interval, IntervalSystem
 from gracetree.labeller import LabelState, take_label
-from oracles import (admissible_labels, full_ints, old_select, remove_diff,
-                     remove_label)
+from oracles import (admissible_labels, from_indices, full_ints, iter_bits,
+                     mask, old_select, remove_diff, remove_label, to_int,
+                     window)
 
 B = BLOCK_BITS
 
@@ -52,7 +52,7 @@ def ref_window(x: int, lo: int, width: int) -> int:
 def test_block_window_matches_full_int(seed, nbits, lo, width):
     x = random.Random(seed).getrandbits(nbits)
     bits = BlockBits(x)
-    assert bits.to_int() == x
+    assert to_int(bits) == x
     assert bits.window(lo, width) == ref_window(x, lo, width)
 
 
@@ -111,7 +111,7 @@ def test_block_remove_is_checked(seed, nbits):
     for i in rnd.sample(present, min(len(present), 40)):
         take_label(bits.blocks, i)
         x ^= 1 << i
-        assert bits.to_int() == x
+        assert to_int(bits) == x
         with pytest.raises(AssertionError):
             take_label(bits.blocks, i)
     for i in (-1, -B - 1):
@@ -119,7 +119,7 @@ def test_block_remove_is_checked(seed, nbits):
             take_label(bits.blocks, i)
     with pytest.raises(IndexError):
         take_label(bits.blocks, len(bits.blocks) * B)
-    assert bits.to_int() == x
+    assert to_int(bits) == x
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,7 +190,7 @@ def test_label_state_matches_oracle_and_full_ints(case):
     a_bits = from_indices(labels)
     c_bits = from_indices(diffs)
     assert full_ints(state) == (a_bits, c_bits)
-    assert BlockBits(state.labels.to_int()).to_int() == a_bits
+    assert to_int(BlockBits(to_int(state.labels))) == a_bits
 
     got = state.admissible_mask(a, iv)
     want = admissible_labels(a, iv, labels, diffs)

@@ -6,11 +6,17 @@ import pytest
 from scipy.stats import binom
 
 from gracetree.concentration import (GRID, ScenarioError, TailEstimate,
-                                     TailScenario, grid_csv,
-                                     hoeffding_empirical, independent_coins,
-                                     reinforcing_urn, seqhoeff_empirical,
-                                     tail_grid)
+                                     TailScenario, independent_coins,
+                                     reinforcing_urn, tail_grid)
 from gracetree.rng import Rng
+
+
+def tail_at(spec, t, trials, rng, *, two_sided):
+    """tail_grid's row for the single threshold t."""
+    rows = tail_grid(spec, trials, rng, two_sided=two_sided,
+                     multipliers=(t / spec.sigma,))
+    assert rows[0].t == t
+    return rows[0]
 
 
 def test_coins_scenario_shape():
@@ -26,7 +32,8 @@ def test_coins_tail_matches_binomial():
     # exact tail P[X >= 60] for 100 fair flips; the analytic bound at
     # t = 10 is exp(-2) and must dominate it
     exact = float(binom.sf(59, 100, 0.5))
-    est = hoeffding_empirical(independent_coins(100), 10, 20000, Rng(11))
+    est = tail_at(independent_coins(100), 10, 20000, Rng(11),
+                  two_sided=False)
     assert est.bound == pytest.approx(math.exp(-2))
     assert exact < est.bound
     assert abs(est.empirical - exact) <= 4 * math.sqrt(
@@ -35,13 +42,14 @@ def test_coins_tail_matches_binomial():
 
 
 def test_zero_threshold_bound_is_one():
-    est = hoeffding_empirical(independent_coins(100), 0, 100, Rng(3))
+    est = tail_at(independent_coins(100), 0, 100, Rng(3), two_sided=False)
     assert est.bound == 1.0
     assert est.passed
 
 
 def test_far_threshold_has_no_hits():
-    est = hoeffding_empirical(independent_coins(100), 30, 10000, Rng(5))
+    est = tail_at(independent_coins(100), 30, 10000, Rng(5),
+                  two_sided=False)
     assert est.bound == pytest.approx(math.exp(-18))
     assert est.empirical == 0.0
 
@@ -50,7 +58,8 @@ def test_sequential_iid_two_sided():
     # coins declare nu = 0, so the sequential tail is the plain
     # two-sided one: P[X >= 60] + P[X <= 40], bound 2 exp(-2)
     exact = float(binom.sf(59, 100, 0.5) + binom.cdf(40, 100, 0.5))
-    est = seqhoeff_empirical(independent_coins(100), 10, 20000, Rng(17))
+    est = tail_at(independent_coins(100), 10, 20000, Rng(17),
+                  two_sided=True)
     assert est.bound == pytest.approx(2 * math.exp(-2))
     assert abs(est.empirical - exact) <= 4 * math.sqrt(
         exact * (1 - exact) / est.trials) + 1e-12
@@ -77,12 +86,12 @@ def test_lying_scenario_raises():
 
     liar = TailScenario("liar", (1.0,) * 10, 0.0, 0.0, simulate)
     with pytest.raises(ScenarioError):
-        seqhoeff_empirical(liar, 1.0, 50, Rng(1))
+        tail_grid(liar, 50, Rng(1), two_sided=True)
 
 
 def test_full_range_envelope_trivial():
     spec = dataclasses.replace(independent_coins(100), nu=100.0)
-    est = seqhoeff_empirical(spec, 1.0, 2000, Rng(9))
+    est = tail_at(spec, 1.0, 2000, Rng(9), two_sided=True)
     assert est.empirical == 0.0
     assert est.passed
 
@@ -97,33 +106,14 @@ def test_grid_invariant_coins():
 def test_grid_invariant_urn():
     rows = tail_grid(reinforcing_urn(50), 5000, Rng(37), two_sided=True)
     assert all(r.passed for r in rows)
-
-
-def test_grid_one_sided_matches_single_calls():
-    rows = tail_grid(independent_coins(64), 4000, Rng(41), two_sided=False,
-                     multipliers=(1.0, 2.0))
-    single = hoeffding_empirical(independent_coins(64), 4.0, 4000, Rng(41))
-    assert rows[0].t == 4.0
-    assert rows[0].empirical == single.empirical
-    assert rows[0].bound == single.bound
-
-
-def test_csv_deterministic():
-    def run():
-        rows = tail_grid(reinforcing_urn(30), 2000, Rng(47), two_sided=True)
-        return grid_csv(rows)
-
-    first, second = run(), run()
-    assert first == second
-    header, *lines = first.strip().split("\n")
-    assert header == "scenario,t,empirical,bound,se,trials,passed"
-    assert len(lines) == len(GRID)
-    assert all(line.startswith("urn-30-pull0.3,") for line in lines)
+    # a seed fixes the rows, each named after its scenario
+    assert tail_grid(reinforcing_urn(50), 5000, Rng(37), two_sided=True) == rows
+    assert {r.scenario for r in rows} == {"urn-50-pull0.3"}
 
 
 def test_rejects_empty_batch():
     with pytest.raises(ValueError):
-        hoeffding_empirical(independent_coins(10), 1.0, 0, Rng(2))
+        tail_grid(independent_coins(10), 0, Rng(2), two_sided=False)
 
 
 def test_estimate_passed_margin():

@@ -8,7 +8,6 @@ import pytest
 from scipy.stats import chisquare
 
 import gracetree.labeller as labeller
-from gracetree.bitset import iter_bits
 from gracetree.intervals import Interval, IntervalSystem
 from gracetree.params import derive_practical_params
 from gracetree.labeller import (
@@ -24,9 +23,9 @@ from gracetree.labeller import (
 from gracetree.prepare import prepare_plan
 from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree
-from oracles import (admissible_labels, full_ints, mask_select_label,
-                     mask_select_pick, remove_diff, remove_label,
-                     scalar_labelling)
+from oracles import (admissible_labels, full_ints, iter_bits,
+                     mask_select_label, mask_select_pick, remove_diff,
+                     remove_label, scalar_labelling)
 
 
 def check_graceful_prefix(tree, psi):

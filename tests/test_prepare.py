@@ -1,26 +1,22 @@
-import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from gracetree.intervals import Interval, IntervalSystem
 from gracetree.prepare import (
-    Plan,
-    PlanTolerances,
     PrepareError,
     assign_intervals,
-    check_plan,
     cut_tree,
     cut_tree_by_size,
     order_vertices,
-    plan_from_json,
-    plan_to_json,
     prepare_plan,
 )
 from gracetree.rng import Rng
-from gracetree.trees import Tree, path_tree, prufer_decode, random_tree, star_tree
+from gracetree.trees import path_tree, prufer_decode, random_tree, star_tree
+from oracles import plan_to_json
 
 
 def components(t, removed):
@@ -82,18 +78,12 @@ def test_cut_eps_window_errors():
 
 
 def test_cut_star_by_size_min_one_succeeds():
-    # min_size=1 needs no degree guard and must always terminate
+    # the size cut needs no degree guard and must always terminate
     t = star_tree(100)
     removed = cut_tree_by_size(t, 10)
     _, sizes = components(t, removed)
     assert max(sizes) <= 10
     assert removed <= set(t.edges)
-
-
-def test_cut_by_size_degree_guard():
-    t = star_tree(100)
-    with pytest.raises(PrepareError, match="degree"):
-        cut_tree_by_size(t, 10, 4)
 
 
 def test_cut_random_trees_respect_stated_bounds():
@@ -199,7 +189,10 @@ def test_assign_one_draw_per_component():
     t = path_tree(6)
     removed = frozenset({(3, 4)})
     order = order_vertices(t, removed)
-    rng = FixedRng([2, 5])
+    # the balanced draw for two components among ten intervals: a
+    # partial shuffle picks interval 2, then 1 + 4 = 5, and the final
+    # shuffle of the two picks keeps their order
+    rng = FixedRng([2, 4, 0])
     plan = assign_intervals(t, removed, order, sys, rng)
     assert rng.values == []
     j0 = sys.j_intervals[2]
@@ -238,57 +231,67 @@ def test_prepare_plan_deterministic():
     assert p1 == p2
     p3 = prepare_plan(t, sys, Rng(8, key=(4,)))
     assert p1 != p3
+    # a permutation rooted at position 0 in which every later vertex
+    # has exactly one earlier neighbour, its parent
+    assert sorted(p1.order) == list(range(1, 61)) and p1.parent_pos[0] == -1
+    pos = {v: i for i, v in enumerate(p1.order)}
+    for i in range(1, 60):
+        assert 0 <= p1.parent_pos[i] < i
+        earlier = [w for w in t.neighbours(p1.order[i]) if pos[w] < i]
+        assert earlier == [p1.order[p1.parent_pos[i]]]
+    # every surviving edge joins an interval to its complement
+    for u, v in t.edges:
+        if (u, v) not in p1.removed_edges:
+            assert (sys.complement(p1.interval_of[pos[u]])
+                    == p1.interval_of[pos[v]])
 
 
-def test_check_plan_passes_and_reports():
+def _component_pairs(plan, sys):
+    """The complement pair {J, complement(J)} of each component of the
+    plan, in order of first appearance."""
+    pairs = []
+    for i, v in enumerate(plan.order):
+        p = plan.parent_pos[i]
+        if p < 0 or tuple(sorted((v, plan.order[p]))) in plan.removed_edges:
+            iv = plan.interval_of[i]
+            pairs.append(frozenset({iv, sys.complement(iv)}))
+    return pairs
+
+
+def test_balanced_draw_uses_every_pair_evenly():
+    # C components over |J| intervals: each interval is drawn by
+    # floor(C/|J|) or ceil(C/|J|) components, so each complement pair
+    # by twice that
+    for nt, m, ell, n, cap in ((40, 4, 8, 60, 12), (24, 2, 4, 90, 5),
+                               (48, 4, 8, 200, 3)):
+        sys = IntervalSystem(nt, m, ell)
+        nj = len(sys.j_intervals)
+        assert len({frozenset({j, sys.complement(j)})
+                    for j in sys.j_intervals}) == nj // 2
+        for seed in range(6):
+            t = random_tree(n, Rng(seed, key=(5,)))
+            plan = prepare_plan(t, sys, Rng(seed, key=(6,)),
+                                max_component=cap)
+            pairs = _component_pairs(plan, sys)
+            c = len(pairs)
+            assert c == len(plan.removed_edges) + 1
+            for j in sys.j_intervals:
+                used = pairs.count(frozenset({j, sys.complement(j)}))
+                assert 2 * (c // nj) <= used <= 2 * -(-c // nj), (seed, c)
+
+
+def test_balanced_draw_root_interval_is_uniform():
+    # the root component keeps its drawn interval on the root's side
     sys = IntervalSystem(40, 4, 8)
     t = random_tree(60, Rng(3, key=(0,)))
-    plan = prepare_plan(t, sys, Rng(3, key=(4,)))
-    tol = PlanTolerances(max_removed=30, max_index_gap=25, balance_slack=60)
-    report = check_plan(plan, t, sys, tol)
-    assert report.all_ok, report.lines()
-    assert len(report.checks) == 5
-    assert [name for name, _, _ in report.checks] == [
-        "removal-budget",
-        "unique-parent",
-        "edge-locality",
-        "interval-balance",
-        "complementary-edges",
-    ]
-
-
-def test_check_plan_catches_violations():
-    sys = IntervalSystem(40, 4, 8)
-    t = path_tree(4)
-    plan = prepare_plan(t, sys, Rng(1, key=(4,)))
-    bad = Plan(
-        order=plan.order,
-        parent_pos=plan.parent_pos,
-        removed_edges=plan.removed_edges,
-        interval_of=(plan.interval_of[0],) * 4,
-        color=plan.color,
-    )
-    report = check_plan(bad, t, sys, PlanTolerances())
-    assert not report.all_ok
-    flagged = {name for name, ok, _ in report.checks if not ok}
-    assert "complementary-edges" in flagged
-    zero_budget = check_plan(
-        plan, t, sys, PlanTolerances(max_removed=-1)
-    )
-    assert not zero_budget.all_ok
-
-
-def test_plan_json_round_trip():
-    sys = IntervalSystem(40, 4, 8)
-    t = random_tree(30, Rng(11, key=(0,)))
-    plan = prepare_plan(t, sys, Rng(11, key=(4,)))
-    text = plan_to_json(plan)
-    json.loads(text)
-    again = plan_from_json(text, sys)
-    assert again == plan
-    other = IntervalSystem(40, 2, 4)
-    with pytest.raises(PrepareError, match="width"):
-        plan_from_json(text, other)
+    removed = cut_tree_by_size(t, 12)
+    ordering = order_vertices(t, removed)
+    counts = dict.fromkeys(sys.j_intervals, 0)
+    for seed in range(2400):
+        plan = assign_intervals(t, removed, ordering, sys, Rng(seed, key=(7,)))
+        counts[plan.interval_of[0]] += 1
+    assert (len(removed) + 1) % len(counts)  # the remainder draw matters
+    assert chisquare(list(counts.values())).pvalue > 1e-3
 
 
 # SHA-256 of plan_to_json for two frozen plans, recorded before

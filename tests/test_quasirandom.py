@@ -7,51 +7,49 @@ from hypothesis import strategies as st
 
 from gracetree.intervals import Interval, IntervalSystem
 from gracetree.labeller import LabelState, run_labelling
-from gracetree.params import ParamError, derive_practical_params
-from gracetree.prepare import Plan, prepare_plan
-from gracetree.quasirandom import (QuasiSampleSpec, _ambient, check_quasi,
-                                   count_structure, crude_estimates,
-                                   lemma36_check, x1, x2, x3, x4)
+from gracetree.params import derive_practical_params
+from gracetree.prepare import prepare_plan
+from gracetree.quasirandom import (QuasiSampleSpec, _ambient, _count,
+                                   check_quasi)
 from gracetree.rng import Rng
 from gracetree.trees import random_tree
 from oracles import (admissible_labels, full_check_quasi, full_count_structure,
-                     full_ints, remove_diff, snapshot)
+                     full_ints, remove_diff, snapshot, x1, x2, x3, x4)
 
 
 def brute_count(X, A, C):
     """Reference count by direct enumeration of the definitions."""
+    kind, a, a2, c, I, I2 = X
     A, C = set(A), set(C)
-    I = X.slot
     in_slot = [b for b in A if I.lo <= b <= I.hi]
-    if X.kind == "X1":
+    if kind == "X1":
         return len(in_slot)
-    if X.kind == "X3":
-        return sum(1 for b in in_slot if abs(b - X.a) in C and b != X.a)
-    if X.kind == "X4":
+    if kind == "X3":
+        return sum(1 for b in in_slot if abs(b - a) in C and b != a)
+    if kind == "X4":
         return sum(1 for b in in_slot
-                   if abs(b - X.a) in C and abs(b - X.a2) in C
-                   and abs(b - X.a) != abs(b - X.a2)
-                   and b not in (X.a, X.a2))
-    I2 = X.slot2
+                   if abs(b - a) in C and abs(b - a2) in C
+                   and abs(b - a) != abs(b - a2)
+                   and b not in (a, a2))
     in_slot2 = [b for b in A if I2.lo <= b <= I2.hi]
     return sum(1 for b in in_slot for b2 in in_slot2
-               if abs(b - b2) == X.c and abs(X.a - b) in C
-               and abs(X.a - b) != X.c
-               and len({X.a, b, b2}) == 3)
+               if abs(b - b2) == c and abs(a - b) in C
+               and abs(a - b) != c
+               and len({a, b, b2}) == 3)
 
 
 def test_count_x1_frozen():
-    assert count_structure(x1(Interval(1, 2)), snapshot({2}, set())) == 1
+    assert _count(snapshot({2}, set()), *x1(Interval(1, 2))) == 1
 
 
 def test_count_x3_frozen():
-    assert count_structure(x3(5, Interval(1, 2)), snapshot({1, 2}, {3, 4})) == 2
+    assert _count(snapshot({1, 2}, {3, 4}), *x3(5, Interval(1, 2))) == 2
 
 
 def test_count_x4_frozen():
     # midpoint 3 of the anchors 1, 5 induces equal labels and is excluded
-    n = count_structure(x4(1, 5, Interval(2, 4)),
-                        snapshot({2, 3, 4, 9}, {1, 2, 3}))
+    n = _count(snapshot({2, 3, 4, 9}, {1, 2, 3}),
+               *x4(1, 5, Interval(2, 4)))
     assert n == 2
 
 
@@ -60,36 +58,10 @@ def test_count_x2_anchored_pairs():
     # partners each
     A = {5, 8, 9, 11, 12, 15}
     X = x2(10, Interval(8, 12), 3, Interval(5, 15))
-    assert count_structure(X, snapshot(A, {2})) == 4
-    assert count_structure(X, snapshot(A, {2})) == brute_count(X, A, {2})
+    assert _count(snapshot(A, {2}), *X) == 4
+    assert _count(snapshot(A, {2}), *X) == brute_count(X, A, {2})
     # widening C to include 3 changes nothing: induced label 3 is banned
-    assert count_structure(X, snapshot(A, {2, 3})) == 4
-
-
-def test_structure_validation_errors():
-    with pytest.raises(ValueError):
-        x2(10, Interval(1, 4), 3, Interval(1, 4))
-    with pytest.raises(ValueError):
-        x4(5, 5, Interval(1, 4))
-    with pytest.raises(ValueError):
-        x2(10, Interval(1, 4), 0, Interval(5, 8))
-    with pytest.raises(ValueError):
-        x3(0, Interval(1, 4))
-    with pytest.raises(ValueError):
-        from gracetree.quasirandom import Structure
-        Structure("X1", a=3, slot=Interval(1, 4))
-    with pytest.raises(ValueError):
-        from gracetree.quasirandom import Structure
-        Structure("X9", slot=Interval(1, 4))
-
-
-def test_free_counts_and_diffs():
-    assert x1(Interval(1, 4)).free == 1
-    assert x2(9, Interval(1, 4), 2, Interval(5, 8)).free == 3
-    assert x3(9, Interval(1, 4)).free == 2
-    assert x4(9, 12, Interval(1, 4)).free == 3
-    assert x2(9, Interval(1, 4), 2, Interval(5, 8)).edge_diffs == (8,)
-    assert x4(9, 12, Interval(1, 4)).edge_diffs == (8, 11)
+    assert _count(snapshot(A, {2, 3}), *X) == 4
 
 
 @st.composite
@@ -113,10 +85,10 @@ def test_count_matches_brute_force(case):
     nt, A, C, I, I2, a, a2, c = case
     state = snapshot(A, C, nt)
     for X in [x1(I), x3(a, I), x4(a, a2, I)]:
-        assert count_structure(X, state) == brute_count(X, A, C)
+        assert _count(state, *X) == brute_count(X, A, C)
     if I != I2:
         X = x2(a, I, c, I2)
-        assert count_structure(X, state) == brute_count(X, A, C)
+        assert _count(state, *X) == brute_count(X, A, C)
 
 
 def test_x3_equals_admissible_minus_anchor():
@@ -129,7 +101,7 @@ def test_x3_equals_admissible_minus_anchor():
         for iv in sys.iv_intervals:
             want = admissible_labels(a, iv, frozenset(A), frozenset(C))
             want = want - {a}
-            assert count_structure(x3(a, iv), snapshot(A, C, 24)) == len(want)
+            assert _count(snapshot(A, C, 24), *x3(a, iv)) == len(want)
 
 
 def test_ambient_counts_capped_by_m():
@@ -147,11 +119,11 @@ def test_ambient_counts_capped_by_m():
         c = rng.randbelow(47) + 1
         for X in [x1(ivs[i]), x3(a, ivs[i]), x4(a, a2, ivs[i]),
                   x2(a, ivs[i], c, ivs[j])]:
-            assert count_structure(X, ambient) <= sys.m
+            assert _count(ambient, *X) <= sys.m
 
 
 def _ambient_of(X):
-    return _ambient(X.kind, X.a, X.a2, X.c, X.slot, X.slot2)
+    return _ambient(*X)
 
 
 def test_ambient_closed_form_exhaustive_small():
@@ -163,14 +135,14 @@ def test_ambient_closed_form_exhaustive_small():
                for hi in range(lo, nt + 1)]
         for iv in ivs:
             X = x1(iv)
-            assert _ambient_of(X) == count_structure(X, full)
+            assert _ambient_of(X) == _count(full, *X)
             for a in range(1, nt + 1):
                 X = x3(a, iv)
-                assert _ambient_of(X) == count_structure(X, full)
+                assert _ambient_of(X) == _count(full, *X)
                 for a2 in range(1, nt + 1):
                     if a2 != a:
                         X = x4(a, a2, iv)
-                        assert _ambient_of(X) == count_structure(X, full)
+                        assert _ambient_of(X) == _count(full, *X)
             if nt == 8:
                 for iv2 in ivs:
                     if iv2 == iv:
@@ -178,7 +150,7 @@ def test_ambient_closed_form_exhaustive_small():
                     for a in range(1, nt + 1):
                         for c in range(1, nt):
                             X = x2(a, iv, c, iv2)
-                            assert _ambient_of(X) == count_structure(X, full)
+                            assert _ambient_of(X) == _count(full, *X)
 
 
 @st.composite
@@ -219,7 +191,7 @@ def test_ambient_closed_form_matches_full_state_count(case):
     if iv2 != iv:
         patterns.append(x2(a, iv, c, iv2))
     for X in patterns:
-        assert _ambient_of(X) == count_structure(X, full), X
+        assert _ambient_of(X) == _count(full, *X), X
 
 
 def _window_loop(state, sys):
@@ -285,10 +257,10 @@ def test_single_label_multiplicity_single_slot(case, data):
     xv = data.draw(st.integers(1, nt), label="vertex toggle")
     xc = data.draw(st.integers(1, nt - 1), label="edge toggle")
     for X in [x3(a, I), x4(a, a2, I)]:
-        base = count_structure(X, snapshot(A, C, nt))
-        assert abs(count_structure(X, snapshot(A ^ {xv}, C, nt)) - base) <= 1
-        cap = 4 if X.kind == "X4" else 2
-        assert abs(count_structure(X, snapshot(A, C ^ {xc}, nt)) - base) <= cap
+        base = _count(snapshot(A, C, nt), *X)
+        assert abs(_count(snapshot(A ^ {xv}, C, nt), *X) - base) <= 1
+        cap = 4 if X[0] == "X4" else 2
+        assert abs(_count(snapshot(A, C ^ {xc}, nt), *X) - base) <= cap
 
 
 def test_single_label_multiplicity_pair_slots():
@@ -305,11 +277,11 @@ def test_single_label_multiplicity_pair_slots():
         a = rng.randbelow(48) + 1
         c = rng.randbelow(47) + 1
         X = x2(a, ivs[i], c, ivs[j])
-        base = count_structure(X, snapshot(A, C, 48))
+        base = _count(snapshot(A, C, 48), *X)
         xv = rng.randbelow(48) + 1
         xc = rng.randbelow(47) + 1
-        assert abs(count_structure(X, snapshot(A ^ {xv}, C, 48)) - base) <= 1
-        assert abs(count_structure(X, snapshot(A, C ^ {xc}, 48)) - base) <= 2
+        assert abs(_count(snapshot(A ^ {xv}, C, 48), *X) - base) <= 1
+        assert abs(_count(snapshot(A, C ^ {xc}, 48), *X) - base) <= 2
 
 
 def test_check_quasi_ambient_frozen():
@@ -352,101 +324,9 @@ def test_check_quasi_needs_rng_when_sampling():
                     None)
 
 
-def _plan_stub(sys, J):
-    return Plan(order=(1, 2), parent_pos=(-1, 0), removed_edges=frozenset(),
-                interval_of=(J, sys.complement(J)), color=(0, 0, 1))
-
-
-def test_crude_edge_frozen():
-    sys = IntervalSystem(24, 2, 4)
-    plan = _plan_stub(sys, sys.j_intervals[0])
-    p_edge, _ = crude_estimates(plan, sys, None, 1)
-    assert p_edge[Interval(20, 21)] == Fraction(1, 2)
-    got_zero = [ie for ie, p in p_edge.items()
-                if sys.el_count(plan.interval_of[0].lo, ie.lo) == 0]
-    assert all(p_edge[ie] == 0 for ie in got_zero)
-    assert sum(p_edge.values()) <= 1
-
-
-def test_crude_edge_sums_over_plan_steps():
-    sys = IntervalSystem(40, 2, 4)
-    for J in sys.j_intervals:
-        plan = _plan_stub(sys, J)
-        p_edge, _ = crude_estimates(plan, sys, None, 2)
-        assert sum(p_edge.values()) <= 1
-
-
-def test_crude_struct_frozen():
-    sys = IntervalSystem(24, 2, 4)
-    J = sys.j_intervals[0]
-    plan = _plan_stub(sys, J)
-    _, p_struct = crude_estimates(plan, sys, None, 1)
-    # slot inside J contributes 1/ell; diff 4 misses the cross profile
-    assert p_struct(x3(5, Interval(1, 2))) == Fraction(2 * 23, 24 * 4)
-    # slot outside J and a diff at the profile peak (d0 = 20)
-    peak = p_struct(x3(1, Interval(21, 22)))
-    assert peak == 2 * Fraction(23, 24) * sys.el(J, 20)
-    assert p_struct(x1(Interval(5, 6))) == 0
-
-
-def test_crude_struct_bound_and_range():
-    sys = IntervalSystem(48, 4, 8)
-    plan = _plan_stub(sys, sys.j_intervals[1])
-    _, p_struct = crude_estimates(plan, sys, None, 1)
-    bound = Fraction(4 * sys.m, sys.ell)
-    rng = Rng(13, key=(4,))
-    ivs = sys.iv_intervals
-    for _ in range(100):
-        i = rng.randbelow(len(ivs))
-        j = (i + 1 + rng.randbelow(len(ivs) - 1)) % len(ivs)
-        a = rng.randbelow(48) + 1
-        a2 = a % 48 + 1
-        c = rng.randbelow(47) + 1
-        vals = [p_struct(x1(ivs[i])), p_struct(x3(a, ivs[i])),
-                p_struct(x4(a, a2, ivs[i]))]
-        if i != j:
-            vals.append(p_struct(x2(a, ivs[i], c, ivs[j])))
-        assert all(0 <= v <= bound for v in vals)
-    with pytest.raises(ParamError):
-        crude_estimates(plan, sys, None, 0)
-    with pytest.raises(ParamError):
-        crude_estimates(plan, sys, None, 3)
-
-
-def test_window_check_ambient():
-    sys = IntervalSystem(240, 4, 16)
-    ambient = LabelState(sys)
-    J = sys.j_intervals[2]
-    a = J.hi + 50
-    assert not (J.lo <= a <= J.hi)
-    rep = lemma36_check(ambient, sys, 0.25, a, a + 1, 3, J)
-    by_kind = {r.kind: r for r in rep.rows}
-    assert by_kind["X3"].count == sys.ell
-    assert by_kind["X4"].count == sys.ell
-    assert rep.all_ok
-    # at the cross-pair profile peak the ambient X2 count is the full
-    # pair count, since the anchor and its banned sources miss J
-    c_peak = abs(sys.n_tilde - sys.ell + 2 - 2 * J.lo)
-    assert sys.el_count(J.lo, c_peak) == sys.ell
-    assert all(not (J.lo <= b <= J.hi) for b in (a - c_peak, a, a + c_peak))
-    rep2 = lemma36_check(ambient, sys, 0.25, a, a + 1, c_peak, J)
-    x2_row = {r.kind: r for r in rep2.rows}["X2"]
-    assert x2_row.count == sys.ell
-    assert rep2.all_ok
-
-
-def test_window_check_anchor_inside_target():
-    sys = IntervalSystem(240, 4, 16)
-    ambient = LabelState(sys)
-    J = sys.j_intervals[0]
-    a = J.lo + 1
-    rep = lemma36_check(ambient, sys, 0.25, a, a + 1, 3, J)
-    by_kind = {r.kind: r for r in rep.rows}
-    assert by_kind["X3"].count == sys.ell - 1
-    assert rep.all_ok
-
-
 def test_window_check_equals_tile_sums():
+    # a count over a target interval (and its complement, for X2) is the
+    # sum of the counts over the width-m slots that tile it
     sys = IntervalSystem(48, 4, 8)
     rng = Rng(17, key=(5,))
     A = {v for v in range(1, 49) if rng.randbelow(4)}
@@ -458,19 +338,13 @@ def test_window_check_equals_tile_sums():
     tiles_bar = [iv for iv in sys.iv_intervals if j_bar.contains(iv)]
     assert len(tiles) == sys.ell // sys.m and len(tiles_bar) == len(tiles)
     state = snapshot(A, C, sys=sys)
-    x3_sum = sum(count_structure(x3(a, iv), state) for iv in tiles)
-    assert x3_sum == count_structure(x3(a, J), state)
-    x4_sum = sum(count_structure(x4(a, a2, iv), state) for iv in tiles)
-    assert x4_sum == count_structure(x4(a, a2, J), state)
-    x2_sum = sum(count_structure(x2(a, iv, c, iv2), state)
+    x3_sum = sum(_count(state, *x3(a, iv)) for iv in tiles)
+    assert x3_sum == _count(state, *x3(a, J))
+    x4_sum = sum(_count(state, *x4(a, a2, iv)) for iv in tiles)
+    assert x4_sum == _count(state, *x4(a, a2, J))
+    x2_sum = sum(_count(state, *x2(a, iv, c, iv2))
                  for iv, iv2 in itertools.product(tiles, tiles_bar))
-    assert x2_sum == count_structure(x2(a, J, c, j_bar), state)
-
-
-def test_window_check_requires_wide_alpha():
-    sys = IntervalSystem(48, 4, 8)
-    with pytest.raises(ParamError):
-        lemma36_check(LabelState(sys), sys, 0.25, 1, 2, 3, sys.j_intervals[0])
+    assert x2_sum == _count(state, *x2(a, J, c, j_bar))
 
 
 @pytest.mark.parametrize("n,m,ell,seed", [(3000, 32, 256, 4),
@@ -497,11 +371,11 @@ def test_reports_match_full_width_oracle_on_run_snapshots(n, m, ell, seed):
         a_bits, c_bits = full_ints(state)
         want = full_check_quasi(a_bits, c_bits, sys, alpha, 32, old_rng, t=t)
         assert got == want, t
-        # target-wide slots, as the window check counts them
+        # target-wide slots, wider than the audit's width-m ones
         J = sys.j_intervals[t % len(sys.j_intervals)]
         a = 1 + t % sys.n_tilde
         for X in (x3(a, J), x4(a, a + 1, J), x2(a, J, 3 + t, sys.complement(J))):
-            assert (count_structure(X, state)
+            assert (_count(state, *X)
                     == full_count_structure(X, a_bits, c_bits)), (t, X)
         reports.append(got)
 

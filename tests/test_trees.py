@@ -6,10 +6,10 @@ from scipy import stats
 
 from gracetree.rng import Rng
 from gracetree.trees import (DegreeStats, Tree, broom_tree, caterpillar_tree,
-                             degree_stats, format_tree, leaves, parse_tree,
-                             path_tree, prufer_decode, prufer_encode,
-                             random_tree, spider_tree, star_tree)
-from oracles import old_parse_tree, old_tree, tree_texts
+                             degree_stats, format_tree, parse_tree, path_tree,
+                             prufer_decode, random_tree, spider_tree,
+                             star_tree)
+from oracles import old_parse_tree, old_tree, prufer_encode, tree_texts
 
 
 def test_decode_two_vertices():
@@ -155,11 +155,6 @@ def test_text_format_strict():
         parse_tree("3\n1 2\n2 3 4\n")
     with pytest.raises(ValueError):
         parse_tree("4\n1 2\n2 3\n1 3\n")
-
-
-def test_leaves():
-    assert leaves(path_tree(4)) == [1, 4]
-    assert leaves(star_tree(5)) == [2, 3, 4, 5]
 
 
 def parsed(parse, text):
