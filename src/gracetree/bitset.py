@@ -71,20 +71,13 @@ class BlockBits:
 
     __slots__ = ("blocks",)
 
-    def __init__(self, x: int):
-        nbytes = -(-max(x.bit_length(), 1) // BLOCK_BITS) * _BLOCK_BYTES
-        raw = x.to_bytes(nbytes, "little")
-        self.blocks = [int.from_bytes(raw[i:i + _BLOCK_BYTES], "little")
-                       for i in range(0, nbytes, _BLOCK_BYTES)]
-
     @classmethod
     def span(cls, lo: int, hi: int) -> "BlockBits":
-        """Bits lo..hi set (0 <= lo <= hi), built block by block: the
-        same blocks as BlockBits of the full int with those bits set,
-        without building that int."""
+        """Bits lo..hi set (0 <= lo <= hi), built block by block without
+        building the full int."""
         full = (1 << BLOCK_BITS) - 1
         j, k = lo >> _SHIFT, hi >> _SHIFT
-        bits = cls.__new__(cls)
+        bits = cls()
         blocks = [0] * j + [full] * (k - j + 1)
         blocks[j] &= full << (lo & _LOW)
         blocks[-1] &= full >> (_LOW - (hi & _LOW))

@@ -9,7 +9,6 @@ up after its retry budget).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction

@@ -38,13 +38,6 @@ class Interval(NamedTuple):
     lo: int
     hi: int
 
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 class IntervalSystem:
     """I_V, I_E, J and the J-complement map for one (n_tilde, m, ell)."""

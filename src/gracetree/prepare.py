@@ -8,19 +8,18 @@ intervals, and the target interval of every vertex.
 The stages run over flat arrays.  prepare_plan numbers the tree once, in
 BFS order from its smallest leaf (_Numbering, O(n)); the cut and the
 ordering both run on that numbering, where a removed edge is one flag on
-its child.  The cut costs O(n log n) on any shape (see _cut_window), the
-ordering O(n log n) for its heaps, and the interval assignment O(n)
-over positions.  Every stage takes and returns original vertex ids.
+its child.  The cut is one pass from the leaves up that sorts the
+children of each vertex it cuts at, O(n log n) on any shape (see
+cut_tree_by_size); the ordering costs O(n log n) for its heaps, and the
+interval assignment O(n) over positions.  Every stage takes and returns
+original vertex ids.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,182 +94,15 @@ class _Numbering:
         return flag
 
 
-class _Fragment:
-    """A run of consecutive walk levels in four parallel int64 arrays.
-
-    Level k chose child c[k] of parent[c[k]].  Values that move with the
-    cut mass D are stored minus off, the mass cut elsewhere while the
-    fragment was parked: the child's order is now sd[k] + off - D, and
-    the level makes the same choice while its key (the child's order
-    minus the least order that keeps it chosen, plus D at push) is still
-    >= D.  nkey[k] is minus the stored key and npm[k] the running maximum
-    of nkey from the fragment's first level, so bisect on npm finds the
-    first level whose key fell below D.
-    """
-
-    __slots__ = ("c", "sd", "nkey", "npm", "off")
-
-    def __init__(self, off: int = 0):
-        self.c = array("q")
-        self.sd = array("q")
-        self.nkey = array("q")
-        self.npm = array("q")
-        self.off = off
-
-
-def _cut_window(
-    t: Tree, lo: int, hi: int, numbering: _Numbering | None = None
-) -> frozenset[tuple[int, int]]:
-    """Walk-and-cut from the smallest leaf: follow the heaviest remaining
-    branch (ties to the earliest in the neighbour list) and cut off the
-    first one of order <= hi; repeat on the kept side until it has order
-    <= hi.
-
-    The walk runs on the BFS numbering (a child's number breaks ties
-    among its siblings) and resumes where the last cut changed it
-    instead of restarting at the root.  Each vertex with two or more
-    children keeps a heap of its live children keyed (-order, number),
-    without the child the walk is inside.  The walk is a stack of levels
-    (see _Fragment).  A cut of order s lowers every level's slack by s,
-    so the topmost level whose choice changed is found by bisection on
-    running minima.  The walk leaves that level: if the child it had
-    chosen still has order > hi, the levels below it are parked under
-    that child and restored when the walk chooses it again (a park inside
-    a fragment splits it, once); otherwise that child is never entered
-    again and they are dropped.  A cut or a descent costs O(log n) plus
-    the fragments a restore moves, so paths, brooms and caterpillars cut
-    in O(n log n) instead of O(n * depth), with O(n) memory.
-    """
-    if lo < 1 or lo > hi:
-        raise PrepareError(f"empty size window [{lo}, {hi}]")
-    n = t.n
-    if n <= hi:
-        return frozenset()
-
-    num = numbering or _Numbering(t)
-    vertex, parent, first = num.vertex, num.parent, num.first
-    size = [1] * n  # 0 marks a cut child
-    for k in range(n - 1, 0, -1):
-        size[parent[k]] += size[k]
-
-    heaps: dict[int, list[tuple[int, int]]] = {}
-    parked: dict[int, tuple[list[_Fragment], int]] = {}
-    frags: list[_Fragment] = []
-    gneg: list[int] = []  # minus the running minimum of effective keys
-    none = -(1 << 62)  # gneg of no level
-    cuts: list[int] = []  # the child of each removed edge
-    cut = 0  # D: the total order cut so far
-    u = 0
-    while True:
-        # choose among u's live children, exactly as a walk from the root
-        c0, c1 = first[u], first[u + 1]
-        if c1 - c0 >= 2:
-            h = heaps.get(u)
-            if h is None:
-                h = [(-size[w], w) for w in range(c0, c1)]
-                heapq.heapify(h)
-                heaps[u] = h
-            if not h:
-                best = 0
-            else:
-                neg, best = heapq.heappop(h)
-                best_size = -neg
-                thr = hi + 1
-                if h:
-                    thr = max(thr, -h[0][0] + (h[0][1] < best))
-        else:
-            best = c0
-            best_size, thr = size[best], hi + 1
-            if not best_size:
-                best = 0
-        if best == 0:  # the root is nobody's child
-            raise PrepareError(
-                f"walk stuck at vertex {vertex[u]}: no branch of order "
-                f">= {lo}"
-            )
-        if best_size < lo:
-            raise PrepareError(
-                f"walk undershot the window at vertex {vertex[u]}: "
-                f"heaviest branch has order {best_size} < {lo}"
-            )
-
-        if best_size > hi:
-            # descend: push the level (u, best)
-            if not frags:
-                frags.append(_Fragment())
-                gneg.append(none)
-            f = frags[-1]
-            key = best_size + cut - thr - f.off
-            f.c.append(best)
-            f.sd.append(best_size + cut - f.off)
-            f.nkey.append(-key)
-            f.npm.append(max(f.npm[-1], -key) if f.npm else -key)
-            g = f.npm[-1] - f.off
-            if g > gneg[-1]:
-                gneg[-1] = g
-            group = parked.pop(best, None)
-            if group is None:
-                u = best
-                continue
-            # re-enter a parked branch: nothing in it was cut while it was
-            # parked, so its levels' slacks stand; shift their stored values
-            # by the mass cut elsewhere meanwhile
-            restored, park_cut = group
-            for f in restored:
-                f.off += cut - park_cut
-                frags.append(f)
-                gneg.append(max(gneg[-1], f.npm[-1] - f.off))
-            u = frags[-1].c[-1]
-        else:
-            cuts.append(best)
-            size[best] = 0
-            cut += best_size
-            if n - cut <= hi:
-                return frozenset(
-                    (a, b) if a < b else (b, a)
-                    for a, b in ((vertex[parent[c]], vertex[c]) for c in cuts)
-                )
-
-        # leave the topmost level whose choice changed, if any
-        k = bisect.bisect_right(gneg, -cut)
-        if k == len(frags):
-            continue
-        f = frags[k]
-        j = bisect.bisect_right(f.npm, f.off - cut)
-        c = f.c[j]
-        c_size = f.sd[j] + f.off - cut
-        if c_size > hi:
-            # c lost to a sibling: park the levels below it under c
-            tail = frags[k + 1:]
-            if j + 1 < len(f.c):
-                rest = _Fragment(f.off)
-                rest.c, rest.sd = f.c[j + 1:], f.sd[j + 1:]
-                rest.nkey = f.nkey[j + 1:]
-                rest.npm = array("q", accumulate(rest.nkey, max))
-                tail.insert(0, rest)
-            if tail:
-                parked[c] = (tail, cut)
-        del frags[k + 1:], gneg[k + 1:]
-        del f.c[j:], f.sd[j:], f.nkey[j:], f.npm[j:]
-        if j:
-            gneg[k] = max(gneg[k - 1] if k else none, f.npm[-1] - f.off)
-        else:
-            frags.pop()
-            gneg.pop()
-        u = parent[c]
-        size[c] = c_size
-        h = heaps.get(u)
-        if h is not None:
-            heapq.heappush(h, (-c_size, c))
-
-
 def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
     """Remove edges so every remaining component has order <= eps*n/log n.
 
-    Requires eps*n >= 2*log n and max_degree <= eps^2*n/(4*log n); the walk
-    then never undershoots the window and |removed| <= eps*v(t).  The
-    walk resumes after each cut instead of restarting at the root (see
-    _cut_window), so deep trees cost about what random trees do.
+    Requires eps*n >= 2*log n and max_degree <= eps^2*n/(4*log n), and
+    cuts as cut_tree_by_size with max_size = floor(eps*n/log n), in
+    O(n log n) on any shape.  A vertex cuts a child only while its
+    children's orders sum to at least max_size, and it has at most
+    max_degree children, so each removed branch has order at least
+    max_size/max_degree >= 2/eps and |removed| <= eps*v(t)/2.
     """
     if not 0 < eps < 1:
         raise PrepareError(f"eps must be in (0, 1), got {eps}")
@@ -289,20 +121,60 @@ def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
         )
     lo = math.ceil(2 / eps)
     hi = math.floor(eps * n / log_n)
-    return _cut_window(t, lo, hi)
+    if lo > hi:
+        raise PrepareError(f"empty size window [{lo}, {hi}]")
+    return cut_tree_by_size(t, hi)
 
 
 def cut_tree_by_size(
     t: Tree, max_size: int, *, numbering: _Numbering | None = None
 ) -> frozenset[tuple[int, int]]:
-    """Size-threshold variant: components end up with order <= max_size.
+    """Remove edges so every remaining component has order <= max_size.
 
-    Any branch may be cut, however small, so the walk cannot get stuck
-    on any tree.  Same walk and cost as cut_tree.
+    One pass over the BFS numbering from the last vertex back to the
+    root, so a vertex comes after all its children.  Vertex u's order is
+    1 plus its children's; while that is above max_size, u loses its
+    child of largest order, ties going to the lower number (the earlier
+    one in u's neighbour list).  The pass costs O(n) plus a sort of the
+    children of each vertex that cuts, O(n log n) on any shape.
+
+    The edge set is that of the walk from the smallest leaf that follows
+    the heaviest branch (ties alike) and cuts off the first one of order
+    <= max_size, until the root's side has order <= max_size.  The walk
+    enters a vertex only while its order is above max_size, so it never
+    changes a branch of order <= max_size, and by induction it leaves
+    every child of u with the order this pass gives it.  It cuts a whole
+    child of u only once every child of u has order <= max_size, and
+    then the heaviest first with ties to the lower number, until u's
+    order is <= max_size: the cuts this pass makes at u.  Interleaving
+    between siblings changes the order of the cuts, not which edges are
+    cut.
     """
     if max_size < 1:
         raise PrepareError(f"max_size must be >= 1, got {max_size}")
-    return _cut_window(t, 1, max_size, numbering)
+    num = numbering or _Numbering(t)
+    parent, first = num.parent, num.first
+    size = [1] * t.n  # the order of k's side once k is done
+    cuts: list[int] = []  # the child of each removed edge
+    for k in range(t.n - 1, -1, -1):
+        s = size[k]
+        if s > max_size:
+            # a reverse sort is stable: equal orders stay in number order
+            heavy = sorted(range(first[k], first[k + 1]),
+                           key=size.__getitem__, reverse=True)
+            for c in heavy:
+                cuts.append(c)
+                s -= size[c]
+                if s <= max_size:
+                    break
+            size[k] = s
+        if k:
+            size[parent[k]] += s
+    vertex = num.vertex
+    return frozenset(
+        (a, b) if a < b else (b, a)
+        for a, b in ((vertex[parent[c]], vertex[c]) for c in cuts)
+    )
 
 
 def order_vertices(

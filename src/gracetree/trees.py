@@ -144,9 +144,6 @@ class Tree:
     def __setattr__(self, *a):
         raise AttributeError("Tree is immutable")
 
-    def degree(self, v: int) -> int:
-        return self.off[v + 1] - self.off[v]
-
     def neighbours(self, v: int) -> memoryview:
         """v's neighbours in input edge order."""
         return self.nbr[self.off[v]:self.off[v + 1]]

@@ -12,7 +12,7 @@ once iff m equals the edge count plus one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 import numpy as np

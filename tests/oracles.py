@@ -27,10 +27,12 @@ transcription on explicit sets that reads every offset and law value
 through word_draws, from the addresses run_labelling documents.
 mask, window, from_indices, iter_bits and to_int are the full-width
 bitset forms (one int per set; window shifts the whole int) that
-bitset.BlockBits is checked against.  x1..x4 build the audit's patterns
-as the field tuples quasirandom._count takes.  prufer_encode is the
-inverse of trees.prufer_decode, and plan_to_json the plan text that the
-golden plan digests hash.
+bitset.BlockBits is checked against, and block_bits builds a BlockBits
+from such an int.  interval_width counts an interval's values, and
+contains tells whether one interval lies inside another.  x1..x4 build
+the audit's patterns as the field tuples quasirandom._count takes.
+prufer_encode is the inverse of trees.prufer_decode, and plan_to_json
+the plan text that the golden plan digests hash.
 """
 
 import bisect
@@ -40,7 +42,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from gracetree.bitset import _join, select
+from gracetree.bitset import BLOCK_BITS, BlockBits, _join, select
 from gracetree.intervals import (IntervalSystem, core_distribution,
                                  corv_distribution)
 from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV, K,
@@ -80,6 +82,28 @@ def iter_bits(x: int):
 def to_int(bits) -> int:
     """The full-width int of a BlockBits."""
     return _join(bits.blocks)
+
+
+def block_bits(x: int) -> BlockBits:
+    """The BlockBits of full-width int x, with as many blocks as x's
+    top bit needs (at least one)."""
+    size = BLOCK_BITS // 8
+    nbytes = -(-max(x.bit_length(), 1) // BLOCK_BITS) * size
+    raw = x.to_bytes(nbytes, "little")
+    bits = BlockBits()
+    bits.blocks = [int.from_bytes(raw[i:i + size], "little")
+                   for i in range(0, nbytes, size)]
+    return bits
+
+
+def interval_width(iv) -> int:
+    """The number of values in interval iv."""
+    return iv.hi - iv.lo + 1
+
+
+def contains(outer, inner) -> bool:
+    """Whether interval inner lies inside interval outer."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def x1(slot):
@@ -126,7 +150,8 @@ def plan_to_json(plan) -> str:
             "parent_pos": list(plan.parent_pos),
             "removed_edges": sorted(list(e) for e in plan.removed_edges),
             "interval_starts": [iv.lo for iv in plan.interval_of],
-            "interval_width": plan.interval_of[0].width if plan.order else 0,
+            "interval_width": (interval_width(plan.interval_of[0])
+                               if plan.order else 0),
             "color": list(plan.color),
         },
         indent=2,
@@ -291,7 +316,7 @@ def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
             a = labels[plan.parent_pos[pos]] if pos else None
             iv = plan.interval_of[pos]
             b = _uniform_member(
-                iv.lo, iv.width,
+                iv.lo, interval_width(iv),
                 lambda x: x in A and (a is None or abs(x - a) in C),
                 label_offsets, rank, tries)
             if b < 0:
@@ -393,7 +418,7 @@ def _diff_window(a, iv, c_bits):
     The b > a side is a plain shift of C; the b < a side reverses the
     relevant chunk of C (bit j of the result is C bit a - iv.lo - j).
     """
-    lo, w = iv.lo, iv.width
+    lo, w = iv.lo, interval_width(iv)
     out = window(c_bits << a, lo, w)
     hi2 = a - lo
     if hi2 >= 1:
@@ -410,7 +435,7 @@ def full_count_structure(X, a_bits, c_bits):
     given as its field tuple."""
     kind, a, a2, c, iv, iv2 = X
     c_bits &= ~1
-    avail = window(a_bits, iv.lo, iv.width)
+    avail = window(a_bits, iv.lo, interval_width(iv))
     if kind == "X1":
         return avail.bit_count()
     hits = avail & _diff_window(a, iv, c_bits)
@@ -425,10 +450,11 @@ def full_count_structure(X, a_bits, c_bits):
     for b in (a - c, a + c):
         if iv.lo <= b <= iv.hi:
             hits &= ~(1 << (b - iv.lo))
-    avail2 = window(a_bits, iv2.lo, iv2.width)
+    w2 = interval_width(iv2)
+    avail2 = window(a_bits, iv2.lo, w2)
     anchored = hits << iv.lo
-    up = window(anchored << c, iv2.lo, iv2.width) & avail2
-    down = window(anchored >> c, iv2.lo, iv2.width) & avail2
+    up = window(anchored << c, iv2.lo, w2) & avail2
+    down = window(anchored >> c, iv2.lo, w2) & avail2
     return up.bit_count() + down.bit_count()
 
 

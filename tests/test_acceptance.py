@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from gracetree.concentration import independent_coins, reinforcing_urn, tail_grid

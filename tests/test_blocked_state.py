@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from gracetree.bitset import BLOCK_BITS, BlockBits, select
 from gracetree.intervals import Interval, IntervalSystem
 from gracetree.labeller import LabelState, take_label
-from oracles import (admissible_labels, from_indices, full_ints, iter_bits,
-                     mask, old_select, remove_diff, remove_label, to_int,
-                     window)
+from oracles import (admissible_labels, block_bits, from_indices, full_ints,
+                     interval_width, iter_bits, mask, old_select, remove_diff,
+                     remove_label, to_int, window)
 
 B = BLOCK_BITS
 
@@ -51,7 +51,7 @@ def ref_window(x: int, lo: int, width: int) -> int:
 )
 def test_block_window_matches_full_int(seed, nbits, lo, width):
     x = random.Random(seed).getrandbits(nbits)
-    bits = BlockBits(x)
+    bits = block_bits(x)
     assert to_int(bits) == x
     assert bits.window(lo, width) == ref_window(x, lo, width)
 
@@ -106,7 +106,7 @@ def test_select_rejects_empty_int():
 def test_block_remove_is_checked(seed, nbits):
     rnd = random.Random(seed)
     x = rnd.getrandbits(nbits) | 1 << (nbits - 1)
-    bits = BlockBits(x)
+    bits = block_bits(x)
     present = list(iter_bits(x))
     for i in rnd.sample(present, min(len(present), 40)):
         take_label(bits.blocks, i)
@@ -126,7 +126,7 @@ def test_block_remove_is_checked(seed, nbits):
 @given(lo=st.integers(0, 4 * B), width=st.integers(1, 4 * B))
 def test_block_span_matches_full_mask(lo, width):
     hi = lo + width - 1
-    assert BlockBits.span(lo, hi).blocks == BlockBits(mask(lo, hi)).blocks
+    assert BlockBits.span(lo, hi).blocks == block_bits(mask(lo, hi)).blocks
 
 
 def _edge_starts(nt: int) -> list[int]:
@@ -190,13 +190,13 @@ def test_label_state_matches_oracle_and_full_ints(case):
     a_bits = from_indices(labels)
     c_bits = from_indices(diffs)
     assert full_ints(state) == (a_bits, c_bits)
-    assert to_int(BlockBits(to_int(state.labels))) == a_bits
+    assert to_int(block_bits(to_int(state.labels))) == a_bits
 
     got = state.admissible_mask(a, iv)
     want = admissible_labels(a, iv, labels, diffs)
     assert {iv.lo + k for k in iter_bits(got)} == want
     # the full-width formulas the blocked state replaced
-    w = iv.width
+    w = interval_width(iv)
     c_rev = from_indices(nt - d for d in diffs)
     full = window(a_bits, iv.lo, w) & (
         window(c_bits << a, iv.lo, w) | window(c_rev >> (nt - a), iv.lo, w)

@@ -1,16 +1,22 @@
-"""The resumable cut against the walk it replaced, and deep trees at scale.
+"""The post-order cut against the walk it replaced, and deep trees at scale.
 
-`restart_cut_window` is the earlier walk, kept verbatim as an oracle: it
-restarts at the root after every cut, which costs O(n * depth).  The
-library's walk resumes instead and must return the same edge set and
-raise the same errors.
+`restart_cut_window` is the earlier walk, kept verbatim as an oracle (it
+finds the smallest leaf with len(t.neighbours(v)), Tree.degree being
+gone): it restarts at the root after every cut, which costs
+O(n * depth).  The library cuts in one pass from the leaves up and must
+return the same edge set as the walk at the same top of the window.
+The walk also took a bottom lo and raised when a branch fell below it;
+the library has no lo, so the sweep skips the windows where the walk
+raises: they check only that behaviour.  cut_tree's guards keep it out
+of reach, which test_guarded_window_never_needs_lo pins.
 """
 
+import math
 import time
 
 import pytest
 
-from gracetree.prepare import (PrepareError, _cut_window, cut_tree_by_size,
+from gracetree.prepare import (PrepareError, cut_tree, cut_tree_by_size,
                                order_vertices)
 from gracetree.rng import Rng
 from gracetree.trees import (Tree, broom_tree, caterpillar_tree, path_tree,
@@ -23,7 +29,7 @@ def restart_cut_window(t, lo, hi):
     if t.n <= hi:
         return frozenset()
 
-    root = next(v for v in range(1, t.n + 1) if t.degree(v) == 1)
+    root = next(v for v in range(1, t.n + 1) if len(t.neighbours(v)) == 1)
     parent = [0] * (t.n + 1)
     size = [1] * (t.n + 1)
     order = [root]
@@ -139,31 +145,58 @@ def windows(n, r):
 @pytest.mark.parametrize("kind", KINDS)
 def test_resumable_walk_matches_restarting_walk(kind):
     rng = Rng(4242).child(KINDS.index(kind))
-    errors = cuts = 0
+    compared = cuts = 0
     for i in range(60):
         r = rng.child(i)
         n = 2 + r.randbelow(499)
         t = shape(kind, n, r.child(0))
         for lo, hi in windows(n, r.child(1)):
             want = outcome(restart_cut_window, t, lo, hi)
-            got = outcome(_cut_window, t, lo, hi)
-            assert got == want, (kind, n, lo, hi, t.edges)
             if isinstance(want, str):
-                errors += 1
-            else:
-                cuts += len(want)
-    # the sweep reaches both outcomes on every shape that branches (a
-    # walk down a path meets every order on its way, so never undershoots)
-    assert cuts > 0
-    if kind not in ("path", "spider-2"):
-        assert errors > 0
+                continue
+            assert cut_tree_by_size(t, hi) == want, (kind, n, lo, hi, t.edges)
+            compared += 1
+            cuts += len(want)
+    assert compared > 0 and cuts > 0
 
 
-def test_bad_windows_keep_their_messages():
-    t = relabel(30, list(path_tree(30).edges), Rng(5))
-    for lo, hi in ((0, 5), (6, 5), (-1, 3)):
-        assert outcome(_cut_window, t, lo, hi) == \
-            outcome(restart_cut_window, t, lo, hi)
+def smallest_eps(t, n):
+    """The least eps that cut_tree's guards accept for t at ambient n:
+    eps*n >= 2*log n and max degree <= eps^2*n/(4*log n)."""
+    log_n = math.log(n)
+    max_deg = int(t.degrees().max())
+    return max(2 * log_n / n, math.sqrt(4 * max_deg * log_n / n))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_guarded_window_never_needs_lo(kind):
+    # at the smallest eps the guards allow, the window's bottom is as
+    # high as it gets against its top; the walk with that bottom still
+    # never meets a branch below it, so dropping lo loses no error
+    rng = Rng(777).child(KINDS.index(kind))
+    runs = cuts = 0
+    for i in range(40):
+        r = rng.child(i)
+        size = 2 + r.randbelow(499)
+        t = shape(kind, size, r.child(0))
+        for n in (size, size + 1 + r.randbelow(size), max(2, size // 3)):
+            eps = smallest_eps(t, n) * (1 + 1e-9)
+            if eps >= 1:
+                continue
+            lo = math.ceil(2 / eps)
+            hi = math.floor(eps * n / math.log(n))
+            want = restart_cut_window(t, lo, hi)
+            assert cut_tree(t, eps, n) == want, (kind, size, n, eps)
+            runs += 1
+            cuts += len(want)
+    assert runs > 0 and cuts > 0
+
+
+def test_empty_window_keeps_its_message():
+    # a lone vertex has degree 0, so the degree guard cannot rule out
+    # a window with ceil(2/eps) > floor(eps*n/log n)
+    with pytest.raises(PrepareError, match=r"^empty size window \[4, 2\]$"):
+        cut_tree(Tree(1, []), 0.5, 10)
 
 
 def deep_shapes(n):

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from gracetree.intervals import (CorrectionDistribution, Interval,
-                                 IntervalSystem, core_distribution,
-                                 corv_distribution)
+from gracetree.intervals import (Interval, IntervalSystem,
+                                 core_distribution, corv_distribution)
 from gracetree.params import ParamError, derive_practical_params
 from gracetree.rng import Rng
 from oracles import sample

@@ -15,7 +15,6 @@ from gracetree.labeller import (
     FAIL_CORE,
     FAIL_CORV,
     K,
-    LabelResult,
     LabelState,
     pick_free,
     run_labelling,
