@@ -1,9 +1,10 @@
 """Randomized near-complete graceful labelling of trees.
 
-Pipeline: preprocess a tree (trim a small remainder, order the kept
-vertices, assign target intervals), then label it by a randomized greedy
-process with correction removals that keep the free label sets
-quasirandom.  Companion pieces: exact small-case solvers, verifiers for
+Pipeline: preprocess a tree (cut a few edges so every component is
+small, order the vertices, assign target intervals), then label every
+vertex by a randomized greedy process with correction removals that keep
+the free label sets quasirandom; verify_graceful checks each completed
+labelling.  Companion pieces: exact small-case solvers, verifiers for
 graceful / bipartite-graceful / harmonious labellings, cyclic packings
 of complete graphs, and empirical concentration checks.
 """

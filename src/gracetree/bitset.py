@@ -106,8 +106,11 @@ class BlockBits:
         return (x >> off) & ((1 << width) - 1)
 
 
+def block_bytes(blocks: list[int]) -> bytes:
+    """The little-endian bytes of consecutive BLOCK_BITS-wide blocks."""
+    return b"".join([b.to_bytes(_BLOCK_BYTES, "little") for b in blocks])
+
+
 def _join(blocks: list[int]) -> int:
     """The int whose consecutive BLOCK_BITS-wide blocks are blocks."""
-    return int.from_bytes(
-        b"".join([b.to_bytes(_BLOCK_BYTES, "little") for b in blocks]),
-        "little")
+    return int.from_bytes(block_bytes(blocks), "little")

@@ -24,7 +24,7 @@ from .intervals import IntervalSystem
 from .labeller import LabelResult, run_labelling
 from .params import ParamError, Params, derive_practical_params
 from .prepare import prepare_plan
-from .quasirandom import QuasiReport, QuasiSampleSpec, check_quasi
+from .quasirandom import QuasiReport, check_quasi
 from .rng import Rng
 from .trees import Tree, parse_tree, random_tree
 from .verify import Labelling, verify_graceful
@@ -168,11 +168,11 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     quasi_rng = root.child(2)
 
     tagged: List[Tuple[int, QuasiReport]] = []  # (attempt, report)
-    spec = QuasiSampleSpec(per_kind=cfg.quasi_per_kind)
 
     def on_checkpoint(state, t):
         tagged.append((state.attempt, check_quasi(
-            state, sys, float(params.alpha(t)), spec, quasi_rng, t=t)))
+            state, sys, float(params.alpha(t)), cfg.quasi_per_kind,
+            quasi_rng, t=t)))
 
     plan = prepare_plan(tree, sys, label_rng.child(0).child(0),
                         max_component=cfg.max_component)
@@ -184,7 +184,7 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
                         on_checkpoint=on_checkpoint,
                         collect_trace=collect_trace,
                         replan=lambda r: prepare.assign_intervals(
-                            tree, plan.removed_edges,
+                            plan.removed_edges,
                             (plan.order, plan.parent_pos), sys, r))
     reports = [r for k, r in tagged if k == res.attempts - 1]
 

@@ -47,6 +47,8 @@ class IntervalSystem:
             raise ParamError(f"2m = {2*m} must divide n_tilde = {n_tilde}")
         if ell % m != 0:
             raise ParamError(f"m = {m} must divide ell = {ell}")
+        if ell < m:
+            raise ParamError(f"need ell >= m: ell = {ell}, m = {m}")
         if 2 * ell >= n_tilde:
             raise ParamError(f"need ell < n_tilde/2, got ell = {ell}")
         if n_tilde // m > _MAX_MATERIALIZED:
@@ -62,8 +64,6 @@ class IntervalSystem:
         self.iv_intervals = tuple(Interval(s, s + m - 1) for s in self.iv_starts)
         self.ie_intervals = tuple(Interval(s, s + m - 1) for s in self.ie_starts)
         self.j_intervals = tuple(Interval(s, s + ell - 1) for s in self.j_starts)
-        self.iv_index = {iv: i for i, iv in enumerate(self.iv_intervals)}
-        self.ie_index = {ie: i for i, ie in enumerate(self.ie_intervals)}
         self.j_index = {j: i for i, j in enumerate(self.j_intervals)}
         assert len(self.iv_starts) == n_tilde // m
         assert len(self.ie_starts) == n_tilde // m

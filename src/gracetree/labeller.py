@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .bitset import _LOW, _SHIFT, BLOCK_BITS, BlockBits, select
+from .bitset import _LOW, _SHIFT, BlockBits, select
 from .intervals import (
     CorrectionDistribution,
     Interval,
@@ -68,14 +68,15 @@ class LabelState:
     after K misses does it read the label window of its target interval
     plus one difference window, on the parent's side of it (both sides
     only when the parent's label lies inside the interval, which target
-    intervals and their complements all but rule out).  The correction
-    picks (pick_free) read one bit of A or C per try likewise, and every
-    removal rewrites one block (take_label, take_diff).  So a step costs
-    O(1/density) bit reads plus, rarely, O(ell/64) words, whatever
-    n_tilde is.  The audit (quasirandom.py) counts its sampled patterns
-    on the same windows through admissible_mask and first_mask, and
-    reads the block lists of A and C as numpy word arrays once per
-    checkpoint; it keeps no copy of the label state between checkpoints.
+    intervals and their complements all but rule out).  The first
+    vertex, which has no parent, and the correction picks draw with
+    pick_free, one bit of A or C per try, and every removal rewrites one
+    block (take_label, take_diff).  So a step costs O(1/density) bit
+    reads plus, rarely, O(ell/64) words, whatever n_tilde is.  Every
+    window, here and in the audit (quasirandom.py), is read by the one
+    window reader, BlockBits.window; the audit also reads A and C as
+    numpy word arrays once per checkpoint and keeps no copy of the
+    state between checkpoints.
 
     size_a and size_c are |A| and |C|; steps_done, corv_hits and
     core_hits count completed steps and the corrective removals made in
@@ -113,62 +114,29 @@ class LabelState:
 
     def admissible_mask(self, a: int, iv: Interval) -> int:
         """Window bitmask of labels in iv admissible against parent label a
-        (bit k = label iv.lo + k); a and iv lie in 1..n_tilde.
-
-        Windows of one or two blocks are read from the block lists
-        here, wider ones through BlockBits.window.
-        """
+        (bit k = label iv.lo + k); a and iv lie in 1..n_tilde."""
         lo, hi = iv
         w = hi - lo + 1
-        ones = (1 << w) - 1
-        blocks = self.labels.blocks
-        j = lo >> _SHIFT
-        end = (lo & _LOW) + w
-        if end <= BLOCK_BITS:
-            avail = blocks[j] >> (lo & _LOW) & ones
-        elif end <= 2 * BLOCK_BITS:
-            avail = ((blocks[j] | blocks[j + 1] << BLOCK_BITS)
-                     >> (lo & _LOW) & ones)
-        else:
-            avail = self.labels.window(lo, w)
         # labels above a need difference b - a free in C, labels below
-        # it need n_tilde - (a - b) free in the mirror; the other read
-        # would be all zero.  Either window lies inside 1..n_tilde - 1.
-        if a < lo:
-            s, bits = lo - a, self.diffs
-        elif a > hi:
-            s, bits = lo + self.sys.n_tilde - a, self.diffs_rev
-        else:
-            return avail & (self.diffs.window(lo - a, w)
-                            | self.diffs_rev.window(lo + self.sys.n_tilde - a,
-                                                    w))
-        blocks = bits.blocks
-        j = s >> _SHIFT
-        end = (s & _LOW) + w
-        if end <= BLOCK_BITS:
-            return avail & blocks[j] >> (s & _LOW)
-        if end <= 2 * BLOCK_BITS:
-            return avail & ((blocks[j] | blocks[j + 1] << BLOCK_BITS)
-                            >> (s & _LOW))
-        return avail & bits.window(s, w)
-
-    def first_mask(self, iv: Interval) -> int:
-        return self.labels.window(iv.lo, iv.hi - iv.lo + 1)
+        # it need n_tilde - (a - b) free in the mirror; a side that holds
+        # no label of iv is not read
+        up = self.diffs.window(lo - a, w) if a <= hi else 0
+        down = (self.diffs_rev.window(lo + self.sys.n_tilde - a, w)
+                if a >= lo else 0)
+        return self.labels.window(lo, w) & (up | down)
 
     def draw_label(self, a: int, iv: Interval, offsets: Iterator[int],
                    randbelow: Callable[[int], int]) -> int:
         """A label drawn uniformly from the labels of iv admissible
-        against parent label a (a = 0: no parent, only A is read), or -1
-        when there is none.
+        against parent label a >= 1, or -1 when there is none.
 
         Up to TRIES positions lo + next(offsets) of iv are tried
         (offsets must be uniform on 0..width - 1), each accepted when
         its label is free in A and its difference to a is free in C: two
         bit reads.  After TRIES misses the draw falls back to
-        admissible_mask (first_mask) and select, with the rank drawn by
-        randbelow, which also finds an empty window.  Every try and the
-        fallback are uniform on the same admissible set, so the draw is
-        too.
+        admissible_mask and select, with the rank drawn by randbelow,
+        which also finds an empty window.  Every try and the fallback
+        are uniform on the same admissible set, so the draw is too.
         """
         lo = iv.lo
         labels = self.labels.blocks
@@ -176,14 +144,10 @@ class LabelState:
         for _ in TRIES:
             b = lo + next(offsets)
             if labels[b >> _SHIFT] >> (b & _LOW) & 1:
-                if not a:
-                    return b
                 d = b - a if b > a else a - b
                 if diffs[d >> _SHIFT] >> (d & _LOW) & 1:
                     return b
-        return _rank_draw(
-            self.admissible_mask(a, iv) if a else self.first_mask(iv), lo,
-            randbelow)
+        return _rank_draw(self.admissible_mask(a, iv), lo, randbelow)
 
 
 def pick_free(bits: BlockBits, lo: int, w: int, offsets: Iterator[int],
@@ -326,8 +290,12 @@ def _attempt(
     failure = None
     for pos, vertex in enumerate(plan.order):
         t = pos + 1
-        a = labels[parent_pos[pos]] if pos else 0
-        b = draw(a, interval_of[pos], label_offsets, randbelow)
+        if pos:
+            a = labels[parent_pos[pos]]
+            b = draw(a, interval_of[pos], label_offsets, randbelow)
+        else:  # the first vertex has no parent: a free label of A
+            b = pick_free(label_bits, interval_of[0].lo, sys.ell,
+                          label_offsets, randbelow)
         if b < 0:
             failure = AttemptFailure(FAIL_CHOOSE, t)
             break

@@ -47,7 +47,7 @@ def derive_practical_params(n: int, gamma, m: int, ell: int) -> Params:
     """Desk-scale parameters with user-chosen m and ell.
 
     n_tilde = ceil((1+gamma) n) rounded up to a multiple of 2m; requires
-    m | ell, ell < n_tilde/2 and n_tilde/m >= 4(ell/m - 1).  The last
+    m | ell, m <= ell < n_tilde/2 and n_tilde/m >= 4(ell/m - 1).  The last
     keeps the null outcome of both correction laws at a nonnegative
     mass: with N = n_tilde/m windows and N - 2(ell/m - 1) target
     intervals, that mass is (N - 4(ell/m - 1)) / (N - 2(ell/m - 1)).
@@ -62,6 +62,8 @@ def derive_practical_params(n: int, gamma, m: int, ell: int) -> Params:
         raise ParamError("m must be at least 1")
     if ell % m != 0:
         raise ParamError(f"m = {m} must divide ell = {ell}")
+    if ell < m:
+        raise ParamError(f"need ell >= m: ell = {ell}, m = {m}")
     nt0 = math.ceil((1 + gamma) * n)
     r = nt0 % (2 * m)
     n_tilde = nt0 if r == 0 else nt0 + (2 * m - r)

@@ -236,7 +236,6 @@ class Plan:
     parent_pos: tuple[int, ...]
     removed_edges: frozenset[tuple[int, int]]
     interval_of: tuple[Interval, ...]  # indexed by position
-    color: tuple[int, ...]  # indexed by vertex, color[0] unused
 
     @property
     def n(self) -> int:
@@ -244,13 +243,13 @@ class Plan:
 
 
 def assign_intervals(
-    t: Tree,
     removed: Iterable[tuple[int, int]],
     ordering: tuple[Sequence[int], Sequence[int]],
     sys: IntervalSystem,
     rng: Rng,
 ) -> Plan:
-    """Draw one interval per component and color endpoints.
+    """Draw one interval per component and give each vertex of the
+    ordering (the tree's vertices 1..n) its target interval.
 
     Vertices are 2-colored by parity of distance from the ordering's first
     vertex (vertex 1 for order_vertices); within each component of the cut
@@ -279,12 +278,12 @@ def assign_intervals(
 
     # flag the positions whose parent edge is removed: of an edge's two
     # endpoints, the later one in the order is the child
-    pos = [0] * (t.n + 1)
+    pos = [0] * (n + 1)
     for i, v in enumerate(order):
         pos[v] = i
     cut = bytearray(n)
     for u, v in removed:
-        if 1 <= u and v <= t.n:
+        if 1 <= u and v <= n:
             i, j = pos[u], pos[v]
             if i < j:
                 i, j = j, i
@@ -341,18 +340,12 @@ def assign_intervals(
                 best, best_score = o, score
         flip[k] = best
 
-    color = [0] * (t.n + 1)
-    interval_of = []
-    for i, v in enumerate(order):
-        c = comp[i]
-        color[v] = side = parity[i] ^ flip[c]
-        interval_of.append(sides[side][c])
+    interval_of = [sides[parity[i] ^ flip[c]][c] for i, c in enumerate(comp)]
     return Plan(
         order=tuple(order),
         parent_pos=tuple(parent_pos),
         removed_edges=removed,
         interval_of=tuple(interval_of),
-        color=tuple(color),
     )
 
 
@@ -384,4 +377,4 @@ def prepare_plan(
     removed = cut_tree_by_size(t, max_component, numbering=numbering)
     ordering = order_vertices(t, removed, numbering=numbering)
     del numbering  # over 100 bytes a vertex, and the assignment needs none
-    return assign_intervals(t, removed, ordering, sys, rng)
+    return assign_intervals(removed, ordering, sys, rng)

@@ -1,8 +1,10 @@
 """Quasirandomness diagnostics over label-state snapshots.
 
 Four local structure patterns are counted against a snapshot (A, C) of
-free vertex and edge labels, read where the labeller keeps them: the
-windows of its LabelState.  X1 is a bare free slot, X3 an anchor
+free vertex and edge labels, read where the labeller keeps them: every
+slot is one BlockBits.window read of the LabelState's sets, the window
+reader the labeller uses, either directly (X1, X2's second slot) or
+through LabelState.admissible_mask.  X1 is a bare free slot, X3 an anchor
 joined to a free slot, X2 an anchor plus a fixed edge label between two
 free slots, and X4 two anchors joined through one free slot.  Counts on
 width-m slots never exceed m.  Their deviations from the ambient
@@ -24,7 +26,7 @@ import numpy as np
 
 # select is not called here (_Words maps ranks in numpy); the binding
 # stays because perfbench's traced runs wrap quasirandom.select
-from .bitset import BLOCK_BITS, BlockBits, select  # noqa: F401
+from .bitset import BlockBits, block_bytes, select  # noqa: F401
 from .intervals import Interval, IntervalSystem
 from .labeller import LabelState
 from .rng import Rng
@@ -51,7 +53,7 @@ def _count(state: LabelState, kind: str, a, a2, c, iv: Interval,
     O(width/64) words.
     """
     if kind == "X1":
-        return state.first_mask(iv).bit_count()
+        return state.labels.window(iv.lo, iv.hi - iv.lo + 1).bit_count()
     hits = state.admissible_mask(a, iv)
     if kind == "X3":
         return hits.bit_count()
@@ -69,7 +71,7 @@ def _count(state: LabelState, kind: str, a, a2, c, iv: Interval,
     # partner b' = b + c or b - c; b' = a is impossible once |a - b| != c.
     # Bit k of hits is label iv.lo + k, so b +- c sits at bit
     # iv.lo +- c - iv2.lo of slot2's window.
-    avail2 = state.first_mask(iv2)
+    avail2 = state.labels.window(iv2.lo, iv2.hi - iv2.lo + 1)
     up = _shift(hits, iv.lo + c - iv2.lo) & avail2
     down = _shift(hits, iv.lo - c - iv2.lo) & avail2
     return up.bit_count() + down.bit_count()
@@ -104,15 +106,6 @@ def _ambient(kind: str, a, a2, c, iv: Interval, iv2) -> int:
 
 
 @dataclass(frozen=True)
-class QuasiSampleSpec:
-    """Sampling budget for the QUASI2 sweep: per_kind structures of each
-    kind, with anchors uniform over the currently free labels and slots
-    uniform over the vertex windows."""
-
-    per_kind: int = 256
-
-
-@dataclass(frozen=True)
 class QuasiReport:
     checkpoint: int
     alpha: float
@@ -142,9 +135,7 @@ class _Words:
     __slots__ = ("words", "below")
 
     def __init__(self, bits: BlockBits):
-        raw = [b.to_bytes(BLOCK_BITS // 8, "little") for b in bits.blocks]
-        raw.append(bytes(8))
-        self.words = np.frombuffer(b"".join(raw), "<u8")
+        self.words = np.frombuffer(block_bytes(bits.blocks) + bytes(8), "<u8")
         pop = np.bitwise_count(self.words).astype(np.int64)
         self.below = np.cumsum(pop) - pop
 
@@ -169,8 +160,8 @@ class _Words:
 
 
 def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
-                sample_spec: Optional[QuasiSampleSpec] = None,
-                rng: Optional[Rng] = None, *, t: int = 0) -> QuasiReport:
+                per_kind: int, rng: Optional[Rng], *,
+                t: int = 0) -> QuasiReport:
     """Evaluate both quasirandomness conditions on the free labels and
     differences of state.
 
@@ -178,15 +169,15 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
     over C's words gives the free differences of every edge window, and
     the largest deviation is found on the integers, at the lowest
     window lo on ties, before its one division.  The structure
-    condition is checked on a seeded sample (kinds in order X1..X4), so
-    the report is a deterministic function of (state, sample_spec, rng
-    state).  The sample's values are all drawn first, in the order of
-    one pattern after another; then the anchor and fixed-edge ranks are
-    mapped to labels in one numpy pass per set, and each pattern is
-    counted once on state, its ambient count coming from _ambient.
-    Deviations are reported in units of m.
+    condition is checked on a seeded sample of per_kind patterns of
+    each kind (kinds in order X1..X4; see _sample), so the report is a
+    deterministic function of (state, per_kind, rng state).  The
+    sample's values are all drawn first, in the order of one pattern
+    after another; then the anchor and fixed-edge ranks are mapped to
+    labels in one numpy pass per set, and each pattern is counted once
+    on state, its ambient count coming from _ambient.  Deviations are
+    reported in units of m.
     """
-    spec = sample_spec if sample_spec is not None else QuasiSampleSpec()
     m, nt = sys.m, sys.n_tilde
     size_a, size_c = state.size_a, state.size_c
 
@@ -201,15 +192,15 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
     best = [c for c, d in dev.items() if d == top]
     worst = int(np.argmax((cnt == best[0]) | (cnt == best[-1])))
 
-    if spec.per_kind > 0 and rng is None:
+    if per_kind > 0 and rng is None:
         raise ValueError("structure sampling requires an rng")
 
     devs = []
-    if (spec.per_kind > 0 and size_a >= 2 and size_c >= 1
+    if (per_kind > 0 and size_a >= 2 and size_c >= 1
             and len(sys.iv_intervals) >= 2):
         scale = {kind: (nt ** f, size_a ** f, m * nt ** f)
                  for kind, f in _FREE.items()}
-        for X in _sample(state, sys, spec.per_kind, rng, diffs):
+        for X in _sample(state, sys, per_kind, rng, diffs):
             nt_f, size_f, den = scale[X[0]]
             devs.append(abs(_count(state, *X) * nt_f
                             - _ambient(*X) * size_f) / den)

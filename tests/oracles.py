@@ -152,7 +152,6 @@ def plan_to_json(plan) -> str:
             "interval_starts": [iv.lo for iv in plan.interval_of],
             "interval_width": (interval_width(plan.interval_of[0])
                                if plan.order else 0),
-            "color": list(plan.color),
         },
         indent=2,
     )
@@ -194,7 +193,8 @@ def admissible_labels(a, interval, labels, diffs):
 def mask_select_label(state, a, iv, randbelow):
     """A uniform admissible label of iv against parent label a (a = 0:
     no parent), or -1: the whole window's mask, then select."""
-    mask_bits = state.admissible_mask(a, iv) if a else state.first_mask(iv)
+    mask_bits = (state.admissible_mask(a, iv) if a
+                 else state.labels.window(iv.lo, interval_width(iv)))
     cnt = mask_bits.bit_count()
     if not cnt:
         return -1

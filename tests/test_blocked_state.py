@@ -202,7 +202,7 @@ def test_label_state_matches_oracle_and_full_ints(case):
         window(c_bits << a, iv.lo, w) | window(c_rev >> (nt - a), iv.lo, w)
     )
     assert got == full
-    assert state.first_mask(iv) == window(a_bits, iv.lo, w)
+    assert state.labels.window(iv.lo, w) == window(a_bits, iv.lo, w)
 
     if gone_a:
         with pytest.raises(AssertionError):

@@ -225,6 +225,20 @@ def test_label_refuses_negative_null_mass(tmp_path, capsys):
     assert "n_tilde/m = 38, ell/m = 16" in payload["message"]
 
 
+@pytest.mark.parametrize("ell", ["0", "-4"])
+def test_label_refuses_ell_below_m(tmp_path, capsys, ell):
+    tree = str(tmp_path / "t.txt")
+    run_cli(capsys, "generate", "--n", "50", "--seed", "0", "--out", tree)
+    code, out, err = run_cli(
+        capsys, "label", "--tree", tree, "--gamma", "1", "--m", "4",
+        "--ell", ell, "--seed", "0")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ParamError"
+    assert f"need ell >= m: ell = {ell}, m = 4" in payload["message"]
+
+
 def test_experiment_command(tmp_path, capsys):
     cfg = {"n": [200], "gamma": "1", "m": 16, "ell": 32, "trials": 2,
            "seed": 5, "retries": 6, "checkpoint_every": 100,
@@ -353,6 +367,8 @@ def test_verify_malformed_labels_named(tmp_path, capsys, labels, needle):
     ({"trials": "2"}, "bad trials"),
     ({"m": None}, "bad m"),
     ({"quasi_used_cap": 256}, "unknown config keys"),
+    ({"ell": 0}, "need ell >= m: ell = 0, m = 2"),
+    ({"ell": -2}, "need ell >= m: ell = -2, m = 2"),
 ])
 def test_experiment_malformed_config_named(tmp_path, capsys, change, needle):
     path = tmp_path / "cfg.json"

@@ -187,6 +187,9 @@ def test_system_validation():
         IntervalSystem(24, 2, 3)   # m does not divide ell
     with pytest.raises(ParamError):
         IntervalSystem(24, 2, 12)  # ell >= half
+    for ell in (0, -2):  # m divides both, but ell < m
+        with pytest.raises(ParamError, match="need ell >= m"):
+            IntervalSystem(24, 2, ell)
 
 
 def test_negative_null_mass_law_is_built_but_not_drawn():

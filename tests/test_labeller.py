@@ -398,7 +398,7 @@ def test_label_draw_fails_exactly_at_an_empty_window():
         t = res.failures[0].step
         state, iv = seen[t - 1], plan.interval_of[t - 1]
         if t == 1:
-            assert state.first_mask(iv) == 0
+            assert state.labels.window(iv.lo, iv.hi - iv.lo + 1) == 0
         else:
             a = res.trace[plan.parent_pos[t - 1]].label
             assert state.admissible_mask(a, iv) == 0

@@ -31,6 +31,10 @@ def test_practical_errors():
     # laws would give the null outcome mass -11/4
     with pytest.raises(ParamError, match=r"4\(ell/m - 1\)"):
         derive_practical_params(1000, Fraction(1, 5), 32, 512)
+    # m divides 0 and -m, but a target interval needs ell >= m
+    for ell in (0, -4):
+        with pytest.raises(ParamError, match="need ell >= m"):
+            derive_practical_params(20, Fraction(1, 5), 4, ell)
 
 
 def test_practical_alpha_schedule():

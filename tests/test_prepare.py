@@ -179,9 +179,8 @@ def test_assign_single_edge_component_example():
     sys = IntervalSystem(24, 4, 4)
     t = path_tree(2)
     order = order_vertices(t, frozenset())
-    plan = assign_intervals(t, frozenset(), order, sys, FixedRng([0]))
+    plan = assign_intervals(frozenset(), order, sys, FixedRng([0]))
     assert plan.interval_of == (Interval(1, 4), Interval(21, 24))
-    assert plan.color == (0, 0, 1)
 
 
 def test_assign_one_draw_per_component():
@@ -193,7 +192,7 @@ def test_assign_one_draw_per_component():
     # partial shuffle picks interval 2, then 1 + 4 = 5, and the final
     # shuffle of the two picks keeps their order
     rng = FixedRng([2, 4, 0])
-    plan = assign_intervals(t, removed, order, sys, rng)
+    plan = assign_intervals(removed, order, sys, rng)
     assert rng.values == []
     j0 = sys.j_intervals[2]
     j1 = sys.j_intervals[5]
@@ -215,7 +214,7 @@ def test_assign_complementary_on_surviving_edges():
         t = random_tree(60, rng.child(0))
         removed = cut_tree_by_size(t, 12)
         order = order_vertices(t, removed)
-        plan = assign_intervals(t, removed, order, sys, rng.child(1))
+        plan = assign_intervals(removed, order, sys, rng.child(1))
         pos = {v: i for i, v in enumerate(plan.order)}
         for u, v in t.edges:
             if (u, v) in removed:
@@ -288,20 +287,21 @@ def test_balanced_draw_root_interval_is_uniform():
     ordering = order_vertices(t, removed)
     counts = dict.fromkeys(sys.j_intervals, 0)
     for seed in range(2400):
-        plan = assign_intervals(t, removed, ordering, sys, Rng(seed, key=(7,)))
+        plan = assign_intervals(removed, ordering, sys, Rng(seed, key=(7,)))
         counts[plan.interval_of[0]] += 1
     assert (len(removed) + 1) % len(counts)  # the remainder draw matters
     assert chisquare(list(counts.values())).pvalue > 1e-3
 
 
-# SHA-256 of plan_to_json for two frozen plans, recorded before
-# assign_intervals derived components and parities from the ordering;
+# SHA-256 of plan_to_json for two frozen plans, frozen before
+# assign_intervals derived components and parities from the ordering
+# (the digests leave out the per-vertex color plans no longer carry);
 # they pin the cut, the order, the draws and the orientations.
 GOLDEN_PLANS = {
     "random": (
-        50, "c8401ba9ab0cf6bbfb4c3fe53439375b925c4b1d3fddd6c48fb281cce5edfd0d"),
+        50, "d6cb0b07c02129c4dec39987e36eaf0ee9d8689487dfb4eec99aa0d6f7acc74c"),
     "path": (
-        41, "b6f21801cfd8b3b75b58fa3c64ee568c6d4b4dbaf77f728a4b9fb65b964d2d45"),
+        41, "0ff869ac0e2d3429ad85f1604a3385099934cc8b8fa02cc765a317a70e9adecc"),
 }
 
 

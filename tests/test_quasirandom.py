@@ -9,8 +9,7 @@ from gracetree.intervals import Interval, IntervalSystem
 from gracetree.labeller import LabelState, run_labelling
 from gracetree.params import derive_practical_params
 from gracetree.prepare import prepare_plan
-from gracetree.quasirandom import (QuasiSampleSpec, _ambient, _count,
-                                   check_quasi)
+from gracetree.quasirandom import _ambient, _count, check_quasi
 from gracetree.rng import Rng
 from gracetree.trees import random_tree
 from oracles import (admissible_labels, contains, full_check_quasi,
@@ -206,7 +205,7 @@ def _window_loop(state, sys):
 
 
 def _sweep(state, sys):
-    rep = check_quasi(state, sys, 0.5, QuasiSampleSpec(per_kind=0), None)
+    rep = check_quasi(state, sys, 0.5, 0, None)
     assert rep.quasi2_devs == ()
     return rep.quasi1_max_dev, rep.quasi1_argmax_lo
 
@@ -287,8 +286,7 @@ def test_single_label_multiplicity_pair_slots():
 
 def test_check_quasi_ambient_frozen():
     sys = IntervalSystem(24, 2, 4)
-    rep = check_quasi(LabelState(sys), sys, 0.6,
-                      QuasiSampleSpec(per_kind=16), Rng(3, key=(2,)))
+    rep = check_quasi(LabelState(sys), sys, 0.6, 16, Rng(3, key=(2,)))
     assert rep.quasi1_max_dev <= 1 / sys.m
     assert rep.quasi2_devs and max(rep.quasi2_devs) <= 4 / sys.m
     assert rep.ok
@@ -299,7 +297,7 @@ def test_check_quasi_emptied_window():
     hollow = LabelState(sys)
     remove_diff(hollow, 2)
     remove_diff(hollow, 3)
-    rep = check_quasi(hollow, sys, 0.1, QuasiSampleSpec(per_kind=0), None)
+    rep = check_quasi(hollow, sys, 0.1, 0, None)
     assert rep.quasi1_max_dev >= hollow.size_a / sys.n_tilde
     assert not rep.ok
 
@@ -308,9 +306,8 @@ def test_check_quasi_deterministic_and_counts():
     sys = IntervalSystem(48, 4, 8)
     state = snapshot({v for v in range(1, 49) if v % 5},
                      {d for d in range(1, 48) if d % 7}, sys=sys)
-    spec = QuasiSampleSpec(per_kind=4)
-    r1 = check_quasi(state, sys, 0.5, spec, Rng(11, key=(3,)), t=7)
-    r2 = check_quasi(state, sys, 0.5, spec, Rng(11, key=(3,)), t=7)
+    r1 = check_quasi(state, sys, 0.5, 4, Rng(11, key=(3,)), t=7)
+    r2 = check_quasi(state, sys, 0.5, 4, Rng(11, key=(3,)), t=7)
     assert r1 == r2
     assert r1.checkpoint == 7
     # 4 kinds x 4 samples
@@ -321,8 +318,7 @@ def test_check_quasi_deterministic_and_counts():
 def test_check_quasi_needs_rng_when_sampling():
     sys = IntervalSystem(24, 2, 4)
     with pytest.raises(ValueError):
-        check_quasi(LabelState(sys), sys, 0.5, QuasiSampleSpec(per_kind=1),
-                    None)
+        check_quasi(LabelState(sys), sys, 0.5, 1, None)
 
 
 def test_window_check_equals_tile_sums():
@@ -363,12 +359,11 @@ def test_reports_match_full_width_oracle_on_run_snapshots(n, m, ell, seed):
     tree = random_tree(n, Rng(seed, key=(0,)))
     plan = prepare_plan(tree, sys, Rng(seed, key=(1,)), max_component=32)
     new_rng, old_rng = Rng(seed, key=(2,)), Rng(seed, key=(2,))
-    spec = QuasiSampleSpec(per_kind=32)
     reports = []
 
     def on_checkpoint(state, t):
         alpha = float(params.alpha(t))
-        got = check_quasi(state, sys, alpha, spec, new_rng, t=t)
+        got = check_quasi(state, sys, alpha, 32, new_rng, t=t)
         a_bits, c_bits = full_ints(state)
         want = full_check_quasi(a_bits, c_bits, sys, alpha, 32, old_rng, t=t)
         assert got == want, t
@@ -402,8 +397,7 @@ def test_reports_match_full_width_oracle_on_sparse_states():
             continue
         state = snapshot(A, C, sys=sys)
         new_rng, old_rng = Rng(seed, key=(9,)), Rng(seed, key=(9,))
-        got = check_quasi(state, sys, 0.5, QuasiSampleSpec(per_kind=32),
-                          new_rng, t=seed)
+        got = check_quasi(state, sys, 0.5, 32, new_rng, t=seed)
         want = full_check_quasi(*full_ints(state), sys, 0.5, 32, old_rng,
                                 t=seed)
         assert got == want, seed
