@@ -43,6 +43,11 @@ class IntervalSystem:
     """I_V, I_E, J and the J-complement map for one (n_tilde, m, ell)."""
 
     def __init__(self, n_tilde: int, m: int, ell: int):
+        # with m >= 1, the checks below also refuse n_tilde < 1, since
+        # ell >= m makes 2 ell >= 2; any ell/m passes, and only the edge
+        # law needs it even (core_distribution)
+        if m < 1:
+            raise ParamError(f"m must be at least 1, got m = {m}")
         if n_tilde % (2 * m) != 0:
             raise ParamError(f"2m = {2*m} must divide n_tilde = {n_tilde}")
         if ell % m != 0:

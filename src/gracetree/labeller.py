@@ -14,6 +14,18 @@ are uniform on the same set, so the law is that of a draw from the
 window's mask; the expected cost is about 1/density tries plus a rare
 O(ell/64) fallback.
 
+The label loop (_attempt) is one pass over the plan with the label
+draw written inline.  A step reads its parent's label, makes its tries
+(two bit reads each), clears the label and the difference in A, C and
+C's mirror in place, appends the label, and makes one test against the
+next event: the next step that one of the correction laws hits, the
+next checkpoint or the last step, and every step when a trace is
+collected.  Only an event step runs the rare work, in this order: the
+vertex correction pick, the edge correction pick, the trace row, the
+checkpoint.  No count is kept per step: after t completed steps
+|A| = n_tilde - t - corv_hits and |C| = n_tilde - t - core_hits, and
+those two hit counts change only on events.
+
 The randomness comes in batches.  Every target interval has width ell
 and every correction window width m, so a try reads the next value of
 an endless width-ell (label) or width-m (pick) offset iterator,
@@ -45,14 +57,14 @@ FAIL_CORV = "corv-removal"
 FAIL_CORE = "core-removal"
 
 # uniform positions a draw tries before it reads its whole window (see
-# draw_label and pick_free).  On a shared 2-vCPU host a try cost about
-# 1 us whatever the width when it was one randbelow call, the fallback
-# about 4.4 us at ell = 512, 22 us at 5120 and 110 us at 51200.  On a
-# random 10^5-vertex tree (gamma = 1/2, m = ell/4) 7.2% of label draws
-# miss 8 tries and 1.8% miss 16, so 16 tries cost about 3% more per draw
-# than the best K at ell = 512 and are near the best at ell = 1024 and
-# above.  A try that reads an offset iterator is cheaper, which moves
-# the best K up, not down.
+# _attempt and pick_free).  On a shared 2-vCPU host a label try that
+# misses costs about 0.3 us (one next() of an offset iterator and two
+# bit reads), the fallback about 3 us at ell = 512, 13 us at 5120 and
+# 72 us at 51200.  On a random 10^5-vertex tree (gamma = 1/2, m = ell/4)
+# 7.2% of label draws miss 8 tries and 1.8% miss 16, so at ell = 512
+# tries 9..16 cost about what the fallbacks they save would (at most
+# 0.6 tries, 0.17 us, against 0.16 us per draw), and wider windows,
+# whose fallback costs more, favour 16 tries over 8.
 K = 16
 TRIES = range(K)
 
@@ -63,15 +75,17 @@ class LabelState:
     Both are BlockBits, and so is the mirror of C about n_tilde (bit k
     set iff difference n_tilde - k is free), so the labels below the
     parent read a forward window of the mirror just as the labels above
-    it read one of C.  A step draws its label with draw_label: each try
-    reads one bit of A and one of C, and about 1/density tries hit; only
-    after K misses does it read the label window of its target interval
-    plus one difference window, on the parent's side of it (both sides
-    only when the parent's label lies inside the interval, which target
-    intervals and their complements all but rule out).  The first
-    vertex, which has no parent, and the correction picks draw with
-    pick_free, one bit of A or C per try, and every removal rewrites one
-    block (take_label, take_diff).  So a step costs O(1/density) bit
+    it read one of C.  A step draws its label in the label loop
+    (_attempt): each try reads one bit of A and one of C, and about
+    1/density tries hit; only after K misses does it read the label
+    window of its target interval plus one difference window, on the
+    parent's side of it (admissible_mask; both sides only when the
+    parent's label lies inside the interval, which target intervals and
+    their complements all but rule out).  The first vertex, which has no
+    parent, and the correction picks draw with pick_free, one bit of A
+    or C per try.  Every removal rewrites one block: in place when a try
+    hits, through take_label and take_diff, which check that the value
+    is still free, everywhere else.  So a step costs O(1/density) bit
     reads plus, rarely, O(ell/64) words, whatever n_tilde is.  Every
     window, here and in the audit (quasirandom.py), is read by the one
     window reader, BlockBits.window; the audit also reads A and C as
@@ -80,10 +94,13 @@ class LabelState:
 
     size_a and size_c are |A| and |C|; steps_done, corv_hits and
     core_hits count completed steps and the corrective removals made in
-    them; attempt is the attempt's index.  The label loop keeps all five
-    counts in locals and writes them here before every checkpoint and
-    when the attempt ends, so they are current whenever a caller sees
-    the state.
+    them; attempt is the attempt's index.  The label loop keeps only
+    the two hit counts, and only on event steps.  Before every
+    checkpoint it writes all five, |A| and |C| derived from the hit
+    counts (see the module docstring); when the attempt ends it reads
+    |A| and |C| off the bits, since a step that failed part-way may have
+    made some of its removals.  So the counts are current whenever a
+    caller sees the state.
     """
 
     __slots__ = (
@@ -125,37 +142,13 @@ class LabelState:
                 if a >= lo else 0)
         return self.labels.window(lo, w) & (up | down)
 
-    def draw_label(self, a: int, iv: Interval, offsets: Iterator[int],
-                   randbelow: Callable[[int], int]) -> int:
-        """A label drawn uniformly from the labels of iv admissible
-        against parent label a >= 1, or -1 when there is none.
-
-        Up to TRIES positions lo + next(offsets) of iv are tried
-        (offsets must be uniform on 0..width - 1), each accepted when
-        its label is free in A and its difference to a is free in C: two
-        bit reads.  After TRIES misses the draw falls back to
-        admissible_mask and select, with the rank drawn by randbelow,
-        which also finds an empty window.  Every try and the fallback
-        are uniform on the same admissible set, so the draw is too.
-        """
-        lo = iv.lo
-        labels = self.labels.blocks
-        diffs = self.diffs.blocks
-        for _ in TRIES:
-            b = lo + next(offsets)
-            if labels[b >> _SHIFT] >> (b & _LOW) & 1:
-                d = b - a if b > a else a - b
-                if diffs[d >> _SHIFT] >> (d & _LOW) & 1:
-                    return b
-        return _rank_draw(self.admissible_mask(a, iv), lo, randbelow)
-
 
 def pick_free(bits: BlockBits, lo: int, w: int, offsets: Iterator[int],
               randbelow: Callable[[int], int]) -> int:
     """A bit drawn uniformly from the set bits of bits in lo..lo+w-1, or
     -1 when there is none: up to TRIES positions lo + next(offsets)
     (offsets uniform on 0..w - 1), each one bit read, then the window
-    and select, as in LabelState.draw_label.
+    and select, as the label draw in _attempt does.
 
     lo..lo+w-1 must lie below the last block's end.
     """
@@ -257,112 +250,132 @@ def _attempt(
 ]:
     state = LabelState(sys, attempt)
     # the loop's lookups, bound once per attempt
-    draw = state.draw_label
     label_bits = state.labels
     diff_bits = state.diffs
-    a_blocks = state.labels.blocks
-    c_blocks = state.diffs.blocks
+    a_blocks = label_bits.blocks
+    c_blocks = diff_bits.blocks
     mirror_blocks = state.diffs_rev.blocks
+    order = plan.order
+    interval_of = plan.interval_of
+    parent_pos = plan.parent_pos
+    n = len(order)
+    m = sys.m
+    nt = sys.n_tilde
     # one stream per purpose; run_labelling documents the addresses
     label_offsets = rng.child(0).offsets(sys.ell)
     pick_offsets = rng.child(1).offsets(sys.m)
-    corv_at, corv_lo = corv.hits(rng.child(2), len(plan.order))
-    core_at, core_lo = core.hits(rng.child(3), len(plan.order))
+    corv_at, corv_lo = corv.hits(rng.child(2), n)
+    core_at, core_lo = core.hits(rng.child(3), n)
     randbelow = rng.child(4).randbelow
-    # the next hit of each law: index into its schedule, and its step
-    # (-1 past the last hit, which no step matches)
-    corv_at.append(-1)
-    core_at.append(-1)
+    # each law's hit positions end with n, a position no step has; ci
+    # and ei index the next hit
+    corv_at.append(n)
+    core_at.append(n)
     ci = ei = 0
-    corv_next, core_next = corv_at[0], core_at[0]
-    interval_of = plan.interval_of
-    parent_pos = plan.parent_pos
-    m = sys.m
-    nt = sys.n_tilde
-    if not (checkpoint_every and on_checkpoint):
-        checkpoint_every = 0
-    labels: list[int] = []
+    # the step of the next checkpoint, n + 1 when there is none
+    cp_next = checkpoint_every if checkpoint_every and on_checkpoint else n + 1
     trace: list[TraceRow] | None = [] if collect_trace else None
-    # |A|, |C|, completed steps and their removals; written to state
-    # before every checkpoint and on return
-    size_a, size_c = state.size_a, state.size_c
-    steps = corv_hits = core_hits = 0
+
+    # step 1: the first vertex has no parent, so its label is a free
+    # label of its interval; a failure here leaves the state untouched
+    b = pick_free(label_bits, interval_of[0].lo, sys.ell, label_offsets,
+                  randbelow)
+    if b < 0:
+        return None, AttemptFailure(FAIL_CHOOSE, 1), trace, state
+    take_label(a_blocks, b)
+    labels = [b]
+    # removals made in completed steps; |A| and |C| follow from them
+    corv_hits = core_hits = 0
     failure = None
-    for pos, vertex in enumerate(plan.order):
-        t = pos + 1
-        if pos:
-            a = labels[parent_pos[pos]]
-            b = draw(a, interval_of[pos], label_offsets, randbelow)
-        else:  # the first vertex has no parent: a free label of A
-            b = pick_free(label_bits, interval_of[0].lo, sys.ell,
-                          label_offsets, randbelow)
-        if b < 0:
-            failure = AttemptFailure(FAIL_CHOOSE, t)
-            break
-        take_label(a_blocks, b)
-        size_a -= 1
-        labels.append(b)
-        edge_label = -1
-        if pos:
-            edge_label = abs(b - a)
-            take_diff(c_blocks, mirror_blocks, edge_label, nt)
-            size_c -= 1
-
-        corv_label = -1
-        if pos == corv_next:
-            corv_label = pick_free(label_bits, corv_lo[ci], m, pick_offsets,
-                                   randbelow)
-            ci += 1
-            corv_next = corv_at[ci]
-            if corv_label < 0:
-                failure = AttemptFailure(FAIL_CORV, t)
-                break
-            take_label(a_blocks, corv_label)
-            size_a -= 1
-        core_diff = -1
-        if pos == core_next:
-            core_diff = pick_free(diff_bits, core_lo[ei], m, pick_offsets,
-                                  randbelow)
-            ei += 1
-            core_next = core_at[ei]
-            if core_diff < 0:
-                failure = AttemptFailure(FAIL_CORE, t)
-                break
-            take_diff(c_blocks, mirror_blocks, core_diff, nt)
-            size_c -= 1
-
-        steps = t
-        corv_hits += corv_label >= 0
-        core_hits += core_diff >= 0
-        if trace is not None:
-            trace.append(
-                TraceRow(
-                    t=t,
-                    vertex=vertex,
-                    label=b,
-                    edge_label=edge_label,
-                    corv_label=corv_label,
-                    core_diff=core_diff,
-                    size_a=size_a,
-                    size_c=size_c,
+    # the step whose rare work is due next: every step when tracing,
+    # else the first of the next law hit, the next checkpoint and the
+    # last step, which ends the loop; step 1 is handled as one, and
+    # finds the next
+    event = 1
+    for t in range(1, n + 1):
+        # labels[:t] are placed; first the rare work of step t, in order
+        # the vertex pick, the edge pick, the trace row, the checkpoint
+        if t == event:
+            p = t - 1
+            corv_label = core_diff = -1
+            if p == corv_at[ci]:
+                corv_label = pick_free(label_bits, corv_lo[ci], m,
+                                       pick_offsets, randbelow)
+                ci += 1
+                if corv_label < 0:
+                    failure = AttemptFailure(FAIL_CORV, t)
+                    break
+                take_label(a_blocks, corv_label)
+            if p == core_at[ei]:
+                core_diff = pick_free(diff_bits, core_lo[ei], m,
+                                      pick_offsets, randbelow)
+                ei += 1
+                if core_diff < 0:
+                    failure = AttemptFailure(FAIL_CORE, t)
+                    break
+                take_diff(c_blocks, mirror_blocks, core_diff, nt)
+            corv_hits += corv_label >= 0
+            core_hits += core_diff >= 0
+            if trace is not None:
+                b = labels[p]
+                trace.append(
+                    TraceRow(
+                        t=t,
+                        vertex=order[p],
+                        label=b,
+                        edge_label=abs(b - labels[parent_pos[p]]) if p else -1,
+                        corv_label=corv_label,
+                        core_diff=core_diff,
+                        size_a=nt - t - corv_hits,
+                        size_c=nt - t - core_hits,
+                    )
                 )
-            )
-        if checkpoint_every and t % checkpoint_every == 0:
-            state.size_a = size_a
-            state.size_c = size_c
-            state.steps_done = steps
-            state.corv_hits = corv_hits
-            state.core_hits = core_hits
-            on_checkpoint(state, t)
-    state.size_a = size_a
-    state.size_c = size_c
-    state.steps_done = steps
+            if t == cp_next:
+                state.size_a = nt - t - corv_hits
+                state.size_c = nt - t - core_hits
+                state.steps_done = t
+                state.corv_hits = corv_hits
+                state.core_hits = core_hits
+                on_checkpoint(state, t)
+                cp_next += checkpoint_every
+            if t == n:
+                break
+            event = t + 1 if trace is not None else min(
+                corv_at[ci] + 1, core_at[ei] + 1, cp_next, n)
+        # then step t + 1: the label of position t, drawn as in the
+        # class docstring; a try that hits has checked both bits, so it
+        # clears them in place
+        a = labels[parent_pos[t]]
+        lo = interval_of[t].lo
+        for _ in TRIES:
+            b = lo + next(label_offsets)
+            if a_blocks[b >> _SHIFT] >> (b & _LOW) & 1:
+                d = b - a if b > a else a - b
+                if c_blocks[d >> _SHIFT] >> (d & _LOW) & 1:
+                    a_blocks[b >> _SHIFT] ^= 1 << (b & _LOW)
+                    c_blocks[d >> _SHIFT] ^= 1 << (d & _LOW)
+                    d = nt - d
+                    mirror_blocks[d >> _SHIFT] ^= 1 << (d & _LOW)
+                    break
+        else:
+            b = _rank_draw(state.admissible_mask(a, interval_of[t]), lo,
+                           randbelow)
+            if b < 0:
+                failure = AttemptFailure(FAIL_CHOOSE, t + 1)
+                break
+            take_label(a_blocks, b)
+            take_diff(c_blocks, mirror_blocks, abs(b - a), nt)
+        labels.append(b)
+    state.steps_done = n if failure is None else failure.step - 1
     state.corv_hits = corv_hits
     state.core_hits = core_hits
+    # a failed step may have made some of its removals, so the sizes
+    # are read off the bits
+    state.size_a = sum(x.bit_count() for x in a_blocks)
+    state.size_c = sum(x.bit_count() for x in c_blocks)
     if failure is not None:
         return None, failure, trace, state
-    psi = {v: labels[i] for i, v in enumerate(plan.order)}
-    return psi, None, trace, state
+    return dict(zip(order, labels)), None, trace, state
 
 
 def run_labelling(

@@ -47,10 +47,13 @@ def derive_practical_params(n: int, gamma, m: int, ell: int) -> Params:
     """Desk-scale parameters with user-chosen m and ell.
 
     n_tilde = ceil((1+gamma) n) rounded up to a multiple of 2m; requires
-    m | ell, m <= ell < n_tilde/2 and n_tilde/m >= 4(ell/m - 1).  The last
-    keeps the null outcome of both correction laws at a nonnegative
-    mass: with N = n_tilde/m windows and N - 2(ell/m - 1) target
-    intervals, that mass is (N - 4(ell/m - 1)) / (N - 2(ell/m - 1)).
+    m >= 1, m | ell, m <= ell < n_tilde/2, ell/m even and
+    n_tilde/m >= 4(ell/m - 1).  The edge correction law needs ell/m
+    even (intervals.core_distribution says why), so an odd ratio is
+    refused here, before any tree is built.  The last condition keeps
+    the null outcome of both correction laws at a nonnegative mass: with
+    N = n_tilde/m windows and N - 2(ell/m - 1) target intervals, that
+    mass is (N - 4(ell/m - 1)) / (N - 2(ell/m - 1)).
     """
     gamma = _as_fraction(gamma)
     n, m, ell = int(n), int(m), int(ell)
@@ -64,6 +67,9 @@ def derive_practical_params(n: int, gamma, m: int, ell: int) -> Params:
         raise ParamError(f"m = {m} must divide ell = {ell}")
     if ell < m:
         raise ParamError(f"need ell >= m: ell = {ell}, m = {m}")
+    if (ell // m) % 2 != 0:
+        raise ParamError(
+            f"edge-correction masses need ell/m even, got {ell}/{m}")
     nt0 = math.ceil((1 + gamma) * n)
     r = nt0 % (2 * m)
     n_tilde = nt0 if r == 0 else nt0 + (2 * m - r)

@@ -17,8 +17,10 @@ each law for a whole attempt (CorrectionDistribution.hits).
 mask_select_label and mask_select_pick are the label draw and the
 correction pick as they stood, one whole-window mask and one select
 per draw, before the draws tried single positions first; they are also
-the draws' fallback.  OldRng is rng.Rng's stream as it stood, with
-next64 called once per word of randbelow.  old_labelling_check and
+the draws' fallback.  draw_label is the label draw as a function, as
+LabelState carried it before the label loop took it inline: the
+reference draw whose law the tests check.  OldRng is rng.Rng's stream
+as it stood, with next64 called once per word of randbelow.  old_labelling_check and
 old_verify_graceful are Labelling's construction check and
 verify_graceful as exact walks over psi, before the numpy path.
 word_draws is Rng.batches' mask-and-reject rule read one raw word at a
@@ -42,12 +44,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from gracetree.bitset import BLOCK_BITS, BlockBits, _join, select
+import gracetree.labeller as labeller
+from gracetree.bitset import _LOW, _SHIFT, BLOCK_BITS, BlockBits, _join, select
 from gracetree.intervals import (IntervalSystem, core_distribution,
                                  corv_distribution)
 from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV, K,
                                 AttemptFailure, LabelResult, LabelState,
-                                TraceRow, take_diff, take_label)
+                                TraceRow, _rank_draw, take_diff, take_label)
 from gracetree.rng import _BUF, Rng
 from gracetree.verify import VerifyReport
 from gracetree.quasirandom import _FREE, QuasiReport
@@ -199,6 +202,30 @@ def mask_select_label(state, a, iv, randbelow):
     if not cnt:
         return -1
     return iv.lo + select(mask_bits, randbelow(cnt))
+
+
+def draw_label(state, a, iv, offsets, randbelow):
+    """A label drawn uniformly from the labels of iv admissible against
+    parent label a >= 1, or -1 when there is none.
+
+    Up to labeller.TRIES positions lo + next(offsets) of iv are tried
+    (offsets uniform on 0..width - 1), each accepted when its label is
+    free in A and its difference to a is free in C: two bit reads.
+    After the misses the draw falls back to admissible_mask and select,
+    with the rank drawn by randbelow, which also finds an empty window.
+    Every try and the fallback are uniform on the same admissible set,
+    so the draw is too.
+    """
+    lo = iv.lo
+    labels = state.labels.blocks
+    diffs = state.diffs.blocks
+    for _ in labeller.TRIES:
+        b = lo + next(offsets)
+        if labels[b >> _SHIFT] >> (b & _LOW) & 1:
+            d = abs(b - a)
+            if diffs[d >> _SHIFT] >> (d & _LOW) & 1:
+                return b
+    return _rank_draw(state.admissible_mask(a, iv), lo, randbelow)
 
 
 def mask_select_pick(bits, lo, w, randbelow):

@@ -225,6 +225,22 @@ def test_label_refuses_negative_null_mass(tmp_path, capsys):
     assert "n_tilde/m = 38, ell/m = 16" in payload["message"]
 
 
+def test_label_refuses_odd_ell_over_m(tmp_path, capsys):
+    # ell/m = 3: the edge correction law needs an even ratio, and the
+    # config refuses it before the tree is planned
+    tree = str(tmp_path / "t.txt")
+    run_cli(capsys, "generate", "--n", "200", "--seed", "0", "--out", tree)
+    code, out, err = run_cli(
+        capsys, "label", "--tree", tree, "--gamma", "1/2", "--m", "4",
+        "--ell", "12", "--seed", "0")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ParamError"
+    assert payload["message"] == ("edge-correction masses need ell/m even, "
+                                  "got 12/4")
+
+
 @pytest.mark.parametrize("ell", ["0", "-4"])
 def test_label_refuses_ell_below_m(tmp_path, capsys, ell):
     tree = str(tmp_path / "t.txt")

@@ -190,6 +190,16 @@ def test_system_validation():
     for ell in (0, -2):  # m divides both, but ell < m
         with pytest.raises(ParamError, match="need ell >= m"):
             IntervalSystem(24, 2, ell)
+    # m = 0 used to divide by zero, and m = -2 to trip a family-size
+    # assert; both are refused before any other check
+    for m in (0, -2):
+        with pytest.raises(ParamError, match=f"m must be at least 1, "
+                                             f"got m = {m}"):
+            IntervalSystem(24, m, 4)
+    # n_tilde < 1 with m >= 1: ell >= m makes 2 ell >= n_tilde
+    for nt in (0, -4):
+        with pytest.raises(ParamError):
+            IntervalSystem(nt, 2, 2)
 
 
 def test_negative_null_mass_law_is_built_but_not_drawn():

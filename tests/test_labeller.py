@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -22,7 +23,7 @@ from gracetree.labeller import (
 from gracetree.prepare import prepare_plan
 from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree
-from oracles import (admissible_labels, full_ints, iter_bits,
+from oracles import (admissible_labels, draw_label, full_ints, iter_bits,
                      mask_select_label, mask_select_pick, remove_diff,
                      remove_label, scalar_labelling)
 
@@ -139,6 +140,47 @@ def _trace_counts(rows):
             sum(r.core_diff >= 0 for r in rows))
 
 
+def _traced_and_bare(tree, sys, s, every):
+    """The traced run's checkpoint marks and result, from run_labelling
+    on tree (seed s, 2 retries, a checkpoint every `every` steps) with a
+    trace and without.  At every checkpoint the state's counts must
+    equal the popcounts of A, C and C's mirror; the runs must agree on
+    the marks and, but for the trace, the result; and on the last
+    attempt each mark must agree with the trace."""
+    runs = []
+    for traced in (True, False):
+        marks = []
+
+        def on_checkpoint(state, t):
+            a, c, mirror = (sum(b.bit_count() for b in bits.blocks)
+                            for bits in (state.labels, state.diffs,
+                                         state.diffs_rev))
+            assert (state.size_a, state.size_c, mirror) == (a, c, c)
+            marks.append((state.attempt, t, state.steps_done,
+                          state.corv_hits, state.core_hits,
+                          state.size_a, state.size_c))
+
+        plan = prepare_plan(tree, sys, Rng(s, key=(1,)))
+        res = run_labelling(plan, sys, Rng(s, key=(2,)), max_retries=2,
+                            checkpoint_every=every,
+                            on_checkpoint=on_checkpoint,
+                            collect_trace=traced,
+                            replan=lambda r: prepare_plan(tree, sys, r))
+        runs.append((marks, res))
+    (marks, res), (bare_marks, bare) = runs
+    assert bare_marks == marks
+    assert bare.trace is None
+    assert dataclasses.replace(res, trace=None) == bare
+    assert all(t == done for _, t, done, *_ in marks)
+    rows = res.trace
+    for k, t, done, corv, core, size_a, size_c in marks:
+        if k == res.attempts - 1:
+            assert (done, corv, core) == _trace_counts(rows[:t])
+            assert (size_a, size_c) == (rows[t - 1].size_a,
+                                        rows[t - 1].size_c)
+    return marks, res
+
+
 @pytest.mark.parametrize("point", ["retry-tight", "tiny"])
 def test_failed_attempt_counters_match_trace(point):
     # retry-tight's point (gamma = 1/5, m = 32, ell = 512) fails in the
@@ -158,45 +200,61 @@ def test_failed_attempt_counters_match_trace(point):
         want = {FAIL_CHOOSE, FAIL_CORV, FAIL_CORE}
     seen = set()
     for s, tree in enumerate(trees):
-        runs = []
-        for traced in (True, False):
-            marks = []
-
-            def on_checkpoint(state, t):
-                # the loop's local counts, written back before the call
-                a, c, mirror = (sum(b.bit_count() for b in bits.blocks)
-                                for bits in (state.labels, state.diffs,
-                                             state.diffs_rev))
-                assert (state.size_a, state.size_c, mirror) == (a, c, c)
-                marks.append((state.attempt, t, state.steps_done,
-                              state.corv_hits, state.core_hits,
-                              state.size_a, state.size_c))
-
-            plan = prepare_plan(tree, sys, Rng(s, key=(1,)))
-            res = run_labelling(plan, sys, Rng(s, key=(2,)), max_retries=2,
-                                checkpoint_every=3,
-                                on_checkpoint=on_checkpoint,
-                                collect_trace=traced,
-                                replan=lambda r: prepare_plan(tree, sys, r))
-            runs.append((marks, res))
-        (marks, res), (bare_marks, bare) = runs
-        assert bare_marks == marks
-        assert (bare.steps, bare.corv_hits, bare.core_hits, bare.failures,
-                bare.psi) == (res.steps, res.corv_hits, res.core_hits,
-                              res.failures, res.psi)
-        assert all(t == done for _, t, done, *_ in marks)
-        rows = res.trace
-        for k, t, done, corv, core, size_a, size_c in marks:
-            if k == res.attempts - 1:
-                assert (done, corv, core) == _trace_counts(rows[:t])
-                assert (size_a, size_c) == (rows[t - 1].size_a,
-                                            rows[t - 1].size_c)
+        marks, res = _traced_and_bare(tree, sys, s, 3)
         if res.success:
             continue
         fail = res.failures[-1]
         seen.add(fail.site)
-        assert (res.steps, res.corv_hits, res.core_hits) == _trace_counts(rows)
+        assert (res.steps, res.corv_hits, res.core_hits) == _trace_counts(
+            res.trace)
         assert res.steps == fail.step - 1
+    assert seen == want
+
+
+@pytest.mark.parametrize("point", ["tiny", "retry-tight"])
+def test_events_sharing_a_step(point):
+    # the loop does its rare work (law hits, trace rows, checkpoints)
+    # only on event steps, and a traced run makes every step one; the
+    # runs must agree whichever events share a step, with a checkpoint
+    # at every step and with one every few steps (which, on the tiny
+    # system, falls on the last step of a completed attempt)
+    if point == "retry-tight":
+        params = derive_practical_params(2000, Fraction(1, 5), 32, 512)
+        sys = IntervalSystem(params.n_tilde, params.m, params.ell)
+        trees = [random_tree(2000, Rng(s, key=(0,))) for s in range(3)]
+        periods = (1, 5)
+        want = {"vertex, edge and checkpoint", "hit at step 1"}
+    else:
+        sys = IntervalSystem(12, 1, 2)
+        # 12 vertices fail every attempt; 4 and 6 often complete one
+        trees = [path_tree(12) if s % 3 == 0
+                 else random_tree(2 + 2 * (s % 3), Rng(s, key=(0,)))
+                 for s in range(30)]
+        periods = (1, 4)
+        want = {"vertex, edge and checkpoint", "hit at step 1",
+                "checkpoint at the last step"}
+    nt = sys.n_tilde
+    seen = set()
+    for s, tree in enumerate(trees):
+        for every in periods:
+            marks, res = _traced_and_bare(tree, sys, s, every)
+            # a checkpoint at each multiple of the period that an
+            # attempt completed, and at no other step
+            done = ([f.step - 1 for f in res.failures]
+                    + ([tree.n] if res.success else []))
+            assert [(k, t) for k, t, *_ in marks] == [
+                (k, t) for k, d in enumerate(done)
+                for t in range(every, d + 1, every)]
+            for _, t, _, corv, core, size_a, size_c in marks:
+                assert (size_a, size_c) == (nt - t - corv, nt - t - core)
+            for row in res.trace:
+                corv, core = row.corv_label >= 0, row.core_diff >= 0
+                if corv and core and row.t % every == 0:
+                    seen.add("vertex, edge and checkpoint")
+                if row.t == 1 and (corv or core):
+                    seen.add("hit at step 1")
+                if row.t == tree.n and row.t % every == 0:
+                    seen.add("checkpoint at the last step")
     assert seen == want
 
 
@@ -341,7 +399,7 @@ def _assert_law(draw, mask_bits, lo, w, seed, size):
 def test_label_draw_is_uniform_on_the_admissible_set(case, size):
     state, a = _law_state(case)
     w = WIN.hi - WIN.lo + 1
-    _assert_law(lambda rb: state.draw_label(a, WIN, map(rb, repeat(w)), rb),
+    _assert_law(lambda rb: draw_label(state, a, WIN, map(rb, repeat(w)), rb),
                 state.admissible_mask(a, WIN), WIN.lo, w, seed=11,
                 size=size)
 
@@ -363,7 +421,7 @@ def test_without_tries_the_draws_are_mask_and_select(case, monkeypatch):
     state, a = _law_state(case)
     got, want = Rng(5), Rng(5)
     for _ in range(500):
-        assert (state.draw_label(a, WIN, iter(()), got.randbelow)
+        assert (draw_label(state, a, WIN, iter(()), got.randbelow)
                 == mask_select_label(state, a, WIN, want.randbelow))
     for kind in ("label", "diff"):
         bits, lo = _pick_state("dense" if case == "inside" else case, kind)

@@ -31,6 +31,12 @@ def test_practical_errors():
     # laws would give the null outcome mass -11/4
     with pytest.raises(ParamError, match=r"4\(ell/m - 1\)"):
         derive_practical_params(1000, Fraction(1, 5), 32, 512)
+    # ell/m = 3 is odd: the edge correction law has no valid masses,
+    # so the ratio is refused before any tree is built
+    with pytest.raises(ParamError,
+                       match="edge-correction masses need ell/m even, "
+                             "got 12/4"):
+        derive_practical_params(200, Fraction(1, 2), 4, 12)
     # m divides 0 and -m, but a target interval needs ell >= m
     for ell in (0, -4):
         with pytest.raises(ParamError, match="need ell >= m"):
@@ -56,6 +62,7 @@ def test_practical_invariants(n, gamma, m, k):
     except ParamError:
         return
     assert p.ell % p.m == 0
+    assert (p.ell // p.m) % 2 == 0
     assert p.n_tilde % (2 * p.m) == 0
     assert 2 * p.ell < p.n_tilde
     assert p.n_tilde // p.m >= 4 * (k - 1)
