@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .exact import DEFAULT_CAP, exact_count, exact_graceful
 from .harness import (ExperimentConfig, config_from_json, labelling_from_json,
@@ -56,15 +55,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_label(args) -> int:
-    tree_text = _read(args.tree)
-    tree = parse_tree(tree_text)
+    tree = parse_tree(_read(args.tree))
     cfg = ExperimentConfig(
-        n=(tree.n,), gamma=Fraction(args.gamma), m=args.m, ell=args.ell,
+        n=(tree.n,), gamma=args.gamma, m=args.m, ell=args.ell,
         trials=1, seed=args.seed, retries=args.retries,
         checkpoint_every=args.checkpoint_every,
         quasi_per_kind=args.quasi_per_kind,
         max_component=args.max_component, tree_source=args.tree)
-    tr = run_trial(cfg, 0, 0, collect_trace=bool(args.trace))
+    tr = run_trial(cfg, 0, 0, collect_trace=bool(args.trace), tree=tree)
     if not tr.result.success:
         json.dump({"error": "labelling-failed",
                    "message": f"no labelling after {tr.result.attempts} attempts",

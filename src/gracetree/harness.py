@@ -30,6 +30,14 @@ from .trees import Tree, parse_tree, random_tree
 from .verify import Labelling, verify_graceful
 
 
+def _gamma(x) -> Fraction:
+    """x as a Fraction; ParamError when it names none."""
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParamError(f"bad gamma {x!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """All inputs of a campaign.  tree_source is "random" or a path to
@@ -49,7 +57,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", tuple(int(x) for x in self.n))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        object.__setattr__(self, "gamma", _gamma(self.gamma))
         if not self.n:
             raise ParamError("n list must not be empty")
         if self.trials < 0:
@@ -98,10 +106,7 @@ def config_from_json(text: str) -> ExperimentConfig:
     gamma = d["gamma"]
     if not isinstance(gamma, (str, int, float)) or isinstance(gamma, bool):
         raise ParamError("gamma must be a fraction string or a number")
-    try:
-        d["gamma"] = Fraction(gamma)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ParamError(f"bad gamma {gamma!r}: {exc}") from None
+    d["gamma"] = _gamma(gamma)
     for name, x in d.items():
         if name == "tree_source":
             ok = isinstance(x, str)
@@ -153,17 +158,21 @@ def _load_tree(cfg: ExperimentConfig, n: int, rng: Rng) -> Tree:
 
 
 def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
-              collect_trace: bool = False) -> TrialResult:
+              collect_trace: bool = False,
+              tree: Optional[Tree] = None) -> TrialResult:
     """One seeded trial.  Spawn keys under the root seed: (n_index,
     trial) -> 0 tree, 1 labelling (attempt k draws its intervals from
     child(k, 0) over the first plan's cut and ordering, and its labels
-    from child(k, 1)), 2 quasi sampling."""
+    from child(k, 1)), 2 quasi sampling.  A caller that has already
+    read the config's tree file passes the tree, which is then not read
+    again; it must have order cfg.n[n_index]."""
     n = cfg.n[n_index]
     params = cfg.params_for(n)
     sys = IntervalSystem(params.n_tilde, params.m, params.ell)
     root = Rng(cfg.seed).child(n_index, trial)
     t0 = time.perf_counter()
-    tree = _load_tree(cfg, n, root.child(0))
+    if tree is None:
+        tree = _load_tree(cfg, n, root.child(0))
     label_rng = root.child(1)
     quasi_rng = root.child(2)
 

@@ -255,14 +255,17 @@ def _attempt(
     a_blocks = label_bits.blocks
     c_blocks = diff_bits.blocks
     mirror_blocks = state.diffs_rev.blocks
-    order = plan.order
-    interval_of = plan.interval_of
-    parent_pos = plan.parent_pos
-    n = len(order)
+    # the plan's arrays as lists, so that no step indexes numpy; the
+    # vertices are needed only by trace rows and a completed attempt
+    parent_pos = plan.parent_pos.tolist()
+    los = plan.lo.tolist()
+    order = plan.order.tolist() if collect_trace else None
+    n = len(los)
     m = sys.m
     nt = sys.n_tilde
+    ell = sys.ell
     # one stream per purpose; run_labelling documents the addresses
-    label_offsets = rng.child(0).offsets(sys.ell)
+    label_offsets = rng.child(0).offsets(ell)
     pick_offsets = rng.child(1).offsets(sys.m)
     corv_at, corv_lo = corv.hits(rng.child(2), n)
     core_at, core_lo = core.hits(rng.child(3), n)
@@ -278,8 +281,7 @@ def _attempt(
 
     # step 1: the first vertex has no parent, so its label is a free
     # label of its interval; a failure here leaves the state untouched
-    b = pick_free(label_bits, interval_of[0].lo, sys.ell, label_offsets,
-                  randbelow)
+    b = pick_free(label_bits, los[0], ell, label_offsets, randbelow)
     if b < 0:
         return None, AttemptFailure(FAIL_CHOOSE, 1), trace, state
     take_label(a_blocks, b)
@@ -346,7 +348,7 @@ def _attempt(
         # class docstring; a try that hits has checked both bits, so it
         # clears them in place
         a = labels[parent_pos[t]]
-        lo = interval_of[t].lo
+        lo = los[t]
         for _ in TRIES:
             b = lo + next(label_offsets)
             if a_blocks[b >> _SHIFT] >> (b & _LOW) & 1:
@@ -358,8 +360,8 @@ def _attempt(
                     mirror_blocks[d >> _SHIFT] ^= 1 << (d & _LOW)
                     break
         else:
-            b = _rank_draw(state.admissible_mask(a, interval_of[t]), lo,
-                           randbelow)
+            b = _rank_draw(state.admissible_mask(
+                a, Interval(lo, lo + ell - 1)), lo, randbelow)
             if b < 0:
                 failure = AttemptFailure(FAIL_CHOOSE, t + 1)
                 break
@@ -375,7 +377,7 @@ def _attempt(
     state.size_c = sum(x.bit_count() for x in c_blocks)
     if failure is not None:
         return None, failure, trace, state
-    return dict(zip(order, labels)), None, trace, state
+    return dict(zip(plan.order.tolist(), labels)), None, trace, state
 
 
 def run_labelling(

@@ -5,28 +5,30 @@ choices: the order in which vertices are revealed, each vertex's earlier
 neighbour, the removed-edge set whose endpoints may land in unrelated
 intervals, and the target interval of every vertex.
 
-The stages run over flat arrays.  prepare_plan numbers the tree once, in
-BFS order from its smallest leaf (_Numbering, O(n)); the cut and the
-ordering both run on that numbering, where a removed edge is one flag on
-its child.  The cut is one pass from the leaves up that sorts the
-children of each vertex it cuts at, O(n log n) on any shape (see
-cut_tree_by_size); the ordering costs O(n log n) for its heaps, and the
-interval assignment O(n) over positions.  Every stage takes and returns
+The cut runs on a BFS numbering of the tree from its smallest leaf
+(_Numbering): one pass from the leaves up that sorts the children of
+each vertex it cuts at, O(n log n) on any shape (see cut_tree_by_size).
+The ordering and the interval assignment are array passes in numpy: the
+ordering is one BFS from vertex 1 and one stable sort that keeps the
+components together (order_vertices), and the assignment finds
+components and parities by pointer doubling over the parent positions,
+O(n log depth), with a Python loop only over components for the draw
+and the orientations (assign_intervals).  Every stage takes and returns
 original vertex ids.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .intervals import Interval, IntervalSystem
+from .intervals import IntervalSystem
 from .rng import Rng
 from .trees import Tree
 
@@ -38,13 +40,13 @@ class PrepareError(ValueError):
 class _Numbering:
     """t renumbered 0..n-1 in BFS order from its smallest leaf.
 
-    vertex[k] is the original id of vertex k and index[v] the number of
-    original vertex v.  parent[k] < k, with parent[0] = -1, and the
-    children of k are first[k] .. first[k+1] - 1 in the order of k's
-    neighbour list, so a child's number ranks it among its siblings as
-    its index in that list does.  The stages then read consecutive
-    numbers instead of the scattered ids a Prüfer-decoded tree comes
-    with.  Plain lists, since the stages read them in Python loops.
+    vertex[k] is the original id of vertex k.  parent[k] < k, with
+    parent[0] = -1, and the children of k are first[k] .. first[k+1] - 1
+    in the order of k's neighbour list, so a child's number ranks it
+    among its siblings as its index in that list does.  The cut then
+    reads consecutive numbers instead of the scattered ids a
+    Prüfer-decoded tree comes with.  Plain lists, since the cut reads
+    them in a Python loop.
 
     The BFS runs in C (scipy's breadth_first_order) on t with every
     adjacency slot made a node: vertex v links to slot nodes n+1+p for
@@ -53,7 +55,7 @@ class _Numbering:
     meets v's children in neighbour-list order.
     """
 
-    __slots__ = ("vertex", "index", "parent", "first")
+    __slots__ = ("vertex", "parent", "first")
 
     def __init__(self, t: Tree):
         n = t.n
@@ -74,24 +76,8 @@ class _Numbering:
         index[vertex] = np.arange(n)
         parent = index[pred[pred[vertex[1:]]]]
         self.vertex = vertex.tolist()
-        self.index = index.tolist()
         self.parent = [-1] + parent.tolist()
         self.first = (np.searchsorted(parent, np.arange(n + 1)) + 1).tolist()
-
-    def cut_flags(self, removed: Iterable[tuple[int, int]]) -> bytearray:
-        """flag[k] = 1 when the edge from k to its parent is in removed,
-        in O(|removed|); pairs that are not tree edges are ignored."""
-        n = len(self.vertex)
-        index, parent = self.index, self.parent
-        flag = bytearray(n)
-        for a, b in removed:
-            if 1 <= a <= n and 1 <= b <= n:
-                x, y = index[a], index[b]
-                if x < y:
-                    x, y = y, x
-                if parent[x] == y:
-                    flag[x] = 1
-        return flag
 
 
 def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
@@ -126,9 +112,7 @@ def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
     return cut_tree_by_size(t, hi)
 
 
-def cut_tree_by_size(
-    t: Tree, max_size: int, *, numbering: _Numbering | None = None
-) -> frozenset[tuple[int, int]]:
+def cut_tree_by_size(t: Tree, max_size: int) -> frozenset[tuple[int, int]]:
     """Remove edges so every remaining component has order <= max_size.
 
     One pass over the BFS numbering from the last vertex back to the
@@ -152,7 +136,7 @@ def cut_tree_by_size(
     """
     if max_size < 1:
         raise PrepareError(f"max_size must be >= 1, got {max_size}")
-    num = numbering or _Numbering(t)
+    num = _Numbering(t)
     parent, first = num.parent, num.first
     size = [1] * t.n  # the order of k's side once k is done
     cuts: list[int] = []  # the child of each removed edge
@@ -177,74 +161,112 @@ def cut_tree_by_size(
     )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a as a read-only int array."""
+    a = np.ascontiguousarray(a, np.intc)
+    a.flags.writeable = False
+    return a
+
+
+def _pairs(removed: Iterable[tuple[int, int]], n: int) -> np.ndarray:
+    """The pairs of removed with both ends in 1..n, as a (k, 2) array."""
+    e = np.fromiter(chain.from_iterable(removed), np.intp).reshape(-1, 2)
+    return e[((e >= 1) & (e <= n)).all(axis=1)]
+
+
+def _climb(up: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer doubling over a forest: up[i] is i's parent, or i itself
+    at a root, and odd[i] (0 at a root) is 1 when the edge to the parent
+    counts.  Returns each node's root and the parity of the counted
+    edges on its way there, in O(n log depth)."""
+    while True:
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            return up, odd
+        odd = odd ^ odd[up]
+        up = nxt
+
+
 def order_vertices(
-    t: Tree,
-    removed: Iterable[tuple[int, int]],
-    *,
-    numbering: _Numbering | None = None,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    t: Tree, removed: Iterable[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
     """Reveal order starting at vertex 1, keeping components contiguous.
 
-    Each later vertex has exactly one earlier neighbour (its parent).  The
-    next vertex is the smallest-index candidate in the component of the
-    previous one; when that component is exhausted, the smallest-index
-    candidate overall.  Returns (order, parent_pos) with parent_pos[0] = -1
+    Each later vertex has exactly one earlier neighbour (its parent).
+    Take the BFS of t from vertex 1 that visits neighbours in increasing
+    id (scipy's breadth_first_order).  Components come in the BFS rank
+    of their first vertex, and the vertices of a component in BFS rank,
+    which is a BFS of the component from its first vertex.  Returns
+    (order, parent_pos) as read-only int arrays, with parent_pos[0] = -1
     and parent_pos[i] the position of order[i]'s parent.
 
-    Two heaps of original ids hold the candidates: those reached over
-    kept edges, all in the current component, and those reached over
-    removed edges.  The current component is exhausted exactly when the
-    first heap is empty, and then every candidate left is in the second.
-    Each vertex is pushed once, by its earlier neighbour, and an edge's
-    removal is read from the cut flag of its child in the BFS numbering,
-    so the order costs O(n log n) with no set lookups.
+    A component's first vertex is the one nearest vertex 1, and its BFS
+    parent lies in a component that comes earlier.  Every other
+    neighbour of a vertex v is a BFS child of v: in v's component and
+    later in BFS, or the first vertex of a component of higher BFS rank
+    than v's.  So the parent is the only earlier neighbour.
+
+    The component of each vertex is found by pointer doubling over the
+    BFS tree with its cut edges dropped, and one stable sort by the BFS
+    rank of the component's first vertex gives the order, O(n log n) in
+    C.  Pairs of removed that are not edges of t are ignored.
     """
-    num = numbering or _Numbering(t)
-    vertex, index, parent, first = num.vertex, num.index, num.parent, num.first
-    cut = num.cut_flags(removed)
     n = t.n
-    done = bytearray(n)
-    via = [-1] * n  # position of the earlier neighbour, by number
-    order: list[int] = []
-    parent_pos: list[int] = []
-    here: list[int] = []  # candidates behind kept edges
-    away: list[int] = []  # candidates behind removed edges
-    push = heapq.heappush
-    k = index[1]
-    for i in range(n):
-        if i:
-            k = index[heapq.heappop(here) if here else heapq.heappop(away)]
-        done[k] = 1
-        order.append(vertex[k])
-        parent_pos.append(via[k])
-        p = parent[k]
-        if p >= 0 and not done[p]:
-            push(away if cut[k] else here, vertex[p])
-            via[p] = i
-        for w in range(first[k], first[k + 1]):
-            if not done[w]:
-                push(away if cut[w] else here, vertex[w])
-                via[w] = i
-    return tuple(order), tuple(parent_pos)
+    nbr = np.frombuffer(t.nbr, np.intc)
+    graph = csr_matrix((np.ones(len(nbr), np.int8), nbr,
+                        np.frombuffer(t.off, np.intc)), shape=(n + 1, n + 1))
+    bfs, pred = breadth_first_order(graph, 1, directed=True,
+                                    return_predecessors=True)
+    rank = np.empty(n + 1, np.intp)
+    rank[bfs] = np.arange(n)
+    parent = np.empty(n, np.intp)  # by BFS rank
+    parent[0] = -1
+    parent[1:] = rank[pred[bfs[1:]]]
+    # the child of each removed edge starts a component
+    a, b = _pairs(removed, n).T
+    heads = rank[np.concatenate((a[pred[a] == b], b[pred[b] == a]))]
+    up = parent.copy()
+    up[0] = 0
+    up[heads] = heads
+    first, _ = _climb(up, np.zeros(n, np.uint8))
+    perm = np.argsort(first, kind="stable")
+    pos = np.empty(n, np.intp)
+    pos[perm] = np.arange(n)
+    parent_pos = parent[perm]
+    parent_pos[1:] = pos[parent_pos[1:]]
+    return _read_only(bfs[perm]), _read_only(parent_pos)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plan:
-    """Everything about a run except the random label draws."""
+    """Everything about a run except the random label draws.
 
-    order: tuple[int, ...]
-    parent_pos: tuple[int, ...]
+    order, parent_pos and lo are read-only int arrays indexed by
+    position: the vertex revealed there, the position of its parent (-1
+    at position 0) and the low end of its target interval, whose width
+    is the interval system's ell.
+    """
+
+    order: np.ndarray
+    parent_pos: np.ndarray
     removed_edges: frozenset[tuple[int, int]]
-    interval_of: tuple[Interval, ...]  # indexed by position
+    lo: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.order)
 
+    def __eq__(self, other):
+        return (isinstance(other, Plan)
+                and self.removed_edges == other.removed_edges
+                and all(np.array_equal(x, y) for x, y in zip(
+                    (self.order, self.parent_pos, self.lo),
+                    (other.order, other.parent_pos, other.lo))))
+
 
 def assign_intervals(
     removed: Iterable[tuple[int, int]],
-    ordering: tuple[Sequence[int], Sequence[int]],
+    ordering: tuple[np.ndarray, np.ndarray],
     sys: IntervalSystem,
     rng: Rng,
 ) -> Plan:
@@ -256,10 +278,7 @@ def assign_intervals(
     tree one color class gets the drawn interval and the other its
     complement, so every surviving edge joins an interval to its
     complement.  Components are drawn in order of first appearance in the
-    vertex ordering.  Components and parities come from one pass over the
-    ordering, since each vertex's parent is an earlier tree neighbour; a
-    removed edge is a flag on its later endpoint's position, so the
-    assignment is O(n) with no set lookups.
+    vertex ordering.
 
     The draw is a uniform random allocation of target intervals to
     components whose per-interval counts differ by at most one (one
@@ -269,43 +288,39 @@ def assign_intervals(
     Each component's coloring orientation is free.  For a component entered
     through a cut edge, the orientation is chosen so the entering edge's
     difference range stays away from 0 and n_tilde, where the edge-side
-    correction concentrates its own removals.
+    correction concentrates its own removals: the first vertex takes the
+    side (the drawn interval or its complement) whose interval lies
+    farther round the range from the parent's.  The two never tie: the
+    parent's interval would have to start at the midpoint of the two
+    starts, half - ell/2 + 1, or opposite it, and no interval of the
+    family starts there.
+
+    The per-vertex work is array passes.  A component starts at position
+    0 and behind every removed parent edge (of an edge's two endpoints,
+    the later one in the order is the child).  Pointer doubling over
+    parent_pos with those edges dropped gives each vertex its component
+    and its parity relative to the component's first vertex.  One loop
+    over the components, in order, makes the draws, and one more carries
+    each first vertex's side to the components entered from it.
     """
-    order, parent_pos = ordering
+    order, parent_pos = (np.asarray(x, np.intp) for x in ordering)
     n = len(order)
     if not (isinstance(removed, frozenset) and all(u < v for u, v in removed)):
         removed = frozenset((u, v) if u < v else (v, u) for u, v in removed)
 
-    # flag the positions whose parent edge is removed: of an edge's two
-    # endpoints, the later one in the order is the child
-    pos = [0] * (n + 1)
-    for i, v in enumerate(order):
-        pos[v] = i
-    cut = bytearray(n)
-    for u, v in removed:
-        if 1 <= u and v <= n:
-            i, j = pos[u], pos[v]
-            if i < j:
-                i, j = j, i
-            if parent_pos[i] == j:
-                cut[i] = 1
-
-    # one pass over the order: a component starts at the root and behind
-    # every removed parent edge; everyone else joins the parent's
-    # component with the opposite parity
-    comp = [0] * n  # by position, numbered by first appearance
-    parity = bytearray(n)
-    starts: list[int] = []  # position where each component starts
-    for i in range(n):
-        pp = parent_pos[i]
-        if pp >= 0:
-            parity[i] = parity[pp] ^ 1
-            if not cut[i]:
-                comp[i] = comp[pp]
-                continue
-        comp[i] = len(starts)
-        starts.append(i)
+    pos = np.empty(n + 1, np.intp)
+    pos[order] = np.arange(n)
+    ij = pos[_pairs(removed, n)]
+    child, par = ij.max(axis=1), ij.min(axis=1)
+    head = np.zeros(n, bool)
+    head[0] = True
+    head[child[parent_pos[child] == par]] = True
+    up = np.where(head, np.arange(n), parent_pos)
+    first, rel = _climb(up, (~head).view(np.uint8))
+    starts = np.flatnonzero(head)  # position where each component starts
+    comp = (np.cumsum(head) - 1)[first]  # numbered by first appearance
     n_comp = len(starts)
+
     js = sys.j_intervals
     picks = list(range(len(js))) * (n_comp // len(js))
     extra = list(range(len(js)))
@@ -316,36 +331,33 @@ def assign_intervals(
     for i in range(len(picks) - 1):
         k = i + rng.randbelow(len(picks) - i)
         picks[i], picks[k] = picks[k], picks[i]
-    # the intervals of the components' two sides, as two flat lists: a
-    # pair per component would put one tuple per component on the heap
-    partner = [sys.complement(j) for j in js]
-    sides = ([js[i] for i in picks], [partner[i] for i in picks])
-
     nt = sys.n_tilde
-    ell = sys.ell
-    flip = [0] * n_comp
-    for k, i in enumerate(starts):
-        pp = parent_pos[i]
-        if pp < 0:
-            continue
-        c = comp[pp]
-        p_iv = sides[parity[pp] ^ flip[c]][c]
-        p_mid = 2 * p_iv.lo + ell - 1  # twice the midpoint
-        best = 0
-        best_score = -1
-        for o in (0, 1):
-            d = abs(2 * sides[parity[i] ^ o][k].lo + ell - 1 - p_mid)
-            score = min(d, 2 * nt - d)
-            if score > best_score:
-                best, best_score = o, score
-        flip[k] = best
+    # the low ends of each component's drawn interval (side 0) and of its
+    # complement (side 1)
+    lo0 = np.array([j.lo for j in js], np.intp)[picks]
+    lo1 = nt - sys.ell + 2 - lo0
 
-    interval_of = [sides[parity[i] ^ flip[c]][c] for i, c in enumerate(comp)]
+    # for each component after the first, entered from pp in component
+    # c: the side its first vertex takes when pp is on side 0 and on
+    # side 1 of c
+    pp = parent_pos[starts[1:]]
+    c = comp[pp]
+    prefer = []
+    for p_lo in (lo0[c], lo1[c]):
+        d0 = np.abs(lo0[1:] - p_lo)
+        d1 = np.abs(lo1[1:] - p_lo)
+        prefer.append((np.minimum(d1, nt - d1)
+                       > np.minimum(d0, nt - d0)).tolist())
+    side_k = [0] * n_comp  # the side of each component's first vertex
+    for k, ck, r, p0, p1 in zip(range(1, n_comp), c.tolist(),
+                                rel[pp].tolist(), *prefer):
+        side_k[k] = p1 if side_k[ck] ^ r else p0
+    side = np.array(side_k, np.uint8)[comp] ^ rel
     return Plan(
-        order=tuple(order),
-        parent_pos=tuple(parent_pos),
+        order=_read_only(order),
+        parent_pos=_read_only(parent_pos),
         removed_edges=removed,
-        interval_of=tuple(interval_of),
+        lo=_read_only(np.where(side, lo1[comp], lo0[comp])),
     )
 
 
@@ -362,8 +374,7 @@ def prepare_plan(
     component's red half well inside one target window and spreads each
     window's load over many component draws; larger caps make single draws
     carry so much mass that window loads no longer concentrate.  Intervals
-    are drawn by the balanced allocation (see assign_intervals).  The cut
-    and the ordering share one BFS numbering of t.
+    are drawn by the balanced allocation (see assign_intervals).
     """
     if max_component is None:
         max_component = max(
@@ -373,8 +384,5 @@ def prepare_plan(
                 sys.ell // 2,
             ),
         )
-    numbering = _Numbering(t)
-    removed = cut_tree_by_size(t, max_component, numbering=numbering)
-    ordering = order_vertices(t, removed, numbering=numbering)
-    del numbering  # over 100 bytes a vertex, and the assignment needs none
-    return assign_intervals(removed, ordering, sys, rng)
+    removed = cut_tree_by_size(t, max_component)
+    return assign_intervals(removed, order_vertices(t, removed), sys, rng)

@@ -22,6 +22,8 @@ def _fault(n: int, us, vs) -> str:
     stated: per edge in input order range, self-loop and parallel edge,
     then the edge count, then connectivity.  Run only once a check on
     the arrays has failed."""
+    if isinstance(us, np.ndarray):  # name Python ints, not numpy ones
+        us, vs = us.tolist(), vs.tolist()
     seen = set()
     for u, v in zip(us, vs):
         if not (1 <= u <= n and 1 <= v <= n):
@@ -91,12 +93,13 @@ class Tree:
       edges that join them; off has n + 2 entries, off[0] = off[1] = 0.
     - edges.ends: the edges as (min, max) pairs in input order.
 
-    Construction is one stable sort of the edge ends by vertex in numpy
-    (O(n log n) in C) and a cumulative count for the offsets.  The checks
-    run on the arrays: ids in 1..n, n - 1 edges, and one component (see
-    _connected).  n - 1 edges that connect 1..n have no self-loop and no
-    parallel edge; when a check fails, the edge list is walked in order
-    to name the first fault.
+    Construction is one sort of the edge ends by vertex in numpy, on
+    the unique keys end * 2m + index so that an unstable sort keeps the
+    input order within a vertex (O(n log n) in C), and a cumulative
+    count for the offsets.  The checks run on the arrays: ids in 1..n,
+    n - 1 edges, and one component (see _connected).  n - 1 edges that
+    connect 1..n have no self-loop and no parallel edge; when a check
+    fails, the edge list is walked in order to name the first fault.
     """
 
     __slots__ = ("n", "off", "nbr", "edges")
@@ -119,19 +122,23 @@ class Tree:
     def _build(self, n: int, us, vs) -> None:
         if n < 1:
             raise ValueError("tree needs at least one vertex")
-        m = len(us)
-        if m != n - 1 or (m and (min(us) < 1 or max(us) > n
-                                 or min(vs) < 1 or max(vs) > n)):
-            raise ValueError(_fault(n, us, vs))
         a = np.asarray(us)
         b = np.asarray(vs)
+        m = len(a)
+        if m != n - 1 or (m and (a.min() < 1 or a.max() > n
+                                 or b.min() < 1 or b.max() > n)):
+            raise ValueError(_fault(n, us, vs))
         if m and (a.dtype.kind not in "iu" or b.dtype.kind not in "iu"):
             raise TypeError("vertex ids must be integers")
         ends = np.empty(2 * m, np.intc)
         ends[0::2] = np.minimum(a, b)
         ends[1::2] = np.maximum(a, b)
         other = ends.reshape(-1, 2)[:, ::-1].ravel()
-        nbr = other[np.argsort(ends, kind="stable")]
+        key = ends.astype(np.int64)
+        key *= 2 * m
+        key += np.arange(2 * m)
+        key.sort()
+        nbr = other[key % (2 * m)]
         off = np.zeros(n + 2, np.intc)
         np.cumsum(np.bincount(ends, minlength=n + 1), out=off[1:])
         if not _connected(n, off, nbr):
@@ -259,14 +266,45 @@ def degree_stats(t: Tree) -> DegreeStats:
     return DegreeStats(int(degs.max()), int((degs * degs).sum()))
 
 
+# the longest token the array path reads: 18 digits stay below 2^63
+_MAX_DIGITS = 18
+
+
+def _canonical(text: str) -> np.ndarray | None:
+    """The integers of text when it is laid out as format_tree writes
+    it, else None: ASCII digits in tokens of at most _MAX_DIGITS, a
+    first line of one token, then lines of two tokens split by one
+    space, each line ending in a newline, and as many edge lines as the
+    first token asks for.  Checked and read in numpy, one pass each."""
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    seps = np.flatnonzero((raw - 48) >= 10)  # every byte but a digit
+    if not len(seps) or seps[-1] != len(raw) - 1:
+        return None
+    kind = raw[seps]
+    width = np.diff(seps, prepend=-1) - 1
+    if not ((kind[0::2] == 10).all() and (kind[1::2] == 32).all()
+            and width.min() >= 1 and width.max() <= _MAX_DIGITS):
+        return None
+    vals = np.fromstring(text, np.int64, sep=" ")
+    return vals if len(vals) == 2 * max(int(vals[0]) - 1, 0) + 1 else None
+
+
 def parse_tree(text: str) -> Tree:
     """Strict text format: line 1 is n, then n-1 lines "u v".
 
     Lines are stripped and trailing blank lines dropped.  Every other
     line must hold exactly two tokens that int() accepts, else the first
-    line that does not is named.  Edge lines are checked by counting
-    their tokens and read from one split of the whole text.
+    line that does not is named.  Text laid out as format_tree writes
+    it is checked and read by array passes (_canonical); any other text
+    has its edge lines checked by counting their tokens and is read from
+    one split of the whole text.  Both give the same tree and the same
+    errors.
     """
+    vals = _canonical(text)
+    if vals is not None:
+        return Tree._of(int(vals[0]), vals[1::2], vals[2::2])
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()

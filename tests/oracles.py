@@ -34,7 +34,11 @@ from such an int.  interval_width counts an interval's values, and
 contains tells whether one interval lies inside another.  x1..x4 build
 the audit's patterns as the field tuples quasirandom._count takes.
 prufer_encode is the inverse of trees.prufer_decode, and plan_to_json
-the plan text that the golden plan digests hash.
+the plan text that the golden plan digests hash; plan_intervals gives
+a plan's target interval per position.  old_assign_intervals
+is prepare.assign_intervals as one Python pass over the ordering, before
+it became array passes: the same draws and orientations, returned as
+one Interval per position.
 """
 
 import bisect
@@ -46,8 +50,8 @@ from hypothesis import strategies as st
 
 import gracetree.labeller as labeller
 from gracetree.bitset import _LOW, _SHIFT, BLOCK_BITS, BlockBits, _join, select
-from gracetree.intervals import (IntervalSystem, core_distribution,
-                                 corv_distribution)
+from gracetree.intervals import (Interval, IntervalSystem,
+                                 core_distribution, corv_distribution)
 from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV, K,
                                 AttemptFailure, LabelResult, LabelState,
                                 TraceRow, _rank_draw, take_diff, take_label)
@@ -146,18 +150,98 @@ def prufer_encode(t):
     return seq
 
 
-def plan_to_json(plan) -> str:
+def plan_to_json(plan, ell) -> str:
+    """The plan's text; ell is the width of its target intervals."""
     return json.dumps(
         {
-            "order": list(plan.order),
-            "parent_pos": list(plan.parent_pos),
+            "order": plan.order.tolist(),
+            "parent_pos": plan.parent_pos.tolist(),
             "removed_edges": sorted(list(e) for e in plan.removed_edges),
-            "interval_starts": [iv.lo for iv in plan.interval_of],
-            "interval_width": (interval_width(plan.interval_of[0])
-                               if plan.order else 0),
+            "interval_starts": plan.lo.tolist(),
+            "interval_width": ell if plan.n else 0,
         },
         indent=2,
     )
+
+
+def plan_intervals(plan, sys):
+    """The target interval of each position of plan."""
+    return [Interval(lo, lo + sys.ell - 1) for lo in plan.lo.tolist()]
+
+
+def old_assign_intervals(removed, ordering, sys, rng):
+    """assign_intervals as one Python pass over the ordering; returns
+    the target interval of each position."""
+    order, parent_pos = ordering
+    n = len(order)
+    if not (isinstance(removed, frozenset) and all(u < v for u, v in removed)):
+        removed = frozenset((u, v) if u < v else (v, u) for u, v in removed)
+
+    # flag the positions whose parent edge is removed: of an edge's two
+    # endpoints, the later one in the order is the child
+    pos = [0] * (n + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    cut = bytearray(n)
+    for u, v in removed:
+        if 1 <= u and v <= n:
+            i, j = pos[u], pos[v]
+            if i < j:
+                i, j = j, i
+            if parent_pos[i] == j:
+                cut[i] = 1
+
+    # one pass over the order: a component starts at the root and behind
+    # every removed parent edge; everyone else joins the parent's
+    # component with the opposite parity
+    comp = [0] * n  # by position, numbered by first appearance
+    parity = bytearray(n)
+    starts = []  # position where each component starts
+    for i in range(n):
+        pp = parent_pos[i]
+        if pp >= 0:
+            parity[i] = parity[pp] ^ 1
+            if not cut[i]:
+                comp[i] = comp[pp]
+                continue
+        comp[i] = len(starts)
+        starts.append(i)
+    n_comp = len(starts)
+    js = sys.j_intervals
+    picks = list(range(len(js))) * (n_comp // len(js))
+    extra = list(range(len(js)))
+    for i in range(n_comp % len(js)):
+        k = i + rng.randbelow(len(extra) - i)
+        extra[i], extra[k] = extra[k], extra[i]
+    picks += extra[: n_comp % len(js)]
+    for i in range(len(picks) - 1):
+        k = i + rng.randbelow(len(picks) - i)
+        picks[i], picks[k] = picks[k], picks[i]
+    # the intervals of the components' two sides, as two flat lists: a
+    # pair per component would put one tuple per component on the heap
+    partner = [sys.complement(j) for j in js]
+    sides = ([js[i] for i in picks], [partner[i] for i in picks])
+
+    nt = sys.n_tilde
+    ell = sys.ell
+    flip = [0] * n_comp
+    for k, i in enumerate(starts):
+        pp = parent_pos[i]
+        if pp < 0:
+            continue
+        c = comp[pp]
+        p_iv = sides[parity[pp] ^ flip[c]][c]
+        p_mid = 2 * p_iv.lo + ell - 1  # twice the midpoint
+        best = 0
+        best_score = -1
+        for o in (0, 1):
+            d = abs(2 * sides[parity[i] ^ o][k].lo + ell - 1 - p_mid)
+            score = min(d, 2 * nt - d)
+            if score > best_score:
+                best, best_score = o, score
+        flip[k] = best
+
+    return tuple(sides[parity[i] ^ flip[c]][c] for i, c in enumerate(comp))
 
 
 def old_select(x, k):
@@ -338,12 +422,12 @@ def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
         labels, trace = [], []
         steps = corv_hits = core_hits = 0
         failure = None
-        for pos, vertex in enumerate(plan.order):
+        order = plan.order.tolist()
+        for pos, vertex in enumerate(order):
             t = pos + 1
             a = labels[plan.parent_pos[pos]] if pos else None
-            iv = plan.interval_of[pos]
             b = _uniform_member(
-                iv.lo, interval_width(iv),
+                int(plan.lo[pos]), sys.ell,
                 lambda x: x in A and (a is None or abs(x - a) in C),
                 label_offsets, rank, tries)
             if b < 0:
@@ -379,7 +463,7 @@ def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
         failures.append(failure)
     return LabelResult(
         success=failure is None,
-        psi=None if failure else dict(zip(plan.order, labels)),
+        psi=None if failure else dict(zip(order, labels)),
         plan=plan, attempts=k + 1, failures=tuple(failures),
         trace=tuple(trace), steps=steps, corv_hits=corv_hits,
         core_hits=core_hits)

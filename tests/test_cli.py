@@ -180,6 +180,38 @@ def test_label_writes_artifacts(tmp_path, capsys):
     assert len(lines) == 1 + 200 + 4  # steps plus checkpoint rows
 
 
+def test_label_reads_the_tree_file_once(tmp_path, capsys, monkeypatch):
+    from gracetree import cli, harness
+
+    tree = str(tmp_path / "t.txt")
+    run_cli(capsys, "generate", "--n", "200", "--seed", "3", "--out", tree)
+    reads = []
+    for mod in (cli, harness):
+        monkeypatch.setattr(mod, "parse_tree", lambda text, f=mod.parse_tree:
+                            reads.append(1) or f(text))
+    code, out, err = run_cli(
+        capsys, "label", "--tree", tree, "--gamma", "1", "--m", "16",
+        "--ell", "32", "--seed", "11", "--retries", "8",
+        "--max-component", "8")
+    assert code == 0, err
+    assert json.loads(out)["n"] == 200
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("gamma", ["1/0", "x", "nan"])
+def test_label_refuses_bad_gamma(tmp_path, capsys, gamma):
+    tree = str(tmp_path / "t.txt")
+    run_cli(capsys, "generate", "--n", "50", "--seed", "0", "--out", tree)
+    code, out, err = run_cli(
+        capsys, "label", "--tree", tree, "--gamma", gamma, "--m", "4",
+        "--ell", "8", "--seed", "0")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ParamError"
+    assert payload["message"].startswith(f"bad gamma {gamma!r}: ")
+
+
 def test_label_exhausted_retries_exit_2(tmp_path, capsys):
     tree = str(tmp_path / "t.txt")
     run_cli(capsys, "generate", "--n", "300", "--seed", "0", "--out", tree)

@@ -84,7 +84,7 @@ def test_trial_failure_record():
     tr = run_trial(cfg, 0, 0, collect_trace=True)
     rec = tr.record
     assert rec.outcome == "fail" and tr.labelling is None
-    assert rec.failure_site == "choose-label" and rec.failure_step == 188
+    assert rec.failure_site == "choose-label" and rec.failure_step == 153
     assert rec.attempts == 1
     assert rec.quasi1_max_dev == -1.0  # no checkpoints fired
     assert rec.steps == len(tr.result.trace) == rec.failure_step - 1
@@ -286,13 +286,13 @@ def test_untraced_record_equals_traced():
 
 
 def test_reports_are_scoped_to_the_last_attempt():
-    # attempts fail at steps 1310, 1152, 1273 and 916: the first three
+    # attempts fail at steps 1306, 1061, 1195 and 916: the first three
     # pass the checkpoint at 1000, the last one dies before it
     cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=16, ell=128,
                            trials=1, seed=6, checkpoint_every=1000)
     tr = run_trial(cfg, 0, 0)
     steps = [f.step for f in tr.result.failures]
-    assert steps == [1310, 1152, 1273, 916]
+    assert steps == [1306, 1061, 1195, 916]
     assert tr.reports == ()
     rec = tr.record
     assert rec.quasi1_max_dev == rec.quasi2_max_dev == -1.0
@@ -301,24 +301,26 @@ def test_reports_are_scoped_to_the_last_attempt():
 
 # SHA-256 of the artifacts of two frozen runs.  They pin the RNG draw
 # order, so a change to the label state's representation keeps them.
+# They also pin the plan: all were re-recorded when the vertex order
+# became BFS by component (order_vertices), as was GOLDEN_RETRIES.
 # GOLDEN_MASK_SELECT are the same runs when every draw skips its tries
 # and reads its whole window (labeller.TRIES empty): the mask-and-select
 # draws that the rejection draws replaced, and still fall back to.
 GOLDEN = {
     "success_labelling":
-        "c2a3e5d481ae0f092895dfa4bc2120acc9324bff4b08f9c0ce1a374126540194",
+        "f139e45f37d591c4a4f59ab5deb95a65c677bcae3b0563c3066b83e9264469fa",
     "success_trace":
-        "59a1a0bee682a01e372873716d1306d036347f301fab63ef77e45988c0559694",
+        "3cd98d1c671bb6c914c02615fa5310d5fbca7b2ba4af8489188cd09846e4c1d9",
     "retry_trace":
-        "ca051986c81afd759cd30ba542dae1e89a0cf3ac525495545b474db60615b600",
+        "025546321919fd8fe6e8220f56d47670f2ee150a59ef49bce0e16b0c0c3f019a",
 }
 GOLDEN_MASK_SELECT = {
     "success_labelling":
-        "159f481976c2db190e36495396d5ba0fcc4f9f96807e76c078b90f8337944d75",
+        "2b1938e7e25fe894cd14806f2056baa0c3fe7e23bd1a5d31f627d947ac439f68",
     "success_trace":
-        "0d31798fba7f39397b9387e09c77dc48fe40e1d285b5566dd11f269d9c0ff631",
+        "679396368f51445c9f29f01c09a329465f93de0a95d223a2d85e0f9be93715d1",
     "retry_trace":
-        "726fb3c3c8c9c62e143546c74a524ac7bb66be38c7fbaabf07ee0763df654f06",
+        "78d8cec5020e7180f036eae8f16866345e61eee72b91045d161b0eb9ff5b13c5",
 }
 
 
@@ -355,17 +357,17 @@ def test_golden_digests_without_tries(monkeypatch):
 # Two retrying trials at n = 2000, m = 32, ell = 256: the outcome, the
 # attempts, and SHA-256 of the record without wall_time, of the
 # labelling (None on failure) and of the trace.  The first fails all
-# four attempts, the second succeeds on its third.
+# four attempts, the second succeeds on its sixth.
 GOLDEN_RETRIES = [
     (dict(gamma=Fraction(1, 5), seed=0), "fail", 4,
-     "4e9c3c1f73f479727aa63bb12c142495d84a315efeb575d12d5d303080857f18",
+     "ce717aec10d31c0d4676aae263551f227b190ec878afa978d4c75203b997ece0",
      None,
-     "331794f95eefb3129cbb09ba759af325852404159f8fcef5ec18321434e88fc0"),
+     "3c06a249f0e6516b9794b8cad961bff9d90b0b5d44caa32aea8b4f40ce06a2c8"),
     (dict(gamma=Fraction(1, 2), seed=5, retries=6, max_component=8),
-     "success", 3,
-     "585d5fcabc69df7335597ed40642d2c878abf60b06686c21bd6695de35a5fad8",
-     "9dd1772b5d816111bdb1915b6644066a591053a630d463625b326343d202be20",
-     "cf19cb00e356b8cafb81e1deb7f92e1f3d6decff3a9cda2be144f58ac947d85d"),
+     "success", 6,
+     "16e400bb6cb918bfc4fbc0cf7bb3df22604a3fea4b290ca2118d711f78cffa36",
+     "d8f562b55461024522115b4a9c31d3001c43900fb3895011b21ac575e68efe9d",
+     "4e4da1f6fc7d50caeb5152c913e59e70c64d5b284cf708f50d5bf50c481da0f7"),
 ]
 
 

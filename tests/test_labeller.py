@@ -24,8 +24,8 @@ from gracetree.prepare import prepare_plan
 from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree
 from oracles import (admissible_labels, draw_label, full_ints, iter_bits,
-                     mask_select_label, mask_select_pick, remove_diff,
-                     remove_label, scalar_labelling)
+                     mask_select_label, mask_select_pick, plan_intervals,
+                     remove_diff, remove_label, scalar_labelling)
 
 
 def check_graceful_prefix(tree, psi):
@@ -71,7 +71,7 @@ def test_single_vertex_first_step_sizes():
         assert row.edge_label == -1
         assert row.size_a in (sys.n_tilde - 1, sys.n_tilde - 2)
         assert row.size_a == sys.n_tilde - 1 - (row.corv_label >= 0)
-        iv = plan.interval_of[0]
+        iv = plan_intervals(plan, sys)[0]
         assert iv.lo <= res.psi[1] <= iv.hi
 
 
@@ -100,7 +100,7 @@ def test_labels_stay_in_intervals_and_prefix_graceful():
     assert res.success
     pos = {v: i for i, v in enumerate(plan.order)}
     for v, b in res.psi.items():
-        iv = plan.interval_of[pos[v]]
+        iv = plan_intervals(plan, sys)[pos[v]]
         assert iv.lo <= b <= iv.hi
     check_graceful_prefix(tree, res.psi)
 
@@ -454,7 +454,7 @@ def test_label_draw_fails_exactly_at_an_empty_window():
             continue
         chosen += 1
         t = res.failures[0].step
-        state, iv = seen[t - 1], plan.interval_of[t - 1]
+        state, iv = seen[t - 1], plan_intervals(plan, sys)[t - 1]
         if t == 1:
             assert state.labels.window(iv.lo, iv.hi - iv.lo + 1) == 0
         else:

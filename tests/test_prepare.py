@@ -15,8 +15,10 @@ from gracetree.prepare import (
     prepare_plan,
 )
 from gracetree.rng import Rng
-from gracetree.trees import path_tree, prufer_decode, random_tree, star_tree
-from oracles import plan_to_json
+from gracetree.trees import (broom_tree, caterpillar_tree, path_tree,
+                             prufer_decode, random_tree, spider_tree,
+                             star_tree)
+from oracles import old_assign_intervals, plan_intervals, plan_to_json
 
 
 def components(t, removed):
@@ -107,8 +109,8 @@ def test_cut_random_trees_respect_stated_bounds():
 def test_order_path_example():
     t = path_tree(3)
     order, parent_pos = order_vertices(t, frozenset())
-    assert order == (1, 2, 3)
-    assert parent_pos == (-1, 0, 1)
+    assert tuple(order) == (1, 2, 3)
+    assert tuple(parent_pos) == (-1, 0, 1)
 
 
 def test_order_prefers_previous_component():
@@ -117,16 +119,16 @@ def test_order_prefers_previous_component():
     t = path_tree(6)
     removed = frozenset({(3, 4)})
     order, parent_pos = order_vertices(t, removed)
-    assert order == (1, 2, 3, 4, 5, 6)
-    assert parent_pos == (-1, 0, 1, 2, 3, 4)
+    assert tuple(order) == (1, 2, 3, 4, 5, 6)
+    assert tuple(parent_pos) == (-1, 0, 1, 2, 3, 4)
 
 
 def test_order_smallest_candidate_tiebreak():
     # star center 1: all leaves become candidates at once
     t = star_tree(5)
     order, parent_pos = order_vertices(t, frozenset())
-    assert order == (1, 2, 3, 4, 5)
-    assert parent_pos == (-1, 0, 0, 0, 0)
+    assert tuple(order) == (1, 2, 3, 4, 5)
+    assert tuple(parent_pos) == (-1, 0, 0, 0, 0)
 
 
 def test_order_contiguous_components_random():
@@ -175,12 +177,128 @@ def test_cut_and_order_invariants(args):
     assert all(0 <= parent_pos[i] < i for i in range(1, n))
 
 
+def bfs(t, start, removed=frozenset()):
+    """The BFS of t from start over the edges not in removed, visiting
+    neighbours in increasing id."""
+    seen = {start}
+    out = [start]
+    for v in out:
+        for w in sorted(t.neighbours(v)):
+            if w not in seen and (min(v, w), max(v, w)) not in removed:
+                seen.add(w)
+                out.append(w)
+    return out
+
+
+def shape_trees(max_n=40):
+    """Random trees, paths, brooms, spiders and caterpillars."""
+    sizes = st.integers(2, max_n)
+    return st.one_of(
+        st.builds(lambda n, seed: random_tree(n, Rng(seed, key=(8,))),
+                  sizes, st.integers(0, 2 ** 32 - 1)),
+        st.builds(path_tree, st.integers(1, max_n)),
+        sizes.flatmap(lambda n: st.builds(
+            broom_tree, st.just(n), st.integers(1, n))),
+        sizes.flatmap(lambda n: st.builds(
+            spider_tree, st.just(n), st.integers(1, n - 1))),
+        sizes.flatmap(lambda n: st.builds(
+            caterpillar_tree, st.just(n), st.integers(1, n),
+            st.integers(1, 3).map(lambda k: lambda i: k))),
+    )
+
+
+@st.composite
+def cut_trees(draw):
+    """A shape tree and a removed set: a size cut, or any set of edges."""
+    t = draw(shape_trees())
+    if draw(st.booleans()):
+        return t, cut_tree_by_size(t, draw(st.integers(1, 12)))
+    edges = list(t.edges)
+    keep = draw(st.lists(st.booleans(), min_size=len(edges),
+                         max_size=len(edges)))
+    return t, frozenset(e for e, k in zip(edges, keep) if not k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_trees())
+def test_order_is_bfs_by_component(case):
+    t, removed = case
+    order, parent_pos = order_vertices(t, removed)
+    for a in (order, parent_pos):
+        assert a.dtype.kind == "i" and not a.flags.writeable
+    order, parent_pos = order.tolist(), parent_pos.tolist()
+    n = t.n
+    assert order[0] == 1 and parent_pos[0] == -1
+    assert sorted(order) == list(range(1, n + 1))
+    pos = {v: i for i, v in enumerate(order)}
+    # the parent is the one earlier neighbour
+    for i in range(1, n):
+        assert 0 <= parent_pos[i] < i
+        earlier = [w for w in t.neighbours(order[i]) if pos[w] < i]
+        assert earlier == [order[parent_pos[i]]]
+    # components are contiguous runs, each a BFS from its first vertex
+    comp, _ = components(t, removed)
+    firsts = []
+    i = 0
+    while i < n:
+        run = bfs(t, order[i], removed)
+        assert order[i:i + len(run)] == run
+        assert {comp[v] for v in run} == {comp[order[i]]}
+        firsts.append(order[i])
+        i += len(run)
+    assert len(firsts) == len(set(comp.values()))
+    # in the BFS rank of their first vertex
+    rank = {v: k for k, v in enumerate(bfs(t, 1))}
+    assert [rank[v] for v in firsts] == sorted(rank[v] for v in firsts)
+
+
+@st.composite
+def orderings(draw, t):
+    """An ordering of t from any vertex in which each later vertex has
+    one earlier neighbour, grown at random, so components need not be
+    contiguous: (order, parent_pos)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    start = rnd.randint(1, t.n)
+    order, parent_pos = [start], [-1]
+    pos = {start: 0}
+    frontier = [(w, 0) for w in t.neighbours(start)]
+    while frontier:
+        v, p = frontier.pop(rnd.randrange(len(frontier)))
+        pos[v] = len(order)
+        order.append(v)
+        parent_pos.append(p)
+        frontier += [(w, pos[v]) for w in t.neighbours(v) if w not in pos]
+    return tuple(order), tuple(parent_pos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), cut_trees(), st.sampled_from(
+    [(24, 2, 4), (40, 4, 8), (3072, 32, 256)]), st.integers(0, 2 ** 32 - 1))
+def test_assign_matches_one_pass_oracle(data, case, system, seed):
+    # the array passes give the intervals of the one-pass assignment,
+    # with the same draws, on order_vertices' ordering and on orderings
+    # whose components are scattered
+    t, removed = case
+    sys = IntervalSystem(*system)
+    for ordering in (order_vertices(t, removed), data.draw(orderings(t))):
+        rng, ref_rng = Rng(seed, key=(10,)), Rng(seed, key=(10,))
+        plan = assign_intervals(removed, ordering, sys, rng)
+        expect = old_assign_intervals(
+            removed, tuple(map(tuple, ordering)), sys, ref_rng)
+        assert plan_intervals(plan, sys) == list(expect)
+        assert rng.randbelow(1 << 30) == ref_rng.randbelow(1 << 30)
+        assert plan.order.tolist() == list(ordering[0])
+        assert plan.parent_pos.tolist() == list(ordering[1])
+        assert not (plan.order.flags.writeable or plan.lo.flags.writeable
+                    or plan.parent_pos.flags.writeable)
+
+
 def test_assign_single_edge_component_example():
     sys = IntervalSystem(24, 4, 4)
     t = path_tree(2)
     order = order_vertices(t, frozenset())
     plan = assign_intervals(frozenset(), order, sys, FixedRng([0]))
-    assert plan.interval_of == (Interval(1, 4), Interval(21, 24))
+    assert plan_intervals(plan, sys) == [Interval(1, 4), Interval(21, 24)]
 
 
 def test_assign_one_draw_per_component():
@@ -201,10 +319,11 @@ def test_assign_one_draw_per_component():
     # difference range centred between j0=[5,8] and j1=[13,16] rather than
     # between j0 and complement(j1)=[9,12]
     expect += [j1, sys.complement(j1), j1]
-    assert list(plan.interval_of) == expect
+    interval_of = plan_intervals(plan, sys)
+    assert interval_of == expect
     pos = {v: i for i, v in enumerate(plan.order)}
     for u, v in ((1, 2), (2, 3), (4, 5), (5, 6)):
-        assert sys.complement(plan.interval_of[pos[u]]) == plan.interval_of[pos[v]]
+        assert sys.complement(interval_of[pos[u]]) == interval_of[pos[v]]
 
 
 def test_assign_complementary_on_surviving_edges():
@@ -215,11 +334,12 @@ def test_assign_complementary_on_surviving_edges():
         removed = cut_tree_by_size(t, 12)
         order = order_vertices(t, removed)
         plan = assign_intervals(removed, order, sys, rng.child(1))
+        interval_of = plan_intervals(plan, sys)
         pos = {v: i for i, v in enumerate(plan.order)}
         for u, v in t.edges:
             if (u, v) in removed:
                 continue
-            assert sys.complement(plan.interval_of[pos[u]]) == plan.interval_of[pos[v]]
+            assert sys.complement(interval_of[pos[u]]) == interval_of[pos[v]]
 
 
 def test_prepare_plan_deterministic():
@@ -239,20 +359,22 @@ def test_prepare_plan_deterministic():
         earlier = [w for w in t.neighbours(p1.order[i]) if pos[w] < i]
         assert earlier == [p1.order[p1.parent_pos[i]]]
     # every surviving edge joins an interval to its complement
+    interval_of = plan_intervals(p1, sys)
     for u, v in t.edges:
         if (u, v) not in p1.removed_edges:
-            assert (sys.complement(p1.interval_of[pos[u]])
-                    == p1.interval_of[pos[v]])
+            assert (sys.complement(interval_of[pos[u]])
+                    == interval_of[pos[v]])
 
 
 def _component_pairs(plan, sys):
     """The complement pair {J, complement(J)} of each component of the
     plan, in order of first appearance."""
     pairs = []
-    for i, v in enumerate(plan.order):
+    interval_of = plan_intervals(plan, sys)
+    for i, v in enumerate(plan.order.tolist()):
         p = plan.parent_pos[i]
         if p < 0 or tuple(sorted((v, plan.order[p]))) in plan.removed_edges:
-            iv = plan.interval_of[i]
+            iv = interval_of[i]
             pairs.append(frozenset({iv, sys.complement(iv)}))
     return pairs
 
@@ -288,18 +410,18 @@ def test_balanced_draw_root_interval_is_uniform():
     counts = dict.fromkeys(sys.j_intervals, 0)
     for seed in range(2400):
         plan = assign_intervals(removed, ordering, sys, Rng(seed, key=(7,)))
-        counts[plan.interval_of[0]] += 1
+        counts[plan_intervals(plan, sys)[0]] += 1
     assert (len(removed) + 1) % len(counts)  # the remainder draw matters
     assert chisquare(list(counts.values())).pvalue > 1e-3
 
 
-# SHA-256 of plan_to_json for two frozen plans, frozen before
-# assign_intervals derived components and parities from the ordering
-# (the digests leave out the per-vertex color plans no longer carry);
-# they pin the cut, the order, the draws and the orientations.
+# SHA-256 of plan_to_json for two frozen plans; they pin the cut, the
+# order, the draws and the orientations.  The random one was re-recorded
+# when the order became BFS by component (order_vertices); the path's
+# order is 1..n under both rules, so its digest did not move.
 GOLDEN_PLANS = {
     "random": (
-        50, "d6cb0b07c02129c4dec39987e36eaf0ee9d8689487dfb4eec99aa0d6f7acc74c"),
+        50, "0f4f4ad307c954792ad0850f2340daa4079ec9a381ed958c8a797696a9ddeee5"),
     "path": (
         41, "0ff869ac0e2d3429ad85f1604a3385099934cc8b8fa02cc765a317a70e9adecc"),
 }
@@ -310,7 +432,9 @@ def test_plan_golden_digests(shape):
     import hashlib
 
     t = random_tree(2000, Rng(5)) if shape == "random" else path_tree(2000)
-    plan = prepare_plan(t, IntervalSystem(3072, 32, 256), Rng(5, key=(9,)))
+    sys = IntervalSystem(3072, 32, 256)
+    plan = prepare_plan(t, sys, Rng(5, key=(9,)))
     removed, digest = GOLDEN_PLANS[shape]
     assert len(plan.removed_edges) == removed
-    assert hashlib.sha256(plan_to_json(plan).encode()).hexdigest() == digest
+    assert (hashlib.sha256(plan_to_json(plan, sys.ell).encode()).hexdigest()
+            == digest)

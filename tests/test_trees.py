@@ -1,5 +1,7 @@
 import itertools
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
@@ -207,3 +209,70 @@ def test_shape_constructors():
     assert list(path_tree(4).neighbours(2)) == [1, 3]
     assert broom_tree(5, 5) == path_tree(5)
     assert broom_tree(5, 1) == star_tree(5)
+
+
+def csr_bytes(t):
+    return bytes(t.off), bytes(t.nbr), bytes(t.edges.ends)
+
+
+def stable_csr(n, edges):
+    """off and nbr bytes as a stable argsort of the edge ends builds them."""
+    ends = np.array(edges, np.intc).reshape(-1)
+    other = ends.reshape(-1, 2)[:, ::-1].ravel()
+    off = np.zeros(n + 2, np.intc)
+    np.cumsum(np.bincount(ends, minlength=n + 1), out=off[1:])
+    return off.tobytes(), other[np.argsort(ends, kind="stable")].tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_tree(300, Rng(4)), lambda: path_tree(50),
+    lambda: star_tree(40), lambda: broom_tree(60, 20),
+    lambda: spider_tree(61, 6), lambda: Tree(1, []),
+    lambda: Tree(5, [(4, 1), (2, 4), (5, 3), (3, 4)]),
+])
+def test_canonical_text_parses_to_the_same_bytes(make):
+    t = make()
+    text = format_tree(t)
+    got = parse_tree(text)
+    assert csr_bytes(got) == csr_bytes(t)
+    # as the per-line path reads it (a padded line is not canonical) and
+    # as a stable sort of the ends lays it out
+    assert csr_bytes(parse_tree(text.replace("\n", " \n"))) == csr_bytes(t)
+    assert stable_csr(t.n, list(t.edges)) == csr_bytes(t)[:2]
+    assert parsed(parse_tree, text) == parsed(old_parse_tree, text)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s.replace(" ", "\t"), lambda s: s.replace("\n", "\r\n"),
+    lambda s: "\n".join(f"  {ln} " for ln in s.splitlines()) + "\n",
+    lambda s: s + "\n\n \n", lambda s: s.rstrip("\n"),
+    lambda s: " ".join("+" + x for x in s.split(" ")),
+    lambda s: re.sub(r"\d+", lambda x: "00" + x.group(), s),
+])
+def test_valid_variants_parse_as_before(edit):
+    # tabs, CRLF, padded lines, trailing blank lines, no final newline
+    # and signs take the per-line path, leading zeros the array path,
+    # all to one tree
+    t = Tree(7, [(7, 1), (1, 2), (3, 2), (2, 4), (6, 5), (5, 4)])
+    text = edit(format_tree(t))
+    assert csr_bytes(parse_tree(text)) == csr_bytes(t)
+    assert parsed(parse_tree, text) == parsed(old_parse_tree, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3\n1 2\n2 2\n", "self-loop at 2"),
+    ("3\n1 2\n2 1\n", "parallel edge (1, 2)"),
+    ("3\n1 2\n2 4\n", "edge (2,4) out of range 1..3"),
+    ("3\n0 1\n1 2\n", "edge (0,1) out of range 1..3"),
+    ("4\n1 2\n2 3\n3 1\n", "edge set is not connected"),
+    ("3\n1 2\n", "expected 2 edge lines, got 1"),
+    ("1\n1 2\n", "expected 0 edge lines, got 1"),
+    ("0\n", "tree needs at least one vertex"),
+    ("2\n1 " + "9" * 19 + "\n", f"edge (1,{'9' * 19}) out of range 1..2"),
+    ("2\n1 " + "9" * 40 + "\n", f"edge (1,{'9' * 40}) out of range 1..2"),
+    ("1" + "0" * 30 + "\n", f"expected {10 ** 30 - 1} edge lines, got 0"),
+])
+def test_canonical_layout_errors_keep_their_messages(text, message):
+    # laid out as format_tree writes, but not a tree; over-long tokens
+    # take the per-line path and keep their exact value
+    assert parsed(parse_tree, text) == parsed(old_parse_tree, text) == message
