@@ -146,15 +146,18 @@ class TrialResult:
     params: Params
 
 
-def _load_tree(cfg: ExperimentConfig, n: int, rng: Rng) -> Tree:
-    if cfg.tree_source == "random":
-        return random_tree(n, rng)
-    with open(cfg.tree_source, "r", encoding="utf-8") as fh:
-        t = parse_tree(fh.read())
-    if t.n != n:
+def _load_tree(cfg: ExperimentConfig, n: int, rng: Rng,
+               tree: Optional[Tree]) -> Tree:
+    """tree, else a random tree or the config's tree file; of order n."""
+    if tree is None:
+        if cfg.tree_source == "random":
+            return random_tree(n, rng)
+        with open(cfg.tree_source, "r", encoding="utf-8") as fh:
+            tree = parse_tree(fh.read())
+    if tree.n != n:
         raise ParamError(
-            f"tree file has order {t.n}, config lists n = {n}")
-    return t
+            f"tree file has order {tree.n}, config lists n = {n}")
+    return tree
 
 
 def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
@@ -165,14 +168,13 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     child(k, 0) over the first plan's cut and ordering, and its labels
     from child(k, 1)), 2 quasi sampling.  A caller that has already
     read the config's tree file passes the tree, which is then not read
-    again; it must have order cfg.n[n_index]."""
+    again; like the file, it must have order cfg.n[n_index]."""
     n = cfg.n[n_index]
     params = cfg.params_for(n)
     sys = IntervalSystem(params.n_tilde, params.m, params.ell)
     root = Rng(cfg.seed).child(n_index, trial)
     t0 = time.perf_counter()
-    if tree is None:
-        tree = _load_tree(cfg, n, root.child(0))
+    tree = _load_tree(cfg, n, root.child(0), tree)
     label_rng = root.child(1)
     quasi_rng = root.child(2)
 
@@ -312,13 +314,17 @@ def _summarize(cfg: ExperimentConfig,
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """All trials in index order.  Records never keep traces; use
+    """All trials in index order.  A tree file is read at the first
+    trial and passed to the later ones.  Records never keep traces; use
     run_trial directly for step-level audits."""
     records: List[TrialRecord] = []
     labellings: Dict[Tuple[int, int], Labelling] = {}
+    tree = None
     for i in range(len(cfg.n)):
         for k in range(cfg.trials):
-            tr = run_trial(cfg, i, k)
+            tr = run_trial(cfg, i, k, tree=tree)
+            if cfg.tree_source != "random":
+                tree = tr.tree
             records.append(tr.record)
             if tr.labelling is not None:
                 labellings[(cfg.n[i], k)] = tr.labelling

@@ -5,16 +5,17 @@ choices: the order in which vertices are revealed, each vertex's earlier
 neighbour, the removed-edge set whose endpoints may land in unrelated
 intervals, and the target interval of every vertex.
 
-The cut runs on a BFS numbering of the tree from its smallest leaf
-(_Numbering): one pass from the leaves up that sorts the children of
-each vertex it cuts at, O(n log n) on any shape (see cut_tree_by_size).
-The ordering and the interval assignment are array passes in numpy: the
-ordering is one BFS from vertex 1 and one stable sort that keeps the
-components together (order_vertices), and the assignment finds
-components and parities by pointer doubling over the parent positions,
-O(n log depth), with a Python loop only over components for the draw
-and the orientations (assign_intervals).  Every stage takes and returns
-original vertex ids.
+The cut and the ordering read the same numbering: the BFS of the tree
+from vertex 1 with neighbours in increasing id (_bfs, one C search).
+The cut is one pass from the leaves up that sorts the children of each
+vertex it cuts at, O(n log n) on any shape (cut_tree_by_size).  The
+ordering is one stable sort of the BFS that keeps the components
+together (order_vertices), and the assignment finds components and
+parities by pointer doubling over the parent positions, O(n log depth),
+with a Python loop only over components for the draw and the
+orientations (assign_intervals).  Every stage takes and returns
+original vertex ids, and a plan depends only on the tree's edge set,
+not on the order of its edges.
 """
 
 from __future__ import annotations
@@ -25,59 +26,33 @@ from itertools import chain
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
 from .intervals import IntervalSystem
 from .rng import Rng
-from .trees import Tree
+from .trees import Tree, csr_graph
 
 
 class PrepareError(ValueError):
     pass
 
 
-class _Numbering:
-    """t renumbered 0..n-1 in BFS order from its smallest leaf.
-
-    vertex[k] is the original id of vertex k.  parent[k] < k, with
-    parent[0] = -1, and the children of k are first[k] .. first[k+1] - 1
-    in the order of k's neighbour list, so a child's number ranks it
-    among its siblings as its index in that list does.  The cut then
-    reads consecutive numbers instead of the scattered ids a
-    Prüfer-decoded tree comes with.  Plain lists, since the cut reads
-    them in a Python loop.
-
-    The BFS runs in C (scipy's breadth_first_order) on t with every
-    adjacency slot made a node: vertex v links to slot nodes n+1+p for
-    its CSR positions p, in order, and slot p links to the neighbour
-    nbr[p].  That search takes a node's links in increasing id, so it
-    meets v's children in neighbour-list order.
+def _bfs(t: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """The BFS of t from vertex 1 that visits neighbours in increasing id
+    (scipy's breadth_first_order canonicalises the CSR, so it sorts each
+    neighbour list).  Returns (bfs, parent): bfs[k] is the vertex of rank
+    k, and parent[k] < k the rank of its BFS parent, with parent[0] = -1.
+    parent is nondecreasing, so the children of rank k are contiguous
+    ranks, in increasing id.  Neither depends on the order of t's edges.
     """
-
-    __slots__ = ("vertex", "parent", "first")
-
-    def __init__(self, t: Tree):
-        n = t.n
-        slots = 2 * (n - 1)
-        root = int((t.degrees() == 1).argmax()) + 1 if n > 1 else 1
-        off = np.frombuffer(t.off, np.intc)
-        links = np.concatenate(
-            (np.arange(n + 1, n + 1 + slots, dtype=np.intc),
-             np.frombuffer(t.nbr, np.intc)))
-        starts = np.concatenate(
-            (off, slots + np.arange(1, slots + 1, dtype=np.intc)))
-        graph = csr_matrix((np.ones(2 * slots, np.int8), links, starts),
-                           shape=(n + 1 + slots, n + 1 + slots))
-        nodes, pred = breadth_first_order(graph, root, directed=True,
-                                          return_predecessors=True)
-        vertex = nodes[nodes <= n]
-        index = np.full(n + 1, -1, np.intp)
-        index[vertex] = np.arange(n)
-        parent = index[pred[pred[vertex[1:]]]]
-        self.vertex = vertex.tolist()
-        self.parent = [-1] + parent.tolist()
-        self.first = (np.searchsorted(parent, np.arange(n + 1)) + 1).tolist()
+    bfs, pred = breadth_first_order(csr_graph(t.n, t.off, t.nbr), 1,
+                                    directed=True, return_predecessors=True)
+    rank = np.empty(t.n + 1, np.intp)
+    rank[bfs] = np.arange(t.n)
+    parent = np.empty(t.n, np.intp)
+    parent[0] = -1
+    parent[1:] = rank[pred[bfs[1:]]]
+    return bfs, parent
 
 
 def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
@@ -115,35 +90,38 @@ def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
 def cut_tree_by_size(t: Tree, max_size: int) -> frozenset[tuple[int, int]]:
     """Remove edges so every remaining component has order <= max_size.
 
-    One pass over the BFS numbering from the last vertex back to the
-    root, so a vertex comes after all its children.  Vertex u's order is
-    1 plus its children's; while that is above max_size, u loses its
-    child of largest order, ties going to the lower number (the earlier
-    one in u's neighbour list).  The pass costs O(n) plus a sort of the
-    children of each vertex that cuts, O(n log n) on any shape.
+    One pass over the BFS ranks of _bfs (from vertex 1) from the last
+    back to the root, so a vertex comes after all its children.  Vertex
+    u's order is 1 plus its children's; while that is above max_size, u
+    loses its child of largest order, ties going to the lower rank,
+    which is the lower id.  The pass costs O(n) plus a sort of the
+    children of each vertex that cuts, O(n log n) on any shape.  The
+    cut depends only on t's edge set, not on the order of its edges.
 
-    The edge set is that of the walk from the smallest leaf that follows
-    the heaviest branch (ties alike) and cuts off the first one of order
+    The edge set is that of the walk from vertex 1 that follows the
+    heaviest branch (ties alike) and cuts off the first one of order
     <= max_size, until the root's side has order <= max_size.  The walk
     enters a vertex only while its order is above max_size, so it never
     changes a branch of order <= max_size, and by induction it leaves
     every child of u with the order this pass gives it.  It cuts a whole
     child of u only once every child of u has order <= max_size, and
-    then the heaviest first with ties to the lower number, until u's
-    order is <= max_size: the cuts this pass makes at u.  Interleaving
-    between siblings changes the order of the cuts, not which edges are
-    cut.
+    then the heaviest first with ties to the lower id, until u's order
+    is <= max_size: the cuts this pass makes at u.  Interleaving between
+    siblings changes the order of the cuts, not which edges are cut.
     """
     if max_size < 1:
         raise PrepareError(f"max_size must be >= 1, got {max_size}")
-    num = _Numbering(t)
-    parent, first = num.parent, num.first
-    size = [1] * t.n  # the order of k's side once k is done
-    cuts: list[int] = []  # the child of each removed edge
-    for k in range(t.n - 1, -1, -1):
+    n = t.n
+    bfs, parent = _bfs(t)
+    # the children of rank k are ranks first[k] .. first[k + 1] - 1
+    first = np.searchsorted(parent, np.arange(n + 1)).tolist()
+    up = parent.tolist()
+    size = [1] * n  # the order of k's side once k is done
+    cuts: list[int] = []  # the child rank of each removed edge
+    for k in range(n - 1, -1, -1):
         s = size[k]
         if s > max_size:
-            # a reverse sort is stable: equal orders stay in number order
+            # a reverse sort is stable: equal orders stay in rank order
             heavy = sorted(range(first[k], first[k + 1]),
                            key=size.__getitem__, reverse=True)
             for c in heavy:
@@ -153,12 +131,10 @@ def cut_tree_by_size(t: Tree, max_size: int) -> frozenset[tuple[int, int]]:
                     break
             size[k] = s
         if k:
-            size[parent[k]] += s
-    vertex = num.vertex
-    return frozenset(
-        (a, b) if a < b else (b, a)
-        for a, b in ((vertex[parent[c]], vertex[c]) for c in cuts)
-    )
+            size[up[k]] += s
+    c = np.array(cuts, np.intp)
+    ends = np.sort(np.stack((bfs[parent[c]], bfs[c]), axis=1), axis=1)
+    return frozenset(map(tuple, ends.tolist()))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -194,7 +170,7 @@ def order_vertices(
 
     Each later vertex has exactly one earlier neighbour (its parent).
     Take the BFS of t from vertex 1 that visits neighbours in increasing
-    id (scipy's breadth_first_order).  Components come in the BFS rank
+    id (_bfs, as the cut does).  Components come in the BFS rank
     of their first vertex, and the vertices of a component in BFS rank,
     which is a BFS of the component from its first vertex.  Returns
     (order, parent_pos) as read-only int arrays, with parent_pos[0] = -1
@@ -212,19 +188,12 @@ def order_vertices(
     C.  Pairs of removed that are not edges of t are ignored.
     """
     n = t.n
-    nbr = np.frombuffer(t.nbr, np.intc)
-    graph = csr_matrix((np.ones(len(nbr), np.int8), nbr,
-                        np.frombuffer(t.off, np.intc)), shape=(n + 1, n + 1))
-    bfs, pred = breadth_first_order(graph, 1, directed=True,
-                                    return_predecessors=True)
+    bfs, parent = _bfs(t)
     rank = np.empty(n + 1, np.intp)
     rank[bfs] = np.arange(n)
-    parent = np.empty(n, np.intp)  # by BFS rank
-    parent[0] = -1
-    parent[1:] = rank[pred[bfs[1:]]]
     # the child of each removed edge starts a component
-    a, b = _pairs(removed, n).T
-    heads = rank[np.concatenate((a[pred[a] == b], b[pred[b] == a]))]
+    a, b = rank[_pairs(removed, n)].T
+    heads = np.concatenate((a[parent[a] == b], b[parent[b] == a]))
     up = parent.copy()
     up[0] = 0
     up[heads] = heads

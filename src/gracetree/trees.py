@@ -39,17 +39,24 @@ def _fault(n: int, us, vs) -> str:
     return "edge set is not connected"
 
 
+def csr_graph(n: int, off, nbr) -> csr_matrix:
+    """The CSR adjacency (off, nbr) on 0..n as a scipy matrix, for
+    scipy's graph searches; vertex 0 is an isolated row of its own."""
+    nbr = np.asarray(nbr)
+    return csr_matrix((np.ones(len(nbr), np.int8), nbr, np.asarray(off)),
+                      shape=(n + 1, n + 1))
+
+
 def _connected(n: int, off: np.ndarray, nbr: np.ndarray) -> bool:
     """Whether the CSR graph on 1..n is connected (scipy's
-    connected_components; vertex 0 is an isolated row of its own).
+    connected_components; vertex 0 makes a component of its own).
 
     The adjacency holds every edge in both directions, so its strong
     components are its components; asking for strong ones spares the
     transpose that weak ones take.
     """
-    graph = csr_matrix((np.ones(len(nbr), np.int8), nbr, off),
-                       shape=(n + 1, n + 1))
-    return connected_components(graph, directed=True, connection="strong",
+    return connected_components(csr_graph(n, off, nbr), directed=True,
+                                connection="strong",
                                 return_labels=False) == 2
 
 

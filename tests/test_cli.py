@@ -138,11 +138,11 @@ def test_pack_cli_labelling_at_the_size_bound(tmp_path, capsys, monkeypatch):
     # a labelling from `gracetree label` whose host has exactly the bound's
     # edge count still packs; one edge less in the bound refuses it
     tree = str(tmp_path / "t.txt")
-    run_cli(capsys, "generate", "--n", "40", "--seed", "3", "--out", tree)
+    run_cli(capsys, "generate", "--n", "40", "--seed", "4", "--out", tree)
     labels = str(tmp_path / "labels.json")
     code, _, err = run_cli(
         capsys, "label", "--tree", tree, "--gamma", "1", "--m", "4",
-        "--ell", "8", "--seed", "3", "--retries", "8",
+        "--ell", "8", "--seed", "4", "--retries", "8",
         "--max-component", "8", "--out", labels)
     assert code == 0, err
     m = json.loads(open(labels).read())["m"]

@@ -1,10 +1,12 @@
 """The post-order cut against the walk it replaced, and deep trees at scale.
 
-`restart_cut_window` is the earlier walk, kept verbatim as an oracle (it
-finds the smallest leaf with len(t.neighbours(v)), Tree.degree being
-gone): it restarts at the root after every cut, which costs
-O(n * depth).  The library cuts in one pass from the leaves up and must
-return the same edge set as the walk at the same top of the window.
+`restart_cut_window` is the earlier walk, kept as an oracle with two
+edits for the cut's root and tie rule: it starts at vertex 1, and it
+scans each vertex's neighbours in increasing id, so among branches of
+equal order the lower id wins.  It restarts at the root after every
+cut, which costs O(n * depth).  The library cuts in one pass from the
+leaves up and must return the same edge set as the walk at the same
+top of the window.  Neither depends on the order of the tree's edges.
 The walk also took a bottom lo and raised when a branch fell below it;
 the library has no lo, so the sweep skips the windows where the walk
 raises: they check only that behaviour.  cut_tree's guards keep it out
@@ -29,7 +31,7 @@ def restart_cut_window(t, lo, hi):
     if t.n <= hi:
         return frozenset()
 
-    root = next(v for v in range(1, t.n + 1) if len(t.neighbours(v)) == 1)
+    root = 1
     parent = [0] * (t.n + 1)
     size = [1] * (t.n + 1)
     order = [root]
@@ -55,7 +57,7 @@ def restart_cut_window(t, lo, hi):
         while True:
             best = 0
             best_size = -1
-            for w in t.neighbours(u):
+            for w in sorted(t.neighbours(u)):
                 if alive[w] and w != parent[u] and size[w] > best_size:
                     best = w
                     best_size = size[w]
@@ -88,8 +90,8 @@ def restart_cut_window(t, lo, hi):
 
 
 # Shapes on 1..n in a canonical labelling (the constructors in
-# gracetree.trees); `relabel` then permutes the vertex ids and the edge
-# order, which moves the root (the smallest leaf) and every tie-break.
+# gracetree.trees); `relabel` then permutes the vertex ids, which moves
+# the root (vertex 1) and every tie-break, and the edge order.
 
 
 def relabel(n, edges, rng):
@@ -202,12 +204,14 @@ def test_empty_window_keeps_its_message():
 def deep_shapes(n):
     yield "path", path_tree(n)
     yield "broom", broom_tree(n, n // 2)
-    # the smallest leaf, n // 2 + 1, hangs off the middle of the spine, so
-    # the walk turns between the two halves of the spine after every cut
+    # spine 1..spine with legs, ids 1 and spine + 1 swapped: the root,
+    # vertex 1, is then a leaf off the middle of the spine, so the walk
+    # turns between the two halves of the spine after every cut
     spine = n // 2
-    edges = list(path_tree(spine).edges) + [
-        (1 + (k + spine // 2) % spine, spine + 1 + k)
-        for k in range(n - spine)]
+    ids = [spine + 1, *range(2, spine + 1), 1, *range(spine + 2, n + 1)]
+    edges = [(ids[u - 1], ids[v - 1]) for u, v in path_tree(spine).edges]
+    edges += [(ids[(k + spine // 2) % spine], ids[spine + k])
+              for k in range(n - spine)]
     yield "caterpillar", Tree(n, edges)
 
 

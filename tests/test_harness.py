@@ -249,6 +249,33 @@ def test_tree_file_source(tmp_path):
         run_trial(bad, 0, 0)
 
 
+def test_campaign_reads_its_tree_file_once(tmp_path, monkeypatch):
+    from gracetree import harness
+
+    path = tmp_path / "t.txt"
+    path.write_text(format_tree(random_tree(120, Rng(5))))
+    calls = []
+    parse = harness.parse_tree
+    monkeypatch.setattr(harness, "parse_tree",
+                        lambda text: calls.append(text) or parse(text))
+    cfg = ExperimentConfig(n=(120,), gamma=Fraction(1), m=8, ell=16,
+                           trials=3, seed=7, retries=8, quasi_per_kind=0,
+                           checkpoint_every=0, max_component=6,
+                           tree_source=str(path))
+    res = run_experiment(cfg)
+    assert len(calls) == 1 and len(res.records) == 3
+    assert [_strip(r) for r in res.records] == [
+        _strip(run_trial(cfg, 0, k).record) for k in range(3)]
+    calls.clear()
+    empty = run_experiment(dataclasses.replace(
+        cfg, trials=0, tree_source=str(tmp_path / "missing.txt")))
+    assert calls == [] and empty.records == ()
+    # the tree read for the first n is checked against every later n
+    with pytest.raises(ParamError, match="has order 120, config lists "
+                                         "n = 121"):
+        run_experiment(dataclasses.replace(cfg, n=(120, 121), trials=1))
+
+
 def test_write_experiment_files(tmp_path):
     cfg = small_cfg(trials=2)
     res = run_experiment(cfg)
@@ -286,13 +313,13 @@ def test_untraced_record_equals_traced():
 
 
 def test_reports_are_scoped_to_the_last_attempt():
-    # attempts fail at steps 1306, 1061, 1195 and 916: the first three
-    # pass the checkpoint at 1000, the last one dies before it
+    # attempts fail at steps 1503, 1119, 891 and 916: the first two pass
+    # the checkpoint at 1000, the last two die before it
     cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=16, ell=128,
                            trials=1, seed=6, checkpoint_every=1000)
     tr = run_trial(cfg, 0, 0)
     steps = [f.step for f in tr.result.failures]
-    assert steps == [1306, 1061, 1195, 916]
+    assert steps == [1503, 1119, 891, 916]
     assert tr.reports == ()
     rec = tr.record
     assert rec.quasi1_max_dev == rec.quasi2_max_dev == -1.0
@@ -302,23 +329,25 @@ def test_reports_are_scoped_to_the_last_attempt():
 # SHA-256 of the artifacts of two frozen runs.  They pin the RNG draw
 # order, so a change to the label state's representation keeps them.
 # They also pin the plan: all were re-recorded when the vertex order
-# became BFS by component (order_vertices), as was GOLDEN_RETRIES.
+# became BFS by component (order_vertices), as was GOLDEN_RETRIES, and
+# the success ones again, with GOLDEN_RETRIES, when the cut moved to the
+# same BFS from vertex 1 (the retry run's plan did not move).
 # GOLDEN_MASK_SELECT are the same runs when every draw skips its tries
 # and reads its whole window (labeller.TRIES empty): the mask-and-select
 # draws that the rejection draws replaced, and still fall back to.
 GOLDEN = {
     "success_labelling":
-        "f139e45f37d591c4a4f59ab5deb95a65c677bcae3b0563c3066b83e9264469fa",
+        "660f0fd1749d3b591c9ffea5388f2cdcff532fe158e1c03c99f92cdd8480332c",
     "success_trace":
-        "3cd98d1c671bb6c914c02615fa5310d5fbca7b2ba4af8489188cd09846e4c1d9",
+        "842cba99ef3f1be8c722770cd65206c17555770453bcfe4d329dfadaefebc249",
     "retry_trace":
         "025546321919fd8fe6e8220f56d47670f2ee150a59ef49bce0e16b0c0c3f019a",
 }
 GOLDEN_MASK_SELECT = {
     "success_labelling":
-        "2b1938e7e25fe894cd14806f2056baa0c3fe7e23bd1a5d31f627d947ac439f68",
+        "2a9eff37245225b7042fc771a3ae0a7dfa5dff2b2e97cb4b15250f75fd8f2301",
     "success_trace":
-        "679396368f51445c9f29f01c09a329465f93de0a95d223a2d85e0f9be93715d1",
+        "a0732c456072dc287d7779d5d6eb8fb6f052c59c7e49ab7a6769706fa7e27879",
     "retry_trace":
         "78d8cec5020e7180f036eae8f16866345e61eee72b91045d161b0eb9ff5b13c5",
 }
@@ -357,17 +386,17 @@ def test_golden_digests_without_tries(monkeypatch):
 # Two retrying trials at n = 2000, m = 32, ell = 256: the outcome, the
 # attempts, and SHA-256 of the record without wall_time, of the
 # labelling (None on failure) and of the trace.  The first fails all
-# four attempts, the second succeeds on its sixth.
+# four attempts, the second succeeds on its third.
 GOLDEN_RETRIES = [
     (dict(gamma=Fraction(1, 5), seed=0), "fail", 4,
-     "ce717aec10d31c0d4676aae263551f227b190ec878afa978d4c75203b997ece0",
+     "fedef14390fb15a1a78b33e92b8e167e1b09a36418f3848c48f38d852bd2a915",
      None,
-     "3c06a249f0e6516b9794b8cad961bff9d90b0b5d44caa32aea8b4f40ce06a2c8"),
+     "1b46a6bc11c42f17a98ede25c3c853d587a503e559f2edad17fcf2b1c4fbe95f"),
     (dict(gamma=Fraction(1, 2), seed=5, retries=6, max_component=8),
-     "success", 6,
-     "16e400bb6cb918bfc4fbc0cf7bb3df22604a3fea4b290ca2118d711f78cffa36",
-     "d8f562b55461024522115b4a9c31d3001c43900fb3895011b21ac575e68efe9d",
-     "4e4da1f6fc7d50caeb5152c913e59e70c64d5b284cf708f50d5bf50c481da0f7"),
+     "success", 3,
+     "4f3887bacc5ec25bc900fa309646df227147759e6b775dd98200ee4fe0531cd0",
+     "1b9cf7c6a1db547ec7580d8b6f4244aad7edc2acb2092d3c50b42d48010c761c",
+     "59673b9ca155eda09346f50e322c4fe3c3fceddc8af273e891e0f556e920c772"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from gracetree.prepare import (
     prepare_plan,
 )
 from gracetree.rng import Rng
-from gracetree.trees import (broom_tree, caterpillar_tree, path_tree,
+from gracetree.trees import (Tree, broom_tree, caterpillar_tree, path_tree,
                              prufer_decode, random_tree, spider_tree,
                              star_tree)
 from oracles import old_assign_intervals, plan_intervals, plan_to_json
@@ -379,6 +380,27 @@ def _component_pairs(plan, sys):
     return pairs
 
 
+@pytest.mark.parametrize("shape", ["spider", "broom", "random"])
+def test_plan_depends_only_on_the_edge_set(shape):
+    # the same tree from its edge lines shuffled, every other one flipped:
+    # equal-order siblings (the spider's legs, the broom's leaves) and the
+    # root are the same, so the cut, the order and the draws are too
+    t = {"spider": lambda: spider_tree(2000, 6),
+         "broom": lambda: broom_tree(2000, 700),
+         "random": lambda: random_tree(2000, Rng(11))}[shape]()
+    edges = list(t.edges)
+    random.Random(shape).shuffle(edges)
+    moved = Tree(t.n, [(v, u) if k % 2 else (u, v)
+                       for k, (u, v) in enumerate(edges)])
+    assert moved == t and list(moved.edges) != list(t.edges)
+    sys = IntervalSystem(3072, 32, 256)
+    for cap in (4, 8, 32):
+        plan = prepare_plan(t, sys, Rng(5, key=(9,)), max_component=cap)
+        assert plan.removed_edges, (shape, cap)
+        assert prepare_plan(moved, sys, Rng(5, key=(9,)),
+                            max_component=cap) == plan, (shape, cap)
+
+
 def test_balanced_draw_uses_every_pair_evenly():
     # C components over |J| intervals: each interval is drawn by
     # floor(C/|J|) or ceil(C/|J|) components, so each complement pair
@@ -417,11 +439,12 @@ def test_balanced_draw_root_interval_is_uniform():
 
 # SHA-256 of plan_to_json for two frozen plans; they pin the cut, the
 # order, the draws and the orientations.  The random one was re-recorded
-# when the order became BFS by component (order_vertices); the path's
-# order is 1..n under both rules, so its digest did not move.
+# when the order became BFS by component (order_vertices) and again when
+# the cut moved to the same BFS from vertex 1; the path's order is 1..n
+# and its root vertex 1 under every rule, so its digest did not move.
 GOLDEN_PLANS = {
     "random": (
-        50, "0f4f4ad307c954792ad0850f2340daa4079ec9a381ed958c8a797696a9ddeee5"),
+        50, "669e338e3979cbdc87d275830e2824df37294513d14efb66ffd8db26d6291f40"),
     "path": (
         41, "0ff869ac0e2d3429ad85f1604a3385099934cc8b8fa02cc765a317a70e9adecc"),
 }
