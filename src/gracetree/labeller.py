@@ -8,16 +8,16 @@ edge-side corrective removal drawn from fixed distributions, so the
 stock of unused values stays near-uniform across every window.
 
 Each uniform draw is a rejection draw: up to K uniform positions of the
-window are tried, each accepted when its bits say it is free, and only
-after K misses is the whole window read and a rank selected in it.  Both
-are uniform on the same set, so the law is that of a draw from the
-window's mask; the expected cost is about 1/density tries plus a rare
-O(ell/64) fallback.
+window are tried, each accepted when its bytes say it is free, and only
+after K misses is the whole window read (numpy slices of the label
+state) and a rank drawn among its free entries.  Both are uniform on the
+same set, so the law is that of a draw from the window's mask; the
+expected cost is about 1/density tries plus a rare O(ell) fallback.
 
 The label loop (_attempt) is one pass over the plan with the label
 draw written inline.  A step reads its parent's label, makes its tries
-(two bit reads each), clears the label and the difference in A, C and
-C's mirror in place, appends the label, and makes one test against the
+(two byte reads each), clears the label's byte in A and the
+difference's in C, appends the label, and makes one test against the
 next event: the next step that one of the correction laws hits, the
 next checkpoint or the last step, and every step when a trace is
 collected.  Only an event step runs the rare work, in this order: the
@@ -41,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .bitset import _LOW, _SHIFT, BlockBits, select
+import numpy as np
+
 from .intervals import (
     CorrectionDistribution,
     Interval,
@@ -58,13 +59,15 @@ FAIL_CORE = "core-removal"
 
 # uniform positions a draw tries before it reads its whole window (see
 # _attempt and pick_free).  On a shared 2-vCPU host a label try that
-# misses costs about 0.3 us (one next() of an offset iterator and two
-# bit reads), the fallback about 3 us at ell = 512, 13 us at 5120 and
-# 72 us at 51200.  On a random 10^5-vertex tree (gamma = 1/2, m = ell/4)
-# 7.2% of label draws miss 8 tries and 1.8% miss 16, so at ell = 512
-# tries 9..16 cost about what the fallbacks they save would (at most
-# 0.6 tries, 0.17 us, against 0.16 us per draw), and wider windows,
-# whose fallback costs more, favour 16 tries over 8.
+# misses costs about 0.26 us (one next() of an offset iterator and one
+# or two byte reads).  The fallback costs about 6 us at ell = 512, 12 us
+# at 5120 and 70 us at 51200 when the parent's label lies below the
+# window, and 7, 21 and 150 us when it lies above (C's slice is then
+# read backwards); numpy's call overhead dominates at 512, the window's
+# nonzero() at 51200.  On a random 10^5-vertex tree (gamma = 1/2,
+# m = ell/4) 7.2% of label draws miss 8 tries and 1.8% miss 16, so
+# tries 9..16 cost at most 0.58 tries (0.15 us) per draw and save
+# fallbacks worth about 0.3 us at ell = 512, and more at wider windows.
 K = 16
 TRIES = range(K)
 
@@ -72,43 +75,44 @@ TRIES = range(K)
 class LabelState:
     """Free vertex labels A and free differences C of one attempt.
 
-    Both are BlockBits, and so is the mirror of C about n_tilde (bit k
-    set iff difference n_tilde - k is free), so the labels below the
-    parent read a forward window of the mirror just as the labels above
-    it read one of C.  A step draws its label in the label loop
-    (_attempt): each try reads one bit of A and one of C, and about
-    1/density tries hit; only after K misses does it read the label
-    window of its target interval plus one difference window, on the
-    parent's side of it (admissible_mask; both sides only when the
-    parent's label lies inside the interval, which target intervals and
-    their complements all but rule out).  The first vertex, which has no
-    parent, and the correction picks draw with pick_free, one bit of A
-    or C per try.  Every removal rewrites one block: in place when a try
-    hits, through take_label and take_diff, which check that the value
-    is still free, everywhere else.  So a step costs O(1/density) bit
-    reads plus, rarely, O(ell/64) words, whatever n_tilde is.  Every
-    window, here and in the audit (quasirandom.py), is read by the one
-    window reader, BlockBits.window; the audit also reads A and C as
-    numpy word arrays once per checkpoint and keeps no copy of the
-    state between checkpoints.
+    A and C are bytearrays of n_tilde + 1 bytes, labels and diffs: byte
+    v is 1 iff v is free, and byte 0 is 0 in both (no label is 0, and
+    difference 0 is never an edge label).  label_view and diff_view are
+    numpy bool views of the same bytes, for the whole-window reads.  A
+    step draws its label in the label loop (_attempt): each try reads one
+    byte of A and one of C, and about 1/density tries hit; only after K
+    misses does it read the label window of its target interval and the
+    matching difference window (admissible_mask): a forward slice of C
+    when the parent's label lies below the interval, a reversed one when
+    it lies above, and C indexed by |b - a| when it lies inside, which
+    target intervals and their complements all but rule out.  The first
+    vertex, which has no parent, and the correction picks draw with
+    pick_free, one byte of A or C per try.  A removal clears one byte:
+    in place when a try hits, through take, which checks that the value
+    is still free, everywhere else.  So a step costs O(1/density) byte
+    reads plus, rarely, O(ell) bytes of numpy work, whatever n_tilde
+    is.  Every window, here and in the
+    audit (quasirandom.py), is read from the two views; the audit also
+    packs A and C into 64-bit words once per checkpoint and keeps no
+    copy of the state between checkpoints.
 
     size_a and size_c are |A| and |C|; steps_done, corv_hits and
     core_hits count completed steps and the corrective removals made in
     them; attempt is the attempt's index.  The label loop keeps only
     the two hit counts, and only on event steps.  Before every
     checkpoint it writes all five, |A| and |C| derived from the hit
-    counts (see the module docstring); when the attempt ends it reads
-    |A| and |C| off the bits, since a step that failed part-way may have
-    made some of its removals.  So the counts are current whenever a
-    caller sees the state.
+    counts (see the module docstring); when the attempt ends it counts
+    |A| and |C| off the bytes, since a step that failed part-way may
+    have made some of its removals.  So the counts are current whenever
+    a caller sees the state.
     """
 
     __slots__ = (
-        "sys",
         "attempt",
         "labels",
         "diffs",
-        "diffs_rev",
+        "label_view",
+        "diff_view",
         "size_a",
         "size_c",
         "steps_done",
@@ -117,84 +121,65 @@ class LabelState:
     )
 
     def __init__(self, sys: IntervalSystem, attempt: int = 0):
-        self.sys = sys
         self.attempt = attempt
         nt = sys.n_tilde
-        self.labels = BlockBits.span(1, nt)
-        self.diffs = BlockBits.span(1, nt - 1)
-        self.diffs_rev = BlockBits.span(1, nt - 1)
+        self.labels = bytearray(b"\0" + b"\1" * nt)
+        self.diffs = bytearray(b"\0" + b"\1" * (nt - 1) + b"\0")
+        self.label_view = np.frombuffer(self.labels, bool)
+        self.diff_view = np.frombuffer(self.diffs, bool)
         self.size_a = nt
         self.size_c = nt - 1
         self.steps_done = 0
         self.corv_hits = 0
         self.core_hits = 0
 
-    def admissible_mask(self, a: int, iv: Interval) -> int:
-        """Window bitmask of labels in iv admissible against parent label a
-        (bit k = label iv.lo + k); a and iv lie in 1..n_tilde."""
+    def admissible_mask(self, a: int, iv: Interval) -> np.ndarray:
+        """Window mask of labels in iv admissible against parent label a:
+        a new bool array whose entry k is set iff label iv.lo + k is free
+        and so is its difference to a; a and iv lie in 1..n_tilde."""
         lo, hi = iv
-        w = hi - lo + 1
-        # labels above a need difference b - a free in C, labels below
-        # it need n_tilde - (a - b) free in the mirror; a side that holds
-        # no label of iv is not read
-        up = self.diffs.window(lo - a, w) if a <= hi else 0
-        down = (self.diffs_rev.window(lo + self.sys.n_tilde - a, w)
-                if a >= lo else 0)
-        return self.labels.window(lo, w) & (up | down)
+        c = self.diff_view
+        if a < lo:  # label b needs difference b - a
+            d = c[lo - a:hi - a + 1]
+        elif a > hi:  # label b needs difference a - b, read backwards
+            d = c[a - hi:a - lo + 1][::-1]
+        else:  # both sides; difference 0, at b = a, is never free
+            d = c[np.abs(np.arange(lo - a, hi - a + 1))]
+        return self.label_view[lo:hi + 1] & d
 
 
-def pick_free(bits: BlockBits, lo: int, w: int, offsets: Iterator[int],
+def pick_free(free: bytearray, lo: int, w: int, offsets: Iterator[int],
               randbelow: Callable[[int], int]) -> int:
-    """A bit drawn uniformly from the set bits of bits in lo..lo+w-1, or
-    -1 when there is none: up to TRIES positions lo + next(offsets)
-    (offsets uniform on 0..w - 1), each one bit read, then the window
-    and select, as the label draw in _attempt does.
-
-    lo..lo+w-1 must lie below the last block's end.
+    """A value drawn uniformly from the free values of free (byte v is 1
+    iff v is free) in lo..lo+w-1, or -1 when there is none: up to TRIES
+    positions lo + next(offsets) (offsets uniform on 0..w - 1), each one
+    byte read, then the window and a rank draw, as the label draw in
+    _attempt does.  lo..lo+w-1 must lie in free.
     """
-    blocks = bits.blocks
     for _ in TRIES:
         b = lo + next(offsets)
-        if blocks[b >> _SHIFT] >> (b & _LOW) & 1:
+        if free[b]:
             return b
-    return _rank_draw(bits.window(lo, w), lo, randbelow)
+    return _rank_draw(np.frombuffer(free, bool, w, lo), lo, randbelow)
 
 
-def _rank_draw(mask_bits: int, lo: int,
+def _rank_draw(mask: np.ndarray, lo: int,
                randbelow: Callable[[int], int]) -> int:
-    """lo plus a uniform set bit of mask_bits, or -1 when it has none."""
-    cnt = mask_bits.bit_count()
-    if not cnt:
+    """lo plus a uniform set index of the bool array mask, or -1 when it
+    has none: the set indices in ascending order, and one of them by a
+    rank drawn from randbelow."""
+    idx = mask.nonzero()[0]
+    if not len(idx):
         return -1
-    return lo + select(mask_bits, randbelow(cnt))
+    return lo + int(idx[randbelow(len(idx))])
 
 
-def take_label(labels: list[int], b: int) -> None:
-    """Clear label b in A's blocks; AssertionError if it is not free.
-
-    b must lie below the last block's end; b < 0 counts as not free.
-    """
-    j = b >> _SHIFT
-    bit = 1 << (b & _LOW)
-    if j < 0 or not labels[j] & bit:
-        raise AssertionError(f"label {b} already removed")
-    labels[j] ^= bit
-
-
-def take_diff(diffs: list[int], mirror: list[int], d: int,
-              n_tilde: int) -> None:
-    """Clear difference d in C's blocks and n_tilde - d in its mirror's;
-    AssertionError if d is not free.
-
-    d must lie below the last block's end; d < 0 counts as not free.
-    """
-    j = d >> _SHIFT
-    bit = 1 << (d & _LOW)
-    if j < 0 or not diffs[j] & bit:
-        raise AssertionError(f"difference {d} already removed")
-    diffs[j] ^= bit
-    r = n_tilde - d
-    mirror[r >> _SHIFT] ^= 1 << (r & _LOW)
+def take(free: bytearray, v: int, what: str) -> None:
+    """Clear value v of free; AssertionError, naming v as a what, if v
+    is not free.  v < 0 counts as not free."""
+    if v < 0 or not free[v]:
+        raise AssertionError(f"{what} {v} already removed")
+    free[v] = 0
 
 
 @dataclass(frozen=True)
@@ -250,11 +235,8 @@ def _attempt(
 ]:
     state = LabelState(sys, attempt)
     # the loop's lookups, bound once per attempt
-    label_bits = state.labels
-    diff_bits = state.diffs
-    a_blocks = label_bits.blocks
-    c_blocks = diff_bits.blocks
-    mirror_blocks = state.diffs_rev.blocks
+    free_a = state.labels
+    free_c = state.diffs
     # the plan's arrays as lists, so that no step indexes numpy; the
     # vertices are needed only by trace rows and a completed attempt
     parent_pos = plan.parent_pos.tolist()
@@ -281,10 +263,10 @@ def _attempt(
 
     # step 1: the first vertex has no parent, so its label is a free
     # label of its interval; a failure here leaves the state untouched
-    b = pick_free(label_bits, los[0], ell, label_offsets, randbelow)
+    b = pick_free(free_a, los[0], ell, label_offsets, randbelow)
     if b < 0:
         return None, AttemptFailure(FAIL_CHOOSE, 1), trace, state
-    take_label(a_blocks, b)
+    take(free_a, b, "label")
     labels = [b]
     # removals made in completed steps; |A| and |C| follow from them
     corv_hits = core_hits = 0
@@ -301,21 +283,21 @@ def _attempt(
             p = t - 1
             corv_label = core_diff = -1
             if p == corv_at[ci]:
-                corv_label = pick_free(label_bits, corv_lo[ci], m,
+                corv_label = pick_free(free_a, corv_lo[ci], m,
                                        pick_offsets, randbelow)
                 ci += 1
                 if corv_label < 0:
                     failure = AttemptFailure(FAIL_CORV, t)
                     break
-                take_label(a_blocks, corv_label)
+                take(free_a, corv_label, "label")
             if p == core_at[ei]:
-                core_diff = pick_free(diff_bits, core_lo[ei], m,
+                core_diff = pick_free(free_c, core_lo[ei], m,
                                       pick_offsets, randbelow)
                 ei += 1
                 if core_diff < 0:
                     failure = AttemptFailure(FAIL_CORE, t)
                     break
-                take_diff(c_blocks, mirror_blocks, core_diff, nt)
+                take(free_c, core_diff, "difference")
             corv_hits += corv_label >= 0
             core_hits += core_diff >= 0
             if trace is not None:
@@ -345,19 +327,16 @@ def _attempt(
             event = t + 1 if trace is not None else min(
                 corv_at[ci] + 1, core_at[ei] + 1, cp_next, n)
         # then step t + 1: the label of position t, drawn as in the
-        # class docstring; a try that hits has checked both bits, so it
+        # class docstring; a try that hits has checked both bytes, so it
         # clears them in place
         a = labels[parent_pos[t]]
         lo = los[t]
         for _ in TRIES:
             b = lo + next(label_offsets)
-            if a_blocks[b >> _SHIFT] >> (b & _LOW) & 1:
+            if free_a[b]:
                 d = b - a if b > a else a - b
-                if c_blocks[d >> _SHIFT] >> (d & _LOW) & 1:
-                    a_blocks[b >> _SHIFT] ^= 1 << (b & _LOW)
-                    c_blocks[d >> _SHIFT] ^= 1 << (d & _LOW)
-                    d = nt - d
-                    mirror_blocks[d >> _SHIFT] ^= 1 << (d & _LOW)
+                if free_c[d]:
+                    free_a[b] = free_c[d] = 0
                     break
         else:
             b = _rank_draw(state.admissible_mask(
@@ -365,16 +344,16 @@ def _attempt(
             if b < 0:
                 failure = AttemptFailure(FAIL_CHOOSE, t + 1)
                 break
-            take_label(a_blocks, b)
-            take_diff(c_blocks, mirror_blocks, abs(b - a), nt)
+            take(free_a, b, "label")
+            take(free_c, abs(b - a), "difference")
         labels.append(b)
     state.steps_done = n if failure is None else failure.step - 1
     state.corv_hits = corv_hits
     state.core_hits = core_hits
     # a failed step may have made some of its removals, so the sizes
-    # are read off the bits
-    state.size_a = sum(x.bit_count() for x in a_blocks)
-    state.size_c = sum(x.bit_count() for x in c_blocks)
+    # are counted off the bytes
+    state.size_a = int(np.count_nonzero(state.label_view))
+    state.size_c = int(np.count_nonzero(state.diff_view))
     if failure is not None:
         return None, failure, trace, state
     return dict(zip(plan.order.tolist(), labels)), None, trace, state

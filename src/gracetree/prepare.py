@@ -87,7 +87,9 @@ def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
     return cut_tree_by_size(t, hi)
 
 
-def cut_tree_by_size(t: Tree, max_size: int) -> frozenset[tuple[int, int]]:
+def cut_tree_by_size(
+    t: Tree, max_size: int, *, bfs: tuple[np.ndarray, np.ndarray] | None = None
+) -> frozenset[tuple[int, int]]:
     """Remove edges so every remaining component has order <= max_size.
 
     One pass over the BFS ranks of _bfs (from vertex 1) from the last
@@ -108,11 +110,14 @@ def cut_tree_by_size(t: Tree, max_size: int) -> frozenset[tuple[int, int]]:
     then the heaviest first with ties to the lower id, until u's order
     is <= max_size: the cuts this pass makes at u.  Interleaving between
     siblings changes the order of the cuts, not which edges are cut.
+
+    bfs, when given, is _bfs(t), computed once for the cut and the
+    ordering (prepare_plan).
     """
     if max_size < 1:
         raise PrepareError(f"max_size must be >= 1, got {max_size}")
     n = t.n
-    bfs, parent = _bfs(t)
+    bfs, parent = bfs or _bfs(t)
     # the children of rank k are ranks first[k] .. first[k + 1] - 1
     first = np.searchsorted(parent, np.arange(n + 1)).tolist()
     up = parent.tolist()
@@ -164,7 +169,8 @@ def _climb(up: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def order_vertices(
-    t: Tree, removed: Iterable[tuple[int, int]]
+    t: Tree, removed: Iterable[tuple[int, int]], *,
+    bfs: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reveal order starting at vertex 1, keeping components contiguous.
 
@@ -185,10 +191,11 @@ def order_vertices(
     The component of each vertex is found by pointer doubling over the
     BFS tree with its cut edges dropped, and one stable sort by the BFS
     rank of the component's first vertex gives the order, O(n log n) in
-    C.  Pairs of removed that are not edges of t are ignored.
+    C.  Pairs of removed that are not edges of t are ignored.  bfs, when
+    given, is _bfs(t), as for cut_tree_by_size.
     """
     n = t.n
-    bfs, parent = _bfs(t)
+    bfs, parent = bfs or _bfs(t)
     rank = np.empty(n + 1, np.intp)
     rank[bfs] = np.arange(n)
     # the child of each removed edge starts a component
@@ -353,5 +360,7 @@ def prepare_plan(
                 sys.ell // 2,
             ),
         )
-    removed = cut_tree_by_size(t, max_component)
-    return assign_intervals(removed, order_vertices(t, removed), sys, rng)
+    bfs = _bfs(t)  # one BFS from vertex 1 numbers both stages
+    removed = cut_tree_by_size(t, max_component, bfs=bfs)
+    return assign_intervals(removed, order_vertices(t, removed, bfs=bfs),
+                            sys, rng)

@@ -2,19 +2,21 @@
 
 Four local structure patterns are counted against a snapshot (A, C) of
 free vertex and edge labels, read where the labeller keeps them: every
-slot is one BlockBits.window read of the LabelState's sets, the window
-reader the labeller uses, either directly (X1, X2's second slot) or
-through LabelState.admissible_mask.  X1 is a bare free slot, X3 an anchor
-joined to a free slot, X2 an anchor plus a fixed edge label between two
-free slots, and X4 two anchors joined through one free slot.  Counts on
-width-m slots never exceed m.  Their deviations from the ambient
-density prediction are the QUASI2 statistic.  The ambient count is the
-count on the full state (every label and every difference free), so it
-depends only on the pattern's geometry and has a closed form.  QUASI1
-compares the free differences of every edge window with their expected
-number; all window counts come from one numpy pass over C's words.
-Every deviation is an exact integer ratio, rounded once to a float.
-All counting is read-only.
+slot is a slice of the LabelState's bool views, read either directly
+(X1, X2's second slot) or through LabelState.admissible_mask, the
+window reader of the label loop's fallback.  X1 is a bare free slot, X3
+an anchor joined to a free slot, X2 an anchor plus a fixed edge label
+between two free slots, and X4 two anchors joined through one free
+slot.  Counts on width-m slots never exceed m.  Their deviations from
+the ambient density prediction are the QUASI2 statistic.  The ambient
+count is the count on the full state (every label and every difference
+free), so it depends only on the pattern's geometry and has a closed
+form.  QUASI1 compares the free differences of every edge window with
+their expected number.  Once per checkpoint A and C are packed into
+64-bit words (np.packbits); all QUASI1 window counts are ranks in C's
+words, and the sample's anchors and fixed edge labels are selects in
+A's and C's.  Every deviation is an exact integer ratio, rounded once
+to a float.  All counting is read-only.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-# select is not called here (_Words maps ranks in numpy); the binding
-# stays because perfbench's traced runs wrap quasirandom.select
-from .bitset import BlockBits, block_bytes, select  # noqa: F401
 from .intervals import Interval, IntervalSystem
 from .labeller import LabelState
 from .rng import Rng
@@ -34,8 +33,12 @@ from .rng import Rng
 _FREE = {"X1": 1, "X2": 3, "X3": 2, "X4": 3}
 
 
-def _shift(x: int, s: int) -> int:
-    return x << s if s >= 0 else x >> -s
+def _overlap(x: np.ndarray, y: np.ndarray, s: int) -> int:
+    """Number of k with x[k] and y[k + s] both set."""
+    if s < 0:  # the same pairs, read from y's side
+        x, y, s = y, x, -s
+    n = min(len(x), len(y) - s)
+    return int(np.count_nonzero(x[:n] & y[s:s + n])) if n > 0 else 0
 
 
 def _count(state: LabelState, kind: str, a, a2, c, iv: Interval,
@@ -49,32 +52,31 @@ def _count(state: LabelState, kind: str, a, a2, c, iv: Interval,
     None.  Chosen vertex labels come from A restricted to the slots,
     chosen edge labels from C, and all labels within one instance are
     distinct (for X2 also distinct from the fixed edge label c).  Every
-    count is read from the state's slot windows, so it costs
-    O(width/64) words.
+    count is read from the state's slot windows, so it costs O(width)
+    bytes of numpy work.
     """
     if kind == "X1":
-        return state.labels.window(iv.lo, iv.hi - iv.lo + 1).bit_count()
+        return int(np.count_nonzero(state.label_view[iv.lo:iv.hi + 1]))
     hits = state.admissible_mask(a, iv)
     if kind == "X3":
-        return hits.bit_count()
+        return int(np.count_nonzero(hits))
     if kind == "X4":
         hits &= state.admissible_mask(a2, iv)
         twice_mid = a + a2
         # equal induced labels force b equidistant from both anchors
         if twice_mid % 2 == 0 and iv.lo <= twice_mid // 2 <= iv.hi:
-            hits &= ~(1 << (twice_mid // 2 - iv.lo))
-        return hits.bit_count()
+            hits[twice_mid // 2 - iv.lo] = 0
+        return int(np.count_nonzero(hits))
     # X2: the induced label |a - b| may not repeat the fixed label c
     for b in (a - c, a + c):
         if iv.lo <= b <= iv.hi:
-            hits &= ~(1 << (b - iv.lo))
+            hits[b - iv.lo] = 0
     # partner b' = b + c or b - c; b' = a is impossible once |a - b| != c.
-    # Bit k of hits is label iv.lo + k, so b +- c sits at bit
+    # Entry k of hits is label iv.lo + k, so b +- c sits at entry
     # iv.lo +- c - iv2.lo of slot2's window.
-    avail2 = state.labels.window(iv2.lo, iv2.hi - iv2.lo + 1)
-    up = _shift(hits, iv.lo + c - iv2.lo) & avail2
-    down = _shift(hits, iv.lo - c - iv2.lo) & avail2
-    return up.bit_count() + down.bit_count()
+    avail2 = state.label_view[iv2.lo:iv2.hi + 1]
+    return (_overlap(hits, avail2, iv.lo + c - iv2.lo)
+            + _overlap(hits, avail2, iv.lo - c - iv2.lo))
 
 
 def _ambient(kind: str, a, a2, c, iv: Interval, iv2) -> int:
@@ -124,39 +126,45 @@ class QuasiReport:
 
 
 class _Words:
-    """Rank and select on one BlockBits, fixed for one checkpoint.
+    """Rank and select on one free set, fixed for one checkpoint.
 
-    The blocks are read once as little-endian 64-bit words, plus one zero
-    word past the end, and below[i] counts the set bits of words
-    0..i-1.  Setting up costs O(N/64) words in numpy for a universe of
-    size N; each query is then O(1) array work per position or rank.
+    The set's N bytes (byte v is 1 iff v is free) are packed once into
+    little-endian 64-bit words, zero-padded to N // 64 + 1 words, and
+    below[i] counts the set bits of words 0..i-1.  Setting up costs one
+    np.packbits pass over the bytes and O(N/64) words of numpy work;
+    each query is then O(1) array work per position or rank.
     """
 
     __slots__ = ("words", "below")
 
-    def __init__(self, bits: BlockBits):
-        self.words = np.frombuffer(block_bytes(bits.blocks) + bytes(8), "<u8")
+    def __init__(self, free: np.ndarray):
+        self.words = np.zeros(len(free) // 64 + 1, "<u8")
+        self.words.view(np.uint8)[:-(-len(free) // 8)] = np.packbits(
+            free, bitorder="little")
         pop = np.bitwise_count(self.words).astype(np.int64)
         self.below = np.cumsum(pop) - pop
 
     def rank(self, p: np.ndarray) -> np.ndarray:
-        """Set bits below each position of the uint64 array p (positions
-        up to the end of the last block)."""
+        """Free values below each position of the uint64 array p
+        (positions 0..N)."""
         w = p >> 6
         return self.below[w] + np.bitwise_count(
             self.words[w] & ((1 << (p & 63)) - 1))
 
-    def select(self, ranks: List[int]) -> List[int]:
-        """Index of the k-th (0-based, ascending) set bit for each k in
-        ranks: the word by a search of below, then the bit by a running
-        count over that word's 64 bits."""
-        k = np.array(ranks, np.int64)
-        w = np.searchsorted(self.below, k, side="right") - 1
-        bits = np.unpackbits(self.words[w].view(np.uint8).reshape(-1, 8),
-                             axis=1, bitorder="little")
-        seen = np.cumsum(bits, axis=1, dtype=np.int64)
-        hit = np.argmax(seen > (k - self.below[w])[:, None], axis=1)
-        return (64 * w + hit).tolist()
+
+def select(free: _Words, ranks: List[int]) -> List[int]:
+    """The k-th (0-based, ascending) free value for each k in ranks: the
+    word by a search of free.below, then the bit by a running count over
+    that word's 64 bits.  perfbench's traced runs time the audit's
+    selects by replacing this module attribute, so _sample looks it up
+    at call time."""
+    k = np.array(ranks, np.int64)
+    w = np.searchsorted(free.below, k, side="right") - 1
+    bits = np.unpackbits(free.words[w].view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    seen = np.cumsum(bits, axis=1, dtype=np.int64)
+    hit = np.argmax(seen > (k - free.below[w])[:, None], axis=1)
+    return (64 * w + hit).tolist()
 
 
 def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
@@ -181,7 +189,7 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
     m, nt = sys.m, sys.n_tilde
     size_a, size_c = state.size_a, state.size_c
 
-    diffs = _Words(state.diffs)
+    diffs = _Words(state.diff_view)
     # free differences of the edge windows lo = 0, m, ..., n_tilde - m
     cnt = np.diff(diffs.rank(np.arange(0, nt + 1, m, dtype=np.uint64)))
     # |cnt * nt - m * |A|| is convex in cnt, so the extreme counts hold
@@ -237,8 +245,8 @@ def _sample(state: LabelState, sys: IntervalSystem, k: int, rng: Rng,
         rank2 = rb(size_a - 1)
         ranks += (rank, rank2 + (rank2 >= rank))
         x4s.append(slots[rb(nslots)])
-    labels = _Words(state.labels).select(ranks)
-    fixed = diffs.select(c_ranks)
+    labels = select(_Words(state.label_view), ranks)
+    fixed = select(diffs, c_ranks)
     return ([("X1", None, None, None, iv, None) for iv in x1s]
             + [("X2", a, None, c, s1, s2)
                for a, c, (s1, s2) in zip(labels[:k], fixed, pairs)]

@@ -3,11 +3,14 @@
 old_parse_tree and old_tree are the text parser and the tree check as
 they stood on edge tuples and adjacency tuples, before trees moved to
 flat arrays; tree_texts draws tree files with the faults they name.
-old_select is bitset.select as it stood, one set bit at a time inside
-the word that holds the rank.  admissible_labels works on explicit
-sets.  full_count_structure and full_check_quasi are the audit as it
-stood on full-width ints (one int per set, C's lower side read by
-reversing a string), before it read the labeller's blocked state.
+select is the full-width select the library carried (bitset.select,
+chunk by chunk, word by word, then a bisection of the word), before
+the label state moved to one byte per value; old_select is the select
+before it, one set bit at a time inside the word that holds the rank.
+admissible_labels works on explicit sets.  full_count_structure and
+full_check_quasi are the audit as it stood on full-width ints (one int
+per set, C's lower side read by reversing a string), before it read
+the labeller's own state.
 snapshot builds a LabelState holding given sets, through remove_label
 and remove_diff: checked removals that keep size_a and size_c, as
 LabelState's methods did before the label loop kept those counts in
@@ -27,12 +30,13 @@ word_draws is Rng.batches' mask-and-reject rule read one raw word at a
 time, and scalar_labelling is run_labelling's loop as a scalar
 transcription on explicit sets that reads every offset and law value
 through word_draws, from the addresses run_labelling documents.
-mask, window, from_indices, iter_bits and to_int are the full-width
-bitset forms (one int per set; window shifts the whole int) that
-bitset.BlockBits is checked against, and block_bits builds a BlockBits
-from such an int.  interval_width counts an interval's values, and
-contains tells whether one interval lies inside another.  x1..x4 build
-the audit's patterns as the field tuples quasirandom._count takes.
+mask, window, from_indices and iter_bits are the full-width bitset
+forms (one int per set; window shifts the whole int) that the byte
+state is checked against, and to_int turns a byte set (byte v is 1 iff
+v is in it) into such an int.  interval_width counts an interval's
+values, and contains tells whether one interval lies inside another.
+x1..x4 build the audit's patterns as the field tuples quasirandom._count
+takes.
 prufer_encode is the inverse of trees.prufer_decode, and plan_to_json
 the plan text that the golden plan digests hash; plan_intervals gives
 a plan's target interval per position.  old_assign_intervals
@@ -46,15 +50,15 @@ import heapq
 import json
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
 import gracetree.labeller as labeller
-from gracetree.bitset import _LOW, _SHIFT, BLOCK_BITS, BlockBits, _join, select
 from gracetree.intervals import (Interval, IntervalSystem,
                                  core_distribution, corv_distribution)
 from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV, K,
                                 AttemptFailure, LabelResult, LabelState,
-                                TraceRow, _rank_draw, take_diff, take_label)
+                                TraceRow, _rank_draw, take)
 from gracetree.rng import _BUF, Rng
 from gracetree.verify import VerifyReport
 from gracetree.quasirandom import _FREE, QuasiReport
@@ -86,21 +90,11 @@ def iter_bits(x: int):
         x ^= low
 
 
-def to_int(bits) -> int:
-    """The full-width int of a BlockBits."""
-    return _join(bits.blocks)
-
-
-def block_bits(x: int) -> BlockBits:
-    """The BlockBits of full-width int x, with as many blocks as x's
-    top bit needs (at least one)."""
-    size = BLOCK_BITS // 8
-    nbytes = -(-max(x.bit_length(), 1) // BLOCK_BITS) * size
-    raw = x.to_bytes(nbytes, "little")
-    bits = BlockBits()
-    bits.blocks = [int.from_bytes(raw[i:i + size], "little")
-                   for i in range(0, nbytes, size)]
-    return bits
+def to_int(free) -> int:
+    """The full-width int of a byte set: a bytearray or a uint8 or bool
+    array whose byte v is 1 iff v is in the set."""
+    packed = np.packbits(np.frombuffer(free, np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def interval_width(iv) -> int:
@@ -244,6 +238,47 @@ def old_assign_intervals(removed, ordering, sys, rng):
     return tuple(sides[parity[i] ^ flip[c]][c] for i, c in enumerate(comp))
 
 
+_M64 = (1 << 64) - 1
+_HALVES = tuple((h, (1 << h) - 1) for h in (32, 16, 8, 4, 2, 1))
+
+
+def select(x: int, k: int) -> int:
+    """Index of the k-th (0-based, ascending) set bit of x."""
+    if k < 0:
+        raise IndexError("negative rank")
+    base = 0
+    if x.bit_length() > 1024:  # find the 1024-bit chunk first
+        raw = x.to_bytes(-(-x.bit_length() // 8), "little")
+        for i in range(0, len(raw), 128):
+            chunk = int.from_bytes(raw[i:i + 128], "little")
+            c = chunk.bit_count()
+            if k < c:
+                x = chunk
+                base = 8 * i
+                break
+            k -= c
+        else:
+            raise IndexError("rank beyond population")
+    while True:  # then the word
+        w = x & _M64
+        c = w.bit_count()
+        if k < c:
+            break
+        if not x:
+            raise IndexError("rank beyond population")
+        k -= c
+        x >>= 64
+        base += 64
+    # then bisect the word: its low half holds the bit iff k < its count
+    for half, low in _HALVES:
+        c = (w & low).bit_count()
+        if k >= c:
+            k -= c
+            w >>= half
+            base += half
+    return base
+
+
 def old_select(x, k):
     """Index of the k-th (0-based, ascending) set bit of x."""
     if k < 0:
@@ -280,8 +315,8 @@ def admissible_labels(a, interval, labels, diffs):
 def mask_select_label(state, a, iv, randbelow):
     """A uniform admissible label of iv against parent label a (a = 0:
     no parent), or -1: the whole window's mask, then select."""
-    mask_bits = (state.admissible_mask(a, iv) if a
-                 else state.labels.window(iv.lo, interval_width(iv)))
+    mask_bits = (to_int(state.admissible_mask(a, iv)) if a
+                 else window(to_int(state.labels), iv.lo, interval_width(iv)))
     cnt = mask_bits.bit_count()
     if not cnt:
         return -1
@@ -294,28 +329,24 @@ def draw_label(state, a, iv, offsets, randbelow):
 
     Up to labeller.TRIES positions lo + next(offsets) of iv are tried
     (offsets uniform on 0..width - 1), each accepted when its label is
-    free in A and its difference to a is free in C: two bit reads.
-    After the misses the draw falls back to admissible_mask and select,
-    with the rank drawn by randbelow, which also finds an empty window.
+    free in A and its difference to a is free in C: two byte reads.
+    After the misses the draw falls back to admissible_mask and a rank
+    drawn by randbelow, which also finds an empty window.
     Every try and the fallback are uniform on the same admissible set,
     so the draw is too.
     """
     lo = iv.lo
-    labels = state.labels.blocks
-    diffs = state.diffs.blocks
     for _ in labeller.TRIES:
         b = lo + next(offsets)
-        if labels[b >> _SHIFT] >> (b & _LOW) & 1:
-            d = abs(b - a)
-            if diffs[d >> _SHIFT] >> (d & _LOW) & 1:
-                return b
+        if state.labels[b] and state.diffs[abs(b - a)]:
+            return b
     return _rank_draw(state.admissible_mask(a, iv), lo, randbelow)
 
 
 def mask_select_pick(bits, lo, w, randbelow):
-    """A uniform set bit of bits in lo..lo+w-1, or -1: the window, then
-    select."""
-    mask_bits = bits.window(lo, w)
+    """A uniform value of the byte set bits in lo..lo+w-1, or -1: the
+    window, then select."""
+    mask_bits = window(to_int(bits), lo, w)
     cnt = mask_bits.bit_count()
     if not cnt:
         return -1
@@ -323,13 +354,12 @@ def mask_select_pick(bits, lo, w, randbelow):
 
 
 def remove_label(state, b):
-    take_label(state.labels.blocks, b)
+    take(state.labels, b, "label")
     state.size_a -= 1
 
 
 def remove_diff(state, d):
-    take_diff(state.diffs.blocks, state.diffs_rev.blocks, d,
-              state.sys.n_tilde)
+    take(state.diffs, d, "difference")
     state.size_c -= 1
 
 
@@ -340,8 +370,6 @@ def sample(dist, rng):
         return None
     return dist._positive[bisect.bisect_right(dist._cuts, u)]
 
-
-_M64 = (1 << 64) - 1
 
 
 class OldRng(Rng):

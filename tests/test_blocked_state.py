@@ -1,12 +1,14 @@
-"""The blocked label state and select against explicit sets and
-full-width ints.
+"""The byte label state and the full-width select against explicit
+sets and full-width ints.
 
-LabelState keeps A, C and C's mirror about n_tilde as BlockBits.  These
+LabelState keeps A and C as bytearrays, one byte per value.  These
 properties compare it with the admissible_labels oracle (tests/oracles.py)
-and with the full-int formulas it replaced, on windows that straddle
-block boundaries, touch 1 and n_tilde, and sit on either side of the
-parent label or around it.  select is compared with the old_select
-oracle and with iter_bits on ints up to about 60,000 bits wide.
+and with the full-int formulas of the bitset state it replaced, on
+windows that touch 1 and n_tilde, cross the 1024-value marks where the
+bitset state's blocks ended, and sit on either side of the parent label
+or around it.  The oracles' select, which the full-width audit oracle
+uses, is compared with old_select and with iter_bits on ints up to
+about 60,000 bits wide.
 """
 
 import random
@@ -15,45 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gracetree.bitset import BLOCK_BITS, BlockBits, select
 from gracetree.intervals import Interval, IntervalSystem
-from gracetree.labeller import LabelState, take_label
-from oracles import (admissible_labels, block_bits, from_indices, full_ints,
-                     interval_width, iter_bits, mask, old_select, remove_diff,
-                     remove_label, to_int, window)
+from gracetree.labeller import LabelState, take
+from oracles import (admissible_labels, from_indices, full_ints,
+                     interval_width, iter_bits, old_select, remove_diff,
+                     remove_label, select, to_int, window)
 
-B = BLOCK_BITS
-
-
-def ref_window(x: int, lo: int, width: int) -> int:
-    """Bits lo..lo+width-1 of x on a full int; negative indices read 0."""
-    pad = max(0, -lo)
-    return window(x << pad, lo + pad, width)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    nbits=st.one_of(
-        st.sampled_from([1, B - 1, B, B + 1, 2 * B, 3 * B + 5]),
-        st.integers(1, 48 * B),
-    ),
-    lo=st.one_of(
-        st.integers(-2 * B, 5 * B),
-        st.sampled_from([k * B + d for k in range(-1, 5) for d in (-2, -1, 0, 1)]),
-        st.integers(-2 * B, 48 * B),
-    ),
-    width=st.one_of(
-        st.integers(1, 3 * B + 2),
-        st.sampled_from([B - 1, B, B + 1, 32 * B, 33 * B]),
-        st.integers(3 * B, 48 * B),
-    ),
-)
-def test_block_window_matches_full_int(seed, nbits, lo, width):
-    x = random.Random(seed).getrandbits(nbits)
-    bits = block_bits(x)
-    assert to_int(bits) == x
-    assert bits.window(lo, width) == ref_window(x, lo, width)
+B = 1024  # block width of the bitset state the byte state replaced
 
 
 @st.composite
@@ -104,29 +74,26 @@ def test_select_rejects_empty_int():
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), nbits=st.integers(1, 3 * B + 3))
 def test_block_remove_is_checked(seed, nbits):
+    # take on a byte set: a removal clears one byte, a second removal of
+    # the same value and a negative value raise AssertionError (a
+    # negative index would wrap silently), a value past the end raises
+    # IndexError, and no failed removal changes the set
     rnd = random.Random(seed)
     x = rnd.getrandbits(nbits) | 1 << (nbits - 1)
-    bits = block_bits(x)
+    free = bytearray((x >> v) & 1 for v in range(nbits))
     present = list(iter_bits(x))
     for i in rnd.sample(present, min(len(present), 40)):
-        take_label(bits.blocks, i)
+        take(free, i, "label")
         x ^= 1 << i
-        assert to_int(bits) == x
+        assert to_int(free) == x
+        with pytest.raises(AssertionError, match=f"^label {i} already"):
+            take(free, i, "label")
+    for i in (-1, -nbits):
         with pytest.raises(AssertionError):
-            take_label(bits.blocks, i)
-    for i in (-1, -B - 1):
-        with pytest.raises(AssertionError):
-            take_label(bits.blocks, i)
+            take(free, i, "label")
     with pytest.raises(IndexError):
-        take_label(bits.blocks, len(bits.blocks) * B)
-    assert to_int(bits) == x
-
-
-@settings(max_examples=200, deadline=None)
-@given(lo=st.integers(0, 4 * B), width=st.integers(1, 4 * B))
-def test_block_span_matches_full_mask(lo, width):
-    hi = lo + width - 1
-    assert BlockBits.span(lo, hi).blocks == block_bits(mask(lo, hi)).blocks
+        take(free, nbits, "label")
+    assert to_int(free) == x
 
 
 def _edge_starts(nt: int) -> list[int]:
@@ -190,19 +157,20 @@ def test_label_state_matches_oracle_and_full_ints(case):
     a_bits = from_indices(labels)
     c_bits = from_indices(diffs)
     assert full_ints(state) == (a_bits, c_bits)
-    assert to_int(block_bits(to_int(state.labels))) == a_bits
+    assert len(state.labels) == len(state.diffs) == nt + 1
 
     got = state.admissible_mask(a, iv)
     want = admissible_labels(a, iv, labels, diffs)
-    assert {iv.lo + k for k in iter_bits(got)} == want
-    # the full-width formulas the blocked state replaced
+    assert len(got) == interval_width(iv) and set(got.tolist()) <= {0, 1}
+    assert {iv.lo + k for k in iter_bits(to_int(got))} == want
+    # the full-width formulas of the bitset state, C's lower side read
+    # from C's mirror about n_tilde
     w = interval_width(iv)
     c_rev = from_indices(nt - d for d in diffs)
     full = window(a_bits, iv.lo, w) & (
         window(c_bits << a, iv.lo, w) | window(c_rev >> (nt - a), iv.lo, w)
     )
-    assert got == full
-    assert state.labels.window(iv.lo, w) == window(a_bits, iv.lo, w)
+    assert to_int(got) == full
 
     if gone_a:
         with pytest.raises(AssertionError):

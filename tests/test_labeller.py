@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 
+import numpy as np
 import pytest
 from scipy.stats import chisquare
 
@@ -25,7 +26,8 @@ from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree
 from oracles import (admissible_labels, draw_label, full_ints, iter_bits,
                      mask_select_label, mask_select_pick, plan_intervals,
-                     remove_diff, remove_label, scalar_labelling)
+                     remove_diff, remove_label, scalar_labelling, to_int,
+                     window)
 
 
 def check_graceful_prefix(tree, psi):
@@ -56,7 +58,7 @@ def test_admissible_mask_matches_reference():
         for iv in sys.j_intervals:
             ref = admissible_labels(a, iv, labels, diffs)
             mask = state.admissible_mask(a, iv)
-            got = {iv.lo + k for k in iter_bits(mask)}
+            got = {iv.lo + k for k in np.flatnonzero(mask).tolist()}
             assert got == ref, (a, tuple(iv))
 
 
@@ -144,7 +146,8 @@ def _traced_and_bare(tree, sys, s, every):
     """The traced run's checkpoint marks and result, from run_labelling
     on tree (seed s, 2 retries, a checkpoint every `every` steps) with a
     trace and without.  At every checkpoint the state's counts must
-    equal the popcounts of A, C and C's mirror; the runs must agree on
+    equal the free bytes of A and C, whose bytes 0 (and C's byte
+    n_tilde) stay 0; the runs must agree on
     the marks and, but for the trace, the result; and on the last
     attempt each mark must agree with the trace."""
     runs = []
@@ -152,10 +155,10 @@ def _traced_and_bare(tree, sys, s, every):
         marks = []
 
         def on_checkpoint(state, t):
-            a, c, mirror = (sum(b.bit_count() for b in bits.blocks)
-                            for bits in (state.labels, state.diffs,
-                                         state.diffs_rev))
-            assert (state.size_a, state.size_c, mirror) == (a, c, c)
+            a, c = (np.count_nonzero(v)
+                    for v in (state.label_view, state.diff_view))
+            assert (state.size_a, state.size_c) == (a, c)
+            assert state.labels[0] == state.diffs[0] == state.diffs[-1] == 0
             marks.append((state.attempt, t, state.steps_done,
                           state.corv_hits, state.core_hits,
                           state.size_a, state.size_c))
@@ -308,52 +311,75 @@ def test_moderate_slack_run_succeeds():
 
 # Law of the draws: a fixed state, 20,000 draws from a fixed seed, and
 # the counts against the uniform law on the set that admissible_mask (for
-# a correction pick, the window) gives.  The window straddles the block
-# boundary at 1024.
+# a correction pick, the window) gives.  WIN straddles label 1024, where
+# a block of the earlier bitset state ended; FIRST and LAST touch the
+# ends of the label range, where a slice that ran one byte too far would
+# wrap (a negative index) or stop short instead of raising.
 LAW_SYS = IntervalSystem(2048, 32, 128)
+NT = LAW_SYS.n_tilde
 WIN = Interval(1000, 1063)
+FIRST = Interval(1, 64)
+LAST = Interval(NT - 63, NT)
 DRAWS = 20_000
+# (parent label, target window) of each label-draw case: the parent
+# below the window (C read forwards), inside it (both sides) or above
+# it (C read backwards); "first" reads differences from 1, "last" up to
+# n_tilde - 1 and "top" from the top label
+LAW_CASES = {
+    "dense": (300, WIN), "sparse": (300, WIN), "empty": (300, WIN),
+    "inside": (1030, WIN), "above": (1800, WIN), "first": (65, FIRST),
+    "last": (1, LAST), "top": (NT, FIRST),
+}
 
 
 def _law_state(case):
-    """(state, parent label) for one of the label-draw cases."""
+    """(state, parent label, target window) for one of the label-draw
+    cases."""
+    a, iv = LAW_CASES[case]
     rnd = random.Random(case)
     state = LabelState(LAW_SYS)
     if case == "dense":  # a tenth of labels and differences gone
-        a = 300
         for b in rnd.sample(range(1, 2049), 204):
             if b != a:
                 remove_label(state, b)
         for d in rnd.sample(range(1, 2048), 204):
             remove_diff(state, d)
     elif case == "sparse":  # labels free, 4 of the window's differences
-        a = 300
         for d in rnd.sample(range(WIN.lo - a, WIN.hi - a + 1), 60):
             remove_diff(state, d)
     elif case == "inside":  # parent label in the window: both sides read
-        a = 1030
         for d in rnd.sample(range(1, 64), 40):
             remove_diff(state, d)
         for b in rnd.sample(range(WIN.lo, WIN.hi + 1), 20):
             if b != a:
                 remove_label(state, b)
-    else:  # "empty": labels free, every difference to the window gone
-        a = 300
+    elif case == "empty":  # labels free, no difference to the window
         for d in range(WIN.lo - a, WIN.hi - a + 1):
             remove_diff(state, d)
+    else:  # half of the window's labels and of its differences gone
+        near, far = sorted((abs(iv.lo - a), abs(iv.hi - a)))
+        for d in rnd.sample(range(near, far + 1), 32):
+            remove_diff(state, d)
+        for b in rnd.sample(range(iv.lo, iv.hi + 1), 32):
+            remove_label(state, b)
     remove_label(state, a)
-    return state, a
+    return state, a, iv
 
 
 def _pick_state(case, kind):
-    """(bits, lo) of an m-window of A ("label") or C ("diff")."""
+    """(free, lo) of an m-window of A ("label") or C ("diff"): at label
+    1000, or at the ends of the range ("first": label 1, difference 0;
+    "last": label n_tilde and difference n_tilde - 1 end it)."""
     rnd = random.Random(case)
     state = LabelState(LAW_SYS)
-    lo = 1000
+    m = LAW_SYS.m
+    lo = {"first": int(kind == "label"),
+          "last": NT - m + (kind == "label")}.get(case, 1000)
     remove = remove_label if kind == "label" else remove_diff
-    keep = {"dense": 0.8, "sparse": 2 / 32, "empty": 0}[case]
-    window = range(lo, lo + LAW_SYS.m)
-    for x in rnd.sample(window, LAW_SYS.m - round(keep * LAW_SYS.m)):
+    keep = {"dense": 0.8, "sparse": 2 / 32, "empty": 0, "first": 0.5,
+            "last": 0.5}[case]
+    free = range(max(lo, 1), lo + m)  # difference 0 is never free
+    for x in rnd.sample(free, len(free) - round(keep * m)):
         remove(state, x)
     return (state.labels if kind == "label" else state.diffs), lo
 
@@ -395,39 +421,45 @@ def _assert_law(draw, mask_bits, lo, w, seed, size):
 
 
 @pytest.mark.parametrize("case, size", [
-    ("dense", 52), ("sparse", 4), ("inside", 15), ("empty", 0)])
+    ("dense", 52), ("sparse", 4), ("inside", 15), ("above", 16),
+    ("empty", 0), ("first", 15), ("last", 17), ("top", 14)])
 def test_label_draw_is_uniform_on_the_admissible_set(case, size):
-    state, a = _law_state(case)
-    w = WIN.hi - WIN.lo + 1
-    _assert_law(lambda rb: draw_label(state, a, WIN, map(rb, repeat(w)), rb),
-                state.admissible_mask(a, WIN), WIN.lo, w, seed=11,
-                size=size)
+    state, a, iv = _law_state(case)
+    w = iv.hi - iv.lo + 1
+    mask_bits = to_int(state.admissible_mask(a, iv))
+    labels, diffs = (set(iter_bits(x)) for x in full_ints(state))
+    assert ({iv.lo + k for k in iter_bits(mask_bits)}
+            == admissible_labels(a, iv, labels, diffs))
+    _assert_law(lambda rb: draw_label(state, a, iv, map(rb, repeat(w)), rb),
+                mask_bits, iv.lo, w, seed=11, size=size)
 
 
 @pytest.mark.parametrize("kind", ["label", "diff"])
 @pytest.mark.parametrize("case, size", [
-    ("dense", 26), ("sparse", 2), ("empty", 0)])
+    ("dense", 26), ("sparse", 2), ("empty", 0), ("first", 16),
+    ("last", 16)])
 def test_correction_pick_is_uniform_on_the_free_set(kind, case, size):
-    bits, lo = _pick_state(case, kind)
+    free, lo = _pick_state(case, kind)
     m = LAW_SYS.m
-    _assert_law(lambda rb: pick_free(bits, lo, m, map(rb, repeat(m)), rb),
-                bits.window(lo, m), lo, m, seed=12, size=size)
+    _assert_law(lambda rb: pick_free(free, lo, m, map(rb, repeat(m)), rb),
+                window(to_int(free), lo, m), lo, m, seed=12, size=size)
 
 
-@pytest.mark.parametrize("case", ["dense", "sparse", "inside", "empty"])
+@pytest.mark.parametrize("case", list(LAW_CASES))
 def test_without_tries_the_draws_are_mask_and_select(case, monkeypatch):
     # the fallback alone is the mask-and-select draw, word for word
     monkeypatch.setattr(labeller, "TRIES", range(0))
-    state, a = _law_state(case)
+    state, a, iv = _law_state(case)
     got, want = Rng(5), Rng(5)
     for _ in range(500):
-        assert (draw_label(state, a, WIN, iter(()), got.randbelow)
-                == mask_select_label(state, a, WIN, want.randbelow))
+        assert (draw_label(state, a, iv, iter(()), got.randbelow)
+                == mask_select_label(state, a, iv, want.randbelow))
+    pick_case = "dense" if case in ("inside", "above", "top") else case
     for kind in ("label", "diff"):
-        bits, lo = _pick_state("dense" if case == "inside" else case, kind)
+        free, lo = _pick_state(pick_case, kind)
         for _ in range(500):
-            assert (pick_free(bits, lo, LAW_SYS.m, iter(()), got.randbelow)
-                    == mask_select_pick(bits, lo, LAW_SYS.m, want.randbelow))
+            assert (pick_free(free, lo, LAW_SYS.m, iter(()), got.randbelow)
+                    == mask_select_pick(free, lo, LAW_SYS.m, want.randbelow))
     assert got._pos == want._pos
 
 
@@ -444,8 +476,8 @@ def test_label_draw_fails_exactly_at_an_empty_window():
 
         def on_checkpoint(state, t):
             copy = LabelState(sys)
-            for bits in ("labels", "diffs", "diffs_rev"):
-                getattr(copy, bits).blocks = list(getattr(state, bits).blocks)
+            copy.labels[:] = state.labels
+            copy.diffs[:] = state.diffs
             seen[t] = copy
 
         res = run_labelling(plan, sys, Rng(s, key=(2,)), checkpoint_every=1,
@@ -456,10 +488,10 @@ def test_label_draw_fails_exactly_at_an_empty_window():
         t = res.failures[0].step
         state, iv = seen[t - 1], plan_intervals(plan, sys)[t - 1]
         if t == 1:
-            assert state.labels.window(iv.lo, iv.hi - iv.lo + 1) == 0
+            assert not any(state.labels[iv.lo:iv.hi + 1])
         else:
             a = res.trace[plan.parent_pos[t - 1]].label
-            assert state.admissible_mask(a, iv) == 0
+            assert not state.admissible_mask(a, iv).any()
     assert chosen >= 5
 
 

@@ -367,6 +367,26 @@ def test_prepare_plan_deterministic():
                     == interval_of[pos[v]])
 
 
+def test_prepare_plan_runs_one_bfs(monkeypatch):
+    # the cut and the ordering share one BFS from vertex 1, and give the
+    # plan they give when each runs its own
+    from gracetree import prepare
+
+    sys = IntervalSystem(400, 8, 32)
+    t = random_tree(150, Rng(3, key=(0,)))
+    cap = 12
+    removed = cut_tree_by_size(t, cap)
+    want = assign_intervals(removed, order_vertices(t, removed), sys,
+                            Rng(3, key=(1,)))
+    bfs = prepare._bfs
+    calls = []
+    monkeypatch.setattr(prepare, "_bfs",
+                        lambda tree: calls.append(tree) or bfs(tree))
+    got = prepare_plan(t, sys, Rng(3, key=(1,)), max_component=cap)
+    assert calls == [t]
+    assert got == want and got.removed_edges
+
+
 def _component_pairs(plan, sys):
     """The complement pair {J, complement(J)} of each component of the
     plan, in order of first appearance."""

@@ -198,7 +198,7 @@ def _window_loop(state, sys):
     """QUASI1 one m-window read at a time: the largest deviation and the
     lowest window lo attaining it."""
     m, nt = sys.m, sys.n_tilde
-    devs = [abs(state.diffs.window(lo, m).bit_count() * nt - m * state.size_a)
+    devs = [abs(state.diffs[lo:lo + m].count(1) * nt - m * state.size_a)
             for lo in sys.ie_starts]
     top = max(devs)
     return top / (m * nt), sys.ie_starts[devs.index(top)]
@@ -214,8 +214,8 @@ def _sweep(state, sys):
 @given(st.sampled_from([1, 3, 8, 64, 100, 256]), st.integers(2, 14),
        st.data())
 def test_sweep_matches_window_loop(m, k, data):
-    # m = 3 and 100 put window edges inside 64-bit words; wide systems
-    # span several 1024-bit blocks
+    # m = 3 and 100 put window edges inside the packed 64-bit words; wide
+    # systems span many of them
     nt = 2 * m * k
     sys = IntervalSystem(nt, m, m)
     starts = sys.ie_starts
@@ -292,6 +292,20 @@ def test_check_quasi_ambient_frozen():
     assert rep.ok
 
 
+def test_counts_stay_exact_at_scale():
+    # at n_tilde = 2^21, count * n_tilde^3 passes 2^63: a count that
+    # came back as a numpy integer would overflow instead of growing
+    sys = IntervalSystem(2 ** 21, 64, 256)
+    full = LabelState(sys)
+    rep = check_quasi(full, sys, 0.5, 4, Rng(3, key=(7,)))
+    assert len(rep.quasi2_devs) == 16 and max(rep.quasi2_devs) == 0
+    ivs = sys.iv_intervals
+    for X in (x1(ivs[5]), x3(9, ivs[5]), x4(9, 11, ivs[5]),
+              x2(9, ivs[5], 3, ivs[6])):
+        got = _count(full, *X)
+        assert type(got) is int and got == _ambient(*X)
+
+
 def test_check_quasi_emptied_window():
     sys = IntervalSystem(24, 2, 4)
     hollow = LabelState(sys)
@@ -349,8 +363,8 @@ def test_window_check_equals_tile_sums():
                                           (20_000, 256, 1024, 1),
                                           (20_000, 256, 1024, 2)])
 def test_reports_match_full_width_oracle_on_run_snapshots(n, m, ell, seed):
-    """Blocked-state audit against the full-width audit it replaced, on
-    the snapshots of a labelling run whose n_tilde spans several
+    """The audit on the byte state against the full-width audit, on the
+    snapshots of a labelling run whose n_tilde spans several 1024-value
     blocks (the last two at the audit-scaled bench point): equal whole
     reports and equal rng state afterwards."""
     params = derive_practical_params(n, Fraction(1, 2), m, ell)
