@@ -37,14 +37,11 @@ def _emit(obj) -> None:
 
 
 def _parity_coloring(tree):
-    color = {1: 0}
-    queue = [1]
-    for v in queue:
-        for w in tree.neighbours(v):
-            if w not in color:
-                color[w] = 1 - color[v]
-                queue.append(w)
-    return color
+    """Each vertex's depth parity in the tree's BFS from vertex 1."""
+    parity = [0]
+    for p in tree.parent[1:]:
+        parity.append(parity[p] ^ 1)
+    return dict(zip(tree.bfs, parity))
 
 
 def _cmd_generate(args) -> int:

@@ -1,17 +1,17 @@
 """Exhaustive search for graceful labellings of small trees.
 
 Ground truth for the verifiers and for statistics on label counts.
-Vertices are placed in a connected order so each placement after the
-first closes exactly one edge, making admissibility two bitmask tests
-per candidate.  Also provides closed-form labellings for paths and
-stars, the classical families where witnesses are known outright.
+Vertices are placed in the tree's BFS order from vertex 1 (Tree.bfs),
+so each placement after the first closes exactly one edge, the one to
+its BFS parent, making admissibility two bitmask tests per candidate.
+Also provides closed-form labellings for paths and stars, the
+classical families where witnesses are known outright.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .prepare import order_vertices
 from .trees import Tree, path_tree, star_tree
 from .verify import Labelling
 
@@ -33,7 +33,7 @@ def _search(t: Tree, m: int, cap: int, first: bool):
     the search stops at the first complete labelling, whose labels are
     then left in place, so count is 0 or 1."""
     _guard(t, m, cap)
-    order, parent_pos = order_vertices(t, frozenset())
+    order, parent_pos = t.bfs, t.parent
     n = t.n
     psi_pos = [0] * n
 

@@ -25,7 +25,10 @@ import numpy as np
 from .params import ParamError
 from .rng import Rng
 
-_MAX_MATERIALIZED = 10 ** 8
+# the most windows (n_tilde/m) a system may have: a system and its two
+# correction laws hold about 736 bytes per window, so this keeps them
+# under 1 GB
+_MAX_MATERIALIZED = 2 ** 20
 
 
 def _exact_int(f: Fraction) -> int:
@@ -57,7 +60,9 @@ class IntervalSystem:
         if 2 * ell >= n_tilde:
             raise ParamError(f"need ell < n_tilde/2, got ell = {ell}")
         if n_tilde // m > _MAX_MATERIALIZED:
-            raise ParamError("interval system too large to materialize")
+            raise ParamError(
+                f"interval system too large to materialize: n_tilde/m = "
+                f"{n_tilde // m} windows, at most {_MAX_MATERIALIZED}")
         self.n_tilde = n_tilde
         self.m = m
         self.ell = ell

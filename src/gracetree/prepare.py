@@ -6,14 +6,15 @@ neighbour, the removed-edge set whose endpoints may land in unrelated
 intervals, and the target interval of every vertex.
 
 The cut and the ordering read the same numbering: the BFS of the tree
-from vertex 1 with neighbours in increasing id (_bfs, one C search).
-The cut is one pass from the leaves up that sorts the children of each
-vertex it cuts at, O(n log n) on any shape (cut_tree_by_size).  The
-ordering is one stable sort of the BFS that keeps the components
-together (order_vertices), and the assignment finds components and
-parities by pointer doubling over the parent positions, O(n log depth),
-with a Python loop only over components for the draw and the
-orientations (assign_intervals).  Every stage takes and returns
+from vertex 1 with neighbours in increasing id, which the tree keeps
+from its construction check (Tree.bfs and Tree.parent).  The cut is
+one pass from the leaves up that sorts the children of each vertex it
+cuts at, O(n log n) on any shape (cut_tree_by_size).  The ordering is
+one stable sort of the BFS that keeps the components together
+(order_vertices), and the assignment finds components and parities by
+pointer doubling over the parent positions, O(n log depth), with a
+Python loop only over components for the draw and the orientations
+(assign_intervals).  Every stage takes and returns
 original vertex ids, and a plan depends only on the tree's edge set,
 not on the order of its edges.
 """
@@ -26,33 +27,14 @@ from itertools import chain
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order
 
 from .intervals import IntervalSystem
 from .rng import Rng
-from .trees import Tree, csr_graph
+from .trees import Tree
 
 
 class PrepareError(ValueError):
     pass
-
-
-def _bfs(t: Tree) -> tuple[np.ndarray, np.ndarray]:
-    """The BFS of t from vertex 1 that visits neighbours in increasing id
-    (scipy's breadth_first_order canonicalises the CSR, so it sorts each
-    neighbour list).  Returns (bfs, parent): bfs[k] is the vertex of rank
-    k, and parent[k] < k the rank of its BFS parent, with parent[0] = -1.
-    parent is nondecreasing, so the children of rank k are contiguous
-    ranks, in increasing id.  Neither depends on the order of t's edges.
-    """
-    bfs, pred = breadth_first_order(csr_graph(t.n, t.off, t.nbr), 1,
-                                    directed=True, return_predecessors=True)
-    rank = np.empty(t.n + 1, np.intp)
-    rank[bfs] = np.arange(t.n)
-    parent = np.empty(t.n, np.intp)
-    parent[0] = -1
-    parent[1:] = rank[pred[bfs[1:]]]
-    return bfs, parent
 
 
 def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
@@ -87,18 +69,22 @@ def cut_tree(t: Tree, eps: float, n: int) -> frozenset[tuple[int, int]]:
     return cut_tree_by_size(t, hi)
 
 
-def cut_tree_by_size(
-    t: Tree, max_size: int, *, bfs: tuple[np.ndarray, np.ndarray] | None = None
-) -> frozenset[tuple[int, int]]:
+def _ranks(t: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """t's BFS from vertex 1 as read-only numpy views: (bfs, parent)."""
+    return np.frombuffer(t.bfs, np.intc), np.frombuffer(t.parent, np.intc)
+
+
+def cut_tree_by_size(t: Tree, max_size: int) -> frozenset[tuple[int, int]]:
     """Remove edges so every remaining component has order <= max_size.
 
-    One pass over the BFS ranks of _bfs (from vertex 1) from the last
-    back to the root, so a vertex comes after all its children.  Vertex
-    u's order is 1 plus its children's; while that is above max_size, u
-    loses its child of largest order, ties going to the lower rank,
-    which is the lower id.  The pass costs O(n) plus a sort of the
-    children of each vertex that cuts, O(n log n) on any shape.  The
-    cut depends only on t's edge set, not on the order of its edges.
+    One pass over the ranks of t's BFS from vertex 1 (Tree.bfs), from
+    the last back to the root, so a vertex comes after all its
+    children.  Vertex u's order is 1 plus its children's; while that is
+    above max_size, u loses its child of largest order, ties going to
+    the lower rank, which is the lower id.  The pass costs O(n) plus a
+    sort of the children of each vertex that cuts, O(n log n) on any
+    shape.  The cut depends only on t's edge set, not on the order of
+    its edges.
 
     The edge set is that of the walk from vertex 1 that follows the
     heaviest branch (ties alike) and cuts off the first one of order
@@ -110,14 +96,11 @@ def cut_tree_by_size(
     then the heaviest first with ties to the lower id, until u's order
     is <= max_size: the cuts this pass makes at u.  Interleaving between
     siblings changes the order of the cuts, not which edges are cut.
-
-    bfs, when given, is _bfs(t), computed once for the cut and the
-    ordering (prepare_plan).
     """
     if max_size < 1:
         raise PrepareError(f"max_size must be >= 1, got {max_size}")
     n = t.n
-    bfs, parent = bfs or _bfs(t)
+    bfs, parent = _ranks(t)
     # the children of rank k are ranks first[k] .. first[k + 1] - 1
     first = np.searchsorted(parent, np.arange(n + 1)).tolist()
     up = parent.tolist()
@@ -169,14 +152,13 @@ def _climb(up: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def order_vertices(
-    t: Tree, removed: Iterable[tuple[int, int]], *,
-    bfs: tuple[np.ndarray, np.ndarray] | None = None
+    t: Tree, removed: Iterable[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reveal order starting at vertex 1, keeping components contiguous.
 
     Each later vertex has exactly one earlier neighbour (its parent).
     Take the BFS of t from vertex 1 that visits neighbours in increasing
-    id (_bfs, as the cut does).  Components come in the BFS rank
+    id (Tree.bfs, as the cut does).  Components come in the BFS rank
     of their first vertex, and the vertices of a component in BFS rank,
     which is a BFS of the component from its first vertex.  Returns
     (order, parent_pos) as read-only int arrays, with parent_pos[0] = -1
@@ -191,11 +173,12 @@ def order_vertices(
     The component of each vertex is found by pointer doubling over the
     BFS tree with its cut edges dropped, and one stable sort by the BFS
     rank of the component's first vertex gives the order, O(n log n) in
-    C.  Pairs of removed that are not edges of t are ignored.  bfs, when
-    given, is _bfs(t), as for cut_tree_by_size.
+    C.  Pairs of removed that are not edges of t are ignored.  With
+    nothing removed, the order is the BFS and parent_pos its parent
+    ranks.
     """
     n = t.n
-    bfs, parent = bfs or _bfs(t)
+    bfs, parent = _ranks(t)
     rank = np.empty(n + 1, np.intp)
     rank[bfs] = np.arange(n)
     # the child of each removed edge starts a component
@@ -360,7 +343,5 @@ def prepare_plan(
                 sys.ell // 2,
             ),
         )
-    bfs = _bfs(t)  # one BFS from vertex 1 numbers both stages
-    removed = cut_tree_by_size(t, max_component, bfs=bfs)
-    return assign_intervals(removed, order_vertices(t, removed, bfs=bfs),
-                            sys, rng)
+    removed = cut_tree_by_size(t, max_component)
+    return assign_intervals(removed, order_vertices(t, removed), sys, rng)

@@ -1,4 +1,5 @@
-"""Labelled trees on vertices 1..n, kept in flat int arrays.
+"""Labelled trees on vertices 1..n, kept in flat int arrays along with
+their BFS from vertex 1.
 
 Prüfer decoding, uniform random generation, path/star/broom/caterpillar/
 spider constructors, degree statistics, and a strict text format (first
@@ -12,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from .rng import Rng
 
@@ -21,7 +22,7 @@ def _fault(n: int, us, vs) -> str:
     """The first check the edge list fails, in the order the checks are
     stated: per edge in input order range, self-loop and parallel edge,
     then the edge count, then connectivity.  Run only once a check on
-    the arrays has failed."""
+    the arrays or the BFS has failed."""
     if isinstance(us, np.ndarray):  # name Python ints, not numpy ones
         us, vs = us.tolist(), vs.tolist()
     seen = set()
@@ -37,27 +38,6 @@ def _fault(n: int, us, vs) -> str:
     if len(us) != n - 1:
         return f"tree on {n} vertices needs {n-1} edges, got {len(us)}"
     return "edge set is not connected"
-
-
-def csr_graph(n: int, off, nbr) -> csr_matrix:
-    """The CSR adjacency (off, nbr) on 0..n as a scipy matrix, for
-    scipy's graph searches; vertex 0 is an isolated row of its own."""
-    nbr = np.asarray(nbr)
-    return csr_matrix((np.ones(len(nbr), np.int8), nbr, np.asarray(off)),
-                      shape=(n + 1, n + 1))
-
-
-def _connected(n: int, off: np.ndarray, nbr: np.ndarray) -> bool:
-    """Whether the CSR graph on 1..n is connected (scipy's
-    connected_components; vertex 0 makes a component of its own).
-
-    The adjacency holds every edge in both directions, so its strong
-    components are its components; asking for strong ones spares the
-    transpose that weak ones take.
-    """
-    return connected_components(csr_graph(n, off, nbr), directed=True,
-                                connection="strong",
-                                return_labels=False) == 2
 
 
 def _frozen(a: np.ndarray) -> memoryview:
@@ -91,25 +71,34 @@ class Edges:
 class Tree:
     """Unrooted tree on 1..n. Validates shape on construction, then immutable.
 
-    Storage is three read-only int memoryviews (over bytes, so nothing
-    can write them), 12 bytes per vertex and 8 per edge, and no
+    Storage is five read-only int memoryviews (over bytes, so nothing
+    can write them), 20 bytes per vertex and 8 per edge, and no
     per-vertex Python objects:
 
     - off, nbr: CSR adjacency.  The neighbours of v are
-      nbr[off[v]:off[v+1]] (see `neighbours`), in the input order of the
-      edges that join them; off has n + 2 entries, off[0] = off[1] = 0.
+      nbr[off[v]:off[v+1]], in the input order of the edges that join
+      them; off has n + 2 entries, off[0] = off[1] = 0.
     - edges.ends: the edges as (min, max) pairs in input order.
+    - bfs, parent: the BFS of the tree from vertex 1 that visits
+      neighbours in increasing id.  bfs[k] is the vertex of rank k, and
+      parent[k] < k the rank of its BFS parent, with parent[0] = -1.
+      parent is nondecreasing, so the children of rank k are contiguous
+      ranks, in increasing id.  Neither depends on the order of the
+      edges.  The cut, the ordering, the exact search and the parity
+      colouring all read this one search.
 
     Construction is one sort of the edge ends by vertex in numpy, on
     the unique keys end * 2m + index so that an unstable sort keeps the
-    input order within a vertex (O(n log n) in C), and a cumulative
-    count for the offsets.  The checks run on the arrays: ids in 1..n,
-    n - 1 edges, and one component (see _connected).  n - 1 edges that
-    connect 1..n have no self-loop and no parallel edge; when a check
-    fails, the edge list is walked in order to name the first fault.
+    input order within a vertex (O(n log n) in C), a cumulative count
+    for the offsets, and one BFS from vertex 1 (scipy's
+    breadth_first_order, which sorts each neighbour list, O(n) in C).
+    The checks are ids in 1..n and n - 1 edges on the arrays, then that
+    the BFS reaches all n vertices.  n - 1 edges that connect 1..n have
+    no self-loop and no parallel edge; when a check fails, the edge
+    list is walked in order to name the first fault.
     """
 
-    __slots__ = ("n", "off", "nbr", "edges")
+    __slots__ = ("n", "off", "nbr", "edges", "bfs", "parent")
 
     def __init__(self, n: int, edges):
         us, vs = [], []
@@ -148,19 +137,27 @@ class Tree:
         nbr = other[key % (2 * m)]
         off = np.zeros(n + 2, np.intc)
         np.cumsum(np.bincount(ends, minlength=n + 1), out=off[1:])
-        if not _connected(n, off, nbr):
+        # vertex 0 is an isolated row of its own
+        graph = csr_matrix((np.ones(2 * m, np.int8), nbr, off),
+                           shape=(n + 1, n + 1))
+        bfs, pred = breadth_first_order(graph, 1, directed=True,
+                                        return_predecessors=True)
+        if len(bfs) != n:
             raise ValueError(_fault(n, us, vs))
+        rank = np.empty(n + 1, np.intc)
+        rank[bfs] = np.arange(n)
+        parent = np.empty(n, np.intc)
+        parent[0] = -1
+        parent[1:] = rank[pred[bfs[1:]]]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "off", _frozen(off))
         object.__setattr__(self, "nbr", _frozen(nbr))
         object.__setattr__(self, "edges", Edges(_frozen(ends)))
+        object.__setattr__(self, "bfs", _frozen(bfs))
+        object.__setattr__(self, "parent", _frozen(parent))
 
     def __setattr__(self, *a):
         raise AttributeError("Tree is immutable")
-
-    def neighbours(self, v: int) -> memoryview:
-        """v's neighbours in input edge order."""
-        return self.nbr[self.off[v]:self.off[v + 1]]
 
     def degrees(self) -> np.ndarray:
         """Degrees of 1..n as a numpy array (entry v - 1 is vertex v)."""

@@ -37,10 +37,12 @@ v is in it) into such an int.  interval_width counts an interval's
 values, and contains tells whether one interval lies inside another.
 x1..x4 build the audit's patterns as the field tuples quasirandom._count
 takes.
-prufer_encode is the inverse of trees.prufer_decode, and plan_to_json
-the plan text that the golden plan digests hash; plan_intervals gives
-a plan's target interval per position.  old_assign_intervals
-is prepare.assign_intervals as one Python pass over the ordering, before
+neighbours reads a vertex's slice of a tree's CSR adjacency, as
+Tree.neighbours did until only tests read it.  prufer_encode is the
+inverse of trees.prufer_decode, and plan_to_json the plan text that
+the golden plan digests hash; plan_intervals gives a plan's target
+interval per position.  old_assign_intervals is
+prepare.assign_intervals as one Python pass over the ordering, before
 it became array passes: the same draws and orientations, returned as
 one Interval per position.
 """
@@ -123,6 +125,11 @@ def x4(a, a2, slot):
     return ("X4", a, a2, None, slot, None)
 
 
+def neighbours(t, v):
+    """v's neighbours in t, in input edge order."""
+    return t.nbr[t.off[v]:t.off[v + 1]]
+
+
 def prufer_encode(t):
     """Prüfer sequence of t: repeatedly strip the smallest leaf."""
     n = t.n
@@ -136,7 +143,7 @@ def prufer_encode(t):
     for _ in range(n - 2):
         leaf = heapq.heappop(heap)
         dead[leaf] = 1
-        nb = next(u for u in t.neighbours(leaf) if not dead[u])
+        nb = next(u for u in neighbours(t, leaf) if not dead[u])
         seq.append(nb)
         deg[nb] -= 1
         if deg[nb] == 1:

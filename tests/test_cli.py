@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -12,7 +13,9 @@ from gracetree import verify
 from gracetree.cli import main
 from gracetree.exact import exact_graceful
 from gracetree.harness import labelling_to_json
-from gracetree.trees import parse_tree
+from gracetree.rng import Rng
+from gracetree.trees import (caterpillar_tree, format_tree, parse_tree,
+                             random_tree)
 from oracles import tree_texts
 
 
@@ -62,6 +65,98 @@ def test_verify_extra_checks(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["harmonious"]["ok"] is False  # sums 3, 5 collide mod 2
     assert code == 1
+
+
+def bfs_parity(tree):
+    """Each vertex's depth parity in a BFS from vertex 1."""
+    adj = {v: [] for v in range(1, tree.n + 1)}
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    color, queue = {1: 0}, [1]
+    for v in queue:
+        for w in adj[v]:
+            if w not in color:
+                color[w] = 1 - color[v]
+                queue.append(w)
+    return color
+
+
+def alpha_labelling(tree):
+    """A graceful labelling that puts class 0 of bfs_parity below class
+    1, found by trying every arrangement within the two label blocks."""
+    color = bfs_parity(tree)
+    low = [v for v in color if color[v] == 0]
+    high = [v for v in color if color[v] == 1]
+    for a in itertools.permutations(range(1, len(low) + 1)):
+        for b in itertools.permutations(range(len(low) + 1, tree.n + 1)):
+            psi = dict(zip(low + high, a + b))
+            if len({abs(psi[u] - psi[v]) for u, v in tree.edges}) \
+                    == tree.n - 1:
+                return verify.Labelling(tree, psi, tree.n)
+    return None
+
+
+def run_bipartite(tmp_path, capsys, monkeypatch, tree, lab):
+    """verify --bipartite on tree and lab: (exit code, bipartite report,
+    the colouring the CLI passed to the check)."""
+    from gracetree import cli
+    seen = []
+    check = cli.verify_bipartite_graceful
+    monkeypatch.setattr(cli, "verify_bipartite_graceful",
+                        lambda lab, col: seen.append(col) or check(lab, col))
+    tree_path, lab_path = tmp_path / "t.txt", tmp_path / "t.json"
+    tree_path.write_text(format_tree(tree))
+    lab_path.write_text(labelling_to_json(lab))
+    code, out, _ = run_cli(capsys, "verify", "--tree", str(tree_path),
+                           "--labels", str(lab_path), "--bipartite")
+    return code, json.loads(out)["bipartite"], seen[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_bipartite_colours_by_bfs_parity(tmp_path, capsys,
+                                                monkeypatch, seed):
+    # a random tree with its first graceful labelling, judged against
+    # the separation that bfs_parity's classes give
+    tree = random_tree(8, Rng(seed))
+    lab = exact_graceful(tree, tree.n)
+    code, rep, color = run_bipartite(tmp_path, capsys, monkeypatch, tree,
+                                     lab)
+    assert color == bfs_parity(tree)
+    low = max((lab.psi[v], v) for v in color if color[v] == 0)
+    high = min((lab.psi[v], v) for v in color if color[v] == 1)
+    if low < high:
+        assert (code, rep["ok"], rep["reason"]) == (0, True,
+                                                   "bipartite graceful")
+    else:
+        assert (code, rep["ok"], rep["reason"]) == (1, False,
+                                                   "class separation")
+        assert rep["witness"] == [low[1], high[1]]
+
+
+@pytest.mark.parametrize("spine", [1, 2, 3, 5])
+def test_verify_bipartite_passes_a_caterpillar(tmp_path, capsys,
+                                               monkeypatch, spine):
+    tree = caterpillar_tree(8, spine, lambda i: 1 + i % 2)
+    lab = alpha_labelling(tree)
+    code, rep, color = run_bipartite(tmp_path, capsys, monkeypatch, tree,
+                                     lab)
+    assert color == bfs_parity(tree)
+    assert (code, rep["ok"], rep["reason"]) == (0, True, "bipartite graceful")
+
+
+def test_verify_bipartite_names_class_separation(tmp_path, capsys,
+                                                 monkeypatch):
+    # the path 1-2-3-4 labelled 3, 2, 4, 1 is graceful, but class 0
+    # (vertices 1 and 3) lies above class 1: label 4 at vertex 3 is
+    # above label 1 at vertex 4
+    tree = parse_tree("4\n1 2\n2 3\n3 4\n")
+    lab = verify.Labelling(tree, {1: 3, 2: 2, 3: 4, 4: 1}, 4)
+    code, rep, color = run_bipartite(tmp_path, capsys, monkeypatch, tree,
+                                     lab)
+    assert color == {1: 0, 2: 1, 3: 0, 4: 1}
+    assert (code, rep["ok"], rep["reason"], rep["witness"]) == (
+        1, False, "class separation", [3, 4])
 
 
 def test_generate_deterministic(tmp_path, capsys):
@@ -285,6 +380,21 @@ def test_label_refuses_ell_below_m(tmp_path, capsys, ell):
     payload = json.loads(err)
     assert payload["error"] == "ParamError"
     assert f"need ell >= m: ell = {ell}, m = 4" in payload["message"]
+
+
+def test_label_refuses_an_interval_system_too_large(tmp_path, capsys):
+    # n_tilde/m is about 10^7 windows: refused at once, not built
+    tree = str(tmp_path / "t.txt")
+    run_cli(capsys, "generate", "--n", "50", "--seed", "0", "--out", tree)
+    code, out, err = run_cli(
+        capsys, "label", "--tree", tree, "--gamma", "400000", "--m", "2",
+        "--ell", "4", "--seed", "1", "--checkpoint-every", "0")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ParamError"
+    assert payload["message"].startswith(
+        "interval system too large to materialize")
 
 
 def test_experiment_command(tmp_path, capsys):

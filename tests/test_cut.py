@@ -23,6 +23,7 @@ from gracetree.prepare import (PrepareError, cut_tree, cut_tree_by_size,
 from gracetree.rng import Rng
 from gracetree.trees import (Tree, broom_tree, caterpillar_tree, path_tree,
                              random_tree, spider_tree)
+from oracles import neighbours
 
 
 def restart_cut_window(t, lo, hi):
@@ -39,7 +40,7 @@ def restart_cut_window(t, lo, hi):
     seen = [False] * (t.n + 1)
     seen[root] = True
     for v in order:
-        for w in t.neighbours(v):
+        for w in neighbours(t, v):
             if not seen[w]:
                 seen[w] = True
                 parent[w] = v
@@ -57,7 +58,7 @@ def restart_cut_window(t, lo, hi):
         while True:
             best = 0
             best_size = -1
-            for w in sorted(t.neighbours(u)):
+            for w in sorted(neighbours(t, u)):
                 if alive[w] and w != parent[u] and size[w] > best_size:
                     best = w
                     best_size = size[w]
@@ -76,7 +77,7 @@ def restart_cut_window(t, lo, hi):
                 alive[best] = False
                 while stack:
                     x = stack.pop()
-                    for w in t.neighbours(x):
+                    for w in neighbours(t, x):
                         if alive[w] and w != parent[x]:
                             alive[w] = False
                             stack.append(w)
@@ -232,7 +233,7 @@ def test_deep_shapes_cut_at_scale():
             while stack:
                 v = stack.pop()
                 count += 1
-                for w in t.neighbours(v):
+                for w in neighbours(t, v):
                     e = (v, w) if v < w else (w, v)
                     if not comp[w] and e not in removed:
                         comp[w] = comp[s]

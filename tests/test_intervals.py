@@ -180,6 +180,23 @@ def test_build_from_params():
     assert s.n_tilde == 24 and s.m == 2 and s.ell == 4
 
 
+def test_system_size_guard_refuses_before_building():
+    # a system and its two correction laws hold about 736 bytes per
+    # window, so 2^20 windows is the most admitted; the next size is
+    # refused before any family is built
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParamError, match="too large to materialize: "
+                                             "n_tilde/m = 1048578 windows"):
+            IntervalSystem(2 ** 20 + 2, 1, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
 def test_system_validation():
     with pytest.raises(ParamError):
         IntervalSystem(10, 2, 2)   # 2m does not divide

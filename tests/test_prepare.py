@@ -19,7 +19,8 @@ from gracetree.rng import Rng
 from gracetree.trees import (Tree, broom_tree, caterpillar_tree, path_tree,
                              prufer_decode, random_tree, spider_tree,
                              star_tree)
-from oracles import old_assign_intervals, plan_intervals, plan_to_json
+from oracles import (neighbours, old_assign_intervals, plan_intervals,
+                     plan_to_json)
 
 
 def components(t, removed):
@@ -31,7 +32,7 @@ def components(t, removed):
         stack = [s]
         while stack:
             v = stack.pop()
-            for w in t.neighbours(v):
+            for w in neighbours(t, v):
                 e = (v, w) if v < w else (w, v)
                 if w not in comp and e not in removed:
                     comp[w] = s
@@ -94,7 +95,7 @@ def test_cut_random_trees_respect_stated_bounds():
     log_n = math.log(n)
     for seed in range(8):
         t = random_tree(n, Rng(seed, key=(1,)))
-        max_deg = max(len(t.neighbours(v)) for v in range(1, n + 1))
+        max_deg = max(len(neighbours(t, v)) for v in range(1, n + 1))
         eps = max(2 * log_n / n, math.sqrt(4 * max_deg * log_n / n)) * 1.001
         removed = cut_tree(t, eps, n)
         _, sizes = components(t, removed)
@@ -148,7 +149,7 @@ def test_order_contiguous_components_random():
         pos = {v: i for i, v in enumerate(order)}
         for i in range(1, 200):
             v = order[i]
-            earlier = [w for w in t.neighbours(v) if pos[w] < i]
+            earlier = [w for w in neighbours(t, v) if pos[w] < i]
             assert earlier == [order[parent_pos[i]]]
 
 
@@ -184,7 +185,7 @@ def bfs(t, start, removed=frozenset()):
     seen = {start}
     out = [start]
     for v in out:
-        for w in sorted(t.neighbours(v)):
+        for w in sorted(neighbours(t, v)):
             if w not in seen and (min(v, w), max(v, w)) not in removed:
                 seen.add(w)
                 out.append(w)
@@ -235,7 +236,7 @@ def test_order_is_bfs_by_component(case):
     # the parent is the one earlier neighbour
     for i in range(1, n):
         assert 0 <= parent_pos[i] < i
-        earlier = [w for w in t.neighbours(order[i]) if pos[w] < i]
+        earlier = [w for w in neighbours(t, order[i]) if pos[w] < i]
         assert earlier == [order[parent_pos[i]]]
     # components are contiguous runs, each a BFS from its first vertex
     comp, _ = components(t, removed)
@@ -262,13 +263,13 @@ def orderings(draw, t):
     start = rnd.randint(1, t.n)
     order, parent_pos = [start], [-1]
     pos = {start: 0}
-    frontier = [(w, 0) for w in t.neighbours(start)]
+    frontier = [(w, 0) for w in neighbours(t, start)]
     while frontier:
         v, p = frontier.pop(rnd.randrange(len(frontier)))
         pos[v] = len(order)
         order.append(v)
         parent_pos.append(p)
-        frontier += [(w, pos[v]) for w in t.neighbours(v) if w not in pos]
+        frontier += [(w, pos[v]) for w in neighbours(t, v) if w not in pos]
     return tuple(order), tuple(parent_pos)
 
 
@@ -357,7 +358,7 @@ def test_prepare_plan_deterministic():
     pos = {v: i for i, v in enumerate(p1.order)}
     for i in range(1, 60):
         assert 0 <= p1.parent_pos[i] < i
-        earlier = [w for w in t.neighbours(p1.order[i]) if pos[w] < i]
+        earlier = [w for w in neighbours(t, p1.order[i]) if pos[w] < i]
         assert earlier == [p1.order[p1.parent_pos[i]]]
     # every surviving edge joins an interval to its complement
     interval_of = plan_intervals(p1, sys)
@@ -367,24 +368,33 @@ def test_prepare_plan_deterministic():
                     == interval_of[pos[v]])
 
 
-def test_prepare_plan_runs_one_bfs(monkeypatch):
-    # the cut and the ordering share one BFS from vertex 1, and give the
-    # plan they give when each runs its own
-    from gracetree import prepare
+def test_one_search_per_tree_built(monkeypatch):
+    # the BFS from vertex 1 runs once, when the tree is built: not again
+    # for the plan, nor for a retry's new interval draw
+    from fractions import Fraction
 
-    sys = IntervalSystem(400, 8, 32)
-    t = random_tree(150, Rng(3, key=(0,)))
-    cap = 12
-    removed = cut_tree_by_size(t, cap)
-    want = assign_intervals(removed, order_vertices(t, removed), sys,
-                            Rng(3, key=(1,)))
-    bfs = prepare._bfs
+    from gracetree import trees
+    from gracetree.harness import ExperimentConfig, run_trial
+
+    search = trees.breadth_first_order
     calls = []
-    monkeypatch.setattr(prepare, "_bfs",
-                        lambda tree: calls.append(tree) or bfs(tree))
-    got = prepare_plan(t, sys, Rng(3, key=(1,)), max_component=cap)
-    assert calls == [t]
-    assert got == want and got.removed_edges
+    monkeypatch.setattr(trees, "breadth_first_order",
+                        lambda g, i, **k: calls.append(i) or search(g, i, **k))
+    cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=32, ell=256,
+                           trials=1, seed=0, checkpoint_every=500,
+                           quasi_per_kind=4)
+    assert run_trial(cfg, 0, 0).result.attempts == 4
+    assert calls == [1]
+
+    t = random_tree(150, Rng(3, key=(0,)))
+    calls.clear()
+    plan = prepare_plan(t, IntervalSystem(400, 8, 32), Rng(3, key=(1,)),
+                        max_component=12)
+    assert calls == [] and plan.removed_edges
+    # with nothing cut, the ordering is the tree's BFS
+    order, parent_pos = order_vertices(t, frozenset())
+    assert (order.tolist(), parent_pos.tolist()) == (list(t.bfs),
+                                                     list(t.parent))
 
 
 def _component_pairs(plan, sys):

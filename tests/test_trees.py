@@ -11,7 +11,8 @@ from gracetree.trees import (DegreeStats, Tree, broom_tree, caterpillar_tree,
                              degree_stats, format_tree, parse_tree, path_tree,
                              prufer_decode, random_tree, spider_tree,
                              star_tree)
-from oracles import old_parse_tree, old_tree, prufer_encode, tree_texts
+from oracles import (neighbours, old_parse_tree, old_tree, prufer_encode,
+                     tree_texts)
 
 
 def test_decode_two_vertices():
@@ -103,7 +104,7 @@ def test_degree_stats_large_random():
 @given(st.integers(3, 60), st.integers(0, 2 ** 32 - 1))
 def test_random_tree_invariants(n, seed):
     t = random_tree(n, Rng(seed, (9,)))
-    degs = [len(t.neighbours(v)) for v in range(1, n + 1)]
+    degs = [len(neighbours(t, v)) for v in range(1, n + 1)]
     assert sum(degs) == 2 * (n - 1)
     s = degree_stats(t)
     assert s.sum_sq_degree * n >= 4 * (n - 1) ** 2
@@ -132,11 +133,14 @@ def test_tree_immutable():
 def test_tree_buffers_read_only():
     t = path_tree(3)
     key = hash(t)
-    for buf in (t.off, t.nbr, t.edges.ends, t.neighbours(2)):
+    for buf in (t.off, t.nbr, t.edges.ends, neighbours(t, 2), t.bfs,
+                t.parent):
         with pytest.raises(TypeError):
             buf[0] = 3
     with pytest.raises(AttributeError):
         t.edges.ends = t.nbr
+    with pytest.raises(AttributeError):
+        t.bfs = t.parent
     assert hash(t) == key and t == path_tree(3)
 
 
@@ -168,7 +172,7 @@ def parsed(parse, text):
         return str(exc)
     if isinstance(t, Tree):
         return (t.n, list(t.edges),
-                [list(t.neighbours(v)) for v in range(t.n + 1)])
+                [list(neighbours(t, v)) for v in range(t.n + 1)])
     n, edges, adj = t
     return n, list(edges), [list(a) for a in adj]
 
@@ -193,10 +197,44 @@ def test_constructor_matches_tuple_check():
     cases = [(3, [(1, 2), (2, 3)]), (3, [(1, 2), (2, 1)]),
              (3, [(2, 2), (1, 2)]), (4, [(1, 2), (1, 2), (3, 4)]),
              (4, [(5, 1), (1, 1), (1, 2)]), (2, [(1, 2), (1, 2)]), (1, []),
-             (0, []), (4, [(1, 2), (3, 4)])]
+             (0, []), (4, [(1, 2), (3, 4)]),
+             # vertex 1 isolated, and a cycle that avoids vertex 1
+             (4, [(2, 3), (3, 4), (2, 4)]),
+             (5, [(1, 2), (3, 4), (4, 5), (3, 5)])]
     for n, edges in cases:
         assert parsed(lambda e: Tree(n, e), edges) == \
             parsed(lambda e: old_tree(n, e), edges)
+
+
+def python_bfs(t):
+    """The BFS of t from vertex 1 visiting neighbours in increasing id:
+    (vertex of each rank, parent rank of each rank, -1 at rank 0)."""
+    order, parent, seen = [1], [-1], {1}
+    for k, v in enumerate(order):
+        for w in sorted(neighbours(t, v)):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                parent.append(k)
+    return order, parent
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Tree(1, []), lambda: path_tree(2), lambda: star_tree(2),
+    lambda: Tree(2, [(2, 1)]), lambda: random_tree(2, Rng(1)),
+    lambda: random_tree(300, Rng(4)), lambda: random_tree(57, Rng(8)),
+    lambda: path_tree(50), lambda: star_tree(40), lambda: broom_tree(60, 20),
+    lambda: caterpillar_tree(70, 12, lambda i: 1 + i % 3),
+    lambda: spider_tree(61, 7),
+    lambda: Tree(6, [(6, 5), (3, 1), (5, 1), (4, 3), (2, 5)]),
+])
+def test_tree_keeps_its_bfs_from_vertex_1(make):
+    t = make()
+    order, parent = python_bfs(t)
+    assert (list(t.bfs), list(t.parent)) == (order, parent)
+    # the edge order does not move it
+    rev = Tree(t.n, [(v, u) for u, v in reversed(list(t.edges))])
+    assert (list(rev.bfs), list(rev.parent)) == (order, parent)
 
 
 def test_shape_constructors():
@@ -206,7 +244,7 @@ def test_shape_constructors():
                                              (5, 6)]
     assert list(caterpillar_tree(7, 3, lambda i: 1).edges) == [
         (1, 2), (2, 3), (1, 4), (2, 5), (3, 6), (1, 7)]
-    assert list(path_tree(4).neighbours(2)) == [1, 3]
+    assert list(neighbours(path_tree(4), 2)) == [1, 3]
     assert broom_tree(5, 5) == path_tree(5)
     assert broom_tree(5, 1) == star_tree(5)
 
