@@ -27,7 +27,7 @@ from .prepare import prepare_plan
 from .quasirandom import QuasiReport, check_quasi
 from .rng import Rng
 from .trees import Tree, parse_tree, random_tree
-from .verify import Labelling, verify_graceful
+from .verify import LabelArray, Labelling, verify_graceful
 
 
 def _gamma(x) -> Fraction:
@@ -356,8 +356,12 @@ def summary_json(summary: dict) -> str:
 
 
 def labelling_to_json(lab: Labelling) -> str:
-    labels = [lab.psi[v] for v in range(1, lab.tree.n + 1)]
-    return json.dumps({"n": lab.tree.n, "m": lab.m, "labels": labels},
+    n = lab.tree.n
+    if isinstance(lab.psi, LabelArray):
+        labels = lab.psi.array[1:n + 1].tolist()
+    else:
+        labels = [lab.psi[v] for v in range(1, n + 1)]
+    return json.dumps({"n": n, "m": lab.m, "labels": labels},
                       indent=2)
 
 

@@ -9,9 +9,9 @@ labels |a - a'| between them follow a triangular profile el(J, c).
 The correction distributions built here remove extra labels so that
 free label sets shrink uniformly in expectation.
 
-All masses are exact rationals on a shared denominator; sampling
-converts once to integer thresholds so that the sampled law equals the
-stated law bit-exactly.
+Each law's masses are integer numerators over one shared denominator,
+and its draws compare a uniform integer with their running sums, so the
+sampled law equals the stated law bit-exactly.
 """
 
 from __future__ import annotations
@@ -29,12 +29,6 @@ from .rng import Rng
 # correction laws hold about 736 bytes per window, so this keeps them
 # under 1 GB
 _MAX_MATERIALIZED = 2 ** 20
-
-
-def _exact_int(f: Fraction) -> int:
-    if f.denominator != 1:
-        raise ParamError(f"expected an integer mass scale, got {f}")
-    return f.numerator
 
 
 class Interval(NamedTuple):
@@ -104,42 +98,47 @@ class IntervalSystem:
 class CorrectionDistribution:
     """Distribution over one interval family plus the null outcome (None).
 
-    support lists every family interval with its exact mass; masses and
-    star_probability share the denominator den and sum to exactly 1.
+    intervals[i] has mass nums[i]/den and the null outcome star_num/den;
+    the numerators are integers and sum to den.  support (every interval
+    with its mass) and star_probability give the masses as exact
+    Fractions, made when they are read.
 
     A draw is a uniform u in 0..den - 1: the null outcome when u is
-    below _star_cut, else _positive[bisect_right(_cuts, u)], the
-    interval of positive mass whose cumulative cut first exceeds u.  The
-    label loop (labeller.py) takes an attempt's draws from hits.
+    below _star_cut (= star_num), else _positive[bisect_right(_cuts, u)],
+    the interval of positive mass whose cumulative cut first exceeds u.
+    The label loop (labeller.py) takes an attempt's draws from hits.
     """
 
-    __slots__ = ("kind", "support", "star_probability", "den", "_star_cut",
-                 "_cuts", "_positive")
+    __slots__ = ("kind", "den", "_intervals", "_nums", "_star_cut", "_cuts",
+                 "_positive")
 
-    def __init__(self, kind: str, support, star_probability: Fraction, den: int):
-        total = star_probability
-        for iv, mass in support:
-            if mass < 0:
-                raise ParamError(
-                    f"negative mass {mass} at {iv}: system construction bug")
-            total += mass
-        if total != 1:
-            raise ParamError(f"masses sum to {total}, not 1")
+    def __init__(self, kind: str, intervals, nums, star_num: int, den: int):
+        intervals, nums = tuple(intervals), tuple(nums)
+        for iv, num in zip(intervals, nums, strict=True):
+            if num < 0:
+                raise ParamError(f"negative mass {Fraction(num, den)} at "
+                                 f"{iv}: system construction bug")
+        total = star_num + sum(nums)
+        if total != den:
+            raise ParamError(f"masses sum to {Fraction(total, den)}, not 1")
         self.kind = kind
-        self.support = tuple(support)
-        self.star_probability = star_probability
         self.den = den
-        cum = _exact_int(star_probability * den)
-        self._star_cut = cum
-        cuts, positive = [], []
-        for iv, mass in support:
-            if mass > 0:
-                cum += _exact_int(mass * den)
-                cuts.append(cum)
-                positive.append(iv)
-        assert cum == den
-        self._cuts = cuts
-        self._positive = positive
+        self._intervals = intervals
+        self._nums = nums
+        self._star_cut = star_num
+        positive = [i for i, num in enumerate(nums) if num > 0]
+        self._cuts = list(accumulate((nums[i] for i in positive),
+                                     initial=star_num))[1:]
+        self._positive = [intervals[i] for i in positive]
+
+    @property
+    def support(self) -> tuple:
+        return tuple((iv, Fraction(num, self.den))
+                     for iv, num in zip(self._intervals, self._nums))
+
+    @property
+    def star_probability(self) -> Fraction:
+        return Fraction(self._star_cut, self.den)
 
     def hits(self, rng: Rng, steps: int) -> tuple[list[int], list[int]]:
         """One draw per step 0..steps-1, step k's u being the k-th value
@@ -154,7 +153,7 @@ class CorrectionDistribution:
         n_tilde/m < 4(ell/m - 1)) is no probability law, so drawing from
         it raises ParamError; its masses can still be read.
         """
-        if self.star_probability < 0:
+        if self._star_cut < 0:
             raise ParamError(
                 f"the {self.kind} correction law has star probability "
                 f"{self.star_probability} < 0: need n_tilde/m >= "
@@ -191,10 +190,9 @@ def corv_distribution(sys: IntervalSystem) -> CorrectionDistribution:
         k = (j_lo - 1) // m
         diff[k] += 1
         diff[k + r] -= 1
-    support = [(I, Fraction(sys.ell - m * cnt, den))
-               for I, cnt in zip(sys.iv_intervals, accumulate(diff))]
-    star = Fraction(2 * nj - len(sys.iv_intervals), nj)
-    return CorrectionDistribution("vertex", support, star, den)
+    nums = [sys.ell - m * cnt for cnt in accumulate(diff[:-1])]
+    star = (2 * nj - len(sys.iv_intervals)) * sys.ell
+    return CorrectionDistribution("vertex", sys.iv_intervals, nums, star, den)
 
 
 def core_distribution(sys: IntervalSystem) -> CorrectionDistribution:
@@ -229,7 +227,6 @@ def core_distribution(sys: IntervalSystem) -> CorrectionDistribution:
         dd[k0 + r + 1] -= 2 * m
         dd[k0 + 2 * r + 1] += m
     sums = list(accumulate(accumulate(dd)))[r:]
-    support = [(I, Fraction(ell2 - m * s, den))
-               for I, s in zip(sys.ie_intervals, sums)]
-    star = Fraction(2 * nj - len(sys.ie_intervals), nj)
-    return CorrectionDistribution("edge", support, star, den)
+    nums = [ell2 - m * s for s in sums[:len(sys.ie_intervals)]]
+    star = (2 * nj - len(sys.ie_intervals)) * ell2
+    return CorrectionDistribution("edge", sys.ie_intervals, nums, star, den)

@@ -24,7 +24,10 @@ collected.  Only an event step runs the rare work, in this order: the
 vertex correction pick, the edge correction pick, the trace row, the
 checkpoint.  No count is kept per step: after t completed steps
 |A| = n_tilde - t - corv_hits and |C| = n_tilde - t - core_hits, and
-those two hit counts change only on events.
+those two hit counts change only on events.  The labels are kept in
+plan order in one list; a completed attempt scatters it by vertex into
+an int64 array once and returns that array read-only (LabelArray), so
+the pipeline builds no dict of labels.
 
 The randomness comes in batches.  Every target interval has width ell
 and every correction window width m, so a try reads the next value of
@@ -52,6 +55,7 @@ from .intervals import (
 )
 from .prepare import Plan
 from .rng import Rng
+from .verify import LabelArray
 
 FAIL_CHOOSE = "choose-label"
 FAIL_CORV = "corv-removal"
@@ -202,8 +206,12 @@ class AttemptFailure:
 
 @dataclass(frozen=True)
 class LabelResult:
+    """The outcome of run_labelling.  psi holds the labels of the
+    completed attempt by vertex, as one read-only int64 array (see
+    verify.LabelArray), and is None when every attempt failed."""
+
     success: bool
-    psi: dict[int, int] | None
+    psi: LabelArray | None
     plan: Plan
     attempts: int
     failures: tuple[AttemptFailure, ...]
@@ -231,14 +239,15 @@ def _attempt(
     collect_trace: bool,
     attempt: int,
 ) -> tuple[
-    dict[int, int] | None, AttemptFailure | None, list[TraceRow] | None, LabelState
+    LabelArray | None, AttemptFailure | None, list[TraceRow] | None, LabelState
 ]:
     state = LabelState(sys, attempt)
     # the loop's lookups, bound once per attempt
     free_a = state.labels
     free_c = state.diffs
     # the plan's arrays as lists, so that no step indexes numpy; the
-    # vertices are needed only by trace rows and a completed attempt
+    # vertices are needed only by trace rows (a completed attempt
+    # scatters its labels by plan.order in one numpy pass)
     parent_pos = plan.parent_pos.tolist()
     los = plan.lo.tolist()
     order = plan.order.tolist() if collect_trace else None
@@ -356,7 +365,9 @@ def _attempt(
     state.size_c = int(np.count_nonzero(state.diff_view))
     if failure is not None:
         return None, failure, trace, state
-    return dict(zip(plan.order.tolist(), labels)), None, trace, state
+    by_vertex = np.zeros(n + 1, np.int64)
+    by_vertex[plan.order] = labels
+    return LabelArray(by_vertex), None, trace, state
 
 
 def run_labelling(

@@ -8,12 +8,19 @@ mod q are pairwise distinct.  A graceful labelling embeds the tree
 into the complete graph on residues {0..2m-2}, and its 2m-1 cyclic
 shifts are pairwise edge-disjoint; they cover every host edge exactly
 once iff m equals the edge count plus one.
+
+A labelling the pipeline makes holds its labels in a LabelArray: one
+read-only int64 array indexed by vertex, which the numpy checks read
+as it is.  Any other Mapping of vertices to labels (a dict read from
+JSON, an exact search's result) is scanned into such an array first,
+or walked in Python when it is not plain.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,16 +39,53 @@ _MAX_HOST_EDGES = 10 ** 7
 _DENSE = 8
 
 
+# offending vertices a construction error names; it always gives their count
+_SHOWN = 5
+
+
+class LabelArray(Mapping):
+    """Labels by vertex, read-only: a Mapping of 1..n onto the int64
+    array a (a[v] is the label of v, a[0] = 0).
+
+    psi[v] is a Python int for v in 1..n and any other key raises
+    KeyError, as with the dict of the same labels.  The constructor
+    takes a over and makes it read-only, so a check that passes on the
+    array holds for as long as the labelling is kept.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, a: np.ndarray):
+        if a.dtype != np.int64 or a.ndim != 1 or not len(a) or a[0] != 0:
+            raise ValueError("need a 1-d int64 label array with a[0] = 0")
+        a.flags.writeable = False
+        self.array = a
+
+    def __getitem__(self, v) -> int:
+        if isinstance(v, (int, np.integer)) and 1 <= v < len(self.array):
+            return int(self.array[v])
+        raise KeyError(v)
+
+    def __len__(self) -> int:
+        return len(self.array) - 1
+
+    def __iter__(self):
+        return iter(range(1, len(self.array)))
+
+
 def _label_array(psi: Mapping[int, int], n: int) -> Optional[np.ndarray]:
     """psi as an int64 array a with a[v] = psi[v] and a[0] = 0, or None
     unless psi's keys are exactly the plain ints 1..n and its labels are
     plain ints (not bool, float or numpy ints) that fit in int64.
 
-    n plain-int keys that all lie in 1..n are 1..n, since dict keys are
-    distinct.
+    A LabelArray over 1..n gives its own read-only array, with no scan
+    and no copy.  n plain-int keys that all lie in 1..n are 1..n, since
+    dict keys are distinct.
     """
     if len(psi) != n:
         return None
+    if type(psi) is LabelArray:
+        return psi.array
     if set(map(type, psi)) | set(map(type, psi.values())) != {int}:
         return None
     try:
@@ -61,10 +105,11 @@ class Labelling:
     """An injection candidate psi: V(tree) -> [1, m].
 
     Totality and range are construction invariants; injectivity and
-    the graceful condition are what the verifiers report on.  A psi
-    whose keys are the plain ints 1..n and whose labels are plain ints
-    is checked in numpy; any other psi, and any psi that fails that
-    check, is walked in Python, which names the fault.
+    the graceful condition are what the verifiers report on.  A
+    LabelArray over 1..n, or a psi whose keys are the plain ints 1..n
+    and whose labels are plain ints, is checked in numpy; any other psi
+    is walked in Python.  A failed check names how many vertices are
+    missing or out of range, and the first _SHOWN of them.
     """
 
     tree: Tree
@@ -74,15 +119,25 @@ class Labelling:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"label bound m = {self.m} must be positive")
-        a = _label_array(self.psi, self.tree.n)
-        if a is not None and 1 <= a[1:].min() and int(a[1:].max()) <= self.m:
-            return
-        missing = [v for v in range(1, self.tree.n + 1) if v not in self.psi]
-        if missing:
-            raise ValueError(f"psi is not total, missing vertices {missing}")
-        bad = {v: b for v, b in self.psi.items() if not 1 <= b <= self.m}
-        if bad:
-            raise ValueError(f"labels outside 1..{self.m}: {bad}")
+        n, m = self.tree.n, self.m
+        a = _label_array(self.psi, n)
+        if a is not None:
+            labels = a[1:]
+            if 1 <= labels.min() and int(labels.max()) <= m:
+                return
+            bad = (np.flatnonzero((labels < 1) | (labels > m)) + 1).tolist()
+        else:
+            missing = [v for v in range(1, n + 1) if v not in self.psi]
+            if missing:
+                raise ValueError(f"psi is not total: {len(missing)} "
+                                 f"vertices missing, first "
+                                 f"{missing[:_SHOWN]}")
+            bad = [v for v in range(1, n + 1) if not 1 <= self.psi[v] <= m]
+            if not bad:
+                return
+        shown = {v: self.psi[v] for v in bad[:_SHOWN]}
+        raise ValueError(f"labels outside 1..{m} at {len(bad)} vertices, "
+                         f"first {shown}")
 
     def edge_difference(self, u: int, v: int) -> int:
         return abs(_plain(self.psi[u]) - _plain(self.psi[v]))

@@ -505,15 +505,19 @@ def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
 
 
 def old_labelling_check(tree, psi, m):
-    """Labelling.__post_init__ as a walk: None, or the ValueError text."""
+    """Labelling.__post_init__ as a walk: None, or the ValueError text,
+    which counts the missing or out-of-range vertices and names the
+    first five in vertex order."""
     if m < 1:
         return f"label bound m = {m} must be positive"
     missing = [v for v in range(1, tree.n + 1) if v not in psi]
     if missing:
-        return f"psi is not total, missing vertices {missing}"
-    bad = {v: b for v, b in psi.items() if not 1 <= b <= m}
+        return (f"psi is not total: {len(missing)} vertices missing, "
+                f"first {missing[:5]}")
+    bad = [v for v in range(1, tree.n + 1) if not 1 <= psi[v] <= m]
     if bad:
-        return f"labels outside 1..{m}: {bad}"
+        return (f"labels outside 1..{m} at {len(bad)} vertices, first "
+                f"{ {v: psi[v] for v in bad[:5]} }")
     return None
 
 

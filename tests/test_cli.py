@@ -571,3 +571,29 @@ def test_fuzzed_tree_files_keep_error_contract(text, command):
         assert code == 1 and json.loads(err)["message"] == fault
     elif command != "label":
         assert code == 0, (out, err)
+
+
+def test_verify_names_how_many_labels_are_out_of_range(tmp_path, capsys):
+    # a 2*10^4-vertex labelling checked against --m 100: almost every
+    # label is out of range, and the error names the count and the
+    # first five vertices instead of all of them
+    tree = str(tmp_path / "t.txt")
+    run_cli(capsys, "generate", "--n", "20000", "--seed", "1", "--out", tree)
+    labels = str(tmp_path / "labels.json")
+    code, _, err = run_cli(
+        capsys, "label", "--tree", tree, "--gamma", "1/2", "--m", "128",
+        "--ell", "512", "--seed", "1", "--max-component", "32",
+        "--checkpoint-every", "0", "--out", labels)
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "verify", "--tree", tree,
+                             "--labels", labels, "--m", "100")
+    assert code == 1 and out == ""
+    assert len(err.encode()) < 1024 and err.count("\n") == 1
+    got = json.loads(open(labels).read())["labels"]
+    bad = [v for v, b in enumerate(got, 1) if b > 100]
+    assert len(bad) > 19000
+    shown = {v: got[v - 1] for v in bad[:5]}
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"labels outside 1..100 at {len(bad)} vertices, "
+                   f"first {shown}"}

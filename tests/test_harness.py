@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from gracetree.harness import (ExperimentConfig, config_from_json,
 from gracetree.params import ParamError
 from gracetree.trees import format_tree, path_tree, random_tree
 from gracetree.rng import Rng
-from gracetree.verify import verify_graceful
+from gracetree.verify import LabelArray, Labelling, verify_graceful
 
 
 def small_cfg(**over):
@@ -230,6 +231,43 @@ def test_labelling_json_round_trip():
     assert back.psi == tr.labelling.psi and back.m == tr.labelling.m
     with pytest.raises(ValueError):
         labelling_from_json(text, path_tree(7))
+
+
+def test_pipeline_labellings_hold_a_label_array():
+    cfg = small_cfg(trials=2)
+    tr = run_trial(cfg, 0, 0)
+    assert type(tr.result.psi) is LabelArray
+    assert tr.labelling.psi is tr.result.psi
+    assert not tr.result.psi.array.flags.writeable
+    labs = run_experiment(cfg).labellings
+    assert labs and all(type(lab.psi) is LabelArray for lab in labs.values())
+    # the dict form of the same labels writes the same bytes
+    as_dict = Labelling(tr.tree, dict(tr.labelling.psi), tr.labelling.m)
+    assert type(as_dict.psi) is dict
+    assert labelling_to_json(as_dict) == labelling_to_json(tr.labelling)
+
+
+def test_trial_memory_per_vertex():
+    # what a successful trial keeps and its peak, per vertex, with the
+    # tree passed in and the audit off: a labelling held as a dict (plus
+    # the lists it was built from) takes 109 and 253 bytes per vertex
+    # here, the label array 24 and 187
+    n = 20_000
+    cfg = ExperimentConfig(n=(n,), gamma=Fraction(1, 2), m=128, ell=512,
+                           trials=1, seed=7, checkpoint_every=0,
+                           max_component=32)
+    tree = random_tree(n, Rng(7))
+    run_trial(cfg, 0, 0, tree=tree)  # imports and caches settle first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr = run_trial(cfg, 0, 0, tree=tree)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.record.outcome == "success"
+    assert (kept - base) / n < 50
+    assert (peak - base) / n < 225
 
 
 def test_tree_file_source(tmp_path):

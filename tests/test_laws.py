@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from gracetree.intervals import (CorrectionDistribution, IntervalSystem,
-                                 core_distribution, corv_distribution)
+from gracetree.intervals import (CorrectionDistribution, Interval,
+                                 IntervalSystem, core_distribution,
+                                 corv_distribution)
 from gracetree.params import ParamError, derive_practical_params
 from oracles import contains
 
@@ -17,12 +18,12 @@ from oracles import contains
 def corv_oracle(sys):
     nj = len(sys.j_intervals)
     den = sys.ell * nj
-    support = []
+    nums = []
     for I in sys.iv_intervals:
         cnt = sum(1 for J in sys.j_intervals if contains(J, I))
-        support.append((I, Fraction(sys.ell - sys.m * cnt, den)))
-    star = Fraction(2 * nj - len(sys.iv_intervals), nj)
-    return CorrectionDistribution("vertex", support, star, den)
+        nums.append(sys.ell - sys.m * cnt)
+    star = (2 * nj - len(sys.iv_intervals)) * sys.ell
+    return CorrectionDistribution("vertex", sys.iv_intervals, nums, star, den)
 
 
 def core_oracle(sys):
@@ -32,12 +33,12 @@ def core_oracle(sys):
     nj = len(sys.j_intervals)
     ell2 = sys.ell ** 2
     den = ell2 * nj
-    support = []
+    nums = []
     for I in sys.ie_intervals:
         s = sum(sys.el_count(j_lo, I.lo) for j_lo in sys.j_starts)
-        support.append((I, Fraction(ell2 - sys.m * s, den)))
-    star = Fraction(2 * nj - len(sys.ie_intervals), nj)
-    return CorrectionDistribution("edge", support, star, den)
+        nums.append(ell2 - sys.m * s)
+    star = (2 * nj - len(sys.ie_intervals)) * ell2
+    return CorrectionDistribution("edge", sys.ie_intervals, nums, star, den)
 
 
 def item6_systems():
@@ -91,3 +92,17 @@ def test_core_odd_ratio_still_rejected(triple):
         core_oracle(sys)
     # the vertex law has no parity condition
     assert_same_law(corv_distribution(sys), corv_oracle(sys))
+
+
+def test_negative_window_mass_refused():
+    # masses 3/4, -1/4 and a star of 1/2 sum to 1, but a window mass is
+    # negative: the constructor refuses it (a negative star it builds,
+    # and only hits refuses)
+    ivs = (Interval(1, 2), Interval(3, 4))
+    with pytest.raises(ParamError, match="negative mass -1/4"):
+        CorrectionDistribution("vertex", ivs, [3, -1], 2, 4)
+    with pytest.raises(ParamError, match="masses sum to 5/4"):
+        CorrectionDistribution("vertex", ivs, [3, 0], 2, 4)
+    law = CorrectionDistribution("vertex", ivs, [3, 3], -2, 4)
+    assert law.star_probability == Fraction(-1, 2)
+    assert law.support == ((ivs[0], Fraction(3, 4)), (ivs[1], Fraction(3, 4)))

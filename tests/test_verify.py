@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from gracetree.exact import exact_graceful
 from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree, star_tree
-from gracetree.verify import (Labelling, Packing, VerifyReport,
-                              _graceful_in_numpy, build_cyclic_packing,
+from gracetree.verify import (LabelArray, Labelling, Packing, VerifyReport,
+                              _graceful_in_numpy, _label_array,
+                              build_cyclic_packing,
                               verify_bipartite_graceful, verify_graceful,
                               verify_harmonious, verify_packing)
 from oracles import old_labelling_check, old_verify_graceful
@@ -64,6 +65,73 @@ def test_labelling_construction_guards():
         lab_of(path_tree(3), [1, 2, 4], 3)
     with pytest.raises(ValueError, match="positive"):
         lab_of(path_tree(2), [1, 2], 0)
+
+
+def test_construction_errors_count_the_offenders():
+    # 1999 of 2000 vertices missing, or out of range: each message names
+    # the count and the first five vertices, not every offender
+    tree = path_tree(2000)
+    with pytest.raises(ValueError) as exc:
+        Labelling(tree, {1: 1}, 5)
+    msg = str(exc.value)
+    assert len(msg) < 1024
+    assert msg == ("psi is not total: 1999 vertices missing, "
+                   "first [2, 3, 4, 5, 6]")
+    a = np.arange(2001, dtype=np.int64)
+    for psi in ({v: v for v in range(1, 2001)}, LabelArray(a)):
+        with pytest.raises(ValueError) as exc:
+            Labelling(tree, psi, 1)
+        assert str(exc.value) == ("labels outside 1..1 at 1999 vertices, "
+                                  "first {2: 2, 3: 3, 4: 4, 5: 5, 6: 6}")
+    walked = {v: float(v) for v in range(1, 2001)}  # not plain: walked
+    with pytest.raises(ValueError, match="outside 1..1 at 1999 vertices"):
+        Labelling(tree, walked, 1)
+
+
+def _arrayed(lab):
+    """lab with its labels in a LabelArray."""
+    a = np.zeros(lab.tree.n + 1, np.int64)
+    for v in range(1, lab.tree.n + 1):
+        a[v] = lab.psi[v]
+    return Labelling(lab.tree, LabelArray(a), lab.m)
+
+
+def test_label_array_is_a_read_only_dict_of_its_labels():
+    lab = _arrayed(zigzag_path_labelling(9))
+    psi = lab.psi
+    with pytest.raises(ValueError):
+        psi.array[1] = 3
+    assert _label_array(psi, 9) is psi.array
+    assert len(psi) == 9 and list(psi) == list(range(1, 10))
+    for v in range(1, 10):
+        assert type(psi[v]) is int and psi[v] == psi.array[v]
+    for key in (0, 10, -1, "1"):
+        with pytest.raises(KeyError):
+            psi[key]
+        assert key not in psi
+    assert psi == dict(psi) == {v: psi[v] for v in range(1, 10)}
+    with pytest.raises(ValueError):
+        LabelArray(np.ones(4, np.int64))  # a[0] must be 0
+    with pytest.raises(ValueError):
+        LabelArray(np.zeros(4, np.int32))
+
+
+@pytest.mark.parametrize("lab, reason", [
+    (zigzag_path_labelling(40), "graceful"),
+    (lab_of(path_tree(5), [1, 5, 2, 5, 3], 5), "vertex-label collision"),
+    (lab_of(path_tree(4), [1, 2, 3, 4], 4), "edge-label collision"),
+], ids=["graceful", "label-repeat", "difference-repeat"])
+def test_array_labelling_verifies_like_its_dict(lab, reason):
+    arr = _arrayed(lab)
+    assert type(arr.psi) is LabelArray and type(lab.psi) is dict
+    want = verify_graceful(lab)
+    assert want.reason == reason
+    assert verify_graceful(arr) == want  # verdict, reason and witness
+    for q in (2, 3, 2 * lab.tree.n):
+        assert verify_harmonious(arr, q) == verify_harmonious(lab, q)
+    colour = {v: v % 2 for v in range(1, lab.tree.n + 1)}
+    assert (verify_bipartite_graceful(arr, colour)
+            == verify_bipartite_graceful(lab, colour))
 
 
 def test_bipartite_graceful_frozen():
