@@ -27,7 +27,7 @@ from .prepare import prepare_plan
 from .quasirandom import QuasiReport, check_quasi
 from .rng import Rng
 from .trees import Tree, parse_tree, random_tree
-from .verify import LabelArray, Labelling, verify_graceful
+from .verify import Labelling, label_array, verify_graceful
 
 
 def _gamma(x) -> Fraction:
@@ -356,13 +356,8 @@ def summary_json(summary: dict) -> str:
 
 
 def labelling_to_json(lab: Labelling) -> str:
-    n = lab.tree.n
-    if isinstance(lab.psi, LabelArray):
-        labels = lab.psi.array[1:n + 1].tolist()
-    else:
-        labels = [lab.psi[v] for v in range(1, n + 1)]
-    return json.dumps({"n": n, "m": lab.m, "labels": labels},
-                      indent=2)
+    return json.dumps({"n": lab.tree.n, "m": lab.m,
+                       "labels": lab.psi.array[1:].tolist()}, indent=2)
 
 
 def labelling_from_json(text: str, tree: Tree) -> Labelling:
@@ -382,8 +377,7 @@ def labelling_from_json(text: str, tree: Tree) -> Labelling:
         raise ValueError("labels must be a list of integers")
     if len(labels) != tree.n:
         raise ValueError(f"expected {tree.n} labels, got {len(labels)}")
-    return Labelling(tree, {v: labels[v - 1] for v in range(1, tree.n + 1)},
-                     d["m"])
+    return Labelling(tree, label_array(labels, d["m"]), d["m"])
 
 
 TRACE_COLUMNS = ("t", "chosen_label", "edge_label_removed", "rv", "re",

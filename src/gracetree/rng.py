@@ -42,6 +42,8 @@ class Rng:
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be non-negative")
         self.key = tuple(int(k) for k in key)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         self.np = np.random.Generator(np.random.PCG64(ss))

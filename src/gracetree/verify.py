@@ -9,15 +9,17 @@ into the complete graph on residues {0..2m-2}, and its 2m-1 cyclic
 shifts are pairwise edge-disjoint; they cover every host edge exactly
 once iff m equals the edge count plus one.
 
-A labelling the pipeline makes holds its labels in a LabelArray: one
-read-only int64 array indexed by vertex, which the numpy checks read
-as it is.  Any other Mapping of vertices to labels (a dict read from
-JSON, an exact search's result) is scanned into such an array first,
-or walked in Python when it is not plain.
+Every Labelling holds its labels in a LabelArray: one read-only int64
+array indexed by vertex, which every check reads.  The label loop's
+array is kept as it is; any other Mapping of vertices to labels (an
+exact search's result, a caller's dict) is read once at vertices 1..n
+into a new array, so a labelling that passed a check cannot change.
+Labels are integers in 1..min(m, 2^63 - 1), the most one int64 holds.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -45,7 +47,8 @@ _SHOWN = 5
 
 class LabelArray(Mapping):
     """Labels by vertex, read-only: a Mapping of 1..n onto the int64
-    array a (a[v] is the label of v, a[0] = 0).
+    array a (a[v] is the label of v, a[0] = 0), and the one form in
+    which a Labelling holds its labels.
 
     psi[v] is a Python int for v in 1..n and any other key raises
     KeyError, as with the dict of the same labels.  The constructor
@@ -73,80 +76,81 @@ class LabelArray(Mapping):
         return iter(range(1, len(self.array)))
 
 
-def _label_array(psi: Mapping[int, int], n: int) -> Optional[np.ndarray]:
-    """psi as an int64 array a with a[v] = psi[v] and a[0] = 0, or None
-    unless psi's keys are exactly the plain ints 1..n and its labels are
-    plain ints (not bool, float or numpy ints) that fit in int64.
+def _top(m: int) -> int:
+    """The largest label that bound m admits: m, capped at 2^63 - 1 so
+    that one int64 array holds every label; m < 1 raises ValueError."""
+    if m < 1:
+        raise ValueError(f"label bound m = {m} must be positive")
+    return min(m, 2 ** 63 - 1)
 
-    A LabelArray over 1..n gives its own read-only array, with no scan
-    and no copy.  n plain-int keys that all lie in 1..n are 1..n, since
-    dict keys are distinct.
-    """
-    if len(psi) != n:
-        return None
-    if type(psi) is LabelArray:
-        return psi.array
-    if set(map(type, psi)) | set(map(type, psi.values())) != {int}:
-        return None
+
+def _outside(labels: list, top: int) -> ValueError:
+    """The range error for labels (labels[v - 1] the label of v)."""
+    bad = [v for v, b in enumerate(labels, 1) if not 1 <= b <= top]
+    shown = {v: labels[v - 1] for v in bad[:_SHOWN]}
+    return ValueError(f"labels outside 1..{top} at {len(bad)} vertices, "
+                      f"first {shown}")
+
+
+def label_array(labels: list, m: int) -> LabelArray:
+    """A new LabelArray with labels[v - 1] at vertex v, where labels are
+    Python ints.  A label that int64 cannot hold is outside the range
+    of any bound m, so it raises the range error that Labelling(_, _, m)
+    would (or the error for m < 1)."""
+    a = np.zeros(len(labels) + 1, np.int64)
     try:
-        keys = np.fromiter(psi.keys(), np.int64, n)
-        vals = np.fromiter(psi.values(), np.int64, n)
+        a[1:] = labels
     except OverflowError:
-        return None
-    if keys.min() < 1 or keys.max() > n:
-        return None
-    a = np.zeros(n + 1, np.int64)
-    a[keys] = vals
-    return a
+        raise _outside(labels, _top(m)) from None
+    return LabelArray(a)
+
+
+def _read_labels(psi: Mapping, n: int) -> list:
+    """psi's labels at vertices 1..n as Python ints; a missing vertex or
+    a label that is not an integer (operator.index refuses it) raises
+    ValueError."""
+    missing = [v for v in range(1, n + 1) if v not in psi]
+    if missing:
+        raise ValueError(f"psi is not total: {len(missing)} vertices "
+                         f"missing, first {missing[:_SHOWN]}")
+    labels, bad = [], []
+    for v in range(1, n + 1):
+        try:
+            labels.append(operator.index(psi[v]))
+        except TypeError:
+            bad.append(v)
+    if bad:
+        raise ValueError(f"labels are not integers at {len(bad)} vertices, "
+                         f"first {bad[:_SHOWN]}")
+    return labels
 
 
 @dataclass(frozen=True)
 class Labelling:
     """An injection candidate psi: V(tree) -> [1, m].
 
-    Totality and range are construction invariants; injectivity and
-    the graceful condition are what the verifiers report on.  A
-    LabelArray over 1..n, or a psi whose keys are the plain ints 1..n
-    and whose labels are plain ints, is checked in numpy; any other psi
-    is walked in Python.  A failed check names how many vertices are
-    missing or out of range, and the first _SHOWN of them.
+    psi is always a LabelArray over 1..n.  One given as such is kept
+    with no copy; any other Mapping is read once at 1..n into a new
+    one (keys outside 1..n are ignored, bool labels read as 0 or 1).
+    Totality, integer labels and the range 1..min(m, 2^63 - 1) are
+    construction invariants; injectivity and the graceful condition are
+    what the verifiers report on.  A failed check names how many
+    vertices fail it, and the first _SHOWN of them.
     """
 
     tree: Tree
-    psi: Mapping[int, int]
+    psi: LabelArray
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"label bound m = {self.m} must be positive")
-        n, m = self.tree.n, self.m
-        a = _label_array(self.psi, n)
-        if a is not None:
-            labels = a[1:]
-            if 1 <= labels.min() and int(labels.max()) <= m:
-                return
-            bad = (np.flatnonzero((labels < 1) | (labels > m)) + 1).tolist()
-        else:
-            missing = [v for v in range(1, n + 1) if v not in self.psi]
-            if missing:
-                raise ValueError(f"psi is not total: {len(missing)} "
-                                 f"vertices missing, first "
-                                 f"{missing[:_SHOWN]}")
-            bad = [v for v in range(1, n + 1) if not 1 <= self.psi[v] <= m]
-            if not bad:
-                return
-        shown = {v: self.psi[v] for v in bad[:_SHOWN]}
-        raise ValueError(f"labels outside 1..{m} at {len(bad)} vertices, "
-                         f"first {shown}")
-
-    def edge_difference(self, u: int, v: int) -> int:
-        return abs(_plain(self.psi[u]) - _plain(self.psi[v]))
-
-
-def _plain(b):
-    """b as a Python int when it is a numpy int, so that differences of
-    numpy and huge Python labels cannot overflow int64."""
-    return int(b) if isinstance(b, np.integer) else b
+        top = _top(self.m)
+        n = self.tree.n
+        if type(self.psi) is not LabelArray or len(self.psi) != n:
+            object.__setattr__(
+                self, "psi", label_array(_read_labels(self.psi, n), self.m))
+        labels = self.psi.array[1:]
+        if labels.min() < 1 or labels.max() > top:
+            raise _outside(labels.tolist(), top)
 
 
 @dataclass(frozen=True)
@@ -159,10 +163,11 @@ class VerifyReport:
         return self.ok
 
 
-def _injectivity_failure(lab: Labelling) -> Optional[VerifyReport]:
+def _injectivity_failure(psi: list) -> Optional[VerifyReport]:
+    """The first repeated label of psi[1:] (psi[v] the label of v)."""
     seen = {}
-    for v in range(1, lab.tree.n + 1):
-        b = lab.psi[v]
+    for v in range(1, len(psi)):
+        b = psi[v]
         if b in seen:
             return VerifyReport(False, "vertex-label collision",
                                 (seen[b], v, b))
@@ -172,17 +177,13 @@ def _injectivity_failure(lab: Labelling) -> Optional[VerifyReport]:
 
 def _graceful_in_numpy(lab: Labelling) -> bool:
     """True when counts over the label array and the flat edge array
-    show psi injective with distinct edge differences; False when psi
-    is not plain (see _label_array), its labels leave 1.._DENSE * (n + 1),
-    or a count repeats."""
+    show psi injective with distinct edge differences; False when a
+    label exceeds _DENSE * (n + 1) or a count repeats."""
     n = lab.tree.n
-    a = _label_array(lab.psi, n)
-    if a is None:
+    a = lab.psi.array
+    if a[1:].max() > _DENSE * (n + 1):
         return False
-    labels = a[1:]
-    if labels.min() < 1 or labels.max() > _DENSE * (n + 1):
-        return False
-    if np.bincount(labels).max() > 1:
+    if np.bincount(a[1:]).max() > 1:
         return False
     if n == 1:
         return True
@@ -195,17 +196,18 @@ def verify_graceful(lab: Labelling) -> VerifyReport:
     """Pass iff psi is injective and edge differences never repeat.
 
     A labelling that _graceful_in_numpy passes is graceful; every other
-    one is walked vertex by vertex and edge by edge, which finds the
-    first collision and its witness.
+    one is walked vertex by vertex and edge by edge over the labels as
+    Python ints, which finds the first collision and its witness.
     """
     if _graceful_in_numpy(lab):
         return VerifyReport(True, "graceful")
-    clash = _injectivity_failure(lab)
+    psi = lab.psi.array.tolist()
+    clash = _injectivity_failure(psi)
     if clash is not None:
         return clash
     seen = {}
     for e in lab.tree.edges:
-        d = lab.edge_difference(*e)
+        d = abs(psi[e[0]] - psi[e[1]])
         if d in seen:
             return VerifyReport(False, "edge-label collision", (seen[d], e, d))
         seen[d] = e
@@ -239,12 +241,13 @@ def verify_harmonious(lab: Labelling, q: int) -> VerifyReport:
     """Pass iff psi is injective and edge sums mod q never repeat."""
     if q < 1:
         raise ValueError(f"modulus q = {q} must be positive")
-    clash = _injectivity_failure(lab)
+    psi = lab.psi.array.tolist()
+    clash = _injectivity_failure(psi)
     if clash is not None:
         return clash
     seen = {}
     for u, v in lab.tree.edges:
-        s = (lab.psi[u] + lab.psi[v]) % q
+        s = (psi[u] + psi[v]) % q
         if s in seen:
             return VerifyReport(False, "edge-sum collision",
                                 (seen[s], (u, v), s))

@@ -50,6 +50,7 @@ one Interval per position.
 import bisect
 import heapq
 import json
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -506,18 +507,25 @@ def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
 
 def old_labelling_check(tree, psi, m):
     """Labelling.__post_init__ as a walk: None, or the ValueError text,
-    which counts the missing or out-of-range vertices and names the
-    first five in vertex order."""
+    which counts the missing, non-integer or out-of-range vertices and
+    names the first five in vertex order.  Labels lie in
+    1..min(m, 2^63 - 1), and are shown as Python ints."""
     if m < 1:
         return f"label bound m = {m} must be positive"
     missing = [v for v in range(1, tree.n + 1) if v not in psi]
     if missing:
         return (f"psi is not total: {len(missing)} vertices missing, "
                 f"first {missing[:5]}")
-    bad = [v for v in range(1, tree.n + 1) if not 1 <= psi[v] <= m]
+    odd = [v for v in range(1, tree.n + 1)
+           if not isinstance(psi[v], numbers.Integral)]
+    if odd:
+        return (f"labels are not integers at {len(odd)} vertices, "
+                f"first {odd[:5]}")
+    top = min(m, 2 ** 63 - 1)
+    bad = [v for v in range(1, tree.n + 1) if not 1 <= psi[v] <= top]
     if bad:
-        return (f"labels outside 1..{m} at {len(bad)} vertices, first "
-                f"{ {v: psi[v] for v in bad[:5]} }")
+        return (f"labels outside 1..{top} at {len(bad)} vertices, first "
+                f"{ {v: int(psi[v]) for v in bad[:5]} }")
     return None
 
 

@@ -597,3 +597,41 @@ def test_verify_names_how_many_labels_are_out_of_range(tmp_path, capsys):
         "error": "ValueError",
         "message": f"labels outside 1..100 at {len(bad)} vertices, "
                    f"first {shown}"}
+
+
+def test_verify_refuses_labels_beyond_int64(tmp_path, capsys):
+    # one label of 2^70: out of range under the file's own m, and beyond
+    # the int64 bound 2^63 - 1 when m is larger still
+    for m, top in [(3, 3), (2**71, 2**63 - 1)]:
+        tree, lab = write_p3(tmp_path, labels=(1, 2**70, 2), m=m)
+        code, out, err = run_cli(capsys, "verify", "--tree", tree,
+                                 "--labels", lab)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"labels outside 1..{top} at 1 vertices, "
+                       f"first {{2: {2**70}}}"}
+    tree, lab = write_p3(tmp_path)
+    code, out, _ = run_cli(capsys, "verify", "--tree", tree, "--labels", lab,
+                           "--m", str(2**64))
+    assert code == 0 and json.loads(out)["graceful"]["ok"] is True
+
+
+def test_negative_seed_is_refused_by_name(tmp_path, capsys):
+    tree = str(tmp_path / "t.txt")
+    assert run_cli(capsys, "generate", "--n", "20", "--seed", "1",
+                   "--out", tree)[0] == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(CONFIG_BASE, seed=-1)))
+    out = tmp_path / "out"
+    for argv, seed in [
+            (["generate", "--n", "20", "--seed", "-1", "--out", str(out)], -1),
+            (["label", "--tree", tree, "--gamma", "1", "--m", "2", "--ell",
+              "4", "--seed", "-3", "--out", str(out),
+              "--trace", str(out) + ".csv"], -3),
+            (["experiment", "--config", str(cfg), "--out-dir", str(out)], -1)]:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and json.loads(err) == {
+            "error": "ValueError",
+            "message": f"seed = {seed} must be non-negative"}
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "t.txt"]

@@ -241,9 +241,11 @@ def test_pipeline_labellings_hold_a_label_array():
     assert not tr.result.psi.array.flags.writeable
     labs = run_experiment(cfg).labellings
     assert labs and all(type(lab.psi) is LabelArray for lab in labs.values())
-    # the dict form of the same labels writes the same bytes
+    # the dict form of the same labels is read into a new array that
+    # writes the same bytes
     as_dict = Labelling(tr.tree, dict(tr.labelling.psi), tr.labelling.m)
-    assert type(as_dict.psi) is dict
+    assert type(as_dict.psi) is LabelArray
+    assert as_dict.psi is not tr.labelling.psi
     assert labelling_to_json(as_dict) == labelling_to_json(tr.labelling)
 
 
@@ -268,6 +270,30 @@ def test_trial_memory_per_vertex():
     assert tr.record.outcome == "success"
     assert (kept - base) / n < 50
     assert (peak - base) / n < 225
+
+
+def test_labelling_file_memory_per_vertex():
+    # what `gracetree verify` keeps of a labels file and its peak, per
+    # vertex: a dict of the labels took 89 and 122 bytes per vertex
+    # here, the label array built from the JSON list 8 and 45
+    n = 20_000
+    cfg = ExperimentConfig(n=(n,), gamma=Fraction(1, 2), m=128, ell=512,
+                           trials=1, seed=7, checkpoint_every=0,
+                           max_component=32)
+    tree = random_tree(n, Rng(7))
+    text = labelling_to_json(run_trial(cfg, 0, 0, tree=tree).labelling)
+    verify_graceful(labelling_from_json(text, tree))  # caches settle first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lab = labelling_from_json(text, tree)
+        rep = verify_graceful(lab)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert (kept - base) / n < 16
+    assert (peak - base) / n < 64
 
 
 def test_tree_file_source(tmp_path):

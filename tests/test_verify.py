@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +11,7 @@ from gracetree.exact import exact_graceful
 from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree, star_tree
 from gracetree.verify import (LabelArray, Labelling, Packing, VerifyReport,
-                              _graceful_in_numpy, _label_array,
-                              build_cyclic_packing,
+                              _graceful_in_numpy, build_cyclic_packing,
                               verify_bipartite_graceful, verify_graceful,
                               verify_harmonious, verify_packing)
 from oracles import old_labelling_check, old_verify_graceful
@@ -83,9 +83,10 @@ def test_construction_errors_count_the_offenders():
             Labelling(tree, psi, 1)
         assert str(exc.value) == ("labels outside 1..1 at 1999 vertices, "
                                   "first {2: 2, 3: 3, 4: 4, 5: 5, 6: 6}")
-    walked = {v: float(v) for v in range(1, 2001)}  # not plain: walked
-    with pytest.raises(ValueError, match="outside 1..1 at 1999 vertices"):
-        Labelling(tree, walked, 1)
+    with pytest.raises(ValueError) as exc:
+        Labelling(tree, {v: float(v) for v in range(1, 2001)}, 1)
+    assert str(exc.value) == ("labels are not integers at 2000 vertices, "
+                              "first [1, 2, 3, 4, 5]")
 
 
 def _arrayed(lab):
@@ -101,7 +102,7 @@ def test_label_array_is_a_read_only_dict_of_its_labels():
     psi = lab.psi
     with pytest.raises(ValueError):
         psi.array[1] = 3
-    assert _label_array(psi, 9) is psi.array
+    assert Labelling(lab.tree, psi, lab.m).psi is psi  # kept, no copy
     assert len(psi) == 9 and list(psi) == list(range(1, 10))
     for v in range(1, 10):
         assert type(psi[v]) is int and psi[v] == psi.array[v]
@@ -123,7 +124,7 @@ def test_label_array_is_a_read_only_dict_of_its_labels():
 ], ids=["graceful", "label-repeat", "difference-repeat"])
 def test_array_labelling_verifies_like_its_dict(lab, reason):
     arr = _arrayed(lab)
-    assert type(arr.psi) is LabelArray and type(lab.psi) is dict
+    assert type(lab.psi) is LabelArray and lab.psi == arr.psi
     want = verify_graceful(lab)
     assert want.reason == reason
     assert verify_graceful(arr) == want  # verdict, reason and witness
@@ -223,21 +224,53 @@ def test_zigzag_is_bipartite_graceful():
 
 
 
-def test_non_integer_labels_are_compared_exactly():
-    # differences 1.5 and 1.5 repeat; truncated to ints they would not
-    lab = Labelling(star_tree(3), {1: 3, 2: 1.5, 3: 4.5}, 5)
-    assert verify_graceful(lab).reason == "edge-label collision"
+@pytest.mark.parametrize("odd", [1.5, 2.0, np.float64(2), Fraction(2), "2"],
+                         ids=["half", "float", "numpy", "fraction", "str"])
+def test_non_integer_labels_are_refused(odd):
+    # an equal float is refused too: labels are read with operator.index
+    with pytest.raises(ValueError) as exc:
+        Labelling(star_tree(3), {1: 3, 2: odd, 3: odd}, 5)
+    assert str(exc.value) == ("labels are not integers at 2 vertices, "
+                              "first [2, 3]")
 
 
-def test_numpy_and_huge_labels_are_compared_as_python_ints():
-    # np.int64(1) - 2**70 overflows int64; the walk must still report
-    lab = Labelling(path_tree(3), {1: np.int64(1), 2: 2**70,
-                                   3: np.int64(2)}, 2**71)
-    assert verify_graceful(lab) == VerifyReport(True, "graceful")
-    lab = Labelling(path_tree(3), {1: np.int64(1), 2: 2**70, 3: 2**71 - 1},
-                    2**71)
+def test_numpy_and_bool_labels_read_as_python_ints():
+    lab = Labelling(path_tree(3), {1: np.int64(1), 2: np.uint64(3),
+                                   3: True}, 2**71)
+    assert [type(b) for b in lab.psi.values()] == [int, int, int]
+    assert dict(lab.psi) == {1: 1, 2: 3, 3: 1}
     assert verify_graceful(lab) == VerifyReport(
-        False, "edge-label collision", ((1, 2), (2, 3), 2**70 - 1))
+        False, "vertex-label collision", (1, 3, 1))
+
+
+def test_labels_beyond_int64_are_refused():
+    # m may be any positive int, but one int64 array holds the labels
+    top = 2**63 - 1
+    for m, label in [(2**71, 2**70), (2**71, 2**63), (top, -(2**70))]:
+        with pytest.raises(ValueError) as exc:
+            Labelling(path_tree(3), {1: 1, 2: label, 3: 2}, m)
+        assert str(exc.value) == (f"labels outside 1..{top} at 1 vertices, "
+                                  f"first {{2: {label}}}")
+    with pytest.raises(ValueError) as exc:
+        Labelling(path_tree(3), {1: 1, 2: 2**70, 3: 2}, 100)
+    assert str(exc.value) == ("labels outside 1..100 at 1 vertices, "
+                              f"first {{2: {2**70}}}")
+    lab = Labelling(path_tree(3), {1: 1, 2: top, 3: 2}, 2**71)
+    assert verify_graceful(lab) == VerifyReport(True, "graceful")
+
+
+@pytest.mark.parametrize("label", [0, -5, 3])
+def test_a_checked_labelling_ignores_its_source_dict(label):
+    # out of range (0, -5) or a repeated label (3): the caller's dict
+    # changes after construction, the labelling does not
+    psi = {1: 1, 2: 3, 3: 2}
+    lab = Labelling(path_tree(3), psi, 3)
+    psi[1] = label
+    assert dict(lab.psi) == {1: 1, 2: 3, 3: 2}
+    assert verify_graceful(lab) == VerifyReport(True, "graceful")
+    pack = build_cyclic_packing(lab)
+    assert pack == build_cyclic_packing(lab_of(path_tree(3), [1, 3, 2], 3))
+    assert verify_packing(pack).decomposition
 
 
 def _permuted(shape, n, rnd):
@@ -299,7 +332,7 @@ def _labelling_case(draw):
         psi[rnd.choice([0, n + 1, -5])] = rnd.randint(1, m)
     elif fault == "moved-key":  # n keys, not 1..n
         psi[rnd.choice([0, n + 1, -5])] = psi.pop(v)
-    elif fault == "float":  # equal to an int, but not a plain int
+    elif fault == "float":  # equal to an int, refused all the same
         psi[v] = float(psi[v])
     elif fault == "half":
         psi[v] = psi[v] + 0.5
@@ -317,7 +350,7 @@ def _labelling_case(draw):
         m = rnd.choice([0, -2, max(psi.values()) - 1, max(psi.values())])
     elif fault == "mutate-after":
         after = (v, rnd.choice([0, -3, psi[u], m + 1, 2**70, 1.5]))
-    # an equal label of another type sends any of the above to the walk
+    # an equal label of another type: read as an int, or refused
     cast = draw(st.sampled_from([None, None, None, np.int64, float]))
     w = rnd.randint(1, n)
     if cast is not None and type(psi.get(w)) is int and abs(psi[w]) < 2**62:
@@ -344,14 +377,10 @@ def test_verification_matches_the_exact_walk(case):
         assert str(exc) == want_error
         return
     assert want_error is None
+    # the verdict of the labels at construction, whatever psi becomes
+    want = _outcome(old_verify_graceful, SimpleNamespace(tree=tree, psi=psi))
     if after is not None:
         psi[after[0]] = after[1]
-    want = _outcome(old_verify_graceful, lab)
-    if want[0] is OverflowError:  # np.int64 minus a huge int, now exact
-        plain = {v: int(b) if isinstance(b, np.integer) else b
-                 for v, b in psi.items()}
-        want = _outcome(old_verify_graceful,
-                        SimpleNamespace(tree=tree, psi=plain))
     assert _outcome(verify_graceful, lab) == want
 
 
@@ -362,5 +391,5 @@ def test_graceful_labellings_take_the_numpy_path():
         lab = Labelling(tree, psi, m)
         assert _graceful_in_numpy(lab)
         assert verify_graceful(lab) == VerifyReport(True, "graceful")
-    lab = Labelling(tree, {**psi, 1: float(psi[1])}, m)
-    assert not _graceful_in_numpy(lab) and verify_graceful(lab).ok
+    lab = Labelling(tree, {**psi, 1: np.int64(psi[1])}, m)  # read as ints
+    assert _graceful_in_numpy(lab) and verify_graceful(lab).ok
