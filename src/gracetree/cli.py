@@ -2,8 +2,8 @@
 
 Subcommands: generate, label, verify, exact, pack, experiment.  Errors
 print one JSON object {"error", "message"} on stderr; exit codes are 0
-(ok), 1 (bad input, I/O, or a failed verification), 2 (labelling gave
-up after its retry budget).
+(ok), 1 (a bad command line, bad input, I/O, or a failed verification),
+2 (labelling gave up after its retry budget).
 """
 
 from __future__ import annotations
@@ -137,8 +137,17 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ValueError, so that main
+    reports them as the one-line JSON error; subparsers take the same
+    class, and --help still prints and exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gracetree")
+    p = _Parser(prog="gracetree")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a uniform random tree")
@@ -191,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError, RuntimeError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},

@@ -101,12 +101,14 @@ def cut_tree_by_size(t: Tree, max_size: int) -> frozenset[tuple[int, int]]:
         raise PrepareError(f"max_size must be >= 1, got {max_size}")
     n = t.n
     bfs, parent = _ranks(t)
-    # the children of rank k are ranks first[k] .. first[k + 1] - 1
-    first = np.searchsorted(parent, np.arange(n + 1)).tolist()
-    up = parent.tolist()
-    size = [1] * n  # the order of k's side once k is done
+    # the children of rank k are ranks first[k] .. first[k + 1] - 1: one
+    # plus the ranks with a parent below k, the root counting as one
+    first = np.cumsum(np.bincount(parent + 1, minlength=n + 1)).tolist()
+    # the order of k's side once k is done; the root adds its own to
+    # the spare last entry, which its parent rank -1 indexes
+    size = [1] * n + [0]
     cuts: list[int] = []  # the child rank of each removed edge
-    for k in range(n - 1, -1, -1):
+    for k, p in zip(range(n - 1, -1, -1), parent[::-1].tolist()):
         s = size[k]
         if s > max_size:
             # a reverse sort is stable: equal orders stay in rank order
@@ -118,8 +120,7 @@ def cut_tree_by_size(t: Tree, max_size: int) -> frozenset[tuple[int, int]]:
                 if s <= max_size:
                     break
             size[k] = s
-        if k:
-            size[up[k]] += s
+        size[p] += s
     c = np.array(cuts, np.intp)
     ends = np.sort(np.stack((bfs[parent[c]], bfs[c]), axis=1), axis=1)
     return frozenset(map(tuple, ends.tolist()))
@@ -171,11 +172,12 @@ def order_vertices(
     than v's.  So the parent is the only earlier neighbour.
 
     The component of each vertex is found by pointer doubling over the
-    BFS tree with its cut edges dropped, and one stable sort by the BFS
-    rank of the component's first vertex gives the order, O(n log n) in
-    C.  Pairs of removed that are not edges of t are ignored.  With
-    nothing removed, the order is the BFS and parent_pos its parent
-    ranks.
+    BFS tree with its cut edges dropped, and one stable sort by the
+    component, numbered in the BFS rank of its first vertex, gives the
+    order: a radix sort in C while there are at most 2^16 components,
+    else O(n log n).  Pairs of removed that are not edges of t are
+    ignored.  With nothing removed, the order is the BFS and parent_pos
+    its parent ranks.
     """
     n = t.n
     bfs, parent = _ranks(t)
@@ -188,7 +190,15 @@ def order_vertices(
     up[0] = 0
     up[heads] = heads
     first, _ = _climb(up, np.zeros(n, np.uint8))
-    perm = np.argsort(first, kind="stable")
+    # components numbered by the rank of their first vertex, in the
+    # narrowest unsigned type, so that the stable sort is a radix sort
+    # while there are at most 2^16 of them
+    head = np.zeros(n, bool)
+    head[0] = True
+    head[heads] = True
+    comp = np.cumsum(head) - 1
+    perm = np.argsort(comp.astype(np.min_scalar_type(comp[-1]))[first],
+                      kind="stable")
     pos = np.empty(n, np.intp)
     pos[perm] = np.arange(n)
     parent_pos = parent[perm]

@@ -76,8 +76,8 @@ class Tree:
     per-vertex Python objects:
 
     - off, nbr: CSR adjacency.  The neighbours of v are
-      nbr[off[v]:off[v+1]], in the input order of the edges that join
-      them; off has n + 2 entries, off[0] = off[1] = 0.
+      nbr[off[v]:off[v+1]], in increasing id; off has n + 2 entries,
+      off[0] = off[1] = 0.
     - edges.ends: the edges as (min, max) pairs in input order.
     - bfs, parent: the BFS of the tree from vertex 1 that visits
       neighbours in increasing id.  bfs[k] is the vertex of rank k, and
@@ -87,11 +87,11 @@ class Tree:
       edges.  The cut, the ordering, the exact search and the parity
       colouring all read this one search.
 
-    Construction is one sort of the edge ends by vertex in numpy, on
-    the unique keys end * 2m + index so that an unstable sort keeps the
-    input order within a vertex (O(n log n) in C), a cumulative count
-    for the offsets, and one BFS from vertex 1 (scipy's
-    breadth_first_order, which sorts each neighbour list, O(n) in C).
+    Construction is one sort of the edge ends in numpy on the keys
+    end * (n + 1) + other, which orders them by vertex and each row by
+    id (O(n log n) in C), a cumulative count for the offsets, and one
+    BFS from vertex 1 (scipy's breadth_first_order, O(n) in C, which
+    reads the sorted rows as they are).
     The checks are ids in 1..n and n - 1 edges on the arrays, then that
     the BFS reaches all n vertices.  n - 1 edges that connect 1..n have
     no self-loop and no parallel edge; when a check fails, the edge
@@ -129,17 +129,17 @@ class Tree:
         ends = np.empty(2 * m, np.intc)
         ends[0::2] = np.minimum(a, b)
         ends[1::2] = np.maximum(a, b)
-        other = ends.reshape(-1, 2)[:, ::-1].ravel()
         key = ends.astype(np.int64)
-        key *= 2 * m
-        key += np.arange(2 * m)
+        key *= n + 1
+        key += ends.reshape(-1, 2)[:, ::-1].ravel()
         key.sort()
-        nbr = other[key % (2 * m)]
+        nbr = (key % (n + 1)).astype(np.intc)
         off = np.zeros(n + 2, np.intc)
         np.cumsum(np.bincount(ends, minlength=n + 1), out=off[1:])
-        # vertex 0 is an isolated row of its own
-        graph = csr_matrix((np.ones(2 * m, np.int8), nbr, off),
-                           shape=(n + 1, n + 1))
+        # vertex 0 is an isolated row of its own; rows in increasing id
+        # and float64 data are what the BFS reads, so it neither sorts
+        # nor casts a copy
+        graph = csr_matrix((np.ones(2 * m), nbr, off), shape=(n + 1, n + 1))
         bfs, pred = breadth_first_order(graph, 1, directed=True,
                                         return_predecessors=True)
         if len(bfs) != n:

@@ -44,7 +44,11 @@ the golden plan digests hash; plan_intervals gives a plan's target
 interval per position.  old_assign_intervals is
 prepare.assign_intervals as one Python pass over the ordering, before
 it became array passes: the same draws and orientations, returned as
-one Interval per position.
+one Interval per position.  old_order_vertices is
+prepare.order_vertices by its first rule, a stable argsort of each
+BFS rank's component head rank (found here by one pass down the BFS),
+before the sort key became the component's number in the narrowest
+unsigned type.
 """
 
 import bisect
@@ -127,7 +131,7 @@ def x4(a, a2, slot):
 
 
 def neighbours(t, v):
-    """v's neighbours in t, in input edge order."""
+    """v's neighbours in t, in increasing id."""
     return t.nbr[t.off[v]:t.off[v + 1]]
 
 
@@ -169,6 +173,31 @@ def plan_to_json(plan, ell) -> str:
 def plan_intervals(plan, sys):
     """The target interval of each position of plan."""
     return [Interval(lo, lo + sys.ell - 1) for lo in plan.lo.tolist()]
+
+
+def old_order_vertices(t, removed):
+    """order_vertices as a stable argsort of the head ranks: (order,
+    parent_pos) as int arrays."""
+    bfs = np.frombuffer(t.bfs, np.intc)
+    parent = np.frombuffer(t.parent, np.intc).tolist()
+    rank = {v: k for k, v in enumerate(bfs.tolist())}
+    heads = set()
+    for u, v in removed:
+        if u in rank and v in rank:
+            a, b = rank[u], rank[v]
+            if parent[a] == b:
+                heads.add(a)
+            elif parent[b] == a:
+                heads.add(b)
+    first = [0] * t.n
+    for k in range(1, t.n):
+        first[k] = k if k in heads else first[parent[k]]
+    perm = np.argsort(np.array(first, np.intp), kind="stable")
+    pos = np.empty(t.n, np.intp)
+    pos[perm] = np.arange(t.n)
+    parent_pos = np.array(parent, np.intp)[perm]
+    parent_pos[1:] = pos[parent_pos[1:]]
+    return bfs[perm], parent_pos
 
 
 def old_assign_intervals(removed, ordering, sys, rng):

@@ -635,3 +635,49 @@ def test_negative_seed_is_refused_by_name(tmp_path, capsys):
             "error": "ValueError",
             "message": f"seed = {seed} must be non-negative"}
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "t.txt"]
+
+
+# Each subcommand's required options, and one of its int options (None
+# when it has none).  The files are never read: a bad command line is
+# refused before any work.
+REQUIRED = {
+    "generate": (["--n", "5", "--seed", "1", "--out", "t"], "--n"),
+    "label": (["--tree", "t", "--gamma", "1/2", "--m", "8", "--ell", "8",
+               "--seed", "1"], "--m"),
+    "verify": (["--tree", "t", "--labels", "l"], "--m"),
+    "exact": (["--tree", "t"], "--cap"),
+    "pack": (["--tree", "t", "--labels", "l", "--out", "o"], None),
+    "experiment": (["--config", "c"], None),
+}
+
+
+def bad_command_lines():
+    """(argv, option the error names) for each subcommand: its last
+    required option dropped, a non-integer int option, and an unknown
+    option; then no subcommand and an unknown one."""
+    for command, (required, int_option) in REQUIRED.items():
+        yield [command, *required[:-2]], required[-2]
+        if int_option is not None:
+            yield [command, *required, int_option, "abc"], int_option
+        yield [command, *required, "--bogus"], "--bogus"
+    yield [], "command"
+    yield ["bogus"], "bogus"
+
+
+@pytest.mark.parametrize("argv, needle", list(bad_command_lines()))
+def test_bad_command_line_keeps_error_contract(argv, needle, tmp_path,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_quiet(argv, with_out=True)
+    assert code == 1 and out == ""
+    assert_contract(code, err)
+    assert needle in json.loads(err)["message"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["label", "--help"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: gracetree" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,8 @@ from gracetree.rng import Rng
 from gracetree.trees import (Tree, broom_tree, caterpillar_tree, path_tree,
                              prufer_decode, random_tree, spider_tree,
                              star_tree)
-from oracles import (neighbours, old_assign_intervals, plan_intervals,
-                     plan_to_json)
+from oracles import (neighbours, old_assign_intervals, old_order_vertices,
+                     plan_intervals, plan_to_json)
 
 
 def components(t, removed):
@@ -151,6 +152,44 @@ def test_order_contiguous_components_random():
             v = order[i]
             earlier = [w for w in neighbours(t, v) if pos[w] < i]
             assert earlier == [order[parent_pos[i]]]
+
+
+@pytest.mark.parametrize("n, key", [(2 ** 17, np.uint16),
+                                    (2 ** 17 + 1, np.uint32)])
+def test_order_sort_key_at_the_16_bit_boundary(n, key, monkeypatch):
+    # a path cut into pairs: 2^16 components, then 2^16 + 1 with the
+    # root alone; the stable sort reads 16-bit keys, then 32-bit ones,
+    # and gives the order of a stable sort on the head ranks either way
+    t = path_tree(n)
+    removed = cut_tree_by_size(t, 2)
+    assert len(removed) + 1 == n - n // 2
+    keys = []
+
+    def argsort(a, *args, **kwargs):
+        keys.append(a.dtype)
+        return sort(a, *args, **kwargs)
+
+    sort = np.argsort
+    monkeypatch.setattr(np, "argsort", argsort)
+    order, parent_pos = order_vertices(t, removed)
+    monkeypatch.undo()
+    assert keys == [key]
+    want = old_order_vertices(t, removed)
+    assert np.array_equal(order, want[0])
+    assert np.array_equal(parent_pos, want[1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_tree(500, Rng(3)), lambda: spider_tree(300, 9),
+    lambda: caterpillar_tree(400, 40, lambda i: 1 + i % 4),
+    lambda: broom_tree(300, 100),
+])
+@pytest.mark.parametrize("cap", [1, 3, 25, 10 ** 6])
+def test_order_matches_a_sort_on_head_ranks(make, cap):
+    t = make()
+    removed = cut_tree_by_size(t, cap)
+    got, want = order_vertices(t, removed), old_order_vertices(t, removed)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import numpy as np
@@ -165,7 +166,9 @@ def test_text_format_strict():
 
 def parsed(parse, text):
     """(n, edges, neighbour lists of 0..n) of a parsed tree, or the
-    ValueError's message."""
+    ValueError's message.  A Tree keeps each neighbour list in
+    increasing id, so the oracle's lists, in input edge order, are
+    sorted."""
     try:
         t = parse(text)
     except ValueError as exc:
@@ -174,7 +177,7 @@ def parsed(parse, text):
         return (t.n, list(t.edges),
                 [list(neighbours(t, v)) for v in range(t.n + 1)])
     n, edges, adj = t
-    return n, list(edges), [list(a) for a in adj]
+    return n, list(edges), [sorted(a) for a in adj]
 
 
 @settings(max_examples=400, deadline=None)
@@ -253,13 +256,13 @@ def csr_bytes(t):
     return bytes(t.off), bytes(t.nbr), bytes(t.edges.ends)
 
 
-def stable_csr(n, edges):
-    """off and nbr bytes as a stable argsort of the edge ends builds them."""
+def sorted_csr(n, edges):
+    """off and nbr bytes of the CSR whose rows are in increasing id."""
     ends = np.array(edges, np.intc).reshape(-1)
     other = ends.reshape(-1, 2)[:, ::-1].ravel()
     off = np.zeros(n + 2, np.intc)
     np.cumsum(np.bincount(ends, minlength=n + 1), out=off[1:])
-    return off.tobytes(), other[np.argsort(ends, kind="stable")].tobytes()
+    return off.tobytes(), other[np.lexsort((other, ends))].tobytes()
 
 
 @pytest.mark.parametrize("make", [
@@ -274,10 +277,30 @@ def test_canonical_text_parses_to_the_same_bytes(make):
     got = parse_tree(text)
     assert csr_bytes(got) == csr_bytes(t)
     # as the per-line path reads it (a padded line is not canonical) and
-    # as a stable sort of the ends lays it out
+    # as the CSR with rows in increasing id lays it out
     assert csr_bytes(parse_tree(text.replace("\n", " \n"))) == csr_bytes(t)
-    assert stable_csr(t.n, list(t.edges)) == csr_bytes(t)[:2]
+    assert sorted_csr(t.n, list(t.edges)) == csr_bytes(t)[:2]
     assert parsed(parse_tree, text) == parsed(old_parse_tree, text)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_tree(300, Rng(4)), lambda: prufer_decode([3, 3, 1], 5),
+    lambda: path_tree(50), lambda: star_tree(40), lambda: broom_tree(60, 20),
+    lambda: caterpillar_tree(70, 12, lambda i: 1 + i % 3),
+    lambda: spider_tree(61, 7),
+])
+def test_shuffled_edges_give_the_same_csr(make):
+    # each shape fed back in shuffled order, each edge's ends in a random
+    # order: the same off and nbr bytes, every row in increasing id
+    t = make()
+    rnd = random.Random(t.n)
+    edges = [(u, v) if rnd.random() < 0.5 else (v, u) for u, v in t.edges]
+    rnd.shuffle(edges)
+    got = Tree(t.n, edges)
+    assert csr_bytes(got)[:2] == csr_bytes(t)[:2] == sorted_csr(t.n, edges)
+    for v in range(1, t.n + 1):
+        row = list(neighbours(got, v))
+        assert row == sorted(set(row))
 
 
 @pytest.mark.parametrize("edit", [
