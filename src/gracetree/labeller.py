@@ -63,16 +63,19 @@ FAIL_CORE = "core-removal"
 
 # uniform positions a draw tries before it reads its whole window (see
 # _attempt and pick_free).  On a shared 2-vCPU host a label try that
-# misses costs about 0.26 us (one next() of an offset iterator and one
-# or two byte reads).  The fallback costs about 6 us at ell = 512, 12 us
-# at 5120 and 70 us at 51200 when the parent's label lies below the
-# window, and 7, 21 and 150 us when it lies above (C's slice is then
-# read backwards); numpy's call overhead dominates at 512, the window's
-# nonzero() at 51200.  On a random 10^5-vertex tree (gamma = 1/2,
-# m = ell/4) 7.2% of label draws miss 8 tries and 1.8% miss 16, so
-# tries 9..16 cost at most 0.58 tries (0.15 us) per draw and save
-# fallbacks worth about 0.3 us at ell = 512, and more at wider windows.
-K = 16
+# misses costs 0.12-0.24 us (one next() of an offset iterator and one
+# or two byte reads).  The fallback costs 3-5 us at ell = 512, 7-11 us
+# at 5120 and 50-70 us at 51200 when the parent's label lies below the
+# window, and 4-6, 12-19 and 95-110 us when it lies above (C's slice is
+# then read backwards).  On random trees at gamma = 1/2 with components
+# capped at 32, 1.8% of label draws miss 16 tries and 0.005-0.007% miss
+# 64, at n = 10^5 and 10^6 with m = 128, ell = 512, and at n = 10^6 with
+# m = 12800, ell = 51200 (2.3% and 0.006% there).  At ell = 512 tries
+# 17..64 cost about what the fallbacks they save did (the 10^6 label
+# stage takes 1.05-1.41 s at K = 64 and 1.09-1.37 s at K = 16); at
+# ell = 51200 they cut it from 4.3-4.7 s to 1.6-2.0 s, and at n = 2*10^6,
+# ell = 102400 from 14.0-14.8 s to 4.5-4.6 s.
+K = 64
 TRIES = range(K)
 
 

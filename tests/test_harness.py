@@ -85,7 +85,7 @@ def test_trial_failure_record():
     tr = run_trial(cfg, 0, 0, collect_trace=True)
     rec = tr.record
     assert rec.outcome == "fail" and tr.labelling is None
-    assert rec.failure_site == "choose-label" and rec.failure_step == 153
+    assert rec.failure_site == "corv-removal" and rec.failure_step == 169
     assert rec.attempts == 1
     assert rec.quasi1_max_dev == -1.0  # no checkpoints fired
     assert rec.steps == len(tr.result.trace) == rec.failure_step - 1
@@ -377,13 +377,13 @@ def test_untraced_record_equals_traced():
 
 
 def test_reports_are_scoped_to_the_last_attempt():
-    # attempts fail at steps 1503, 1119, 891 and 916: the first two pass
+    # attempts fail at steps 1421, 1109, 972 and 916: the first two pass
     # the checkpoint at 1000, the last two die before it
     cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=16, ell=128,
                            trials=1, seed=6, checkpoint_every=1000)
     tr = run_trial(cfg, 0, 0)
     steps = [f.step for f in tr.result.failures]
-    assert steps == [1503, 1119, 891, 916]
+    assert steps == [1421, 1109, 972, 916]
     assert tr.reports == ()
     rec = tr.record
     assert rec.quasi1_max_dev == rec.quasi2_max_dev == -1.0
@@ -395,17 +395,19 @@ def test_reports_are_scoped_to_the_last_attempt():
 # They also pin the plan: all were re-recorded when the vertex order
 # became BFS by component (order_vertices), as was GOLDEN_RETRIES, and
 # the success ones again, with GOLDEN_RETRIES, when the cut moved to the
-# same BFS from vertex 1 (the retry run's plan did not move).
+# same BFS from vertex 1 (the retry run's plan did not move).  GOLDEN
+# and GOLDEN_RETRIES were re-recorded once more when a draw's tries went
+# from 16 to 64 (labeller.K); no plan moved.
 # GOLDEN_MASK_SELECT are the same runs when every draw skips its tries
 # and reads its whole window (labeller.TRIES empty): the mask-and-select
 # draws that the rejection draws replaced, and still fall back to.
 GOLDEN = {
     "success_labelling":
-        "660f0fd1749d3b591c9ffea5388f2cdcff532fe158e1c03c99f92cdd8480332c",
+        "c577a6637f9a008336300a1c7f109b13157951a75f889e60e13571e84d2e2002",
     "success_trace":
-        "842cba99ef3f1be8c722770cd65206c17555770453bcfe4d329dfadaefebc249",
+        "6304ebef63b6e68bea5dfc15483390599325697ca9a0769e0f1be71988bfd9af",
     "retry_trace":
-        "025546321919fd8fe6e8220f56d47670f2ee150a59ef49bce0e16b0c0c3f019a",
+        "8392afed575fce76939a992a3f68e370b9704d9d5c28729695a410d2df17a524",
 }
 GOLDEN_MASK_SELECT = {
     "success_labelling":
@@ -455,12 +457,12 @@ GOLDEN_RETRIES = [
     (dict(gamma=Fraction(1, 5), seed=0), "fail", 4,
      "fedef14390fb15a1a78b33e92b8e167e1b09a36418f3848c48f38d852bd2a915",
      None,
-     "1b46a6bc11c42f17a98ede25c3c853d587a503e559f2edad17fcf2b1c4fbe95f"),
+     "b51b705f896a751823a3887bab9db26f6a00e4f09ca35a481bf9a6b8905b80d7"),
     (dict(gamma=Fraction(1, 2), seed=5, retries=6, max_component=8),
      "success", 3,
-     "4f3887bacc5ec25bc900fa309646df227147759e6b775dd98200ee4fe0531cd0",
-     "1b9cf7c6a1db547ec7580d8b6f4244aad7edc2acb2092d3c50b42d48010c761c",
-     "59673b9ca155eda09346f50e322c4fe3c3fceddc8af273e891e0f556e920c772"),
+     "51443c4561462cfc6f334281a82eabcebd297e576956803380878695f2c49d18",
+     "b1dd18cca9994d94e0a76dc9817218501d6b0dedecb8188bfcc74380abd4a199",
+     "22452c9cde4fd84c06add92143261cc05acad23cd684dd9e39dde683fa120d03"),
 ]
 
 

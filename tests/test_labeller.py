@@ -324,12 +324,16 @@ DRAWS = 20_000
 # (parent label, target window) of each label-draw case: the parent
 # below the window (C read forwards), inside it (both sides) or above
 # it (C read backwards); "first" reads differences from 1, "last" up to
-# n_tilde - 1 and "top" from the top label
+# n_tilde - 1 and "top" from the top label.  The sparse cases leave 4
+# admissible labels of 64, so that (1 - 4/64)^K, about 1.6% of draws at
+# K = 64, reach the fallback; "sparse-X" does so at case X's window.
 LAW_CASES = {
     "dense": (300, WIN), "sparse": (300, WIN), "empty": (300, WIN),
     "inside": (1030, WIN), "above": (1800, WIN), "first": (65, FIRST),
     "last": (1, LAST), "top": (NT, FIRST),
 }
+LAW_CASES.update({"sparse-" + case: LAW_CASES[case]
+                  for case in ("inside", "above", "first", "last", "top")})
 
 
 def _law_state(case):
@@ -352,6 +356,21 @@ def _law_state(case):
             remove_diff(state, d)
         for b in rnd.sample(range(WIN.lo, WIN.hi + 1), 20):
             if b != a:
+                remove_label(state, b)
+    elif case.startswith("sparse-"):
+        # 4 admissible labels kept; every other one loses its label or
+        # its difference, whichever a coin says, unless a kept label
+        # needs that difference
+        keep = set(rnd.sample([b for b in range(iv.lo, iv.hi + 1)
+                               if b != a], 4))
+        kept = {abs(b - a) for b in keep}
+        for b in range(iv.lo, iv.hi + 1):
+            d = abs(b - a)
+            if b in keep or not state.diffs[d]:
+                continue
+            if d not in kept and rnd.random() < 0.5:
+                remove_diff(state, d)
+            else:
                 remove_label(state, b)
     elif case == "empty":  # labels free, no difference to the window
         for d in range(WIN.lo - a, WIN.hi - a + 1):
@@ -422,10 +441,14 @@ def _assert_law(draw, mask_bits, lo, w, seed, size):
 
 @pytest.mark.parametrize("case, size", [
     ("dense", 52), ("sparse", 4), ("inside", 15), ("above", 16),
-    ("empty", 0), ("first", 15), ("last", 17), ("top", 14)])
+    ("empty", 0), ("first", 15), ("last", 17), ("top", 14),
+    ("sparse-inside", 4), ("sparse-above", 4), ("sparse-first", 4),
+    ("sparse-last", 4), ("sparse-top", 4)])
 def test_label_draw_is_uniform_on_the_admissible_set(case, size):
     state, a, iv = _law_state(case)
     w = iv.hi - iv.lo + 1
+    if case.startswith("sparse"):  # hundreds of fallbacks expected
+        assert DRAWS * (1 - size / w) ** K >= 100
     mask_bits = to_int(state.admissible_mask(a, iv))
     labels, diffs = (set(iter_bits(x)) for x in full_ints(state))
     assert ({iv.lo + k for k in iter_bits(mask_bits)}
@@ -441,6 +464,8 @@ def test_label_draw_is_uniform_on_the_admissible_set(case, size):
 def test_correction_pick_is_uniform_on_the_free_set(kind, case, size):
     free, lo = _pick_state(case, kind)
     m = LAW_SYS.m
+    if case == "sparse":  # hundreds of fallbacks expected
+        assert DRAWS * (1 - size / m) ** K >= 100
     _assert_law(lambda rb: pick_free(free, lo, m, map(rb, repeat(m)), rb),
                 window(to_int(free), lo, m), lo, m, seed=12, size=size)
 
@@ -454,7 +479,8 @@ def test_without_tries_the_draws_are_mask_and_select(case, monkeypatch):
     for _ in range(500):
         assert (draw_label(state, a, iv, iter(()), got.randbelow)
                 == mask_select_label(state, a, iv, want.randbelow))
-    pick_case = "dense" if case in ("inside", "above", "top") else case
+    pick_case = case if case in ("sparse", "empty", "first",
+                                 "last") else "dense"
     for kind in ("label", "diff"):
         free, lo = _pick_state(pick_case, kind)
         for _ in range(500):
