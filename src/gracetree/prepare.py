@@ -190,15 +190,13 @@ def order_vertices(
     up[0] = 0
     up[heads] = heads
     first, _ = _climb(up, np.zeros(n, np.uint8))
-    # components numbered by the rank of their first vertex, in the
-    # narrowest unsigned type, so that the stable sort is a radix sort
-    # while there are at most 2^16 of them
+    # components numbered 0, 1, ... in the rank of their first vertex,
+    # in the narrowest unsigned type, so that the stable sort is a radix
+    # sort while there are at most 2^16 of them
     head = np.zeros(n, bool)
-    head[0] = True
     head[heads] = True
-    comp = np.cumsum(head) - 1
-    perm = np.argsort(comp.astype(np.min_scalar_type(comp[-1]))[first],
-                      kind="stable")
+    comp = np.cumsum(head, dtype=np.min_scalar_type(len(heads)))
+    perm = np.argsort(comp[first], kind="stable")
     pos = np.empty(n, np.intp)
     pos[perm] = np.arange(n)
     parent_pos = parent[perm]

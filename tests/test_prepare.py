@@ -164,12 +164,12 @@ def test_order_sort_key_at_the_16_bit_boundary(n, key, monkeypatch):
     removed = cut_tree_by_size(t, 2)
     assert len(removed) + 1 == n - n // 2
     keys = []
+    sort = np.argsort
 
     def argsort(a, *args, **kwargs):
         keys.append(a.dtype)
         return sort(a, *args, **kwargs)
 
-    sort = np.argsort
     monkeypatch.setattr(np, "argsort", argsort)
     order, parent_pos = order_vertices(t, removed)
     monkeypatch.undo()
