@@ -22,20 +22,12 @@ from typing import Dict, List, Optional, Tuple
 from . import prepare
 from .intervals import IntervalSystem
 from .labeller import LabelResult, run_labelling
-from .params import ParamError, Params, derive_practical_params
+from .params import ParamError, Params, derive_practical_params, read_gamma
 from .prepare import prepare_plan
 from .quasirandom import QuasiReport, check_quasi
 from .rng import Rng
 from .trees import Tree, parse_tree, random_tree
 from .verify import Labelling, label_array, verify_graceful
-
-
-def _gamma(x) -> Fraction:
-    """x as a Fraction; ParamError when it names none."""
-    try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ParamError(f"bad gamma {x!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -57,9 +49,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", tuple(int(x) for x in self.n))
-        object.__setattr__(self, "gamma", _gamma(self.gamma))
+        object.__setattr__(self, "gamma", read_gamma(self.gamma))
         if not self.n:
             raise ParamError("n list must not be empty")
+        if len(set(self.n)) < len(self.n):
+            raise ParamError(f"n repeats an order: {list(self.n)}")
         if self.trials < 0:
             raise ParamError("trials must be >= 0")
         if self.retries < 0:
@@ -106,7 +100,6 @@ def config_from_json(text: str) -> ExperimentConfig:
     gamma = d["gamma"]
     if not isinstance(gamma, (str, int, float)) or isinstance(gamma, bool):
         raise ParamError("gamma must be a fraction string or a number")
-    d["gamma"] = _gamma(gamma)
     for name, x in d.items():
         if name == "tree_source":
             ok = isinstance(x, str)
@@ -188,15 +181,15 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     plan = prepare_plan(tree, sys, label_rng.child(0).child(0),
                         max_component=cfg.max_component)
     # the cut and the ordering draw nothing from the rng: a retry redraws
-    # only the intervals, with the same draw law (read through the module,
-    # so a wrapper installed on prepare.assign_intervals sees retries too)
+    # only the intervals, with the same draw law, over the plan's own
+    # components (read through the module, so a wrapper installed on
+    # prepare.assign_intervals sees retries too)
     res = run_labelling(plan, sys, label_rng, max_retries=cfg.retries,
                         checkpoint_every=cfg.checkpoint_every,
                         on_checkpoint=on_checkpoint,
                         collect_trace=collect_trace,
                         replan=lambda r: prepare.assign_intervals(
-                            plan.removed_edges,
-                            (plan.order, plan.parent_pos), sys, r))
+                            plan, sys, r))
     reports = [r for k, r in tagged if k == res.attempts - 1]
 
     labelling = None

@@ -24,10 +24,13 @@ class ParamError(ValueError):
     requirement."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+def read_gamma(x) -> Fraction:
+    """x as a Fraction, a float by its decimal text (0.2 is 1/5);
+    ParamError when x names no fraction."""
+    try:
+        return Fraction(str(x) if isinstance(x, float) else x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParamError(f"bad gamma {x!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ def derive_practical_params(n: int, gamma, m: int, ell: int) -> Params:
     N = n_tilde/m windows and N - 2(ell/m - 1) target intervals, that
     mass is (N - 4(ell/m - 1)) / (N - 2(ell/m - 1)).
     """
-    gamma = _as_fraction(gamma)
+    gamma = read_gamma(gamma)
     n, m, ell = int(n), int(m), int(ell)
     if n < 2:
         raise ParamError("n must be at least 2")

@@ -12,7 +12,7 @@ randbelow, or by batches and offsets, never both (each reads ahead).
 Bounded draws come in two forms, both exact:
 
 - randbelow(n): one Python call per draw, Lemire's multiply-and-reject
-  on 64-bit words.
+  on the stream's raw PCG64 words.
 - batches(bound) and offsets(bound): mask-and-reject on the stream's raw
   PCG64 words.  With k = bit_length(bound - 1), a word x yields
   x & (2**k - 1) when that is below bound and nothing otherwise; the
@@ -62,8 +62,7 @@ class Rng:
         return w
 
     def _refill(self) -> None:
-        self._buf = self.np.integers(0, 1 << 64, size=_BUF,
-                                     dtype=np.uint64).tolist()
+        self._buf = self.np.bit_generator.random_raw(_BUF).tolist()
         self._pos = 0
 
     def randbelow(self, n: int) -> int:

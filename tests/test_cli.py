@@ -527,6 +527,7 @@ def test_verify_malformed_labels_named(tmp_path, capsys, labels, needle):
     ({"quasi_used_cap": 256}, "unknown config keys"),
     ({"ell": 0}, "need ell >= m: ell = 0, m = 2"),
     ({"ell": -2}, "need ell >= m: ell = -2, m = 2"),
+    ({"n": [24, 24]}, "n repeats an order: [24, 24]"),
 ])
 def test_experiment_malformed_config_named(tmp_path, capsys, change, needle):
     path = tmp_path / "cfg.json"

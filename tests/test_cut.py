@@ -240,7 +240,7 @@ def test_deep_shapes_cut_at_scale():
                         stack.append(w)
             sizes.append(count)
         assert max(sizes) <= 32, name
-        order, _ = order_vertices(t, removed)
+        order = order_vertices(t, removed).order
         runs = [comp[order[0]]]
         for v in order[1:]:
             if comp[v] != runs[-1]:

@@ -43,6 +43,27 @@ def test_config_validation():
         small_cfg(max_component=1)
 
 
+def test_repeated_order_refused():
+    # two entries of one order would share summary entries and the
+    # labelling files n<order>-t<trial>.json
+    with pytest.raises(ParamError, match=r"n repeats an order: \[200, 200\]"):
+        small_cfg(n=(200, 200), trials=2)
+    with pytest.raises(ParamError, match="n repeats an order"):
+        small_cfg(n=(100, 200, 100))
+
+
+def test_float_gamma_reads_as_its_decimal():
+    # a JSON float gives the config of its decimal text, as --gamma 0.2
+    # and derive_practical_params do, not that of its binary value
+    base = {"n": [160], "m": 32, "ell": 64, "trials": 1, "seed": 0}
+    cfg = config_from_json(json.dumps(dict(base, gamma=0.2)))
+    assert cfg == config_from_json(json.dumps(dict(base, gamma="1/5")))
+    assert cfg.gamma == Fraction(1, 5)
+    assert cfg.params_for(160).n_tilde == 192
+    assert json.loads(config_to_json(cfg))["gamma"] == "1/5"
+    assert ExperimentConfig(**dict(base, gamma=0.2)) == cfg
+
+
 def test_config_json_round_trip():
     cfg = small_cfg(gamma=Fraction(1, 2), max_component=None)
     back = config_from_json(config_to_json(cfg))

@@ -111,9 +111,9 @@ def test_cut_random_trees_respect_stated_bounds():
 
 def test_order_path_example():
     t = path_tree(3)
-    order, parent_pos = order_vertices(t, frozenset())
-    assert tuple(order) == (1, 2, 3)
-    assert tuple(parent_pos) == (-1, 0, 1)
+    o = order_vertices(t, frozenset())
+    assert tuple(o.order) == (1, 2, 3)
+    assert tuple(o.parent_pos) == (-1, 0, 1)
 
 
 def test_order_prefers_previous_component():
@@ -121,17 +121,19 @@ def test_order_prefers_previous_component():
     # finished before returning anywhere else
     t = path_tree(6)
     removed = frozenset({(3, 4)})
-    order, parent_pos = order_vertices(t, removed)
-    assert tuple(order) == (1, 2, 3, 4, 5, 6)
-    assert tuple(parent_pos) == (-1, 0, 1, 2, 3, 4)
+    o = order_vertices(t, removed)
+    assert tuple(o.order) == (1, 2, 3, 4, 5, 6)
+    assert tuple(o.parent_pos) == (-1, 0, 1, 2, 3, 4)
+    assert tuple(o.comp) == (0, 0, 0, 1, 1, 1)
+    assert tuple(o.parity) == (0, 1, 0, 0, 1, 0)
 
 
 def test_order_smallest_candidate_tiebreak():
     # star center 1: all leaves become candidates at once
     t = star_tree(5)
-    order, parent_pos = order_vertices(t, frozenset())
-    assert tuple(order) == (1, 2, 3, 4, 5)
-    assert tuple(parent_pos) == (-1, 0, 0, 0, 0)
+    o = order_vertices(t, frozenset())
+    assert tuple(o.order) == (1, 2, 3, 4, 5)
+    assert tuple(o.parent_pos) == (-1, 0, 0, 0, 0)
 
 
 def test_order_contiguous_components_random():
@@ -140,7 +142,8 @@ def test_order_contiguous_components_random():
         t = random_tree(200, rng)
         removed = cut_tree_by_size(t, 25)
         comp, _ = components(t, removed)
-        order, parent_pos = order_vertices(t, removed)
+        o = order_vertices(t, removed)
+        order, parent_pos = o.order, o.parent_pos
         assert sorted(order) == list(range(1, 201))
         seen_comps = []
         for v in order:
@@ -171,12 +174,12 @@ def test_order_sort_key_at_the_16_bit_boundary(n, key, monkeypatch):
         return sort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", argsort)
-    order, parent_pos = order_vertices(t, removed)
+    o = order_vertices(t, removed)
     monkeypatch.undo()
-    assert keys == [key]
+    assert keys == [key] and o.comp.dtype == key
     want = old_order_vertices(t, removed)
-    assert np.array_equal(order, want[0])
-    assert np.array_equal(parent_pos, want[1])
+    assert np.array_equal(o.order, want[0])
+    assert np.array_equal(o.parent_pos, want[1])
 
 
 @pytest.mark.parametrize("make", [
@@ -189,7 +192,8 @@ def test_order_matches_a_sort_on_head_ranks(make, cap):
     t = make()
     removed = cut_tree_by_size(t, cap)
     got, want = order_vertices(t, removed), old_order_vertices(t, removed)
-    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert np.array_equal(got.order, want[0])
+    assert np.array_equal(got.parent_pos, want[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,9 +217,9 @@ def test_cut_and_order_invariants(args):
     assert removed <= set(t.edges)
     _, sizes = components(t, removed)
     assert max(sizes) <= cap
-    order, parent_pos = order_vertices(t, removed)
-    assert order[0] == 1 and parent_pos[0] == -1
-    assert all(0 <= parent_pos[i] < i for i in range(1, n))
+    o = order_vertices(t, removed)
+    assert o.order[0] == 1 and o.parent_pos[0] == -1
+    assert all(0 <= o.parent_pos[i] < i for i in range(1, n))
 
 
 def bfs(t, start, removed=frozenset()):
@@ -264,10 +268,11 @@ def cut_trees(draw):
 @given(cut_trees())
 def test_order_is_bfs_by_component(case):
     t, removed = case
-    order, parent_pos = order_vertices(t, removed)
-    for a in (order, parent_pos):
+    o = order_vertices(t, removed)
+    for a in (o.order, o.parent_pos):
         assert a.dtype.kind == "i" and not a.flags.writeable
-    order, parent_pos = order.tolist(), parent_pos.tolist()
+    assert o.removed_edges is removed
+    order, parent_pos = o.order.tolist(), o.parent_pos.tolist()
     n = t.n
     assert order[0] == 1 and parent_pos[0] == -1
     assert sorted(order) == list(range(1, n + 1))
@@ -293,52 +298,71 @@ def test_order_is_bfs_by_component(case):
     assert [rank[v] for v in firsts] == sorted(rank[v] for v in firsts)
 
 
-@st.composite
-def orderings(draw, t):
-    """An ordering of t from any vertex in which each later vertex has
-    one earlier neighbour, grown at random, so components need not be
-    contiguous: (order, parent_pos)."""
-    rnd = draw(st.randoms(use_true_random=False))
-    start = rnd.randint(1, t.n)
-    order, parent_pos = [start], [-1]
-    pos = {start: 0}
-    frontier = [(w, 0) for w in neighbours(t, start)]
-    while frontier:
-        v, p = frontier.pop(rnd.randrange(len(frontier)))
-        pos[v] = len(order)
-        order.append(v)
-        parent_pos.append(p)
-        frontier += [(w, pos[v]) for w in neighbours(t, v) if w not in pos]
-    return tuple(order), tuple(parent_pos)
+def depths(t, start, removed):
+    """The distance from start of each vertex of its component once the
+    edges of removed are dropped."""
+    dist = {start: 0}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in neighbours(t, v):
+            if w not in dist and (min(v, w), max(v, w)) not in removed:
+                dist[w] = dist[v] + 1
+                stack.append(w)
+    return dist
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), cut_trees(), st.sampled_from(
+@given(cut_trees())
+def test_order_gives_components_and_parities(case):
+    # each position's component, numbered by first appearance, and its
+    # parity of distance from the component's first vertex, against a
+    # search of the cut tree from that vertex
+    t, removed = case
+    o = order_vertices(t, removed)
+    order = o.order.tolist()
+    number, depth = {}, {}
+    k = 0  # components found so far
+    for v in order:
+        if v not in depth:
+            dist = depths(t, v, removed)
+            number.update(dict.fromkeys(dist, k))
+            depth.update(dist)
+            k += 1
+    assert o.comp.tolist() == [number[v] for v in order]
+    assert o.parity.tolist() == [depth[v] % 2 for v in order]
+    assert o.comp.dtype == np.min_scalar_type(len(removed))
+    assert o.parity.dtype == np.uint8
+    assert not (o.comp.flags.writeable or o.parity.flags.writeable)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_trees(), st.sampled_from(
     [(24, 2, 4), (40, 4, 8), (3072, 32, 256)]), st.integers(0, 2 ** 32 - 1))
-def test_assign_matches_one_pass_oracle(data, case, system, seed):
+def test_assign_matches_one_pass_oracle(case, system, seed):
     # the array passes give the intervals of the one-pass assignment,
-    # with the same draws, on order_vertices' ordering and on orderings
-    # whose components are scattered
+    # with the same draws, on order_vertices' ordering, and keep the
+    # ordering's arrays as they are
     t, removed = case
     sys = IntervalSystem(*system)
-    for ordering in (order_vertices(t, removed), data.draw(orderings(t))):
-        rng, ref_rng = Rng(seed, key=(10,)), Rng(seed, key=(10,))
-        plan = assign_intervals(removed, ordering, sys, rng)
-        expect = old_assign_intervals(
-            removed, tuple(map(tuple, ordering)), sys, ref_rng)
-        assert plan_intervals(plan, sys) == list(expect)
-        assert rng.randbelow(1 << 30) == ref_rng.randbelow(1 << 30)
-        assert plan.order.tolist() == list(ordering[0])
-        assert plan.parent_pos.tolist() == list(ordering[1])
-        assert not (plan.order.flags.writeable or plan.lo.flags.writeable
-                    or plan.parent_pos.flags.writeable)
+    ordering = order_vertices(t, removed)
+    rng, ref_rng = Rng(seed, key=(10,)), Rng(seed, key=(10,))
+    plan = assign_intervals(ordering, sys, rng)
+    expect = old_assign_intervals(
+        removed, (ordering.order.tolist(), ordering.parent_pos.tolist()),
+        sys, ref_rng)
+    assert plan_intervals(plan, sys) == list(expect)
+    assert rng.randbelow(1 << 30) == ref_rng.randbelow(1 << 30)
+    for name in ("order", "parent_pos", "removed_edges", "comp", "parity"):
+        assert getattr(plan, name) is getattr(ordering, name)
+    assert not plan.lo.flags.writeable
 
 
 def test_assign_single_edge_component_example():
     sys = IntervalSystem(24, 4, 4)
     t = path_tree(2)
-    order = order_vertices(t, frozenset())
-    plan = assign_intervals(frozenset(), order, sys, FixedRng([0]))
+    plan = assign_intervals(order_vertices(t, frozenset()), sys,
+                            FixedRng([0]))
     assert plan_intervals(plan, sys) == [Interval(1, 4), Interval(21, 24)]
 
 
@@ -346,12 +370,12 @@ def test_assign_one_draw_per_component():
     sys = IntervalSystem(24, 2, 4)
     t = path_tree(6)
     removed = frozenset({(3, 4)})
-    order = order_vertices(t, removed)
+    ordering = order_vertices(t, removed)
     # the balanced draw for two components among ten intervals: a
     # partial shuffle picks interval 2, then 1 + 4 = 5, and the final
     # shuffle of the two picks keeps their order
     rng = FixedRng([2, 4, 0])
-    plan = assign_intervals(removed, order, sys, rng)
+    plan = assign_intervals(ordering, sys, rng)
     assert rng.values == []
     j0 = sys.j_intervals[2]
     j1 = sys.j_intervals[5]
@@ -373,8 +397,8 @@ def test_assign_complementary_on_surviving_edges():
         rng = Rng(seed, key=(3,))
         t = random_tree(60, rng.child(0))
         removed = cut_tree_by_size(t, 12)
-        order = order_vertices(t, removed)
-        plan = assign_intervals(removed, order, sys, rng.child(1))
+        plan = assign_intervals(order_vertices(t, removed), sys,
+                                rng.child(1))
         interval_of = plan_intervals(plan, sys)
         pos = {v: i for i, v in enumerate(plan.order)}
         for u, v in t.edges:
@@ -431,9 +455,28 @@ def test_one_search_per_tree_built(monkeypatch):
                         max_component=12)
     assert calls == [] and plan.removed_edges
     # with nothing cut, the ordering is the tree's BFS
-    order, parent_pos = order_vertices(t, frozenset())
-    assert (order.tolist(), parent_pos.tolist()) == (list(t.bfs),
-                                                     list(t.parent))
+    o = order_vertices(t, frozenset())
+    assert (o.order.tolist(), o.parent_pos.tolist()) == (list(t.bfs),
+                                                         list(t.parent))
+
+
+def test_one_component_search_per_trial(monkeypatch):
+    # the ordering's pointer doubling is a trial's only component search:
+    # the assignment and every retry's new draw read its components and
+    # parities
+    from fractions import Fraction
+
+    from gracetree import prepare
+    from gracetree.harness import ExperimentConfig, run_trial
+
+    climb = prepare._climb
+    calls = []
+    monkeypatch.setattr(prepare, "_climb",
+                        lambda *a: calls.append(1) or climb(*a))
+    cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=32, ell=512,
+                           trials=1, seed=0, checkpoint_every=0)
+    assert run_trial(cfg, 0, 0).result.attempts == cfg.retries + 1 == 4
+    assert calls == [1]
 
 
 def _component_pairs(plan, sys):
@@ -500,7 +543,7 @@ def test_balanced_draw_root_interval_is_uniform():
     ordering = order_vertices(t, removed)
     counts = dict.fromkeys(sys.j_intervals, 0)
     for seed in range(2400):
-        plan = assign_intervals(removed, ordering, sys, Rng(seed, key=(7,)))
+        plan = assign_intervals(ordering, sys, Rng(seed, key=(7,)))
         counts[plan_intervals(plan, sys)[0]] += 1
     assert (len(removed) + 1) % len(counts)  # the remainder draw matters
     assert chisquare(list(counts.values())).pvalue > 1e-3
