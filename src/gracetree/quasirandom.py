@@ -1,110 +1,161 @@
 """Quasirandomness diagnostics over label-state snapshots.
 
 Four local structure patterns are counted against a snapshot (A, C) of
-free vertex and edge labels, read where the labeller keeps them: every
-slot is a slice of the LabelState's bool views, read either directly
-(X1, X2's second slot) or through LabelState.admissible_mask, the
-window reader of the label loop's fallback.  X1 is a bare free slot, X3
-an anchor joined to a free slot, X2 an anchor plus a fixed edge label
-between two free slots, and X4 two anchors joined through one free
-slot.  Counts on width-m slots never exceed m.  Their deviations from
-the ambient density prediction are the QUASI2 statistic.  The ambient
-count is the count on the full state (every label and every difference
-free), so it depends only on the pattern's geometry and has a closed
-form.  QUASI1 compares the free differences of every edge window with
-their expected number.  Once per checkpoint A and C are packed into
-64-bit words (np.packbits); all QUASI1 window counts are ranks in C's
+free vertex and edge labels, read where the labeller keeps them: the
+LabelState's bytearrays, byte v is 1 iff v is free.  X1 is a bare free
+slot, X3 an anchor joined to a free slot, X2 an anchor plus a fixed
+edge label between two free slots, and X4 two anchors joined through
+one free slot.  Counts on width-m slots never exceed m.  Their
+deviations from the ambient density prediction are the QUASI2
+statistic.  The ambient count is the count on the full state (every
+label and every difference free), so it depends only on the pattern's
+geometry and has a closed form.  QUASI1 compares the free differences
+of every edge window with their expected number.
+
+A checkpoint is a few array passes.  A and C are packed once into
+64-bit words (np.packbits): all QUASI1 window counts are ranks in C's
 words, and the sample's anchors and fixed edge labels are selects in
-A's and C's.  Every deviation is an exact integer ratio, rounded once
-to a float.  All counting is read-only.
+A's and C's.  The sample is drawn from the audit stream by five
+Rng.draws reads, in this order: the slots of all four kinds (X1, X2,
+X3 and X4, per_kind each), X2's partner-slot offsets, the anchor ranks
+(X2's, X3's and X4's first anchors), X4's second-anchor ranks, and the
+fixed edge labels' ranks.  The audit stream is read by draws alone.
+Each kind's patterns are then counted together: their width-m rows of
+A's and C's bytes are gathered through strided views of the two
+bytearrays, C's rows read as the label draw's fallback reads them
+(LabelState.admissible_mask), and each row is summed.  Every deviation
+is an exact integer ratio, rounded once to a float.  All counting is
+read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .intervals import Interval, IntervalSystem
+from .intervals import IntervalSystem
 from .labeller import LabelState
 from .rng import Rng
 
 _FREE = {"X1": 1, "X2": 3, "X3": 2, "X4": 3}
+# _LOW[p]: the bits of a 64-bit word below bit p
+_LOW = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 
-def _overlap(x: np.ndarray, y: np.ndarray, s: int) -> int:
-    """Number of k with x[k] and y[k + s] both set."""
-    if s < 0:  # the same pairs, read from y's side
-        x, y, s = y, x, -s
-    n = min(len(x), len(y) - s)
-    return int(np.count_nonzero(x[:n] & y[s:s + n])) if n > 0 else 0
+def _rows(buf, w: int, reverse: bool = False) -> np.ndarray:
+    """buf's len(buf) - w + 1 windows of w bytes as one uint8 view, no
+    copy: row r is bytes r..r+w-1, in reverse order when reverse.
+    Indexing it with an array of rows gathers them."""
+    return np.ndarray((len(buf) - w + 1, w), np.uint8, buf,
+                      offset=w - 1 if reverse else 0,
+                      strides=(1, -1 if reverse else 1))
 
 
-def _count(state: LabelState, kind: str, a, a2, c, iv: Interval,
-           iv2) -> int:
-    """Number of label choices for the free slots of one pattern inside
-    the free labels A and free differences C of state.
+def _diff_rows(diffs: bytearray, a: np.ndarray, lo: np.ndarray,
+               w: int) -> np.ndarray:
+    """Row i holds the difference window of anchor a[i] over the slot
+    lo[i]..lo[i]+w-1, as admissible_mask reads it: entry j is 1 iff
+    difference |lo[i] + j - a[i]| is free."""
+    d = lo - a
+    # a below the slot: label b needs difference b - a
+    rows = _rows(diffs, w)[np.maximum(d, 0)]
+    # a above it: difference a - b, read backwards from a - hi
+    i = np.flatnonzero(d <= 0)
+    rows[i] = _rows(diffs, w, True)[np.maximum(1 - w - d[i], 0)]
+    i = i[d[i] > -w]
+    if len(i):  # a inside: both sides; difference 0, at b = a, is never free
+        rows[i] = np.frombuffer(diffs, np.uint8)[
+            np.abs(np.arange(w) + d[i, None])]
+    return rows
 
-    The pattern is given by its fields, as _sample builds them: kind is
-    X1..X4, a and a2 are anchor labels, c is X2's fixed edge label, iv
-    the slot and iv2 X2's second slot; fields a kind does not use are
-    None.  Chosen vertex labels come from A restricted to the slots,
-    chosen edge labels from C, and all labels within one instance are
-    distinct (for X2 also distinct from the fixed edge label c).  Every
-    count is read from the state's slot windows, so it costs O(width)
-    bytes of numpy work.
+
+def _clear(hits: np.ndarray, lo: np.ndarray, *labels: np.ndarray) -> None:
+    """Clear, in each row i of hits (the slot lo[i]..), the entry of
+    each given label array's i-th label when it lies in the slot."""
+    for b in labels:
+        j = b - lo
+        i = np.flatnonzero((0 <= j) & (j < hits.shape[1]))
+        hits[i, j[i]] = 0
+
+
+def _counts(state: LabelState, w: int, kind: str, lo: np.ndarray, a=None,
+            a2=None, c=None, lo2=None) -> np.ndarray:
+    """Number of label choices for the free slots of each of k patterns
+    of one kind, inside the free labels A and free differences C of
+    state.
+
+    The patterns are given by int64 arrays of length k: lo the slots'
+    first labels (every slot lo..lo+w-1), a and a2 anchor labels, c X2's
+    fixed edge labels and lo2 X2's second slots; fields a kind does not
+    use are None.  Chosen vertex labels come from A restricted to the
+    slots, chosen edge labels from C, and all labels within one instance
+    are distinct (for X2 also distinct from the fixed edge label c).
+    The counts are row sums of (k, w) byte blocks, so a call costs
+    O(k * w) bytes of numpy work.
     """
-    if kind == "X1":
-        return int(np.count_nonzero(state.label_view[iv.lo:iv.hi + 1]))
-    hits = state.admissible_mask(a, iv)
-    if kind == "X3":
-        return int(np.count_nonzero(hits))
+    labels = _rows(state.labels, w)
+    hits = labels[lo]
+    if kind != "X1":
+        hits &= _diff_rows(state.diffs, a, lo, w)
     if kind == "X4":
-        hits &= state.admissible_mask(a2, iv)
+        hits &= _diff_rows(state.diffs, a2, lo, w)
+        # equal induced labels force b equidistant from both anchors;
+        # for an odd a + a2 there is no such b, and lo - 1, outside the
+        # slot, stands in for it
         twice_mid = a + a2
-        # equal induced labels force b equidistant from both anchors
-        if twice_mid % 2 == 0 and iv.lo <= twice_mid // 2 <= iv.hi:
-            hits[twice_mid // 2 - iv.lo] = 0
-        return int(np.count_nonzero(hits))
-    # X2: the induced label |a - b| may not repeat the fixed label c
-    for b in (a - c, a + c):
-        if iv.lo <= b <= iv.hi:
-            hits[b - iv.lo] = 0
-    # partner b' = b + c or b - c; b' = a is impossible once |a - b| != c.
-    # Entry k of hits is label iv.lo + k, so b +- c sits at entry
-    # iv.lo +- c - iv2.lo of slot2's window.
-    avail2 = state.label_view[iv2.lo:iv2.hi + 1]
-    return (_overlap(hits, avail2, iv.lo + c - iv2.lo)
-            + _overlap(hits, avail2, iv.lo - c - iv2.lo))
+        _clear(hits, lo, np.where(twice_mid % 2, lo - 1, twice_mid // 2))
+    if kind != "X2":
+        return hits.sum(1)
+    # the induced label |a - b| may not repeat the fixed label c
+    _clear(hits, lo, a - c, a + c)
+    # partner b' = b + c or b - c, free and in slot 2; b' = a is
+    # impossible once |a - b| != c.  Entry j of a row is label lo + j,
+    # so its partner sits at entry j + s of slot 2's row, for
+    # s = lo +- c - lo2.  Slot 2's rows are padded with w zeros on each
+    # side, and a shift past them reads zeros too.
+    k = len(lo)
+    pad = np.zeros((k, 3 * w), np.uint8)
+    pad[:, w:2 * w] = labels[lo2]
+    shifted = np.ndarray((k, 2 * w + 1, w), np.uint8, pad,
+                         strides=(3 * w, 1, 1))
+    s = np.stack((lo + c - lo2, lo - c - lo2), 1)
+    partners = shifted[np.arange(k)[:, None],
+                       np.minimum(np.maximum(s, -w), w) + w]
+    return (hits[:, None] & partners).sum((1, 2))
 
 
-def _ambient(kind: str, a, a2, c, iv: Interval, iv2) -> int:
-    """_count on the full state, where every label 1..n_tilde and every
+def _ambients(w: int, kind: str, lo: np.ndarray, a=None, a2=None, c=None,
+              lo2=None) -> np.ndarray:
+    """_counts on the full state, where every label 1..n_tilde and every
     difference 1..n_tilde-1 is free, for slots inside 1..n_tilde.
 
     There a slot label b is admissible against an anchor exactly when
-    b is not the anchor, so the count is the slot width less the labels
-    the pattern bans.
+    b is not the anchor, so each count is the slot width less the
+    labels the pattern bans.
     """
-    lo, hi = iv
+    def inside(v, x=lo, y=lo + (w - 1)):
+        return (x <= v) & (v <= y)
+
     if kind == "X1":
-        return hi - lo + 1
+        return np.full(len(lo), w)
     if kind == "X3":
-        return hi - lo + 1 - (lo <= a <= hi)
+        return w - inside(a)
     if kind == "X4":
         twice_mid = a + a2
-        return (hi - lo + 1 - (lo <= a <= hi) - (lo <= a2 <= hi)
-                - (twice_mid % 2 == 0 and lo <= twice_mid // 2 <= hi))
-    # X2: sources b whose partner b + s lies in slot2, for s = +c and
-    # -c, less the banned sources a, a - c and a + c among them
-    total = 0
-    for s in (c, -c):
-        x, y = max(lo, iv2.lo - s), min(hi, iv2.hi - s)
-        if x <= y:
-            total += (y - x + 1 - (x <= a <= y) - (x <= a - c <= y)
-                      - (x <= a + c <= y))
-    return total
+        return (w - inside(a) - inside(a2)
+                - ((twice_mid % 2 == 0) & inside(twice_mid // 2)))
+    # X2: sources b whose partner b + s lies in slot 2, for s = +c and
+    # -c (the columns), less the banned sources a, a - c and a + c
+    # among them; an empty range x > y counts 0
+    s = np.stack((c, -c), 1)
+    x = np.maximum(lo[:, None], lo2[:, None] - s)
+    y = np.minimum(lo[:, None], lo2[:, None] - s) + (w - 1)
+    free = y - x + 1
+    for v in (a, a - c, a + c):
+        free -= inside(v[:, None], x, y)
+    return np.maximum(free, 0).sum(1)
 
 
 @dataclass(frozen=True)
@@ -152,19 +203,20 @@ class _Words:
             self.words[w] & ((1 << (p & 63)) - 1))
 
 
-def select(free: _Words, ranks: List[int]) -> List[int]:
-    """The k-th (0-based, ascending) free value for each k in ranks: the
-    word by a search of free.below, then the bit by a running count over
-    that word's 64 bits.  perfbench's traced runs time the audit's
-    selects by replacing this module attribute, so _sample looks it up
-    at call time."""
-    k = np.array(ranks, np.int64)
-    w = np.searchsorted(free.below, k, side="right") - 1
-    bits = np.unpackbits(free.words[w].view(np.uint8).reshape(-1, 8),
-                         axis=1, bitorder="little")
-    seen = np.cumsum(bits, axis=1, dtype=np.int64)
-    hit = np.argmax(seen > (k - free.below[w])[:, None], axis=1)
-    return (64 * w + hit).tolist()
+def select(free: _Words, ranks: np.ndarray) -> np.ndarray:
+    """The k-th (0-based, ascending) free value for each k of the int64
+    array ranks: the word by a search of free.below, then the bit by a
+    six-step bisection on the set bits below each candidate position.
+    perfbench's traced runs time the audit's selects by replacing this
+    module attribute, so _sample looks it up at call time."""
+    w = np.searchsorted(free.below, ranks, side="right") - 1
+    word = free.words[w]
+    r = ranks - free.below[w]  # set bits of the word below the wanted one
+    pos = np.zeros(len(w), np.int64)
+    for step in (32, 16, 8, 4, 2, 1):
+        cand = pos + step
+        pos = np.where(np.bitwise_count(word & _LOW[cand]) <= r, cand, pos)
+    return 64 * w + pos
 
 
 def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
@@ -179,12 +231,12 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
     window lo on ties, before its one division.  The structure
     condition is checked on a seeded sample of per_kind patterns of
     each kind (kinds in order X1..X4; see _sample), so the report is a
-    deterministic function of (state, per_kind, rng state).  The
-    sample's values are all drawn first, in the order of one pattern
-    after another; then the anchor and fixed-edge ranks are mapped to
-    labels in one numpy pass per set, and each pattern is counted once
-    on state, its ambient count coming from _ambient.  Deviations are
-    reported in units of m.
+    deterministic function of (state, per_kind, rng state).  The sample
+    is five rng.draws reads, in the order the module docstring gives;
+    the anchor and fixed-edge ranks are mapped to labels by one select
+    per set.  Each kind's patterns are counted together (_counts), with
+    their ambient counts from the closed forms (_ambients).  Deviations
+    are reported in units of m.
     """
     m, nt = sys.m, sys.n_tilde
     size_a, size_c = state.size_a, state.size_c
@@ -206,12 +258,12 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
     devs = []
     if (per_kind > 0 and size_a >= 2 and size_c >= 1
             and len(sys.iv_intervals) >= 2):
-        scale = {kind: (nt ** f, size_a ** f, m * nt ** f)
-                 for kind, f in _FREE.items()}
-        for X in _sample(state, sys, per_kind, rng, diffs):
-            nt_f, size_f, den = scale[X[0]]
-            devs.append(abs(_count(state, *X) * nt_f
-                            - _ambient(*X) * size_f) / den)
+        for kind, fields in _sample(state, sys, per_kind, rng, diffs):
+            nt_f, size_f = nt ** _FREE[kind], size_a ** _FREE[kind]
+            den = m * nt_f
+            devs += [abs(x * nt_f - y * size_f) / den for x, y in zip(
+                _counts(state, m, kind, *fields).tolist(),
+                _ambients(m, kind, *fields).tolist())]
 
     return QuasiReport(checkpoint=t, alpha=float(alpha),
                        quasi1_max_dev=top / (m * nt),
@@ -220,38 +272,24 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
 
 def _sample(state: LabelState, sys: IntervalSystem, k: int, rng: Rng,
             diffs: _Words) -> list:
-    """k patterns of each kind as _count's field tuples: slots uniform
-    over the vertex windows (two distinct ones for X2), anchors uniform
-    over A (X4's second over A minus the first), fixed edge labels
-    uniform over C."""
-    slots = sys.iv_intervals
-    nslots = len(slots)
-    size_a = state.size_a
-    rb = rng.randbelow
-    x1s = [slots[rb(nslots)] for _ in range(k)]
-    ranks, c_ranks, pairs, x3s, x4s = [], [], [], [], []
-    for _ in range(k):
-        ranks.append(rb(size_a))
-        c_ranks.append(rb(state.size_c))
-        i = rb(nslots)
-        j = rb(nslots - 1)
-        pairs.append((slots[i], slots[j + (j >= i)]))
-    for _ in range(k):
-        ranks.append(rb(size_a))
-        x3s.append(slots[rb(nslots)])
-    for _ in range(k):
-        rank = rb(size_a)
-        # uniform over A minus the anchor: skip the anchor's rank
-        rank2 = rb(size_a - 1)
-        ranks += (rank, rank2 + (rank2 >= rank))
-        x4s.append(slots[rb(nslots)])
-    labels = select(_Words(state.label_view), ranks)
-    fixed = select(diffs, c_ranks)
-    return ([("X1", None, None, None, iv, None) for iv in x1s]
-            + [("X2", a, None, c, s1, s2)
-               for a, c, (s1, s2) in zip(labels[:k], fixed, pairs)]
-            + [("X3", a, None, None, iv, None)
-               for a, iv in zip(labels[k:2 * k], x3s)]
-            + [("X4", a, a2, None, iv, None)
-               for a, a2, iv in zip(labels[2 * k::2], labels[2 * k + 1::2],
-                                    x4s)])
+    """k patterns of each kind, as (kind, _counts' fields) in order
+    X1..X4: slots uniform over the vertex windows (two distinct ones
+    for X2), anchors uniform over A (X4's second over A minus the
+    first), fixed edge labels uniform over C.  The five draws reads
+    come in the order the module docstring gives."""
+    m = sys.m
+    slot = rng.draws(len(sys.iv_intervals), 4 * k)
+    # uniform over the slots other than X2's first: skip its index
+    slot2 = rng.draws(len(sys.iv_intervals) - 1, k)
+    slot2 += slot2 >= slot[k:2 * k]
+    rank = rng.draws(state.size_a, 3 * k)
+    # uniform over A minus X4's first anchor: skip the anchor's rank
+    rank2 = rng.draws(state.size_a - 1, k)
+    rank2 += rank2 >= rank[2 * k:]
+    fixed = select(diffs, rng.draws(state.size_c, k))
+    a = select(_Words(state.label_view), np.concatenate((rank, rank2)))
+    lo = 1 + m * slot  # slot s is iv_intervals[s] = (1 + m s, m + m s)
+    return [("X1", (lo[:k],)),
+            ("X2", (lo[k:2 * k], a[:k], None, fixed, 1 + m * slot2)),
+            ("X3", (lo[2 * k:3 * k], a[k:2 * k])),
+            ("X4", (lo[3 * k:], a[2 * k:3 * k], a[3 * k:]))]

@@ -7,22 +7,29 @@ address instead of by draw order: consumers that draw from a child
 stream never disturb the parent.  The addressing rule is part of the
 reproducibility contract; summaries that promise byte-identical output
 depend on it.  A stream serves one purpose and is read one way: by
-randbelow, or by batches and offsets, never both (each reads ahead).
+randbelow, by batches and offsets, or by draws, never two of these
+(randbelow and batches read ahead, and draws spends part of its last
+read).
 
-Bounded draws come in two forms, both exact:
+Bounded draws come in three forms, all exact:
 
 - randbelow(n): one Python call per draw, Lemire's multiply-and-reject
   on the stream's raw PCG64 words.
-- batches(bound) and offsets(bound): mask-and-reject on the stream's raw
-  PCG64 words.  With k = bit_length(bound - 1), a word x yields
-  x & (2**k - 1) when that is below bound and nothing otherwise; the
-  masked value is uniform on 0..2**k - 1, so an accepted one is uniform
-  on 0..bound - 1, and at least half the words are accepted.  The rule
+- batches(bound), offsets(bound) and draws(bound, count):
+  mask-and-reject on the stream's raw PCG64 words.  With
+  k = bit_length(bound - 1), a word x yields x & (2**k - 1) when that
+  is below bound and nothing otherwise; the masked value is uniform on
+  0..2**k - 1, so an accepted one is uniform on 0..bound - 1, and at
+  least half the words are accepted.  The rule
   reads words one at a time in stream order, so a batch of any size
   gives the same values as word-by-word reads (tests/oracles.py keeps
-  that reference).  It uses only numpy's raw word output, not
-  Generator.integers' bounded algorithm, which numpy does not promise
-  to keep stable across versions.
+  that reference).  batches and offsets are endless and read 4096 words
+  at a time; draws returns a given number of values from one call,
+  reading about as many words as they need (its read rule is in its
+  docstring), for a consumer that draws a few values per bound.  The
+  rule uses only numpy's raw word output, not Generator.integers'
+  bounded algorithm, which numpy does not promise to keep stable
+  across versions.
 """
 
 from __future__ import annotations
@@ -119,3 +126,23 @@ class Rng:
         in C between refills."""
         return chain.from_iterable(map(np.ndarray.tolist,
                                        self.batches(bound)))
+
+    def draws(self, bound: int, count: int) -> np.ndarray:
+        """The next count draws uniform on 0..bound - 1, as an int64
+        array, read in one call: the first count values that
+        batches(bound) would give from this stream's position.  Read rule: with
+        k = bit_length(bound - 1) and `need` values still to find, take
+        need * 2**k // bound + 64 raw words (the expected need plus a
+        margin), mask them and keep the accepted values; repeat while
+        fewer than count are held.  Words read past the count-th
+        accepted one are spent.  bound must lie in 1..2**63
+        (ValueError)."""
+        if not 1 <= bound <= 1 << 63:
+            raise ValueError("draws needs 1 <= bound <= 2**63")
+        span = 1 << (bound - 1).bit_length()
+        raw = self.np.bit_generator.random_raw
+        x = np.empty(0, np.uint64)
+        while len(x) < count:
+            w = raw((count - len(x)) * span // bound + 64) & (span - 1)
+            x = np.concatenate((x, w[w < bound]))
+        return x[:count].view(np.int64)

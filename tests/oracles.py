@@ -35,8 +35,11 @@ forms (one int per set; window shifts the whole int) that the byte
 state is checked against, and to_int turns a byte set (byte v is 1 iff
 v is in it) into such an int.  interval_width counts an interval's
 values, and contains tells whether one interval lies inside another.
-x1..x4 build the audit's patterns as the field tuples quasirandom._count
-takes.
+x1..x4 build the audit's patterns as the field tuples pattern_count
+takes.  pattern_count and pattern_ambient are the audit's count and
+ambient closed form one pattern at a time, as quasirandom carried them
+before it counted each kind's patterns together (_counts, _ambients);
+they are the reference those array counts are checked against.
 neighbours reads a vertex's slice of a tree's CSR adjacency, as
 Tree.neighbours did until only tests read it.  prufer_encode is the
 inverse of trees.prufer_decode, and plan_to_json the plan text that
@@ -618,7 +621,7 @@ def _diff_window(a, iv, c_bits):
 
 
 def full_count_structure(X, a_bits, c_bits):
-    """quasirandom._count on full-width ints A and C, for a pattern X
+    """pattern_count on full-width ints A and C, for a pattern X
     given as its field tuple."""
     kind, a, a2, c, iv, iv2 = X
     c_bits &= ~1
@@ -645,13 +648,71 @@ def full_count_structure(X, a_bits, c_bits):
     return up.bit_count() + down.bit_count()
 
 
+def _overlap(x, y, s):
+    """Number of k with x[k] and y[k + s] both set."""
+    if s < 0:  # the same pairs, read from y's side
+        x, y, s = y, x, -s
+    n = min(len(x), len(y) - s)
+    return int(np.count_nonzero(x[:n] & y[s:s + n])) if n > 0 else 0
+
+
+def pattern_count(state, kind, a, a2, c, iv, iv2):
+    """Number of label choices for the free slots of one pattern inside
+    the free labels A and free differences C of state, one pattern at a
+    time from admissible_mask and the label view (slots of any width;
+    kind X1..X4, a and a2 anchor labels, c X2's fixed edge label, iv the
+    slot and iv2 X2's second slot, None where a kind has no such
+    field)."""
+    if kind == "X1":
+        return int(np.count_nonzero(state.label_view[iv.lo:iv.hi + 1]))
+    hits = state.admissible_mask(a, iv)
+    if kind == "X3":
+        return int(np.count_nonzero(hits))
+    if kind == "X4":
+        hits &= state.admissible_mask(a2, iv)
+        twice_mid = a + a2
+        if twice_mid % 2 == 0 and iv.lo <= twice_mid // 2 <= iv.hi:
+            hits[twice_mid // 2 - iv.lo] = 0
+        return int(np.count_nonzero(hits))
+    for b in (a - c, a + c):
+        if iv.lo <= b <= iv.hi:
+            hits[b - iv.lo] = 0
+    # entry k of hits is label iv.lo + k, so b +- c sits at entry
+    # iv.lo +- c - iv2.lo of slot 2's window
+    avail2 = state.label_view[iv2.lo:iv2.hi + 1]
+    return (_overlap(hits, avail2, iv.lo + c - iv2.lo)
+            + _overlap(hits, avail2, iv.lo - c - iv2.lo))
+
+
+def pattern_ambient(kind, a, a2, c, iv, iv2):
+    """pattern_count on the full state, for slots inside 1..n_tilde, by
+    its closed form: the slot width less the labels the pattern bans."""
+    lo, hi = iv
+    if kind == "X1":
+        return hi - lo + 1
+    if kind == "X3":
+        return hi - lo + 1 - (lo <= a <= hi)
+    if kind == "X4":
+        twice_mid = a + a2
+        return (hi - lo + 1 - (lo <= a <= hi) - (lo <= a2 <= hi)
+                - (twice_mid % 2 == 0 and lo <= twice_mid // 2 <= hi))
+    total = 0
+    for s in (c, -c):
+        x, y = max(lo, iv2.lo - s), min(hi, iv2.hi - s)
+        if x <= y:
+            total += (y - x + 1 - (x <= a <= y) - (x <= a - c <= y)
+                      - (x <= a + c <= y))
+    return total
+
+
 def full_check_quasi(a_bits, c_bits, sys, alpha, per_kind, rng, t=0):
     """check_quasi on full-width ints: QUASI1 one window read at a time
     (its argmax the first window of largest integer deviation), each
     pattern counted on A, C and the full sets, deviations in Fraction
-    arithmetic, anchors drawn with a full-width select (the
-    anchored-label loop of the old sample spec is left out: no caller
-    used it)."""
+    arithmetic, the sample drawn by the five Rng.draws reads that
+    check_quasi documents, anchors and fixed labels mapped by a
+    full-width select one rank at a time (the anchored-label loop of the
+    old sample spec is left out: no caller used it)."""
     c_bits &= ~1
     m, nt = sys.m, sys.n_tilde
     size_a = a_bits.bit_count()
@@ -675,36 +736,30 @@ def full_check_quasi(a_bits, c_bits, sys, alpha, per_kind, rng, t=0):
         devs.append(float(abs(Fraction(cnt) - amb * dens ** _FREE[X[0]])
                           / m))
 
-    def pick(bits, size):
-        return select(bits, rng.randbelow(size))
-
     slots = sys.iv_intervals
     nslots = len(slots)
-
-    def rand_slot():
-        return slots[rng.randbelow(nslots)]
-
-    def rand_slot_pair():
-        i = rng.randbelow(nslots)
-        j = rng.randbelow(nslots - 1)
-        if j >= i:
-            j += 1
-        return slots[i], slots[j]
-
-    if per_kind > 0 and size_a >= 2 and size_c >= 1 and nslots >= 2:
-        for _ in range(per_kind):
-            push(x1(rand_slot()))
-        for _ in range(per_kind):
-            anchor = pick(a_bits, size_a)
-            fixed_c = pick(c_bits, size_c)
-            s1, s2 = rand_slot_pair()
-            push(x2(anchor, s1, fixed_c, s2))
-        for _ in range(per_kind):
-            push(x3(pick(a_bits, size_a), rand_slot()))
-        for _ in range(per_kind):
-            anchor = pick(a_bits, size_a)
-            other = pick(a_bits ^ (1 << anchor), size_a - 1)
-            push(x4(anchor, other, rand_slot()))
+    k = per_kind
+    if k > 0 and size_a >= 2 and size_c >= 1 and nslots >= 2:
+        # the five reads of the audit stream, in check_quasi's order
+        slot = rng.draws(nslots, 4 * k).tolist()
+        offset2 = rng.draws(nslots - 1, k).tolist()
+        rank = rng.draws(size_a, 3 * k).tolist()
+        rank2 = rng.draws(size_a - 1, k).tolist()
+        c_rank = rng.draws(size_c, k).tolist()
+        for i in range(k):
+            push(x1(slots[slot[i]]))
+        for i in range(k):
+            first = slot[k + i]
+            other = offset2[i] + (offset2[i] >= first)
+            push(x2(select(a_bits, rank[i]), slots[first],
+                    select(c_bits, c_rank[i]), slots[other]))
+        for i in range(k):
+            push(x3(select(a_bits, rank[k + i]), slots[slot[2 * k + i]]))
+        for i in range(k):
+            anchor = select(a_bits, rank[2 * k + i])
+            # the second anchor: a rank among A without the first
+            other = select(a_bits ^ (1 << anchor), rank2[i])
+            push(x4(anchor, other, slots[slot[3 * k + i]]))
 
     return QuasiReport(checkpoint=t, alpha=float(alpha),
                        quasi1_max_dev=worst, quasi1_argmax_lo=worst_lo,

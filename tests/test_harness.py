@@ -422,11 +422,14 @@ def test_reports_are_scoped_to_the_last_attempt():
 # GOLDEN_MASK_SELECT are the same runs when every draw skips its tries
 # and reads its whole window (labeller.TRIES empty): the mask-and-select
 # draws that the rejection draws replaced, and still fall back to.
+# The success traces of both, and GOLDEN_RETRIES' records and traces,
+# were re-recorded when the audit's sample moved to Rng.draws reads:
+# they carry the sampled deviations, and no labelling moved.
 GOLDEN = {
     "success_labelling":
         "c577a6637f9a008336300a1c7f109b13157951a75f889e60e13571e84d2e2002",
     "success_trace":
-        "6304ebef63b6e68bea5dfc15483390599325697ca9a0769e0f1be71988bfd9af",
+        "ef78cc6b947fc338fee9525206a0cd141600956814bddeab1ed541539bbdc59e",
     "retry_trace":
         "8392afed575fce76939a992a3f68e370b9704d9d5c28729695a410d2df17a524",
 }
@@ -434,7 +437,7 @@ GOLDEN_MASK_SELECT = {
     "success_labelling":
         "2a9eff37245225b7042fc771a3ae0a7dfa5dff2b2e97cb4b15250f75fd8f2301",
     "success_trace":
-        "a0732c456072dc287d7779d5d6eb8fb6f052c59c7e49ab7a6769706fa7e27879",
+        "1a611c4022b1dc9f664391fd88156b6ef6ead4f739e0270b67bbc34a5f5f348d",
     "retry_trace":
         "78d8cec5020e7180f036eae8f16866345e61eee72b91045d161b0eb9ff5b13c5",
 }
@@ -476,14 +479,14 @@ def test_golden_digests_without_tries(monkeypatch):
 # four attempts, the second succeeds on its third.
 GOLDEN_RETRIES = [
     (dict(gamma=Fraction(1, 5), seed=0), "fail", 4,
-     "fedef14390fb15a1a78b33e92b8e167e1b09a36418f3848c48f38d852bd2a915",
+     "6b9f96ba507b2135b7421377f2ff1dbcb5653eb0392864b4493858710c42afa7",
      None,
-     "b51b705f896a751823a3887bab9db26f6a00e4f09ca35a481bf9a6b8905b80d7"),
+     "ee3f74995f52a524c6cff20e562e7180518f3eb0fae09d27b85a6905fabf0ca8"),
     (dict(gamma=Fraction(1, 2), seed=5, retries=6, max_component=8),
      "success", 3,
-     "51443c4561462cfc6f334281a82eabcebd297e576956803380878695f2c49d18",
+     "59c1973bdf7a18c65d7dc78d8fb1225922da199187feb5e328e296a42146324b",
      "b1dd18cca9994d94e0a76dc9817218501d6b0dedecb8188bfcc74380abd4a199",
-     "22452c9cde4fd84c06add92143261cc05acad23cd684dd9e39dde683fa120d03"),
+     "057114f8dfd1ba4acd1ee288ae40088c44082500823b813333805d2b253b3185"),
 ]
 
 

@@ -1,20 +1,59 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from gracetree.intervals import Interval, IntervalSystem
 from gracetree.labeller import LabelState, run_labelling
 from gracetree.params import derive_practical_params
 from gracetree.prepare import prepare_plan
-from gracetree.quasirandom import _ambient, _count, check_quasi
+from gracetree.quasirandom import (_ambients, _counts, _sample, _Words,
+                                   check_quasi, select)
 from gracetree.rng import Rng
 from gracetree.trees import random_tree
 from oracles import (admissible_labels, contains, full_check_quasi,
-                     full_count_structure, full_ints, remove_diff, snapshot,
-                     x1, x2, x3, x4)
+                     full_count_structure, full_ints, interval_width,
+                     pattern_ambient, pattern_count, remove_diff, snapshot,
+                     to_int, x1, x2, x3, x4)
+from oracles import select as full_select
+
+
+def _as_arrays(X):
+    """The slot width, the kind and _counts' fields of the pattern X, as
+    one-element int64 arrays."""
+    kind, a, a2, c, iv, iv2 = X
+    fields = (iv.lo, a, a2, c, iv2 and iv2.lo)
+    return interval_width(iv), kind, [
+        None if v is None else np.array([v], np.int64) for v in fields]
+
+
+def _shares_width(X):
+    return X[5] is None or interval_width(X[5]) == interval_width(X[4])
+
+
+def _count(state, *X):
+    """The oracle's count of X, checked against quasirandom's array
+    count whenever X's slots share a width, as the audit's do."""
+    want = pattern_count(state, *X)
+    if _shares_width(X):
+        w, kind, fields = _as_arrays(X)
+        assert _counts(state, w, kind, *fields).tolist() == [want], X
+    return want
+
+
+def _ambient(*X):
+    """The oracle's closed form for X, checked against quasirandom's
+    array form whenever X's slots share a width."""
+    want = pattern_ambient(*X)
+    if _shares_width(X):
+        w, kind, fields = _as_arrays(X)
+        assert _ambients(w, kind, *fields).tolist() == [want], X
+    return want
 
 
 def brute_count(X, A, C):
@@ -417,3 +456,158 @@ def test_reports_match_full_width_oracle_on_sparse_states():
         assert got == want, seed
         assert new_rng.next64() == old_rng.next64()
 
+
+def _kind_fields(rows):
+    """_counts' fields per kind for pattern rows (lo, a, a2, c, lo2)."""
+    lo, a, a2, c, lo2 = (np.array(col, np.int64) for col in zip(*rows))
+    return {"X1": (lo,), "X2": (lo, a, None, c, lo2), "X3": (lo, a),
+            "X4": (lo, a, a2)}
+
+
+def _kind_patterns(rows, m):
+    """The same patterns as the oracle's field tuples, per kind."""
+    def iv(lo):
+        return Interval(lo, lo + m - 1)
+    return {"X1": [x1(iv(lo)) for lo, *_ in rows],
+            "X2": [x2(a, iv(lo), c, iv(lo2)) for lo, a, _, c, lo2 in rows],
+            "X3": [x3(a, iv(lo)) for lo, a, *_ in rows],
+            "X4": [x4(a, a2, iv(lo)) for lo, a, a2, *_ in rows]}
+
+
+def _check_kind_counts(state, m, rows):
+    """Each kind's array counts and ambient counts of rows, in one call
+    per kind, against the oracle one pattern at a time."""
+    fields, patterns = _kind_fields(rows), _kind_patterns(rows, m)
+    for kind, f in fields.items():
+        want = [pattern_count(state, *X) for X in patterns[kind]]
+        assert _counts(state, m, kind, *f).tolist() == want, kind
+        want = [pattern_ambient(*X) for X in patterns[kind]]
+        assert _ambients(m, kind, *f).tolist() == want, kind
+
+
+@st.composite
+def _kind_batch(draw):
+    """A state and up to eight width-m patterns per kind, with anchors
+    often at a slot's ends, one past each end, or the labels 1 and
+    n_tilde, and fixed labels that often carry X2's partner window past
+    0 or n_tilde."""
+    m = draw(st.integers(1, 12))
+    nt = 2 * m * draw(st.integers(2, 6))
+    A = draw(st.sets(st.integers(1, nt)))
+    C = draw(st.sets(st.integers(1, nt - 1)))
+    top = nt - m + 1
+    slot = st.one_of(st.sampled_from([1, top]), st.integers(1, top))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo = draw(slot)
+        near = sorted({v for v in (lo - 1, lo, lo + m - 1, lo + m, 1, nt)
+                       if 1 <= v <= nt})
+        anchor = st.one_of(st.sampled_from(near), st.integers(1, nt))
+        a = draw(anchor)
+        a2 = draw(anchor.filter(lambda v: v != a))
+        past = sorted({min(max(v, 1), nt - 1)
+                       for v in (lo - 1, lo, nt - lo - m + 2, nt - lo)})
+        c = draw(st.one_of(st.sampled_from(past), st.integers(1, nt - 1)))
+        rows.append((lo, a, a2, c, draw(slot)))
+    return nt, m, A, C, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kind_batch())
+def test_kind_counts_match_the_pattern_oracle(case):
+    nt, m, A, C, rows = case
+    _check_kind_counts(snapshot(A, C, nt), m, rows)
+
+
+def test_kind_counts_at_every_anchor_and_partner_shift():
+    # every slot lo and every anchor 1..n_tilde (so anchors below,
+    # inside, at both ends of and one past each end of each slot, and
+    # the labels 1 and n_tilde); X2 with every fixed label and every
+    # aligned second slot, so partner windows run past 0 and n_tilde
+    sys = IntervalSystem(24, 4, 8)
+    nt, m = sys.n_tilde, sys.m
+    rnd = Rng(31, key=(1,))
+    state = snapshot({v for v in range(1, nt + 1) if rnd.randbelow(4)},
+                     {d for d in range(1, nt) if rnd.randbelow(4)}, sys=sys)
+    rows = [(lo, a, a % nt + 1, 1 + (lo + a) % (nt - 1), 1 + m * (a % 6))
+            for lo in range(1, nt - m + 2) for a in range(1, nt + 1)]
+    rows += [(lo, a, a2, 1, 1) for lo in (1, 9, nt - m + 1)
+             for a in range(1, nt + 1) for a2 in range(1, nt + 1)
+             if a2 != a]
+    rows += [(lo, a, 2, c, lo2) for lo in range(1, nt - m + 2)
+             for a in (1, lo - 1, lo, lo + m - 1, lo + m, nt)
+             if 1 <= a <= nt
+             for c in range(1, nt) for lo2 in sys.iv_starts]
+    _check_kind_counts(state, m, rows)
+
+
+def _select_cases():
+    rnd = np.random.default_rng(5)
+    n = 64 * 5 + 3
+    yield np.ones(n, bool)  # all ones
+    for bit in (0, 1, 63, 64, 127, 200, n - 1):  # one bit
+        free = np.zeros(n, bool)
+        free[bit] = True
+        yield free
+    free = np.zeros(n, bool)
+    free[63::64] = True  # the top bit of every word
+    yield free
+    for density in (0.02, 0.3, 0.9):
+        yield rnd.random(n) < density
+
+
+def test_select_matches_the_full_width_select():
+    for free in _select_cases():
+        size = int(free.sum())
+        ranks = np.arange(size)  # 0 and size - 1 among them
+        got = select(_Words(free), ranks)
+        assert got.tolist() == [full_select(to_int(free), int(k))
+                                for k in ranks]
+        edges = np.array([0, size - 1, 0], np.int64)
+        assert select(_Words(free), edges).tolist() == got[edges].tolist()
+
+
+def test_sample_laws():
+    """Over many reads of one stream: slots uniform over the vertex
+    windows, X2's second slot uniform over the others, anchors uniform
+    over A, X4's second anchor uniform over A minus the first, fixed
+    edge labels uniform over C."""
+    sys = IntervalSystem(96, 4, 8)
+    nslots = len(sys.iv_intervals)
+    state = snapshot({v for v in range(1, 97) if v % 3 or v < 12},
+                     {d for d in range(1, 96) if d % 4 and d < 70}, sys=sys)
+    A = sorted(v for v in range(1, 97) if state.labels[v])
+    C = sorted(d for d in range(1, 96) if state.diffs[d])
+    rank = {v: i for i, v in enumerate(A)}
+    rng = Rng(12, key=(4,))
+    seen = {name: [] for name in ("slot", "shift2", "a", "shift4", "c")}
+    for _ in range(400):
+        (_, (l1,)), (_, (l2, a2, _, c, lo2)), (_, (l3, a3)), (
+            _, (l4, a4, b4)) = _sample(state, sys, 16, rng,
+                                       _Words(state.diff_view))
+        seen["slot"] += ((np.concatenate((l1, l2, l3, l4)) - 1) // 4).tolist()
+        seen["shift2"] += ((lo2 - l2) // 4 % nslots).tolist()
+        seen["a"] += np.concatenate((a2, a3, a4)).tolist()
+        seen["shift4"] += [(rank[y] - rank[x]) % len(A)
+                           for x, y in zip(a4.tolist(), b4.tolist())]
+        seen["c"] += c.tolist()
+    # X2's second slot and X4's second anchor never repeat the first
+    assert 0 not in seen["shift2"] and 0 not in seen["shift4"]
+    for name, cells in (("slot", range(nslots)),
+                        ("shift2", range(1, nslots)), ("a", A),
+                        ("shift4", range(1, len(A))), ("c", C)):
+        got = Counter(seen[name])
+        assert set(got) <= set(cells), name
+        assert chisquare([got[x] for x in cells]).pvalue > 1e-3, name
+
+
+def test_a_checkpoint_draws_no_randbelow(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("randbelow called")
+
+    monkeypatch.setattr(Rng, "randbelow", refuse)
+    sys = IntervalSystem(96, 4, 8)
+    state = snapshot({v for v in range(1, 97) if v % 3},
+                     {d for d in range(1, 96) if d % 4}, sys=sys)
+    rep = check_quasi(state, sys, 0.5, 32, Rng(2, key=(5,)))
+    assert len(rep.quasi2_devs) == 4 * 32

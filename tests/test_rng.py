@@ -2,7 +2,8 @@
 tests/oracles.py): same values and same buffer position after every
 draw, on bounds that reach the rejection loop and across refills.
 Rng.batches and Rng.offsets against the word-at-a-time form of their
-rule (word_draws in tests/oracles.py), and their law."""
+rule (word_draws in tests/oracles.py), and their law.  Rng.draws
+against the first values of batches, and its read rule."""
 
 import random
 from fractions import Fraction
@@ -161,3 +162,33 @@ def test_batched_draws_are_uniform(bound):
     assert chisquare(low).pvalue > 1e-3
     mean = u.astype(np.float64).mean() / bound
     assert abs(mean - 0.5) <= 3 * np.sqrt(1 / 12 / DRAWS)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 96, (1 << 32) + 1, "den",
+                                   1 << 63])
+def test_draws_are_the_first_values_of_batches(bound):
+    if bound == "den":
+        bound = _scaled_core_den()
+    want = np.concatenate(list(islice(Rng(4, key=(1, 3)).batches(bound),
+                                      8))).tolist()
+    for count in (0, 1, 7, 128, 3 * _BUF + 17):
+        got = Rng(4, key=(1, 3)).draws(bound, count)
+        assert got.dtype == np.int64
+        assert got.tolist() == want[:count]
+
+
+def test_draws_read_rule_and_refusals():
+    # consecutive calls read consecutive words: the second starts at the
+    # word after the first call's last read, not at the first one's
+    # last accepted word
+    bound, count = 5, 40
+    words = Rng(6).np.bit_generator.random_raw(1000) & 7
+    first = count * 8 // 5 + 64
+    rng = Rng(6)
+    assert rng.draws(bound, count).tolist() == (
+        words[:first][words[:first] < 5][:count].tolist())
+    rest = words[first:]
+    assert rng.draws(bound, 10).tolist() == rest[rest < 5][:10].tolist()
+    for bound in (0, -1, (1 << 63) + 1, 1 << 64):
+        with pytest.raises(ValueError):
+            Rng(0).draws(bound, 3)
