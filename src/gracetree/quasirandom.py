@@ -93,7 +93,8 @@ def _counts(state: LabelState, w: int, kind: str, lo: np.ndarray, a=None,
     slots, chosen edge labels from C, and all labels within one instance
     are distinct (for X2 also distinct from the fixed edge label c).
     The counts are row sums of (k, w) byte blocks, so a call costs
-    O(k * w) bytes of numpy work.
+    O(k * w) bytes of numpy work; a row holds at most 2w ones, so the
+    sums accumulate in uint32.
     """
     labels = _rows(state.labels, w)
     hits = labels[lo]
@@ -107,7 +108,7 @@ def _counts(state: LabelState, w: int, kind: str, lo: np.ndarray, a=None,
         twice_mid = a + a2
         _clear(hits, lo, np.where(twice_mid % 2, lo - 1, twice_mid // 2))
     if kind != "X2":
-        return hits.sum(1)
+        return hits.sum(1, np.uint32)
     # the induced label |a - b| may not repeat the fixed label c
     _clear(hits, lo, a - c, a + c)
     # partner b' = b + c or b - c, free and in slot 2; b' = a is
@@ -123,7 +124,7 @@ def _counts(state: LabelState, w: int, kind: str, lo: np.ndarray, a=None,
     s = np.stack((lo + c - lo2, lo - c - lo2), 1)
     partners = shifted[np.arange(k)[:, None],
                        np.minimum(np.maximum(s, -w), w) + w]
-    return (hits[:, None] & partners).sum((1, 2))
+    return (hits[:, None] & partners).sum((1, 2), np.uint32)
 
 
 def _ambients(w: int, kind: str, lo: np.ndarray, a=None, a2=None, c=None,
