@@ -162,11 +162,11 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     from child(k, 1)), 2 quasi sampling.  A caller that has already
     read the config's tree file passes the tree, which is then not read
     again; like the file, it must have order cfg.n[n_index]."""
+    t0 = time.perf_counter()
     n = cfg.n[n_index]
     params = cfg.params_for(n)
     sys = IntervalSystem(params.n_tilde, params.m, params.ell)
     root = Rng(cfg.seed).child(n_index, trial)
-    t0 = time.perf_counter()
     tree = _load_tree(cfg, n, root.child(0), tree)
     label_rng = root.child(1)
     quasi_rng = root.child(2)

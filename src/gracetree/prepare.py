@@ -242,6 +242,17 @@ class Plan(Ordering):
                     (other.order, other.parent_pos, other.lo))))
 
 
+def _balanced_draw(count: int, size: int, rng: Rng) -> np.ndarray:
+    """count values of 0..size-1, each drawn floor(count/size) or
+    ceil(count/size) times, uniform among such sequences: every value q
+    times and r distinct ones once more (q, r = divmod(count, size)),
+    in a uniform order.  Two reads of rng.permutation."""
+    q, r = divmod(count, size)
+    pool = np.concatenate((np.tile(np.arange(size), q),
+                           rng.permutation(size)[:r]))
+    return pool[rng.permutation(count)]
+
+
 def assign_intervals(
     ordering: Ordering,
     sys: IntervalSystem,
@@ -278,27 +289,20 @@ def assign_intervals(
     interval per component in place of the balanced draw.
 
     The ordering's components and parities are read as they are; a
-    Plan is an Ordering, so a retry passes the plan it replaces.  One
-    loop over the components makes the draws, and one more carries
-    each first vertex's side to the components entered from it.
+    Plan is an Ordering, so a retry passes the plan it replaces.  The
+    draw is _balanced_draw's two permutations; one loop over the
+    components carries each first vertex's side to the components
+    entered from it.
     """
     parent_pos, comp, rel = ordering.parent_pos, ordering.comp, ordering.parity
     starts = np.flatnonzero(np.diff(comp)) + 1  # of components 1, 2, ...
     n_comp = len(starts) + 1
 
     js = sys.j_intervals
-    picks = list(range(len(js))) * (n_comp // len(js))
-    extra = list(range(len(js)))
-    for i in range(n_comp % len(js)):
-        k = i + rng.randbelow(len(extra) - i)
-        extra[i], extra[k] = extra[k], extra[i]
-    picks += extra[: n_comp % len(js)]
-    for i in range(len(picks) - 1):
-        k = i + rng.randbelow(len(picks) - i)
-        picks[i], picks[k] = picks[k], picks[i]
     nt = sys.n_tilde
     # the low ends of each component's drawn interval (side 0) and of its
     # complement (side 1)
+    picks = _balanced_draw(n_comp, len(js), rng)
     lo0 = np.array([j.lo for j in js], np.intp)[picks]
     lo1 = nt - sys.ell + 2 - lo0
 

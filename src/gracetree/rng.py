@@ -7,9 +7,9 @@ address instead of by draw order: consumers that draw from a child
 stream never disturb the parent.  The addressing rule is part of the
 reproducibility contract; summaries that promise byte-identical output
 depend on it.  A stream serves one purpose and is read one way: by
-randbelow, by batches and offsets, or by draws, never two of these
-(randbelow and batches read ahead, and draws spends part of its last
-read).
+randbelow, by batches and offsets, or by draws and permutation, never
+two of these (randbelow and batches read ahead, and draws spends part
+of its last read).
 
 Bounded draws come in three forms, all exact:
 
@@ -42,6 +42,7 @@ import numpy as np
 _TOP = 1 << 64
 _M64 = _TOP - 1
 _BUF = 4096
+_KEYS = 1 << 63  # the bound of permutation's sort keys
 
 
 class Rng:
@@ -146,3 +147,15 @@ class Rng:
             w = raw((count - len(x)) * span // bound + 64) & (span - 1)
             x = np.concatenate((x, w[w < bound]))
         return x[:count].view(np.int64)
+
+    def permutation(self, n: int) -> np.ndarray:
+        """A uniform permutation of 0..n - 1, as an int64 array: the
+        order that sorts n keys from one draws(2**63, n) read.  Distinct
+        keys make every order equally likely and fix it whatever the
+        sort; when two keys tie (probability below n**2 / 2**64), all n
+        are drawn again from the next read."""
+        while True:
+            keys = self.draws(_KEYS, n)
+            order = np.argsort(keys)
+            if np.diff(keys[order]).all():
+                return order

@@ -1,8 +1,8 @@
 """Labelled trees on vertices 1..n, kept in flat int arrays along with
 their BFS from vertex 1.
 
-Prüfer decoding, uniform random generation, path/star/broom/caterpillar/
-spider constructors, degree statistics, and a strict text format (first
+Uniform random generation, path/star/broom/caterpillar/spider
+constructors, degree statistics, and a strict text format (first
 line n, then n-1 lines "u v").
 """
 
@@ -184,42 +184,19 @@ class DegreeStats:
     sum_sq_degree: int
 
 
-def prufer_decode(seq, n: int) -> Tree:
-    """Unique tree on 1..n with Prüfer sequence seq (length n-2)."""
-    if n < 2:
-        raise ValueError("prufer_decode needs n >= 2")
-    seq = list(seq)
-    if len(seq) != n - 2:
-        raise ValueError(f"sequence length must be {n-2}, got {len(seq)}")
-    deg = [1] * (n + 1)
-    for s in seq:
-        if not (1 <= s <= n):
-            raise ValueError(f"sequence entry {s} out of range 1..{n}")
-        deg[s] += 1
-    us = []
-    ptr = 1
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for s in seq:
-        us.append(leaf)
-        deg[s] -= 1
-        if deg[s] == 1 and s < ptr:
-            leaf = s
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    us.append(leaf)
-    return Tree._of(n, us, seq + [n])
-
-
 def random_tree(n: int, rng: Rng) -> Tree:
-    """Uniform labelled tree: uniform Prüfer sequence, decoded."""
+    """Uniform labelled tree: the first-entrance tree of a walk on K_n
+    that steps to a uniform vertex of all n, itself included (Aldous,
+    SIAM J. Discrete Math. 3 (1990); Broder, FOCS 1989).  The walk first
+    visits the vertices in a uniform order v, and enters v[p] from a
+    uniform one of v[0..p-1] with probability p/n (it stepped inside
+    them first), else from v[p - 1]: from v[min(x, p - 1)] for x uniform
+    on 0..n-1.  Two reads and no loop."""
     if n < 2:
         raise ValueError("random_tree needs n >= 2")
-    return prufer_decode([1 + rng.randbelow(n) for _ in range(n - 2)], n)
+    v = rng.permutation(n) + 1
+    x = np.minimum(rng.draws(n, n - 1), np.arange(n - 1))
+    return Tree._of(n, v[x], v[1:])
 
 
 def path_tree(n: int) -> Tree:

@@ -41,17 +41,21 @@ ambient closed form one pattern at a time, as quasirandom carried them
 before it counted each kind's patterns together (_counts, _ambients);
 they are the reference those array counts are checked against.
 neighbours reads a vertex's slice of a tree's CSR adjacency, as
-Tree.neighbours did until only tests read it.  prufer_encode is the
-inverse of trees.prufer_decode, and plan_to_json the plan text that
-the golden plan digests hash; plan_intervals gives a plan's target
-interval per position.  old_assign_intervals is
-prepare.assign_intervals as one Python pass over the ordering, before
-it became array passes: the same draws and orientations, returned as
-one Interval per position.  old_order_vertices is
-prepare.order_vertices by its first rule, a stable argsort of each
-BFS rank's component head rank (found here by one pass down the BFS),
-before the sort key became the component's number in the narrowest
-unsigned type.
+Tree.neighbours did until only tests read it.  prufer_decode and
+prufer_encode are the Prüfer bijection between trees on 1..n and
+sequences of n - 2 labels: the tests enumerate trees by code, and
+trees.random_tree decoded a uniform code until it took the
+first-entrance tree of a random walk.  plan_to_json is the plan text
+that the golden plan digests hash; plan_intervals gives a plan's
+target interval per position.  permutation is Rng.permutation's rule
+read by Python sorted() on the keys as Python ints.
+old_assign_intervals is prepare.assign_intervals as one Python pass
+over the ordering, before it became array passes: the same draws (by
+permutation) and orientations, returned as one Interval per position.
+old_order_vertices is prepare.order_vertices by its first rule, a
+stable argsort of each BFS rank's component head rank (found here by
+one pass down the BFS), before the sort key became the component's
+number in the narrowest unsigned type.
 """
 
 import bisect
@@ -72,7 +76,7 @@ from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV, K,
 from gracetree.rng import _BUF, Rng
 from gracetree.verify import VerifyReport
 from gracetree.quasirandom import _FREE, QuasiReport
-from gracetree.trees import prufer_decode
+from gracetree.trees import Tree
 
 
 def mask(lo: int, hi: int) -> int:
@@ -159,6 +163,37 @@ def prufer_encode(t):
     return seq
 
 
+def prufer_decode(seq, n: int):
+    """Unique tree on 1..n with Prüfer sequence seq (length n-2)."""
+    if n < 2:
+        raise ValueError("prufer_decode needs n >= 2")
+    seq = list(seq)
+    if len(seq) != n - 2:
+        raise ValueError(f"sequence length must be {n-2}, got {len(seq)}")
+    deg = [1] * (n + 1)
+    for s in seq:
+        if not (1 <= s <= n):
+            raise ValueError(f"sequence entry {s} out of range 1..{n}")
+        deg[s] += 1
+    us = []
+    ptr = 1
+    while deg[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for s in seq:
+        us.append(leaf)
+        deg[s] -= 1
+        if deg[s] == 1 and s < ptr:
+            leaf = s
+        else:
+            ptr += 1
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    us.append(leaf)
+    return Tree._of(n, us, seq + [n])
+
+
 def plan_to_json(plan, ell) -> str:
     """The plan's text; ell is the width of its target intervals."""
     return json.dumps(
@@ -203,6 +238,16 @@ def old_order_vertices(t, removed):
     return bfs[perm], parent_pos
 
 
+def permutation(rng, n):
+    """Rng.permutation(n) as a list: the indices of n keys from one
+    rng.draws(2**63, n) read in increasing key order, read again while
+    two keys tie."""
+    while True:
+        keys = rng.draws(1 << 63, n).tolist()
+        if len(set(keys)) == n:
+            return sorted(range(n), key=keys.__getitem__)
+
+
 def old_assign_intervals(removed, ordering, sys, rng):
     """assign_intervals as one Python pass over the ordering; returns
     the target interval of each position."""
@@ -242,15 +287,9 @@ def old_assign_intervals(removed, ordering, sys, rng):
         starts.append(i)
     n_comp = len(starts)
     js = sys.j_intervals
-    picks = list(range(len(js))) * (n_comp // len(js))
-    extra = list(range(len(js)))
-    for i in range(n_comp % len(js)):
-        k = i + rng.randbelow(len(extra) - i)
-        extra[i], extra[k] = extra[k], extra[i]
-    picks += extra[: n_comp % len(js)]
-    for i in range(len(picks) - 1):
-        k = i + rng.randbelow(len(picks) - i)
-        picks[i], picks[k] = picks[k], picks[i]
+    q, r = divmod(n_comp, len(js))
+    pool = list(range(len(js))) * q + permutation(rng, len(js))[:r]
+    picks = [pool[i] for i in permutation(rng, n_comp)]
     # the intervals of the components' two sides, as two flat lists: a
     # pair per component would put one tuple per component on the heap
     partner = [sys.complement(j) for j in js]

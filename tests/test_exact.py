@@ -4,10 +4,11 @@ import pytest
 from gracetree.exact import (canonical_path_labelling,
                              canonical_star_labelling, exact_count,
                              exact_graceful)
-from gracetree.trees import Tree, path_tree, prufer_decode, star_tree
+from gracetree.trees import Tree, path_tree, star_tree
 from gracetree.rng import Rng
 from gracetree.verify import (build_cyclic_packing, verify_graceful,
                               verify_packing)
+from oracles import prufer_decode
 
 
 def from_networkx(g):

@@ -99,6 +99,23 @@ def test_trial_deterministic():
             == dataclasses.replace(b.record, wall_time=0.0))
 
 
+def test_wall_time_covers_the_interval_system(monkeypatch):
+    # the clock starts before the trial builds its interval system
+    import time
+
+    from gracetree import harness
+
+    build = harness.IntervalSystem
+
+    def slow(*a):
+        time.sleep(0.05)
+        return build(*a)
+
+    monkeypatch.setattr(harness, "IntervalSystem", slow)
+    rec = run_trial(small_cfg(checkpoint_every=0), 0, 0).record
+    assert rec.wall_time >= 0.05
+
+
 def test_trial_failure_record():
     cfg = ExperimentConfig(n=(300,), gamma=Fraction(1, 10), m=4, ell=16,
                            trials=1, seed=0, retries=0, quasi_per_kind=0,
@@ -106,7 +123,7 @@ def test_trial_failure_record():
     tr = run_trial(cfg, 0, 0, collect_trace=True)
     rec = tr.record
     assert rec.outcome == "fail" and tr.labelling is None
-    assert rec.failure_site == "corv-removal" and rec.failure_step == 169
+    assert rec.failure_site == "choose-label" and rec.failure_step == 137
     assert rec.attempts == 1
     assert rec.quasi1_max_dev == -1.0  # no checkpoints fired
     assert rec.steps == len(tr.result.trace) == rec.failure_step - 1
@@ -398,13 +415,13 @@ def test_untraced_record_equals_traced():
 
 
 def test_reports_are_scoped_to_the_last_attempt():
-    # attempts fail at steps 1421, 1109, 972 and 916: the first two pass
+    # attempts fail at steps 1227, 1402, 839 and 823: the first two pass
     # the checkpoint at 1000, the last two die before it
     cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=16, ell=128,
-                           trials=1, seed=6, checkpoint_every=1000)
+                           trials=1, seed=29, checkpoint_every=1000)
     tr = run_trial(cfg, 0, 0)
     steps = [f.step for f in tr.result.failures]
-    assert steps == [1421, 1109, 972, 916]
+    assert steps == [1227, 1402, 839, 823]
     assert tr.reports == ()
     rec = tr.record
     assert rec.quasi1_max_dev == rec.quasi2_max_dev == -1.0
@@ -418,7 +435,10 @@ def test_reports_are_scoped_to_the_last_attempt():
 # the success ones again, with GOLDEN_RETRIES, when the cut moved to the
 # same BFS from vertex 1 (the retry run's plan did not move).  GOLDEN
 # and GOLDEN_RETRIES were re-recorded once more when a draw's tries went
-# from 16 to 64 (labeller.K); no plan moved.
+# from 16 to 64 (labeller.K); no plan moved.  All were re-recorded when
+# random trees became the first-entrance trees of a random walk
+# (trees.random_tree) and the balanced interval draw moved to
+# Rng.permutation (prepare.assign_intervals).
 # GOLDEN_MASK_SELECT are the same runs when every draw skips its tries
 # and reads its whole window (labeller.TRIES empty): the mask-and-select
 # draws that the rejection draws replaced, and still fall back to.
@@ -427,19 +447,19 @@ def test_reports_are_scoped_to_the_last_attempt():
 # they carry the sampled deviations, and no labelling moved.
 GOLDEN = {
     "success_labelling":
-        "c577a6637f9a008336300a1c7f109b13157951a75f889e60e13571e84d2e2002",
+        "710e271ce53b4b97c3b817b32012b99c38b4daee2cc98d5ee4be2a5f45721747",
     "success_trace":
-        "ef78cc6b947fc338fee9525206a0cd141600956814bddeab1ed541539bbdc59e",
+        "14bf67bd6f60e1008533cf2b5a862abbc2999991e27d9ba0d00bb3af0b2d6603",
     "retry_trace":
-        "8392afed575fce76939a992a3f68e370b9704d9d5c28729695a410d2df17a524",
+        "642c667e998c049891538f494e910978d50fdadb3866778bf8a43d7f3647a726",
 }
 GOLDEN_MASK_SELECT = {
     "success_labelling":
-        "2a9eff37245225b7042fc771a3ae0a7dfa5dff2b2e97cb4b15250f75fd8f2301",
+        "3e056729a2f16d60e4131e861077c710dbcbce9cc9a03d25ee5c74f146ab0b1d",
     "success_trace":
-        "1a611c4022b1dc9f664391fd88156b6ef6ead4f739e0270b67bbc34a5f5f348d",
+        "e648572908fedcb0d00ac8cc9bb49c15b0c5a692a773299c8d08e000dd53f6fa",
     "retry_trace":
-        "78d8cec5020e7180f036eae8f16866345e61eee72b91045d161b0eb9ff5b13c5",
+        "9df2e76c53ec068356cd45449c1e829f16111c036bfd8c31bdd30579977e5a3d",
 }
 
 
@@ -476,17 +496,17 @@ def test_golden_digests_without_tries(monkeypatch):
 # Two retrying trials at n = 2000, m = 32, ell = 256: the outcome, the
 # attempts, and SHA-256 of the record without wall_time, of the
 # labelling (None on failure) and of the trace.  The first fails all
-# four attempts, the second succeeds on its third.
+# four attempts, the second succeeds on its seventh, the last allowed.
 GOLDEN_RETRIES = [
     (dict(gamma=Fraction(1, 5), seed=0), "fail", 4,
-     "6b9f96ba507b2135b7421377f2ff1dbcb5653eb0392864b4493858710c42afa7",
+     "48abfe8d9365230a2edc261afb042c4c729f13427cbd3b8eb7f22863d6d3d745",
      None,
-     "ee3f74995f52a524c6cff20e562e7180518f3eb0fae09d27b85a6905fabf0ca8"),
+     "34a5b92270fa4a78cea6bd5ae55d1dd2a676e2444d9109e51e82056ad2ef72c7"),
     (dict(gamma=Fraction(1, 2), seed=5, retries=6, max_component=8),
-     "success", 3,
-     "59c1973bdf7a18c65d7dc78d8fb1225922da199187feb5e328e296a42146324b",
-     "b1dd18cca9994d94e0a76dc9817218501d6b0dedecb8188bfcc74380abd4a199",
-     "057114f8dfd1ba4acd1ee288ae40088c44082500823b813333805d2b253b3185"),
+     "success", 7,
+     "4bfc676fd018ff9b8468c42f8f53b4d55552e94eef05992fd97c616df80e2204",
+     "57491fa87843a23a6909ec519cd61e9e7a6faec4a2a2e4d14bda481082c4d784",
+     "923fd02ea6468e2383f6decd5ce8121b804dcae77ac75391405b80b9e3125150"),
 ]
 
 

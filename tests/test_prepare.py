@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from scipy.stats import chisquare
 from gracetree.intervals import Interval, IntervalSystem
 from gracetree.prepare import (
     PrepareError,
+    _balanced_draw,
     assign_intervals,
     cut_tree,
     cut_tree_by_size,
@@ -18,10 +20,9 @@ from gracetree.prepare import (
 )
 from gracetree.rng import Rng
 from gracetree.trees import (Tree, broom_tree, caterpillar_tree, path_tree,
-                             prufer_decode, random_tree, spider_tree,
-                             star_tree)
+                             random_tree, spider_tree, star_tree)
 from oracles import (neighbours, old_assign_intervals, old_order_vertices,
-                     plan_intervals, plan_to_json)
+                     plan_intervals, plan_to_json, prufer_decode)
 
 
 def components(t, removed):
@@ -48,10 +49,10 @@ class FixedRng:
     def __init__(self, values):
         self.values = list(values)
 
-    def randbelow(self, n):
+    def permutation(self, n):
         v = self.values.pop(0)
-        assert 0 <= v < n
-        return v
+        assert sorted(v) == list(range(n))
+        return np.array(v)
 
 
 def test_cut_path_1000_threshold_50():
@@ -362,7 +363,7 @@ def test_assign_single_edge_component_example():
     sys = IntervalSystem(24, 4, 4)
     t = path_tree(2)
     plan = assign_intervals(order_vertices(t, frozenset()), sys,
-                            FixedRng([0]))
+                            FixedRng([[0, 1, 2, 3, 4, 5], [0]]))
     assert plan_intervals(plan, sys) == [Interval(1, 4), Interval(21, 24)]
 
 
@@ -371,10 +372,10 @@ def test_assign_one_draw_per_component():
     t = path_tree(6)
     removed = frozenset({(3, 4)})
     ordering = order_vertices(t, removed)
-    # the balanced draw for two components among ten intervals: a
-    # partial shuffle picks interval 2, then 1 + 4 = 5, and the final
-    # shuffle of the two picks keeps their order
-    rng = FixedRng([2, 4, 0])
+    # the balanced draw for two components among ten intervals: the
+    # first two of a permutation of the intervals are 2 and 5, and the
+    # permutation of the two components keeps their order
+    rng = FixedRng([[2, 5, 0, 1, 3, 4, 6, 7, 8, 9], [0, 1]])
     plan = assign_intervals(ordering, sys, rng)
     assert rng.values == []
     j0 = sys.j_intervals[2]
@@ -549,16 +550,38 @@ def test_balanced_draw_root_interval_is_uniform():
     assert chisquare(list(counts.values())).pvalue > 1e-3
 
 
+def test_balanced_draw_counts_differ_by_at_most_one():
+    for count, size in ((1, 6), (5, 6), (23, 10), (1000, 7), (3704, 48)):
+        assert count % size
+        picks = _balanced_draw(count, size, Rng(count, key=(11,)))
+        per = np.bincount(picks, minlength=size)
+        assert len(picks) == count and len(per) == size
+        assert per.min() == count // size and per.max() == count // size + 1
+
+
+def test_balanced_draw_remainder_is_uniform():
+    # 23 draws over 10 values: the 3 values drawn a third time are a
+    # uniform set of three, 50 expected for each of the 120
+    rng = Rng(4, key=(11,))
+    cells = dict.fromkeys(itertools.combinations(range(10), 3), 0)
+    for _ in range(6000):
+        per = np.bincount(_balanced_draw(23, 10, rng), minlength=10)
+        cells[tuple(np.flatnonzero(per == 3).tolist())] += 1
+    assert chisquare(list(cells.values())).pvalue > 1e-3
+
+
 # SHA-256 of plan_to_json for two frozen plans; they pin the cut, the
 # order, the draws and the orientations.  The random one was re-recorded
 # when the order became BFS by component (order_vertices) and again when
 # the cut moved to the same BFS from vertex 1; the path's order is 1..n
 # and its root vertex 1 under every rule, so its digest did not move.
+# Both were re-recorded when the balanced draw moved to Rng.permutation,
+# and the random one's tree became a first-entrance tree of a random walk.
 GOLDEN_PLANS = {
     "random": (
-        50, "669e338e3979cbdc87d275830e2824df37294513d14efb66ffd8db26d6291f40"),
+        48, "0fa1fcc885fb8195effe5c8514ee5128ac91326d051989f644a3ed4a169025a0"),
     "path": (
-        41, "0ff869ac0e2d3429ad85f1604a3385099934cc8b8fa02cc765a317a70e9adecc"),
+        41, "935b815f013cee0f1385dc9673565455b6b093e5934c8e6317a5ec97414b6bb7"),
 }
 
 

@@ -3,8 +3,11 @@ tests/oracles.py): same values and same buffer position after every
 draw, on bounds that reach the rejection loop and across refills.
 Rng.batches and Rng.offsets against the word-at-a-time form of their
 rule (word_draws in tests/oracles.py), and their law.  Rng.draws
-against the first values of batches, and its read rule."""
+against the first values of batches, and its read rule.
+Rng.permutation against the sort of its keys (permutation in
+tests/oracles.py), its law, and its redraw on a tie."""
 
+import itertools
 import random
 from fractions import Fraction
 from itertools import islice
@@ -15,8 +18,9 @@ from scipy.stats import chisquare
 
 from gracetree.intervals import IntervalSystem, core_distribution
 from gracetree.params import derive_practical_params
+from gracetree import rng as rng_module
 from gracetree.rng import _BUF, Rng
-from oracles import OldRng, word_draws
+from oracles import OldRng, permutation, word_draws
 
 TOP = 1 << 64
 
@@ -192,3 +196,50 @@ def test_draws_read_rule_and_refusals():
     for bound in (0, -1, (1 << 63) + 1, 1 << 64):
         with pytest.raises(ValueError):
             Rng(0).draws(bound, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 1000, _BUF + 3])
+def test_permutation_sorts_one_read_of_keys(n):
+    rng, ref = Rng(8, key=(2,)), Rng(8, key=(2,))
+    for _ in range(3):
+        got = rng.permutation(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == permutation(ref, n)
+    # both read the same words
+    assert rng.draws(7, 5).tolist() == ref.draws(7, 5).tolist()
+
+
+def test_permutation_is_uniform():
+    # all 24 orders of 4, 500 expected each
+    rng = Rng(3, key=(5,))
+    index = {p: k for k, p in enumerate(itertools.permutations(range(4)))}
+    obs = np.zeros(24, np.int64)
+    for _ in range(12_000):
+        obs[index[tuple(rng.permutation(4).tolist())]] += 1
+    assert chisquare(obs).pvalue > 1e-3
+
+
+def test_permutation_redraws_every_key_on_a_tie(monkeypatch):
+    # keys below 4 tie among 3 values with probability 5/8: every read
+    # that ties is thrown away whole, and the orders stay uniform
+    monkeypatch.setattr(rng_module, "_KEYS", 4)
+    draws = Rng.draws
+    reads = []
+    monkeypatch.setattr(Rng, "draws", lambda self, bound, count: reads.append(
+        (bound, count)) or draws(self, bound, count))
+    rng, ref = Rng(2, key=(6,)), Rng(2, key=(6,))
+    index = {p: k for k, p in enumerate(itertools.permutations(range(3)))}
+    obs = np.zeros(6, np.int64)
+    calls = 3000
+    for _ in range(calls):
+        got = rng.permutation(3).tolist()
+        while True:
+            keys = draws(ref, 4, 3).tolist()
+            if len(set(keys)) == 3:
+                break
+        assert got == sorted(range(3), key=keys.__getitem__)
+        obs[index[tuple(got)]] += 1
+    assert set(reads) == {(4, 3)}
+    # about 8/3 reads per call
+    assert 2.4 * calls < len(reads) < 2.9 * calls
+    assert chisquare(obs).pvalue > 1e-3

@@ -10,10 +10,9 @@ from scipy import stats
 from gracetree.rng import Rng
 from gracetree.trees import (DegreeStats, Tree, broom_tree, caterpillar_tree,
                              degree_stats, format_tree, parse_tree, path_tree,
-                             prufer_decode, random_tree, spider_tree,
-                             star_tree)
-from oracles import (neighbours, old_parse_tree, old_tree, prufer_encode,
-                     tree_texts)
+                             random_tree, spider_tree, star_tree)
+from oracles import (neighbours, old_parse_tree, old_tree, prufer_decode,
+                     prufer_encode, tree_texts)
 
 
 def test_decode_two_vertices():
@@ -87,6 +86,37 @@ def test_random_tree_uniform_chi2():
     freq = [counts[s] for s in itertools.product(range(1, 6), repeat=3)]
     res = stats.chisquare(freq)
     assert res.pvalue > 0.01
+
+
+@pytest.mark.parametrize("n, draws", [(4, 1600), (6, 64_800)])
+def test_random_tree_hits_every_tree_evenly(n, draws):
+    # all n^(n-2) labelled trees, keyed by Prüfer code, 100 and 50
+    # expected each
+    rng = Rng(n, key=(8,))
+    cells = {s: 0 for s in itertools.product(range(1, n + 1), repeat=n - 2)}
+    for _ in range(draws):
+        cells[tuple(prufer_encode(random_tree(n, rng)))] += 1
+    assert min(cells.values()) > 0
+    assert stats.chisquare(list(cells.values())).pvalue > 1e-3
+
+
+def test_random_tree_degree_law():
+    # the code of a tree holds v deg(v) - 1 times, and a uniform code
+    # holds each vertex Binomial(n - 2, 1/n) times: the degrees of one
+    # large tree against that law (its n counts are a multinomial, whose
+    # negative dependence only narrows the test), cells 0..5 and 6 or
+    # more
+    rng = Rng(1, key=(8,))
+    t = random_tree(30, rng)
+    code = prufer_encode(t)
+    assert [code.count(v) for v in range(1, 31)] == (
+        t.degrees() - 1).tolist()
+    n, top = 10 ** 5, 6
+    obs = np.bincount(np.minimum(random_tree(n, rng).degrees() - 1, top),
+                      minlength=top + 1)
+    law = stats.binom(n - 2, 1 / n)
+    exp = np.append(law.pmf(np.arange(top)), law.sf(top - 1)) * n
+    assert stats.chisquare(obs, exp).pvalue > 1e-3
 
 
 def test_degree_stats_examples():
