@@ -4,7 +4,7 @@ Two inequalities are exercised: the independent bounded-variable bound
 P[X - mu >= t] <= exp(-2 t^2 / sum a_i^2), and its sequential variant
 for adapted sequences whose summed conditional means are pinned to
 mu +- nu, where the two-sided tail at nu + t costs an extra factor 2.
-Scenarios simulate whole trial batches vectorized and declare their
+Scenarios simulate many trials at once, vectorized, and declare their
 mu, nu, and per-step ranges; the two-sided grid re-derives each
 trial's conditional-mean sum and refuses scenarios that break their
 own declaration.

@@ -9,6 +9,7 @@ labelling files are pure functions of (seed, config).
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import json
@@ -333,14 +334,16 @@ RECORD_COLUMNS = ("n", "trial", "seed_key", "attempts", "outcome",
 
 
 def records_csv(records) -> str:
+    """One CSV row per record under RECORD_COLUMNS; seed_key holds a
+    comma, so it is quoted."""
     out = io.StringIO()
-    out.write(",".join(RECORD_COLUMNS) + "\n")
-    for r in records:
-        out.write(f"{r.n},{r.trial},{r.seed_key},{r.attempts},{r.outcome},"
-                  f"{r.failure_site},{r.failure_step},"
-                  f"{r.quasi1_max_dev:.10g},{r.quasi2_max_dev:.10g},"
-                  f"{int(r.quasi_ok)},{r.corv_hits},{r.core_hits},{r.steps},"
-                  f"{r.wall_time:.6f}\n")
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(RECORD_COLUMNS)
+    w.writerows((r.n, r.trial, r.seed_key, r.attempts, r.outcome,
+                 r.failure_site, r.failure_step, f"{r.quasi1_max_dev:.10g}",
+                 f"{r.quasi2_max_dev:.10g}", int(r.quasi_ok), r.corv_hits,
+                 r.core_hits, r.steps, f"{r.wall_time:.6f}")
+                for r in records)
     return out.getvalue()
 
 

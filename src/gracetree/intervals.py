@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import ParamError
-from .rng import Rng
+from .rng import _BUF, Rng
 
 # the most windows (n_tilde/m) a system may have: a system and its two
 # correction laws hold about 736 bytes per window, so this keeps them
@@ -141,13 +141,13 @@ class CorrectionDistribution:
         return Fraction(self._star_cut, self.den)
 
     def hits(self, rng: Rng, steps: int) -> tuple[list[int], list[int]]:
-        """One draw per step 0..steps-1, step k's u being the k-th value
-        of rng.batches(den): the steps whose draw is an interval, in
-        order, and that interval's lo for each.
+        """One draw per step 0..steps-1, the u of steps k*_BUF.. being
+        rng.draws(den, min(_BUF, steps - k*_BUF)): the steps whose draw
+        is an interval, in order, and that interval's lo for each.
 
-        The draws are made a batch at a time in numpy (a compare with
-        the star cut, then searchsorted on the cuts), and only the hits
-        are kept, so memory is O(batch + hits).
+        Each block is drawn and read in numpy (a compare with the star
+        cut, then searchsorted on the cuts), and only the hits are kept,
+        so memory is O(_BUF + hits).
 
         A law whose star probability is negative (a system with
         n_tilde/m < 4(ell/m - 1)) is no probability law, so drawing from
@@ -158,18 +158,14 @@ class CorrectionDistribution:
                 f"the {self.kind} correction law has star probability "
                 f"{self.star_probability} < 0: need n_tilde/m >= "
                 f"4(ell/m - 1)")
-        star = np.uint64(self._star_cut)
-        cuts = np.array(self._cuts, np.uint64)
+        cuts = np.array(self._cuts, np.int64)
         los = np.array([iv.lo for iv in self._positive], np.int64)
         at, lo = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        batches = rng.batches(self.den)
-        done = 0
-        while done < steps:
-            u = next(batches)[:steps - done]
-            hit = np.flatnonzero(u >= star)
+        for done in range(0, steps, _BUF):
+            u = rng.draws(self.den, min(_BUF, steps - done))
+            hit = np.flatnonzero(u >= self._star_cut)
             at.append(hit + done)
             lo.append(los[np.searchsorted(cuts, u[hit], side="right")])
-            done += len(u)
         return np.concatenate(at).tolist(), np.concatenate(lo).tolist()
 
 

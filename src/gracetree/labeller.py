@@ -29,14 +29,15 @@ plan order in one list; a completed attempt scatters it by vertex into
 an int64 array once and returns that array read-only (LabelArray), so
 the pipeline builds no dict of labels.
 
-The randomness comes in batches.  Every target interval has width ell
-and every correction window width m, so a try reads the next value of
-an endless width-ell (label) or width-m (pick) offset iterator,
-Rng.offsets, one next() each.  The correction laws do not depend on
-the label state, so an attempt draws both for all of its steps up front
-(CorrectionDistribution.hits) and keeps only the steps that hit.  Only
-the rare fallback ranks are single randbelow calls.  run_labelling's
-docstring gives each stream's address and the draw order.
+Every value is read by Rng.draws, in blocks.  Every target interval
+has width ell and every correction window width m, so a try reads the
+next value of an endless width-ell (label) or width-m (pick) offset
+iterator, Rng.offsets, one next() each.  The correction laws do not
+depend on the label state, so an attempt draws both for all of its
+steps up front (CorrectionDistribution.hits) and keeps only the steps
+that hit.  A rare fallback rank is one draws(k, 1) call.
+run_labelling's docstring gives each stream's address and the draw
+order.
 """
 
 from __future__ import annotations
@@ -89,19 +90,19 @@ class LabelState:
     step draws its label in the label loop (_attempt): each try reads one
     byte of A and one of C, and about 1/density tries hit; only after K
     misses does it read the label window of its target interval and the
-    matching difference window (admissible_mask): a forward slice of C
-    when the parent's label lies below the interval, a reversed one when
-    it lies above, and C indexed by |b - a| when it lies inside, which
-    target intervals and their complements all but rule out.  The first
-    vertex, which has no parent, and the correction picks draw with
-    pick_free, one byte of A or C per try.  A removal clears one byte:
-    in place when a try hits, through take, which checks that the value
-    is still free, everywhere else.  So a step costs O(1/density) byte
-    reads plus, rarely, O(ell) bytes of numpy work, whatever n_tilde
-    is.  Every window, here and in the
-    audit (quasirandom.py), is read from the two views; the audit also
-    packs A and C into 64-bit words once per checkpoint and keeps no
-    copy of the state between checkpoints.
+    matching difference window (admissible_mask, one row of _diff_rows):
+    a forward slice of C when the parent's label lies below the
+    interval, a reversed one when it lies above, and C indexed by
+    |b - a| when it lies inside, which target intervals and their
+    complements all but rule out.  The first vertex, which has no
+    parent, and the correction picks draw with pick_free, one byte of A
+    or C per try.  A removal clears one byte: in place when a try hits,
+    through take, which checks that the value is still free, everywhere
+    else.  So a step costs O(1/density) byte reads plus, rarely, O(ell)
+    bytes of numpy work, whatever n_tilde is.  Every difference window,
+    here and in the audit (quasirandom.py), is read by _diff_rows; the
+    audit also packs A and C into 64-bit words once per checkpoint and
+    keeps no copy of the state between checkpoints.
 
     size_a and size_c are |A| and |C|; steps_done, corv_hits and
     core_hits count completed steps and the corrective removals made in
@@ -143,42 +144,68 @@ class LabelState:
     def admissible_mask(self, a: int, iv: Interval) -> np.ndarray:
         """Window mask of labels in iv admissible against parent label a:
         a new bool array whose entry k is set iff label iv.lo + k is free
-        and so is its difference to a; a and iv lie in 1..n_tilde."""
+        and so is its difference to a (_diff_rows' one row); a and iv
+        lie in 1..n_tilde."""
         lo, hi = iv
-        c = self.diff_view
-        if a < lo:  # label b needs difference b - a
-            d = c[lo - a:hi - a + 1]
-        elif a > hi:  # label b needs difference a - b, read backwards
-            d = c[a - hi:a - lo + 1][::-1]
-        else:  # both sides; difference 0, at b = a, is never free
-            d = c[np.abs(np.arange(lo - a, hi - a + 1))]
-        return self.label_view[lo:hi + 1] & d
+        w = hi - lo + 1
+        row = _diff_rows(self.diffs, np.array([a]), np.array([lo]), w)[0]
+        row &= _rows(self.labels, w)[lo]
+        return row.view(bool)
+
+
+def _rows(buf, w: int, reverse: bool = False) -> np.ndarray:
+    """buf's len(buf) - w + 1 windows of w bytes as one uint8 view, no
+    copy: row r is bytes r..r+w-1, in reverse order when reverse.
+    Indexing it with an array of rows gathers them."""
+    return np.ndarray((len(buf) - w + 1, w), np.uint8, buf,
+                      offset=w - 1 if reverse else 0,
+                      strides=(1, -1 if reverse else 1))
+
+
+def _diff_rows(diffs: bytearray, a: np.ndarray, lo: np.ndarray,
+               w: int) -> np.ndarray:
+    """The difference windows of anchors a over the slots lo..lo+w-1, as
+    a new uint8 array: entry j of row i is 1 iff difference
+    |lo[i] + j - a[i]| is free.  a and lo are int64 arrays, a slot lies
+    in 1..n_tilde and an anchor in 1..n_tilde.  The label draw's
+    fallback (admissible_mask) reads one row, the audit
+    (quasirandom.py) one per pattern."""
+    d = lo - a
+    # a below the slot: label b needs difference b - a
+    rows = _rows(diffs, w)[np.maximum(d, 0)]
+    # a above it: difference a - b, read backwards from a - hi
+    i = np.flatnonzero(d <= 0)
+    rows[i] = _rows(diffs, w, True)[np.maximum(1 - w - d[i], 0)]
+    i = i[d[i] > -w]
+    if len(i):  # a inside: both sides; difference 0, at b = a, is never free
+        rows[i] = np.frombuffer(diffs, np.uint8)[
+            np.abs(np.arange(w) + d[i, None])]
+    return rows
 
 
 def pick_free(free: bytearray, lo: int, w: int, offsets: Iterator[int],
-              randbelow: Callable[[int], int]) -> int:
+              ranks: Rng) -> int:
     """A value drawn uniformly from the free values of free (byte v is 1
     iff v is free) in lo..lo+w-1, or -1 when there is none: up to TRIES
     positions lo + next(offsets) (offsets uniform on 0..w - 1), each one
-    byte read, then the window and a rank draw, as the label draw in
-    _attempt does.  lo..lo+w-1 must lie in free.
+    byte read, then the window and a rank drawn from ranks, as the label
+    draw in _attempt does.  lo..lo+w-1 must lie in free.
     """
     for _ in TRIES:
         b = lo + next(offsets)
         if free[b]:
             return b
-    return _rank_draw(np.frombuffer(free, bool, w, lo), lo, randbelow)
+    return _rank_draw(np.frombuffer(free, bool, w, lo), lo, ranks)
 
 
-def _rank_draw(mask: np.ndarray, lo: int,
-               randbelow: Callable[[int], int]) -> int:
+def _rank_draw(mask: np.ndarray, lo: int, ranks: Rng) -> int:
     """lo plus a uniform set index of the bool array mask, or -1 when it
-    has none: the set indices in ascending order, and one of them by a
-    rank drawn from randbelow."""
+    has none: the set indices in ascending order, and one of them by the
+    rank ranks.draws(count, 1) gives."""
     idx = mask.nonzero()[0]
     if not len(idx):
         return -1
-    return lo + int(idx[randbelow(len(idx))])
+    return lo + int(idx[ranks.draws(len(idx), 1)[0]])
 
 
 def take(free: bytearray, v: int, what: str) -> None:
@@ -263,7 +290,7 @@ def _attempt(
     pick_offsets = rng.child(1).offsets(sys.m)
     corv_at, corv_lo = corv.hits(rng.child(2), n)
     core_at, core_lo = core.hits(rng.child(3), n)
-    randbelow = rng.child(4).randbelow
+    ranks = rng.child(4)
     # each law's hit positions end with n, a position no step has; ci
     # and ei index the next hit
     corv_at.append(n)
@@ -275,7 +302,7 @@ def _attempt(
 
     # step 1: the first vertex has no parent, so its label is a free
     # label of its interval; a failure here leaves the state untouched
-    b = pick_free(free_a, los[0], ell, label_offsets, randbelow)
+    b = pick_free(free_a, los[0], ell, label_offsets, ranks)
     if b < 0:
         return None, AttemptFailure(FAIL_CHOOSE, 1), trace, state
     take(free_a, b, "label")
@@ -296,7 +323,7 @@ def _attempt(
             corv_label = core_diff = -1
             if p == corv_at[ci]:
                 corv_label = pick_free(free_a, corv_lo[ci], m,
-                                       pick_offsets, randbelow)
+                                       pick_offsets, ranks)
                 ci += 1
                 if corv_label < 0:
                     failure = AttemptFailure(FAIL_CORV, t)
@@ -304,7 +331,7 @@ def _attempt(
                 take(free_a, corv_label, "label")
             if p == core_at[ei]:
                 core_diff = pick_free(free_c, core_lo[ei], m,
-                                      pick_offsets, randbelow)
+                                      pick_offsets, ranks)
                 ei += 1
                 if core_diff < 0:
                     failure = AttemptFailure(FAIL_CORE, t)
@@ -352,7 +379,7 @@ def _attempt(
                     break
         else:
             b = _rank_draw(state.admissible_mask(
-                a, Interval(lo, lo + ell - 1)), lo, randbelow)
+                a, Interval(lo, lo + ell - 1)), lo, ranks)
             if b < 0:
                 failure = AttemptFailure(FAIL_CHOOSE, t + 1)
                 break
@@ -396,10 +423,11 @@ def run_labelling(
     - r.child(1): the correction picks' tries, offsets(m), the vertex
       pick's before the edge pick's;
     - r.child(2), r.child(3): the vertex and the edge removal law,
-      batches(den), one value per step of the plan, drawn before the
-      first step;
-    - r.child(4): every fallback rank, randbelow, in the order the
-      label, the vertex pick and the edge pick fall back.
+      draws(den, ...) in blocks of up to 4096 steps, one value per step
+      of the plan, drawn before the first step;
+    - r.child(4): every fallback rank, draws(k, 1) for a window with k
+      candidates, in the order the label, the vertex pick and the edge
+      pick fall back.
 
     The result's step and removal counts are those of the last attempt,
     whether or not a trace is collected.

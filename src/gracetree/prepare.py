@@ -168,10 +168,6 @@ class Ordering:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
 
 def order_vertices(t: Tree, removed: frozenset[tuple[int, int]]) -> Ordering:
     """Reveal order starting at vertex 1, keeping components contiguous.

@@ -19,11 +19,11 @@ A's and C's.  The sample is drawn from the audit stream by five
 Rng.draws reads, in this order: the slots of all four kinds (X1, X2,
 X3 and X4, per_kind each), X2's partner-slot offsets, the anchor ranks
 (X2's, X3's and X4's first anchors), X4's second-anchor ranks, and the
-fixed edge labels' ranks.  The audit stream is read by draws alone.
+fixed edge labels' ranks.
 Each kind's patterns are then counted together: their width-m rows of
 A's and C's bytes are gathered through strided views of the two
-bytearrays, C's rows read as the label draw's fallback reads them
-(LabelState.admissible_mask), and each row is summed.  Every deviation
+bytearrays, C's rows by the label draw's fallback's own primitive
+(labeller._diff_rows), and each row is summed.  Every deviation
 is an exact integer ratio, rounded once to a float.  All counting is
 read-only.
 """
@@ -36,39 +36,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .intervals import IntervalSystem
-from .labeller import LabelState
+from .labeller import LabelState, _diff_rows, _rows
 from .rng import Rng
 
 _FREE = {"X1": 1, "X2": 3, "X3": 2, "X4": 3}
 # _LOW[p]: the bits of a 64-bit word below bit p
 _LOW = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
-
-
-def _rows(buf, w: int, reverse: bool = False) -> np.ndarray:
-    """buf's len(buf) - w + 1 windows of w bytes as one uint8 view, no
-    copy: row r is bytes r..r+w-1, in reverse order when reverse.
-    Indexing it with an array of rows gathers them."""
-    return np.ndarray((len(buf) - w + 1, w), np.uint8, buf,
-                      offset=w - 1 if reverse else 0,
-                      strides=(1, -1 if reverse else 1))
-
-
-def _diff_rows(diffs: bytearray, a: np.ndarray, lo: np.ndarray,
-               w: int) -> np.ndarray:
-    """Row i holds the difference window of anchor a[i] over the slot
-    lo[i]..lo[i]+w-1, as admissible_mask reads it: entry j is 1 iff
-    difference |lo[i] + j - a[i]| is free."""
-    d = lo - a
-    # a below the slot: label b needs difference b - a
-    rows = _rows(diffs, w)[np.maximum(d, 0)]
-    # a above it: difference a - b, read backwards from a - hi
-    i = np.flatnonzero(d <= 0)
-    rows[i] = _rows(diffs, w, True)[np.maximum(1 - w - d[i], 0)]
-    i = i[d[i] > -w]
-    if len(i):  # a inside: both sides; difference 0, at b = a, is never free
-        rows[i] = np.frombuffer(diffs, np.uint8)[
-            np.abs(np.arange(w) + d[i, None])]
-    return rows
 
 
 def _clear(hits: np.ndarray, lo: np.ndarray, *labels: np.ndarray) -> None:

@@ -71,13 +71,10 @@ class Edges:
 class Tree:
     """Unrooted tree on 1..n. Validates shape on construction, then immutable.
 
-    Storage is five read-only int memoryviews (over bytes, so nothing
-    can write them), 20 bytes per vertex and 8 per edge, and no
+    Storage is three read-only int memoryviews (over bytes, so nothing
+    can write them), 8 bytes per vertex and 8 per edge, and no
     per-vertex Python objects:
 
-    - off, nbr: CSR adjacency.  The neighbours of v are
-      nbr[off[v]:off[v+1]], in increasing id; off has n + 2 entries,
-      off[0] = off[1] = 0.
     - edges.ends: the edges as (min, max) pairs in input order.
     - bfs, parent: the BFS of the tree from vertex 1 that visits
       neighbours in increasing id.  bfs[k] is the vertex of rank k, and
@@ -89,16 +86,17 @@ class Tree:
 
     Construction is one sort of the edge ends in numpy on the keys
     end * (n + 1) + other, which orders them by vertex and each row by
-    id (O(n log n) in C), a cumulative count for the offsets, and one
-    BFS from vertex 1 (scipy's breadth_first_order, O(n) in C, which
-    reads the sorted rows as they are).
+    id (O(n log n) in C), a cumulative count for the row offsets, and
+    one BFS from vertex 1 (scipy's breadth_first_order, O(n) in C, which
+    reads this CSR adjacency as it is).  The CSR is dropped once the
+    BFS has read it: no reader of a tree needs it.
     The checks are ids in 1..n and n - 1 edges on the arrays, then that
     the BFS reaches all n vertices.  n - 1 edges that connect 1..n have
     no self-loop and no parallel edge; when a check fails, the edge
     list is walked in order to name the first fault.
     """
 
-    __slots__ = ("n", "off", "nbr", "edges", "bfs", "parent")
+    __slots__ = ("n", "edges", "bfs", "parent")
 
     def __init__(self, n: int, edges):
         us, vs = [], []
@@ -150,8 +148,6 @@ class Tree:
         parent[0] = -1
         parent[1:] = rank[pred[bfs[1:]]]
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "off", _frozen(off))
-        object.__setattr__(self, "nbr", _frozen(nbr))
         object.__setattr__(self, "edges", Edges(_frozen(ends)))
         object.__setattr__(self, "bfs", _frozen(bfs))
         object.__setattr__(self, "parent", _frozen(parent))
@@ -161,7 +157,8 @@ class Tree:
 
     def degrees(self) -> np.ndarray:
         """Degrees of 1..n as a numpy array (entry v - 1 is vertex v)."""
-        return np.diff(np.frombuffer(self.off, np.intc))[1:]
+        return np.bincount(np.frombuffer(self.edges.ends, np.intc),
+                           minlength=self.n + 1)[1:]
 
     def _key(self) -> np.ndarray:
         e = np.frombuffer(self.edges.ends, np.intc).astype(np.int64)

@@ -22,14 +22,19 @@ correction pick as they stood, one whole-window mask and one select
 per draw, before the draws tried single positions first; they are also
 the draws' fallback.  draw_label is the label draw as a function, as
 LabelState carried it before the label loop took it inline: the
-reference draw whose law the tests check.  OldRng is rng.Rng's stream
-as it stood, with next64 called once per word of randbelow.  old_labelling_check and
-old_verify_graceful are Labelling's construction check and
-verify_graceful as exact walks over psi, before the numpy path.
-word_draws is Rng.batches' mask-and-reject rule read one raw word at a
-time, and scalar_labelling is run_labelling's loop as a scalar
-transcription on explicit sets that reads every offset and law value
-through word_draws, from the addresses run_labelling documents.
+reference draw whose law the tests check.  OldRng is an addressed
+stream read by randbelow as rng.Rng read it until every library draw
+moved to Rng.draws: Lemire's multiply-and-reject on the raw PCG64
+words, the same values; tests draw their inputs from it, so the inputs
+stay as they were.  old_labelling_check and old_verify_graceful are
+Labelling's construction check and verify_graceful as exact walks over
+psi, before the numpy path.
+word_draws is Rng.draws' read rule one raw word at a time, the words it
+spends included; word_offsets and law_values read Rng.offsets' and
+CorrectionDistribution.hits' blocks through it.  scalar_labelling is
+run_labelling's loop as a scalar transcription on explicit sets that
+reads every offset, law value and fallback rank through word_draws,
+from the addresses run_labelling documents.
 mask, window, from_indices and iter_bits are the full-width bitset
 forms (one int per set; window shifts the whole int) that the byte
 state is checked against, and to_int turns a byte set (byte v is 1 iff
@@ -40,12 +45,12 @@ takes.  pattern_count and pattern_ambient are the audit's count and
 ambient closed form one pattern at a time, as quasirandom carried them
 before it counted each kind's patterns together (_counts, _ambients);
 they are the reference those array counts are checked against.
-neighbours reads a vertex's slice of a tree's CSR adjacency, as
-Tree.neighbours did until only tests read it.  prufer_decode and
-prufer_encode are the Prüfer bijection between trees on 1..n and
-sequences of n - 2 labels: the tests enumerate trees by code, and
-trees.random_tree decoded a uniform code until it took the
-first-entrance tree of a random walk.  plan_to_json is the plan text
+neighbours reads a vertex's neighbours off a tree's edges, through
+the CSR adjacency (sorted_csr) that Tree kept until only tests read
+it.  prufer_decode and prufer_encode are the Prüfer bijection between
+trees on 1..n and sequences of n - 2 labels: the tests enumerate trees
+by code, and trees.random_tree decoded a uniform code until it took
+the first-entrance tree of a random walk.  plan_to_json is the plan text
 that the golden plan digests hash; plan_intervals gives a plan's
 target interval per position.  permutation is Rng.permutation's rule
 read by Python sorted() on the keys as Python ints.
@@ -73,7 +78,7 @@ from gracetree.intervals import (Interval, IntervalSystem,
 from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV, K,
                                 AttemptFailure, LabelResult, LabelState,
                                 TraceRow, _rank_draw, take)
-from gracetree.rng import _BUF, Rng
+from gracetree.rng import _BUF
 from gracetree.verify import VerifyReport
 from gracetree.quasirandom import _FREE, QuasiReport
 from gracetree.trees import Tree
@@ -137,9 +142,27 @@ def x4(a, a2, slot):
     return ("X4", a, a2, None, slot, None)
 
 
+def sorted_csr(n, ends):
+    """off and nbr of the CSR adjacency of the edges whose flat ends are
+    the int array ends (u0, v0, u1, v1, ...), rows in increasing id."""
+    other = ends.reshape(-1, 2)[:, ::-1].ravel()
+    off = np.zeros(n + 2, np.intc)
+    np.cumsum(np.bincount(ends, minlength=n + 1), out=off[1:])
+    return off, other[np.lexsort((other, ends))]
+
+
+# the tree neighbours last read, and its read-only CSR (off as a list)
+_csr = [None, None, None]
+
+
 def neighbours(t, v):
-    """v's neighbours in t, in increasing id."""
-    return t.nbr[t.off[v]:t.off[v + 1]]
+    """v's neighbours in t, in increasing id, as a read-only int view;
+    the CSR is built once per tree and kept until another is read."""
+    if _csr[0] is not t:
+        off, nbr = sorted_csr(t.n, np.frombuffer(t.edges.ends, np.intc))
+        _csr[:] = t, off.tolist(), memoryview(nbr.tobytes()).cast("i")
+    _, off, nbr = _csr
+    return nbr[off[v]:off[v + 1]]
 
 
 def prufer_encode(t):
@@ -202,7 +225,7 @@ def plan_to_json(plan, ell) -> str:
             "parent_pos": plan.parent_pos.tolist(),
             "removed_edges": sorted(list(e) for e in plan.removed_edges),
             "interval_starts": plan.lo.tolist(),
-            "interval_width": ell if plan.n else 0,
+            "interval_width": ell if len(plan.order) else 0,
         },
         indent=2,
     )
@@ -391,18 +414,19 @@ def admissible_labels(a, interval, labels, diffs):
     )
 
 
-def mask_select_label(state, a, iv, randbelow):
+def mask_select_label(state, a, iv, rank):
     """A uniform admissible label of iv against parent label a (a = 0:
-    no parent), or -1: the whole window's mask, then select."""
+    no parent), or -1: the whole window's mask, then select the rank
+    rank(count) gives."""
     mask_bits = (to_int(state.admissible_mask(a, iv)) if a
                  else window(to_int(state.labels), iv.lo, interval_width(iv)))
     cnt = mask_bits.bit_count()
     if not cnt:
         return -1
-    return iv.lo + select(mask_bits, randbelow(cnt))
+    return iv.lo + select(mask_bits, rank(cnt))
 
 
-def draw_label(state, a, iv, offsets, randbelow):
+def draw_label(state, a, iv, offsets, ranks):
     """A label drawn uniformly from the labels of iv admissible against
     parent label a >= 1, or -1 when there is none.
 
@@ -410,7 +434,7 @@ def draw_label(state, a, iv, offsets, randbelow):
     (offsets uniform on 0..width - 1), each accepted when its label is
     free in A and its difference to a is free in C: two byte reads.
     After the misses the draw falls back to admissible_mask and a rank
-    drawn by randbelow, which also finds an empty window.
+    drawn from the Rng ranks, which also finds an empty window.
     Every try and the fallback are uniform on the same admissible set,
     so the draw is too.
     """
@@ -419,17 +443,17 @@ def draw_label(state, a, iv, offsets, randbelow):
         b = lo + next(offsets)
         if state.labels[b] and state.diffs[abs(b - a)]:
             return b
-    return _rank_draw(state.admissible_mask(a, iv), lo, randbelow)
+    return _rank_draw(state.admissible_mask(a, iv), lo, ranks)
 
 
-def mask_select_pick(bits, lo, w, randbelow):
+def mask_select_pick(bits, lo, w, rank):
     """A uniform value of the byte set bits in lo..lo+w-1, or -1: the
-    window, then select."""
+    window, then select the rank rank(count) gives."""
     mask_bits = window(to_int(bits), lo, w)
     cnt = mask_bits.bit_count()
     if not cnt:
         return -1
-    return lo + select(mask_bits, randbelow(cnt))
+    return lo + select(mask_bits, rank(cnt))
 
 
 def remove_label(state, b):
@@ -450,15 +474,23 @@ def sample(dist, rng):
     return dist._positive[bisect.bisect_right(dist._cuts, u)]
 
 
+class OldRng:
+    """The stream at address (seed, key), as rng.Rng addresses it, read
+    by randbelow: raw words a buffer of 4096 at a time, one per draw
+    and more on a rejection, the threshold computed on every draw."""
 
-class OldRng(Rng):
-    """Rng with randbelow as two calls per word and the threshold
-    computed on every draw."""
+    def __init__(self, seed, key=()):
+        self.seed, self.key = seed, tuple(key)
+        ss = np.random.SeedSequence(seed, spawn_key=self.key)
+        self._raw = np.random.PCG64(ss).random_raw
+        self._buf, self._pos = [], 0
+
+    def child(self, *key):
+        return OldRng(self.seed, self.key + key)
 
     def next64(self):
         if self._pos >= len(self._buf):
-            self._buf = self.np.integers(0, 1 << 64, size=_BUF,
-                                         dtype="uint64").tolist()
+            self._buf = self._raw(4096).tolist()
             self._pos = 0
         w = self._buf[self._pos]
         self._pos += 1
@@ -476,16 +508,35 @@ class OldRng(Rng):
                 return m >> 64
 
 
-def word_draws(rng, bound):
-    """Uniform draws on 0..bound - 1 from rng's raw words, one word at a
-    time: word x gives x & (2**k - 1), k = bit_length(bound - 1), when
-    that is below bound."""
-    low = (1 << (bound - 1).bit_length()) - 1
+def word_draws(rng, bound, count):
+    """rng.draws(bound, count) as a list, read one raw word at a time:
+    with k = bit_length(bound - 1), each read takes need * 2**k // bound
+    + 64 words (need: the values still to find), and word x gives
+    x & (2**k - 1) when that is below bound; reads repeat while fewer
+    than count are held, and the words past the count-th value are
+    spent."""
+    span = 1 << (bound - 1).bit_length()
     raw = rng.np.bit_generator.random_raw
+    out = []
+    while len(out) < count:
+        for _ in range((count - len(out)) * span // bound + 64):
+            x = int(raw()) & (span - 1)
+            if x < bound:
+                out.append(x)
+    return out[:count]
+
+
+def word_offsets(rng, bound):
+    """rng.offsets(bound): word_draws blocks of _BUF values, endless."""
     while True:
-        x = int(raw()) & low
-        if x < bound:
-            yield x
+        yield from word_draws(rng, bound, _BUF)
+
+
+def law_values(rng, den, steps):
+    """The u of CorrectionDistribution.hits(rng, steps) for a law with
+    denominator den, one per step: word_draws blocks of up to _BUF."""
+    for done in range(0, steps, _BUF):
+        yield from word_draws(rng, den, min(_BUF, steps - done))
 
 
 def _law_draw(dist, u):
@@ -509,9 +560,9 @@ def _uniform_member(lo, w, ok, offsets, rank, tries):
 
 def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
     """run_labelling(..., collect_trace=True) as a scalar loop on sets A
-    and C: each try offset and law value is one word_draws value, each
-    step reads one value of both laws, and a fallback ranks the sorted
-    candidates with randbelow."""
+    and C: each try offset and law value is one word_offsets or
+    law_values value, each step reads one value of both laws, and a
+    fallback ranks the sorted candidates by one word_draws(k, 1)."""
     corv, core = corv_distribution(sys), core_distribution(sys)
     nt, m = sys.n_tilde, sys.m
     failures = []
@@ -520,16 +571,20 @@ def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
         if k and replan is not None:
             plan = replan(s.child(0))
         r = s.child(1)
-        label_offsets = word_draws(r.child(0), sys.ell)
-        pick_offsets = word_draws(r.child(1), m)
-        corv_draws = word_draws(r.child(2), corv.den)
-        core_draws = word_draws(r.child(3), core.den)
-        rank = r.child(4).randbelow
+        order = plan.order.tolist()
+        label_offsets = word_offsets(r.child(0), sys.ell)
+        pick_offsets = word_offsets(r.child(1), m)
+        corv_draws = law_values(r.child(2), corv.den, len(order))
+        core_draws = law_values(r.child(3), core.den, len(order))
+        ranks = r.child(4)
+
+        def rank(k):
+            return word_draws(ranks, k, 1)[0]
+
         A, C = set(range(1, nt + 1)), set(range(1, nt))
         labels, trace = [], []
         steps = corv_hits = core_hits = 0
         failure = None
-        order = plan.order.tolist()
         for pos, vertex in enumerate(order):
             t = pos + 1
             a = labels[plan.parent_pos[pos]] if pos else None

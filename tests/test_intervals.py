@@ -5,8 +5,8 @@ import pytest
 from gracetree.intervals import (Interval, IntervalSystem,
                                  core_distribution, corv_distribution)
 from gracetree.params import ParamError, derive_practical_params
-from gracetree.rng import Rng
-from oracles import sample
+from gracetree.rng import _BUF, Rng
+from oracles import OldRng, _law_draw, law_values, sample
 
 SMALL_SYSTEMS = [(10, 1, 2), (12, 1, 2), (12, 2, 4), (16, 2, 4), (20, 2, 4),
                  (24, 2, 4), (24, 3, 6), (24, 4, 8), (40, 4, 8)]
@@ -138,7 +138,7 @@ def test_sample_star_only():
     s = IntervalSystem(8, 2, 2)
     d = corv_distribution(s)
     assert d.star_probability == 1
-    rng = Rng(0)
+    rng = OldRng(0)
     assert all(sample(d, rng) is None for _ in range(100))
 
 
@@ -160,18 +160,34 @@ def test_core_requires_even_ratio():
 
 def test_sample_star_frequency():
     d = corv_distribution(sys24())
-    rng = Rng(99)
+    rng = OldRng(99)
     stars = sum(1 for _ in range(10 ** 6) if sample(d, rng) is None)
     assert abs(stars / 10 ** 6 - 0.8) <= 0.002
 
 
 def test_sample_reproducible():
     d = core_distribution(sys24())
-    r1, r2 = Rng(41), Rng(41)
+    r1, r2 = OldRng(41), OldRng(41)
     seq1 = [sample(d, r1) for _ in range(200)]
     seq2 = [sample(d, r2) for _ in range(200)]
     assert seq1 == seq2
     assert any(iv is not None for iv in seq1)
+
+
+@pytest.mark.parametrize("law", [corv_distribution, core_distribution])
+def test_hits_are_blocked_draws(law):
+    # one law value per step, read as draws(den, ...) blocks of up to
+    # _BUF values: the hits are the steps whose value passes the star
+    # cut, each with the lo of the interval it falls in
+    p = derive_practical_params(2000, Fraction(1, 2), 32, 256)
+    d = law(IntervalSystem(p.n_tilde, p.m, p.ell))
+    steps = 3 * _BUF + 17
+    at, lo = d.hits(Rng(3, key=(2,)), steps)
+    want = [(k, _law_draw(d, u)) for k, u in
+            enumerate(law_values(Rng(3, key=(2,)), d.den, steps))]
+    assert len(want) == steps
+    assert list(zip(at, lo)) == [(k, x) for k, x in want if x >= 0]
+    assert 0 < len(at) < steps
 
 
 def test_build_from_params():

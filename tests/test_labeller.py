@@ -3,7 +3,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from functools import partial
 
 import numpy as np
 import pytest
@@ -403,23 +403,39 @@ def _pick_state(case, kind):
     return (state.labels if kind == "label" else state.diffs), lo
 
 
-def _draws(draw, seed):
-    """Counts of DRAWS draws, and how many of them fell back: a fallback
-    makes K + 1 randbelow calls, a draw that hits a try at most K."""
-    rng = Rng(seed)
-    calls = []
+class _Counted:
+    """An Rng whose draws calls are counted."""
 
-    def randbelow(k):
-        calls.append(k)
-        return rng.randbelow(k)
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
 
+    def draws(self, bound, count):
+        self.calls += 1
+        return self.rng.draws(bound, count)
+
+
+def _draws(draw, w, seed):
+    """Counts of DRAWS draws, and how many of them fell back: draw takes
+    its tries from one offsets(w) iterator and its fallback rank from a
+    counted Rng; a draw makes at most K tries, and a fallback makes K
+    and one draws call."""
+    tries = 0
+
+    def counted(offsets):
+        nonlocal tries
+        for x in offsets:
+            tries += 1
+            yield x
+
+    offsets = counted(Rng(seed, key=(0,)).offsets(w))
+    ranks = _Counted(Rng(seed, key=(1,)))
     counts = Counter()
     fallbacks = 0
     for _ in range(DRAWS):
-        calls.clear()
-        counts[draw(randbelow)] += 1
-        fallbacks += len(calls) > K
-        assert len(calls) <= K + 1
+        tries = ranks.calls = 0
+        counts[draw(offsets, ranks)] += 1
+        fallbacks += ranks.calls
+        assert tries <= K and ranks.calls <= (tries == K)
     return counts, fallbacks
 
 
@@ -429,7 +445,7 @@ def _assert_law(draw, mask_bits, lo, w, seed, size):
     row of uniform tries in the width-w window would."""
     support = {lo + k for k in iter_bits(mask_bits)}
     assert len(support) == size
-    counts, fallbacks = _draws(draw, seed)
+    counts, fallbacks = _draws(draw, w, seed)
     if not support:  # an empty window: K tries, no fallback draw
         assert counts == {-1: DRAWS} and fallbacks == 0
         return
@@ -453,8 +469,8 @@ def test_label_draw_is_uniform_on_the_admissible_set(case, size):
     labels, diffs = (set(iter_bits(x)) for x in full_ints(state))
     assert ({iv.lo + k for k in iter_bits(mask_bits)}
             == admissible_labels(a, iv, labels, diffs))
-    _assert_law(lambda rb: draw_label(state, a, iv, map(rb, repeat(w)), rb),
-                mask_bits, iv.lo, w, seed=11, size=size)
+    _assert_law(partial(draw_label, state, a, iv), mask_bits, iv.lo, w,
+                seed=11, size=size)
 
 
 @pytest.mark.parametrize("kind", ["label", "diff"])
@@ -466,8 +482,8 @@ def test_correction_pick_is_uniform_on_the_free_set(kind, case, size):
     m = LAW_SYS.m
     if case == "sparse":  # hundreds of fallbacks expected
         assert DRAWS * (1 - size / m) ** K >= 100
-    _assert_law(lambda rb: pick_free(free, lo, m, map(rb, repeat(m)), rb),
-                window(to_int(free), lo, m), lo, m, seed=12, size=size)
+    _assert_law(partial(pick_free, free, lo, m), window(to_int(free), lo, m),
+                lo, m, seed=12, size=size)
 
 
 @pytest.mark.parametrize("case", list(LAW_CASES))
@@ -476,17 +492,22 @@ def test_without_tries_the_draws_are_mask_and_select(case, monkeypatch):
     monkeypatch.setattr(labeller, "TRIES", range(0))
     state, a, iv = _law_state(case)
     got, want = Rng(5), Rng(5)
+
+    def rank(k):
+        return int(want.draws(k, 1)[0])
+
     for _ in range(500):
-        assert (draw_label(state, a, iv, iter(()), got.randbelow)
-                == mask_select_label(state, a, iv, want.randbelow))
+        assert (draw_label(state, a, iv, iter(()), got)
+                == mask_select_label(state, a, iv, rank))
     pick_case = case if case in ("sparse", "empty", "first",
                                  "last") else "dense"
     for kind in ("label", "diff"):
         free, lo = _pick_state(pick_case, kind)
         for _ in range(500):
-            assert (pick_free(free, lo, LAW_SYS.m, iter(()), got.randbelow)
-                    == mask_select_pick(free, lo, LAW_SYS.m, want.randbelow))
-    assert got._pos == want._pos
+            assert (pick_free(free, lo, LAW_SYS.m, iter(()), got)
+                    == mask_select_pick(free, lo, LAW_SYS.m, rank))
+    # both read the same words
+    assert got.draws(1 << 63, 3).tolist() == want.draws(1 << 63, 3).tolist()
 
 
 def test_label_draw_fails_exactly_at_an_empty_window():

@@ -16,7 +16,7 @@ from gracetree.quasirandom import (_ambients, _counts, _sample, _Words,
                                    check_quasi, select)
 from gracetree.rng import Rng
 from gracetree.trees import random_tree
-from oracles import (admissible_labels, contains, full_check_quasi,
+from oracles import (OldRng, admissible_labels, contains, full_check_quasi,
                      full_count_structure, full_ints, interval_width,
                      pattern_ambient, pattern_count, remove_diff, snapshot,
                      to_int, x1, x2, x3, x4)
@@ -132,7 +132,7 @@ def test_count_matches_brute_force(case):
 
 def test_x3_equals_admissible_minus_anchor():
     sys = IntervalSystem(24, 2, 4)
-    rng = Rng(5, key=(0,))
+    rng = OldRng(5, key=(0,))
     for trial in range(40):
         A = {v for v in range(1, 25) if rng.randbelow(3)}
         C = {d for d in range(1, 24) if rng.randbelow(3)}
@@ -146,7 +146,7 @@ def test_x3_equals_admissible_minus_anchor():
 def test_ambient_counts_capped_by_m():
     sys = IntervalSystem(48, 4, 8)
     ambient = LabelState(sys)
-    rng = Rng(7, key=(1,))
+    rng = OldRng(7, key=(1,))
     ivs = sys.iv_intervals
     for _ in range(200):
         i = rng.randbelow(len(ivs))
@@ -307,7 +307,7 @@ def test_single_label_multiplicity_pair_slots():
     # what the sampled families provide
     sys = IntervalSystem(48, 4, 8)
     ivs = sys.iv_intervals
-    rng = Rng(23, key=(6,))
+    rng = OldRng(23, key=(6,))
     for _ in range(150):
         A = {v for v in range(1, 49) if rng.randbelow(3)}
         C = {d for d in range(1, 48) if rng.randbelow(3)}
@@ -378,7 +378,7 @@ def test_window_check_equals_tile_sums():
     # a count over a target interval (and its complement, for X2) is the
     # sum of the counts over the width-m slots that tile it
     sys = IntervalSystem(48, 4, 8)
-    rng = Rng(17, key=(5,))
+    rng = OldRng(17, key=(5,))
     A = {v for v in range(1, 49) if rng.randbelow(4)}
     C = {d for d in range(1, 48) if rng.randbelow(4)}
     J = sys.j_intervals[1]
@@ -432,8 +432,8 @@ def test_reports_match_full_width_oracle_on_run_snapshots(n, m, ell, seed):
                   on_checkpoint=on_checkpoint)
     assert len(reports) >= 8
     assert all(len(r.quasi2_devs) == 4 * 32 for r in reports)
-    assert [new_rng.next64() for _ in range(3)] == [
-        old_rng.next64() for _ in range(3)]
+    assert new_rng.draws(1 << 63, 3).tolist() == old_rng.draws(1 << 63,
+                                                               3).tolist()
 
 
 def test_reports_match_full_width_oracle_on_sparse_states():
@@ -442,7 +442,7 @@ def test_reports_match_full_width_oracle_on_sparse_states():
     first even when both draws hit the same rank."""
     sys = IntervalSystem(4096, 64, 256)
     for seed in range(12):
-        rnd = Rng(seed, key=(8,))
+        rnd = OldRng(seed, key=(8,))
         size = 2 + seed % 4
         A = {1 + rnd.randbelow(sys.n_tilde) for _ in range(size)}
         C = {1 + rnd.randbelow(sys.n_tilde - 1) for _ in range(40)}
@@ -454,7 +454,8 @@ def test_reports_match_full_width_oracle_on_sparse_states():
         want = full_check_quasi(*full_ints(state), sys, 0.5, 32, old_rng,
                                 t=seed)
         assert got == want, seed
-        assert new_rng.next64() == old_rng.next64()
+        assert (new_rng.draws(1 << 63, 3).tolist()
+                == old_rng.draws(1 << 63, 3).tolist())
 
 
 def _kind_fields(rows):
@@ -526,7 +527,7 @@ def test_kind_counts_at_every_anchor_and_partner_shift():
     # aligned second slot, so partner windows run past 0 and n_tilde
     sys = IntervalSystem(24, 4, 8)
     nt, m = sys.n_tilde, sys.m
-    rnd = Rng(31, key=(1,))
+    rnd = OldRng(31, key=(1,))
     state = snapshot({v for v in range(1, nt + 1) if rnd.randbelow(4)},
                      {d for d in range(1, nt) if rnd.randbelow(4)}, sys=sys)
     rows = [(lo, a, a % nt + 1, 1 + (lo + a) % (nt - 1), 1 + m * (a % 6))
@@ -599,15 +600,3 @@ def test_sample_laws():
         got = Counter(seen[name])
         assert set(got) <= set(cells), name
         assert chisquare([got[x] for x in cells]).pvalue > 1e-3, name
-
-
-def test_a_checkpoint_draws_no_randbelow(monkeypatch):
-    def refuse(self, n):
-        raise AssertionError("randbelow called")
-
-    monkeypatch.setattr(Rng, "randbelow", refuse)
-    sys = IntervalSystem(96, 4, 8)
-    state = snapshot({v for v in range(1, 97) if v % 3},
-                     {d for d in range(1, 96) if d % 4}, sys=sys)
-    rep = check_quasi(state, sys, 0.5, 32, Rng(2, key=(5,)))
-    assert len(rep.quasi2_devs) == 4 * 32

@@ -1,14 +1,10 @@
-"""Rng.randbelow against the two-call form it replaced (OldRng in
-tests/oracles.py): same values and same buffer position after every
-draw, on bounds that reach the rejection loop and across refills.
-Rng.batches and Rng.offsets against the word-at-a-time form of their
-rule (word_draws in tests/oracles.py), and their law.  Rng.draws
-against the first values of batches, and its read rule.
+"""Rng.draws against its read rule one raw word at a time (word_draws
+in tests/oracles.py), the words it spends included.  Rng.offsets as
+successive draws batches of _BUF values, and its law.
 Rng.permutation against the sort of its keys (permutation in
 tests/oracles.py), its law, and its redraw on a tie."""
 
 import itertools
-import random
 from fractions import Fraction
 from itertools import islice
 
@@ -20,87 +16,7 @@ from gracetree.intervals import IntervalSystem, core_distribution
 from gracetree.params import derive_practical_params
 from gracetree import rng as rng_module
 from gracetree.rng import _BUF, Rng
-from oracles import OldRng, permutation, word_draws
-
-TOP = 1 << 64
-
-
-def _bounds(count, seed):
-    rnd = random.Random(seed)
-    special = [1, 2, 3, TOP - 1, TOP]
-    for k in range(1, 64):
-        special += [(1 << k) - 1, 1 << k, (1 << k) + 1]
-    out = list(special)
-    while len(out) < count:
-        kind = rnd.randrange(4)
-        if kind == 0:  # small, as label and window draws are
-            out.append(rnd.randint(1, 5000))
-        elif kind == 1:  # correction-law denominators
-            out.append(rnd.randint(1, 10 ** 12))
-        elif kind == 2:  # just above 2**63: about half the words rejected
-            out.append((1 << 63) + rnd.randint(1, 1 << 62))
-        else:  # near 2**64
-            out.append(TOP - rnd.randint(0, 1 << 20))
-    rnd.shuffle(out)
-    return out
-
-
-@pytest.mark.parametrize("seed", [0, 7])
-def test_randbelow_matches_two_call_form(seed):
-    new, old = Rng(seed, key=(3,)), OldRng(seed, key=(3,))
-    bounds = _bounds(20_000, seed)
-    extra_words = 0
-    for n in bounds:
-        before = old._pos
-        got = new.randbelow(n)
-        assert got == old.randbelow(n)
-        assert 0 <= got < n
-        assert new._pos == old._pos
-        if n > 1:
-            extra_words += (old._pos - before) % _BUF != 1
-    assert new._buf == old._buf
-    # the draws crossed several refills, and the rejection loop fired
-    assert sum(n > 1 for n in bounds) > 4 * _BUF
-    assert extra_words > 100
-
-
-def test_randbelow_rejection_across_a_refill():
-    # start each draw one word before the buffer's end, so the rejected
-    # word and its replacement sit in different buffers
-    n = (1 << 63) + 1
-    new, old = Rng(5), OldRng(5)
-    refills_crossed = 0
-    for _ in range(100):
-        while old._pos != _BUF - 1:
-            assert new.randbelow(2) == old.randbelow(2)
-        buf = old._buf
-        assert new.randbelow(n) == old.randbelow(n)
-        assert new._pos == old._pos
-        refills_crossed += old._buf is not buf
-    assert refills_crossed > 20
-
-
-def test_randbelow_draws_nothing_for_one_and_rejects_zero():
-    rng = Rng(2)
-    assert [rng.randbelow(1) for _ in range(5)] == [0] * 5
-    assert rng._pos == 0
-    for n in (0, -1):
-        with pytest.raises(ValueError):
-            rng.randbelow(n)
-
-
-def test_randbelow_rejects_bounds_above_two_to_the_64():
-    # a 64-bit word covers at most 2**64 values; a larger n used to spin
-    # forever, since its threshold (2**64 - n) % n is 2**64
-    rng, ref = Rng(1), Rng(1)
-    for k in range(2 * _BUF + 3):  # up to and across refills
-        for n in (TOP + 1, TOP + 2, 2 * TOP, 1 << 200):
-            with pytest.raises(ValueError):
-                rng.randbelow(n)
-        # the failed calls took no word from the stream
-        assert rng.randbelow(TOP) == ref.randbelow(TOP)
-        assert rng._pos == ref._pos
-    assert Rng(1).randbelow(TOP) == OldRng(1).randbelow(TOP)
+from oracles import permutation, word_draws, word_offsets
 
 
 def _scaled_core_den():
@@ -118,24 +34,27 @@ BATCH_BOUNDS = [1, 2, 3, 96, 1000, (1 << 32) + 1, (1 << 62) + 1,
 
 @pytest.mark.parametrize("bound", BATCH_BOUNDS + ["den"])
 def test_batches_match_word_at_a_time_reads(bound):
+    # offsets reads draws(bound, _BUF) batches, across several of them,
+    # each batch spending the rest of its last read
     if bound == "den":
         bound = _scaled_core_den()
-    count = 3 * _BUF + 17  # across several refills
+    count = 3 * _BUF + 17
     got = list(islice(Rng(4, key=(1, 2)).offsets(bound), count))
-    want = list(islice(word_draws(Rng(4, key=(1, 2)), bound), count))
+    want = list(islice(word_offsets(Rng(4, key=(1, 2)), bound), count))
     assert got == want
     assert all(type(x) is int and 0 <= x < bound for x in got)
-    arrays = list(islice(Rng(4, key=(1, 2)).batches(bound), 8))
-    assert all(a.dtype == np.uint64 for a in arrays)
-    assert np.concatenate(arrays)[:count].tolist() == want
+    rng = Rng(4, key=(1, 2))
+    blocks = [rng.draws(bound, _BUF) for _ in range(4)]
+    assert np.concatenate(blocks)[:count].tolist() == want
 
 
 def test_batches_reject_bounds_outside_one_to_two_to_the_63():
+    # offsets refuses a bound when called, not at its first next()
     for bound in (0, -1, (1 << 63) + 1, 1 << 64):
         with pytest.raises(ValueError):
-            Rng(0).batches(bound)
-        with pytest.raises(ValueError):
             Rng(0).offsets(bound)
+        with pytest.raises(ValueError):
+            Rng(0).draws(bound, 1)
 
 
 DRAWS = 200_000
@@ -171,14 +90,19 @@ def test_batched_draws_are_uniform(bound):
 @pytest.mark.parametrize("bound", [1, 2, 3, 96, (1 << 32) + 1, "den",
                                    1 << 63])
 def test_draws_are_the_first_values_of_batches(bound):
+    # one stream read by calls of several sizes, the first one offsets'
+    # first batch: each call gives the word-at-a-time rule's values and
+    # spends the words it does
     if bound == "den":
         bound = _scaled_core_den()
-    want = np.concatenate(list(islice(Rng(4, key=(1, 3)).batches(bound),
-                                      8))).tolist()
-    for count in (0, 1, 7, 128, 3 * _BUF + 17):
-        got = Rng(4, key=(1, 3)).draws(bound, count)
-        assert got.dtype == np.int64
-        assert got.tolist() == want[:count]
+    got, ref = Rng(4, key=(1, 3)), Rng(4, key=(1, 3))
+    batch = list(islice(Rng(4, key=(1, 3)).offsets(bound), _BUF))
+    assert got.draws(bound, _BUF).tolist() == batch == word_draws(
+        ref, bound, _BUF)
+    for count in (0, 1, 7, 128, 3 * _BUF + 17, 1):
+        x = got.draws(bound, count)
+        assert x.dtype == np.int64
+        assert x.tolist() == word_draws(ref, bound, count)
 
 
 def test_draws_read_rule_and_refusals():

@@ -164,12 +164,11 @@ def test_tree_immutable():
 def test_tree_buffers_read_only():
     t = path_tree(3)
     key = hash(t)
-    for buf in (t.off, t.nbr, t.edges.ends, neighbours(t, 2), t.bfs,
-                t.parent):
+    for buf in (t.edges.ends, t.bfs, t.parent):
         with pytest.raises(TypeError):
             buf[0] = 3
     with pytest.raises(AttributeError):
-        t.edges.ends = t.nbr
+        t.edges.ends = t.bfs
     with pytest.raises(AttributeError):
         t.bfs = t.parent
     assert hash(t) == key and t == path_tree(3)
@@ -282,17 +281,8 @@ def test_shape_constructors():
     assert broom_tree(5, 1) == star_tree(5)
 
 
-def csr_bytes(t):
-    return bytes(t.off), bytes(t.nbr), bytes(t.edges.ends)
-
-
-def sorted_csr(n, edges):
-    """off and nbr bytes of the CSR whose rows are in increasing id."""
-    ends = np.array(edges, np.intc).reshape(-1)
-    other = ends.reshape(-1, 2)[:, ::-1].ravel()
-    off = np.zeros(n + 2, np.intc)
-    np.cumsum(np.bincount(ends, minlength=n + 1), out=off[1:])
-    return off.tobytes(), other[np.lexsort((other, ends))].tobytes()
+def tree_bytes(t):
+    return bytes(t.edges.ends), bytes(t.bfs), bytes(t.parent)
 
 
 @pytest.mark.parametrize("make", [
@@ -305,11 +295,9 @@ def test_canonical_text_parses_to_the_same_bytes(make):
     t = make()
     text = format_tree(t)
     got = parse_tree(text)
-    assert csr_bytes(got) == csr_bytes(t)
-    # as the per-line path reads it (a padded line is not canonical) and
-    # as the CSR with rows in increasing id lays it out
-    assert csr_bytes(parse_tree(text.replace("\n", " \n"))) == csr_bytes(t)
-    assert sorted_csr(t.n, list(t.edges)) == csr_bytes(t)[:2]
+    assert tree_bytes(got) == tree_bytes(t)
+    # as the per-line path reads it (a padded line is not canonical)
+    assert tree_bytes(parse_tree(text.replace("\n", " \n"))) == tree_bytes(t)
     assert parsed(parse_tree, text) == parsed(old_parse_tree, text)
 
 
@@ -321,16 +309,17 @@ def test_canonical_text_parses_to_the_same_bytes(make):
 ])
 def test_shuffled_edges_give_the_same_csr(make):
     # each shape fed back in shuffled order, each edge's ends in a random
-    # order: the same off and nbr bytes, every row in increasing id
+    # order: the CSR that the BFS reads is dropped once it has, and
+    # what it leaves, the BFS and its parents, and the degrees, are the
+    # same bytes, the BFS from vertex 1 in increasing id
     t = make()
     rnd = random.Random(t.n)
     edges = [(u, v) if rnd.random() < 0.5 else (v, u) for u, v in t.edges]
     rnd.shuffle(edges)
     got = Tree(t.n, edges)
-    assert csr_bytes(got)[:2] == csr_bytes(t)[:2] == sorted_csr(t.n, edges)
-    for v in range(1, t.n + 1):
-        row = list(neighbours(got, v))
-        assert row == sorted(set(row))
+    assert tree_bytes(got)[1:] == tree_bytes(t)[1:]
+    assert (list(got.bfs), list(got.parent)) == python_bfs(got)
+    assert got.degrees().tolist() == t.degrees().tolist()
 
 
 @pytest.mark.parametrize("edit", [
@@ -346,7 +335,7 @@ def test_valid_variants_parse_as_before(edit):
     # all to one tree
     t = Tree(7, [(7, 1), (1, 2), (3, 2), (2, 4), (6, 5), (5, 4)])
     text = edit(format_tree(t))
-    assert csr_bytes(parse_tree(text)) == csr_bytes(t)
+    assert tree_bytes(parse_tree(text)) == tree_bytes(t)
     assert parsed(parse_tree, text) == parsed(old_parse_tree, text)
 
 
