@@ -122,7 +122,7 @@ class TrialRecord:
     failure_site: str  # site of the last failed attempt, "" if none
     failure_step: int  # -1 if none
     quasi1_max_dev: float  # -1.0 when no checkpoint fired
-    quasi2_max_dev: float
+    quasi2_max_dev: float  # -1.0 when no checkpoint sampled a pattern
     quasi_ok: bool  # both deviations within alpha(t) at every checkpoint
     corv_hits: int
     core_hits: int
@@ -162,7 +162,10 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     child(k, 0) over the first plan's cut and ordering, and its labels
     from child(k, 1)), 2 quasi sampling.  A caller that has already
     read the config's tree file passes the tree, which is then not read
-    again; like the file, it must have order cfg.n[n_index]."""
+    again; like the file, it must have order cfg.n[n_index].  The
+    checkpoint callback returns its check_quasi report, so the trial's
+    reports are the labelling result's: the last attempt's, in step
+    order."""
     t0 = time.perf_counter()
     n = cfg.n[n_index]
     params = cfg.params_for(n)
@@ -172,12 +175,9 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     label_rng = root.child(1)
     quasi_rng = root.child(2)
 
-    tagged: List[Tuple[int, QuasiReport]] = []  # (attempt, report)
-
     def on_checkpoint(state, t):
-        tagged.append((state.attempt, check_quasi(
-            state, sys, float(params.alpha(t)), cfg.quasi_per_kind,
-            quasi_rng, t=t)))
+        return check_quasi(state, sys, float(params.alpha(t)),
+                           cfg.quasi_per_kind, quasi_rng, t=t)
 
     plan = prepare_plan(tree, sys, label_rng.child(0).child(0),
                         max_component=cfg.max_component)
@@ -191,7 +191,7 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
                         collect_trace=collect_trace,
                         replan=lambda r: prepare.assign_intervals(
                             plan, sys, r))
-    reports = [r for k, r in tagged if k == res.attempts - 1]
+    reports = res.reports
 
     labelling = None
     if res.success:
@@ -203,7 +203,8 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
 
     last_fail = res.failures[-1] if res.failures else None
     q1 = max((r.quasi1_max_dev for r in reports), default=-1.0)
-    q2 = max((r.quasi2_max_dev for r in reports), default=-1.0)
+    # the structure deviation only of checkpoints that sampled patterns
+    q2 = max((d for r in reports for d in r.quasi2_devs), default=-1.0)
     record = TrialRecord(
         n=n,
         trial=trial,
@@ -220,7 +221,7 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
         steps=res.steps,
         wall_time=time.perf_counter() - t0,
     )
-    return TrialResult(record=record, result=res, reports=tuple(reports),
+    return TrialResult(record=record, result=res, reports=reports,
                        labelling=labelling, tree=tree, params=params)
 
 

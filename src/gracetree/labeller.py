@@ -22,12 +22,14 @@ next event: the next step that one of the correction laws hits, the
 next checkpoint or the last step, and every step when a trace is
 collected.  Only an event step runs the rare work, in this order: the
 vertex correction pick, the edge correction pick, the trace row, the
-checkpoint.  No count is kept per step: after t completed steps
-|A| = n_tilde - t - corv_hits and |C| = n_tilde - t - core_hits, and
-those two hit counts change only on events.  The labels are kept in
-plan order in one list; a completed attempt scatters it by vertex into
-an int64 array once and returns that array read-only (LabelArray), so
-the pipeline builds no dict of labels.
+checkpoint.  No count is kept per step: the loop counts only the
+corrective removals (corv_hits, core_hits), on events, and a trace row
+derives |A| = n_tilde - t - corv_hits and |C| = n_tilde - t - core_hits
+from them after t completed steps.  A checkpoint hands the callback the
+state itself, and the audit counts A and C off its bytes.  The labels
+are kept in plan order in one list; a completed attempt scatters it by
+vertex into an int64 array once and returns that array read-only
+(LabelArray), so the pipeline builds no dict of labels.
 
 Every value is read by Rng.draws, in blocks.  Every target interval
 has width ell and every correction window width m, so a try reads the
@@ -43,7 +45,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -104,42 +106,19 @@ class LabelState:
     audit also packs A and C into 64-bit words once per checkpoint and
     keeps no copy of the state between checkpoints.
 
-    size_a and size_c are |A| and |C|; steps_done, corv_hits and
-    core_hits count completed steps and the corrective removals made in
-    them; attempt is the attempt's index.  The label loop keeps only
-    the two hit counts, and only on event steps.  Before every
-    checkpoint it writes all five, |A| and |C| derived from the hit
-    counts (see the module docstring); when the attempt ends it counts
-    |A| and |C| off the bytes, since a step that failed part-way may
-    have made some of its removals.  So the counts are current whenever
-    a caller sees the state.
+    The state is the two free sets and nothing else: |A| and |C| are
+    counted off the bytes by whoever needs them, and an attempt's step
+    and removal counts come back from _attempt.
     """
 
-    __slots__ = (
-        "attempt",
-        "labels",
-        "diffs",
-        "label_view",
-        "diff_view",
-        "size_a",
-        "size_c",
-        "steps_done",
-        "corv_hits",
-        "core_hits",
-    )
+    __slots__ = ("labels", "diffs", "label_view", "diff_view")
 
-    def __init__(self, sys: IntervalSystem, attempt: int = 0):
-        self.attempt = attempt
+    def __init__(self, sys: IntervalSystem):
         nt = sys.n_tilde
         self.labels = bytearray(b"\0" + b"\1" * nt)
         self.diffs = bytearray(b"\0" + b"\1" * (nt - 1) + b"\0")
         self.label_view = np.frombuffer(self.labels, bool)
         self.diff_view = np.frombuffer(self.diffs, bool)
-        self.size_a = nt
-        self.size_c = nt - 1
-        self.steps_done = 0
-        self.corv_hits = 0
-        self.core_hits = 0
 
     def admissible_mask(self, a: int, iv: Interval) -> np.ndarray:
         """Window mask of labels in iv admissible against parent label a:
@@ -219,7 +198,6 @@ def take(free: bytearray, v: int, what: str) -> None:
 @dataclass(frozen=True)
 class TraceRow:
     t: int
-    vertex: int
     label: int
     edge_label: int  # -1 on the first step
     corv_label: int  # removed vertex label, -1 when the draw was the null outcome
@@ -238,7 +216,10 @@ class AttemptFailure:
 class LabelResult:
     """The outcome of run_labelling.  psi holds the labels of the
     completed attempt by vertex, as one read-only int64 array (see
-    verify.LabelArray), and is None when every attempt failed."""
+    verify.LabelArray), and is None when every attempt failed.  steps,
+    corv_hits, core_hits and reports describe the last attempt: its
+    completed steps, the corrective removals made in them, and what
+    on_checkpoint returned at each of its checkpoints, in step order."""
 
     success: bool
     psi: LabelArray | None
@@ -246,10 +227,10 @@ class LabelResult:
     attempts: int
     failures: tuple[AttemptFailure, ...]
     trace: tuple[TraceRow, ...] | None
-    # completed steps of the last attempt, and its corrective removals
     steps: int = 0
     corv_hits: int = 0
     core_hits: int = 0
+    reports: tuple = ()
 
     def failure_histogram(self) -> dict[str, int]:
         hist: dict[str, int] = {}
@@ -265,22 +246,22 @@ def _attempt(
     core: CorrectionDistribution,
     rng: Rng,
     checkpoint_every: int,
-    on_checkpoint: Callable[[LabelState, int], None] | None,
+    on_checkpoint: Callable[[LabelState, int], Any] | None,
     collect_trace: bool,
-    attempt: int,
-) -> tuple[
-    LabelArray | None, AttemptFailure | None, list[TraceRow] | None, LabelState
-]:
-    state = LabelState(sys, attempt)
+) -> tuple[LabelArray | None, AttemptFailure | None, list[TraceRow] | None,
+           int, int, int, list]:
+    """One attempt: (labels or None, failure or None, trace rows or None,
+    completed steps, vertex and edge removals made in them, the values
+    on_checkpoint returned)."""
+    state = LabelState(sys)
     # the loop's lookups, bound once per attempt
     free_a = state.labels
     free_c = state.diffs
-    # the plan's arrays as lists, so that no step indexes numpy; the
-    # vertices are needed only by trace rows (a completed attempt
-    # scatters its labels by plan.order in one numpy pass)
+    # the plan's arrays as lists, so that no step indexes numpy (a
+    # completed attempt scatters its labels by plan.order in one numpy
+    # pass)
     parent_pos = plan.parent_pos.tolist()
     los = plan.lo.tolist()
-    order = plan.order.tolist() if collect_trace else None
     n = len(los)
     m = sys.m
     nt = sys.n_tilde
@@ -299,12 +280,13 @@ def _attempt(
     # the step of the next checkpoint, n + 1 when there is none
     cp_next = checkpoint_every if checkpoint_every and on_checkpoint else n + 1
     trace: list[TraceRow] | None = [] if collect_trace else None
+    reports: list = []
 
     # step 1: the first vertex has no parent, so its label is a free
     # label of its interval; a failure here leaves the state untouched
     b = pick_free(free_a, los[0], ell, label_offsets, ranks)
     if b < 0:
-        return None, AttemptFailure(FAIL_CHOOSE, 1), trace, state
+        return None, AttemptFailure(FAIL_CHOOSE, 1), trace, 0, 0, 0, reports
     take(free_a, b, "label")
     labels = [b]
     # removals made in completed steps; |A| and |C| follow from them
@@ -344,7 +326,6 @@ def _attempt(
                 trace.append(
                     TraceRow(
                         t=t,
-                        vertex=order[p],
                         label=b,
                         edge_label=abs(b - labels[parent_pos[p]]) if p else -1,
                         corv_label=corv_label,
@@ -354,12 +335,7 @@ def _attempt(
                     )
                 )
             if t == cp_next:
-                state.size_a = nt - t - corv_hits
-                state.size_c = nt - t - core_hits
-                state.steps_done = t
-                state.corv_hits = corv_hits
-                state.core_hits = core_hits
-                on_checkpoint(state, t)
+                reports.append(on_checkpoint(state, t))
                 cp_next += checkpoint_every
             if t == n:
                 break
@@ -386,18 +362,12 @@ def _attempt(
             take(free_a, b, "label")
             take(free_c, abs(b - a), "difference")
         labels.append(b)
-    state.steps_done = n if failure is None else failure.step - 1
-    state.corv_hits = corv_hits
-    state.core_hits = core_hits
-    # a failed step may have made some of its removals, so the sizes
-    # are counted off the bytes
-    state.size_a = int(np.count_nonzero(state.label_view))
-    state.size_c = int(np.count_nonzero(state.diff_view))
     if failure is not None:
-        return None, failure, trace, state
+        return (None, failure, trace, failure.step - 1, corv_hits, core_hits,
+                reports)
     by_vertex = np.zeros(n + 1, np.int64)
     by_vertex[plan.order] = labels
-    return LabelArray(by_vertex), None, trace, state
+    return LabelArray(by_vertex), None, trace, n, corv_hits, core_hits, reports
 
 
 def run_labelling(
@@ -407,7 +377,7 @@ def run_labelling(
     *,
     max_retries: int = 0,
     checkpoint_every: int = 0,
-    on_checkpoint: Callable[[LabelState, int], None] | None = None,
+    on_checkpoint: Callable[[LabelState, int], Any] | None = None,
     collect_trace: bool = False,
     replan: Callable[[Rng], Plan] | None = None,
 ) -> LabelResult:
@@ -429,8 +399,12 @@ def run_labelling(
       candidates, in the order the label, the vertex pick and the edge
       pick fall back.
 
-    The result's step and removal counts are those of the last attempt,
-    whether or not a trace is collected.
+    Every checkpoint_every steps of an attempt (none when it is 0 or
+    on_checkpoint is None), on_checkpoint(state, t) is called with the
+    attempt's state after t completed steps; the state is live and must
+    not be changed.  The result's reports are the values it returned on
+    the last attempt, and its step and removal counts are that
+    attempt's too, whether or not a trace is collected.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -442,7 +416,7 @@ def run_labelling(
         s = rng.child(k)
         if k and replan is not None:
             cur_plan = replan(s.child(0))
-        psi, failure, trace, state = _attempt(
+        psi, failure, trace, steps, corv_hits, core_hits, reports = _attempt(
             cur_plan,
             sys,
             corv,
@@ -451,7 +425,6 @@ def run_labelling(
             checkpoint_every,
             on_checkpoint,
             collect_trace,
-            k,
         )
         if failure is None:
             break
@@ -463,7 +436,8 @@ def run_labelling(
         attempts=k + 1,
         failures=tuple(failures),
         trace=tuple(trace) if trace is not None else None,
-        steps=state.steps_done,
-        corv_hits=state.corv_hits,
-        core_hits=state.core_hits,
+        steps=steps,
+        corv_hits=corv_hits,
+        core_hits=core_hits,
+        reports=tuple(reports),
     )

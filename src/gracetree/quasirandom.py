@@ -13,13 +13,14 @@ geometry and has a closed form.  QUASI1 compares the free differences
 of every edge window with their expected number.
 
 A checkpoint is a few array passes.  A and C are packed once into
-64-bit words (np.packbits): all QUASI1 window counts are ranks in C's
-words, and the sample's anchors and fixed edge labels are selects in
-A's and C's.  The sample is drawn from the audit stream by five
-Rng.draws reads, in this order: the slots of all four kinds (X1, X2,
-X3 and X4, per_kind each), X2's partner-slot offsets, the anchor ranks
-(X2's, X3's and X4's first anchors), X4's second-anchor ranks, and the
-fixed edge labels' ranks.
+64-bit words (np.packbits), whose set-bit totals are |A| and |C|: the
+audit counts the bytes it audits.  All QUASI1 window counts are ranks
+in C's words, and the sample's anchors and fixed edge labels are
+selects in A's and C's.  The sample is drawn from the audit stream by
+five Rng.draws reads, in this order: the slots of all four kinds (X1,
+X2, X3 and X4, per_kind each), X2's partner-slot offsets, the anchor
+ranks (X2's, X3's and X4's first anchors), X4's second-anchor ranks,
+and the fixed edge labels' ranks.
 Each kind's patterns are then counted together: their width-m rows of
 A's and C's bytes are gathered through strided views of the two
 bytearrays, C's rows by the label draw's fallback's own primitive
@@ -154,20 +155,23 @@ class _Words:
     """Rank and select on one free set, fixed for one checkpoint.
 
     The set's N bytes (byte v is 1 iff v is free) are packed once into
-    little-endian 64-bit words, zero-padded to N // 64 + 1 words, and
-    below[i] counts the set bits of words 0..i-1.  Setting up costs one
-    np.packbits pass over the bytes and O(N/64) words of numpy work;
-    each query is then O(1) array work per position or rank.
+    little-endian 64-bit words, zero-padded to N // 64 + 1 words;
+    below[i] counts the set bits of words 0..i-1, and total all of them,
+    the size of the set.  Setting up costs one np.packbits pass over the
+    bytes and O(N/64) words of numpy work; each query is then O(1) array
+    work per position or rank.
     """
 
-    __slots__ = ("words", "below")
+    __slots__ = ("words", "below", "total")
 
     def __init__(self, free: np.ndarray):
         self.words = np.zeros(len(free) // 64 + 1, "<u8")
         self.words.view(np.uint8)[:-(-len(free) // 8)] = np.packbits(
             free, bitorder="little")
         pop = np.bitwise_count(self.words).astype(np.int64)
-        self.below = np.cumsum(pop) - pop
+        upto = np.cumsum(pop)
+        self.below = upto - pop
+        self.total = int(upto[-1])
 
     def rank(self, p: np.ndarray) -> np.ndarray:
         """Free values below each position of the uint64 array p
@@ -197,7 +201,7 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
                 per_kind: int, rng: Optional[Rng], *,
                 t: int = 0) -> QuasiReport:
     """Evaluate both quasirandomness conditions on the free labels and
-    differences of state.
+    differences of state, counted off its bytes.
 
     The edge-window condition is checked exhaustively: one numpy pass
     over C's words gives the free differences of every edge window, and
@@ -213,9 +217,9 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
     are reported in units of m.
     """
     m, nt = sys.m, sys.n_tilde
-    size_a, size_c = state.size_a, state.size_c
+    labels, diffs = _Words(state.label_view), _Words(state.diff_view)
+    size_a, size_c = labels.total, diffs.total
 
-    diffs = _Words(state.diff_view)
     # free differences of the edge windows lo = 0, m, ..., n_tilde - m
     cnt = np.diff(diffs.rank(np.arange(0, nt + 1, m, dtype=np.uint64)))
     # |cnt * nt - m * |A|| is convex in cnt, so the extreme counts hold
@@ -232,7 +236,7 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
     devs = []
     if (per_kind > 0 and size_a >= 2 and size_c >= 1
             and len(sys.iv_intervals) >= 2):
-        for kind, fields in _sample(state, sys, per_kind, rng, diffs):
+        for kind, fields in _sample(sys, per_kind, rng, labels, diffs):
             nt_f, size_f = nt ** _FREE[kind], size_a ** _FREE[kind]
             den = m * nt_f
             devs += [abs(x * nt_f - y * size_f) / den for x, y in zip(
@@ -244,24 +248,25 @@ def check_quasi(state: LabelState, sys: IntervalSystem, alpha: float,
                        quasi1_argmax_lo=worst * m, quasi2_devs=tuple(devs))
 
 
-def _sample(state: LabelState, sys: IntervalSystem, k: int, rng: Rng,
+def _sample(sys: IntervalSystem, k: int, rng: Rng, labels: _Words,
             diffs: _Words) -> list:
     """k patterns of each kind, as (kind, _counts' fields) in order
     X1..X4: slots uniform over the vertex windows (two distinct ones
     for X2), anchors uniform over A (X4's second over A minus the
-    first), fixed edge labels uniform over C.  The five draws reads
-    come in the order the module docstring gives."""
+    first), fixed edge labels uniform over C; labels and diffs are A's
+    and C's words.  The five draws reads come in the order the module
+    docstring gives."""
     m = sys.m
     slot = rng.draws(len(sys.iv_intervals), 4 * k)
     # uniform over the slots other than X2's first: skip its index
     slot2 = rng.draws(len(sys.iv_intervals) - 1, k)
     slot2 += slot2 >= slot[k:2 * k]
-    rank = rng.draws(state.size_a, 3 * k)
+    rank = rng.draws(labels.total, 3 * k)
     # uniform over A minus X4's first anchor: skip the anchor's rank
-    rank2 = rng.draws(state.size_a - 1, k)
+    rank2 = rng.draws(labels.total - 1, k)
     rank2 += rank2 >= rank[2 * k:]
-    fixed = select(diffs, rng.draws(state.size_c, k))
-    a = select(_Words(state.label_view), np.concatenate((rank, rank2)))
+    fixed = select(diffs, rng.draws(diffs.total, k))
+    a = select(labels, np.concatenate((rank, rank2)))
     lo = 1 + m * slot  # slot s is iv_intervals[s] = (1 + m s, m + m s)
     return [("X1", (lo[:k],)),
             ("X2", (lo[k:2 * k], a[:k], None, fixed, 1 + m * slot2)),

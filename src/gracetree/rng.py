@@ -68,7 +68,8 @@ class Rng:
         x = np.empty(0, np.uint64)
         while len(x) < count:
             w = raw((count - len(x)) * span // bound + 64) & (span - 1)
-            x = np.concatenate((x, w[w < bound]))
+            w = w[w < bound]
+            x = np.concatenate((x, w)) if len(x) else w
         return x[:count].view(np.int64)
 
     def offsets(self, bound: int) -> Iterator[int]:

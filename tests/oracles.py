@@ -12,11 +12,11 @@ full_check_quasi are the audit as it stood on full-width ints (one int
 per set, C's lower side read by reversing a string), before it read
 the labeller's own state.
 snapshot builds a LabelState holding given sets, through remove_label
-and remove_diff: checked removals that keep size_a and size_c, as
-LabelState's methods did before the label loop kept those counts in
-locals.  sample is CorrectionDistribution.sample, one draw of a
-correction law by randbelow, as the label loop made it before it drew
-each law for a whole attempt (CorrectionDistribution.hits).
+and remove_diff, which clear one byte each and check that it was free;
+the state keeps no sizes, so the bytes are all there is.  sample is
+CorrectionDistribution.sample, one draw of a correction law by
+randbelow, as the label loop made it before it drew each law for a
+whole attempt (CorrectionDistribution.hits).
 mask_select_label and mask_select_pick are the label draw and the
 correction pick as they stood, one whole-window mask and one select
 per draw, before the draws tried single positions first; they are also
@@ -458,12 +458,10 @@ def mask_select_pick(bits, lo, w, rank):
 
 def remove_label(state, b):
     take(state.labels, b, "label")
-    state.size_a -= 1
 
 
 def remove_diff(state, d):
     take(state.diffs, d, "difference")
-    state.size_c -= 1
 
 
 def sample(dist, rng):
@@ -585,7 +583,7 @@ def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
         labels, trace = [], []
         steps = corv_hits = core_hits = 0
         failure = None
-        for pos, vertex in enumerate(order):
+        for pos in range(len(order)):
             t = pos + 1
             a = labels[plan.parent_pos[pos]] if pos else None
             b = _uniform_member(
@@ -618,7 +616,7 @@ def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
             steps = t
             corv_hits += corv_label >= 0
             core_hits += core_diff >= 0
-            trace.append(TraceRow(t, vertex, b, edge, corv_label, core_diff,
+            trace.append(TraceRow(t, b, edge, corv_label, core_diff,
                                   len(A), len(C)))
         if failure is None:
             break

@@ -152,7 +152,8 @@ def test_label_state_matches_oracle_and_full_ints(case):
     for d in gone_c:
         remove_diff(state, d)
         diffs.discard(d)
-    assert (state.size_a, state.size_c) == (len(labels), len(diffs))
+    assert ((state.labels.count(1), state.diffs.count(1))
+            == (len(labels), len(diffs)))
 
     a_bits = from_indices(labels)
     c_bits = from_indices(diffs)

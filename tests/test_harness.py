@@ -449,6 +449,26 @@ def test_reports_are_scoped_to_the_last_attempt():
     assert rec.quasi_ok
 
 
+def test_unsampled_structure_deviation_reads_minus_one():
+    # with quasi_per_kind = 0 each checkpoint measures QUASI1 and samples
+    # no pattern; the record must not show a QUASI2 deviation of 0 for
+    # a structure audit that never ran
+    cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 2), m=16, ell=64,
+                           trials=1, seed=3, checkpoint_every=500,
+                           quasi_per_kind=0, max_component=8)
+    tr = run_trial(cfg, 0, 0)
+    assert tr.reports and all(r.quasi2_devs == () for r in tr.reports)
+    rec = tr.record
+    assert rec.quasi1_max_dev == max(r.quasi1_max_dev for r in tr.reports)
+    assert rec.quasi1_max_dev >= 0 and rec.quasi2_max_dev == -1.0
+    row = next(csv.DictReader(io.StringIO(records_csv([rec]))))
+    assert row["quasi2_max_dev"] == "-1"
+    # sampling, the record holds the largest sampled deviation
+    tr = run_trial(dataclasses.replace(cfg, quasi_per_kind=4), 0, 0)
+    assert tr.record.quasi2_max_dev == max(
+        d for r in tr.reports for d in r.quasi2_devs)
+
+
 # SHA-256 of the artifacts of two frozen runs.  They pin the RNG draw
 # order, so a change to the label state's representation keeps them.
 # They also pin the plan: all were re-recorded when the vertex order

@@ -145,42 +145,46 @@ def _trace_counts(rows):
 def _traced_and_bare(tree, sys, s, every):
     """The traced run's checkpoint marks and result, from run_labelling
     on tree (seed s, 2 retries, a checkpoint every `every` steps) with a
-    trace and without.  At every checkpoint the state's counts must
-    equal the free bytes of A and C, whose bytes 0 (and C's byte
-    n_tilde) stay 0; the runs must agree on
-    the marks and, but for the trace, the result; and on the last
-    attempt each mark must agree with the trace."""
+    trace and without.  A mark is (attempt, t, |A|, |C|), the sizes
+    counted off the bytes of A and C, whose bytes 0 (and C's byte
+    n_tilde) stay 0; the callback returns (t, |A|, |C|).  The runs must
+    agree on the marks and, but for the trace, the result; the result's
+    reports must be exactly the last attempt's returns; and each of
+    those must agree with the trace row of its step."""
     runs = []
     for traced in (True, False):
         marks = []
+        attempt = 0
 
         def on_checkpoint(state, t):
-            a, c = (np.count_nonzero(v)
-                    for v in (state.label_view, state.diff_view))
-            assert (state.size_a, state.size_c) == (a, c)
             assert state.labels[0] == state.diffs[0] == state.diffs[-1] == 0
-            marks.append((state.attempt, t, state.steps_done,
-                          state.corv_hits, state.core_hits,
-                          state.size_a, state.size_c))
+            sizes = (t, int(np.count_nonzero(state.label_view)),
+                     int(np.count_nonzero(state.diff_view)))
+            marks.append((attempt, *sizes))
+            return sizes
+
+        def replan(r):
+            # run_labelling replans at the start of every attempt but
+            # the first
+            nonlocal attempt
+            attempt += 1
+            return prepare_plan(tree, sys, r)
 
         plan = prepare_plan(tree, sys, Rng(s, key=(1,)))
         res = run_labelling(plan, sys, Rng(s, key=(2,)), max_retries=2,
                             checkpoint_every=every,
                             on_checkpoint=on_checkpoint,
-                            collect_trace=traced,
-                            replan=lambda r: prepare_plan(tree, sys, r))
+                            collect_trace=traced, replan=replan)
         runs.append((marks, res))
     (marks, res), (bare_marks, bare) = runs
     assert bare_marks == marks
     assert bare.trace is None
     assert dataclasses.replace(res, trace=None) == bare
-    assert all(t == done for _, t, done, *_ in marks)
+    assert res.reports == tuple(mark[1:] for mark in marks
+                                if mark[0] == res.attempts - 1)
     rows = res.trace
-    for k, t, done, corv, core, size_a, size_c in marks:
-        if k == res.attempts - 1:
-            assert (done, corv, core) == _trace_counts(rows[:t])
-            assert (size_a, size_c) == (rows[t - 1].size_a,
-                                        rows[t - 1].size_c)
+    for t, size_a, size_c in res.reports:
+        assert (size_a, size_c) == (rows[t - 1].size_a, rows[t - 1].size_c)
     return marks, res
 
 
@@ -248,7 +252,9 @@ def test_events_sharing_a_step(point):
             assert [(k, t) for k, t, *_ in marks] == [
                 (k, t) for k, d in enumerate(done)
                 for t in range(every, d + 1, every)]
-            for _, t, _, corv, core, size_a, size_c in marks:
+            # the last attempt's sizes against its removals so far
+            for t, size_a, size_c in res.reports:
+                _, corv, core = _trace_counts(res.trace[:t])
                 assert (size_a, size_c) == (nt - t - corv, nt - t - core)
             for row in res.trace:
                 corv, core = row.corv_label >= 0, row.core_diff >= 0
@@ -291,7 +297,8 @@ def test_checkpoint_callback():
         Rng(21, key=(1,)),
         max_retries=500,
         checkpoint_every=4,
-        on_checkpoint=lambda state, t: seen.append((t, state.size_a)),
+        on_checkpoint=lambda state, t: seen.append(
+            (t, state.labels.count(1))),
     )
     assert res.success
     last_attempt_steps = [t for t, _ in seen][-4:]

@@ -237,7 +237,8 @@ def _window_loop(state, sys):
     """QUASI1 one m-window read at a time: the largest deviation and the
     lowest window lo attaining it."""
     m, nt = sys.m, sys.n_tilde
-    devs = [abs(state.diffs[lo:lo + m].count(1) * nt - m * state.size_a)
+    size_a = state.labels.count(1)
+    devs = [abs(state.diffs[lo:lo + m].count(1) * nt - m * size_a)
             for lo in sys.ie_starts]
     top = max(devs)
     return top / (m * nt), sys.ie_starts[devs.index(top)]
@@ -351,8 +352,26 @@ def test_check_quasi_emptied_window():
     remove_diff(hollow, 2)
     remove_diff(hollow, 3)
     rep = check_quasi(hollow, sys, 0.1, 0, None)
-    assert rep.quasi1_max_dev >= hollow.size_a / sys.n_tilde
+    assert rep.quasi1_max_dev >= hollow.labels.count(1) / sys.n_tilde
     assert not rep.ok
+
+
+def test_audit_counts_the_bytes_it_audits():
+    # bytes cleared directly on a fresh state, nothing else touched: the
+    # audit takes |A| and |C| from the bytes, as the full-width audit
+    # takes them from its ints
+    sys = IntervalSystem(48, 4, 8)
+    state = LabelState(sys)
+    for b in range(3, 49, 3):
+        state.labels[b] = 0
+    for d in range(5, 48, 4):
+        state.diffs[d] = 0
+    bits = full_ints(state)
+    got = check_quasi(state, sys, 0.5, 0, None)
+    assert got == full_check_quasi(*bits, sys, 0.5, 0, None)
+    # the sample's anchor and fixed-label ranks run over |A| and |C| too
+    got = check_quasi(state, sys, 0.5, 4, Rng(6, key=(1,)), t=9)
+    assert got == full_check_quasi(*bits, sys, 0.5, 4, Rng(6, key=(1,)), t=9)
 
 
 def test_check_quasi_deterministic_and_counts():
@@ -584,7 +603,7 @@ def test_sample_laws():
     seen = {name: [] for name in ("slot", "shift2", "a", "shift4", "c")}
     for _ in range(400):
         (_, (l1,)), (_, (l2, a2, _, c, lo2)), (_, (l3, a3)), (
-            _, (l4, a4, b4)) = _sample(state, sys, 16, rng,
+            _, (l4, a4, b4)) = _sample(sys, 16, rng, _Words(state.label_view),
                                        _Words(state.diff_view))
         seen["slot"] += ((np.concatenate((l1, l2, l3, l4)) - 1) // 4).tolist()
         seen["shift2"] += ((lo2 - l2) // 4 % nslots).tolist()
