@@ -26,7 +26,7 @@ from .labeller import LabelResult, run_labelling
 from .params import ParamError, Params, derive_practical_params, read_gamma
 from .prepare import prepare_plan
 from .quasirandom import QuasiReport, check_quasi
-from .rng import Rng
+from .rng import Rng, chunks
 from .trees import Tree, parse_tree, random_tree
 from .verify import Labelling, label_array, verify_graceful
 
@@ -203,8 +203,7 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
 
     last_fail = res.failures[-1] if res.failures else None
     q1 = max((r.quasi1_max_dev for r in reports), default=-1.0)
-    # the structure deviation only of checkpoints that sampled patterns
-    q2 = max((d for r in reports for d in r.quasi2_devs), default=-1.0)
+    q2 = max((r.quasi2_max_dev for r in reports), default=-1.0)
     record = TrialRecord(
         n=n,
         trial=trial,
@@ -353,8 +352,16 @@ def summary_json(summary: dict) -> str:
 
 
 def labelling_to_json(lab: Labelling) -> str:
-    return json.dumps({"n": lab.tree.n, "m": lab.m,
-                       "labels": lab.psi.array[1:].tolist()}, indent=2)
+    """{"n", "m", "labels"} as json.dumps(..., indent=2) writes it, one
+    label a line.  The labels are formatted chunk by chunk (rng.chunks),
+    so Python ints are held for one chunk of labels at a time."""
+    out = [(",\n    %d" * len(c)) % tuple(c)
+           for c in chunks(lab.psi.array, 1)]
+    # no comma before the first label
+    out[0] = (f'{{\n  "n": {lab.tree.n},\n  "m": {lab.m},\n  "labels": ['
+              + out[0][1:])
+    out.append("\n  ]\n}")
+    return "".join(out)
 
 
 def labelling_from_json(text: str, tree: Tree) -> Labelling:

@@ -15,19 +15,23 @@ same set, so the law is that of a draw from the window's mask; the
 expected cost is about 1/density tries plus a rare O(ell) fallback.
 
 The label loop (_attempt) is one pass over the plan with the label
-draw written inline.  A step reads its parent's label, makes its tries
-(two byte reads each), clears the label's byte in A and the
-difference's in C, appends the label, and makes one test against the
-next event: the next step that one of the correction laws hits, the
-next checkpoint or the last step, and every step when a trace is
-collected.  Only an event step runs the rare work, in this order: the
-vertex correction pick, the edge correction pick, the trace row, the
-checkpoint.  No count is kept per step: the loop counts only the
-corrective removals (corv_hits, core_hits), on events, and a trace row
-derives |A| = n_tilde - t - corv_hits and |C| = n_tilde - t - core_hits
-from them after t completed steps.  A checkpoint hands the callback the
-state itself, and the audit counts A and C off its bytes.  The labels
-are kept in plan order in one list; a completed attempt scatters it by
+draw written inline.  It reads the plan's parent positions and window
+starts as Python ints in chunks of 4096 (rng.chunks), so no step
+indexes numpy and no list of the whole plan is built; its one
+per-vertex list is the labels, which parents read at random.  A step
+reads its parent's label, makes its tries (two byte reads each), clears
+the label's byte in A and the difference's in C, appends the label, and
+makes one test against the next event: the next step that one of the
+correction laws hits, the next checkpoint or the last step, and every
+step when a trace is collected.  Only an event step runs the rare work,
+in this order: the vertex correction pick, the edge correction pick,
+the trace row, the checkpoint.  No count is kept per step: the loop
+counts only the corrective removals (corv_hits, core_hits), on events,
+and a trace row derives |A| = n_tilde - t - corv_hits and
+|C| = n_tilde - t - core_hits from them after t completed steps, and
+its edge label from the last label and the parent label its draw read.
+A checkpoint hands the callback the state itself, and the audit counts
+A and C off its bytes.  A completed attempt scatters the labels by
 vertex into an int64 array once and returns that array read-only
 (LabelArray), so the pipeline builds no dict of labels.
 
@@ -45,6 +49,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -57,7 +62,7 @@ from .intervals import (
     corv_distribution,
 )
 from .prepare import Plan
-from .rng import Rng
+from .rng import Rng, chunks
 from .verify import LabelArray
 
 FAIL_CHOOSE = "choose-label"
@@ -257,12 +262,7 @@ def _attempt(
     # the loop's lookups, bound once per attempt
     free_a = state.labels
     free_c = state.diffs
-    # the plan's arrays as lists, so that no step indexes numpy (a
-    # completed attempt scatters its labels by plan.order in one numpy
-    # pass)
-    parent_pos = plan.parent_pos.tolist()
-    los = plan.lo.tolist()
-    n = len(los)
+    n = len(plan.lo)
     m = sys.m
     nt = sys.n_tilde
     ell = sys.ell
@@ -284,7 +284,7 @@ def _attempt(
 
     # step 1: the first vertex has no parent, so its label is a free
     # label of its interval; a failure here leaves the state untouched
-    b = pick_free(free_a, los[0], ell, label_offsets, ranks)
+    b = pick_free(free_a, int(plan.lo[0]), ell, label_offsets, ranks)
     if b < 0:
         return None, AttemptFailure(FAIL_CHOOSE, 1), trace, 0, 0, 0, reports
     take(free_a, b, "label")
@@ -297,7 +297,12 @@ def _attempt(
     # last step, which ends the loop; step 1 is handled as one, and
     # finds the next
     event = 1
-    for t in range(1, n + 1):
+    # the plan from position 1, in chunks; step n runs its rare work
+    # before the loop breaks, so each stream ends in one spare entry
+    # that no draw reads
+    parents = chain(chain.from_iterable(chunks(plan.parent_pos, 1)), (0,))
+    los = chain(chain.from_iterable(chunks(plan.lo, 1)), (0,))
+    for t, pp, lo in zip(range(1, n + 1), parents, los):
         # labels[:t] are placed; first the rare work of step t, in order
         # the vertex pick, the edge pick, the trace row, the checkpoint
         if t == event:
@@ -322,12 +327,13 @@ def _attempt(
             corv_hits += corv_label >= 0
             core_hits += core_diff >= 0
             if trace is not None:
-                b = labels[p]
+                # b is position p's label, a the parent label its draw
+                # read
                 trace.append(
                     TraceRow(
                         t=t,
                         label=b,
-                        edge_label=abs(b - labels[parent_pos[p]]) if p else -1,
+                        edge_label=abs(b - a) if p else -1,
                         corv_label=corv_label,
                         core_diff=core_diff,
                         size_a=nt - t - corv_hits,
@@ -344,8 +350,7 @@ def _attempt(
         # then step t + 1: the label of position t, drawn as in the
         # class docstring; a try that hits has checked both bytes, so it
         # clears them in place
-        a = labels[parent_pos[t]]
-        lo = los[t]
+        a = labels[pp]
         for _ in TRIES:
             b = lo + next(label_offsets)
             if free_a[b]:

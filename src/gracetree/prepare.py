@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .intervals import IntervalSystem
-from .rng import Rng
+from .rng import Rng, chunks
 from .trees import Tree
 
 
@@ -85,8 +85,10 @@ def cut_tree_by_size(t: Tree, max_size: int) -> frozenset[tuple[int, int]]:
     above max_size, u loses its child of largest order, ties going to
     the lower rank, which is the lower id.  The pass costs O(n) plus a
     sort of the children of each vertex that cuts, O(n log n) on any
-    shape.  The cut depends only on t's edge set, not on the order of
-    its edges.
+    shape.  It reads the parent ranks in chunks (rng.chunks) and the
+    child ranges from a numpy array only at the vertices that cut, so
+    its one per-vertex list is the orders.  The cut depends only on t's
+    edge set, not on the order of its edges.
 
     The edge set is that of the walk from vertex 1 that follows the
     heaviest branch (ties alike) and cuts off the first one of order
@@ -104,17 +106,19 @@ def cut_tree_by_size(t: Tree, max_size: int) -> frozenset[tuple[int, int]]:
     n = t.n
     bfs, parent = _ranks(t)
     # the children of rank k are ranks first[k] .. first[k + 1] - 1: one
-    # plus the ranks with a parent below k, the root counting as one
-    first = np.cumsum(np.bincount(parent + 1, minlength=n + 1)).tolist()
+    # plus the ranks with a parent below k, the root counting as one;
+    # read only at the ranks that cut
+    first = np.cumsum(np.bincount(parent + 1, minlength=n + 1))
     # the order of k's side once k is done; the root adds its own to
     # the spare last entry, which its parent rank -1 indexes
     size = [1] * n + [0]
     cuts: list[int] = []  # the child rank of each removed edge
-    for k, p in zip(range(n - 1, -1, -1), parent[::-1].tolist()):
+    for k, p in zip(range(n - 1, -1, -1),
+                    chain.from_iterable(chunks(parent[::-1]))):
         s = size[k]
         if s > max_size:
             # a reverse sort is stable: equal orders stay in rank order
-            heavy = sorted(range(first[k], first[k + 1]),
+            heavy = sorted(range(int(first[k]), int(first[k + 1])),
                            key=size.__getitem__, reverse=True)
             for c in heavy:
                 cuts.append(c)

@@ -143,7 +143,8 @@ class QuasiReport:
 
     @property
     def quasi2_max_dev(self) -> float:
-        return max(self.quasi2_devs, default=0.0)
+        """The largest sampled deviation, -1.0 when none was sampled."""
+        return max(self.quasi2_devs, default=-1.0)
 
     @property
     def ok(self) -> bool:

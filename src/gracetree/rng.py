@@ -20,6 +20,10 @@ endless iterator over successive draws blocks, and permutation sorts
 the keys of one draws read.  The rule uses only numpy's raw word
 output, not Generator.integers' bounded algorithm, which numpy does not
 promise to keep stable across versions.
+
+chunks reads a long array as offsets reads its blocks, one tolist of
+_BUF entries at a time, so that a caller walks it as Python ints
+without a list of the whole array.
 """
 
 from __future__ import annotations
@@ -29,8 +33,15 @@ from typing import Iterator
 
 import numpy as np
 
-_BUF = 4096  # the values of one offsets block
+_BUF = 4096  # the values of one offsets block, the entries of one chunk
 _KEYS = 1 << 63  # the bound of permutation's sort keys
+
+
+def chunks(a, start: int = 0) -> Iterator[list]:
+    """a[start:] as lists of Python ints, _BUF entries each (the last
+    may be shorter); a is a numpy array or a memoryview.  Flatten with
+    chain.from_iterable to walk the entries one by one."""
+    return (a[i:i + _BUF].tolist() for i in range(start, len(a), _BUF))
 
 
 def _check(bound: int) -> None:

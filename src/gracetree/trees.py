@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .rng import Rng
+from .rng import Rng, chunks
 
 
 def _fault(n: int, us, vs) -> str:
@@ -88,8 +88,10 @@ class Tree:
     end * (n + 1) + other, which orders them by vertex and each row by
     id (O(n log n) in C), a cumulative count for the row offsets, and
     one BFS from vertex 1 (scipy's breadth_first_order, O(n) in C, which
-    reads this CSR adjacency as it is).  The CSR is dropped once the
-    BFS has read it: no reader of a tree needs it.
+    reads this CSR adjacency as it is).  Each temporary is dropped as
+    soon as it has been read (the sort keys once they give the
+    neighbour ids, the CSR once the BFS has read it: no reader of a
+    tree needs it).
     The checks are ids in 1..n and n - 1 edges on the arrays, then that
     the BFS reaches all n vertices.  n - 1 edges that connect 1..n have
     no self-loop and no parallel edge; when a check fails, the edge
@@ -125,21 +127,26 @@ class Tree:
         if m and (a.dtype.kind not in "iu" or b.dtype.kind not in "iu"):
             raise TypeError("vertex ids must be integers")
         ends = np.empty(2 * m, np.intc)
-        ends[0::2] = np.minimum(a, b)
-        ends[1::2] = np.maximum(a, b)
+        np.minimum(a, b, out=ends[0::2], casting="unsafe")
+        np.maximum(a, b, out=ends[1::2], casting="unsafe")
         key = ends.astype(np.int64)
         key *= n + 1
-        key += ends.reshape(-1, 2)[:, ::-1].ravel()
+        key[0::2] += ends[1::2]
+        key[1::2] += ends[0::2]
         key.sort()
-        nbr = (key % (n + 1)).astype(np.intc)
+        key %= n + 1
+        nbr = key.astype(np.intc)
+        del key
         off = np.zeros(n + 2, np.intc)
         np.cumsum(np.bincount(ends, minlength=n + 1), out=off[1:])
         # vertex 0 is an isolated row of its own; rows in increasing id
         # and float64 data are what the BFS reads, so it neither sorts
         # nor casts a copy
         graph = csr_matrix((np.ones(2 * m), nbr, off), shape=(n + 1, n + 1))
+        del nbr, off
         bfs, pred = breadth_first_order(graph, 1, directed=True,
                                         return_predecessors=True)
+        del graph
         if len(bfs) != n:
             raise ValueError(_fault(n, us, vs))
         rank = np.empty(n + 1, np.intc)
@@ -253,20 +260,31 @@ def _canonical(text: str) -> np.ndarray | None:
     it, else None: ASCII digits in tokens of at most _MAX_DIGITS, a
     first line of one token, then lines of two tokens split by one
     space, each line ending in a newline, and as many edge lines as the
-    first token asks for.  Checked and read in numpy, one pass each."""
+    first token asks for.  Checked and read in numpy, one pass each,
+    each check's arrays dropped before the next pass."""
     if not text.isascii():
         return None
     raw = np.frombuffer(text.encode("ascii"), np.uint8)
-    seps = np.flatnonzero((raw - 48) >= 10)  # every byte but a digit
+    sep = raw - 48
+    np.greater_equal(sep, 10, out=sep.view(bool))  # every byte but a digit
+    seps = np.flatnonzero(sep.view(bool))
     if not len(seps) or seps[-1] != len(raw) - 1:
         return None
     kind = raw[seps]
-    width = np.diff(seps, prepend=-1) - 1
+    del raw, sep
+    # each token but the first is one narrower than the gap between the
+    # separators around it
+    gap = np.diff(seps)
     if not ((kind[0::2] == 10).all() and (kind[1::2] == 32).all()
-            and width.min() >= 1 and width.max() <= _MAX_DIGITS):
+            and 1 <= seps[0] <= _MAX_DIGITS
+            and ((gap >= 2) & (gap <= _MAX_DIGITS + 1)).all()):
         return None
-    vals = np.fromstring(text, np.int64, sep=" ")
-    return vals if len(vals) == 2 * max(int(vals[0]) - 1, 0) + 1 else None
+    # one token ends at each separator: read exactly that many, into
+    # one buffer of the final size
+    tokens = len(seps)
+    del seps, kind, gap
+    vals = np.fromstring(text, np.int64, count=tokens, sep=" ")
+    return vals if tokens == 2 * max(int(vals[0]) - 1, 0) + 1 else None
 
 
 def parse_tree(text: str) -> Tree:
@@ -315,6 +333,11 @@ def parse_tree(text: str) -> Tree:
 
 
 def format_tree(t: Tree) -> str:
-    lines = [str(t.n)]
-    lines += [f"{u} {v}" for u, v in t.edges]
-    return "\n".join(lines) + "\n"
+    """The text parse_tree reads: a line "n", then one line "u v" per
+    edge, in t's edge order.  Formatted from chunks of the flat edge
+    buffer (rng.chunks), so Python ints are held for one chunk of
+    edges at a time."""
+    out = [f"{t.n}\n"]
+    out += [("%d %d\n" * (len(c) // 2)) % tuple(c)
+            for c in chunks(t.edges.ends)]
+    return "".join(out)

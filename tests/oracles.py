@@ -61,6 +61,9 @@ old_order_vertices is prepare.order_vertices by its first rule, a
 stable argsort of each BFS rank's component head rank (found here by
 one pass down the BFS), before the sort key became the component's
 number in the narrowest unsigned type.
+old_format_tree and old_labelling_to_json are the two text writers as
+they built their output, one Python string or int per edge or label,
+before they wrote it chunk by chunk: the bytes the writers must keep.
 """
 
 import bisect
@@ -928,6 +931,21 @@ def old_parse_tree(text):
             raise ValueError(f"bad edge line {ln!r}") from None
         edges.append((u, v))
     return old_tree(n, edges)
+
+
+def old_format_tree(t):
+    """format_tree as one string per edge line, before it wrote chunks
+    of the edge buffer."""
+    lines = [str(t.n)]
+    lines += [f"{u} {v}" for u, v in t.edges]
+    return "\n".join(lines) + "\n"
+
+
+def old_labelling_to_json(lab):
+    """labelling_to_json as json.dumps of the whole label list, before
+    it joined the labels chunk by chunk."""
+    return json.dumps({"n": lab.tree.n, "m": lab.m,
+                       "labels": lab.psi.array[1:].tolist()}, indent=2)
 
 
 # odd tokens: out of range, signs, digit separators, non-ASCII digits

@@ -9,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gracetree.harness import (ExperimentConfig, config_from_json,
                                config_to_json, exact_binomial_ci,
@@ -16,10 +17,14 @@ from gracetree.harness import (ExperimentConfig, config_from_json,
                                records_csv, run_experiment, run_trial,
                                summary_json, trace_csv, write_experiment,
                                RECORD_COLUMNS, TRACE_COLUMNS)
-from gracetree.params import ParamError
-from gracetree.trees import format_tree, path_tree, random_tree
+from gracetree.intervals import IntervalSystem
+from gracetree.labeller import run_labelling
+from gracetree.params import ParamError, derive_practical_params
+from gracetree.prepare import cut_tree_by_size, prepare_plan
+from gracetree.trees import format_tree, parse_tree, path_tree, random_tree
 from gracetree.rng import Rng
 from gracetree.verify import LabelArray, Labelling, verify_graceful
+from oracles import old_labelling_to_json
 
 
 def small_cfg(**over):
@@ -292,6 +297,30 @@ def test_labelling_json_round_trip():
         labelling_from_json(text, path_tree(7))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 2 ** 63 - 1), min_size=1, max_size=300),
+       st.integers(0, 2 ** 64))
+@example([1], 0)
+@example([2 ** 63 - 1], 1)
+def test_labelling_json_writes_the_reference_bytes(labels, spare):
+    # labellings from a dict psi, any labels in 1..m, injective or not
+    lab = Labelling(path_tree(len(labels)), dict(enumerate(labels, 1)),
+                    max(labels) + spare)
+    assert labelling_to_json(lab) == old_labelling_to_json(lab)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_labelling_json_chunk_edges(n):
+    # the writer formats the labels in chunks of 4096
+    rnd = random.Random(n)
+    labels = {v: rnd.randrange(1, 2 * n) for v in range(1, n + 1)}
+    tree = path_tree(n)
+    lab = Labelling(tree, labels, 2 * n)
+    text = labelling_to_json(lab)
+    assert text == old_labelling_to_json(lab)
+    assert labelling_from_json(text, tree).psi == lab.psi
+
+
 def test_pipeline_labellings_hold_a_label_array():
     cfg = small_cfg(trials=2)
     tr = run_trial(cfg, 0, 0)
@@ -353,6 +382,53 @@ def test_labelling_file_memory_per_vertex():
     assert rep.ok
     assert (kept - base) / n < 16
     assert (peak - base) / n < 64
+
+
+def _stage_peak(n, f, *args):
+    """f(*args) and its tracemalloc peak above the level it started at,
+    in bytes per vertex."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    out = f(*args)
+    return out, (tracemalloc.get_traced_memory()[1] - base) / n
+
+
+def _stage_peaks(n):
+    """Each stage's peak at a random tree of order n, gamma = 1/2,
+    m = 128, ell = 512, cap 32 and no retry, in bytes per vertex."""
+    params = derive_practical_params(n, Fraction(1, 2), 128, 512)
+    sys = IntervalSystem(params.n_tilde, params.m, params.ell)
+    peaks = {}
+    tree, peaks["random_tree"] = _stage_peak(n, random_tree, n, Rng(7))
+    text, peaks["format_tree"] = _stage_peak(n, format_tree, tree)
+    _, peaks["parse_tree"] = _stage_peak(n, parse_tree, text)
+    del text
+    _, peaks["cut_tree_by_size"] = _stage_peak(n, cut_tree_by_size, tree, 32)
+    plan = prepare_plan(tree, sys, Rng(7, (1,)), max_component=32)
+    res, peaks["run_labelling"] = _stage_peak(n, run_labelling, plan, sys,
+                                              Rng(7, (2,)))
+    assert res.success
+    lab = Labelling(tree, res.psi, params.n_tilde)
+    _, peaks["labelling_to_json"] = _stage_peak(n, labelling_to_json, lab)
+    return peaks
+
+
+def test_stage_memory_per_vertex():
+    # no stage builds a Python object per vertex or edge but the label
+    # loop's one list of labels: with whole-array lists (tolist of the
+    # plan and the BFS, a string per edge line, a list of the labels)
+    # these stages peaked at 108, 100, 142, 89, 91 and 120 bytes per
+    # vertex at n = 10^5, read in chunks at 68, 60, 62, 27, 24 and 23
+    bounds = {"random_tree": 80, "parse_tree": 72, "run_labelling": 72,
+              "cut_tree_by_size": 40, "format_tree": 40,
+              "labelling_to_json": 40}
+    _stage_peaks(5000)  # imports and caches settle first
+    tracemalloc.start()
+    try:
+        peaks = _stage_peaks(100_000)
+    finally:
+        tracemalloc.stop()
+    assert {k: v for k, v in peaks.items() if v > bounds[k]} == {}, peaks
 
 
 def test_tree_file_source(tmp_path):
@@ -467,6 +543,20 @@ def test_unsampled_structure_deviation_reads_minus_one():
     tr = run_trial(dataclasses.replace(cfg, quasi_per_kind=4), 0, 0)
     assert tr.record.quasi2_max_dev == max(
         d for r in tr.reports for d in r.quasi2_devs)
+
+
+def test_unsampled_checkpoint_rows_read_minus_one():
+    # the trace's checkpoint rows agree with the report and the record:
+    # a checkpoint that sampled no pattern shows no QUASI2 deviation
+    cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 2), m=16, ell=64,
+                           trials=1, seed=3, checkpoint_every=500,
+                           quasi_per_kind=0, max_component=8)
+    tr = run_trial(cfg, 0, 0, collect_trace=True)
+    assert all(r.quasi2_max_dev == -1.0 for r in tr.reports)
+    rows = list(csv.reader(io.StringIO(trace_csv(tr.result, tr.reports))))
+    checks = [r for r in rows[1:] if r[1] == ""]
+    assert [int(r[0]) for r in checks] == [500, 1000, 1500]
+    assert all(r[-1] == "-1" for r in checks)
 
 
 # SHA-256 of the artifacts of two frozen runs.  They pin the RNG draw

@@ -11,8 +11,8 @@ from gracetree.rng import Rng
 from gracetree.trees import (DegreeStats, Tree, broom_tree, caterpillar_tree,
                              degree_stats, format_tree, parse_tree, path_tree,
                              random_tree, spider_tree, star_tree)
-from oracles import (neighbours, old_parse_tree, old_tree, prufer_decode,
-                     prufer_encode, tree_texts)
+from oracles import (neighbours, old_format_tree, old_parse_tree, old_tree,
+                     prufer_decode, prufer_encode, tree_texts)
 
 
 def test_decode_two_vertices():
@@ -178,6 +178,31 @@ def test_text_format_roundtrip():
     t = random_tree(17, Rng(5))
     assert parse_tree(format_tree(t)) == t
     assert parse_tree("1\n") == Tree(1, [])
+
+
+def shaped_tree(shape, n, seed=0):
+    if shape == "random" and n > 1:
+        return random_tree(n, Rng(seed))
+    return star_tree(n) if shape == "star" else path_tree(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["random", "path", "star"]), st.integers(1, 300),
+       st.integers(0, 2 ** 32 - 1))
+def test_format_tree_writes_the_reference_bytes(shape, n, seed):
+    t = shaped_tree(shape, n, seed)
+    assert format_tree(t) == old_format_tree(t)
+
+
+@pytest.mark.parametrize("shape", ["random", "path", "star"])
+@pytest.mark.parametrize("n", [2048, 2049, 4095, 4096, 4097, 8193])
+def test_format_tree_chunk_edges(shape, n):
+    # the writer reads the flat edge buffer in chunks of 4096 ends,
+    # 2048 edges: n - 1 edges on either side of a chunk's end
+    t = shaped_tree(shape, n, n)
+    text = format_tree(t)
+    assert text == old_format_tree(t)
+    assert parse_tree(text) == t
 
 
 def test_text_format_strict():
