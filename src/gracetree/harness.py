@@ -25,7 +25,8 @@ from .intervals import IntervalSystem
 from .labeller import LabelResult, run_labelling
 from .params import ParamError, Params, derive_practical_params, read_gamma
 from .prepare import prepare_plan
-from .quasirandom import QuasiReport, check_quasi
+# check_quasi stays bound here: perfbench's traced runs wrap this name
+from .quasirandom import QuasiReport, audit_history, check_quasi  # noqa: F401
 from .rng import Rng, chunks
 from .trees import Tree, parse_tree, random_tree
 from .verify import Labelling, label_array, verify_graceful
@@ -160,12 +161,13 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     """One seeded trial.  Spawn keys under the root seed: (n_index,
     trial) -> 0 tree, 1 labelling (attempt k draws its intervals from
     child(k, 0) over the first plan's cut and ordering, and its labels
-    from child(k, 1)), 2 quasi sampling.  A caller that has already
-    read the config's tree file passes the tree, which is then not read
-    again; like the file, it must have order cfg.n[n_index].  The
-    checkpoint callback returns its check_quasi report, so the trial's
-    reports are the labelling result's: the last attempt's, in step
-    order."""
+    from child(k, 1)), 2 quasi sampling, read only by the audit of the
+    last attempt.  A caller that has already read the config's tree file
+    passes the tree, which is then not read again; like the file, it
+    must have order cfg.n[n_index].  With checkpoint_every > 0 the
+    labelling keeps the last attempt's history, and one audit_history
+    call after it gives the trial's reports: that attempt's checkpoints,
+    in step order.  Earlier attempts are not audited."""
     t0 = time.perf_counter()
     n = cfg.n[n_index]
     params = cfg.params_for(n)
@@ -173,11 +175,7 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     root = Rng(cfg.seed).child(n_index, trial)
     tree = _load_tree(cfg, n, root.child(0), tree)
     label_rng = root.child(1)
-    quasi_rng = root.child(2)
-
-    def on_checkpoint(state, t):
-        return check_quasi(state, sys, float(params.alpha(t)),
-                           cfg.quasi_per_kind, quasi_rng, t=t)
+    audit = cfg.checkpoint_every > 0
 
     plan = prepare_plan(tree, sys, label_rng.child(0).child(0),
                         max_component=cfg.max_component)
@@ -186,12 +184,14 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     # components (read through the module, so a wrapper installed on
     # prepare.assign_intervals sees retries too)
     res = run_labelling(plan, sys, label_rng, max_retries=cfg.retries,
-                        checkpoint_every=cfg.checkpoint_every,
-                        on_checkpoint=on_checkpoint,
-                        collect_trace=collect_trace,
+                        collect_trace=collect_trace, keep_history=audit,
                         replan=lambda r: prepare.assign_intervals(
                             plan, sys, r))
-    reports = res.reports
+    reports: Tuple[QuasiReport, ...] = ()
+    if audit:
+        reports = audit_history(res.history, sys, cfg.checkpoint_every,
+                                lambda t: float(params.alpha(t)),
+                                cfg.quasi_per_kind, root.child(2))
 
     labelling = None
     if res.success:

@@ -22,16 +22,20 @@ per-vertex list is the labels, which parents read at random.  A step
 reads its parent's label, makes its tries (two byte reads each), clears
 the label's byte in A and the difference's in C, appends the label, and
 makes one test against the next event: the next step that one of the
-correction laws hits, the next checkpoint or the last step, and every
-step when a trace is collected.  Only an event step runs the rare work,
-in this order: the vertex correction pick, the edge correction pick,
-the trace row, the checkpoint.  No count is kept per step: the loop
-counts only the corrective removals (corv_hits, core_hits), on events,
-and a trace row derives |A| = n_tilde - t - corv_hits and
-|C| = n_tilde - t - core_hits from them after t completed steps, and
-its edge label from the last label and the parent label its draw read.
-A checkpoint hands the callback the state itself, and the audit counts
-A and C off its bytes.  A completed attempt scatters the labels by
+correction laws hits or the last step, and every step when a trace is
+collected.  Only an event step runs the rare work, in this order: the
+vertex correction pick, the edge correction pick, the trace row.  No
+count is kept per step: the loop counts only the corrective removals
+(corv_hits, core_hits), on events, and a trace row derives
+|A| = n_tilde - t - corv_hits and |C| = n_tilde - t - core_hits from
+them after t completed steps, and its edge label from the last label
+and the parent label its draw read.  Each pick's value is appended on
+its event step, so the labels and the picks are the attempt's whole
+removal history: position p's label and its edge difference leave at
+step p + 1, and a pick at the step it is made.  run_labelling turns the
+last attempt's into an AttemptHistory when asked, which the audit
+(quasirandom.audit_history) reads after the attempt has ended; the loop
+itself makes no audit call.  A completed attempt scatters the labels by
 vertex into an int64 array once and returns that array read-only
 (LabelArray), so the pipeline builds no dict of labels.
 
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -108,8 +112,9 @@ class LabelState:
     else.  So a step costs O(1/density) byte reads plus, rarely, O(ell)
     bytes of numpy work, whatever n_tilde is.  Every difference window,
     here and in the audit (quasirandom.py), is read by _diff_rows; the
-    audit also packs A and C into 64-bit words once per checkpoint and
-    keeps no copy of the state between checkpoints.
+    audit reads it on a count of checkpoints per value, rebuilt from an
+    attempt's history after the attempt (AttemptHistory), or on the
+    state's own bytes (quasirandom.check_quasi).
 
     The state is the two free sets and nothing else: |A| and |C| are
     counted off the bytes by whoever needs them, and an attempt's step
@@ -149,11 +154,13 @@ def _rows(buf, w: int, reverse: bool = False) -> np.ndarray:
 def _diff_rows(diffs: bytearray, a: np.ndarray, lo: np.ndarray,
                w: int) -> np.ndarray:
     """The difference windows of anchors a over the slots lo..lo+w-1, as
-    a new uint8 array: entry j of row i is 1 iff difference
-    |lo[i] + j - a[i]| is free.  a and lo are int64 arrays, a slot lies
-    in 1..n_tilde and an anchor in 1..n_tilde.  The label draw's
-    fallback (admissible_mask) reads one row, the audit
-    (quasirandom.py) one per pattern."""
+    a new uint8 array: entry j of row i is byte |lo[i] + j - a[i]| of
+    diffs, so on the label state it is 1 iff that difference is free.
+    diffs is C's bytes or any n_tilde + 1 bytes indexed like them whose
+    byte 0 is 0; a and lo are int64 arrays, a slot lies in 1..n_tilde
+    and an anchor in 1..n_tilde.  The label draw's fallback
+    (admissible_mask) reads one row, the audit (quasirandom.py) one per
+    pattern."""
     d = lo - a
     # a below the slot: label b needs difference b - a
     rows = _rows(diffs, w)[np.maximum(d, 0)]
@@ -217,14 +224,59 @@ class AttemptFailure:
     step: int
 
 
+@dataclass(frozen=True, eq=False)
+class AttemptHistory:
+    """What one attempt removed from its free sets, in step order, as
+    int32 arrays: labels[p] is position p's label, and diffs[p - 1] its
+    edge difference for p >= 1, which leave A and C at step p + 1; the
+    vertex picks took corv[i] from A at step corv_steps[i], and the edge
+    picks core[i] from C at step core_steps[i].  steps counts the
+    completed steps; a failed attempt also keeps its failing step's
+    label and picks, which leave after every completed step.  So the
+    free sets after t <= steps completed steps are 1..n_tilde and
+    1..n_tilde-1 less what left at steps 1..t."""
+
+    steps: int
+    labels: np.ndarray
+    diffs: np.ndarray
+    corv_steps: np.ndarray
+    corv: np.ndarray
+    core_steps: np.ndarray
+    core: np.ndarray
+
+    def __eq__(self, other):
+        return isinstance(other, AttemptHistory) and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in self.__dataclass_fields__)
+
+
+def _history(plan: Plan, steps: int, labels: list, corv_at: list,
+             corv: list, core_at: list, core: list) -> AttemptHistory:
+    """An attempt's AttemptHistory from the lists _attempt returns: the
+    labels placed, in position order, and the law hit positions and the
+    values the picks took (a hit at position p is made on step p + 1).
+    """
+    lab = np.array(labels, np.int32)
+    diffs = lab[1:] - lab[plan.parent_pos[1:len(lab)]]
+    np.abs(diffs, out=diffs)
+
+    def picks(at, values):
+        return (np.array(at[:len(values)], np.int32) + 1,
+                np.array(values, np.int32))
+
+    return AttemptHistory(steps, lab, diffs, *picks(corv_at, corv),
+                          *picks(core_at, core))
+
+
 @dataclass(frozen=True)
 class LabelResult:
     """The outcome of run_labelling.  psi holds the labels of the
     completed attempt by vertex, as one read-only int64 array (see
     verify.LabelArray), and is None when every attempt failed.  steps,
-    corv_hits, core_hits and reports describe the last attempt: its
-    completed steps, the corrective removals made in them, and what
-    on_checkpoint returned at each of its checkpoints, in step order."""
+    corv_hits, core_hits and history describe the last attempt: its
+    completed steps, the corrective removals made in them, and, when
+    run_labelling was asked to keep it, its AttemptHistory (else
+    None)."""
 
     success: bool
     psi: LabelArray | None
@@ -235,7 +287,7 @@ class LabelResult:
     steps: int = 0
     corv_hits: int = 0
     core_hits: int = 0
-    reports: tuple = ()
+    history: AttemptHistory | None = None
 
     def failure_histogram(self) -> dict[str, int]:
         hist: dict[str, int] = {}
@@ -250,14 +302,14 @@ def _attempt(
     corv: CorrectionDistribution,
     core: CorrectionDistribution,
     rng: Rng,
-    checkpoint_every: int,
-    on_checkpoint: Callable[[LabelState, int], Any] | None,
     collect_trace: bool,
 ) -> tuple[LabelArray | None, AttemptFailure | None, list[TraceRow] | None,
-           int, int, int, list]:
-    """One attempt: (labels or None, failure or None, trace rows or None,
-    completed steps, vertex and edge removals made in them, the values
-    on_checkpoint returned)."""
+           int, int, int, tuple]:
+    """One attempt: (labels by vertex or None, failure or None, trace
+    rows or None, completed steps, vertex and edge removals made in
+    them, the removal lists (labels in position order, the vertex law's
+    hit positions, the values its picks took, and the same two for the
+    edge law) that _history reads)."""
     state = LabelState(sys)
     # the loop's lookups, bound once per attempt
     free_a = state.labels
@@ -277,25 +329,27 @@ def _attempt(
     corv_at.append(n)
     core_at.append(n)
     ci = ei = 0
-    # the step of the next checkpoint, n + 1 when there is none
-    cp_next = checkpoint_every if checkpoint_every and on_checkpoint else n + 1
     trace: list[TraceRow] | None = [] if collect_trace else None
-    reports: list = []
+    # the values the picks took, in step order
+    corv_picks: list[int] = []
+    core_picks: list[int] = []
+    labels: list[int] = []
+    removals = (labels, corv_at, corv_picks, core_at, core_picks)
 
     # step 1: the first vertex has no parent, so its label is a free
     # label of its interval; a failure here leaves the state untouched
     b = pick_free(free_a, int(plan.lo[0]), ell, label_offsets, ranks)
     if b < 0:
-        return None, AttemptFailure(FAIL_CHOOSE, 1), trace, 0, 0, 0, reports
+        return (None, AttemptFailure(FAIL_CHOOSE, 1), trace, 0, 0, 0,
+                removals)
     take(free_a, b, "label")
-    labels = [b]
+    labels.append(b)
     # removals made in completed steps; |A| and |C| follow from them
     corv_hits = core_hits = 0
     failure = None
     # the step whose rare work is due next: every step when tracing,
-    # else the first of the next law hit, the next checkpoint and the
-    # last step, which ends the loop; step 1 is handled as one, and
-    # finds the next
+    # else the first of the next law hit and the last step, which ends
+    # the loop; step 1 is handled as one, and finds the next
     event = 1
     # the plan from position 1, in chunks; step n runs its rare work
     # before the loop breaks, so each stream ends in one spare entry
@@ -304,7 +358,7 @@ def _attempt(
     los = chain(chain.from_iterable(chunks(plan.lo, 1)), (0,))
     for t, pp, lo in zip(range(1, n + 1), parents, los):
         # labels[:t] are placed; first the rare work of step t, in order
-        # the vertex pick, the edge pick, the trace row, the checkpoint
+        # the vertex pick, the edge pick, the trace row
         if t == event:
             p = t - 1
             corv_label = core_diff = -1
@@ -316,6 +370,7 @@ def _attempt(
                     failure = AttemptFailure(FAIL_CORV, t)
                     break
                 take(free_a, corv_label, "label")
+                corv_picks.append(corv_label)
             if p == core_at[ei]:
                 core_diff = pick_free(free_c, core_lo[ei], m,
                                       pick_offsets, ranks)
@@ -324,6 +379,7 @@ def _attempt(
                     failure = AttemptFailure(FAIL_CORE, t)
                     break
                 take(free_c, core_diff, "difference")
+                core_picks.append(core_diff)
             corv_hits += corv_label >= 0
             core_hits += core_diff >= 0
             if trace is not None:
@@ -340,13 +396,10 @@ def _attempt(
                         size_c=nt - t - core_hits,
                     )
                 )
-            if t == cp_next:
-                reports.append(on_checkpoint(state, t))
-                cp_next += checkpoint_every
             if t == n:
                 break
             event = t + 1 if trace is not None else min(
-                corv_at[ci] + 1, core_at[ei] + 1, cp_next, n)
+                corv_at[ci] + 1, core_at[ei] + 1, n)
         # then step t + 1: the label of position t, drawn as in the
         # class docstring; a try that hits has checked both bytes, so it
         # clears them in place
@@ -369,10 +422,11 @@ def _attempt(
         labels.append(b)
     if failure is not None:
         return (None, failure, trace, failure.step - 1, corv_hits, core_hits,
-                reports)
+                removals)
     by_vertex = np.zeros(n + 1, np.int64)
     by_vertex[plan.order] = labels
-    return LabelArray(by_vertex), None, trace, n, corv_hits, core_hits, reports
+    return (LabelArray(by_vertex), None, trace, n, corv_hits, core_hits,
+            removals)
 
 
 def run_labelling(
@@ -381,9 +435,8 @@ def run_labelling(
     rng: Rng,
     *,
     max_retries: int = 0,
-    checkpoint_every: int = 0,
-    on_checkpoint: Callable[[LabelState, int], Any] | None = None,
     collect_trace: bool = False,
+    keep_history: bool = False,
     replan: Callable[[Rng], Plan] | None = None,
 ) -> LabelResult:
     """Run attempts until one completes or retries are exhausted.
@@ -404,12 +457,11 @@ def run_labelling(
       candidates, in the order the label, the vertex pick and the edge
       pick fall back.
 
-    Every checkpoint_every steps of an attempt (none when it is 0 or
-    on_checkpoint is None), on_checkpoint(state, t) is called with the
-    attempt's state after t completed steps; the state is live and must
-    not be changed.  The result's reports are the values it returned on
-    the last attempt, and its step and removal counts are that
-    attempt's too, whether or not a trace is collected.
+    The result's step and removal counts are the last attempt's,
+    whether or not a trace is collected.  With keep_history, the result
+    also holds the last attempt's AttemptHistory, built once that
+    attempt has ended (O(n) int32 arrays), for the audit to read;
+    without it no history is built.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -418,17 +470,17 @@ def run_labelling(
     core = core_distribution(sys)
     cur_plan = plan
     for k in range(max_retries + 1):
+        # a failed attempt's lists are dropped before the next one runs
+        removals = None
         s = rng.child(k)
         if k and replan is not None:
             cur_plan = replan(s.child(0))
-        psi, failure, trace, steps, corv_hits, core_hits, reports = _attempt(
+        psi, failure, trace, steps, corv_hits, core_hits, removals = _attempt(
             cur_plan,
             sys,
             corv,
             core,
             s.child(1),
-            checkpoint_every,
-            on_checkpoint,
             collect_trace,
         )
         if failure is None:
@@ -444,5 +496,6 @@ def run_labelling(
         steps=steps,
         corv_hits=corv_hits,
         core_hits=core_hits,
-        reports=tuple(reports),
+        history=(_history(cur_plan, steps, *removals) if keep_history
+                 else None),
     )

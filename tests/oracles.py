@@ -13,7 +13,11 @@ per set, C's lower side read by reversing a string), before it read
 the labeller's own state.
 snapshot builds a LabelState holding given sets, through remove_label
 and remove_diff, which clear one byte each and check that it was free;
-the state keeps no sizes, so the bytes are all there is.  sample is
+the state keeps no sizes, so the bytes are all there is.
+history_states, history_state and trace_state rebuild an attempt's
+label state after t steps, one removal at a time, from its
+AttemptHistory and from its trace rows: the states the audit read at
+its checkpoints while it ran inside the label loop.  sample is
 CorrectionDistribution.sample, one draw of a correction law by
 randbelow, as the label loop made it before it drew each law for a
 whole attempt (CorrectionDistribution.hits).
@@ -694,6 +698,52 @@ def snapshot(A, C, nt=0, sys=None):
     for d in range(1, nt):
         if d not in C:
             remove_diff(state, d)
+    return state
+
+
+def history_states(history, sys):
+    """(t, the LabelState after t completed steps) for t = 1..steps of
+    the attempt whose AttemptHistory is history, one state changed in
+    place: step t removes position t - 1's label, its edge difference
+    when t >= 2, and the picks made at step t, each by remove_label or
+    remove_diff."""
+    state = LabelState(sys)
+    corv = dict(zip(history.corv_steps.tolist(), history.corv.tolist()))
+    core = dict(zip(history.core_steps.tolist(), history.core.tolist()))
+    labels, diffs = history.labels.tolist(), history.diffs.tolist()
+    for t in range(1, history.steps + 1):
+        remove_label(state, labels[t - 1])
+        if t >= 2:
+            remove_diff(state, diffs[t - 2])
+        if t in corv:
+            remove_label(state, corv[t])
+        if t in core:
+            remove_diff(state, core[t])
+        yield t, state
+
+
+def history_state(history, sys, t):
+    """The LabelState after t <= history.steps completed steps, as
+    history_states rebuilds it."""
+    if t == 0:
+        return LabelState(sys)
+    for s, state in history_states(history, sys):
+        if s == t:
+            return state
+    raise ValueError(f"the attempt completed {history.steps} < {t} steps")
+
+
+def trace_state(trace, sys, t):
+    """The LabelState after t completed steps, from the first t trace
+    rows: each row's label, edge label and picks removed (-1 is none)."""
+    state = LabelState(sys)
+    for row in trace[:t]:
+        remove_label(state, row.label)
+        for d in (row.edge_label, row.core_diff):
+            if d >= 0:
+                remove_diff(state, d)
+        if row.corv_label >= 0:
+            remove_label(state, row.corv_label)
     return state
 
 

@@ -21,6 +21,7 @@ from gracetree.intervals import IntervalSystem
 from gracetree.labeller import run_labelling
 from gracetree.params import ParamError, derive_practical_params
 from gracetree.prepare import cut_tree_by_size, prepare_plan
+from gracetree.quasirandom import audit_history
 from gracetree.trees import format_tree, parse_tree, path_tree, random_tree
 from gracetree.rng import Rng
 from gracetree.verify import LabelArray, Labelling, verify_graceful
@@ -431,6 +432,46 @@ def test_stage_memory_per_vertex():
     assert {k: v for k, v in peaks.items() if v > bounds[k]} == {}, peaks
 
 
+def _audit_peaks(n):
+    """The audit-on stages' peaks at _stage_peaks' point, in bytes per
+    vertex: the label loop keeping its history, the audit of that
+    history every 500 steps with 32 samples per kind, and the bytes the
+    history keeps."""
+    params = derive_practical_params(n, Fraction(1, 2), 128, 512)
+    sys = IntervalSystem(params.n_tilde, params.m, params.ell)
+    tree = random_tree(n, Rng(7))
+    plan = prepare_plan(tree, sys, Rng(7, (1,)), max_component=32)
+    peaks = {}
+    res, peaks["run_labelling"] = _stage_peak(
+        n, lambda: run_labelling(plan, sys, Rng(7, (2,)), keep_history=True))
+    assert res.success
+    history = res.history
+    peaks["history"] = sum(x.nbytes for x in (
+        history.labels, history.diffs, history.corv_steps, history.corv,
+        history.core_steps, history.core)) / n
+    reports, peaks["audit_history"] = _stage_peak(
+        n, audit_history, history, sys, 500,
+        lambda t: float(params.alpha(t)), 32, Rng(7, (3,)))
+    assert len(reports) == n // 500
+    return peaks
+
+
+def test_audit_memory_per_vertex():
+    # with the audit on, the label loop turns its labels and picks into
+    # int32 arrays once the attempt has ended, so its peak stays within
+    # the audit-off stage's bound; the audit's block tables hold at
+    # most n_tilde entries per group of checkpoints.  At n = 10^5 these
+    # read about 62, 8.1 and 65 bytes per vertex
+    bounds = {"run_labelling": 72, "history": 9, "audit_history": 80}
+    _audit_peaks(5000)  # imports and caches settle first
+    tracemalloc.start()
+    try:
+        peaks = _audit_peaks(100_000)
+    finally:
+        tracemalloc.stop()
+    assert {k: v for k, v in peaks.items() if v > bounds[k]} == {}, peaks
+
+
 def test_tree_file_source(tmp_path):
     tree = random_tree(120, Rng(5))
     path = tmp_path / "t.txt"
@@ -509,6 +550,29 @@ def test_untraced_record_equals_traced():
     assert [_strip(r) for r in exp.records] == [
         _strip(run_trial(cases[0][0], 0, k, collect_trace=True).record)
         for k in range(2)]
+
+
+def test_audit_stays_out_of_the_label_loop():
+    # the audit reads the last attempt once it has ended: a trial labels
+    # alike with it on and off (labelling, plan, attempts, failures,
+    # steps, hit counts and trace rows), only the audited run keeps a
+    # history, and the reports do not depend on the trace
+    retrying = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=32,
+                                ell=256, trials=1, seed=0,
+                                checkpoint_every=500, quasi_per_kind=4)
+    for on in (small_cfg(trials=1), retrying):
+        off = dataclasses.replace(on, checkpoint_every=0)
+        audited = run_trial(on, 0, 0, collect_trace=True)
+        plain = run_trial(off, 0, 0, collect_trace=True)
+        assert audited.reports and plain.reports == ()
+        assert plain.result.history is None
+        assert audited.result.history is not None
+        assert dataclasses.replace(audited.result, history=None) == \
+            plain.result
+        untraced = run_trial(on, 0, 0)
+        assert untraced.result.trace is None
+        assert untraced.reports == audited.reports
+    assert not audited.result.success and audited.result.attempts == 4
 
 
 def test_reports_are_scoped_to_the_last_attempt():
@@ -631,16 +695,23 @@ def test_golden_digests_without_tries(monkeypatch):
 # attempts, and SHA-256 of the record without wall_time, of the
 # labelling (None on failure) and of the trace.  The first fails all
 # four attempts, the second succeeds on its seventh, the last allowed.
+# Both audit with sampling, so their reports changed when only the last
+# attempt came to be audited, after it ended, reading the audit stream
+# from its start (quasirandom.audit_history), with the same law: the
+# first trial's record 48abfe8d...d3d745 -> 11e9f889...89e9912 (its
+# quasi2_max_dev 0.265625 -> 0.234375) and trace 84a8dab8...b0d52a38 ->
+# 9accbcd6...bf5a744f; the second's trace 16c0da32...7ed7c7 ->
+# 8f83f880...59f80bda, its record unchanged.  No labelling moved.
 GOLDEN_RETRIES = [
     (dict(gamma=Fraction(1, 5), seed=0), "fail", 4,
-     "48abfe8d9365230a2edc261afb042c4c729f13427cbd3b8eb7f22863d6d3d745",
+     "11e9f889282b5ac381fc493edc520dbcd21b1284e1fd2e75dc1d37fff89e9912",
      None,
-     "84a8dab8a3d68be40fc1baccbe38527c0301db51c11590c04b4f8cf8b0d52a38"),
+     "9accbcd6c9372d0d3241dd72ac89a21d76543709bb244d9c4e583d0abf5a744f"),
     (dict(gamma=Fraction(1, 2), seed=5, retries=6, max_component=8),
      "success", 7,
      "4bfc676fd018ff9b8468c42f8f53b4d55552e94eef05992fd97c616df80e2204",
      "4c0c22d540bc32a2e66b5c5512b53957ac12943d5307949f1e8e8a568dd7f8d7",
-     "16c0da3261c88f648fb8c0444a4fce27fa9610e2282ad34ab9d8f7e0b67ed7c7"),
+     "8f83f880a310cab082e548385ee46402979cab888120cc8140cdcc8959f80bda"),
 ]
 
 

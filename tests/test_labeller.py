@@ -24,7 +24,8 @@ from gracetree.labeller import (
 from gracetree.prepare import prepare_plan
 from gracetree.rng import Rng
 from gracetree.trees import Tree, path_tree, random_tree
-from oracles import (admissible_labels, draw_label, full_ints, iter_bits,
+from oracles import (admissible_labels, draw_label, full_ints,
+                     history_state, history_states, iter_bits,
                      mask_select_label, mask_select_pick, plan_intervals,
                      remove_diff, remove_label, scalar_labelling, to_int,
                      window)
@@ -144,47 +145,46 @@ def _trace_counts(rows):
 
 def _traced_and_bare(tree, sys, s, every):
     """The traced run's checkpoint marks and result, from run_labelling
-    on tree (seed s, 2 retries, a checkpoint every `every` steps) with a
-    trace and without.  A mark is (attempt, t, |A|, |C|), the sizes
-    counted off the bytes of A and C, whose bytes 0 (and C's byte
-    n_tilde) stay 0; the callback returns (t, |A|, |C|).  The runs must
-    agree on the marks and, but for the trace, the result; the result's
-    reports must be exactly the last attempt's returns; and each of
-    those must agree with the trace row of its step."""
+    on tree (seed s, 2 retries, the history kept) with a trace and
+    without.  A mark is (attempt, t, |A|, |C|) at each step t, a
+    multiple of every, that the attempt completed, the sizes counted
+    off the bytes of A and C rebuilt from the attempt's history, whose
+    bytes 0 (and C's byte n_tilde) stay 0; attempt k's history is the
+    last attempt's of the same run with k retries.  The runs must agree
+    on the marks and, but for the trace, the result, its history
+    included; and each of the last attempt's marks must agree with the
+    trace row of its step."""
     runs = []
     for traced in (True, False):
         marks = []
-        attempt = 0
-
-        def on_checkpoint(state, t):
-            assert state.labels[0] == state.diffs[0] == state.diffs[-1] == 0
-            sizes = (t, int(np.count_nonzero(state.label_view)),
-                     int(np.count_nonzero(state.diff_view)))
-            marks.append((attempt, *sizes))
-            return sizes
 
         def replan(r):
-            # run_labelling replans at the start of every attempt but
-            # the first
-            nonlocal attempt
-            attempt += 1
             return prepare_plan(tree, sys, r)
 
         plan = prepare_plan(tree, sys, Rng(s, key=(1,)))
-        res = run_labelling(plan, sys, Rng(s, key=(2,)), max_retries=2,
-                            checkpoint_every=every,
-                            on_checkpoint=on_checkpoint,
-                            collect_trace=traced, replan=replan)
+        for retries in range(3):
+            res = run_labelling(plan, sys, Rng(s, key=(2,)),
+                                max_retries=retries, collect_trace=traced,
+                                keep_history=True, replan=replan)
+            for t, state in history_states(res.history, sys):
+                assert (state.labels[0] == state.diffs[0]
+                        == state.diffs[-1] == 0)
+                if t % every == 0:
+                    marks.append((retries, t,
+                                  int(np.count_nonzero(state.label_view)),
+                                  int(np.count_nonzero(state.diff_view))))
+            if res.success:
+                break
         runs.append((marks, res))
     (marks, res), (bare_marks, bare) = runs
     assert bare_marks == marks
     assert bare.trace is None
     assert dataclasses.replace(res, trace=None) == bare
-    assert res.reports == tuple(mark[1:] for mark in marks
-                                if mark[0] == res.attempts - 1)
     rows = res.trace
-    for t, size_a, size_c in res.reports:
-        assert (size_a, size_c) == (rows[t - 1].size_a, rows[t - 1].size_c)
+    for k, t, size_a, size_c in marks:
+        if k == res.attempts - 1:
+            assert (size_a, size_c) == (rows[t - 1].size_a,
+                                        rows[t - 1].size_c)
     return marks, res
 
 
@@ -220,10 +220,10 @@ def test_failed_attempt_counters_match_trace(point):
 
 @pytest.mark.parametrize("point", ["tiny", "retry-tight"])
 def test_events_sharing_a_step(point):
-    # the loop does its rare work (law hits, trace rows, checkpoints)
-    # only on event steps, and a traced run makes every step one; the
-    # runs must agree whichever events share a step, with a checkpoint
-    # at every step and with one every few steps (which, on the tiny
+    # the loop does its rare work (law hits, trace rows) only on event
+    # steps, and a traced run makes every step one; the runs and their
+    # histories must agree whichever events share a step, read at a
+    # checkpoint every step and every few steps (which, on the tiny
     # system, falls on the last step of a completed attempt)
     if point == "retry-tight":
         params = derive_practical_params(2000, Fraction(1, 5), 32, 512)
@@ -253,7 +253,9 @@ def test_events_sharing_a_step(point):
                 (k, t) for k, d in enumerate(done)
                 for t in range(every, d + 1, every)]
             # the last attempt's sizes against its removals so far
-            for t, size_a, size_c in res.reports:
+            for k, t, size_a, size_c in marks:
+                if k < res.attempts - 1:
+                    continue
                 _, corv, core = _trace_counts(res.trace[:t])
                 assert (size_a, size_c) == (nt - t - corv, nt - t - core)
             for row in res.trace:
@@ -287,19 +289,19 @@ def test_replan_redraws_assignment():
 
 
 def test_checkpoint_callback():
+    # the kept history is the last attempt's: its states every 4 steps
     sys = IntervalSystem(40, 2, 4)
     tree = path_tree(16)
     plan = prepare_plan(tree, sys, Rng(21, key=(0,)))
-    seen = []
     res = run_labelling(
         plan,
         sys,
         Rng(21, key=(1,)),
         max_retries=500,
-        checkpoint_every=4,
-        on_checkpoint=lambda state, t: seen.append(
-            (t, state.labels.count(1))),
+        keep_history=True,
     )
+    seen = [(t, state.labels.count(1))
+            for t, state in history_states(res.history, sys) if t % 4 == 0]
     assert res.success
     last_attempt_steps = [t for t, _ in seen][-4:]
     assert last_attempt_steps == [4, 8, 12, 16]
@@ -520,27 +522,21 @@ def test_without_tries_the_draws_are_mask_and_select(case, monkeypatch):
 def test_label_draw_fails_exactly_at_an_empty_window():
     # every choose-label failure happens where the mask says the target
     # interval has no admissible label; the state before the failing
-    # step is the one seen at the previous (every-step) checkpoint
+    # step is the one rebuilt from the attempt's history after its last
+    # completed step
     sys = IntervalSystem(12, 1, 2)
     chosen = 0
     for s in range(60):
         tree = path_tree(12) if s % 2 else random_tree(12, Rng(s, key=(0,)))
         plan = prepare_plan(tree, sys, Rng(s, key=(1,)))
-        seen = {0: LabelState(sys)}
-
-        def on_checkpoint(state, t):
-            copy = LabelState(sys)
-            copy.labels[:] = state.labels
-            copy.diffs[:] = state.diffs
-            seen[t] = copy
-
-        res = run_labelling(plan, sys, Rng(s, key=(2,)), checkpoint_every=1,
-                            on_checkpoint=on_checkpoint, collect_trace=True)
+        res = run_labelling(plan, sys, Rng(s, key=(2,)), keep_history=True,
+                            collect_trace=True)
         if res.success or res.failures[0].site != FAIL_CHOOSE:
             continue
         chosen += 1
         t = res.failures[0].step
-        state, iv = seen[t - 1], plan_intervals(plan, sys)[t - 1]
+        state = history_state(res.history, sys, t - 1)
+        iv = plan_intervals(plan, sys)[t - 1]
         if t == 1:
             assert not any(state.labels[iv.lo:iv.hi + 1])
         else:

@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from gracetree.intervals import Interval, IntervalSystem
-from gracetree.labeller import LabelState, run_labelling
+from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV,
+                                AttemptHistory, LabelState, run_labelling)
 from gracetree.params import derive_practical_params
 from gracetree.prepare import prepare_plan
-from gracetree.quasirandom import (_ambients, _counts, _sample, _Words,
-                                   check_quasi, select)
+from gracetree.quasirandom import (_GROUP, _ambients, _counts, _Free,
+                                   _sample, audit_history, check_quasi,
+                                   select)
 from gracetree.rng import Rng
-from gracetree.trees import random_tree
+from gracetree.trees import path_tree, random_tree
 from oracles import (OldRng, admissible_labels, contains, full_check_quasi,
-                     full_count_structure, full_ints, interval_width,
-                     pattern_ambient, pattern_count, remove_diff, snapshot,
-                     to_int, x1, x2, x3, x4)
+                     full_count_structure, full_ints, history_state,
+                     interval_width, pattern_ambient, pattern_count,
+                     remove_diff, snapshot, to_int, trace_state, x1, x2, x3,
+                     x4)
 from oracles import select as full_select
 
 
@@ -32,6 +35,21 @@ def _as_arrays(X):
         None if v is None else np.array([v], np.int64) for v in fields]
 
 
+def _state_counts(state, w, kind, *fields):
+    """_counts on the bytes of state: the counts of one checkpoint."""
+    return _counts(np.frombuffer(state.labels, np.uint8),
+                   np.frombuffer(state.diffs, np.uint8),
+                   np.zeros(len(fields[0]), np.int64), w, kind, *fields)
+
+
+def _frees(state, sys):
+    """A's and C's _Free on the bytes of state, one checkpoint."""
+    return (_Free(np.frombuffer(state.labels, np.uint8), 1, sys.m, 1,
+                  sys.n_tilde),
+            _Free(np.frombuffer(state.diffs, np.uint8), 1, sys.m, 0,
+                  sys.n_tilde))
+
+
 def _shares_width(X):
     return X[5] is None or interval_width(X[5]) == interval_width(X[4])
 
@@ -42,7 +60,7 @@ def _count(state, *X):
     want = pattern_count(state, *X)
     if _shares_width(X):
         w, kind, fields = _as_arrays(X)
-        assert _counts(state, w, kind, *fields).tolist() == [want], X
+        assert _state_counts(state, w, kind, *fields).tolist() == [want], X
     return want
 
 
@@ -423,8 +441,10 @@ def test_window_check_equals_tile_sums():
 def test_reports_match_full_width_oracle_on_run_snapshots(n, m, ell, seed):
     """The audit on the byte state against the full-width audit, on the
     snapshots of a labelling run whose n_tilde spans several 1024-value
-    blocks (the last two at the audit-scaled bench point): equal whole
-    reports and equal rng state afterwards."""
+    blocks (the last two at the audit-scaled bench point), rebuilt from
+    the run's history every 250 steps: equal whole reports and equal
+    rng state afterwards.  The batched audit of the history gives the
+    same reports."""
     params = derive_practical_params(n, Fraction(1, 2), m, ell)
     sys = IntervalSystem(params.n_tilde, m, ell)
     assert sys.n_tilde > 2 * 1024
@@ -432,8 +452,10 @@ def test_reports_match_full_width_oracle_on_run_snapshots(n, m, ell, seed):
     plan = prepare_plan(tree, sys, Rng(seed, key=(1,)), max_component=32)
     new_rng, old_rng = Rng(seed, key=(2,)), Rng(seed, key=(2,))
     reports = []
-
-    def on_checkpoint(state, t):
+    history = run_labelling(plan, sys, Rng(seed, key=(3,)),
+                            keep_history=True).history
+    for t in range(250, history.steps + 1, 250):
+        state = history_state(history, sys, t)
         alpha = float(params.alpha(t))
         got = check_quasi(state, sys, alpha, 32, new_rng, t=t)
         a_bits, c_bits = full_ints(state)
@@ -446,13 +468,12 @@ def test_reports_match_full_width_oracle_on_run_snapshots(n, m, ell, seed):
             assert (_count(state, *X)
                     == full_count_structure(X, a_bits, c_bits)), (t, X)
         reports.append(got)
-
-    run_labelling(plan, sys, Rng(seed, key=(3,)), checkpoint_every=250,
-                  on_checkpoint=on_checkpoint)
     assert len(reports) >= 8
     assert all(len(r.quasi2_devs) == 4 * 32 for r in reports)
     assert new_rng.draws(1 << 63, 3).tolist() == old_rng.draws(1 << 63,
                                                                3).tolist()
+    assert audit_history(history, sys, 250, lambda t: float(params.alpha(t)),
+                         32, Rng(seed, key=(2,))) == tuple(reports)
 
 
 def test_reports_match_full_width_oracle_on_sparse_states():
@@ -500,7 +521,7 @@ def _check_kind_counts(state, m, rows):
     fields, patterns = _kind_fields(rows), _kind_patterns(rows, m)
     for kind, f in fields.items():
         want = [pattern_count(state, *X) for X in patterns[kind]]
-        assert _counts(state, m, kind, *f).tolist() == want, kind
+        assert _state_counts(state, m, kind, *f).tolist() == want, kind
         want = [pattern_ambient(*X) for X in patterns[kind]]
         assert _ambients(m, kind, *f).tolist() == want, kind
 
@@ -576,15 +597,49 @@ def _select_cases():
         yield rnd.random(n) < density
 
 
+def _free_of(count, m, groups=1):
+    """count (one count per value 0..len - 1) as a _Free of the given
+    checkpoints, blocks of width m from value 0, padded with values that
+    are never free."""
+    nt = -(-len(count) // m) * m
+    padded = np.zeros(nt + 1, np.uint8)
+    padded[:len(count)] = count
+    return _Free(padded, groups, m, 0, nt)
+
+
 def test_select_matches_the_full_width_select():
-    for free in _select_cases():
+    # blocks of 1, 17, 64 and 100 values, so blocks end inside 64-value
+    # runs and past the last free value
+    for free, m in itertools.product(_select_cases(), (1, 17, 64, 100)):
         size = int(free.sum())
         ranks = np.arange(size)  # 0 and size - 1 among them
-        got = select(_Words(free), ranks)
+        at = np.zeros(size, np.int64)
+        got = select(_free_of(free, m), at, ranks)
         assert got.tolist() == [full_select(to_int(free), int(k))
                                 for k in ranks]
         edges = np.array([0, size - 1, 0], np.int64)
-        assert select(_Words(free), edges).tolist() == got[edges].tolist()
+        assert (select(_free_of(free, m), at[:3], edges).tolist()
+                == got[edges].tolist())
+
+
+@pytest.mark.parametrize("groups,m", [(1, 5), (3, 1), (7, 64), (255, 9)])
+def test_select_at_every_checkpoint_of_a_group(groups, m):
+    # value v is free at the checkpoints j < count[v]: each checkpoint's
+    # ranks, asked together in shuffled order, against its sorted set
+    rnd = np.random.default_rng(groups)
+    count = rnd.integers(0, groups + 1, 64 * 7 + 5).astype(np.uint8)
+    count[::11] = 0
+    free = _free_of(count, m, groups)
+    at, ranks, want = [], [], []
+    for j in range(groups):
+        members = np.flatnonzero(count > j)
+        assert free.total[j] == len(members)
+        at += [j] * len(members)
+        ranks += range(len(members))
+        want += members.tolist()
+    order = rnd.permutation(len(at))
+    got = select(free, np.array(at)[order], np.array(ranks)[order])
+    assert got.tolist() == np.array(want)[order].tolist()
 
 
 def test_sample_laws():
@@ -602,9 +657,9 @@ def test_sample_laws():
     rng = Rng(12, key=(4,))
     seen = {name: [] for name in ("slot", "shift2", "a", "shift4", "c")}
     for _ in range(400):
-        (_, (l1,)), (_, (l2, a2, _, c, lo2)), (_, (l3, a3)), (
-            _, (l4, a4, b4)) = _sample(sys, 16, rng, _Words(state.label_view),
-                                       _Words(state.diff_view))
+        (_, _, (l1,)), (_, _, (l2, a2, _, c, lo2)), (_, _, (l3, a3)), (
+            _, _, (l4, a4, b4)) = _sample(sys, 16, rng, *_frees(state, sys),
+                                          np.zeros(1, np.int64))
         seen["slot"] += ((np.concatenate((l1, l2, l3, l4)) - 1) // 4).tolist()
         seen["shift2"] += ((lo2 - l2) // 4 % nslots).tolist()
         seen["a"] += np.concatenate((a2, a3, a4)).tolist()
@@ -619,3 +674,107 @@ def test_sample_laws():
         got = Counter(seen[name])
         assert set(got) <= set(cells), name
         assert chisquare([got[x] for x in cells]).pvalue > 1e-3, name
+
+
+def _batched_against_rebuilt(plan, sys, seed, every, per_kind, retries=0):
+    """The last attempt of run_labelling(plan, ...) with its trace and
+    history, and its batched reports, checked against check_quasi on the
+    state rebuilt from the history at each checkpoint, the calls made
+    in checkpoint order on one rng.  The state rebuilt from the history
+    must equal the one rebuilt from the trace rows, at each checkpoint
+    and after the last completed step."""
+    res = run_labelling(plan, sys, Rng(seed, key=(2,)), max_retries=retries,
+                        collect_trace=True, keep_history=True)
+    history = res.history
+    assert history.steps == res.steps == len(res.trace)
+    checkpoints = range(every, history.steps + 1, every)
+    for t in (*checkpoints, history.steps):
+        state = history_state(history, sys, t)
+        rows = trace_state(res.trace, sys, t)
+        assert (state.labels, state.diffs) == (rows.labels, rows.diffs), t
+
+    def alpha(t):
+        return 0.05 + t / 1000
+
+    rng = Rng(seed, key=(5,))
+    want = tuple(check_quasi(history_state(history, sys, t), sys, alpha(t),
+                             per_kind, rng, t=t) for t in checkpoints)
+    got = audit_history(history, sys, every, alpha, per_kind,
+                        Rng(seed, key=(5,)))
+    assert got == want
+    return res, got
+
+
+def test_batched_audit_matches_check_quasi_on_rebuilt_states():
+    # attempts that succeed and that fail at each site, with checkpoints
+    # every step and every few steps, sampling and not; the cases below
+    # must each be met
+    seen = set()
+    tiny = IntervalSystem(12, 1, 2)
+    for s in range(30):
+        n = (12, 4, 6)[s % 3]
+        tree = path_tree(n) if s % 4 == 0 else random_tree(n, Rng(s, key=(0,)))
+        plan = prepare_plan(tree, tiny, Rng(s, key=(1,)))
+        for every in (1, 2, 3):
+            for per_kind in (0, 2):
+                res, reports = _batched_against_rebuilt(plan, tiny, s, every,
+                                                        per_kind)
+                fail = res.failures[-1] if res.failures else None
+                if fail is None:
+                    seen.add("success")
+                    if n % every == 0:
+                        seen.add("checkpoint at t = n")
+                else:
+                    seen.add(fail.site)
+                    if (fail.site != FAIL_CHOOSE
+                            and fail.step % every == 0):
+                        seen.add("correction failure on a checkpoint step")
+    # more than one group of checkpoints: a checkpoint every step of
+    # attempts longer than _GROUP steps
+    params = derive_practical_params(600, Fraction(1, 2), 8, 32)
+    sys = IntervalSystem(params.n_tilde, 8, 32)
+    for s in range(3):
+        plan = prepare_plan(random_tree(600, Rng(s, key=(0,))), sys,
+                            Rng(s, key=(1,)), max_component=8)
+        _, reports = _batched_against_rebuilt(plan, sys, s, 1, 2,
+                                              retries=1)
+        if len(reports) > _GROUP:
+            seen.add("more than one group")
+    # a history whose free labels run below two: labels 1..4 with edge
+    # differences 1..3 and vertex picks 5, 6, 7 at steps 2..4 leave
+    # |A| = 7, 5, 3, 1 after steps 1..4, and no pattern is sampled at 4
+    small = IntervalSystem(8, 1, 2)
+    picks = np.array([5, 6, 7], np.int32)
+    history = AttemptHistory(
+        4, np.arange(1, 5, dtype=np.int32), np.arange(1, 4, dtype=np.int32),
+        picks - 3, picks, np.zeros(0, np.int32), np.zeros(0, np.int32))
+    reports = audit_history(history, small, 1, lambda t: 0.5, 3, Rng(1))
+    want, rng = [], Rng(1)
+    for t in range(1, 5):
+        state = history_state(history, small, t)
+        assert state.labels.count(1) == (7, 5, 3, 1)[t - 1]
+        want.append(check_quasi(state, small, 0.5, 3, rng, t=t))
+    assert reports == tuple(want)
+    if [len(r.quasi2_devs) for r in reports] == [12, 12, 12, 0]:
+        seen.add("sampling guard false")
+    assert seen == {"success", "checkpoint at t = n", FAIL_CHOOSE, FAIL_CORV,
+                    FAIL_CORE, "correction failure on a checkpoint step",
+                    "sampling guard false", "more than one group"}
+
+
+def test_reports_match_full_width_oracle_past_exact_floats():
+    # at n_tilde = 2^18 and m = 64, m * n_tilde^3 = 2^60 passes 2^53:
+    # X2's and X4's deviations take the Python-int path, X1's and X3's
+    # the int64 one, and all must match the Fraction arithmetic
+    sys = IntervalSystem(1 << 18, 64, 256)
+    nt = sys.n_tilde
+    assert sys.m * nt ** 2 < 1 << 53 <= sys.m * nt ** 3
+    rnd = OldRng(4, key=(10,))
+    state = snapshot({1 + rnd.randbelow(nt) for _ in range(nt // 3)},
+                     {1 + rnd.randbelow(nt - 1) for _ in range(nt // 2)},
+                     sys=sys)
+    got = check_quasi(state, sys, 0.5, 8, Rng(4, key=(11,)), t=3)
+    want = full_check_quasi(*full_ints(state), sys, 0.5, 8,
+                            Rng(4, key=(11,)), t=3)
+    assert got == want
+    assert len(got.quasi2_devs) == 32 and max(got.quasi2_devs) > 0
