@@ -16,8 +16,10 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from . import prepare
@@ -131,6 +133,10 @@ class TrialRecord:
     wall_time: float
 
 
+# a trial's stages in run order, the keys of TrialResult.stage_s
+STAGES = ("tree", "plan", "label", "audit", "verify")
+
+
 @dataclass(frozen=True)
 class TrialResult:
     record: TrialRecord
@@ -139,6 +145,7 @@ class TrialResult:
     labelling: Optional[Labelling]
     tree: Tree
     params: Params
+    stage_s: Dict[str, float]  # wall seconds per stage, off the record
 
 
 def _load_tree(cfg: ExperimentConfig, n: int, rng: Rng,
@@ -168,7 +175,8 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     labelling keeps the last attempt's history, and one audit_history
     call after it gives the trial's reports: that attempt's checkpoints,
     in step order.  Earlier attempts are not audited."""
-    t0 = time.perf_counter()
+    # one clock reading before the trial and one after each stage
+    marks = [time.perf_counter()]
     n = cfg.n[n_index]
     params = cfg.params_for(n)
     sys = IntervalSystem(params.n_tilde, params.m, params.ell)
@@ -176,9 +184,11 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     tree = _load_tree(cfg, n, root.child(0), tree)
     label_rng = root.child(1)
     audit = cfg.checkpoint_every > 0
+    marks.append(time.perf_counter())
 
     plan = prepare_plan(tree, sys, label_rng.child(0).child(0),
                         max_component=cfg.max_component)
+    marks.append(time.perf_counter())
     # the cut and the ordering draw nothing from the rng: a retry redraws
     # only the intervals, with the same draw law, over the plan's own
     # components (read through the module, so a wrapper installed on
@@ -187,11 +197,13 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
                         collect_trace=collect_trace, keep_history=audit,
                         replan=lambda r: prepare.assign_intervals(
                             plan, sys, r))
+    marks.append(time.perf_counter())
     reports: Tuple[QuasiReport, ...] = ()
     if audit:
         reports = audit_history(res.history, sys, cfg.checkpoint_every,
                                 lambda t: float(params.alpha(t)),
                                 cfg.quasi_per_kind, root.child(2))
+    marks.append(time.perf_counter())
 
     labelling = None
     if res.success:
@@ -200,6 +212,7 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
         if not rep.ok:
             raise RuntimeError(
                 f"completed labelling failed verification: {rep.reason}")
+    marks.append(time.perf_counter())
 
     last_fail = res.failures[-1] if res.failures else None
     q1 = max((r.quasi1_max_dev for r in reports), default=-1.0)
@@ -218,10 +231,12 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
         corv_hits=res.corv_hits,
         core_hits=res.core_hits,
         steps=res.steps,
-        wall_time=time.perf_counter() - t0,
+        wall_time=time.perf_counter() - marks[0],
     )
     return TrialResult(record=record, result=res, reports=reports,
-                       labelling=labelling, tree=tree, params=params)
+                       labelling=labelling, tree=tree, params=params,
+                       stage_s={k: b - a for k, a, b in
+                                zip(STAGES, marks, marks[1:])})
 
 
 @dataclass(frozen=True)
@@ -279,10 +294,7 @@ def _summarize(cfg: ExperimentConfig,
         trials = len(rows)
         succ = sum(r.outcome == "success" for r in rows)
         first = sum(r.outcome == "success" and r.attempts == 1 for r in rows)
-        hist: Dict[str, int] = {}
-        for r in rows:
-            if r.failure_site:
-                hist[r.failure_site] = hist.get(r.failure_site, 0) + 1
+        hist = dict(Counter(r.failure_site for r in rows if r.failure_site))
         entry = {
             "n": n,
             "trials": trials,
@@ -391,21 +403,28 @@ TRACE_COLUMNS = ("t", "chosen_label", "edge_label_removed", "rv", "re",
 
 def trace_csv(result: LabelResult, reports=()) -> str:
     """Step rows in t order; each checkpoint adds one row carrying the
-    two sampled deviations, the other columns blank."""
+    two sampled deviations, the other columns blank.  The step rows
+    between checkpoints are formatted chunk by chunk (rng.chunks)."""
     if result.trace is None:
         raise ValueError("labelling was run without trace collection")
-    by_t = {r.checkpoint: r for r in reports}
-    out = io.StringIO()
-    out.write(",".join(TRACE_COLUMNS) + "\n")
-    for row in result.trace:
-        out.write(f"{row.t},{row.label},{row.edge_label},{row.corv_label},"
-                  f"{row.core_diff},{row.size_a},{row.size_c},,\n")
-        rep = by_t.get(row.t)
+    rows = result.trace.rows
+    # step t's row is rows[t - 1], and its checkpoint's row follows it
+    by_t = {r.checkpoint: r for r in reports
+            if 0 < r.checkpoint <= len(rows)}
+    out = [",".join(TRACE_COLUMNS) + "\n"]
+    start = 0
+    for end in sorted(by_t) + [len(rows)]:
+        out += [("%d,%d,%d,%d,%d,%d,%d,,\n" * len(c))
+                % tuple(chain.from_iterable(c))
+                for c in chunks(rows[start:end])]
+        rep = by_t.pop(end, None)
         if rep is not None:
-            out.write(f"{row.t},,,,,{row.size_a},{row.size_c},"
-                      f"{rep.quasi1_max_dev:.10g},"
-                      f"{rep.quasi2_max_dev:.10g}\n")
-    return out.getvalue()
+            size_a, size_c = rows[end - 1, 5:].tolist()
+            out.append(f"{end},,,,,{size_a},{size_c},"
+                       f"{rep.quasi1_max_dev:.10g},"
+                       f"{rep.quasi2_max_dev:.10g}\n")
+        start = end
+    return "".join(out)
 
 
 def write_experiment(result: ExperimentResult, out_dir: str) -> List[str]:

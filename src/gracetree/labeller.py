@@ -13,6 +13,13 @@ after K misses is the whole window read (numpy slices of the label
 state) and a rank drawn among its free entries.  Both are uniform on the
 same set, so the law is that of a draw from the window's mask; the
 expected cost is about 1/density tries plus a rare O(ell) fallback.
+The tries loop in place over an endless width-ell (label) or width-m
+(pick) offset iterator, Rng.offsets, and a fallback rank is one
+draws(k, 1) call.  The correction laws do not depend on the label
+state, so an attempt draws both for all of its steps up front
+(CorrectionDistribution.hits) and keeps only the steps that hit.
+run_labelling's docstring gives each stream's address and the draw
+order.
 
 The label loop (_attempt) is one pass over the plan with the label
 draw written inline.  It reads the plan's parent positions and window
@@ -21,39 +28,26 @@ indexes numpy and no list of the whole plan is built; its one
 per-vertex list is the labels, which parents read at random.  A step
 reads its parent's label, makes its tries (two byte reads each), clears
 the label's byte in A and the difference's in C, appends the label, and
-makes one test against the next event: the next step that one of the
-correction laws hits or the last step, and every step when a trace is
-collected.  Only an event step runs the rare work, in this order: the
-vertex correction pick, the edge correction pick, the trace row.  No
-count is kept per step: the loop counts only the corrective removals
-(corv_hits, core_hits), on events, and a trace row derives
-|A| = n_tilde - t - corv_hits and |C| = n_tilde - t - core_hits from
-them after t completed steps, and its edge label from the last label
-and the parent label its draw read.  Each pick's value is appended on
-its event step, so the labels and the picks are the attempt's whole
-removal history: position p's label and its edge difference leave at
-step p + 1, and a pick at the step it is made.  run_labelling turns the
-last attempt's into an AttemptHistory when asked, which the audit
-(quasirandom.audit_history) reads after the attempt has ended; the loop
-itself makes no audit call.  A completed attempt scatters the labels by
-vertex into an int64 array once and returns that array read-only
-(LabelArray), so the pipeline builds no dict of labels.
-
-Every value is read by Rng.draws, in blocks.  Every target interval
-has width ell and every correction window width m, so a try reads the
-next value of an endless width-ell (label) or width-m (pick) offset
-iterator, Rng.offsets, one next() each.  The correction laws do not
-depend on the label state, so an attempt draws both for all of its
-steps up front (CorrectionDistribution.hits) and keeps only the steps
-that hit.  A rare fallback rank is one draws(k, 1) call.
-run_labelling's docstring gives each stream's address and the draw
-order.
+makes one test against the next event: the next step that a correction
+law hits, or the last step.  Only an event runs the rare work, the
+vertex pick and then the edge pick, each appending the value it took,
+and finds the next event with one compare of the two laws' next hits.
+So the labels and the picks are the attempt's removal history and give
+its removal counts: the loop keeps no counter and writes no trace.
+run_labelling turns the last attempt's lists into an AttemptHistory
+once the attempt has ended, for the audit (quasirandom.audit_history)
+or a Trace.  A completed attempt scatters the labels by vertex into an
+int64 array once and returns it read-only (LabelArray).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
+from operator import eq
 from typing import Callable, Iterator
 
 import numpy as np
@@ -74,19 +68,13 @@ FAIL_CORV = "corv-removal"
 FAIL_CORE = "core-removal"
 
 # uniform positions a draw tries before it reads its whole window (see
-# _attempt and pick_free).  On a shared 2-vCPU host a label try that
-# misses costs 0.12-0.24 us (one next() of an offset iterator and one
-# or two byte reads).  The fallback costs 3-5 us at ell = 512, 7-11 us
-# at 5120 and 50-70 us at 51200 when the parent's label lies below the
-# window, and 4-6, 12-19 and 95-110 us when it lies above (C's slice is
-# then read backwards).  On random trees at gamma = 1/2 with components
-# capped at 32, 1.8% of label draws miss 16 tries and 0.005-0.007% miss
-# 64, at n = 10^5 and 10^6 with m = 128, ell = 512, and at n = 10^6 with
-# m = 12800, ell = 51200 (2.3% and 0.006% there).  At ell = 512 tries
-# 17..64 cost about what the fallbacks they save did (the 10^6 label
-# stage takes 1.05-1.41 s at K = 64 and 1.09-1.37 s at K = 16); at
-# ell = 51200 they cut it from 4.3-4.7 s to 1.6-2.0 s, and at n = 2*10^6,
-# ell = 102400 from 14.0-14.8 s to 4.5-4.6 s.
+# _attempt and pick_free).  On a shared 2-vCPU host a missed label try
+# costs 0.12-0.24 us, a fallback 3-6 us at ell = 512 and 50-110 us at
+# 51200.  On random trees at gamma = 1/2 with components capped at 32,
+# about 2% of label draws miss 16 tries and under 0.01% miss 64 (n = 10^5
+# and 10^6, ell = 512 and 51200).  At ell = 512 tries 17..64 cost about
+# what the fallbacks they save did; at ell = 51200 they cut the 10^6
+# label stage from 4.3-4.7 s to 1.6-2.0 s.
 K = 64
 TRIES = range(K)
 
@@ -96,39 +84,30 @@ class LabelState:
 
     A and C are bytearrays of n_tilde + 1 bytes, labels and diffs: byte
     v is 1 iff v is free, and byte 0 is 0 in both (no label is 0, and
-    difference 0 is never an edge label).  label_view and diff_view are
-    numpy bool views of the same bytes, for the whole-window reads.  A
-    step draws its label in the label loop (_attempt): each try reads one
-    byte of A and one of C, and about 1/density tries hit; only after K
-    misses does it read the label window of its target interval and the
+    difference 0 is never an edge label).  A label try reads one byte of
+    A and one of C, and about 1/density tries hit; only after K misses
+    does the draw read the label window of its target interval and the
     matching difference window (admissible_mask, one row of _diff_rows):
     a forward slice of C when the parent's label lies below the
     interval, a reversed one when it lies above, and C indexed by
     |b - a| when it lies inside, which target intervals and their
-    complements all but rule out.  The first vertex, which has no
-    parent, and the correction picks draw with pick_free, one byte of A
-    or C per try.  A removal clears one byte: in place when a try hits,
-    through take, which checks that the value is still free, everywhere
-    else.  So a step costs O(1/density) byte reads plus, rarely, O(ell)
-    bytes of numpy work, whatever n_tilde is.  Every difference window,
-    here and in the audit (quasirandom.py), is read by _diff_rows; the
-    audit reads it on a count of checkpoints per value, rebuilt from an
-    attempt's history after the attempt (AttemptHistory), or on the
-    state's own bytes (quasirandom.check_quasi).
-
-    The state is the two free sets and nothing else: |A| and |C| are
-    counted off the bytes by whoever needs them, and an attempt's step
-    and removal counts come back from _attempt.
+    complements all but rule out.  The first vertex and the correction
+    picks draw with pick_free, one byte per try.  A removal clears one
+    byte: in place when a try hits, else through take, which checks that
+    the value is still free.  So a step costs O(1/density) byte reads
+    plus, rarely, O(ell) bytes of numpy work, whatever n_tilde is.  The
+    audit (quasirandom.py) reads difference windows by _diff_rows too.
+    The state is the two sets and nothing else: |A| and |C| are counted
+    off the bytes, an attempt's counts come back from _attempt, and its
+    trace is rebuilt from its history (_trace).
     """
 
-    __slots__ = ("labels", "diffs", "label_view", "diff_view")
+    __slots__ = ("labels", "diffs")
 
     def __init__(self, sys: IntervalSystem):
         nt = sys.n_tilde
         self.labels = bytearray(b"\0" + b"\1" * nt)
         self.diffs = bytearray(b"\0" + b"\1" * (nt - 1) + b"\0")
-        self.label_view = np.frombuffer(self.labels, bool)
-        self.diff_view = np.frombuffer(self.diffs, bool)
 
     def admissible_mask(self, a: int, iv: Interval) -> np.ndarray:
         """Window mask of labels in iv admissible against parent label a:
@@ -178,14 +157,13 @@ def pick_free(free: bytearray, lo: int, w: int, offsets: Iterator[int],
               ranks: Rng) -> int:
     """A value drawn uniformly from the free values of free (byte v is 1
     iff v is free) in lo..lo+w-1, or -1 when there is none: up to TRIES
-    positions lo + next(offsets) (offsets uniform on 0..w - 1), each one
-    byte read, then the window and a rank drawn from ranks, as the label
-    draw in _attempt does.  lo..lo+w-1 must lie in free.
+    positions lo + x, x the next of offsets (uniform on 0..w - 1), each
+    one byte read, then the window and a rank drawn from ranks, as the
+    label draw in _attempt does.  lo..lo+w-1 must lie in free.
     """
-    for _ in TRIES:
-        b = lo + next(offsets)
-        if free[b]:
-            return b
+    for x in islice(offsets, len(TRIES)):
+        if free[lo + x]:
+            return lo + x
     return _rank_draw(np.frombuffer(free, bool, w, lo), lo, ranks)
 
 
@@ -216,6 +194,33 @@ class TraceRow:
     core_diff: int  # removed edge difference, -1 likewise
     size_a: int
     size_c: int
+
+
+class Trace(Sequence):
+    """An attempt's trace, one TraceRow per completed step in step
+    order, held as one int64 array whose row i holds row i's fields.
+    Indexing gives a TraceRow and slicing a Trace; a Trace equals any
+    sequence of the same TraceRows."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trace(self.rows[i])
+        return TraceRow(*self.rows[i].tolist())
+
+    def __iter__(self):
+        return (TraceRow(*row) for c in chunks(self.rows) for row in c)
+
+    def __eq__(self, other):
+        return (isinstance(other, Sequence) and len(self) == len(other)
+                and all(map(eq, self, other)))
 
 
 @dataclass(frozen=True)
@@ -250,6 +255,22 @@ class AttemptHistory:
             for f in self.__dataclass_fields__)
 
 
+def _trace(h: AttemptHistory, n_tilde: int) -> Trace:
+    """The Trace of the attempt whose history is h: step t's label and
+    edge difference, the picks made on it (-1 for none), and the sizes
+    of A and C after it, n_tilde - t less the picks so far."""
+    s = h.steps
+    rows = np.full((s, 7), -1, np.int64)
+    rows[:, 0] = t = np.arange(1, s + 1)
+    rows[:, 1] = h.labels[:s]
+    rows[1:, 2] = h.diffs[:max(s - 1, 0)]
+    for col, at, values in ((3, h.corv_steps, h.corv),
+                            (4, h.core_steps, h.core)):
+        rows[at[at <= s] - 1, col] = values[at <= s]
+        rows[:, col + 2] = n_tilde - t - np.cumsum(rows[:, col] >= 0)
+    return Trace(rows)
+
+
 def _history(plan: Plan, steps: int, labels: list, corv_at: list,
              corv: list, core_at: list, core: list) -> AttemptHistory:
     """An attempt's AttemptHistory from the lists _attempt returns: the
@@ -273,27 +294,24 @@ class LabelResult:
     """The outcome of run_labelling.  psi holds the labels of the
     completed attempt by vertex, as one read-only int64 array (see
     verify.LabelArray), and is None when every attempt failed.  steps,
-    corv_hits, core_hits and history describe the last attempt: its
-    completed steps, the corrective removals made in them, and, when
-    run_labelling was asked to keep it, its AttemptHistory (else
-    None)."""
+    corv_hits, core_hits, trace and history describe the last attempt:
+    its completed steps, the corrective removals made in them, and, when
+    run_labelling was asked for them, its Trace and its AttemptHistory
+    (else None)."""
 
     success: bool
     psi: LabelArray | None
     plan: Plan
     attempts: int
     failures: tuple[AttemptFailure, ...]
-    trace: tuple[TraceRow, ...] | None
+    trace: Trace | None
     steps: int = 0
     corv_hits: int = 0
     core_hits: int = 0
     history: AttemptHistory | None = None
 
     def failure_histogram(self) -> dict[str, int]:
-        hist: dict[str, int] = {}
-        for f in self.failures:
-            hist[f.site] = hist.get(f.site, 0) + 1
-        return hist
+        return dict(Counter(f.site for f in self.failures))
 
 
 def _attempt(
@@ -302,21 +320,18 @@ def _attempt(
     corv: CorrectionDistribution,
     core: CorrectionDistribution,
     rng: Rng,
-    collect_trace: bool,
-) -> tuple[LabelArray | None, AttemptFailure | None, list[TraceRow] | None,
-           int, int, int, tuple]:
-    """One attempt: (labels by vertex or None, failure or None, trace
-    rows or None, completed steps, vertex and edge removals made in
-    them, the removal lists (labels in position order, the vertex law's
-    hit positions, the values its picks took, and the same two for the
-    edge law) that _history reads)."""
+) -> tuple[LabelArray | None, AttemptFailure | None, int, int, int, tuple]:
+    """One attempt: (labels by vertex or None, failure or None, completed
+    steps, vertex and edge removals made in them, the removal lists
+    (labels in position order, the vertex law's hit positions, the
+    values its picks took, and the same two for the edge law) that
+    _history reads)."""
     state = LabelState(sys)
     # the loop's lookups, bound once per attempt
     free_a = state.labels
     free_c = state.diffs
     n = len(plan.lo)
     m = sys.m
-    nt = sys.n_tilde
     ell = sys.ell
     # one stream per purpose; run_labelling documents the addresses
     label_offsets = rng.child(0).offsets(ell)
@@ -329,7 +344,6 @@ def _attempt(
     corv_at.append(n)
     core_at.append(n)
     ci = ei = 0
-    trace: list[TraceRow] | None = [] if collect_trace else None
     # the values the picks took, in step order
     corv_picks: list[int] = []
     core_picks: list[int] = []
@@ -340,78 +354,65 @@ def _attempt(
     # label of its interval; a failure here leaves the state untouched
     b = pick_free(free_a, int(plan.lo[0]), ell, label_offsets, ranks)
     if b < 0:
-        return (None, AttemptFailure(FAIL_CHOOSE, 1), trace, 0, 0, 0,
-                removals)
+        return None, AttemptFailure(FAIL_CHOOSE, 1), 0, 0, 0, removals
     take(free_a, b, "label")
     labels.append(b)
-    # removals made in completed steps; |A| and |C| follow from them
-    corv_hits = core_hits = 0
     failure = None
-    # the step whose rare work is due next: every step when tracing,
-    # else the first of the next law hit and the last step, which ends
+    # a label draw reads at most budget offsets, none when it is 0
+    budget = len(TRIES)
+    tries = label_offsets if budget else ()
+    # the step whose picks are due next, or the last step, which ends
     # the loop; step 1 is handled as one, and finds the next
     event = 1
     # the plan from position 1, in chunks; step n runs its rare work
     # before the loop breaks, so each stream ends in one spare entry
     # that no draw reads
-    parents = chain(chain.from_iterable(chunks(plan.parent_pos, 1)), (0,))
-    los = chain(chain.from_iterable(chunks(plan.lo, 1)), (0,))
+    parents = chain.from_iterable(chain(chunks(plan.parent_pos, 1), ([0],)))
+    los = chain.from_iterable(chain(chunks(plan.lo, 1), ([0],)))
     for t, pp, lo in zip(range(1, n + 1), parents, los):
-        # labels[:t] are placed; first the rare work of step t, in order
-        # the vertex pick, the edge pick, the trace row
+        # labels[:t] are placed; first step t's picks, on an event
         if t == event:
             p = t - 1
-            corv_label = core_diff = -1
             if p == corv_at[ci]:
-                corv_label = pick_free(free_a, corv_lo[ci], m,
-                                       pick_offsets, ranks)
+                x = pick_free(free_a, corv_lo[ci], m, pick_offsets, ranks)
                 ci += 1
-                if corv_label < 0:
+                if x < 0:
                     failure = AttemptFailure(FAIL_CORV, t)
                     break
-                take(free_a, corv_label, "label")
-                corv_picks.append(corv_label)
+                take(free_a, x, "label")
+                corv_picks.append(x)
             if p == core_at[ei]:
-                core_diff = pick_free(free_c, core_lo[ei], m,
-                                      pick_offsets, ranks)
+                x = pick_free(free_c, core_lo[ei], m, pick_offsets, ranks)
                 ei += 1
-                if core_diff < 0:
+                if x < 0:
                     failure = AttemptFailure(FAIL_CORE, t)
                     break
-                take(free_c, core_diff, "difference")
-                core_picks.append(core_diff)
-            corv_hits += corv_label >= 0
-            core_hits += core_diff >= 0
-            if trace is not None:
-                # b is position p's label, a the parent label its draw
-                # read
-                trace.append(
-                    TraceRow(
-                        t=t,
-                        label=b,
-                        edge_label=abs(b - a) if p else -1,
-                        corv_label=corv_label,
-                        core_diff=core_diff,
-                        size_a=nt - t - corv_hits,
-                        size_c=nt - t - core_hits,
-                    )
-                )
+                take(free_c, x, "difference")
+                core_picks.append(x)
             if t == n:
                 break
-            event = t + 1 if trace is not None else min(
-                corv_at[ci] + 1, core_at[ei] + 1, n)
+            # a hit at position p is made on step p + 1; the sentinels
+            # give n + 1, and the last step is the event after them
+            nc, ne = corv_at[ci], core_at[ei]
+            event = (nc if nc < ne else ne) + 1
+            if event > n:
+                event = n
         # then step t + 1: the label of position t, drawn as in the
         # class docstring; a try that hits has checked both bytes, so it
         # clears them in place
         a = labels[pp]
-        for _ in TRIES:
-            b = lo + next(label_offsets)
+        left = budget
+        for x in tries:
+            b = lo + x
             if free_a[b]:
                 d = b - a if b > a else a - b
                 if free_c[d]:
                     free_a[b] = free_c[d] = 0
                     break
-        else:
+            left -= 1
+            if not left:
+                break
+        if not left:
             b = _rank_draw(state.admissible_mask(
                 a, Interval(lo, lo + ell - 1)), lo, ranks)
             if b < 0:
@@ -420,13 +421,15 @@ def _attempt(
             take(free_a, b, "label")
             take(free_c, abs(b - a), "difference")
         labels.append(b)
-    if failure is not None:
-        return (None, failure, trace, failure.step - 1, corv_hits, core_hits,
-                removals)
-    by_vertex = np.zeros(n + 1, np.int64)
-    by_vertex[plan.order] = labels
-    return (LabelArray(by_vertex), None, trace, n, corv_hits, core_hits,
-            removals)
+    if failure is None:
+        by_vertex = np.zeros(n + 1, np.int64)
+        by_vertex[plan.order] = labels
+        return (LabelArray(by_vertex), None, n, len(corv_picks),
+                len(core_picks), removals)
+    # a vertex pick made on the failing step is no completed step's
+    steps = failure.step - 1
+    corv_hits = bisect(corv_at, steps - 1, 0, len(corv_picks))
+    return None, failure, steps, corv_hits, len(core_picks), removals
 
 
 def run_labelling(
@@ -458,10 +461,10 @@ def run_labelling(
       pick fall back.
 
     The result's step and removal counts are the last attempt's,
-    whether or not a trace is collected.  With keep_history, the result
-    also holds the last attempt's AttemptHistory, built once that
-    attempt has ended (O(n) int32 arrays), for the audit to read;
-    without it no history is built.
+    whether or not a trace is collected.  With keep_history or
+    collect_trace, the last attempt's AttemptHistory (O(n) int32 arrays)
+    is built once that attempt has ended: kept in the result for the
+    audit, and read for the trace.  Without either none is built.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -475,27 +478,22 @@ def run_labelling(
         s = rng.child(k)
         if k and replan is not None:
             cur_plan = replan(s.child(0))
-        psi, failure, trace, steps, corv_hits, core_hits, removals = _attempt(
-            cur_plan,
-            sys,
-            corv,
-            core,
-            s.child(1),
-            collect_trace,
-        )
+        psi, failure, steps, corv_hits, core_hits, removals = _attempt(
+            cur_plan, sys, corv, core, s.child(1))
         if failure is None:
             break
         failures.append(failure)
+    history = (_history(cur_plan, steps, *removals)
+               if keep_history or collect_trace else None)
     return LabelResult(
         success=failure is None,
         psi=psi,
         plan=cur_plan,
         attempts=k + 1,
         failures=tuple(failures),
-        trace=tuple(trace) if trace is not None else None,
+        trace=_trace(history, sys.n_tilde) if collect_trace else None,
         steps=steps,
         corv_hits=corv_hits,
         core_hits=core_hits,
-        history=(_history(cur_plan, steps, *removals) if keep_history
-                 else None),
+        history=history if keep_history else None,
     )

@@ -175,25 +175,6 @@ class QuasiReport:
                 and self.quasi2_max_dev <= self.alpha)
 
 
-@dataclass(frozen=True)
-class QuasiReport:
-    checkpoint: int
-    alpha: float
-    quasi1_max_dev: float
-    quasi1_argmax_lo: int  # lo of the edge window with the largest QUASI1
-    quasi2_devs: Tuple[float, ...]
-
-    @property
-    def quasi2_max_dev(self) -> float:
-        """The largest sampled deviation, -1.0 when none was sampled."""
-        return max(self.quasi2_devs, default=-1.0)
-
-    @property
-    def ok(self) -> bool:
-        return (self.quasi1_max_dev <= self.alpha
-                and self.quasi2_max_dev <= self.alpha)
-
-
 class _Free:
     """One free set at each checkpoint of a group, with its block counts.
 

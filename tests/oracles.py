@@ -72,6 +72,7 @@ before they wrote it chunk by chunk: the bytes the writers must keep.
 
 import bisect
 import heapq
+import io
 import json
 import numbers
 from fractions import Fraction
@@ -804,12 +805,13 @@ def _overlap(x, y, s):
 def pattern_count(state, kind, a, a2, c, iv, iv2):
     """Number of label choices for the free slots of one pattern inside
     the free labels A and free differences C of state, one pattern at a
-    time from admissible_mask and the label view (slots of any width;
+    time from admissible_mask and the label bytes (slots of any width;
     kind X1..X4, a and a2 anchor labels, c X2's fixed edge label, iv the
     slot and iv2 X2's second slot, None where a kind has no such
     field)."""
     if kind == "X1":
-        return int(np.count_nonzero(state.label_view[iv.lo:iv.hi + 1]))
+        return int(np.count_nonzero(
+            np.frombuffer(state.labels, bool)[iv.lo:iv.hi + 1]))
     hits = state.admissible_mask(a, iv)
     if kind == "X3":
         return int(np.count_nonzero(hits))
@@ -824,7 +826,7 @@ def pattern_count(state, kind, a, a2, c, iv, iv2):
             hits[b - iv.lo] = 0
     # entry k of hits is label iv.lo + k, so b +- c sits at entry
     # iv.lo +- c - iv2.lo of slot 2's window
-    avail2 = state.label_view[iv2.lo:iv2.hi + 1]
+    avail2 = np.frombuffer(state.labels, bool)[iv2.lo:iv2.hi + 1]
     return (_overlap(hits, avail2, iv.lo + c - iv2.lo)
             + _overlap(hits, avail2, iv.lo - c - iv2.lo))
 
@@ -996,6 +998,24 @@ def old_labelling_to_json(lab):
     it joined the labels chunk by chunk."""
     return json.dumps({"n": lab.tree.n, "m": lab.m,
                        "labels": lab.psi.array[1:].tolist()}, indent=2)
+
+
+def old_trace_csv(result, reports=()):
+    """trace_csv as one write per row, before it formatted the step rows
+    chunk by chunk."""
+    by_t = {r.checkpoint: r for r in reports}
+    out = io.StringIO()
+    out.write("t,chosen_label,edge_label_removed,rv,re,size_A,size_C,"
+              "quasi1_max_dev,quasi2_max_sampled_dev\n")
+    for row in result.trace:
+        out.write(f"{row.t},{row.label},{row.edge_label},{row.corv_label},"
+                  f"{row.core_diff},{row.size_a},{row.size_c},,\n")
+        rep = by_t.get(row.t)
+        if rep is not None:
+            out.write(f"{row.t},,,,,{row.size_a},{row.size_c},"
+                      f"{rep.quasi1_max_dev:.10g},"
+                      f"{rep.quasi2_max_dev:.10g}\n")
+    return out.getvalue()
 
 
 # odd tokens: out of range, signs, digit separators, non-ASCII digits

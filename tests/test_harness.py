@@ -16,16 +16,16 @@ from gracetree.harness import (ExperimentConfig, config_from_json,
                                labelling_from_json, labelling_to_json,
                                records_csv, run_experiment, run_trial,
                                summary_json, trace_csv, write_experiment,
-                               RECORD_COLUMNS, TRACE_COLUMNS)
+                               RECORD_COLUMNS, STAGES, TRACE_COLUMNS)
 from gracetree.intervals import IntervalSystem
 from gracetree.labeller import run_labelling
 from gracetree.params import ParamError, derive_practical_params
 from gracetree.prepare import cut_tree_by_size, prepare_plan
-from gracetree.quasirandom import audit_history
+from gracetree.quasirandom import QuasiReport, audit_history
 from gracetree.trees import format_tree, parse_tree, path_tree, random_tree
 from gracetree.rng import Rng
 from gracetree.verify import LabelArray, Labelling, verify_graceful
-from oracles import old_labelling_to_json
+from oracles import old_labelling_to_json, old_trace_csv
 
 
 def small_cfg(**over):
@@ -621,6 +621,51 @@ def test_unsampled_checkpoint_rows_read_minus_one():
     checks = [r for r in rows[1:] if r[1] == ""]
     assert [int(r[0]) for r in checks] == [500, 1000, 1500]
     assert all(r[-1] == "-1" for r in checks)
+
+
+def test_trace_csv_writes_the_reference_bytes():
+    # the step rows go out in chunks of 4096; checkpoint rows may fall
+    # on any row of a chunk, at its edges, on the last step or past it
+    cfg = ExperimentConfig(n=(9000,), gamma=Fraction(1, 2), m=32, ell=128,
+                           trials=1, seed=0, retries=0, checkpoint_every=0,
+                           max_component=8)
+    ok = run_trial(cfg, 0, 0, collect_trace=True)
+    bad = run_trial(dataclasses.replace(cfg, n=(2000,), gamma=Fraction(1, 5),
+                                        m=32, ell=512, max_component=None),
+                    0, 0, collect_trace=True)
+    assert ok.result.success and len(ok.result.trace) == 9000
+    assert not bad.result.success and 0 < len(bad.result.trace) < 2000
+
+    def reports(*ts):
+        return [QuasiReport(t, 0.5, t / 7, 1, (t / 9,) if t % 2 else ())
+                for t in ts]
+
+    cases = [(), reports(1), reports(0, 1, 2, 4095, 4096, 4097, 8192, 8193,
+                                     8999, 9000, 9001),
+             reports(*range(500, 9001, 500))]
+    for res in (ok.result, bad.result):
+        steps = len(res.trace)
+        for reps in cases + [reports(steps - 1, steps, steps + 1)]:
+            assert trace_csv(res, reps) == old_trace_csv(res, reps)
+    empty = dataclasses.replace(bad.result, trace=bad.result.trace[:0])
+    for reps in cases:
+        assert trace_csv(empty, reps) == old_trace_csv(empty, reps) == (
+            ",".join(TRACE_COLUMNS) + "\n")
+
+
+def test_stage_times():
+    # every stage is timed, whether it ran or not, and no time reaches
+    # the record
+    on = small_cfg(trials=1)
+    for cfg in (on, dataclasses.replace(on, checkpoint_every=0),
+                dataclasses.replace(on, n=(300,), gamma=Fraction(1, 10),
+                                    m=4, ell=16, retries=1)):
+        tr = run_trial(cfg, 0, 0)
+        assert tuple(tr.stage_s) == STAGES
+        assert all(s >= 0 for s in tr.stage_s.values())
+        assert sum(tr.stage_s.values()) <= tr.record.wall_time
+        assert "stage_s" not in dataclasses.asdict(tr.record)
+    assert not tr.result.success
 
 
 # SHA-256 of the artifacts of two frozen runs.  They pin the RNG draw

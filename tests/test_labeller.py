@@ -171,8 +171,10 @@ def _traced_and_bare(tree, sys, s, every):
                         == state.diffs[-1] == 0)
                 if t % every == 0:
                     marks.append((retries, t,
-                                  int(np.count_nonzero(state.label_view)),
-                                  int(np.count_nonzero(state.diff_view))))
+                                  int(np.count_nonzero(
+                                      np.frombuffer(state.labels, bool))),
+                                  int(np.count_nonzero(
+                                      np.frombuffer(state.diffs, bool)))))
             if res.success:
                 break
         runs.append((marks, res))
@@ -591,3 +593,79 @@ def test_batched_loop_matches_scalar_oracle(tries, monkeypatch):
             retried_successes += got.success and got.attempts > 1
     assert sites == {FAIL_CHOOSE, FAIL_CORV, FAIL_CORE}
     assert retried_successes >= 1
+
+
+def test_core_failure_after_a_vertex_pick_on_its_step():
+    # at retry-tight's point (n = 2000), seed 0's attempt fails at the
+    # edge pick of step 943, whose vertex pick was made: the history
+    # keeps that pick, the counts and the trace leave it out, and the
+    # trace ends at step 942, as the scalar oracle's does
+    p = derive_practical_params(2000, Fraction(1, 5), 32, 512)
+    sys = IntervalSystem(p.n_tilde, p.m, p.ell)
+    plan = prepare_plan(random_tree(2000, Rng(0, key=(0,))), sys,
+                        Rng(0, key=(1,)))
+    res = run_labelling(plan, sys, Rng(0, key=(2,)), collect_trace=True,
+                        keep_history=True)
+    fail = res.failures[-1]
+    assert (fail.site, fail.step) == (FAIL_CORE, 943)
+    h = res.history
+    assert h.corv_steps[-1] == fail.step and h.core_steps[-1] < fail.step
+    assert res.corv_hits == len(h.corv) - 1
+    assert res.core_hits == len(h.core)
+    assert res.steps == h.steps == len(res.trace) == fail.step - 1
+    assert res.trace[-1].t == fail.step - 1
+    assert res.corv_hits == sum(r.corv_label >= 0 for r in res.trace)
+    assert dataclasses.replace(res, history=None) == scalar_labelling(
+        plan, sys, Rng(0, key=(2,)))
+
+
+@pytest.mark.parametrize("tries", [0, 2])
+def test_tries_read_at_most_their_budget(tries, monkeypatch):
+    # a draw reads at most len(TRIES) offsets before its fallback, and
+    # none when TRIES is empty; the loop then equals the oracle run
+    # with that many tries
+    monkeypatch.setattr(labeller, "TRIES", range(tries))
+    offsets = Rng.offsets
+    read = Counter()
+
+    def counted(self, bound):
+        for x in offsets(self, bound):
+            read[bound] += 1
+            yield x
+
+    monkeypatch.setattr(Rng, "offsets", counted)
+    for name, sys, trees, prep in list(_scalar_cases())[:3]:
+        tree = trees[0]
+        plan = prepare_plan(tree, sys, Rng(1, key=(1,)), **prep)
+        got = run_labelling(plan, sys, Rng(1, key=(2,)), max_retries=2,
+                            collect_trace=True)
+        assert got == scalar_labelling(plan, sys, Rng(1, key=(2,)),
+                                       max_retries=2, tries=tries), name
+    if not tries:
+        assert not read
+    # pick_free: an empty window reads exactly the budget, a full one
+    # one offset (none without tries)
+    for free, want in ((bytearray(9), tries),
+                       (bytearray(b"\0" + b"\1" * 8), min(tries, 1))):
+        read.clear()
+        pick_free(free, 1, 8, Rng(3).offsets(8), Rng(4))
+        assert read[8] == want
+
+
+def test_trace_is_an_array_backed_sequence():
+    sys = IntervalSystem(40, 2, 4)
+    tree = random_tree(16, Rng(5, key=(0,)))
+    plan = prepare_plan(tree, sys, Rng(5, key=(1,)))
+    res = run_labelling(plan, sys, Rng(5, key=(2,)), max_retries=400,
+                        collect_trace=True)
+    trace = res.trace
+    rows = tuple(trace)
+    assert len(trace) == len(rows) == res.steps == 16
+    assert [r.t for r in rows] == list(range(1, 17))
+    assert trace[0] == rows[0] and trace[-1] == rows[-1]
+    assert trace[3:7] == rows[3:7] and len(trace[3:7]) == 4
+    assert trace == rows and trace == list(rows) and rows == tuple(trace)
+    assert trace != rows[:-1] and trace != rows[1:] + rows[:1]
+    assert trace[:0] == () and not trace[:0]
+    with pytest.raises(IndexError):
+        trace[16]
