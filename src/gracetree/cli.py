@@ -59,7 +59,9 @@ def _cmd_label(args) -> int:
         checkpoint_every=args.checkpoint_every,
         quasi_per_kind=args.quasi_per_kind,
         max_component=args.max_component, tree_source=args.tree)
-    tr = run_trial(cfg, 0, 0, collect_trace=bool(args.trace), tree=tree)
+    tr = run_trial(cfg, 0, 0, tree=tree)
+    if args.trace:
+        _write(args.trace, trace_csv(tr.result, tr.reports))
     if not tr.result.success:
         json.dump({"error": "labelling-failed",
                    "message": f"no labelling after {tr.result.attempts} attempts",
@@ -69,8 +71,6 @@ def _cmd_label(args) -> int:
         return 2
     if args.out:
         _write(args.out, labelling_to_json(tr.labelling) + "\n")
-    if args.trace:
-        _write(args.trace, trace_csv(tr.result, tr.reports))
     _emit({"outcome": "success", "attempts": tr.result.attempts,
            "n": tree.n, "n_tilde": tr.params.n_tilde,
            "quasi1_max_dev": tr.record.quasi1_max_dev,

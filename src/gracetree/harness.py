@@ -22,7 +22,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from . import prepare
 from .intervals import IntervalSystem
 from .labeller import LabelResult, run_labelling
 from .params import ParamError, Params, derive_practical_params, read_gamma
@@ -58,6 +57,9 @@ class ExperimentConfig:
             raise ParamError("n list must not be empty")
         if len(set(self.n)) < len(self.n):
             raise ParamError(f"n repeats an order: {list(self.n)}")
+        if self.tree_source != "random" and len(self.n) > 1:
+            raise ParamError(f"a tree file has one order, config lists "
+                             f"n = {list(self.n)}")
         if self.trials < 0:
             raise ParamError("trials must be >= 0")
         if self.retries < 0:
@@ -163,7 +165,6 @@ def _load_tree(cfg: ExperimentConfig, n: int, rng: Rng,
 
 
 def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
-              collect_trace: bool = False,
               tree: Optional[Tree] = None) -> TrialResult:
     """One seeded trial.  Spawn keys under the root seed: (n_index,
     trial) -> 0 tree, 1 labelling (attempt k draws its intervals from
@@ -171,10 +172,10 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     from child(k, 1)), 2 quasi sampling, read only by the audit of the
     last attempt.  A caller that has already read the config's tree file
     passes the tree, which is then not read again; like the file, it
-    must have order cfg.n[n_index].  With checkpoint_every > 0 the
-    labelling keeps the last attempt's history, and one audit_history
-    call after it gives the trial's reports: that attempt's checkpoints,
-    in step order.  Earlier attempts are not audited."""
+    must have order cfg.n[n_index].  With checkpoint_every > 0, one
+    audit_history call on the last attempt's history gives the trial's
+    reports: that attempt's checkpoints, in step order.  Earlier
+    attempts are neither audited nor traced."""
     # one clock reading before the trial and one after each stage
     marks = [time.perf_counter()]
     n = cfg.n[n_index]
@@ -183,23 +184,15 @@ def run_trial(cfg: ExperimentConfig, n_index: int, trial: int, *,
     root = Rng(cfg.seed).child(n_index, trial)
     tree = _load_tree(cfg, n, root.child(0), tree)
     label_rng = root.child(1)
-    audit = cfg.checkpoint_every > 0
     marks.append(time.perf_counter())
 
     plan = prepare_plan(tree, sys, label_rng.child(0).child(0),
                         max_component=cfg.max_component)
     marks.append(time.perf_counter())
-    # the cut and the ordering draw nothing from the rng: a retry redraws
-    # only the intervals, with the same draw law, over the plan's own
-    # components (read through the module, so a wrapper installed on
-    # prepare.assign_intervals sees retries too)
-    res = run_labelling(plan, sys, label_rng, max_retries=cfg.retries,
-                        collect_trace=collect_trace, keep_history=audit,
-                        replan=lambda r: prepare.assign_intervals(
-                            plan, sys, r))
+    res = run_labelling(plan, sys, label_rng, max_retries=cfg.retries)
     marks.append(time.perf_counter())
     reports: Tuple[QuasiReport, ...] = ()
-    if audit:
+    if cfg.checkpoint_every > 0:
         reports = audit_history(res.history, sys, cfg.checkpoint_every,
                                 lambda t: float(params.alpha(t)),
                                 cfg.quasi_per_kind, root.child(2))
@@ -405,8 +398,6 @@ def trace_csv(result: LabelResult, reports=()) -> str:
     """Step rows in t order; each checkpoint adds one row carrying the
     two sampled deviations, the other columns blank.  The step rows
     between checkpoints are formatted chunk by chunk (rng.chunks)."""
-    if result.trace is None:
-        raise ValueError("labelling was run without trace collection")
     rows = result.trace.rows
     # step t's row is rows[t - 1], and its checkpoint's row follows it
     by_t = {r.checkpoint: r for r in reports

@@ -32,26 +32,26 @@ makes one test against the next event: the next step that a correction
 law hits, or the last step.  Only an event runs the rare work, the
 vertex pick and then the edge pick, each appending the value it took,
 and finds the next event with one compare of the two laws' next hits.
-So the labels and the picks are the attempt's removal history and give
-its removal counts: the loop keeps no counter and writes no trace.
-run_labelling turns the last attempt's lists into an AttemptHistory
-once the attempt has ended, for the audit (quasirandom.audit_history)
-or a Trace.  A completed attempt scatters the labels by vertex into an
-int64 array once and returns it read-only (LabelArray).
+So the labels and the picks are the attempt's removal history: the
+loop keeps no counter and writes no trace.  run_labelling turns the
+last attempt's lists into an AttemptHistory once it has ended, and the
+counts, the Trace, the audit (quasirandom.audit_history) and a
+completed attempt's labels by vertex (a read-only LabelArray) are read
+off it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain, islice
 from operator import eq
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from . import prepare
 from .intervals import (
     CorrectionDistribution,
     Interval,
@@ -98,8 +98,8 @@ class LabelState:
     plus, rarely, O(ell) bytes of numpy work, whatever n_tilde is.  The
     audit (quasirandom.py) reads difference windows by _diff_rows too.
     The state is the two sets and nothing else: |A| and |C| are counted
-    off the bytes, an attempt's counts come back from _attempt, and its
-    trace is rebuilt from its history (_trace).
+    off the bytes, and an attempt's counts and trace are read off its
+    history (LabelResult).
     """
 
     __slots__ = ("labels", "diffs")
@@ -242,6 +242,7 @@ class AttemptHistory:
     1..n_tilde-1 less what left at steps 1..t."""
 
     steps: int
+    n_tilde: int
     labels: np.ndarray
     diffs: np.ndarray
     corv_steps: np.ndarray
@@ -255,7 +256,7 @@ class AttemptHistory:
             for f in self.__dataclass_fields__)
 
 
-def _trace(h: AttemptHistory, n_tilde: int) -> Trace:
+def _trace(h: AttemptHistory) -> Trace:
     """The Trace of the attempt whose history is h: step t's label and
     edge difference, the picks made on it (-1 for none), and the sizes
     of A and C after it, n_tilde - t less the picks so far."""
@@ -267,12 +268,13 @@ def _trace(h: AttemptHistory, n_tilde: int) -> Trace:
     for col, at, values in ((3, h.corv_steps, h.corv),
                             (4, h.core_steps, h.core)):
         rows[at[at <= s] - 1, col] = values[at <= s]
-        rows[:, col + 2] = n_tilde - t - np.cumsum(rows[:, col] >= 0)
+        rows[:, col + 2] = h.n_tilde - t - np.cumsum(rows[:, col] >= 0)
     return Trace(rows)
 
 
-def _history(plan: Plan, steps: int, labels: list, corv_at: list,
-             corv: list, core_at: list, core: list) -> AttemptHistory:
+def _history(plan: Plan, sys: IntervalSystem, steps: int, labels: list,
+             corv_at: list, corv: list, core_at: list,
+             core: list) -> AttemptHistory:
     """An attempt's AttemptHistory from the lists _attempt returns: the
     labels placed, in position order, and the law hit positions and the
     values the picks took (a hit at position p is made on step p + 1).
@@ -285,33 +287,50 @@ def _history(plan: Plan, steps: int, labels: list, corv_at: list,
         return (np.array(at[:len(values)], np.int32) + 1,
                 np.array(values, np.int32))
 
-    return AttemptHistory(steps, lab, diffs, *picks(corv_at, corv),
-                          *picks(core_at, core))
+    return AttemptHistory(steps, sys.n_tilde, lab, diffs,
+                          *picks(corv_at, corv), *picks(core_at, core))
 
 
 @dataclass(frozen=True)
 class LabelResult:
     """The outcome of run_labelling.  psi holds the labels of the
     completed attempt by vertex, as one read-only int64 array (see
-    verify.LabelArray), and is None when every attempt failed.  steps,
-    corv_hits, core_hits, trace and history describe the last attempt:
-    its completed steps, the corrective removals made in them, and, when
-    run_labelling was asked for them, its Trace and its AttemptHistory
-    (else None)."""
+    verify.LabelArray), and is None when every attempt failed.  history
+    is the last attempt's AttemptHistory, and steps, corv_hits,
+    core_hits and trace are read off it: that attempt's completed
+    steps, the vertex and edge removals made in them, and its Trace,
+    built anew on each read."""
 
     success: bool
     psi: LabelArray | None
     plan: Plan
     attempts: int
     failures: tuple[AttemptFailure, ...]
-    trace: Trace | None
-    steps: int = 0
-    corv_hits: int = 0
-    core_hits: int = 0
     history: AttemptHistory | None = None
+    # ignored: perfbench's tests still pass trace=None (see the property)
+    trace: InitVar[None] = None
+
+    @property
+    def steps(self) -> int:
+        return self.history.steps
+
+    @property
+    def corv_hits(self) -> int:
+        # a failed attempt may have made a vertex pick on its failing step
+        h = self.history
+        return int(np.count_nonzero(h.corv_steps <= h.steps))
+
+    @property
+    def core_hits(self) -> int:
+        h = self.history
+        return int(np.count_nonzero(h.core_steps <= h.steps))
 
     def failure_histogram(self) -> dict[str, int]:
         return dict(Counter(f.site for f in self.failures))
+
+
+# set after the class, so that the dataclass keeps the keyword above
+LabelResult.trace = property(lambda self: _trace(self.history))
 
 
 def _attempt(
@@ -320,12 +339,11 @@ def _attempt(
     corv: CorrectionDistribution,
     core: CorrectionDistribution,
     rng: Rng,
-) -> tuple[LabelArray | None, AttemptFailure | None, int, int, int, tuple]:
-    """One attempt: (labels by vertex or None, failure or None, completed
-    steps, vertex and edge removals made in them, the removal lists
-    (labels in position order, the vertex law's hit positions, the
-    values its picks took, and the same two for the edge law) that
-    _history reads)."""
+) -> tuple[AttemptFailure | None, tuple]:
+    """One attempt: (its failure or None, its removal lists: the labels
+    in position order, the vertex law's hit positions, the values its
+    picks took, and the same two for the edge law, which _history
+    reads)."""
     state = LabelState(sys)
     # the loop's lookups, bound once per attempt
     free_a = state.labels
@@ -354,7 +372,7 @@ def _attempt(
     # label of its interval; a failure here leaves the state untouched
     b = pick_free(free_a, int(plan.lo[0]), ell, label_offsets, ranks)
     if b < 0:
-        return None, AttemptFailure(FAIL_CHOOSE, 1), 0, 0, 0, removals
+        return AttemptFailure(FAIL_CHOOSE, 1), removals
     take(free_a, b, "label")
     labels.append(b)
     failure = None
@@ -421,15 +439,7 @@ def _attempt(
             take(free_a, b, "label")
             take(free_c, abs(b - a), "difference")
         labels.append(b)
-    if failure is None:
-        by_vertex = np.zeros(n + 1, np.int64)
-        by_vertex[plan.order] = labels
-        return (LabelArray(by_vertex), None, n, len(corv_picks),
-                len(core_picks), removals)
-    # a vertex pick made on the failing step is no completed step's
-    steps = failure.step - 1
-    corv_hits = bisect(corv_at, steps - 1, 0, len(corv_picks))
-    return None, failure, steps, corv_hits, len(core_picks), removals
+    return failure, removals
 
 
 def run_labelling(
@@ -438,17 +448,13 @@ def run_labelling(
     rng: Rng,
     *,
     max_retries: int = 0,
-    collect_trace: bool = False,
-    keep_history: bool = False,
-    replan: Callable[[Rng], Plan] | None = None,
 ) -> LabelResult:
     """Run attempts until one completes or retries are exhausted.
 
-    Attempt k draws from r = rng.child(k).child(1); when replan is
-    given, attempts after the first rebuild the plan from
-    rng.child(k).child(0), otherwise every attempt reuses the given
-    plan.  Each purpose of an attempt reads its own child of r, in step
-    order:
+    The first attempt labels plan, and attempt k >= 1 a new draw of its
+    intervals, prepare.assign_intervals(plan, sys, rng.child(k).child(0))
+    looked up when it runs.  Attempt k draws its labels from
+    r = rng.child(k).child(1), each purpose from its own child, in order:
 
     - r.child(0): the label tries, offsets(ell), at most K per step;
     - r.child(1): the correction picks' tries, offsets(m), the vertex
@@ -460,11 +466,8 @@ def run_labelling(
       candidates, in the order the label, the vertex pick and the edge
       pick fall back.
 
-    The result's step and removal counts are the last attempt's,
-    whether or not a trace is collected.  With keep_history or
-    collect_trace, the last attempt's AttemptHistory (O(n) int32 arrays)
-    is built once that attempt has ended: kept in the result for the
-    audit, and read for the trace.  Without either none is built.
+    The last attempt's lists become its AttemptHistory (O(n) int32
+    arrays), all the result keeps of it, and psi is scattered from it.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -476,24 +479,26 @@ def run_labelling(
         # a failed attempt's lists are dropped before the next one runs
         removals = None
         s = rng.child(k)
-        if k and replan is not None:
-            cur_plan = replan(s.child(0))
-        psi, failure, steps, corv_hits, core_hits, removals = _attempt(
-            cur_plan, sys, corv, core, s.child(1))
+        if k:
+            cur_plan = prepare.assign_intervals(plan, sys, s.child(0))
+        failure, removals = _attempt(cur_plan, sys, corv, core, s.child(1))
         if failure is None:
             break
         failures.append(failure)
-    history = (_history(cur_plan, steps, *removals)
-               if keep_history or collect_trace else None)
+    n = len(plan.order)
+    history = _history(cur_plan, sys, n if failure is None
+                       else failure.step - 1, *removals)
+    del removals
+    psi = None
+    if failure is None:
+        by_vertex = np.zeros(n + 1, np.int64)
+        by_vertex[cur_plan.order] = history.labels
+        psi = LabelArray(by_vertex)
     return LabelResult(
         success=failure is None,
         psi=psi,
         plan=cur_plan,
         attempts=k + 1,
         failures=tuple(failures),
-        trace=_trace(history, sys.n_tilde) if collect_trace else None,
-        steps=steps,
-        corv_hits=corv_hits,
-        core_hits=core_hits,
-        history=history if keep_history else None,
+        history=history,
     )

@@ -38,7 +38,8 @@ spends included; word_offsets and law_values read Rng.offsets' and
 CorrectionDistribution.hits' blocks through it.  scalar_labelling is
 run_labelling's loop as a scalar transcription on explicit sets that
 reads every offset, law value and fallback rank through word_draws,
-from the addresses run_labelling documents.
+from the addresses run_labelling documents; it counts its own steps
+and removals and writes its own trace, step by step (ScalarRun).
 mask, window, from_indices and iter_bits are the full-width bitset
 forms (one int per set; window shifts the whole int) that the byte
 state is checked against, and to_int turns a byte set (byte v is 1 iff
@@ -76,6 +77,7 @@ import io
 import json
 import numbers
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -84,7 +86,7 @@ import gracetree.labeller as labeller
 from gracetree.intervals import (Interval, IntervalSystem,
                                  core_distribution, corv_distribution)
 from gracetree.labeller import (FAIL_CHOOSE, FAIL_CORE, FAIL_CORV, K,
-                                AttemptFailure, LabelResult, LabelState,
+                                AttemptFailure, LabelState,
                                 TraceRow, _rank_draw, take)
 from gracetree.rng import _BUF
 from gracetree.verify import VerifyReport
@@ -564,11 +566,27 @@ def _uniform_member(lo, w, ok, offsets, rank, tries):
     return cands[rank(len(cands))] if cands else -1
 
 
+class ScalarRun(NamedTuple):
+    """scalar_labelling's run: LabelResult's fields, psi a dict, with
+    the last attempt's trace (a tuple of TraceRows), steps and removal
+    counts as the scalar loop counted them."""
+    success: bool
+    psi: dict | None
+    plan: object
+    attempts: int
+    failures: tuple
+    trace: tuple
+    steps: int
+    corv_hits: int
+    core_hits: int
+
+
 def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
-    """run_labelling(..., collect_trace=True) as a scalar loop on sets A
-    and C: each try offset and law value is one word_offsets or
-    law_values value, each step reads one value of both laws, and a
-    fallback ranks the sorted candidates by one word_draws(k, 1)."""
+    """run_labelling as a scalar loop on sets A and C: each try offset
+    and law value is one word_offsets or law_values value, each step
+    reads one value of both laws, and a fallback ranks the sorted
+    candidates by one word_draws(k, 1).  Attempt k >= 1 labels
+    replan(rng.child(k).child(0)), or plan again without replan."""
     corv, core = corv_distribution(sys), core_distribution(sys)
     nt, m = sys.n_tilde, sys.m
     failures = []
@@ -629,7 +647,7 @@ def scalar_labelling(plan, sys, rng, max_retries=0, replan=None, tries=K):
         if failure is None:
             break
         failures.append(failure)
-    return LabelResult(
+    return ScalarRun(
         success=failure is None,
         psi=None if failure else dict(zip(order, labels)),
         plan=plan, attempts=k + 1, failures=tuple(failures),

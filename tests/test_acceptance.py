@@ -69,7 +69,7 @@ def steady_campaign():
     agg = {"steps": 0, "corv": 0, "core": 0, "bad_identity": None,
            "params": cfg.params_for(cfg.n[0])}
     for k in range(cfg.trials):
-        tr = run_trial(cfg, 0, k, collect_trace=True)
+        tr = run_trial(cfg, 0, k)
         records.append(tr.record)
         if tr.record.outcome != "success":
             continue
@@ -297,7 +297,7 @@ def test_10_determinism():
     summaries = [summary_json(r.summary) for r in runs]
     labellings = [{k: labelling_to_json(v) for k, v in r.labellings.items()}
                   for r in runs]
-    trials = [run_trial(cfg, 0, 0, collect_trace=True) for _ in range(2)]
+    trials = [run_trial(cfg, 0, 0) for _ in range(2)]
     traces = [trace_csv(t.result, t.reports) for t in trials]
     verdict(10, "identical seed and config reproduce byte-identical "
                 "traces, labellings, and summaries",

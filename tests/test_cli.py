@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gracetree import verify
 from gracetree.cli import main
 from gracetree.exact import exact_graceful
-from gracetree.harness import labelling_to_json
+from gracetree.harness import ExperimentConfig, labelling_to_json, run_trial
 from gracetree.rng import Rng
 from gracetree.trees import (caterpillar_tree, format_tree, parse_tree,
                              random_tree)
@@ -309,16 +309,26 @@ def test_label_refuses_bad_gamma(tmp_path, capsys, gamma):
 
 def test_label_exhausted_retries_exit_2(tmp_path, capsys):
     tree = str(tmp_path / "t.txt")
+    trace = tmp_path / "trace.csv"
     run_cli(capsys, "generate", "--n", "300", "--seed", "0", "--out", tree)
     code, out, err = run_cli(
         capsys, "label", "--tree", tree, "--gamma", "1/10", "--m", "4",
         "--ell", "16", "--seed", "0", "--retries", "2",
-        "--checkpoint-every", "0", "--quasi-per-kind", "0")
+        "--checkpoint-every", "0", "--quasi-per-kind", "0",
+        "--trace", str(trace))
     assert code == 2
     payload = json.loads(err)
     assert payload["error"] == "labelling-failed"
     hist = payload["failure_histogram"]
     assert sum(hist.values()) == 3  # one per attempt
+    # the trace is the last failed attempt's: a row per completed step
+    cfg = ExperimentConfig(n=(300,), gamma="1/10", m=4, ell=16, trials=1,
+                           seed=0, retries=2, checkpoint_every=0,
+                           quasi_per_kind=0, tree_source=tree)
+    step = run_trial(cfg, 0, 0).result.failures[-1].step
+    rows = trace.read_text().splitlines()[1:]
+    assert step > 1
+    assert [int(r.split(",")[0]) for r in rows] == list(range(1, step))
 
 
 def test_error_json_on_stderr(tmp_path, capsys):

@@ -80,11 +80,17 @@ def test_config_json_round_trip():
     with pytest.raises(ParamError):
         config_from_json('{"n": [10], "gamma": "1", "m": 2, "ell": 4, '
                          '"trials": 1, "seed": 0, "bogus": 3}')
+    # a tree file has one order, so a config over one lists one n
+    with pytest.raises(ParamError, match=r"one order, config lists "
+                                         r"n = \[300, 400\]"):
+        config_from_json('{"n": [300, 400], "gamma": "1", "m": 2, '
+                         '"ell": 4, "trials": 1, "seed": 0, '
+                         '"tree_source": "t.txt"}')
 
 
 def test_trial_success_record_and_labelling():
     cfg = small_cfg()
-    tr = run_trial(cfg, 0, 0, collect_trace=True)
+    tr = run_trial(cfg, 0, 0)
     rec = tr.record
     assert rec.outcome == "success"
     assert rec.seed_key == "1234:0,0"
@@ -99,8 +105,8 @@ def test_trial_success_record_and_labelling():
 
 def test_trial_deterministic():
     cfg = small_cfg()
-    a = run_trial(cfg, 0, 1, collect_trace=True)
-    b = run_trial(cfg, 0, 1, collect_trace=True)
+    a = run_trial(cfg, 0, 1)
+    b = run_trial(cfg, 0, 1)
     assert a.result.psi == b.result.psi
     assert a.reports == b.reports
     assert (dataclasses.replace(a.record, wall_time=0.0)
@@ -128,7 +134,7 @@ def test_trial_failure_record():
     cfg = ExperimentConfig(n=(300,), gamma=Fraction(1, 10), m=4, ell=16,
                            trials=1, seed=0, retries=0, quasi_per_kind=0,
                            checkpoint_every=0)
-    tr = run_trial(cfg, 0, 0, collect_trace=True)
+    tr = run_trial(cfg, 0, 0)
     rec = tr.record
     assert rec.outcome == "fail" and tr.labelling is None
     assert rec.failure_site == "choose-label" and rec.failure_step == 137
@@ -142,7 +148,7 @@ def test_accounting_identity_along_trace():
     # differences with the edge-side removals
     cfg = small_cfg()
     for trial in range(3):
-        tr = run_trial(cfg, 0, trial, collect_trace=True)
+        tr = run_trial(cfg, 0, trial)
         assert tr.record.outcome == "success"
         nt = tr.params.n_tilde
         corv = core = 0
@@ -275,7 +281,7 @@ def test_cli_import_leaves_scipy_stats_out():
 
 def test_trace_csv_shape():
     cfg = small_cfg()
-    tr = run_trial(cfg, 0, 0, collect_trace=True)
+    tr = run_trial(cfg, 0, 0)
     lines = trace_csv(tr.result, tr.reports).strip().split("\n")
     assert lines[0] == ",".join(TRACE_COLUMNS)
     rows = [ln.split(",") for ln in lines[1:]]
@@ -443,7 +449,7 @@ def _audit_peaks(n):
     plan = prepare_plan(tree, sys, Rng(7, (1,)), max_component=32)
     peaks = {}
     res, peaks["run_labelling"] = _stage_peak(
-        n, lambda: run_labelling(plan, sys, Rng(7, (2,)), keep_history=True))
+        n, lambda: run_labelling(plan, sys, Rng(7, (2,))))
     assert res.success
     history = res.history
     peaks["history"] = sum(x.nbytes for x in (
@@ -510,10 +516,11 @@ def test_campaign_reads_its_tree_file_once(tmp_path, monkeypatch):
     empty = run_experiment(dataclasses.replace(
         cfg, trials=0, tree_source=str(tmp_path / "missing.txt")))
     assert calls == [] and empty.records == ()
-    # the tree read for the first n is checked against every later n
-    with pytest.raises(ParamError, match="has order 120, config lists "
-                                         "n = 121"):
-        run_experiment(dataclasses.replace(cfg, n=(120, 121), trials=1))
+    # a tree file has one order, so a config that lists two is refused
+    # before any trial runs
+    with pytest.raises(ParamError, match=r"one order, config lists "
+                                         r"n = \[120, 121\]"):
+        dataclasses.replace(cfg, n=(120, 121), trials=1)
 
 
 def test_write_experiment_files(tmp_path):
@@ -540,38 +547,27 @@ def test_untraced_record_equals_traced():
                                trials=1, seed=0, retries=2, quasi_per_kind=0,
                                checkpoint_every=0), 0)]
     for cfg, trial in cases:
-        traced = run_trial(cfg, 0, trial, collect_trace=True)
-        plain = run_trial(cfg, 0, trial)
-        assert plain.result.trace is None
-        assert _strip(plain.record) == _strip(traced.record)
-        assert plain.record.steps == len(traced.result.trace) > 0
-        assert plain.record.corv_hits > 0 and plain.record.core_hits > 0
+        tr = run_trial(cfg, 0, trial)
+        assert tr.record.steps == len(tr.result.trace) > 0
+        assert tr.record.corv_hits > 0 and tr.record.core_hits > 0
     exp = run_experiment(dataclasses.replace(cases[0][0], trials=2))
     assert [_strip(r) for r in exp.records] == [
-        _strip(run_trial(cases[0][0], 0, k, collect_trace=True).record)
-        for k in range(2)]
+        _strip(run_trial(cases[0][0], 0, k).record) for k in range(2)]
 
 
 def test_audit_stays_out_of_the_label_loop():
     # the audit reads the last attempt once it has ended: a trial labels
-    # alike with it on and off (labelling, plan, attempts, failures,
-    # steps, hit counts and trace rows), only the audited run keeps a
-    # history, and the reports do not depend on the trace
+    # alike with it on and off (labelling, plan, attempts, failures and
+    # the history that steps, hit counts and trace rows are read off)
     retrying = ExperimentConfig(n=(2000,), gamma=Fraction(1, 5), m=32,
                                 ell=256, trials=1, seed=0,
                                 checkpoint_every=500, quasi_per_kind=4)
     for on in (small_cfg(trials=1), retrying):
         off = dataclasses.replace(on, checkpoint_every=0)
-        audited = run_trial(on, 0, 0, collect_trace=True)
-        plain = run_trial(off, 0, 0, collect_trace=True)
+        audited = run_trial(on, 0, 0)
+        plain = run_trial(off, 0, 0)
         assert audited.reports and plain.reports == ()
-        assert plain.result.history is None
-        assert audited.result.history is not None
-        assert dataclasses.replace(audited.result, history=None) == \
-            plain.result
-        untraced = run_trial(on, 0, 0)
-        assert untraced.result.trace is None
-        assert untraced.reports == audited.reports
+        assert audited.result == plain.result
     assert not audited.result.success and audited.result.attempts == 4
 
 
@@ -615,7 +611,7 @@ def test_unsampled_checkpoint_rows_read_minus_one():
     cfg = ExperimentConfig(n=(2000,), gamma=Fraction(1, 2), m=16, ell=64,
                            trials=1, seed=3, checkpoint_every=500,
                            quasi_per_kind=0, max_component=8)
-    tr = run_trial(cfg, 0, 0, collect_trace=True)
+    tr = run_trial(cfg, 0, 0)
     assert all(r.quasi2_max_dev == -1.0 for r in tr.reports)
     rows = list(csv.reader(io.StringIO(trace_csv(tr.result, tr.reports))))
     checks = [r for r in rows[1:] if r[1] == ""]
@@ -629,10 +625,10 @@ def test_trace_csv_writes_the_reference_bytes():
     cfg = ExperimentConfig(n=(9000,), gamma=Fraction(1, 2), m=32, ell=128,
                            trials=1, seed=0, retries=0, checkpoint_every=0,
                            max_component=8)
-    ok = run_trial(cfg, 0, 0, collect_trace=True)
+    ok = run_trial(cfg, 0, 0)
     bad = run_trial(dataclasses.replace(cfg, n=(2000,), gamma=Fraction(1, 5),
                                         m=32, ell=512, max_component=None),
-                    0, 0, collect_trace=True)
+                    0, 0)
     assert ok.result.success and len(ok.result.trace) == 9000
     assert not bad.result.success and 0 < len(bad.result.trace) < 2000
 
@@ -647,7 +643,9 @@ def test_trace_csv_writes_the_reference_bytes():
         steps = len(res.trace)
         for reps in cases + [reports(steps - 1, steps, steps + 1)]:
             assert trace_csv(res, reps) == old_trace_csv(res, reps)
-    empty = dataclasses.replace(bad.result, trace=bad.result.trace[:0])
+    empty = dataclasses.replace(bad.result, history=dataclasses.replace(
+        bad.result.history, steps=0))
+    assert len(empty.trace) == 0
     for reps in cases:
         assert trace_csv(empty, reps) == old_trace_csv(empty, reps) == (
             ",".join(TRACE_COLUMNS) + "\n")
@@ -713,12 +711,12 @@ def _golden_runs():
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    ok = run_trial(small_cfg(trials=1), 0, 0, collect_trace=True)
+    ok = run_trial(small_cfg(trials=1), 0, 0)
     assert ok.record.outcome == "success"
     cfg = ExperimentConfig(n=(300,), gamma=Fraction(1, 10), m=4, ell=16,
                            trials=1, seed=0, retries=2, quasi_per_kind=0,
                            checkpoint_every=0)
-    bad = run_trial(cfg, 0, 0, collect_trace=True)
+    bad = run_trial(cfg, 0, 0)
     assert bad.record.outcome == "fail" and bad.record.attempts == 3
     return {"success_labelling": sha(labelling_to_json(ok.labelling)),
             "success_trace": sha(trace_csv(ok.result, ok.reports)),
@@ -778,7 +776,7 @@ def test_retries_redraw_only_the_intervals(monkeypatch):
         calls.clear()
         cfg = ExperimentConfig(n=(2000,), m=32, ell=256, trials=1,
                                checkpoint_every=500, quasi_per_kind=4, **over)
-        tr = run_trial(cfg, 0, 0, collect_trace=True)
+        tr = run_trial(cfg, 0, 0)
         assert (tr.record.outcome, tr.record.attempts) == (outcome, attempts)
         assert calls == ["cut_tree_by_size", "order_vertices"]
         row = dataclasses.asdict(tr.record)

@@ -452,8 +452,7 @@ def test_reports_match_full_width_oracle_on_run_snapshots(n, m, ell, seed):
     plan = prepare_plan(tree, sys, Rng(seed, key=(1,)), max_component=32)
     new_rng, old_rng = Rng(seed, key=(2,)), Rng(seed, key=(2,))
     reports = []
-    history = run_labelling(plan, sys, Rng(seed, key=(3,)),
-                            keep_history=True).history
+    history = run_labelling(plan, sys, Rng(seed, key=(3,))).history
     for t in range(250, history.steps + 1, 250):
         state = history_state(history, sys, t)
         alpha = float(params.alpha(t))
@@ -683,14 +682,13 @@ def _batched_against_rebuilt(plan, sys, seed, every, per_kind, retries=0):
     in checkpoint order on one rng.  The state rebuilt from the history
     must equal the one rebuilt from the trace rows, at each checkpoint
     and after the last completed step."""
-    res = run_labelling(plan, sys, Rng(seed, key=(2,)), max_retries=retries,
-                        collect_trace=True, keep_history=True)
-    history = res.history
-    assert history.steps == res.steps == len(res.trace)
+    res = run_labelling(plan, sys, Rng(seed, key=(2,)), max_retries=retries)
+    history, trace = res.history, res.trace
+    assert history.steps == res.steps == len(trace)
     checkpoints = range(every, history.steps + 1, every)
     for t in (*checkpoints, history.steps):
         state = history_state(history, sys, t)
-        rows = trace_state(res.trace, sys, t)
+        rows = trace_state(trace, sys, t)
         assert (state.labels, state.diffs) == (rows.labels, rows.diffs), t
 
     def alpha(t):
@@ -746,7 +744,7 @@ def test_batched_audit_matches_check_quasi_on_rebuilt_states():
     small = IntervalSystem(8, 1, 2)
     picks = np.array([5, 6, 7], np.int32)
     history = AttemptHistory(
-        4, np.arange(1, 5, dtype=np.int32), np.arange(1, 4, dtype=np.int32),
+        4, 8, np.arange(1, 5, dtype=np.int32), np.arange(1, 4, dtype=np.int32),
         picks - 3, picks, np.zeros(0, np.int32), np.zeros(0, np.int32))
     reports = audit_history(history, small, 1, lambda t: 0.5, 3, Rng(1))
     want, rng = [], Rng(1)
